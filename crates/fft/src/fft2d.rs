@@ -152,6 +152,15 @@ impl Fft2d {
         self.execute_with(data, dir, true)
     }
 
+    /// Parks transpose scratch for `count` serial transforms
+    /// ([`Fft2d::inverse_serial_sparse`], [`Fft2d::inverse_serial_cols`])
+    /// running at once — pass [`crate::parallel::region_width`] of a region
+    /// whose tasks each run one, so the region never allocates scratch
+    /// however its tasks overlap.
+    pub fn reserve_serial(&self, count: usize) {
+        self.scratch.reserve(count, self.len());
+    }
+
     /// [`Fft2d::inverse_serial`] specialized for spectra whose support is
     /// confined to a band of rows (e.g. a pupil-filtered SOCS field): the
     /// row pass skips rows that are entirely zero, since their transform

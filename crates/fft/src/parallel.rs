@@ -42,7 +42,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 /// Upper bound on pool size; beyond this the FFT row blocks are too small
 /// for extra threads to pay for themselves.
@@ -100,6 +100,19 @@ pub fn with_worker_limit<R>(limit: usize, f: impl FnOnce() -> R) -> R {
 /// Worker count after applying the scoped [`with_worker_limit`] cap.
 fn effective_workers() -> usize {
     worker_count().min(WORKER_LIMIT.with(|l| l.get()))
+}
+
+/// Most threads a parallel region over `n` indices, opened from this
+/// thread, can run at once (the caller included): the worker count under
+/// any [`with_worker_limit`] cap, and never more than `n`.
+///
+/// Tasks that each borrow one pooled scratch buffer push their pool to
+/// this many buffers — but only once enough of them happen to overlap,
+/// which depends on scheduling. Reserving this many up front with
+/// [`crate::BufferPool::reserve`] makes the region allocation-free from
+/// its first run on, however its tasks interleave.
+pub fn region_width(n: usize) -> usize {
+    effective_workers().min(n.max(1))
 }
 
 /// Splits `workers` threads across `slots` concurrent coarse-grained
@@ -210,16 +223,13 @@ impl Region {
         }
     }
 
-    /// Blocks until every index has finished, then surfaces the first panic.
-    fn wait_and_propagate(&self) {
+    /// Blocks until every index has finished; returns the first panic.
+    fn wait(&self) -> Option<Box<dyn std::any::Any + Send>> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while !st.complete {
             st = self.finished.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        if let Some(payload) = st.panic.take() {
-            drop(st);
-            resume_unwind(payload);
-        }
+        st.panic.take()
     }
 }
 
@@ -234,6 +244,9 @@ struct Pool {
 struct PoolShared {
     queue: Mutex<VecDeque<Arc<Region>>>,
     work_available: Condvar,
+    /// Every worker plus the spawning thread meet here once, so the pool
+    /// exists only after each worker has finished starting up.
+    started: Barrier,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -241,18 +254,26 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 impl Pool {
     fn global() -> &'static Pool {
         POOL.get_or_init(|| {
+            let spawned = worker_count().saturating_sub(1);
             let shared = Arc::new(PoolShared {
                 queue: Mutex::new(VecDeque::new()),
                 work_available: Condvar::new(),
+                started: Barrier::new(spawned + 1),
             });
-            let spawned = worker_count().saturating_sub(1);
             for i in 0..spawned {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cfaopc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        shared.started.wait();
+                        worker_loop(&shared)
+                    })
                     .expect("spawning pool worker");
             }
+            // A thread allocates as it starts (name, thread-locals); doing
+            // that here, not whenever the scheduler first runs it, keeps
+            // it out of every later region.
+            shared.started.wait();
             Pool { shared, spawned }
         })
     }
@@ -263,6 +284,22 @@ impl Pool {
         drop(q);
         self.shared.work_available.notify_all();
     }
+
+    /// Takes a finished region off the queue, then waits out the workers
+    /// still holding it — they drop it right after their last claim. The
+    /// region is therefore freed by its caller, before the caller returns,
+    /// rather than whenever a worker next wakes: the heap looks the same
+    /// after every region, however the workers were scheduled.
+    fn retire(&self, region: &Arc<Region>) {
+        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.retain(|queued| !Arc::ptr_eq(queued, region));
+        drop(q);
+        // Workers attach only through the queue, so the count can only
+        // fall from here.
+        while Arc::strong_count(region) > 1 {
+            std::thread::yield_now();
+        }
+    }
 }
 
 fn worker_loop(shared: &PoolShared) {
@@ -270,12 +307,8 @@ fn worker_loop(shared: &PoolShared) {
         let region = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                // Retire exhausted regions from the front; their caller holds
-                // its own Arc and is responsible for completion.
-                while q.front().is_some_and(|r| r.exhausted()) {
-                    q.pop_front();
-                }
-                // First region with free work and a free attachment slot.
+                // First region with free work and a free attachment slot;
+                // each caller takes its own region off the queue.
                 let claimed = q.iter().find(|r| !r.exhausted() && r.try_attach()).cloned();
                 match claimed {
                     Some(r) => break r,
@@ -334,7 +367,13 @@ fn run_region(n: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         pool.inject(Arc::clone(&region));
     }
     region.participate();
-    region.wait_and_propagate();
+    let panic = region.wait();
+    if pool.spawned > 0 {
+        pool.retire(&region);
+    }
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Applies `f` to equal-length mutable chunks of `data` in parallel.
@@ -355,7 +394,7 @@ where
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = effective_workers().min(n_chunks.max(1));
+    let workers = region_width(n_chunks);
     if workers <= 1 || n_chunks <= 1 {
         for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(idx, chunk);
@@ -405,7 +444,7 @@ where
         b.len().div_ceil(chunk_b),
         "buffers must split into the same number of chunks"
     );
-    let workers = effective_workers().min(n_chunks.max(1));
+    let workers = region_width(n_chunks);
     if workers <= 1 || n_chunks <= 1 {
         for (idx, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
             f(idx, ca, cb);
@@ -443,7 +482,7 @@ pub fn par_for<F>(n: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let workers = effective_workers().min(n.max(1));
+    let workers = region_width(n);
     if workers <= 1 || n <= 1 {
         for i in 0..n {
             f(i);
@@ -479,7 +518,7 @@ where
 {
     assert!(grain > 0, "grain must be positive");
     let batches = n.div_ceil(grain);
-    let workers = effective_workers().min(batches.max(1));
+    let workers = region_width(batches);
     if workers <= 1 || batches <= 1 {
         for i in 0..n {
             f(i);
@@ -594,7 +633,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = effective_workers().min(n.max(1));
+    let workers = region_width(n);
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }

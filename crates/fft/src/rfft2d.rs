@@ -28,7 +28,7 @@
 use crate::complex::Complex;
 use crate::fft1d::{Fft, FftError};
 use crate::fft2d::Fft2d;
-use crate::parallel::par_chunks_mut;
+use crate::parallel::{par_chunks_mut, region_width};
 use crate::workspace::BufferPool;
 
 /// A reusable real-input 2-D FFT plan for a fixed `height × width` shape.
@@ -165,6 +165,7 @@ impl Rfft2d {
         // Row pass: rows (2p, 2p+1) share one complex transform.
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
+        row_scratch.reserve(region_width(h / 2), w);
         par_chunks_mut(out, 2 * w, |p, chunk| {
             let r0 = 2 * p * w;
             let r1 = r0 + w;
@@ -279,6 +280,7 @@ impl Rfft2d {
         let cols_ro: &[Complex] = &cols;
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
+        row_scratch.reserve(region_width(h / 2), w);
         par_chunks_mut(out, 2 * w, |p, chunk| {
             let y0 = 2 * p;
             let y1 = y0 + 1;

@@ -95,6 +95,25 @@ impl<T: Default + Clone> BufferPool<T> {
         buf.fill(T::default());
         buf
     }
+
+    /// Makes sure at least `count` buffers (capped at the pool's limit)
+    /// are parked, so the next `count` overlapping takes all recycle. A
+    /// no-op once the pool holds that many. Call it with
+    /// [`crate::parallel::region_width`] before a region whose tasks each
+    /// take one buffer: the pool then reaches its high-water mark on the
+    /// first run rather than whenever enough tasks first overlap.
+    pub fn reserve(&self, count: usize, len: usize) {
+        let count = count.min(MAX_POOLED);
+        if count == 0 || self.pooled() >= count {
+            return;
+        }
+        // Hold one buffer while the other `count - 1` are reserved, then
+        // park it too. Only `take`'s empty-pool path allocates, so the
+        // pool keeps a single allocation site.
+        let held = self.take(len);
+        self.reserve(count - 1, len);
+        self.put(held);
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +151,18 @@ mod tests {
         pool.put(small);
         let big = pool.take(50);
         assert_eq!(big.len(), 50);
+    }
+
+    #[test]
+    fn reserve_tops_up_to_count_once() {
+        let pool: BufferPool<f64> = BufferPool::new();
+        pool.put(vec![1.0; 8]);
+        pool.reserve(3, 8);
+        assert_eq!(pool.pooled(), 3, "tops up the shortfall only");
+        pool.reserve(2, 8);
+        assert_eq!(pool.pooled(), 3, "never shrinks or over-fills");
+        pool.reserve(MAX_POOLED + 5, 1);
+        assert_eq!(pool.pooled(), MAX_POOLED, "capped like put");
     }
 
     #[test]

@@ -3,7 +3,14 @@
 //! Used to clean pixel-ILT masks before fracturing (remove single-pixel
 //! specks that would violate the minimum shot radius) and to build the
 //! optimization domains of the baseline ILT engines.
+//!
+//! Disk morphology runs on the exact Euclidean distance transform
+//! ([`squared_distance_to`]): one O(n²) pass over an n×n grid whatever the
+//! radius, instead of probing all ~πr² offsets of the disk at every
+//! pixel. The transform is exact on integer squared distances, so the
+//! thresholds below select the same pixels as that probe, bit for bit.
 
+use crate::distance::squared_distance_to;
 use crate::grid::{BitGrid, Point};
 
 /// Structuring element shape.
@@ -11,55 +18,45 @@ use crate::grid::{BitGrid, Point};
 pub enum Structuring {
     /// Square of half-width `r` (Chebyshev ball) — separable and fast.
     Square(i32),
-    /// Disk of radius `r` (Euclidean ball).
+    /// Disk of radius `r` (Euclidean ball: offsets with `dx² + dy² ≤ r²`).
     Disk(i32),
 }
 
-impl Structuring {
-    fn offsets(self) -> Vec<(i32, i32)> {
-        match self {
-            Structuring::Square(r) => {
-                let r = r.max(0);
-                let mut v = Vec::new();
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        v.push((dx, dy));
-                    }
-                }
-                v
-            }
-            Structuring::Disk(r) => {
-                let r = r.max(0);
-                let r2 = r as i64 * r as i64;
-                let mut v = Vec::new();
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        if (dx as i64 * dx as i64 + dy as i64 * dy as i64) <= r2 {
-                            v.push((dx, dy));
-                        }
-                    }
-                }
-                v
-            }
+/// Dilation: a pixel is set if any pixel under the structuring element is
+/// set. Square elements run separably (two 1-D passes); a disk keeps every
+/// pixel whose squared distance to the mask is at most `r²`.
+pub fn dilate(mask: &BitGrid, elem: Structuring) -> BitGrid {
+    match elem {
+        Structuring::Square(r) => separable_extreme(mask, r.max(0), true),
+        Structuring::Disk(r) => {
+            let r2 = disk_r2(r);
+            BitGrid::from(squared_distance_to(mask).map(|&d2| d2 <= r2))
         }
     }
 }
 
-/// Dilation: a pixel is set if any pixel under the structuring element is
-/// set. Square elements run separably (two 1-D passes).
-pub fn dilate(mask: &BitGrid, elem: Structuring) -> BitGrid {
-    match elem {
-        Structuring::Square(r) => separable_extreme(mask, r.max(0), true),
-        Structuring::Disk(_) => sweep(mask, elem, true),
-    }
-}
-
 /// Erosion: a pixel stays set only if every pixel under the structuring
-/// element is set (off-grid counts as background).
+/// element is set (off-grid counts as background). A disk keeps the pixels
+/// farther than `r` from both the background and the grid's outside: the
+/// nearest off-grid pixel lies straight across the closest edge, at
+/// `min(x + 1, w − x, y + 1, h − y)`.
 pub fn erode(mask: &BitGrid, elem: Structuring) -> BitGrid {
     match elem {
         Structuring::Square(r) => separable_extreme(mask, r.max(0), false),
-        Structuring::Disk(_) => sweep(mask, elem, false),
+        Structuring::Disk(r) => {
+            let r2 = disk_r2(r);
+            let (w, h) = (mask.width(), mask.height());
+            let background = BitGrid::from(mask.as_grid().map(|&set| !set));
+            let d2 = squared_distance_to(&background);
+            let mut out = BitGrid::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    let edge = (x + 1).min(w - x).min(y + 1).min(h - y) as f64;
+                    out.set(x, y, d2[(x, y)].min(edge * edge) > r2);
+                }
+            }
+            out
+        }
     }
 }
 
@@ -73,28 +70,13 @@ pub fn close(mask: &BitGrid, elem: Structuring) -> BitGrid {
     erode(&dilate(mask, elem), elem)
 }
 
-fn sweep(mask: &BitGrid, elem: Structuring, any: bool) -> BitGrid {
-    let (w, h) = (mask.width(), mask.height());
-    let offsets = elem.offsets();
-    let mut out = BitGrid::new(w, h);
-    for y in 0..h as i32 {
-        for x in 0..w as i32 {
-            let mut hit = !any;
-            for &(dx, dy) in &offsets {
-                let v = mask.at(Point::new(x + dx, y + dy));
-                if any && v {
-                    hit = true;
-                    break;
-                }
-                if !any && !v {
-                    hit = false;
-                    break;
-                }
-            }
-            out.set(x as usize, y as usize, hit);
-        }
-    }
-    out
+/// `r²` of a disk element on the distance transform's scale; negative
+/// radii act as radius 0. Squares below 2⁵³ convert exactly, and anything
+/// larger already exceeds the squared diagonal of any grid that fits in
+/// memory, so the threshold never rounds across a grid distance.
+fn disk_r2(r: i32) -> f64 {
+    let r = i64::from(r.max(0));
+    (r * r) as f64
 }
 
 /// Separable max/min filter for square structuring elements.

@@ -22,6 +22,54 @@ fn mask_from_rects(rects: &[Rect]) -> BitGrid {
     m
 }
 
+/// Masks of every shape from 1×1 up to 40×40, each pixel set with
+/// probability `fill`% — 0 gives an empty mask, 100 a full one, and every
+/// density in between puts features on the border.
+fn random_mask() -> impl Strategy<Value = BitGrid> {
+    (1usize..=40, 1usize..=40, 0u32..=100).prop_flat_map(|(w, h, fill)| {
+        proptest::collection::vec(0u32..100, w * h).prop_map(move |cells| {
+            let mut m = BitGrid::new(w, h);
+            for (i, &c) in cells.iter().enumerate() {
+                m.set(i % w, i / w, c < fill);
+            }
+            m
+        })
+    })
+}
+
+/// Reference disk morphology: probe every offset with `dx² + dy² ≤ r²`
+/// at every pixel. Dilation sets a pixel when any probe hits the mask;
+/// erosion keeps it only when every probe does, off-grid probes counting
+/// as background. O(r²) per pixel — a test oracle only.
+fn disk_sweep(mask: &BitGrid, r: i32, dilation: bool) -> BitGrid {
+    let r = r.max(0);
+    let r2 = i64::from(r) * i64::from(r);
+    let mut offsets = Vec::new();
+    for dy in -r..=r {
+        for dx in -r..=r {
+            if i64::from(dx) * i64::from(dx) + i64::from(dy) * i64::from(dy) <= r2 {
+                offsets.push((dx, dy));
+            }
+        }
+    }
+    let (w, h) = (mask.width(), mask.height());
+    let mut out = BitGrid::new(w, h);
+    for y in 0..h as i32 {
+        for x in 0..w as i32 {
+            let mut probes = offsets
+                .iter()
+                .map(|&(dx, dy)| mask.at(Point::new(x + dx, y + dy)));
+            let hit = if dilation {
+                probes.any(|v| v)
+            } else {
+                probes.all(|v| v)
+            };
+            out.set(x as usize, y as usize, hit);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -54,7 +102,7 @@ proptest! {
     }
 
     #[test]
-    fn dilation_grows_erosion_shrinks(rects in small_rects(), r in 0i32..3) {
+    fn dilation_grows_erosion_shrinks(rects in small_rects(), r in 0i32..=12) {
         let m = mask_from_rects(&rects);
         let d = dilate(&m, Structuring::Disk(r));
         let e = erode(&m, Structuring::Disk(r));
@@ -101,5 +149,54 @@ proptest! {
         let mb = mask_from_rects(&b);
         prop_assert_eq!(ma.xor_count(&ma), 0);
         prop_assert_eq!(ma.xor_count(&mb), mb.xor_count(&ma));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn disk_morphology_matches_the_brute_force_sweep(mask in random_mask(), r in 0i32..=12) {
+        prop_assert_eq!(dilate(&mask, Structuring::Disk(r)), disk_sweep(&mask, r, true));
+        prop_assert_eq!(erode(&mask, Structuring::Disk(r)), disk_sweep(&mask, r, false));
+    }
+
+    #[test]
+    fn disk_morphology_matches_the_sweep_on_layout_masks(rects in small_rects(), r in 0i32..=12) {
+        // Rectangles up to 12 px on a 64 px grid, clipped where they run
+        // off the border.
+        let m = mask_from_rects(&rects);
+        prop_assert_eq!(dilate(&m, Structuring::Disk(r)), disk_sweep(&m, r, true));
+        prop_assert_eq!(erode(&m, Structuring::Disk(r)), disk_sweep(&m, r, false));
+    }
+}
+
+#[test]
+fn disk_morphology_matches_the_sweep_on_degenerate_grids() {
+    let single_off = BitGrid::new(1, 1);
+    let mut single_on = BitGrid::new(1, 1);
+    single_on.set(0, 0, true);
+    let mut full = BitGrid::new(9, 5);
+    fill_rect(&mut full, Rect::new(0, 0, 9, 5));
+    let mut corner = BitGrid::new(7, 7);
+    corner.set(0, 0, true);
+    let masks = [single_off, single_on, BitGrid::new(9, 5), full, corner];
+    for mask in &masks {
+        for r in -1..=12 {
+            assert_eq!(
+                dilate(mask, Structuring::Disk(r)),
+                disk_sweep(mask, r, true),
+                "dilate {}x{} r={r}",
+                mask.width(),
+                mask.height()
+            );
+            assert_eq!(
+                erode(mask, Structuring::Disk(r)),
+                disk_sweep(mask, r, false),
+                "erode {}x{} r={r}",
+                mask.width(),
+                mask.height()
+            );
+        }
     }
 }

@@ -19,11 +19,14 @@
 //!
 //! where `G = ∂L/∂I` and the outer `FFT` is shared across kernels and
 //! corners (the spectral contributions are accumulated sparsely on the
-//! pupil support first, then transformed once).
+//! pupil support first, then transformed once). The fields `A_k` depend
+//! only on the kernel stack, so `Nominal` and `Max` (one best-focus stack
+//! at two doses) share theirs: the forward pass runs `K` IFFTs per
+//! distinct focus, `2K` in all.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
-use crate::simulator::{sigmoid_sat, LithoSimulator};
-use cfaopc_fft::parallel::par_map;
+use crate::simulator::{sigmoid_sat, LithoSimulator, SharedStacks};
+use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, conj_mul_real};
 use cfaopc_fft::Complex;
 use cfaopc_grid::Grid2D;
@@ -138,28 +141,36 @@ pub fn loss_and_gradient_into(
     let floor = cfg.kernel_energy_floor;
 
     let corners = corner_plan(weights);
-    // Global forward task index: stack-major (corner order), kernel-
-    // ascending within a stack; `fwd_offsets[c]` is corner c's first task.
-    // Stacks are weight-sorted, so `active_count` truncates their tails
-    // when `kernel_energy_floor < 1.0`.
+    // Each corner's stack and dose. Corners sharing a stack (Nominal and
+    // Max) share its fields: `shared.of[c]` is corner c's distinct stack.
+    let imaging = corners.map(|(corner, _)| (sim.kernel_set(corner), cfg.dose(corner)));
+    let shared = SharedStacks::new(&imaging);
+    // Global forward task index: stack-major (first-use order), kernel-
+    // ascending within a stack; `fwd_offsets[d]` is distinct stack d's
+    // first task. Stacks are weight-sorted, so `active_count` truncates
+    // their tails when `kernel_energy_floor < 1.0`.
     let mut fwd_offsets = [0usize; 4];
-    for (c, &(corner, _)) in corners.iter().enumerate() {
-        fwd_offsets[c + 1] = fwd_offsets[c] + sim.kernel_set(corner).active_count(floor);
+    for d in 0..shared.count {
+        fwd_offsets[d + 1] = fwd_offsets[d] + imaging[shared.first[d]].0.active_count(floor);
     }
-    let fwd_total = fwd_offsets[3];
+    let fwd_total = fwd_offsets[shared.count];
 
-    // Forward: coherent fields for **all corners** in one flat parallel
-    // region (kept alive for the adjoint), so workers stay busy across
-    // corner boundaries. Each task's IFFT runs serially on its claimed
-    // thread in a pooled buffer; kernel spectra are band-limited, so the
-    // sparse inverse skips the all-zero rows. Plan errors are unreachable
-    // (plan and buffers share one config) but propagate as
+    // Forward: coherent fields for **every distinct stack** in one flat
+    // parallel region (kept alive for the adjoint), so workers stay busy
+    // across stack boundaries. Each task's IFFT runs serially on its
+    // claimed thread in a pooled buffer; kernel spectra are band-limited,
+    // so the sparse inverse skips the all-zero rows. Plan errors are
+    // unreachable (plan and buffers share one config) but propagate as
     // `LithoError::Fft`; pooled buffers from completed kernels are
     // dropped rather than repooled on that cold path.
+    sim.plan().reserve_serial(region_width(fwd_total));
     let fields: Vec<Vec<Complex>> = par_map(fwd_total, |t| -> Result<Vec<Complex>, LithoError> {
-        let c = fwd_offsets[1..4].iter().position(|&o| t < o).unwrap_or(2);
-        let set = sim.kernel_set(corners[c].0);
-        let k = t - fwd_offsets[c];
+        let d = fwd_offsets[1..=shared.count]
+            .iter()
+            .position(|&o| t < o)
+            .unwrap_or(shared.count - 1);
+        let set = imaging[shared.first[d]].0;
+        let k = t - fwd_offsets[d];
         let mut field = sim.field_pool().take(n2);
         set.apply(k, &spectrum, &mut field);
         sim.plan().inverse_serial_sparse(&mut field)?;
@@ -169,19 +180,22 @@ pub fn loss_and_gradient_into(
     .collect::<Result<_, _>>()?;
 
     let mut values = LossValues::default();
-    // Per-corner resist, loss value, and dL/dI. Every nonzero-weight
+    // Per-corner resist, loss value, and dL/dI. Each corner accumulates
+    // its stack's fields in ascending k with its own dose, so sharing a
+    // stack leaves every intensity bit unchanged. Every nonzero-weight
     // corner's g_i buffer survives to feed the single batched adjoint
     // region below.
     let mut g_all: [Option<Vec<f64>>; 3] = [None, None, None];
     for (c, &(corner, w_c)) in corners.iter().enumerate() {
-        let set = sim.kernel_set(corner);
-        let dose = cfg.dose(corner);
-        let active = fwd_offsets[c + 1] - fwd_offsets[c];
+        let (set, dose) = imaging[c];
+        let stack = shared.of[c];
+        let first = fwd_offsets[stack];
+        let active = fwd_offsets[stack + 1] - first;
 
         let mut intensity = sim.real_pool().take_zeroed(n2);
         for k in 0..active {
             let w = set.kernels()[k].weight * dose;
-            accumulate_norm_sqr(&mut intensity, &fields[fwd_offsets[c] + k], w);
+            accumulate_norm_sqr(&mut intensity, &fields[first + k], w);
         }
 
         // g_i is fully overwritten, so unspecified pool contents are
@@ -207,16 +221,20 @@ pub fn loss_and_gradient_into(
     }
     values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
 
-    // Adjoint task index over the corners that carry weight, in the same
-    // stack-major order as the forward pass.
+    // Adjoint task index over the corners that carry weight, corner-major
+    // and kernel-ascending. The adjoint stays one task per (corner,
+    // kernel) even where two corners share a field: folding their dL/dI
+    // together first is linear, but it would reorder the float sums and
+    // change gradient bits.
     let mut adj_offsets = [0usize; 4];
     let mut adj_corner = [0usize; 3];
     let mut adj_stacks = 0usize;
     for (c, g) in g_all.iter().enumerate() {
         if g.is_some() {
+            let stack = shared.of[c];
             adj_corner[adj_stacks] = c;
             adj_offsets[adj_stacks + 1] =
-                adj_offsets[adj_stacks] + (fwd_offsets[c + 1] - fwd_offsets[c]);
+                adj_offsets[adj_stacks] + (fwd_offsets[stack + 1] - fwd_offsets[stack]);
             adj_stacks += 1;
         }
     }
@@ -225,6 +243,10 @@ pub fn loss_and_gradient_into(
     // Spectral gradient accumulator (pupil support only is ever nonzero).
     let mut acc = sim.field_pool().take_zeroed(n2);
     if adj_total > 0 {
+        // One `b` buffer and one transpose scratch per running task.
+        let width = region_width(adj_total);
+        sim.field_pool().reserve(width, n2);
+        sim.plan().reserve_serial(width);
         // Adjoint: per kernel, B = G ⊙ conj(A); contribute
         // 2·μ·dose·H ⊙ IFFT(B) on the (sparse) pupil support. Again one
         // flat region spanning every weighted corner.
@@ -235,12 +257,11 @@ pub fn loss_and_gradient_into(
                     .position(|&o| t < o)
                     .unwrap_or(adj_stacks - 1);
                 let c = adj_corner[s];
-                let set = sim.kernel_set(corners[c].0);
-                let dose = cfg.dose(corners[c].0);
+                let (set, dose) = imaging[c];
                 let k = t - adj_offsets[s];
                 let g_i = g_all[c].as_deref().unwrap_or(&[]);
                 let mut b = sim.field_pool().take(n2);
-                conj_mul_real(&mut b, &fields[fwd_offsets[c] + k], g_i);
+                conj_mul_real(&mut b, &fields[fwd_offsets[shared.of[c]] + k], g_i);
                 // The transform's output is only sampled on the pupil
                 // support below, so the column pass can skip every
                 // column outside the kernel set's union support —

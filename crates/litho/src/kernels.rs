@@ -27,11 +27,12 @@ pub struct Kernel {
     pub spectrum: Vec<(u32, Complex)>,
 }
 
-/// The kernel stack for one process corner.
+/// The kernel stack for one focus setting. It depends only on focus, so
+/// corners imaged at the same focus (`Nominal` and `Max`) share one stack;
+/// doses scale the intensity afterwards.
 #[derive(Debug, Clone)]
 pub struct KernelSet {
     size: usize,
-    corner: ProcessCorner,
     kernels: Vec<Kernel>,
     /// `support_cols[kx]` is true when any kernel's spectrum touches a
     /// frequency bin in column `kx`. The adjoint pass samples its
@@ -41,40 +42,29 @@ pub struct KernelSet {
 }
 
 impl KernelSet {
-    /// Generates the Abbe/SOCS kernel stack for `corner`.
+    /// Generates the Abbe/SOCS kernel stack at `corner`'s focus
+    /// ([`LithoConfig::defocus`]).
     ///
     /// Source points are laid out on an area-uniform golden-angle spiral
     /// across the annulus `[sigma_inner, sigma_outer]·NA/λ`, giving an
     /// even, unclustered sampling for any `kernel_count`. Weights are
-    /// uniform and normalized so an open-frame mask images at intensity
-    /// `dose(corner)`.
+    /// uniform and normalized so an open-frame mask images at unit
+    /// intensity before the corner's dose is applied.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError`] when `config` fails validation.
     pub fn generate(config: &LithoConfig, corner: ProcessCorner) -> Result<Self, LithoError> {
-        Self::generate_inner(config, corner, config.defocus(corner))
+        Self::generate_with_defocus(config, config.defocus(corner))
     }
 
     /// Generates a kernel stack at an arbitrary focus error (used by the
-    /// process-window sweeps); the result is tagged with the corner whose
-    /// geometry it matches least ambiguously (`Nominal`).
+    /// process-window sweeps).
     ///
     /// # Errors
     ///
     /// Returns [`LithoError`] when `config` fails validation.
-    pub fn generate_with_defocus(
-        config: &LithoConfig,
-        defocus_nm: f64,
-    ) -> Result<Self, LithoError> {
-        Self::generate_inner(config, ProcessCorner::Nominal, defocus_nm)
-    }
-
-    fn generate_inner(
-        config: &LithoConfig,
-        corner: ProcessCorner,
-        defocus: f64,
-    ) -> Result<Self, LithoError> {
+    pub fn generate_with_defocus(config: &LithoConfig, defocus: f64) -> Result<Self, LithoError> {
         config.validate()?;
         let n = config.size;
         let cutoff = config.na / config.wavelength_nm; // cycles per nm
@@ -136,7 +126,6 @@ impl KernelSet {
         }
         Ok(KernelSet {
             size: n,
-            corner,
             kernels,
             support_cols,
         })
@@ -146,12 +135,6 @@ impl KernelSet {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The corner these kernels model.
-    #[inline]
-    pub fn corner(&self) -> ProcessCorner {
-        self.corner
     }
 
     /// The kernels, sorted by descending SOCS weight.

@@ -3,7 +3,7 @@
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
-use cfaopc_fft::parallel::par_for;
+use cfaopc_fft::parallel::{par_for, region_width};
 use cfaopc_fft::simd::accumulate_norm_sqr;
 use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d};
 use cfaopc_grid::{BitGrid, Grid2D};
@@ -32,8 +32,9 @@ impl CornerImages {
     }
 }
 
-/// A reusable lithography simulator: FFT plan plus per-corner SOCS
-/// kernel stacks for a fixed grid size.
+/// A reusable lithography simulator: FFT plan plus the SOCS kernel stacks
+/// for a fixed grid size — one per distinct focus, shared by every corner
+/// imaged at that focus.
 ///
 /// # Examples
 ///
@@ -61,9 +62,12 @@ pub struct LithoSimulator {
     /// `Re[FFT(·)]` — both touch only real data on one side, so the
     /// Hermitian-symmetry plan halves their transform work.
     rplan: Rfft2d,
-    nominal: KernelSet,
-    max: KernelSet,
-    min: KernelSet,
+    /// The best-focus stack. A stack depends only on focus, and
+    /// [`LithoConfig::defocus`] puts `Nominal` and `Max` at the same best
+    /// focus (they differ only in dose), so both image through this one.
+    in_focus: KernelSet,
+    /// The `Min` corner's defocused stack.
+    defocused: KernelSet,
     /// Recycled full-grid complex field buffers for the per-kernel
     /// convolutions (shared with the adjoint pass), so the steady-state
     /// forward model performs no per-call field allocations.
@@ -74,8 +78,8 @@ pub struct LithoSimulator {
 }
 
 impl LithoSimulator {
-    /// Builds the simulator (validates the configuration and generates all
-    /// three kernel stacks).
+    /// Builds the simulator (validates the configuration and generates the
+    /// in-focus and defocused kernel stacks).
     ///
     /// # Errors
     ///
@@ -86,9 +90,8 @@ impl LithoSimulator {
         let rplan =
             Rfft2d::square(config.size).map_err(|_| LithoError::BadGridSize(config.size))?;
         Ok(LithoSimulator {
-            nominal: KernelSet::generate(&config, ProcessCorner::Nominal)?,
-            max: KernelSet::generate(&config, ProcessCorner::Max)?,
-            min: KernelSet::generate(&config, ProcessCorner::Min)?,
+            in_focus: KernelSet::generate(&config, ProcessCorner::Nominal)?,
+            defocused: KernelSet::generate(&config, ProcessCorner::Min)?,
             plan,
             rplan,
             config,
@@ -109,12 +112,12 @@ impl LithoSimulator {
         self.config.size
     }
 
-    /// The kernel stack for `corner`.
+    /// The kernel stack for `corner`. `Nominal` and `Max` share the same
+    /// best-focus stack (the same allocation, not a copy).
     pub fn kernel_set(&self, corner: ProcessCorner) -> &KernelSet {
         match corner {
-            ProcessCorner::Nominal => &self.nominal,
-            ProcessCorner::Max => &self.max,
-            ProcessCorner::Min => &self.min,
+            ProcessCorner::Nominal | ProcessCorner::Max => &self.in_focus,
+            ProcessCorner::Min => &self.defocused,
         }
     }
 
@@ -224,16 +227,20 @@ impl LithoSimulator {
         Ok(images.pop().unwrap_or_default())
     }
 
-    /// Batched variant of [`LithoSimulator::accumulate_intensity`]: all
-    /// corners' kernel applications share **one** flat parallel region.
+    /// Batched variant of [`LithoSimulator::accumulate_intensity`]: one
+    /// image per `(stack, scale)` entry, all computed in **one** flat
+    /// parallel region.
     ///
-    /// Task `t` maps to (stack `s`, kernel `k`) in stack-major,
-    /// kernel-ascending order, and the turnstile orders merges by the
-    /// global task index. Each per-stack accumulator therefore still sees
-    /// its own kernels strictly in ascending `k` — the same summation
-    /// order as three separate calls — so batching is bit-identical to
-    /// the per-corner path while keeping every worker busy across corner
-    /// boundaries.
+    /// Entries naming the same stack (by identity, as `Nominal` and `Max`
+    /// do) share its coherent fields: each distinct stack's `K` IFFTs run
+    /// once and feed every image that uses it. Task `t` maps to (distinct
+    /// stack `d`, kernel `k`) in stack-major, kernel-ascending order, and
+    /// the turnstile orders merges by the global task index. Each image
+    /// therefore still sees its own stack's kernels strictly in ascending
+    /// `k`, each `|A_k|²` weighted by `μ_k · scale` — the same summation
+    /// as separate per-entry calls — so batching and sharing are
+    /// bit-identical to the per-corner path while keeping every worker
+    /// busy across stack boundaries.
     ///
     /// When `kernel_energy_floor < 1.0` the tail of each (weight-sorted)
     /// stack is skipped per [`KernelSet::active_count`].
@@ -250,26 +257,32 @@ impl LithoSimulator {
                 spectrum.len(),
             )));
         }
-        assert!(stacks.len() <= 3, "at most one stack per process corner");
+        let shared = SharedStacks::new(stacks);
         let floor = self.config.kernel_energy_floor;
-        // offsets[s] is the first global task of stack s (prefix sums).
+        // offsets[d] is the first global task of distinct stack d (prefix
+        // sums).
         let mut offsets = [0usize; 4];
-        for (s, (set, _)) in stacks.iter().enumerate() {
-            offsets[s + 1] = offsets[s] + set.active_count(floor);
+        for d in 0..shared.count {
+            offsets[d + 1] = offsets[d] + stacks[shared.first[d]].0.active_count(floor);
         }
-        let total = offsets[stacks.len()];
+        let total = offsets[shared.count];
         let images: Vec<Vec<f64>> = stacks.iter().map(|_| vec![0.0f64; n2]).collect();
         // (next task allowed to merge, per-stack accumulators) under one
         // lock.
         let merge = Mutex::new((0usize, images));
         let turnstile = Condvar::new();
+        // Each running task holds one field (until its merge turn) and one
+        // transpose scratch.
+        let width = region_width(total);
+        self.field_pool.reserve(width, n2);
+        self.plan.reserve_serial(width);
         par_for(total, |t| {
-            let s = offsets[1..=stacks.len()]
+            let d = offsets[1..=shared.count]
                 .iter()
                 .position(|&o| t < o)
-                .unwrap_or(stacks.len() - 1);
-            let (set, scale) = stacks[s];
-            let k = t - offsets[s];
+                .unwrap_or(shared.count - 1);
+            let set = stacks[shared.first[d]].0;
+            let k = t - offsets[d];
             // Catching here keeps a panicking kernel from wedging the
             // turnstile: the turn advances no matter how compute ends.
             let computed = catch_unwind(AssertUnwindSafe(|| {
@@ -283,13 +296,17 @@ impl LithoSimulator {
                     .expect("plan matches grid by construction");
                 field
             }));
-            let w = set.kernels()[k].weight * scale;
+            let weight = set.kernels()[k].weight;
             let mut guard = merge.lock().unwrap_or_else(|e| e.into_inner());
             while guard.0 != t {
                 guard = turnstile.wait(guard).unwrap_or_else(|e| e.into_inner());
             }
             if let Ok(field) = &computed {
-                accumulate_norm_sqr(&mut guard.1[s], field, w);
+                for (i, image) in guard.1.iter_mut().enumerate() {
+                    if shared.of[i] == d {
+                        accumulate_norm_sqr(image, field, weight * stacks[i].1);
+                    }
+                }
             }
             guard.0 += 1;
             turnstile.notify_all();
@@ -317,8 +334,9 @@ impl LithoSimulator {
         self.aerial_from_spectrum(&spectrum, corner)
     }
 
-    /// Aerial images at all three corners, sharing one mask FFT and one
-    /// batched parallel region across every corner's kernels.
+    /// Aerial images at all three corners, sharing one mask FFT, one
+    /// batched parallel region, and the in-focus fields that `Nominal` and
+    /// `Max` both use: `2K` kernel IFFTs for the three corners.
     ///
     /// # Errors
     ///
@@ -327,10 +345,11 @@ impl LithoSimulator {
         let n = self.config.size;
         let spectrum = self.mask_spectrum_pooled(mask)?;
         let stacks = [
-            (&self.nominal, self.config.dose(ProcessCorner::Nominal)),
-            (&self.max, self.config.dose(ProcessCorner::Max)),
-            (&self.min, self.config.dose(ProcessCorner::Min)),
-        ];
+            ProcessCorner::Nominal,
+            ProcessCorner::Max,
+            ProcessCorner::Min,
+        ]
+        .map(|corner| (self.kernel_set(corner), self.config.dose(corner)));
         let mut images = self.accumulate_intensity_multi(&stacks, &spectrum)?;
         self.field_pool.put(spectrum);
         let min = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
@@ -374,6 +393,47 @@ impl LithoSimulator {
             self.resist_binary(&images.max),
             self.resist_binary(&images.min),
         ])
+    }
+}
+
+/// Which entries of a per-image `(stack, scale)` list (at most one per
+/// process corner) name the same kernel stack, compared by identity.
+///
+/// Distinct stacks are numbered in order of first appearance, so the entry
+/// order alone fixes the forward task order. Fixed arrays keep the map off
+/// the heap in the hot paths.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SharedStacks {
+    /// Distinct-stack index of each entry.
+    pub(crate) of: [usize; 3],
+    /// Entry index at which each distinct stack first appears.
+    pub(crate) first: [usize; 3],
+    /// Number of distinct stacks.
+    pub(crate) count: usize,
+}
+
+impl SharedStacks {
+    /// Groups `stacks` by stack identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stacks` has more than three entries.
+    pub(crate) fn new(stacks: &[(&KernelSet, f64)]) -> Self {
+        assert!(stacks.len() <= 3, "at most one stack per process corner");
+        let mut shared = SharedStacks {
+            of: [0; 3],
+            first: [0; 3],
+            count: 0,
+        };
+        for (i, &(set, _)) in stacks.iter().enumerate() {
+            let seen = (0..shared.count).find(|&d| std::ptr::eq(stacks[shared.first[d]].0, set));
+            shared.of[i] = seen.unwrap_or_else(|| {
+                shared.first[shared.count] = i;
+                shared.count += 1;
+                shared.count - 1
+            });
+        }
+        shared
     }
 }
 
