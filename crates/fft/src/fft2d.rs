@@ -1,20 +1,20 @@
 //! Two-dimensional FFT on row-major buffers.
 //!
-//! The 2-D transform is separable: FFT every row, transpose, FFT every
-//! (former) column, transpose back. Row passes are striped across the
-//! persistent pool with [`crate::parallel::par_chunks_mut`]; the transpose
-//! is cache-blocked and works in a pooled scratch buffer, so steady-state
-//! transforms allocate nothing.
+//! The 2-D transform is separable: FFT every row, then every column. Row
+//! passes are striped across the persistent pool with
+//! [`crate::parallel::par_chunks_mut`]; the column pass runs in place on
+//! the row-major data (see `Fft::transform_columns`), one task per
+//! contiguous block of columns, so a transform moves no data between
+//! layouts and allocates nothing.
 
 use crate::complex::Complex;
 use crate::fft1d::{Direction, Fft, FftError};
-use crate::parallel::par_chunks_mut;
-use crate::workspace::BufferPool;
+use crate::parallel::{par_chunks_mut, par_column_blocks, ColumnBlockMut};
 
 /// A reusable plan for 2-D FFTs of a fixed `height × width` shape.
 ///
 /// Both dimensions must be powers of two. The plan is `Send + Sync` and
-/// cheap to clone; clones share the plan's scratch-buffer pool.
+/// cheap to clone (the 1-D twiddle tables are shared).
 ///
 /// # Examples
 ///
@@ -36,8 +36,6 @@ pub struct Fft2d {
     width: usize,
     row_fft: Fft,
     col_fft: Fft,
-    /// Recycled transpose scratch buffers (shared across clones).
-    scratch: BufferPool<Complex>,
 }
 
 impl Fft2d {
@@ -53,7 +51,6 @@ impl Fft2d {
             width,
             row_fft: Fft::new(width)?,
             col_fft: Fft::new(height)?,
-            scratch: BufferPool::new(),
         })
     }
 
@@ -152,15 +149,6 @@ impl Fft2d {
         self.execute_with(data, dir, true)
     }
 
-    /// Parks transpose scratch for `count` serial transforms
-    /// ([`Fft2d::inverse_serial_sparse`], [`Fft2d::inverse_serial_cols`])
-    /// running at once — pass [`crate::parallel::region_width`] of a region
-    /// whose tasks each run one, so the region never allocates scratch
-    /// however its tasks overlap.
-    pub fn reserve_serial(&self, count: usize) {
-        self.scratch.reserve(count, self.len());
-    }
-
     /// [`Fft2d::inverse_serial`] specialized for spectra whose support is
     /// confined to a band of rows (e.g. a pupil-filtered SOCS field): the
     /// row pass skips rows that are entirely zero, since their transform
@@ -189,22 +177,17 @@ impl Fft2d {
                     .expect("row length matches plan by construction");
             }
         }
-        let mut scratch = self.scratch.take(data.len());
-        transpose_into(data, self.height, self.width, &mut scratch);
-        let col_fft = &self.col_fft;
-        for col in scratch.chunks_mut(self.height) {
-            col_fft
-                .inverse(col)
-                .expect("column length matches plan by construction");
-        }
-        transpose_into(&scratch, self.width, self.height, data);
-        self.scratch.put(scratch);
+        self.col_fft.transform_columns(
+            ColumnBlockMut::new(data, self.width, 0..self.width),
+            Direction::Inverse,
+        );
         Ok(())
     }
 
     /// [`Fft2d::inverse_serial`] for consumers that only read a subset of
     /// output **columns**: the column pass transforms only the columns
-    /// flagged in `wanted` (indexed by `kx`, length `width`).
+    /// flagged in `wanted` (indexed by `kx`, length `width`), one maximal
+    /// run of consecutive wanted columns at a time.
     ///
     /// Entries in unwanted columns are left **unspecified** (they hold
     /// untransformed row-pass data). Wanted columns are bit-identical to
@@ -235,24 +218,23 @@ impl Fft2d {
                 .inverse(row)
                 .expect("row length matches plan by construction");
         }
-        let mut scratch = self.scratch.take(data.len());
-        transpose_into(data, self.height, self.width, &mut scratch);
-        let col_fft = &self.col_fft;
-        for (kx, col) in scratch.chunks_mut(self.height).enumerate() {
-            if wanted[kx] {
-                col_fft
-                    .inverse(col)
-                    .expect("column length matches plan by construction");
+        let mut c0 = 0;
+        for run in wanted.chunk_by(|a, b| a == b) {
+            if run[0] {
+                self.col_fft.transform_columns(
+                    ColumnBlockMut::new(data, self.width, c0..c0 + run.len()),
+                    Direction::Inverse,
+                );
             }
+            c0 += run.len();
         }
-        transpose_into(&scratch, self.width, self.height, data);
-        self.scratch.put(scratch);
         Ok(())
     }
 
-    /// Shared body of the parallel and serial entry points. The row/column
-    /// passes write disjoint chunks and perform no cross-chunk reductions,
-    /// so the parallel and serial results are bit-identical.
+    /// Shared body of the parallel and serial entry points. The row pass
+    /// writes disjoint rows and the column pass disjoint column blocks,
+    /// with no cross-task reductions, so the parallel and serial results
+    /// are bit-identical.
     fn execute_with(
         &self,
         data: &mut [Complex],
@@ -261,62 +243,24 @@ impl Fft2d {
     ) -> Result<(), FftError> {
         self.check(data)?;
         cfaopc_trace::counters::FFT_2D.incr();
-        // Pass 1: FFT all rows.
+        // FFT every row, then every column in place.
         let row_fft = &self.row_fft;
         let row_pass = |row: &mut [Complex]| {
             row_fft
                 .transform(row, dir)
                 .expect("row length matches plan by construction");
         };
+        let col_fft = &self.col_fft;
         if parallel {
             par_chunks_mut(data, self.width, |_, row| row_pass(row));
+            par_column_blocks(data, self.width, self.width, |_, block| {
+                col_fft.transform_columns(block, dir)
+            });
         } else {
             data.chunks_mut(self.width).for_each(row_pass);
+            col_fft.transform_columns(ColumnBlockMut::new(data, self.width, 0..self.width), dir);
         }
-        // Pass 2: transpose into pooled scratch, FFT rows (former columns),
-        // transpose back. The scratch is fully overwritten, so recycled
-        // contents never leak through.
-        let mut scratch = self.scratch.take(data.len());
-        transpose_into(data, self.height, self.width, &mut scratch);
-        let col_fft = &self.col_fft;
-        let col_pass = |col: &mut [Complex]| {
-            col_fft
-                .transform(col, dir)
-                .expect("column length matches plan by construction");
-        };
-        if parallel {
-            par_chunks_mut(&mut scratch, self.height, |_, col| col_pass(col));
-        } else {
-            scratch.chunks_mut(self.height).for_each(col_pass);
-        }
-        transpose_into(&scratch, self.width, self.height, data);
-        self.scratch.put(scratch);
         Ok(())
-    }
-}
-
-/// Cache-blocked out-of-place transpose of a `rows × cols` buffer.
-/// (Production code transposes into pooled scratch via [`transpose_into`];
-/// this allocating wrapper remains for the involution test.)
-#[cfg(test)]
-fn transpose(src: &[Complex], rows: usize, cols: usize) -> Vec<Complex> {
-    let mut dst = vec![Complex::ZERO; src.len()];
-    transpose_into(src, rows, cols, &mut dst);
-    dst
-}
-
-fn transpose_into(src: &[Complex], rows: usize, cols: usize, dst: &mut [Complex]) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
-    const B: usize = 32;
-    for r0 in (0..rows).step_by(B) {
-        for c0 in (0..cols).step_by(B) {
-            for r in r0..(r0 + B).min(rows) {
-                for c in c0..(c0 + B).min(cols) {
-                    dst[c * rows + r] = src[r * cols + c];
-                }
-            }
-        }
     }
 }
 
@@ -510,18 +454,6 @@ mod tests {
         let plan = Fft2d::new(8, 8).unwrap();
         let mut buf = vec![Complex::ZERO; 63];
         assert!(plan.forward(&mut buf).is_err());
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let (h, w) = (8, 16);
-        let src = sample(h, w);
-        let t = transpose(&src, h, w);
-        let tt = transpose(&t, w, h);
-        assert_eq!(src.len(), tt.len());
-        for (a, b) in src.iter().zip(&tt) {
-            assert_eq!(*a, *b);
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`Complex`] — a 16-byte double-precision complex number,
 //! * [`Fft`] — a reusable 1-D radix-2 plan with precomputed twiddles,
-//! * [`Fft2d`] — a separable, thread-parallel 2-D plan with pooled
-//!   (steady-state allocation-free) transpose scratch,
+//! * [`Fft2d`] — a separable, thread-parallel 2-D plan whose column pass
+//!   runs in place on the row-major data (no transpose, no scratch),
 //! * [`Rfft2d`] — a real-input 2-D plan that exploits Hermitian symmetry
 //!   to roughly halve the transform work for real masks,
 //! * [`parallel`] — persistent-worker-pool helpers the rest of the
@@ -47,9 +47,11 @@
 //! ```
 
 // `deny` rather than `forbid`: the persistent worker pool in [`parallel`]
-// lends non-`'static` closures to long-lived threads, which requires three
-// tightly-scoped `#[allow(unsafe_code)]` blocks (each with a safety
-// argument). Everything else in the crate remains unsafe-free.
+// lends non-`'static` closures to long-lived threads and hands tasks
+// disjoint views of shared buffers, and the [`simd`] and FFT butterfly
+// kernels use AVX2 intrinsics — each through a tightly-scoped
+// `#[allow(unsafe_code)]` site with its own safety argument. Everything
+// else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

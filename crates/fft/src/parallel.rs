@@ -596,6 +596,158 @@ impl<'a, T: Send> DisjointSliceMut<'a, T> {
     }
 }
 
+/// Columns `c0..c1` of a row-major buffer, seen as one mutable row
+/// segment per row — the strided view the in-place FFT column pass works
+/// on.
+///
+/// A view owns its segments exclusively: [`ColumnBlockMut::new`] borrows
+/// the whole buffer, and [`par_column_blocks`] hands each task a block of
+/// columns no other task's block contains.
+pub(crate) struct ColumnBlockMut<'a, T> {
+    /// Element `(0, c0)`.
+    ptr: *mut T,
+    /// Row stride of the underlying buffer.
+    width: usize,
+    rows: usize,
+    /// Segment length `c1 − c0`.
+    cols: usize,
+    _marker: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> ColumnBlockMut<'a, T> {
+    /// Columns `cols` of every row of `data`, a row-major buffer `width`
+    /// elements wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or does not divide `data.len()`, or if
+    /// `cols` is not a range inside `0..=width`.
+    pub(crate) fn new(data: &'a mut [T], width: usize, cols: std::ops::Range<usize>) -> Self {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "buffer is not a whole number of rows"
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= width,
+            "column range out of bounds"
+        );
+        ColumnBlockMut {
+            ptr: data.as_mut_ptr().wrapping_add(cols.start),
+            width,
+            rows: data.len() / width,
+            cols: cols.end - cols.start,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// The view of `rows` segments of `cols` elements, the first at `ptr`
+    /// and each `width` elements after the previous one.
+    ///
+    /// # Safety
+    ///
+    /// `cols <= width`, every segment must lie inside one live allocation
+    /// for `'a`, and nothing else may access any segment element while
+    /// the view is alive.
+    #[allow(unsafe_code)]
+    // SAFETY: see `# Safety` above — the caller upholds the bounds and the
+    // exclusive-access contract the accessors rely on.
+    unsafe fn from_raw_parts(ptr: *mut T, width: usize, rows: usize, cols: usize) -> Self {
+        debug_assert!(cols <= width);
+        ColumnBlockMut {
+            ptr,
+            width,
+            rows,
+            cols,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Number of rows (segments).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row `r`'s segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [T] {
+        assert!(r < self.rows, "row out of bounds");
+        // SAFETY: `r < rows` and `c0 + cols <= width` keep the segment
+        // inside the underlying buffer; the view owns its segments
+        // exclusively (see the type docs) and `&mut self` keeps this the
+        // only live one.
+        #[allow(unsafe_code)]
+        unsafe {
+            std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.cols)
+        }
+    }
+
+    /// The segments of two distinct rows `i` and `j`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == j` or either row is out of bounds.
+    pub(crate) fn row_pair_mut(&mut self, i: usize, j: usize) -> (&mut [T], &mut [T]) {
+        assert!(
+            i != j && i < self.rows && j < self.rows,
+            "row pair out of bounds"
+        );
+        // SAFETY: as in `row_mut`, both segments lie inside the buffer and
+        // belong to this view alone. Two distinct rows start `width`
+        // elements apart or more, and a segment is at most `width` long,
+        // so the two segments do not overlap.
+        #[allow(unsafe_code)]
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.ptr.add(i * self.width), self.cols),
+                std::slice::from_raw_parts_mut(self.ptr.add(j * self.width), self.cols),
+            )
+        }
+    }
+}
+
+/// Runs `f` over columns `0..cols` of a row-major buffer `width` elements
+/// wide, split into contiguous column blocks with one task per block, all
+/// in one region. Each task gets its block's first column and the
+/// [`ColumnBlockMut`] of its own block.
+///
+/// The block layout follows the worker count, so `f` must treat every
+/// column independently of its neighbours (as a column FFT does); results
+/// are then bit-identical at any worker count. Runs inline on one block
+/// spanning every column when only one worker is available.
+///
+/// # Panics
+///
+/// Panics as [`ColumnBlockMut::new`] does for `0..cols`. Panics propagate
+/// from `f` after the region drains.
+pub(crate) fn par_column_blocks<T, F>(data: &mut [T], width: usize, cols: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, ColumnBlockMut<'_, T>) + Sync,
+{
+    let whole = ColumnBlockMut::new(data, width, 0..cols);
+    let blocks = region_width(cols);
+    if blocks <= 1 || whole.rows == 0 {
+        f(0, whole);
+        return;
+    }
+    let (base, rows) = (SendPtr(whole.ptr), whole.rows);
+    run_region(blocks, blocks, &|b| {
+        let (c0, c1) = (b * cols / blocks, (b + 1) * cols / blocks);
+        // SAFETY: block `b` is claimed exactly once per region, and
+        // distinct blocks cover disjoint column ranges of `0..cols`, so no
+        // two tasks' views share an element. `data` stays mutably borrowed
+        // (through `whole`) until `run_region` returns, after every task
+        // has finished. `c0 < cols <= width` and `rows >= 1` keep
+        // `base.at(c0)` inside row 0.
+        #[allow(unsafe_code)]
+        let view = unsafe { ColumnBlockMut::from_raw_parts(base.at(c0), width, rows, c1 - c0) };
+        f(c0, view);
+    });
+}
+
 /// Wrapper making a raw pointer `Send + Sync` so region tasks can write
 /// disjoint slots of a shared buffer.
 struct SendPtr<T>(*mut T);
@@ -824,6 +976,54 @@ mod tests {
         // SAFETY: no other sub-slice is alive; the call panics on bounds.
         #[allow(unsafe_code)]
         let _ = unsafe { shared.slice_mut(4, 5) };
+    }
+
+    #[test]
+    fn par_column_blocks_visits_each_column_of_the_range_once() {
+        let (rows, width) = (5usize, 13usize);
+        for cols in [0usize, 1, 2, 7, 13] {
+            let mut data = vec![0u32; rows * width];
+            par_column_blocks(&mut data, width, cols, |c0, mut block| {
+                assert_eq!(block.rows(), rows);
+                for r in 0..rows {
+                    for (i, v) in block.row_mut(r).iter_mut().enumerate() {
+                        // Each cell records its own column, once.
+                        *v += (c0 + i) as u32 + 1;
+                    }
+                }
+            });
+            for (i, v) in data.iter().enumerate() {
+                let c = i % width;
+                let want = if c < cols { c as u32 + 1 } else { 0 };
+                assert_eq!(*v, want, "cols {cols}: cell {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn column_block_row_pairs_are_the_two_rows() {
+        let mut data: Vec<u32> = (0..24).collect();
+        let mut block = ColumnBlockMut::new(&mut data, 6, 2..5);
+        let (a, b) = block.row_pair_mut(3, 1);
+        assert_eq!((&*a, &*b), (&[20, 21, 22][..], &[8, 9, 10][..]));
+        a.swap_with_slice(b);
+        assert_eq!(block.row_mut(1), &[20, 21, 22]);
+        assert_eq!(&data[18..24], &[18, 19, 8, 9, 10, 23]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row pair out of bounds")]
+    fn column_block_rejects_a_repeated_row() {
+        let mut data = vec![0u8; 12];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_pair_mut(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "column range out of bounds")]
+    fn column_block_rejects_columns_past_the_width() {
+        let mut data = vec![0u8; 12];
+        let _ = ColumnBlockMut::new(&mut data, 4, 2..5);
     }
 
     #[test]

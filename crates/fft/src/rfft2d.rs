@@ -8,16 +8,17 @@
 //!   unpacked via `F₀(k) = (Z(k) + conj(Z(−k)))/2`,
 //!   `F₁(k) = (Z(k) − conj(Z(−k)))/(2i)` — halving the row transforms.
 //! * **Column pass** — only the `w/2 + 1` non-redundant columns are
-//!   transformed; the remaining half of the spectrum is filled by the 2-D
-//!   symmetry relation — halving the column transforms.
+//!   transformed, in place on the row-major output; the remaining half of
+//!   the spectrum is filled by the 2-D symmetry relation — halving the
+//!   column transforms.
 //!
 //! [`Rfft2d::forward_re_into`] runs the mirrored trick for the gradient's
 //! final `Re[FFT(·)]` step: the input is first projected onto its
 //! Hermitian part (which leaves the real part of the transform unchanged,
 //! since the anti-Hermitian remainder transforms to a purely imaginary
-//! field), columns are transformed over the non-redundant half, and two
-//! real output rows are then recovered from each packed complex row
-//! transform.
+//! field), written row-major into a half-width scratch whose columns are
+//! transformed in place, and two real output rows are then recovered from
+//! each packed complex row transform.
 //!
 //! The full complex spectrum is always materialized on output so sparse
 //! spectral consumers (the SOCS kernel supports index the full grid) need
@@ -26,9 +27,9 @@
 //! across worker counts**.
 
 use crate::complex::Complex;
-use crate::fft1d::{Fft, FftError};
+use crate::fft1d::{Direction, Fft, FftError};
 use crate::fft2d::Fft2d;
-use crate::parallel::{par_chunks_mut, region_width};
+use crate::parallel::{par_chunks_mut, par_column_blocks, region_width};
 use crate::workspace::BufferPool;
 
 /// A reusable real-input 2-D FFT plan for a fixed `height × width` shape.
@@ -65,10 +66,10 @@ pub struct Rfft2d {
     col_fft: Fft,
     /// Recycled packed-row buffers (`width` entries each).
     row_scratch: BufferPool<Complex>,
-    /// Recycled half-spectrum column scratch (`(w/2 + 1) · h` entries).
-    /// Kept separate from the row pool so neither pool thrashes between
-    /// buffer shapes.
-    col_scratch: BufferPool<Complex>,
+    /// Recycled row-major half-width scratch (`h · (w/2 + 1)` entries)
+    /// for [`Rfft2d::forward_re_into`]'s column pass. Kept separate from
+    /// the row pool so neither pool thrashes between buffer shapes.
+    half_scratch: BufferPool<Complex>,
     /// Full complex plan for degenerate shapes (an edge shorter than 2
     /// rows leaves nothing to pack) — never used on production grids.
     fallback: Fft2d,
@@ -88,7 +89,7 @@ impl Rfft2d {
             row_fft: Fft::new(width)?,
             col_fft: Fft::new(height)?,
             row_scratch: BufferPool::new(),
-            col_scratch: BufferPool::new(),
+            half_scratch: BufferPool::new(),
             fallback: Fft2d::new(height, width)?,
         })
     }
@@ -186,28 +187,11 @@ impl Rfft2d {
             row_scratch.put(buf);
         });
 
-        // Column pass over the non-redundant columns only, in column-major
-        // scratch (gather → transform → scatter).
-        let mut cols = self.col_scratch.take(wh * h);
-        {
-            let col_fft = &self.col_fft;
-            let rows_done: &[Complex] = out;
-            par_chunks_mut(&mut cols, h, |c, col| {
-                for (y, slot) in col.iter_mut().enumerate() {
-                    *slot = rows_done[y * w + c];
-                }
-                col_fft
-                    .forward(col)
-                    .expect("column length matches plan by construction");
-            });
-        }
-        let cols_ro: &[Complex] = &cols;
-        par_chunks_mut(out, w, |y, row| {
-            for (c, slot) in row[..wh].iter_mut().enumerate() {
-                *slot = cols_ro[c * h + y];
-            }
+        // Column pass over the non-redundant columns only, in place.
+        let col_fft = &self.col_fft;
+        par_column_blocks(out, w, wh, |_, block| {
+            col_fft.transform_columns(block, Direction::Forward)
         });
-        self.col_scratch.put(cols);
 
         // Hermitian fill of the redundant half: S(ky,kx) = conj(S(−ky,−kx)).
         // Reads stay in columns < wh (already final), writes in columns
@@ -241,54 +225,54 @@ impl Rfft2d {
         cfaopc_trace::counters::FFT_2D.incr();
         let (h, w) = (self.height, self.width);
         if h < 2 || w < 2 {
-            let mut buf = self.col_scratch.take(h * w);
+            let mut buf = self.half_scratch.take(h * w);
             buf.copy_from_slice(freq);
             self.fallback.forward(&mut buf)?;
             for (slot, z) in out.iter_mut().zip(&buf) {
                 *slot = z.re;
             }
-            self.col_scratch.put(buf);
+            self.half_scratch.put(buf);
             return Ok(());
         }
         let wh = w / 2 + 1;
 
         // Hermitian projection + column transform, non-redundant columns
-        // only. The projected input has the 2-D symmetry, and the column
-        // DFT turns it into rows that are Hermitian in kx (substituting
-        // ky → −ky in the column sum conjugates the result and mirrors
-        // kx), so the redundant columns are recoverable by conjugation.
-        let mut cols = self.col_scratch.take(wh * h);
-        {
-            let col_fft = &self.col_fft;
-            par_chunks_mut(&mut cols, h, |c, col| {
-                let wc = (w - c) % w;
-                for (ky, slot) in col.iter_mut().enumerate() {
-                    let z = freq[ky * w + c];
-                    let zm = freq[((h - ky) % h) * w + wc].conj();
+        // only, row-major in a half-width scratch. The projected input has
+        // the 2-D symmetry, and the column DFT turns it into rows that are
+        // Hermitian in kx (substituting ky → −ky in the column sum
+        // conjugates the result and mirrors kx), so the redundant columns
+        // are recoverable by conjugation.
+        let mut half = self.half_scratch.take(h * wh);
+        let col_fft = &self.col_fft;
+        par_column_blocks(&mut half, wh, wh, |c0, mut block| {
+            for ky in 0..h {
+                let row = &freq[ky * w..][..w];
+                let mirror = &freq[(h - ky) % h * w..][..w];
+                for (i, slot) in block.row_mut(ky).iter_mut().enumerate() {
+                    let c = c0 + i;
+                    let z = row[c];
+                    let zm = mirror[(w - c) % w].conj();
                     *slot = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
                 }
-                col_fft
-                    .forward(col)
-                    .expect("column length matches plan by construction");
-            });
-        }
+            }
+            col_fft.transform_columns(block, Direction::Forward);
+        });
 
         // Row pass: each transformed row is Hermitian in kx, so its row
         // DFT is real; packing rows (2p, 2p+1) as D = C(y₀) + i·C(y₁)
         // makes one transform yield both real output rows (real part →
         // y₀, imaginary part → y₁).
-        let cols_ro: &[Complex] = &cols;
+        let half_ro: &[Complex] = &half;
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
         row_scratch.reserve(region_width(h / 2), w);
         par_chunks_mut(out, 2 * w, |p, chunk| {
-            let y0 = 2 * p;
-            let y1 = y0 + 1;
+            let (row0, row1) = half_ro[2 * p * wh..(2 * p + 2) * wh].split_at(wh);
             let mut buf = row_scratch.take(w);
             for (k, slot) in buf.iter_mut().enumerate() {
                 let (cs, mirror) = if k < wh { (k, false) } else { (w - k, true) };
-                let mut c0 = cols_ro[cs * h + y0];
-                let mut c1 = cols_ro[cs * h + y1];
+                let mut c0 = row0[cs];
+                let mut c1 = row1[cs];
                 if mirror {
                     c0 = c0.conj();
                     c1 = c1.conj();
@@ -304,7 +288,7 @@ impl Rfft2d {
             }
             row_scratch.put(buf);
         });
-        self.col_scratch.put(cols);
+        self.half_scratch.put(half);
         Ok(())
     }
 }

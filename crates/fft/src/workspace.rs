@@ -1,12 +1,14 @@
 //! Reusable buffer pools, so steady-state transforms and convolutions are
 //! allocation-free.
 //!
-//! Every `Fft2d::execute` needs a full-size transpose scratch, and every
-//! Hopkins kernel evaluation in `cfaopc-litho` needs a full-size complex
-//! field — buffers that used to be heap-allocated per call, hundreds of
-//! thousands of times per ILT run. A [`BufferPool`] keeps returned buffers
-//! on a small shared stack and hands them back out, so after warm-up the
-//! hot loop recycles the same few allocations.
+//! Every `Rfft2d` transform needs packed-row scratch (and
+//! `Rfft2d::forward_re_into` a half-width grid), and every Hopkins kernel
+//! evaluation in `cfaopc-litho` needs a full-size complex field — buffers
+//! that would otherwise be heap-allocated per call, hundreds of thousands
+//! of times per ILT run. A [`BufferPool`] keeps returned buffers on a
+//! small shared stack and hands them back out, so after warm-up the hot
+//! loop recycles the same few allocations. (`Fft2d` needs none: its
+//! column pass works in place.)
 //!
 //! Pools are cheap to clone (clones share the same stack, which is what a
 //! cloned FFT plan wants) and safe to use from parallel regions: `take`

@@ -163,7 +163,6 @@ pub fn loss_and_gradient_into(
     // unreachable (plan and buffers share one config) but propagate as
     // `LithoError::Fft`; pooled buffers from completed kernels are
     // dropped rather than repooled on that cold path.
-    sim.plan().reserve_serial(region_width(fwd_total));
     let fields: Vec<Vec<Complex>> = par_map(fwd_total, |t| -> Result<Vec<Complex>, LithoError> {
         let d = fwd_offsets[1..=shared.count]
             .iter()
@@ -243,10 +242,8 @@ pub fn loss_and_gradient_into(
     // Spectral gradient accumulator (pupil support only is ever nonzero).
     let mut acc = sim.field_pool().take_zeroed(n2);
     if adj_total > 0 {
-        // One `b` buffer and one transpose scratch per running task.
-        let width = region_width(adj_total);
-        sim.field_pool().reserve(width, n2);
-        sim.plan().reserve_serial(width);
+        // One `b` buffer per running task.
+        sim.field_pool().reserve(region_width(adj_total), n2);
         // Adjoint: per kernel, B = G ⊙ conj(A); contribute
         // 2·μ·dose·H ⊙ IFFT(B) on the (sparse) pupil support. Again one
         // flat region spanning every weighted corner.
@@ -354,9 +351,14 @@ mod tests {
     use cfaopc_grid::{fill_rect, BitGrid, Rect};
 
     fn small_sim() -> LithoSimulator {
+        sim_with_floor(1.0)
+    }
+
+    fn sim_with_floor(kernel_energy_floor: f64) -> LithoSimulator {
         LithoSimulator::new(LithoConfig {
             size: 32,
             kernel_count: 4,
+            kernel_energy_floor,
             ..LithoConfig::default()
         })
         .unwrap()
@@ -386,28 +388,49 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let sim = small_sim();
-        let n = sim.size();
-        let mask = smooth_mask(n);
-        let target = target_square(n);
-        let weights = LossWeights::default();
-        let (_, grad) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
+        // The exact model; truncated SOCS (`active_count` drops the
+        // lightest kernels); the nominal corner alone, so the adjoint
+        // skips both zero-weight corners; the process-variation corners
+        // alone.
+        let cases = [
+            (1.0, LossWeights::default()),
+            (0.5, LossWeights::default()),
+            (0.4, LossWeights { l2: 1.0, pvb: 0.0 }),
+            (1.0, LossWeights { l2: 0.0, pvb: 1.0 }),
+        ];
+        for (floor, weights) in cases {
+            let sim = sim_with_floor(floor);
+            let n = sim.size();
+            if floor < 1.0 {
+                for corner in [ProcessCorner::Nominal, ProcessCorner::Min] {
+                    let set = sim.kernel_set(corner);
+                    assert!(
+                        set.active_count(floor) < set.kernels().len(),
+                        "floor {floor} must truncate the {corner:?} stack"
+                    );
+                }
+            }
+            let mask = smooth_mask(n);
+            let target = target_square(n);
+            let (_, grad) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
 
-        let eps = 1e-5;
-        for &(x, y) in &[(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)] {
-            let mut plus = mask.clone();
-            plus[(x, y)] += eps;
-            let mut minus = mask.clone();
-            minus[(x, y)] -= eps;
-            let lp = loss_only(&sim, &plus, &target, weights).unwrap().total;
-            let lm = loss_only(&sim, &minus, &target, weights).unwrap().total;
-            let fd = (lp - lm) / (2.0 * eps);
-            let an = grad[(x, y)];
-            let denom = fd.abs().max(an.abs()).max(1e-6);
-            assert!(
-                (fd - an).abs() / denom < 1e-3,
-                "gradient mismatch at ({x},{y}): fd={fd}, analytic={an}"
-            );
+            let eps = 1e-5;
+            for &(x, y) in &[(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)] {
+                let mut plus = mask.clone();
+                plus[(x, y)] += eps;
+                let mut minus = mask.clone();
+                minus[(x, y)] -= eps;
+                let lp = loss_only(&sim, &plus, &target, weights).unwrap().total;
+                let lm = loss_only(&sim, &minus, &target, weights).unwrap().total;
+                let fd = (lp - lm) / (2.0 * eps);
+                let an = grad[(x, y)];
+                let denom = fd.abs().max(an.abs()).max(1e-6);
+                assert!(
+                    (fd - an).abs() / denom < 1e-3,
+                    "floor {floor}, {weights:?}: gradient mismatch at ({x},{y}): \
+                     fd={fd}, analytic={an}"
+                );
+            }
         }
     }
 

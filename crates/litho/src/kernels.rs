@@ -189,27 +189,6 @@ impl KernelSet {
             out[idx as usize] = h * spectrum[idx as usize];
         }
     }
-
-    /// Accumulates `scale · H_k ⊙ field_spectrum` into `acc` (sparse —
-    /// only pupil bins are touched). Used by the adjoint pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths differ from `size²` or `k` is out of range.
-    pub fn accumulate(
-        &self,
-        k: usize,
-        field_spectrum: &[Complex],
-        scale: f64,
-        acc: &mut [Complex],
-    ) {
-        let n2 = self.size * self.size;
-        assert_eq!(field_spectrum.len(), n2, "spectrum length");
-        assert_eq!(acc.len(), n2, "accumulator length");
-        for &(idx, h) in &self.kernels[k].spectrum {
-            acc[idx as usize] += h * field_spectrum[idx as usize] * scale;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -271,11 +271,8 @@ impl LithoSimulator {
         // lock.
         let merge = Mutex::new((0usize, images));
         let turnstile = Condvar::new();
-        // Each running task holds one field (until its merge turn) and one
-        // transpose scratch.
-        let width = region_width(total);
-        self.field_pool.reserve(width, n2);
-        self.plan.reserve_serial(width);
+        // Each running task holds one field (until its merge turn).
+        self.field_pool.reserve(region_width(total), n2);
         par_for(total, |t| {
             let d = offsets[1..=shared.count]
                 .iter()
