@@ -23,6 +23,23 @@
 //! only on the kernel stack, so `Nominal` and `Max` (one best-focus stack
 //! at two doses) share theirs: the forward pass runs `K` IFFTs per
 //! distinct focus, `2K` in all.
+//!
+//! The adjoint folds the same way. `IFFT` is linear, so for the corners
+//! `c` of one stack `d`, with `c1` its first corner that carries weight,
+//!
+//! ```text
+//! Σ_{c∈d} 2 dose_c μ_k · H_k ⊙ IFFT( G_c ⊙ conj(A_k) )
+//!     = 2 dose_c1 μ_k · H_k ⊙ IFFT( G_d ⊙ conj(A_k) )
+//! G_d = Σ_{c∈d} (dose_c / dose_c1) · ∂L/∂I_c
+//! ```
+//!
+//! so the adjoint runs `K` IFFTs per weighted stack, `2K` at the default
+//! weights, and a call runs `4K + 2` transforms in all. A stack with one
+//! weighted corner has `G_d = ∂L/∂I_c1` with no ratio applied, so its
+//! arithmetic is exactly the per-corner adjoint's; only folding two
+//! corners reorders float sums. Each adjoint `IFFT` is read back only on
+//! kernel `k`'s bins, so its column pass runs on kernel `k`'s columns
+//! alone (`Kernel::columns`).
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
 use crate::simulator::{sigmoid_sat, LithoSimulator, SharedStacks};
@@ -110,9 +127,12 @@ pub fn loss_and_gradient(
 /// All full-grid scratch (mask spectrum, spectral accumulator, per-corner
 /// intensity and dL/dI) comes from the simulator's buffer pools, and
 /// `grad` is fully overwritten (reallocated only on a grid-size change) —
-/// so a caller looping over iterations with a persistent `grad` performs
-/// **zero steady-state heap allocations** here. [`loss_and_gradient`] is
-/// the convenience wrapper that allocates a fresh grid per call.
+/// so a caller looping over iterations with a persistent `grad` sees
+/// **zero net heap growth** in steady state: the allocations left (the
+/// parallel regions' result lists, among them the adjoint's per-kernel
+/// contribution lists) are freed before the call returns, as
+/// `crates/core/tests/alloc.rs` enforces. [`loss_and_gradient`] is the
+/// convenience wrapper that allocates a fresh grid per call.
 ///
 /// # Errors
 ///
@@ -181,10 +201,12 @@ pub fn loss_and_gradient_into(
     let mut values = LossValues::default();
     // Per-corner resist, loss value, and dL/dI. Each corner accumulates
     // its stack's fields in ascending k with its own dose, so sharing a
-    // stack leaves every intensity bit unchanged. Every nonzero-weight
-    // corner's g_i buffer survives to feed the single batched adjoint
-    // region below.
-    let mut g_all: [Option<Vec<f64>>; 3] = [None, None, None];
+    // stack leaves every intensity bit unchanged. The adjoint is linear
+    // in dL/dI and a stack's corners share its fields, so each weighted
+    // corner's g_i folds onto its stack's first weighted corner c1 as
+    // (dose_c / dose_c1) · g_i, in c1's buffer: `folded[d]` holds stack
+    // d's (dose_c1, G_d) for the adjoint region below.
+    let mut folded: [Option<(f64, Vec<f64>)>; 3] = [None, None, None];
     for (c, &(corner, w_c)) in corners.iter().enumerate() {
         let (set, dose) = imaging[c];
         let stack = shared.of[c];
@@ -214,26 +236,32 @@ pub fn loss_and_gradient_into(
         }
         if w_c == 0.0 {
             sim.real_pool().put(g_i);
-        } else {
-            g_all[c] = Some(g_i);
+            continue;
+        }
+        match &mut folded[stack] {
+            Some((dose_1, g_1)) => {
+                let ratio = dose / *dose_1;
+                for (a, &b) in g_1.iter_mut().zip(&g_i) {
+                    *a += ratio * b;
+                }
+                sim.real_pool().put(g_i);
+            }
+            None => folded[stack] = Some((dose, g_i)),
         }
     }
     values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
 
-    // Adjoint task index over the corners that carry weight, corner-major
-    // and kernel-ascending. The adjoint stays one task per (corner,
-    // kernel) even where two corners share a field: folding their dL/dI
-    // together first is linear, but it would reorder the float sums and
-    // change gradient bits.
+    // Adjoint task index over the stacks that carry weight, stack-major
+    // and kernel-ascending; `adj[s]` is the s-th such stack's
+    // (stack, dose_c1, G_d).
     let mut adj_offsets = [0usize; 4];
-    let mut adj_corner = [0usize; 3];
+    let mut adj: [(usize, f64, &[f64]); 3] = [(0, 0.0, &[]); 3];
     let mut adj_stacks = 0usize;
-    for (c, g) in g_all.iter().enumerate() {
-        if g.is_some() {
-            let stack = shared.of[c];
-            adj_corner[adj_stacks] = c;
+    for (d, entry) in folded.iter().enumerate() {
+        if let Some((dose_1, g)) = entry {
+            adj[adj_stacks] = (d, *dose_1, g);
             adj_offsets[adj_stacks + 1] =
-                adj_offsets[adj_stacks] + (fwd_offsets[stack + 1] - fwd_offsets[stack]);
+                adj_offsets[adj_stacks] + (fwd_offsets[d + 1] - fwd_offsets[d]);
             adj_stacks += 1;
         }
     }
@@ -245,27 +273,26 @@ pub fn loss_and_gradient_into(
         // One `b` buffer per running task.
         sim.field_pool().reserve(region_width(adj_total), n2);
         // Adjoint: per kernel, B = G ⊙ conj(A); contribute
-        // 2·μ·dose·H ⊙ IFFT(B) on the (sparse) pupil support. Again one
-        // flat region spanning every weighted corner.
+        // 2·μ·dose_c1·H ⊙ IFFT(B) on the kernel's (sparse) pupil
+        // support. One flat region spans every weighted stack.
         let contributions: Vec<Vec<(u32, Complex)>> =
             par_map(adj_total, |t| -> Result<Vec<(u32, Complex)>, LithoError> {
                 let s = adj_offsets[1..=adj_stacks]
                     .iter()
                     .position(|&o| t < o)
                     .unwrap_or(adj_stacks - 1);
-                let c = adj_corner[s];
-                let (set, dose) = imaging[c];
+                let (d, dose, g) = adj[s];
                 let k = t - adj_offsets[s];
-                let g_i = g_all[c].as_deref().unwrap_or(&[]);
+                let kernel = &imaging[shared.first[d]].0.kernels()[k];
                 let mut b = sim.field_pool().take(n2);
-                conj_mul_real(&mut b, &fields[fwd_offsets[shared.of[c]] + k], g_i);
-                // The transform's output is only sampled on the pupil
-                // support below, so the column pass can skip every
-                // column outside the kernel set's union support —
-                // sampled columns are bit-identical to the dense path.
-                sim.plan().inverse_serial_cols(&mut b, set.support_cols())?;
-                let scale = 2.0 * set.kernels()[k].weight * dose;
-                let contribution = set.kernels()[k]
+                conj_mul_real(&mut b, &fields[fwd_offsets[d] + k], g);
+                // The transform's output is only sampled on this
+                // kernel's bins below, so the column pass can skip every
+                // column outside its mask — sampled columns are
+                // bit-identical to the dense path.
+                sim.plan().inverse_serial_cols(&mut b, &kernel.columns)?;
+                let scale = 2.0 * kernel.weight * dose;
+                let contribution = kernel
                     .spectrum
                     .iter()
                     .map(|&(idx, h)| (idx, h * b[idx as usize] * scale))
@@ -275,8 +302,7 @@ pub fn loss_and_gradient_into(
             })
             .into_iter()
             .collect::<Result<_, _>>()?;
-        // Serial, task-ordered accumulation — the same (corner, kernel)
-        // order as the old per-corner loop — keeps the gradient
+        // Serial, task-ordered accumulation keeps the gradient
         // bit-identical across thread counts.
         for contribution in contributions {
             for (idx, v) in contribution {
@@ -284,8 +310,8 @@ pub fn loss_and_gradient_into(
             }
         }
     }
-    for g_i in g_all.into_iter().flatten() {
-        sim.real_pool().put(g_i);
+    for (_, g) in folded.into_iter().flatten() {
+        sim.real_pool().put(g);
     }
     for field in fields {
         sim.field_pool().put(field);
@@ -351,17 +377,16 @@ mod tests {
     use cfaopc_grid::{fill_rect, BitGrid, Rect};
 
     fn small_sim() -> LithoSimulator {
-        sim_with_floor(1.0)
+        LithoSimulator::new(small_config(1.0)).unwrap()
     }
 
-    fn sim_with_floor(kernel_energy_floor: f64) -> LithoSimulator {
-        LithoSimulator::new(LithoConfig {
+    fn small_config(kernel_energy_floor: f64) -> LithoConfig {
+        LithoConfig {
             size: 32,
             kernel_count: 4,
             kernel_energy_floor,
             ..LithoConfig::default()
-        })
-        .unwrap()
+        }
     }
 
     fn smooth_mask(n: usize) -> Grid2D<f64> {
@@ -391,15 +416,26 @@ mod tests {
         // The exact model; truncated SOCS (`active_count` drops the
         // lightest kernels); the nominal corner alone, so the adjoint
         // skips both zero-weight corners; the process-variation corners
-        // alone.
+        // alone; doses far from 1, so a fold that drops `Max`'s dose,
+        // applies it twice or inverts its ratio, or a `Min` adjoint
+        // without its dose, moves the gradient well past the tolerance.
         let cases = [
-            (1.0, LossWeights::default()),
-            (0.5, LossWeights::default()),
-            (0.4, LossWeights { l2: 1.0, pvb: 0.0 }),
-            (1.0, LossWeights { l2: 0.0, pvb: 1.0 }),
+            (small_config(1.0), LossWeights::default()),
+            (small_config(0.5), LossWeights::default()),
+            (small_config(0.4), LossWeights { l2: 1.0, pvb: 0.0 }),
+            (small_config(1.0), LossWeights { l2: 0.0, pvb: 1.0 }),
+            (
+                LithoConfig {
+                    dose_max: 1.3,
+                    dose_min: 0.7,
+                    ..small_config(1.0)
+                },
+                LossWeights::default(),
+            ),
         ];
-        for (floor, weights) in cases {
-            let sim = sim_with_floor(floor);
+        for (cfg, weights) in cases {
+            let (floor, doses) = (cfg.kernel_energy_floor, (cfg.dose_max, cfg.dose_min));
+            let sim = LithoSimulator::new(cfg).unwrap();
             let n = sim.size();
             if floor < 1.0 {
                 for corner in [ProcessCorner::Nominal, ProcessCorner::Min] {
@@ -427,8 +463,8 @@ mod tests {
                 let denom = fd.abs().max(an.abs()).max(1e-6);
                 assert!(
                     (fd - an).abs() / denom < 1e-3,
-                    "floor {floor}, {weights:?}: gradient mismatch at ({x},{y}): \
-                     fd={fd}, analytic={an}"
+                    "floor {floor}, doses {doses:?}, {weights:?}: gradient mismatch \
+                     at ({x},{y}): fd={fd}, analytic={an}"
                 );
             }
         }
@@ -443,9 +479,11 @@ mod tests {
         let weights = LossWeights { l2: 1.0, pvb: 0.5 };
         let (v1, _) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
         let v2 = loss_only(&sim, &mask, &target, weights).unwrap();
-        assert!((v1.l2 - v2.l2).abs() < 1e-9);
-        assert!((v1.pvb - v2.pvb).abs() < 1e-9);
-        assert!((v1.total - v2.total).abs() < 1e-9);
+        // Both paths run the same forward arithmetic in the same order,
+        // so the loss values agree to the bit.
+        assert_eq!(v1.l2.to_bits(), v2.l2.to_bits());
+        assert_eq!(v1.pvb.to_bits(), v2.pvb.to_bits());
+        assert_eq!(v1.total.to_bits(), v2.total.to_bits());
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub struct Kernel {
     pub weight: f64,
     /// Sparse spectrum: `(row-major frequency index, H(ν))`.
     pub spectrum: Vec<(u32, Complex)>,
+    /// `columns[kx]` is true iff `spectrum` has an entry in frequency
+    /// column `kx`; length is the grid edge. The adjoint samples its
+    /// per-kernel inverse FFT only on this kernel's bins, so it feeds this
+    /// mask to [`cfaopc_fft::Fft2d::inverse_serial_cols`]. The pupil's
+    /// width in bins is set by the tile's size in nm, not by the pixel
+    /// count, and one shifted pupil spans about half the columns the
+    /// stack's pupils span together.
+    pub(crate) columns: Vec<bool>,
 }
 
 /// The kernel stack for one focus setting. It depends only on focus, so
@@ -34,11 +42,6 @@ pub struct Kernel {
 pub struct KernelSet {
     size: usize,
     kernels: Vec<Kernel>,
-    /// `support_cols[kx]` is true when any kernel's spectrum touches a
-    /// frequency bin in column `kx`. The adjoint pass samples its
-    /// inverse-FFT outputs only on the pupil support, so the column
-    /// transform can skip every column outside this mask.
-    support_cols: Vec<bool>,
 }
 
 impl KernelSet {
@@ -106,9 +109,14 @@ impl KernelSet {
                     }
                 }
             }
+            let mut columns = vec![false; n];
+            for &(idx, _) in &spectrum {
+                columns[idx as usize % n] = true;
+            }
             kernels.push(Kernel {
                 weight: 1.0 / k_count as f64,
                 spectrum,
+                columns,
             });
         }
         // Descending singular-value weight, so energy truncation (the
@@ -118,17 +126,7 @@ impl KernelSet {
         // unchanged bit for bit; the sort only matters for kernel sets
         // with genuinely decaying spectra.
         kernels.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-        let mut support_cols = vec![false; n];
-        for kernel in &kernels {
-            for &(idx, _) in &kernel.spectrum {
-                support_cols[idx as usize % n] = true;
-            }
-        }
-        Ok(KernelSet {
-            size: n,
-            kernels,
-            support_cols,
-        })
+        Ok(KernelSet { size: n, kernels })
     }
 
     /// Grid edge the kernels are defined on.
@@ -141,16 +139,6 @@ impl KernelSet {
     #[inline]
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
-    }
-
-    /// Column mask of the union pupil support: `support_cols()[kx]` is
-    /// true iff some kernel has a spectrum entry in frequency column
-    /// `kx`. Length is [`Self::size`]. Feed this to
-    /// [`cfaopc_fft::Fft2d::inverse_serial_cols`] when the transform's
-    /// output is only read back at pupil bins.
-    #[inline]
-    pub fn support_cols(&self) -> &[bool] {
-        &self.support_cols
     }
 
     /// Number of leading kernels needed to capture `energy_floor` of the
@@ -296,24 +284,41 @@ mod tests {
     }
 
     #[test]
-    fn support_cols_cover_every_spectrum_entry() {
+    fn each_kernel_flags_exactly_its_own_columns() {
         let cfg = LithoConfig::fast_test();
+        let n = cfg.size;
         for corner in [
             ProcessCorner::Nominal,
             ProcessCorner::Max,
             ProcessCorner::Min,
         ] {
             let set = KernelSet::generate(&cfg, corner).unwrap();
-            let cols = set.support_cols();
-            assert_eq!(cols.len(), cfg.size);
+            let mut union = vec![false; n];
             for kernel in set.kernels() {
+                let mut touched = vec![false; n];
                 for &(idx, _) in &kernel.spectrum {
-                    assert!(cols[idx as usize % cfg.size], "column {idx} unflagged");
+                    touched[idx as usize % n] = true;
+                }
+                assert_eq!(
+                    kernel.columns, touched,
+                    "{corner:?}: mask != spectrum columns"
+                );
+                for (u, &c) in union.iter_mut().zip(&kernel.columns) {
+                    *u |= c;
                 }
             }
-            // The pupil is band-limited: the mask must also exclude
-            // mid-band columns, otherwise sampling buys nothing.
-            assert!(cols.iter().any(|&c| !c), "mask is trivially all-true");
+            // The source shifts each pupil to its own place, so at the
+            // default bin pitch every kernel's mask is strictly narrower
+            // than the stack's union; otherwise the per-kernel column
+            // pass would buy nothing over the union mask.
+            let union_width = union.iter().filter(|&&c| c).count();
+            for (k, kernel) in set.kernels().iter().enumerate() {
+                let width = kernel.columns.iter().filter(|&&c| c).count();
+                assert!(
+                    width < union_width,
+                    "{corner:?} kernel {k}: {width} columns, union {union_width}"
+                );
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! `Nominal` and `Max` image through one best-focus SOCS stack, so one
 //! evaluation runs `K` kernel IFFTs per distinct focus: `2K` for the three
-//! corners.
+//! corners. The adjoint folds the corners of a stack before its IFFTs, so
+//! it too runs `K` per weighted stack.
 //!
 //! The FFT count comes from the process-wide trace counter, so this test
 //! has its own binary: no other test can transform concurrently and skew
@@ -48,11 +49,11 @@ fn nominal_and_max_share_one_stack_and_its_fields() {
     let mut grad = Grid2D::new(n, n, 0.0);
 
     // Mask FFT + K fields per distinct focus (2K) + one adjoint IFFT per
-    // (corner, kernel) (3K) + the final shared Re[FFT].
+    // (weighted stack, kernel) (2K) + the final shared Re[FFT].
     let loss_ffts = ffts_during(|| {
         loss_and_gradient_into(&sim, &mask, &target, LossWeights::default(), &mut grad).unwrap();
     });
-    assert_eq!(loss_ffts, 5 * k + 2, "loss_and_gradient_into at K = {k}");
+    assert_eq!(loss_ffts, 4 * k + 2, "loss_and_gradient_into at K = {k}");
 
     // Mask FFT + K fields per distinct focus.
     let aerial_ffts = ffts_during(|| {
