@@ -20,6 +20,7 @@ use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_fft::{Complex, Fft2d, Rfft2d};
 use cfaopc_fracture::{circle_rule, rect_fracture, CircleRuleConfig};
 use cfaopc_grid::{skeletonize, Grid2D};
+use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::benchmark_case;
 use cfaopc_litho::{loss_and_gradient, LithoConfig, LithoSimulator, LossWeights, ProcessCorner};
 use std::hint::black_box;
@@ -218,6 +219,22 @@ fn main() {
     }));
     results.push(run_case("circle_rule_case3_256", || {
         black_box(circle_rule(&target, &CircleRuleConfig::default(), 8.0));
+    }));
+    // CircleRule on its real input: case 3's MultiILT-like pixel mask at
+    // the eval suites' 6 kernels and 8 iterations (128 regions, 72 of
+    // which need coverage completion).
+    let ilt_sim = LithoSimulator::new(LithoConfig {
+        size: N,
+        kernel_count: 6,
+        ..LithoConfig::default()
+    })
+    .unwrap();
+    let ilt_mask = run_engine(&ilt_sim, &target, IltEngine::MultiIltLike, 8)
+        .unwrap()
+        .mask_binary;
+    drop(ilt_sim);
+    results.push(run_case("circle_rule_ilt_case3_256", || {
+        black_box(circle_rule(&ilt_mask, &CircleRuleConfig::default(), 8.0));
     }));
     results.push(run_case("rect_fracture_case3_256", || {
         black_box(rect_fracture(&target));

@@ -97,16 +97,7 @@ pub fn circle_rule(mask: &BitGrid, config: &CircleRuleConfig, pixel_nm: f64) -> 
     for region in &labeling.regions {
         // Skeletonize the region on a padded crop of its bounding box
         // (Zhang–Suen is O(area · passes); cropping keeps it local).
-        let pad = 2i32;
-        let bx0 = (region.bbox.x0 - pad).max(0);
-        let by0 = (region.bbox.y0 - pad).max(0);
-        let bx1 = (region.bbox.x1 + pad).min(w as i32);
-        let by1 = (region.bbox.y1 + pad).min(h as i32);
-        let (cw, ch) = ((bx1 - bx0) as usize, (by1 - by0) as usize);
-        let mut crop = BitGrid::new(cw, ch);
-        for &p in &region.points {
-            crop.set((p.x - bx0) as usize, (p.y - by0) as usize, true);
-        }
+        let (crop, Point { x: bx0, y: by0 }) = region.padded_crop(2, w, h);
         let skeleton_crop = skeletonize(&crop);
 
         // Deterministic seed: an endpoint when the skeleton has one
@@ -181,8 +172,6 @@ fn complete_coverage(
 ) {
     let area = region.points.len();
     let allowed_uncovered = ((1.0 - config.min_region_coverage) * area as f64) as usize;
-    // Depth of every region pixel (distance to the region's boundary),
-    // used to place completion circles as deep inside as possible.
     let covered_by = |shots: &[CircleShot], p: Point| shots.iter().any(|s| s.contains(p));
     let mut uncovered: Vec<Point> = region
         .points
@@ -193,8 +182,11 @@ fn complete_coverage(
     if uncovered.len() <= allowed_uncovered {
         return;
     }
-    let crop_mask = region.to_mask(labels.width(), labels.height());
-    let depth = cfaopc_grid::interior_distance(&crop_mask);
+    // Depth of every region pixel (distance to the region's boundary),
+    // used to place completion circles as deep inside as possible. The
+    // padded crop gives the same depths as the full grid.
+    let (crop, o) = region.padded_crop(1, labels.width(), labels.height());
+    let depth = cfaopc_grid::interior_distance(&crop);
     let budget = area / cfaopc_grid::disk_area(r_min).max(1) + 8;
     for _ in 0..budget {
         if uncovered.len() <= allowed_uncovered {
@@ -203,8 +195,8 @@ fn complete_coverage(
         let &deepest = uncovered
             .iter()
             .max_by(|a, b| {
-                let da = depth[(a.x as usize, a.y as usize)];
-                let db = depth[(b.x as usize, b.y as usize)];
+                let da = depth[((a.x - o.x) as usize, (a.y - o.y) as usize)];
+                let db = depth[((b.x - o.x) as usize, (b.y - o.y) as usize)];
                 da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("uncovered nonempty");

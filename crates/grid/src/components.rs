@@ -52,13 +52,43 @@ impl Region {
         self.points.len()
     }
 
-    /// Renders the region back into a standalone mask of the given shape.
-    pub fn to_mask(&self, width: usize, height: usize) -> BitGrid {
-        let mut m = BitGrid::new(width, height);
+    /// Renders the region alone into its bounding box padded by `pad`
+    /// pixels on every side and clamped to a `width × height` grid.
+    /// Returns the crop and its origin: region pixel `p` sits at
+    /// `p - origin` in the crop.
+    ///
+    /// With `pad >= 1`, a distance transform of the crop is exact for the
+    /// region: every crop side either lies on the grid edge or is a ring
+    /// of background, and clamping any background pixel outside the crop
+    /// onto the crop gives a background pixel at least as close to every
+    /// region pixel. So [`interior_distance`](crate::interior_distance)
+    /// of the crop, read at `p - origin`, equals the full-grid
+    /// transform of the region alone at `p`, bit for bit. The whole-grid
+    /// fallback fires on the crop exactly when the region fills the grid.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cfaopc_grid::{connected_components, fill_rect, BitGrid, Connectivity, Point, Rect};
+    ///
+    /// let mut m = BitGrid::new(16, 16);
+    /// fill_rect(&mut m, Rect::new(0, 5, 4, 9));
+    /// let region = &connected_components(&m, Connectivity::Eight).regions[0];
+    /// let (crop, origin) = region.padded_crop(1, 16, 16);
+    /// assert_eq!(origin, Point::new(0, 4)); // clamped on the left edge
+    /// assert_eq!((crop.width(), crop.height()), (5, 6));
+    /// assert!(crop.get(3, 1) && !crop.get(4, 1));
+    /// ```
+    pub fn padded_crop(&self, pad: i32, width: usize, height: usize) -> (BitGrid, Point) {
+        let x0 = (self.bbox.x0 - pad).max(0);
+        let y0 = (self.bbox.y0 - pad).max(0);
+        let x1 = (self.bbox.x1 + pad).min(width as i32);
+        let y1 = (self.bbox.y1 + pad).min(height as i32);
+        let mut crop = BitGrid::new((x1 - x0) as usize, (y1 - y0) as usize);
         for &p in &self.points {
-            m.set_at(p, true);
+            crop.set((p.x - x0) as usize, (p.y - y0) as usize, true);
         }
-        m
+        (crop, Point::new(x0, y0))
     }
 }
 
@@ -245,7 +275,9 @@ mod tests {
         fill_circle(&mut m, Point::new(8, 8), 5);
         let l = connected_components(&m, Connectivity::Eight);
         assert_eq!(l.regions.len(), 1);
-        let back = l.regions[0].to_mask(16, 16);
+        // A pad that reaches past every edge clamps the crop to the grid.
+        let (back, origin) = l.regions[0].padded_crop(8, 16, 16);
+        assert_eq!(origin, Point::new(0, 0));
         assert_eq!(back, m);
     }
 

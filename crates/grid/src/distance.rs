@@ -2,8 +2,9 @@
 //!
 //! The EPE metric asks, for a sample point on a target edge, how far the
 //! printed contour is; the squared-distance transform of the contour
-//! answers that in O(n) per pixel. CircleRule's radius selection also
-//! uses the interior distance to bound the largest circle that fits.
+//! answers that in O(n) per pixel. CircleRule's coverage completion uses
+//! the interior distance to place each completion circle at the deepest
+//! uncovered pixel of its region (radii come from the cover-rate sweep).
 
 use crate::grid::{BitGrid, Grid2D};
 

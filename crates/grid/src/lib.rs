@@ -10,7 +10,7 @@
 //! * [`skeletonize`] — Algorithm 1's `findSkeleton` (Zhang–Suen thinning),
 //! * [`dilate`]/[`erode`]/[`open`]/[`close`] — binary morphology,
 //! * [`distance_to`]/[`interior_distance`] — exact Euclidean distance
-//!   transforms for EPE and radius bounds,
+//!   transforms for EPE and coverage completion,
 //! * [`boundary_pixels`] — printed-contour extraction.
 //!
 //! # Examples

@@ -58,14 +58,16 @@ pub fn skeletonize(mask: &BitGrid) -> BitGrid {
         if region.points.iter().any(|&p| img.at(p)) {
             continue;
         }
-        let depth = crate::distance::interior_distance(&region.to_mask(w, h));
+        // Depth on the region's own padded crop (exact; see `padded_crop`).
+        let (crop, o) = region.padded_crop(1, w, h);
+        let depth = crate::distance::interior_distance(&crop);
         let deepest = region
             .points
             .iter()
             .copied()
             .max_by(|a, b| {
-                let da = depth[(a.x as usize, a.y as usize)];
-                let db = depth[(b.x as usize, b.y as usize)];
+                let da = depth[((a.x - o.x) as usize, (a.y - o.y) as usize)];
+                let db = depth[((b.x - o.x) as usize, (b.y - o.y) as usize)];
                 da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("regions are nonempty");

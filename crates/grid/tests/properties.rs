@@ -2,7 +2,7 @@
 
 use cfaopc_grid::{
     connected_components, dilate, disk_area, disk_points, erode, fill_circle, fill_rect,
-    skeletonize, BitGrid, Connectivity, Point, Rect, Structuring,
+    interior_distance, skeletonize, BitGrid, Connectivity, Point, Rect, Structuring,
 };
 use proptest::prelude::*;
 
@@ -35,6 +35,59 @@ fn random_mask() -> impl Strategy<Value = BitGrid> {
             m
         })
     })
+}
+
+/// [`random_mask`] with its four corner pixels and the middle pixel of
+/// each side set, so some region touches every border and every corner.
+fn bordered_mask() -> impl Strategy<Value = BitGrid> {
+    random_mask().prop_map(|mut m| {
+        let (w, h) = (m.width(), m.height());
+        for (x, y) in [
+            (0, 0),
+            (w - 1, 0),
+            (0, h - 1),
+            (w - 1, h - 1),
+            (w / 2, 0),
+            (w / 2, h - 1),
+            (0, h / 2),
+            (w - 1, h / 2),
+        ] {
+            m.set(x, y, true);
+        }
+        m
+    })
+}
+
+/// Checks the crop contract of `Region::padded_crop` on every region of
+/// `mask`: at pad 1 and pad 2, `interior_distance` of the crop, read at
+/// `p - origin`, equals bit for bit the full-grid `interior_distance` of
+/// the region alone at every region pixel `p`.
+fn check_crop_depths(mask: &BitGrid) -> Result<(), TestCaseError> {
+    let (w, h) = (mask.width(), mask.height());
+    for region in &connected_components(mask, Connectivity::Eight).regions {
+        let mut alone = BitGrid::new(w, h);
+        for &p in &region.points {
+            alone.set_at(p, true);
+        }
+        let full = interior_distance(&alone);
+        for pad in [1, 2] {
+            let (crop, origin) = region.padded_crop(pad, w, h);
+            let local = interior_distance(&crop);
+            for &p in &region.points {
+                let got = local[((p.x - origin.x) as usize, (p.y - origin.y) as usize)];
+                let want = full[(p.x as usize, p.y as usize)];
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{}x{} grid, region {} (bbox {:?}), pad {pad}, pixel {p}: crop {got} vs full {want}",
+                    w,
+                    h,
+                    region.label,
+                    region.bbox
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Reference disk morphology: probe every offset with `dx² + dy² ≤ r²`
@@ -162,6 +215,11 @@ proptest! {
     }
 
     #[test]
+    fn crop_interior_distance_matches_the_full_grid(mask in bordered_mask()) {
+        check_crop_depths(&mask)?;
+    }
+
+    #[test]
     fn disk_morphology_matches_the_sweep_on_layout_masks(rects in small_rects(), r in 0i32..=12) {
         // Rectangles up to 12 px on a 64 px grid, clipped where they run
         // off the border.
@@ -198,5 +256,23 @@ fn disk_morphology_matches_the_sweep_on_degenerate_grids() {
                 mask.height()
             );
         }
+    }
+}
+
+#[test]
+fn crop_interior_distance_matches_on_single_pixels_and_full_grids() {
+    for (w, h) in [(1, 1), (1, 5), (5, 1), (3, 3), (5, 4)] {
+        // One set pixel at every position.
+        for y in 0..h {
+            for x in 0..w {
+                let mut m = BitGrid::new(w, h);
+                m.set(x, y, true);
+                check_crop_depths(&m).unwrap();
+            }
+        }
+        // The full grid: its one region takes the border fallback.
+        let mut full = BitGrid::new(w, h);
+        fill_rect(&mut full, Rect::new(0, 0, w as i32, h as i32));
+        check_crop_depths(&full).unwrap();
     }
 }

@@ -42,8 +42,11 @@ impl SimulatorCache {
     ///
     /// # Errors
     ///
-    /// Returns [`LithoError`] when the configuration is invalid (bad
-    /// grid size, kernel count out of range).
+    /// Returns [`LithoError`] when `LithoConfig::validate` rejects the
+    /// configuration (grid size not a power of two, zero kernels). No
+    /// upper kernel bound is checked here: the protocol caps requests at
+    /// [`MAX_KERNELS`](crate::protocol::MAX_KERNELS) before they reach
+    /// the cache.
     pub fn get(&self, size: usize, kernel_count: usize) -> Result<Arc<LithoSimulator>, LithoError> {
         let key = (size, kernel_count);
         {

@@ -15,6 +15,15 @@
 //! | `ping` | — |
 //! | `shutdown` | — |
 //!
+//! A `submit` is rejected with an `error` naming the field when it
+//! exceeds a bound:
+//!
+//! | field | bound |
+//! |---|---|
+//! | `size` | ≤ [`MAX_SIZE`] (2048) |
+//! | `kernels` | ≤ [`MAX_KERNELS`] (64) |
+//! | `init_iters`, `iters` | ≤ [`MAX_ITERATIONS`] (100 000) |
+//!
 //! ## Responses (daemon → client)
 //!
 //! `ack`, `rejected`, `iter` (streamed telemetry, tagged with `job`),
@@ -27,6 +36,11 @@ use cfaopc_metrics::MaskMetrics;
 /// Hard ceiling on requested grid edges: a submit asking for more is
 /// rejected before it can make the daemon allocate gigabytes.
 pub const MAX_SIZE: usize = 2048;
+
+/// Hard ceiling on requested SOCS kernels per process corner: the
+/// kernel stack is allocated up front, so an unbounded count would abort
+/// the daemon on allocation failure. The paper's model uses 24 kernels.
+pub const MAX_KERNELS: usize = 64;
 
 /// Hard ceiling on requested iteration counts (either stage).
 pub const MAX_ITERATIONS: usize = 100_000;
@@ -161,6 +175,12 @@ impl JobSpec {
         if size > MAX_SIZE {
             return Err(format!("size {size} exceeds the maximum {MAX_SIZE}"));
         }
+        let kernel_count = field_usize(json, "kernels", 6)?;
+        if kernel_count > MAX_KERNELS {
+            return Err(format!(
+                "field \"kernels\": {kernel_count} exceeds the maximum {MAX_KERNELS}"
+            ));
+        }
         let init_iterations = field_usize(json, "init_iters", 4)?;
         let circle_iterations = field_usize(json, "iters", 12)?;
         if init_iterations > MAX_ITERATIONS || circle_iterations > MAX_ITERATIONS {
@@ -196,7 +216,7 @@ impl JobSpec {
             id: id.to_string(),
             source,
             size,
-            kernel_count: field_usize(json, "kernels", 6)?,
+            kernel_count,
             init_iterations,
             circle_iterations,
             priority,
@@ -368,6 +388,26 @@ mod tests {
             assert!(
                 err.contains(needle),
                 "{line}: {err} should mention {needle}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_count_is_bounded() {
+        let submit = |kernels: &str| {
+            Request::parse(&format!(
+                r#"{{"cmd":"submit","id":"x","case":1,"size":64,"kernels":{kernels}}}"#
+            ))
+        };
+        match submit("64").unwrap() {
+            Request::Submit(spec) => assert_eq!(spec.kernel_count, MAX_KERNELS),
+            other => panic!("expected Submit, got {other:?}"),
+        }
+        for kernels in ["65", "1000000000000"] {
+            let err = submit(kernels).unwrap_err();
+            assert!(
+                err.contains("\"kernels\"") && err.contains("64"),
+                "kernels {kernels}: {err}"
             );
         }
     }

@@ -259,6 +259,27 @@ fn daemon_lifecycle_under_forced_pool() {
         j.get("kind").and_then(Json::as_str) == Some("error")
     });
 
+    // A hostile kernel count is an error before anything is allocated:
+    // the reply is an error (not an ack), the daemon still answers a
+    // ping, and a normal job still ends in a result.
+    client
+        .send("{\"cmd\":\"submit\",\"id\":\"x\",\"case\":1,\"size\":64,\"kernels\":1000000000000}");
+    let line = client.wait_for("reply to the hostile submit", |j| {
+        j.get("kind").and_then(Json::as_str) != Some("iter")
+    });
+    let parsed = Json::parse(line.trim()).expect("reply JSON");
+    assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("error"));
+    assert!(
+        line.contains("kernels"),
+        "error must name the field: {line}"
+    );
+    client.send("{\"cmd\":\"ping\"}");
+    client.wait_for("pong", |j| {
+        j.get("kind").and_then(Json::as_str) == Some("pong")
+    });
+    client.send(&submit_small("after-kernels", "\"case\":6"));
+    client.wait_for_kind_id("result", "after-kernels");
+
     // Graceful shutdown with a job still running: it is cancelled with
     // reason "shutdown" and the daemon thread exits cleanly.
     client.send(&submit_long("long-shutdown", ""));

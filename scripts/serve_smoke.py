@@ -3,10 +3,12 @@
 
 Spawns the daemon on an ephemeral loopback port, drives it over raw TCP:
 
-  1. submits a quick job and a long streaming job concurrently,
-  2. captures streamed `iter` telemetry into the artifact file,
-  3. cancels the long job mid-run,
-  4. requests a graceful shutdown,
+  1. submits a hostile `kernels` count and requires an `error`, then a
+     `pong`, so an oversized request cannot take the daemon down,
+  2. submits a quick job and a long streaming job concurrently,
+  3. captures streamed `iter` telemetry into the artifact file,
+  4. cancels the long job mid-run,
+  5. requests a graceful shutdown,
 
 and asserts the daemon exits 0. Every line the daemon sent is written to
 the artifact (default `SERVE_smoke.jsonl`) for CI upload.
@@ -68,6 +70,18 @@ def main():
                 if pred(msg):
                     return msg
             fail(f"never saw {what}")
+
+        # A kernel count no daemon can allocate is refused as a bad
+        # request; the daemon keeps answering.
+        send({"cmd": "submit", "id": "hostile", "case": 1, "size": 64,
+              "kernels": 1000000000000})
+        msg = recv()
+        if msg.get("kind") != "error" or "kernels" not in msg.get("message", ""):
+            fail(f"expected an error naming kernels, got {msg}")
+        send({"cmd": "ping"})
+        msg = recv()
+        if msg.get("kind") != "pong":
+            fail(f"expected pong after the hostile submit, got {msg}")
 
         # Two concurrent jobs: a quick one and a long streaming one.
         send({"cmd": "submit", "id": "quick", "case": 1, "size": 64,
