@@ -90,9 +90,12 @@ struct Fixture {
     compose_cfg: ComposeConfig,
 }
 
-fn fixture() -> Fixture {
+/// `size` 64 images on the full grid; at 128 the 2048 nm tile's 64² pupil
+/// grid is smaller than the mask grid, so the per-kernel work runs on
+/// pupil-grid buffers and the intensity and dL/dI are resampled.
+fn fixture(size: usize) -> Fixture {
     let sim = LithoSimulator::new(LithoConfig {
-        size: 64,
+        size,
         kernel_count: 4,
         ..LithoConfig::default()
     })
@@ -147,17 +150,19 @@ fn steady_state_iterations_are_allocation_free() {
     // the sink all run inside the measured windows and must not allocate
     // once their nodes/buffers exist (warm-up covers first-touch).
     cfaopc_trace::set_enabled(true);
-    hard_max_iteration_is_allocation_free();
-    softmax_iteration_is_allocation_free();
+    for size in [64, 128] {
+        hard_max_iteration_is_allocation_free(size);
+        softmax_iteration_is_allocation_free(size);
+    }
 }
 
-fn hard_max_iteration_is_allocation_free() {
+fn hard_max_iteration_is_allocation_free(size: usize) {
     let Fixture {
         sim,
         target_real,
         mut circles,
         compose_cfg,
-    } = fixture();
+    } = fixture(size);
     let n = sim.size();
     let weights = LossWeights::default();
     let gamma = 3.0;
@@ -191,12 +196,12 @@ fn hard_max_iteration_is_allocation_free() {
     let growth = net_bytes() - baseline;
     assert_eq!(
         growth, 0,
-        "steady-state CircleOpt iterations grew the heap by {growth} bytes over {MEASURED} iterations"
+        "steady-state CircleOpt iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
     );
     assert_eq!(sink.records().len(), WARMUP + MEASURED);
 }
 
-fn softmax_iteration_is_allocation_free() {
+fn softmax_iteration_is_allocation_free(size: usize) {
     // Same guard for the softmax composition branch: the reused
     // `SoftWorkspace` (numerator/normalizer grids, tile buckets) plus
     // `backward_into` must reach zero net growth after warm-up, with the
@@ -206,7 +211,7 @@ fn softmax_iteration_is_allocation_free() {
         target_real,
         mut circles,
         compose_cfg,
-    } = fixture();
+    } = fixture(size);
     let n = sim.size();
     let weights = LossWeights::default();
     let gamma = 3.0;
@@ -242,7 +247,7 @@ fn softmax_iteration_is_allocation_free() {
     let growth = net_bytes() - baseline;
     assert_eq!(
         growth, 0,
-        "steady-state softmax iterations grew the heap by {growth} bytes over {MEASURED} iterations"
+        "steady-state softmax iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
     );
     assert_eq!(sink.records().len(), WARMUP + MEASURED);
 }

@@ -166,6 +166,7 @@ impl Fft2d {
     pub fn inverse_serial_sparse(&self, data: &mut [Complex]) -> Result<(), FftError> {
         self.check(data)?;
         cfaopc_trace::counters::FFT_2D.incr();
+        cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         let row_fft = &self.row_fft;
         for row in data.chunks_mut(self.width) {
             // The scan short-circuits at the first nonzero entry, so dense
@@ -212,6 +213,7 @@ impl Fft2d {
             });
         }
         cfaopc_trace::counters::FFT_2D.incr();
+        cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         let row_fft = &self.row_fft;
         for row in data.chunks_mut(self.width) {
             row_fft
@@ -243,6 +245,7 @@ impl Fft2d {
     ) -> Result<(), FftError> {
         self.check(data)?;
         cfaopc_trace::counters::FFT_2D.incr();
+        cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         // FFT every row, then every column in place.
         let row_fft = &self.row_fft;
         let row_pass = |row: &mut [Complex]| {

@@ -20,11 +20,15 @@
 //! transformed in place, and two real output rows are then recovered from
 //! each packed complex row transform.
 //!
-//! The full complex spectrum is always materialized on output so sparse
-//! spectral consumers (the SOCS kernel supports index the full grid) need
-//! no layout changes. Every output cell is computed by exactly one task
-//! and no cross-task reductions occur, so results are **bit-identical
-//! across worker counts**.
+//! The output is the full complex spectrum in the row-major grid layout,
+//! so sparse spectral consumers (the SOCS kernel supports index the full
+//! grid) need no layout changes. Consumers whose spectra live in a band of
+//! low frequencies use the band variants: [`Rfft2d::forward_band_into`]
+//! transforms only the band's columns, and [`Rfft2d::forward_re_band_into`]
+//! skips the column transforms of an input that is zero outside the band.
+//! Every output cell is computed by exactly one task and no cross-task
+//! reductions occur, so results are **bit-identical across worker
+//! counts**.
 
 use crate::complex::Complex;
 use crate::fft1d::{Direction, Fft, FftError};
@@ -151,9 +155,30 @@ impl Rfft2d {
     /// Returns [`FftError::LengthMismatch`] if `src` or `out` is not
     /// `height·width` long.
     pub fn forward_into(&self, src: &[f64], out: &mut [Complex]) -> Result<(), FftError> {
+        self.forward_band_into(src, out, self.width / 2)
+    }
+
+    /// [`Rfft2d::forward_into`] for consumers that read only the output
+    /// columns `kx` with `|signed_freq(kx)| ≤ band`: the column pass runs
+    /// on those columns alone. Entries in the other columns are left
+    /// **unspecified**; wanted columns are bit-identical to
+    /// [`Rfft2d::forward_into`], since column transforms are independent.
+    /// `band ≥ width/2` wants every column.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `src` or `out` is not
+    /// `height·width` long.
+    pub fn forward_band_into(
+        &self,
+        src: &[f64],
+        out: &mut [Complex],
+        band: usize,
+    ) -> Result<(), FftError> {
         self.check(src.len())?;
         self.check(out.len())?;
         cfaopc_trace::counters::FFT_2D.incr();
+        cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         let (h, w) = (self.height, self.width);
         if h < 2 || w < 2 {
             for (slot, &v) in out.iter_mut().zip(src) {
@@ -187,18 +212,20 @@ impl Rfft2d {
             row_scratch.put(buf);
         });
 
-        // Column pass over the non-redundant columns only, in place.
+        // Column pass over the wanted non-redundant columns only, in
+        // place.
         let col_fft = &self.col_fft;
-        par_column_blocks(out, w, wh, |_, block| {
+        par_column_blocks(out, w, wh.min(band.saturating_add(1)), |_, block| {
             col_fft.transform_columns(block, Direction::Forward)
         });
 
-        // Hermitian fill of the redundant half: S(ky,kx) = conj(S(−ky,−kx)).
-        // Reads stay in columns < wh (already final), writes in columns
-        // ≥ wh — disjoint, so fill order is irrelevant.
+        // Hermitian fill of the wanted redundant columns:
+        // S(ky,kx) = conj(S(−ky,−kx)). Reads stay in columns < wh (already
+        // final), writes in columns ≥ wh — disjoint, so fill order is
+        // irrelevant.
         for ky in 0..h {
             let mirror_row = ((h - ky) % h) * w;
-            for kx in wh..w {
+            for kx in wh.max(w.saturating_sub(band))..w {
                 let v = out[mirror_row + (w - kx)].conj();
                 out[ky * w + kx] = v;
             }
@@ -220,9 +247,30 @@ impl Rfft2d {
     /// Returns [`FftError::LengthMismatch`] if `freq` or `out` is not
     /// `height·width` long.
     pub fn forward_re_into(&self, freq: &[Complex], out: &mut [f64]) -> Result<(), FftError> {
+        self.forward_re_band_into(freq, out, self.width / 2)
+    }
+
+    /// [`Rfft2d::forward_re_into`] for a `freq` that is zero in every
+    /// column `kx` with `|signed_freq(kx)| > band` (entries there are not
+    /// read): the column pass runs on the band's columns alone, since the
+    /// transform of a zero column is zero. The output is bit-identical to
+    /// [`Rfft2d::forward_re_into`] on such input, up to the sign of exact
+    /// zeros. `band ≥ width/2` reads every column.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `freq` or `out` is not
+    /// `height·width` long.
+    pub fn forward_re_band_into(
+        &self,
+        freq: &[Complex],
+        out: &mut [f64],
+        band: usize,
+    ) -> Result<(), FftError> {
         self.check(freq.len())?;
         self.check(out.len())?;
         cfaopc_trace::counters::FFT_2D.incr();
+        cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         let (h, w) = (self.height, self.width);
         if h < 2 || w < 2 {
             let mut buf = self.half_scratch.take(h * w);
@@ -243,8 +291,12 @@ impl Rfft2d {
         // conjugates the result and mirrors kx), so the redundant columns
         // are recoverable by conjugation.
         let mut half = self.half_scratch.take(h * wh);
+        let cols = wh.min(band.saturating_add(1));
+        for row in half.chunks_mut(wh) {
+            row[cols..].fill(Complex::ZERO);
+        }
         let col_fft = &self.col_fft;
-        par_column_blocks(&mut half, wh, wh, |c0, mut block| {
+        par_column_blocks(&mut half, wh, cols, |c0, mut block| {
             for ky in 0..h {
                 let row = &freq[ky * w..][..w];
                 let mirror = &freq[(h - ky) % h * w..][..w];
@@ -371,6 +423,72 @@ mod tests {
                     "({h}x{w}) pixel {i}: {a} vs {} (tol {tol:e})",
                     b.re
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn band_forward_matches_full_on_wanted_columns() {
+        use crate::fft2d::signed_freq;
+        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
+            let src = real_sample(h, w);
+            let rplan = Rfft2d::new(h, w).unwrap();
+            let mut full = vec![Complex::ZERO; h * w];
+            rplan.forward_into(&src, &mut full).unwrap();
+            for band in [0, 1, 3, w / 2 - 1, w / 2, w, usize::MAX] {
+                let mut got = vec![Complex::new(7.0, 7.0); h * w];
+                rplan.forward_band_into(&src, &mut got, band).unwrap();
+                for ky in 0..h {
+                    for kx in
+                        (0..w).filter(|&kx| signed_freq(kx, w).unsigned_abs() as usize <= band)
+                    {
+                        let (a, b) = (got[ky * w + kx], full[ky * w + kx]);
+                        assert_eq!(
+                            a.re.to_bits(),
+                            b.re.to_bits(),
+                            "({h}x{w}) band {band} ({ky},{kx})"
+                        );
+                        assert_eq!(
+                            a.im.to_bits(),
+                            b.im.to_bits(),
+                            "({h}x{w}) band {band} ({ky},{kx})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_forward_re_matches_full_on_band_limited_input() {
+        use crate::fft2d::signed_freq;
+        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
+            let rplan = Rfft2d::new(h, w).unwrap();
+            for band in [0, 1, 3, w / 2 - 1, w / 2, usize::MAX] {
+                let mut freq = complex_sample(h, w);
+                for (i, z) in freq.iter_mut().enumerate() {
+                    if signed_freq(i % w, w).unsigned_abs() as usize > band {
+                        *z = Complex::ZERO;
+                    }
+                }
+                let mut full = vec![0.0; h * w];
+                rplan.forward_re_into(&freq, &mut full).unwrap();
+                // Entries outside the band are never read.
+                for (i, z) in freq.iter_mut().enumerate() {
+                    if signed_freq(i % w, w).unsigned_abs() as usize > band {
+                        *z = Complex::new(f64::NAN, 1.0);
+                    }
+                }
+                let mut got = vec![7.0; h * w];
+                rplan.forward_re_band_into(&freq, &mut got, band).unwrap();
+                for (i, (a, b)) in got.iter().zip(&full).enumerate() {
+                    // Equal bits, or both zero (the sign of an exact zero
+                    // may differ).
+                    assert!(
+                        a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
+                        "({h}x{w}) band {band} pixel {i}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

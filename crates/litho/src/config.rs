@@ -292,9 +292,15 @@ impl LithoConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`LithoError`] when the grid is not a power of two, the
-    /// source annulus is empty or inverted, doses are non-positive, or the
-    /// pupil would not fit on the frequency grid.
+    /// Returns [`LithoError`] when the grid is not a power of two; the
+    /// tile, wavelength or NA is not positive; the source annulus is empty
+    /// or inverted; there are no kernels; the doses do not bracket 1.0;
+    /// the threshold or the energy floor is out of range; or the pupil is
+    /// narrower than one frequency bin (`NA/λ · tile_nm < 1`). A pupil
+    /// wider than the grid is not an error: the kernels keep only the bins
+    /// up to Nyquist. Every pupil holds DC, so a clipped one spans at least
+    /// `N/2 − 1` bins, and the pupil grid is then the whole grid (`S = N`,
+    /// see [`crate::KernelSet::pupil_size`]).
     pub fn validate(&self) -> Result<(), LithoError> {
         if self.size == 0 || !self.size.is_power_of_two() {
             return Err(LithoError::BadGridSize(self.size));

@@ -34,17 +34,52 @@
 //! ```
 //!
 //! so the adjoint runs `K` IFFTs per weighted stack, `2K` at the default
-//! weights, and a call runs `4K + 2` transforms in all. A stack with one
-//! weighted corner has `G_d = ∂L/∂I_c1` with no ratio applied, so its
-//! arithmetic is exactly the per-corner adjoint's; only folding two
-//! corners reorders float sums. Each adjoint `IFFT` is read back only on
-//! kernel `k`'s bins, so its column pass runs on kernel `k`'s columns
-//! alone (`Kernel::columns`).
+//! weights. A stack with one weighted corner has `G_d = ∂L/∂I_c1` with no
+//! ratio applied, so its arithmetic is exactly the per-corner adjoint's;
+//! only folding two corners reorders float sums.
+//!
+//! **The pupil grid.** Every per-kernel transform above runs on the
+//! stack's `S × S` pupil grid (`KernelSet::pupil_size`), not the `N × N`
+//! mask grid. Kernel `k`'s bins `f` move to `f − c_k` (an integer centre
+//! bin, wrapped mod `S`) and the forward scatter carries `S²/N²`, so
+//!
+//! ```text
+//! a_k(y) = IFFT_S( (S²/N²) · (H_k ⊙ F)(· + c_k) )(y)
+//!        = e^{−2πi c_k·y/S} · A_k(y·N/S)
+//! ```
+//!
+//! `|a_k|²` samples `|A_k|²` at every `N/S`-th pixel, and `|A_k|²` lives
+//! on `[−L, L]²` (`L` = `KernelSet::band`, the widest span of one
+//! kernel's bins). With `2L + 1 ≤ S` those samples fix `I` exactly:
+//! `I = IFFT_N( (N²/S²) · FFT_S(I_S) on [−L, L]² )` (the resampling of
+//! `LithoSimulator::resample`). The adjoint needs `G ⊙ conj(A_k)` only at
+//! the frequencies `f − f'` between two of kernel `k`'s bins, all inside
+//! `[−L, L]²`, so `G` may be replaced by its low-pass `G_L` — sampled on
+//! the pupil grid, `G_S = IFFT_S( (S²/N²) · FFT_N(G) on [−L, L]² )`. The
+//! read at bin `f` sums `G_L ⊙ conj(A_k) · e^{2πi f·x/N}`, whose
+//! frequencies `g − f' + f` all lie in `[−2L, 2L]²`, so `2L + 1 ≤ S` keeps
+//! every nonzero one from aliasing onto the sum, and the centre's phase
+//! cancels:
+//!
+//! ```text
+//! IFFT_N( G ⊙ conj(A_k) )(f) = IFFT_S( G_S ⊙ conj(a_k) )(f − c_k)
+//! ```
+//!
+//! for every bin `f` of kernel `k`. Each such pupil-grid inverse is read
+//! only on kernel `k`'s bins, so its column pass runs on kernel `k`'s
+//! columns alone (`Kernel::columns`). At `S = N` nothing moves or is
+//! resampled, and the arithmetic is the mask-grid path's bit for bit.
+//!
+//! A call therefore runs, at `S = N`, the mask FFT, `4K` kernel
+//! transforms and the final `FFT`: `4K + 2`. Below it, the `4K` kernel
+//! transforms are `S²`, and each corner's intensity and each weighted
+//! stack's `G_d` cost one `S²` and one `N²` transform to resample: `7`
+//! mask-grid transforms at the default weights, whatever `K` is.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
-use crate::simulator::{sigmoid_sat, LithoSimulator, SharedStacks};
+use crate::simulator::{sigmoid_sat, Forward, LithoSimulator};
 use cfaopc_fft::parallel::{par_map, region_width};
-use cfaopc_fft::simd::{accumulate_norm_sqr, conj_mul_real};
+use cfaopc_fft::simd::conj_mul_real;
 use cfaopc_fft::Complex;
 use cfaopc_grid::Grid2D;
 
@@ -124,10 +159,11 @@ pub fn loss_and_gradient(
 
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
-/// All full-grid scratch (mask spectrum, spectral accumulator, per-corner
-/// intensity and dL/dI) comes from the simulator's buffer pools, and
-/// `grad` is fully overwritten (reallocated only on a grid-size change) —
-/// so a caller looping over iterations with a persistent `grad` sees
+/// All scratch (mask spectrum, pupil-grid fields, spectral accumulator,
+/// per-corner intensity and dL/dI) comes from the simulator's buffer
+/// pools, and `grad` is fully overwritten (reallocated only on a
+/// grid-size change) — so a caller looping over iterations with a
+/// persistent `grad` sees
 /// **zero net heap growth** in steady state: the allocations left (the
 /// parallel regions' result lists, among them the adjoint's per-kernel
 /// contribution lists) are freed before the call returns, as
@@ -148,6 +184,7 @@ pub fn loss_and_gradient_into(
     let _span = cfaopc_trace::span("litho.loss_and_gradient");
     let n = sim.size();
     let n2 = n * n;
+    let s2 = sim.pupil_size() * sim.pupil_size();
     if target.width() != n || target.height() != n {
         return Err(LithoError::ShapeMismatch {
             expected: (n, n),
@@ -158,67 +195,33 @@ pub fn loss_and_gradient_into(
     let cfg = sim.config();
     let theta = cfg.resist_steepness;
     let th = cfg.threshold;
-    let floor = cfg.kernel_energy_floor;
 
     let corners = corner_plan(weights);
     // Each corner's stack and dose. Corners sharing a stack (Nominal and
     // Max) share its fields: `shared.of[c]` is corner c's distinct stack.
     let imaging = corners.map(|(corner, _)| (sim.kernel_set(corner), cfg.dose(corner)));
-    let shared = SharedStacks::new(&imaging);
-    // Global forward task index: stack-major (first-use order), kernel-
-    // ascending within a stack; `fwd_offsets[d]` is distinct stack d's
-    // first task. Stacks are weight-sorted, so `active_count` truncates
-    // their tails when `kernel_energy_floor < 1.0`.
-    let mut fwd_offsets = [0usize; 4];
-    for d in 0..shared.count {
-        fwd_offsets[d + 1] = fwd_offsets[d] + imaging[shared.first[d]].0.active_count(floor);
-    }
-    let fwd_total = fwd_offsets[shared.count];
-
-    // Forward: coherent fields for **every distinct stack** in one flat
-    // parallel region (kept alive for the adjoint), so workers stay busy
-    // across stack boundaries. Each task's IFFT runs serially on its
-    // claimed thread in a pooled buffer; kernel spectra are band-limited,
-    // so the sparse inverse skips the all-zero rows. Plan errors are
-    // unreachable (plan and buffers share one config) but propagate as
-    // `LithoError::Fft`; pooled buffers from completed kernels are
-    // dropped rather than repooled on that cold path.
-    let fields: Vec<Vec<Complex>> = par_map(fwd_total, |t| -> Result<Vec<Complex>, LithoError> {
-        let d = fwd_offsets[1..=shared.count]
-            .iter()
-            .position(|&o| t < o)
-            .unwrap_or(shared.count - 1);
-        let set = imaging[shared.first[d]].0;
-        let k = t - fwd_offsets[d];
-        let mut field = sim.field_pool().take(n2);
-        set.apply(k, &spectrum, &mut field);
-        sim.plan().inverse_serial_sparse(&mut field)?;
-        Ok(field)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
+    // Forward: every distinct stack's pupil-grid fields (kept alive for
+    // the adjoint) and each corner's mask-grid intensity — the same pass
+    // `aerial_corners` runs, so `loss_only` agrees to the bit.
+    let forward = sim.socs_forward(&imaging, &spectrum, true);
+    sim.spectrum_pool().put(spectrum);
+    let Forward {
+        shared,
+        offsets: fwd_offsets,
+        fields,
+        intensities,
+    } = forward?;
 
     let mut values = LossValues::default();
-    // Per-corner resist, loss value, and dL/dI. Each corner accumulates
-    // its stack's fields in ascending k with its own dose, so sharing a
-    // stack leaves every intensity bit unchanged. The adjoint is linear
-    // in dL/dI and a stack's corners share its fields, so each weighted
+    // Per-corner resist, loss value, and dL/dI. The adjoint is linear in
+    // dL/dI and a stack's corners share its fields, so each weighted
     // corner's g_i folds onto its stack's first weighted corner c1 as
     // (dose_c / dose_c1) · g_i, in c1's buffer: `folded[d]` holds stack
     // d's (dose_c1, G_d) for the adjoint region below.
     let mut folded: [Option<(f64, Vec<f64>)>; 3] = [None, None, None];
-    for (c, &(corner, w_c)) in corners.iter().enumerate() {
-        let (set, dose) = imaging[c];
+    for ((c, &(corner, w_c)), intensity) in corners.iter().enumerate().zip(intensities) {
+        let dose = imaging[c].1;
         let stack = shared.of[c];
-        let first = fwd_offsets[stack];
-        let active = fwd_offsets[stack + 1] - first;
-
-        let mut intensity = sim.real_pool().take_zeroed(n2);
-        for k in 0..active {
-            let w = set.kernels()[k].weight * dose;
-            accumulate_norm_sqr(&mut intensity, &fields[first + k], w);
-        }
-
         // g_i is fully overwritten, so unspecified pool contents are
         // fine.
         let mut corner_loss = 0.0;
@@ -251,6 +254,22 @@ pub fn loss_and_gradient_into(
     }
     values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
 
+    // Below S = N, each G_d moves to the pupil grid: only its band
+    // [−L, L]² reaches the bins the adjoint reads.
+    let resampled = sim.resampled();
+    let g_pool = if resampled {
+        sim.pupil_real_pool()
+    } else {
+        sim.real_pool()
+    };
+    if resampled {
+        for (_, g) in folded.iter_mut().flatten() {
+            let mut coarse = g_pool.take(s2);
+            sim.resample(g, &mut coarse)?;
+            sim.real_pool().put(std::mem::replace(g, coarse));
+        }
+    }
+
     // Adjoint task index over the stacks that carry weight, stack-major
     // and kernel-ascending; `adj[s]` is the s-th such stack's
     // (stack, dose_c1, G_d).
@@ -268,13 +287,14 @@ pub fn loss_and_gradient_into(
     let adj_total = adj_offsets[adj_stacks];
 
     // Spectral gradient accumulator (pupil support only is ever nonzero).
-    let mut acc = sim.field_pool().take_zeroed(n2);
+    let mut acc = sim.spectrum_pool().take_zeroed(n2);
     if adj_total > 0 {
         // One `b` buffer per running task.
-        sim.field_pool().reserve(region_width(adj_total), n2);
-        // Adjoint: per kernel, B = G ⊙ conj(A); contribute
-        // 2·μ·dose_c1·H ⊙ IFFT(B) on the kernel's (sparse) pupil
-        // support. One flat region spans every weighted stack.
+        sim.field_pool().reserve(region_width(adj_total), s2);
+        // Adjoint: per kernel, b = G ⊙ conj(a) on the pupil grid;
+        // contribute 2·μ·dose_c1·H ⊙ IFFT(b), read at the kernel's pupil
+        // bins, at its mask-grid bins. One flat region spans every
+        // weighted stack.
         let contributions: Vec<Vec<(u32, Complex)>> =
             par_map(adj_total, |t| -> Result<Vec<(u32, Complex)>, LithoError> {
                 let s = adj_offsets[1..=adj_stacks]
@@ -284,18 +304,20 @@ pub fn loss_and_gradient_into(
                 let (d, dose, g) = adj[s];
                 let k = t - adj_offsets[s];
                 let kernel = &imaging[shared.first[d]].0.kernels()[k];
-                let mut b = sim.field_pool().take(n2);
+                let mut b = sim.field_pool().take(s2);
                 conj_mul_real(&mut b, &fields[fwd_offsets[d] + k], g);
                 // The transform's output is only sampled on this
                 // kernel's bins below, so the column pass can skip every
                 // column outside its mask — sampled columns are
                 // bit-identical to the dense path.
-                sim.plan().inverse_serial_cols(&mut b, &kernel.columns)?;
+                sim.pupil_plan()
+                    .inverse_serial_cols(&mut b, &kernel.columns)?;
                 let scale = 2.0 * kernel.weight * dose;
                 let contribution = kernel
                     .spectrum
                     .iter()
-                    .map(|&(idx, h)| (idx, h * b[idx as usize] * scale))
+                    .zip(&kernel.pupil)
+                    .map(|(&(idx, h), &p)| (idx, h * b[p as usize] * scale))
                     .collect();
                 sim.field_pool().put(b);
                 Ok(contribution)
@@ -311,11 +333,9 @@ pub fn loss_and_gradient_into(
         }
     }
     for (_, g) in folded.into_iter().flatten() {
-        sim.real_pool().put(g);
+        g_pool.put(g);
     }
-    for field in fields {
-        sim.field_pool().put(field);
-    }
+    sim.recycle_fields(fields);
 
     // One shared half-spectrum transform turns the spectral accumulator
     // into the pixel-space gradient `Re[FFT(acc)]` directly, without
@@ -323,9 +343,8 @@ pub fn loss_and_gradient_into(
     if grad.width() != n || grad.height() != n {
         *grad = Grid2D::new(n, n, 0.0);
     }
-    sim.rplan().forward_re_into(&acc, grad.as_mut_slice())?;
-    sim.field_pool().put(acc);
-    sim.field_pool().put(spectrum);
+    sim.spectral_to_pixels(&acc, grad.as_mut_slice())?;
+    sim.spectrum_pool().put(acc);
     Ok(values)
 }
 
@@ -432,6 +451,15 @@ mod tests {
                 },
                 LossWeights::default(),
             ),
+            // 128 px on the 2048 nm tile: a 64-bin pupil grid, so the
+            // intensity and dL/dI are resampled between the grids.
+            (
+                LithoConfig {
+                    size: 128,
+                    ..small_config(1.0)
+                },
+                LossWeights::default(),
+            ),
         ];
         for (cfg, weights) in cases {
             let (floor, doses) = (cfg.kernel_energy_floor, (cfg.dose_max, cfg.dose_min));
@@ -451,7 +479,10 @@ mod tests {
             let (_, grad) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
 
             let eps = 1e-5;
-            for &(x, y) in &[(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)] {
+            // The probes scale with the grid, so the 32 px cases keep
+            // theirs.
+            let probes = [(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)];
+            for (x, y) in probes.map(|(x, y)| (x * n / 32, y * n / 32)) {
                 let mut plus = mask.clone();
                 plus[(x, y)] += eps;
                 let mut minus = mask.clone();

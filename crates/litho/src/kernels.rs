@@ -10,9 +10,17 @@
 //! `μ_s = 1/K`.
 //!
 //! Kernels are band-limited to the pupil (radius `NA/λ` in frequency
-//! space, ≈14 bins on the default grid) so each spectrum is stored
-//! **sparsely** as `(flat index, value)` pairs; applying a kernel to a
-//! mask spectrum touches only those entries.
+//! space: 14.3 bins on a 2048 nm tile, 28.6 on a 4096 nm one, whatever the
+//! pixel count), so each spectrum is stored **sparsely** as
+//! `(flat index, value)` pairs.
+//!
+//! Each stack also sizes the **pupil grid** the per-kernel work runs on.
+//! `L`, the stack's band, is the widest span of bins one kernel covers
+//! along either axis, so every `|A_k|²` lives on `[−L, L]²`. The pupil
+//! grid is `S × S`, with `S` the smallest power of two `≥ 2L + 1`, capped
+//! at the mask grid's edge `N`. Below `N`, each kernel's bins are moved by
+//! an integer centre bin and wrapped onto the pupil grid; at `S = N` they
+//! stay where they are.
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use cfaopc_fft::{signed_freq, Complex};
@@ -25,13 +33,14 @@ pub struct Kernel {
     pub weight: f64,
     /// Sparse spectrum: `(row-major frequency index, H(ν))`.
     pub spectrum: Vec<(u32, Complex)>,
-    /// `columns[kx]` is true iff `spectrum` has an entry in frequency
-    /// column `kx`; length is the grid edge. The adjoint samples its
-    /// per-kernel inverse FFT only on this kernel's bins, so it feeds this
-    /// mask to [`cfaopc_fft::Fft2d::inverse_serial_cols`]. The pupil's
-    /// width in bins is set by the tile's size in nm, not by the pixel
-    /// count, and one shifted pupil spans about half the columns the
-    /// stack's pupils span together.
+    /// `pupil[j]` is the row-major pupil-grid index of `spectrum[j]`'s
+    /// bin, less this kernel's centre bin. At `S = N` it is the bin's own
+    /// index.
+    pub(crate) pupil: Vec<u32>,
+    /// `columns[x]` is true iff `pupil` has an entry in pupil-grid column
+    /// `x`; length `S`. The adjoint samples its per-kernel inverse FFT
+    /// only on this kernel's bins, so it feeds this mask to
+    /// [`cfaopc_fft::Fft2d::inverse_serial_cols`].
     pub(crate) columns: Vec<bool>,
 }
 
@@ -41,6 +50,11 @@ pub struct Kernel {
 #[derive(Debug, Clone)]
 pub struct KernelSet {
     size: usize,
+    pupil_size: usize,
+    band: usize,
+    /// The largest `|frequency|` of any kernel's bin along either axis:
+    /// mask-grid spectra are read and written only within it.
+    pub(crate) reach: usize,
     kernels: Vec<Kernel>,
 }
 
@@ -76,6 +90,8 @@ impl KernelSet {
         let golden = std::f64::consts::PI * (3.0 - 5f64.sqrt());
 
         let mut kernels = Vec::with_capacity(k_count);
+        // Each kernel's bin box, `[lo, hi]` per axis as (y, x).
+        let mut boxes = Vec::with_capacity(k_count);
         for k in 0..k_count {
             // Area-uniform radial position inside the annulus.
             let t = (k as f64 + 0.5) / k_count as f64;
@@ -89,6 +105,7 @@ impl KernelSet {
             // spans at most (1+sigma_outer)*cutoff from DC.
             let max_bin = (((1.0 + config.sigma_outer) * cutoff / freq_step).ceil() as i64) + 1;
             let mut spectrum = Vec::new();
+            let mut bin_box = [(i64::MAX, i64::MIN); 2];
             for ky in 0..n {
                 let fy = signed_freq(ky, n);
                 if fy.abs() > max_bin {
@@ -106,18 +123,57 @@ impl KernelSet {
                         // Paraxial defocus phase: exp(-iπλδ|ν|²).
                         let phase = -std::f64::consts::PI * config.wavelength_nm * defocus * nu2;
                         spectrum.push(((ky * n + kx) as u32, Complex::cis(phase)));
+                        for ((lo, hi), f) in bin_box.iter_mut().zip([fy, fx]) {
+                            (*lo, *hi) = ((*lo).min(f), (*hi).max(f));
+                        }
                     }
                 }
             }
-            let mut columns = vec![false; n];
-            for &(idx, _) in &spectrum {
-                columns[idx as usize % n] = true;
-            }
+            boxes.push(bin_box);
             kernels.push(Kernel {
                 weight: 1.0 / k_count as f64,
                 spectrum,
-                columns,
+                pupil: Vec::new(),
+                columns: Vec::new(),
             });
+        }
+        let band = boxes
+            .iter()
+            .flatten()
+            .map(|&(lo, hi)| hi.saturating_sub(lo).max(0) as usize)
+            .max()
+            .unwrap_or(0);
+        let reach = boxes
+            .iter()
+            .flatten()
+            .map(|&(lo, hi)| lo.unsigned_abs().max(hi.unsigned_abs()) as usize)
+            .max()
+            .unwrap_or(0);
+        let s = (2 * band + 1).next_power_of_two().min(n);
+        for (kernel, [(y0, y1), (x0, x1)]) in kernels.iter_mut().zip(&boxes) {
+            // Any integer centre leaves |A_k|² unchanged; the box's
+            // midpoint keeps the moved bins around DC.
+            let (cy, cx) = if s == n {
+                (0, 0)
+            } else {
+                ((y0 + y1).div_euclid(2), (x0 + x1).div_euclid(2))
+            };
+            // Grid edges are powers of two: masks wrap, shifts divide.
+            let wrap = |f: i64| (f & (s as i64 - 1)) as usize;
+            let (row_shift, col_mask) = (n.trailing_zeros(), n - 1);
+            kernel.pupil = kernel
+                .spectrum
+                .iter()
+                .map(|&(idx, _)| {
+                    let fy = signed_freq(idx as usize >> row_shift, n);
+                    let fx = signed_freq(idx as usize & col_mask, n);
+                    (wrap(fy - cy) * s + wrap(fx - cx)) as u32
+                })
+                .collect();
+            kernel.columns = vec![false; s];
+            for &p in &kernel.pupil {
+                kernel.columns[p as usize % s] = true;
+            }
         }
         // Descending singular-value weight, so energy truncation (the
         // `kernel_energy_floor` knob) can drop a suffix. The sort is
@@ -126,13 +182,34 @@ impl KernelSet {
         // unchanged bit for bit; the sort only matters for kernel sets
         // with genuinely decaying spectra.
         kernels.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-        Ok(KernelSet { size: n, kernels })
+        Ok(KernelSet {
+            size: n,
+            pupil_size: s,
+            band,
+            reach,
+            kernels,
+        })
     }
 
     /// Grid edge the kernels are defined on.
     #[inline]
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Edge `S` of the pupil grid the per-kernel transforms run on: the
+    /// smallest power of two `≥ 2L + 1` (`L` = [`KernelSet::band`]),
+    /// capped at [`KernelSet::size`].
+    #[inline]
+    pub fn pupil_size(&self) -> usize {
+        self.pupil_size
+    }
+
+    /// The stack's band `L`: the widest span of bins one kernel covers
+    /// along either axis, so every `|A_k|²` is band-limited to `[−L, L]²`.
+    #[inline]
+    pub fn band(&self) -> usize {
+        self.band
     }
 
     /// The kernels, sorted by descending SOCS weight.
@@ -160,22 +237,6 @@ impl KernelSet {
             }
         }
         self.kernels.len()
-    }
-
-    /// Applies kernel `k` to a full mask spectrum: writes
-    /// `H_k ⊙ spectrum` into `out` (zeroing everything else).
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths differ from `size²` or `k` is out of range.
-    pub fn apply(&self, k: usize, spectrum: &[Complex], out: &mut [Complex]) {
-        let n2 = self.size * self.size;
-        assert_eq!(spectrum.len(), n2, "spectrum length");
-        assert_eq!(out.len(), n2, "output length");
-        out.fill(Complex::ZERO);
-        for &(idx, h) in &self.kernels[k].spectrum {
-            out[idx as usize] = h * spectrum[idx as usize];
-        }
     }
 }
 
@@ -272,52 +333,80 @@ mod tests {
     }
 
     #[test]
-    fn apply_zeroes_outside_pupil() {
-        let cfg = LithoConfig::fast_test();
-        let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
-        let n2 = cfg.size * cfg.size;
-        let spectrum = vec![Complex::ONE; n2];
-        let mut out = vec![Complex::new(9.0, 9.0); n2];
-        set.apply(0, &spectrum, &mut out);
-        let nonzero = out.iter().filter(|z| z.abs() > 0.0).count();
-        assert_eq!(nonzero, set.kernels()[0].spectrum.len());
+    fn each_kernel_flags_exactly_its_own_pupil_columns() {
+        for size in [64, 256] {
+            let cfg = LithoConfig {
+                size,
+                ..LithoConfig::fast_test()
+            };
+            for corner in ProcessCorner::ALL {
+                let set = KernelSet::generate(&cfg, corner).unwrap();
+                let s = set.pupil_size();
+                for kernel in set.kernels() {
+                    let mut touched = vec![false; s];
+                    for &p in &kernel.pupil {
+                        touched[p as usize % s] = true;
+                    }
+                    assert_eq!(kernel.columns, touched, "{corner:?} at {size} px");
+                    // A pupil's columns are one contiguous run of at most
+                    // L + 1, so the adjoint's column pass skips the rest.
+                    let width = touched.iter().filter(|&&c| c).count();
+                    assert!(width <= set.band() + 1, "{width} columns");
+                }
+            }
+        }
     }
 
     #[test]
-    fn each_kernel_flags_exactly_its_own_columns() {
-        let cfg = LithoConfig::fast_test();
-        let n = cfg.size;
-        for corner in [
-            ProcessCorner::Nominal,
-            ProcessCorner::Max,
-            ProcessCorner::Min,
+    fn pupil_grid_is_sized_by_the_tile_not_the_pixel_count() {
+        // (tile nm, N) -> (L, S): the band is set by NA/λ in bins, so it
+        // is the same at every N large enough to hold the pupil.
+        for (tile_nm, size, band, pupil) in [
+            (2048.0, 64, 28, 64),
+            (2048.0, 128, 28, 64),
+            (2048.0, 512, 28, 64),
+            (4096.0, 128, 57, 128),
+            (4096.0, 256, 57, 128),
         ] {
-            let set = KernelSet::generate(&cfg, corner).unwrap();
-            let mut union = vec![false; n];
-            for kernel in set.kernels() {
-                let mut touched = vec![false; n];
-                for &(idx, _) in &kernel.spectrum {
-                    touched[idx as usize % n] = true;
-                }
+            let cfg = LithoConfig {
+                size,
+                tile_nm,
+                ..LithoConfig::fast_test()
+            };
+            for corner in ProcessCorner::ALL {
+                let set = KernelSet::generate(&cfg, corner).unwrap();
                 assert_eq!(
-                    kernel.columns, touched,
-                    "{corner:?}: mask != spectrum columns"
+                    (set.band(), set.pupil_size()),
+                    (band, pupil),
+                    "{tile_nm} nm, {size} px, {corner:?}"
                 );
-                for (u, &c) in union.iter_mut().zip(&kernel.columns) {
-                    *u |= c;
-                }
             }
-            // The source shifts each pupil to its own place, so at the
-            // default bin pitch every kernel's mask is strictly narrower
-            // than the stack's union; otherwise the per-kernel column
-            // pass would buy nothing over the union mask.
-            let union_width = union.iter().filter(|&&c| c).count();
-            for (k, kernel) in set.kernels().iter().enumerate() {
-                let width = kernel.columns.iter().filter(|&&c| c).count();
-                assert!(
-                    width < union_width,
-                    "{corner:?} kernel {k}: {width} columns, union {union_width}"
-                );
+        }
+        // A grid too small for the pupil clips it at Nyquist; S = N.
+        let cfg = LithoConfig {
+            size: 32,
+            ..LithoConfig::fast_test()
+        };
+        let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
+        assert_eq!(set.pupil_size(), 32);
+    }
+
+    #[test]
+    fn pupil_bins_are_distinct_and_stay_put_at_full_size() {
+        for size in [64, 256] {
+            let cfg = LithoConfig {
+                size,
+                ..LithoConfig::fast_test()
+            };
+            let set = KernelSet::generate(&cfg, ProcessCorner::Min).unwrap();
+            for kernel in set.kernels() {
+                let unique: std::collections::BTreeSet<u32> =
+                    kernel.pupil.iter().copied().collect();
+                assert_eq!(unique.len(), kernel.spectrum.len(), "{size} px");
+                if set.pupil_size() == size {
+                    let bins: Vec<u32> = kernel.spectrum.iter().map(|&(idx, _)| idx).collect();
+                    assert_eq!(kernel.pupil, bins, "S = N moves no bin");
+                }
             }
         }
     }

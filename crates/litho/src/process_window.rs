@@ -11,7 +11,6 @@
 use crate::config::LithoError;
 use crate::kernels::KernelSet;
 use crate::simulator::LithoSimulator;
-use cfaopc_fft::Complex;
 use cfaopc_grid::{BitGrid, Grid2D, Point};
 
 /// Direction along which a CD is measured.
@@ -135,10 +134,10 @@ pub fn bossung_surface(
     for &defocus in defocus_values_nm {
         let set = KernelSet::generate_with_defocus(cfg, defocus)?;
         // Unit-dose intensity for this focus; doses scale it linearly.
-        let base = intensity_from(&set, &spectrum, n, sim)?;
+        let base = sim.intensity(&set, &spectrum, 1.0)?;
         for &dose in doses {
             let printed = BitGrid::from_threshold(
-                &Grid2D::from_vec(n, n, base.as_slice().iter().map(|&v| v * dose).collect()),
+                &Grid2D::from_vec(n, n, base.iter().map(|&v| v * dose).collect()),
                 cfg.threshold,
             );
             points.push(BossungPoint {
@@ -153,19 +152,6 @@ pub fn bossung_surface(
         defocus_nm: defocus_values_nm.to_vec(),
         doses: doses.to_vec(),
     })
-}
-
-fn intensity_from(
-    set: &KernelSet,
-    spectrum: &[Complex],
-    n: usize,
-    sim: &LithoSimulator,
-) -> Result<Grid2D<f64>, LithoError> {
-    Ok(Grid2D::from_vec(
-        n,
-        n,
-        sim.accumulate_intensity(set, spectrum, 1.0)?,
-    ))
 }
 
 /// Convenience: the symmetric sweep the examples use

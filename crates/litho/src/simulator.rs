@@ -3,12 +3,10 @@
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
-use cfaopc_fft::parallel::{par_for, region_width};
+use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::accumulate_norm_sqr;
 use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d};
 use cfaopc_grid::{BitGrid, Grid2D};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
 
 /// Aerial images at the three process corners.
 #[derive(Debug, Clone)]
@@ -32,9 +30,13 @@ impl CornerImages {
     }
 }
 
-/// A reusable lithography simulator: FFT plan plus the SOCS kernel stacks
-/// for a fixed grid size — one per distinct focus, shared by every corner
-/// imaged at that focus.
+/// A reusable lithography simulator: FFT plans plus the SOCS kernel
+/// stacks for a fixed grid size — one per distinct focus, shared by every
+/// corner imaged at that focus.
+///
+/// The per-kernel work runs on the stacks' `S × S` pupil grid
+/// ([`KernelSet::pupil_size`]); only the mask spectrum, the per-corner
+/// resist and the gradient's final transform touch the `N × N` mask grid.
 ///
 /// # Examples
 ///
@@ -57,24 +59,55 @@ impl CornerImages {
 #[derive(Debug)]
 pub struct LithoSimulator {
     config: LithoConfig,
-    plan: Fft2d,
-    /// Real-input plan for the mask FFT and the gradient's final
-    /// `Re[FFT(·)]` — both touch only real data on one side, so the
-    /// Hermitian-symmetry plan halves their transform work.
+    /// Real-input plan on the mask grid for the mask FFT, the gradient's
+    /// final `Re[FFT(·)]` and the mask-grid half of each resampling —
+    /// each touches only real data on one side, so the Hermitian-symmetry
+    /// plan halves its transform work.
     rplan: Rfft2d,
+    /// Complex plan on the pupil grid: every per-kernel inverse.
+    pupil_plan: Fft2d,
+    /// Real-input plan on the pupil grid: the pupil half of each
+    /// resampling (at `S = N`, unused and a clone of `rplan`).
+    pupil_rplan: Rfft2d,
+    /// The stacks' band `L` ([`KernelSet::band`]).
+    band: usize,
+    /// The stacks' reach: the mask FFT and the gradient's final transform
+    /// touch only the columns within it.
+    reach: usize,
     /// The best-focus stack. A stack depends only on focus, and
     /// [`LithoConfig::defocus`] puts `Nominal` and `Max` at the same best
     /// focus (they differ only in dose), so both image through this one.
     in_focus: KernelSet,
     /// The `Min` corner's defocused stack.
     defocused: KernelSet,
-    /// Recycled full-grid complex field buffers for the per-kernel
-    /// convolutions (shared with the adjoint pass), so the steady-state
-    /// forward model performs no per-call field allocations.
+    /// Recycled pupil-grid complex buffers: the per-kernel fields (shared
+    /// with the adjoint pass) and the pupil side of each resampling.
     field_pool: BufferPool<Complex>,
-    /// Recycled full-grid real scratch (intensity, dL/dI) for the loss
-    /// and gradient path.
+    /// Recycled mask-grid complex buffers: the mask spectrum, the
+    /// gradient's spectral accumulator and the mask side of each
+    /// resampling.
+    spectrum_pool: BufferPool<Complex>,
+    /// Recycled mask-grid real scratch (intensity, dL/dI).
     real_pool: BufferPool<f64>,
+    /// Recycled pupil-grid real scratch (intensity and dL/dI before and
+    /// after resampling).
+    pupil_real_pool: BufferPool<f64>,
+}
+
+/// What [`LithoSimulator::socs_forward`] computes for a list of
+/// `(stack, scale)` entries.
+#[derive(Debug)]
+pub(crate) struct Forward {
+    /// Which entries share a stack.
+    pub(crate) shared: SharedStacks,
+    /// `fields[offsets[d] + k]` is distinct stack `d`'s kernel-`k` field.
+    pub(crate) offsets: [usize; 4],
+    /// Pupil-grid coherent fields `a_k`, from the field pool (empty
+    /// unless kept).
+    pub(crate) fields: Vec<Vec<Complex>>,
+    /// Each entry's mask-grid intensity, from the real pool (empty past
+    /// the last entry).
+    pub(crate) intensities: [Vec<f64>; 3],
 }
 
 impl LithoSimulator {
@@ -86,17 +119,28 @@ impl LithoSimulator {
     /// Returns [`LithoError`] for invalid configurations.
     pub fn new(config: LithoConfig) -> Result<Self, LithoError> {
         config.validate()?;
-        let plan = Fft2d::square(config.size).map_err(|_| LithoError::BadGridSize(config.size))?;
         let rplan =
             Rfft2d::square(config.size).map_err(|_| LithoError::BadGridSize(config.size))?;
+        let in_focus = KernelSet::generate(&config, ProcessCorner::Nominal)?;
+        let defocused = KernelSet::generate(&config, ProcessCorner::Min)?;
+        let s = in_focus.pupil_size();
         Ok(LithoSimulator {
-            in_focus: KernelSet::generate(&config, ProcessCorner::Nominal)?,
-            defocused: KernelSet::generate(&config, ProcessCorner::Min)?,
-            plan,
+            pupil_plan: Fft2d::square(s)?,
+            pupil_rplan: if s == config.size {
+                rplan.clone()
+            } else {
+                Rfft2d::square(s)?
+            },
+            band: in_focus.band(),
+            reach: in_focus.reach.max(defocused.reach),
+            in_focus,
+            defocused,
             rplan,
             config,
             field_pool: BufferPool::new(),
+            spectrum_pool: BufferPool::new(),
             real_pool: BufferPool::new(),
+            pupil_real_pool: BufferPool::new(),
         })
     }
 
@@ -112,6 +156,12 @@ impl LithoSimulator {
         self.config.size
     }
 
+    /// Edge `S` of the pupil grid ([`KernelSet::pupil_size`]).
+    #[inline]
+    pub fn pupil_size(&self) -> usize {
+        self.pupil_plan.width()
+    }
+
     /// The kernel stack for `corner`. `Nominal` and `Max` share the same
     /// best-focus stack (the same allocation, not a copy).
     pub fn kernel_set(&self, corner: ProcessCorner) -> &KernelSet {
@@ -121,31 +171,43 @@ impl LithoSimulator {
         }
     }
 
-    /// The FFT plan (shared with the adjoint pass).
+    /// The pupil-grid complex plan (the adjoint's per-kernel inverses).
     #[inline]
-    pub fn plan(&self) -> &Fft2d {
-        &self.plan
+    pub(crate) fn pupil_plan(&self) -> &Fft2d {
+        &self.pupil_plan
     }
 
-    /// The real-input FFT plan (mask spectrum, gradient's final
-    /// `Re[FFT(·)]`).
-    #[inline]
-    pub fn rplan(&self) -> &Rfft2d {
-        &self.rplan
-    }
-
-    /// The simulator's shared scratch pool for full-grid complex fields
-    /// (used by the gradient's adjoint pass as well).
+    /// The pupil-grid complex pool (fields and the adjoint's per-kernel
+    /// products).
     #[inline]
     pub(crate) fn field_pool(&self) -> &BufferPool<Complex> {
         &self.field_pool
     }
 
-    /// The simulator's shared scratch pool for full-grid real buffers
-    /// (per-corner intensity and dL/dI in the loss path).
+    /// The mask-grid complex pool (mask spectrum, spectral accumulator).
+    #[inline]
+    pub(crate) fn spectrum_pool(&self) -> &BufferPool<Complex> {
+        &self.spectrum_pool
+    }
+
+    /// The mask-grid real pool (per-corner intensity and dL/dI).
     #[inline]
     pub(crate) fn real_pool(&self) -> &BufferPool<f64> {
         &self.real_pool
+    }
+
+    /// The pupil-grid real pool (intensity before upsampling, dL/dI after
+    /// downsampling).
+    #[inline]
+    pub(crate) fn pupil_real_pool(&self) -> &BufferPool<f64> {
+        &self.pupil_real_pool
+    }
+
+    /// Whether the pupil grid is smaller than the mask grid, so the
+    /// intensity and dL/dI move between them by resampling.
+    #[inline]
+    pub(crate) fn resampled(&self) -> bool {
+        self.pupil_size() < self.size()
     }
 
     fn check_mask(&self, mask: &Grid2D<f64>) -> Result<(), LithoError> {
@@ -172,23 +234,35 @@ impl LithoSimulator {
         Ok(spectrum)
     }
 
-    /// [`LithoSimulator::mask_spectrum`] into a pooled buffer; return it
-    /// with `field_pool().put(...)` when done.
+    /// [`LithoSimulator::mask_spectrum`] into a pooled buffer, computed
+    /// only in the columns the kernels reach (the rest is unspecified);
+    /// return it with `spectrum_pool().put(...)` when done.
     pub(crate) fn mask_spectrum_pooled(
         &self,
         mask: &Grid2D<f64>,
     ) -> Result<Vec<Complex>, LithoError> {
         self.check_mask(mask)?;
-        let mut spectrum = self.field_pool.take(mask.as_slice().len());
-        self.rplan.forward_into(mask.as_slice(), &mut spectrum)?;
+        let mut spectrum = self.spectrum_pool.take(mask.as_slice().len());
+        self.rplan
+            .forward_band_into(mask.as_slice(), &mut spectrum, self.reach)?;
         Ok(spectrum)
+    }
+
+    /// The gradient's final transform: `grad = Re[FFT(acc)]`, for a
+    /// spectral accumulator that is zero outside the kernels' bins.
+    pub(crate) fn spectral_to_pixels(
+        &self,
+        acc: &[Complex],
+        grad: &mut [f64],
+    ) -> Result<(), LithoError> {
+        Ok(self.rplan.forward_re_band_into(acc, grad, self.reach)?)
     }
 
     /// Aerial image from a precomputed mask spectrum.
     ///
     /// `I(x) = dose(corner) · Σ_k μ_k |IFFT(H_k ⊙ F)(x)|²` — paper Eq. 1
-    /// with the corner's dose folded in. Kernels are evaluated in a single
-    /// flat parallel region on the persistent pool.
+    /// with the corner's dose folded in, each kernel's transform run on
+    /// the pupil grid ([`KernelSet::pupil_size`]).
     ///
     /// # Errors
     ///
@@ -202,59 +276,81 @@ impl LithoSimulator {
         let n = self.config.size;
         let set = self.kernel_set(corner);
         let dose = self.config.dose(corner);
-        let intensity = self.accumulate_intensity(set, spectrum, dose)?;
+        let intensity = self.intensity(set, spectrum, dose)?;
         Ok(Grid2D::from_vec(n, n, intensity))
     }
 
-    /// Shared SOCS intensity accumulation:
-    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²`.
-    ///
-    /// One **flat** parallel region spans the kernels — each task runs its
-    /// IFFT serially on its claimed thread (no nested regions to thrash the
-    /// pool) in a pooled field buffer (no per-kernel allocations). Kernel
-    /// partials merge into the single accumulator through an ordered
-    /// turnstile, strictly in kernel order, so the floating-point sum is
-    /// **bit-identical** between serial (`CFAOPC_THREADS=1`) and parallel
-    /// runs. Claims are handed out in increasing `k`, so turnstile waits
-    /// are short in practice.
-    pub(crate) fn accumulate_intensity(
+    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the mask grid, for one
+    /// stack.
+    pub(crate) fn intensity(
         &self,
         set: &KernelSet,
         spectrum: &[Complex],
         scale: f64,
     ) -> Result<Vec<f64>, LithoError> {
-        let mut images = self.accumulate_intensity_multi(&[(set, scale)], spectrum)?;
-        Ok(images.pop().unwrap_or_default())
+        let Forward {
+            intensities: [intensity, ..],
+            ..
+        } = self.socs_forward(&[(set, scale)], spectrum, false)?;
+        Ok(intensity)
     }
 
-    /// Batched variant of [`LithoSimulator::accumulate_intensity`]: one
-    /// image per `(stack, scale)` entry, all computed in **one** flat
-    /// parallel region.
+    /// The SOCS forward pass behind every imaging entry point: for each
+    /// `(stack, scale)` entry (at most one per process corner), the
+    /// intensity `scale · Σ_k μ_k |a_k|²` on the mask grid, plus — when
+    /// `keep_fields` — the pupil-grid fields `a_k` the adjoint reuses.
+    ///
+    /// Kernel `k`'s field is `a_k = IFFT_S(Ĥ_k)`, where `Ĥ_k` holds
+    /// `(S²/N²) · H_k ⊙ spectrum` at the kernel's pupil-grid bins
+    /// ([`KernelSet::pupil_size`]). Moving a kernel's bins by its centre
+    /// bin only multiplies `a_k` by a phase ramp, so `|a_k|²` samples the
+    /// mask-grid `|A_k|²` at every `N/S`-th pixel; band-limited to
+    /// `[−L, L]²` with `2L + 1 ≤ S`, it is exactly interpolated back
+    /// ([`LithoSimulator::resample`]). At `S = N` nothing moves and
+    /// nothing is resampled.
     ///
     /// Entries naming the same stack (by identity, as `Nominal` and `Max`
-    /// do) share its coherent fields: each distinct stack's `K` IFFTs run
-    /// once and feed every image that uses it. Task `t` maps to (distinct
-    /// stack `d`, kernel `k`) in stack-major, kernel-ascending order, and
-    /// the turnstile orders merges by the global task index. Each image
-    /// therefore still sees its own stack's kernels strictly in ascending
-    /// `k`, each `|A_k|²` weighted by `μ_k · scale` — the same summation
-    /// as separate per-entry calls — so batching and sharing are
-    /// bit-identical to the per-corner path while keeping every worker
-    /// busy across stack boundaries.
+    /// do) share its fields. The fields run in flat parallel regions,
+    /// stack-major and kernel-ascending, each inverse serially on its
+    /// claimed thread in a pooled buffer; after each region every entry
+    /// adds its stack's new fields in ascending `k`, each `|a_k|²`
+    /// weighted by `μ_k · scale`. The summation order is fixed, so every
+    /// output bit is the same at any worker count and however the fields
+    /// are split into regions, and batching entries changes no bit
+    /// against one entry per call. The adjoint needs every field, so with
+    /// `keep_fields` one region runs them all; imaging alone runs as many
+    /// as can run at once per region, so at most that many are held. When
+    /// `kernel_energy_floor < 1.0` the tail of each (weight-sorted) stack
+    /// is skipped per [`KernelSet::active_count`].
     ///
-    /// When `kernel_energy_floor < 1.0` the tail of each (weight-sorted)
-    /// stack is skipped per [`KernelSet::active_count`].
-    pub(crate) fn accumulate_intensity_multi(
+    /// The caller returns kept fields with
+    /// [`LithoSimulator::recycle_fields`] and the intensities to
+    /// `real_pool`, or keeps them.
+    pub(crate) fn socs_forward(
         &self,
         stacks: &[(&KernelSet, f64)],
         spectrum: &[Complex],
-    ) -> Result<Vec<Vec<f64>>, LithoError> {
+        keep_fields: bool,
+    ) -> Result<Forward, LithoError> {
         let n = self.config.size;
         let n2 = n * n;
+        let s = self.pupil_size();
+        let s2 = s * s;
         if spectrum.len() != n2 {
             return Err(LithoError::BadParameter(format!(
                 "spectrum has {} entries but the {n}x{n} grid needs {n2}",
                 spectrum.len(),
+            )));
+        }
+        if let Some(&(set, _)) = stacks
+            .iter()
+            .find(|(set, _)| set.pupil_size() != s || set.band() != self.band)
+        {
+            return Err(LithoError::BadParameter(format!(
+                "kernel stack has pupil grid {} and band {}, the simulator {s} and {}",
+                set.pupil_size(),
+                set.band(),
+                self.band,
             )));
         }
         let shared = SharedStacks::new(stacks);
@@ -266,55 +362,136 @@ impl LithoSimulator {
             offsets[d + 1] = offsets[d] + stacks[shared.first[d]].0.active_count(floor);
         }
         let total = offsets[shared.count];
-        let images: Vec<Vec<f64>> = stacks.iter().map(|_| vec![0.0f64; n2]).collect();
-        // (next task allowed to merge, per-stack accumulators) under one
-        // lock.
-        let merge = Mutex::new((0usize, images));
-        let turnstile = Condvar::new();
-        // Each running task holds one field (until its merge turn).
-        self.field_pool.reserve(region_width(total), n2);
-        par_for(total, |t| {
+        let scale = s2 as f64 / n2 as f64;
+        let field = |t: usize| -> Result<Vec<Complex>, LithoError> {
             let d = offsets[1..=shared.count]
                 .iter()
                 .position(|&o| t < o)
                 .unwrap_or(shared.count - 1);
-            let set = stacks[shared.first[d]].0;
-            let k = t - offsets[d];
-            // Catching here keeps a panicking kernel from wedging the
-            // turnstile: the turn advances no matter how compute ends.
-            let computed = catch_unwind(AssertUnwindSafe(|| {
-                let mut field = self.field_pool.take(n2);
-                set.apply(k, spectrum, &mut field);
-                // Kernel spectra are band-limited to the pupil, so most
-                // rows of the product are all-zero: the sparse inverse
-                // skips them.
-                self.plan
-                    .inverse_serial_sparse(&mut field)
-                    .expect("plan matches grid by construction");
-                field
-            }));
-            let weight = set.kernels()[k].weight;
-            let mut guard = merge.lock().unwrap_or_else(|e| e.into_inner());
-            while guard.0 != t {
-                guard = turnstile.wait(guard).unwrap_or_else(|e| e.into_inner());
+            let kernel = &stacks[shared.first[d]].0.kernels()[t - offsets[d]];
+            let mut field = self.field_pool.take_zeroed(s2);
+            for (&(idx, h), &p) in kernel.spectrum.iter().zip(&kernel.pupil) {
+                field[p as usize] = h * spectrum[idx as usize] * scale;
             }
-            if let Ok(field) = &computed {
-                for (i, image) in guard.1.iter_mut().enumerate() {
-                    if shared.of[i] == d {
-                        accumulate_norm_sqr(image, field, weight * stacks[i].1);
-                    }
+            // Kernel spectra are band-limited to the pupil, so most rows
+            // of the product are all-zero: the sparse inverse skips them.
+            self.pupil_plan.inverse_serial_sparse(&mut field)?;
+            Ok(field)
+        };
+
+        // Each entry's intensity, summed on the pupil grid and, below
+        // S = N, interpolated onto the mask grid.
+        let resampled = self.resampled();
+        let pool = if resampled {
+            &self.pupil_real_pool
+        } else {
+            &self.real_pool
+        };
+        let mut intensities: [Vec<f64>; 3] = Default::default();
+        for image in &mut intensities[..stacks.len()] {
+            *image = pool.take_zeroed(s2);
+        }
+        let round = if keep_fields {
+            total
+        } else {
+            region_width(total)
+        };
+        let mut kept = None;
+        let mut start = 0;
+        while start < total {
+            let end = total.min(start + round);
+            // Plan errors are unreachable (plan and buffers share one
+            // config) but propagate as `LithoError::Fft`; pooled buffers
+            // from completed kernels are dropped rather than repooled on
+            // that cold path.
+            let fields: Vec<Vec<Complex>> = par_map(end - start, |j| field(start + j))
+                .into_iter()
+                .collect::<Result<_, _>>()?;
+            for (i, &(set, dose)) in stacks.iter().enumerate() {
+                let d = shared.of[i];
+                for t in start.max(offsets[d])..end.min(offsets[d + 1]) {
+                    let weight = set.kernels()[t - offsets[d]].weight * dose;
+                    accumulate_norm_sqr(&mut intensities[i], &fields[t - start], weight);
                 }
             }
-            guard.0 += 1;
-            turnstile.notify_all();
-            drop(guard);
-            match computed {
-                Ok(field) => self.field_pool.put(field),
-                Err(payload) => resume_unwind(payload),
+            if keep_fields {
+                kept = Some(fields);
+            } else {
+                self.recycle_fields(fields);
             }
-        });
-        let (_, images) = merge.into_inner().unwrap_or_else(|e| e.into_inner());
-        Ok(images)
+            start = end;
+        }
+        if resampled {
+            for image in &mut intensities[..stacks.len()] {
+                let mut fine = self.real_pool.take(n2);
+                self.resample(image, &mut fine)?;
+                pool.put(std::mem::replace(image, fine));
+            }
+        }
+        Ok(Forward {
+            shared,
+            offsets,
+            fields: kept.unwrap_or_default(),
+            intensities,
+        })
+    }
+
+    /// Returns [`Forward::fields`] to the field pool.
+    pub(crate) fn recycle_fields(&self, fields: Vec<Vec<Complex>>) {
+        for field in fields {
+            self.field_pool.put(field);
+        }
+    }
+
+    /// Exact band-limited resampling of a real field between the pupil
+    /// and mask grids, whichever way `src.len()` says: trigonometric
+    /// interpolation from the pupil grid, or the `[−L, L]²` low-pass
+    /// sampled at every `N/S`-th pixel from the mask grid. With `a` and
+    /// `b` the source and destination edges,
+    ///
+    /// ```text
+    /// dst = Re[ FFT_b( conj(FFT_a(src)) / a² on [−L, L]², 0 elsewhere ) ]
+    /// ```
+    ///
+    /// which is `IFFT_b` of the source spectrum kept on the band and
+    /// scaled by `b²/a²` — the conjugate turns the forward transform into
+    /// the inverse on a real result. Both transforms use the real-input
+    /// plans. `2L + 1 ≤ S ≤ N`, so the band's bins are distinct on both
+    /// grids.
+    pub(crate) fn resample(&self, src: &[f64], dst: &mut [f64]) -> Result<(), LithoError> {
+        let up = src.len() < dst.len();
+        let ((from, from_pool), (to, to_pool)) = {
+            let pupil = (&self.pupil_rplan, &self.field_pool);
+            let mask = (&self.rplan, &self.spectrum_pool);
+            if up {
+                (pupil, mask)
+            } else {
+                (mask, pupil)
+            }
+        };
+        let (a, b) = (from.width(), to.width());
+        let band = self.band;
+        let mut spec = from_pool.take(a * a);
+        from.forward_band_into(src, &mut spec, band)?;
+        // Only the band's columns are read by the second transform.
+        let mut band_spec = to_pool.take(b * b);
+        for row in band_spec.chunks_mut(b) {
+            row[..=band].fill(Complex::ZERO);
+            row[b - band..].fill(Complex::ZERO);
+        }
+        let norm = 1.0 / (a * a) as f64;
+        let l = band as i64;
+        let wrap = |f: i64, m: usize| f.rem_euclid(m as i64) as usize;
+        for fy in -l..=l {
+            let (row_a, row_b) = (wrap(fy, a) * a, wrap(fy, b) * b);
+            for fx in -l..=l {
+                band_spec[row_b + wrap(fx, b)] = spec[row_a + wrap(fx, a)].conj().scale(norm);
+            }
+        }
+        from_pool.put(spec);
+        to.forward_re_band_into(&band_spec, dst, band)?;
+        to_pool.put(band_spec);
+        Ok(())
     }
 
     /// Aerial image of a continuous mask at one corner.
@@ -332,8 +509,9 @@ impl LithoSimulator {
     }
 
     /// Aerial images at all three corners, sharing one mask FFT, one
-    /// batched parallel region, and the in-focus fields that `Nominal` and
-    /// `Max` both use: `2K` kernel IFFTs for the three corners.
+    /// batched forward pass, and the in-focus fields that `Nominal` and
+    /// `Max` both use: `2K` pupil-grid kernel inverses for the three
+    /// corners, plus one resampling per corner below `S = N`.
     ///
     /// # Errors
     ///
@@ -341,18 +519,19 @@ impl LithoSimulator {
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
         let spectrum = self.mask_spectrum_pooled(mask)?;
-        let stacks = [
-            ProcessCorner::Nominal,
-            ProcessCorner::Max,
-            ProcessCorner::Min,
-        ]
-        .map(|corner| (self.kernel_set(corner), self.config.dose(corner)));
-        let mut images = self.accumulate_intensity_multi(&stacks, &spectrum)?;
-        self.field_pool.put(spectrum);
-        let min = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
-        let max = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
-        let nominal = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
-        Ok(CornerImages { nominal, max, min })
+        let stacks =
+            ProcessCorner::ALL.map(|corner| (self.kernel_set(corner), self.config.dose(corner)));
+        let forward = self.socs_forward(&stacks, &spectrum, false);
+        self.spectrum_pool.put(spectrum);
+        let Forward {
+            intensities: [nominal, max, min],
+            ..
+        } = forward?;
+        Ok(CornerImages {
+            nominal: Grid2D::from_vec(n, n, nominal),
+            max: Grid2D::from_vec(n, n, max),
+            min: Grid2D::from_vec(n, n, min),
+        })
     }
 
     /// Hard-threshold resist (paper Eq. 2): `Z = 1` where `I > I_th`.

@@ -1,11 +1,14 @@
 //! Thread-count invariance of the litho forward model.
 //!
-//! The kernel loop in `aerial_from_spectrum` merges per-kernel partial
-//! intensities through an ordered turnstile, so the floating-point
-//! summation order — and therefore every output bit — must not depend
-//! on how many workers execute it. A single umbrella test pins
+//! The forward pass computes the kernels' fields in parallel regions and
+//! sums the intensities serially in kernel order after each, so the
+//! floating-point summation order — and therefore every output bit —
+//! must not depend on how many workers execute it. Each test pins
 //! `CFAOPC_THREADS=4` before the pool exists, then compares the pooled
-//! run against a forced fully-serial run of the same process.
+//! run against a forced fully-serial run of the same process: at 64 px,
+//! where the pupil grid is the mask grid, and at 256 px, where the
+//! intensity and dL/dI are resampled between a 64² pupil grid and the
+//! mask grid.
 
 use cfaopc_fft::parallel::{with_worker_limit, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Point, Rect};
@@ -70,9 +73,9 @@ fn aerial_images_are_bit_identical_serial_vs_parallel() {
 
 #[test]
 fn loss_and_gradient_is_bit_identical_serial_vs_parallel() {
-    // The batched multi-corner forward/adjoint regions merge through an
-    // ordered turnstile (intensity) and a task-ordered serial reduction
-    // (spectral gradient): no output bit may depend on worker count.
+    // The batched multi-corner forward/adjoint regions merge through
+    // task-ordered serial reductions (intensity, spectral gradient): no
+    // output bit may depend on worker count.
     std::env::set_var("CFAOPC_THREADS", "4");
     assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
 
@@ -151,4 +154,64 @@ fn bossung_surface_is_bit_identical_serial_vs_parallel() {
     let pw = parallel.window_fraction(cd_target, 0.25);
     let sw = serial.window_fraction(cd_target, 0.25);
     assert_eq!(pw.to_bits(), sw.to_bits());
+}
+
+#[test]
+fn resampled_outputs_are_bit_identical_serial_vs_parallel() {
+    std::env::set_var("CFAOPC_THREADS", "4");
+    assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
+
+    let sim = LithoSimulator::new(LithoConfig {
+        size: 256,
+        ..LithoConfig::fast_test()
+    })
+    .unwrap();
+    let n = sim.size();
+    assert!(sim.pupil_size() < n, "256 px on 2048 nm resamples");
+    let mask = test_mask(n);
+    let bits = |g: &Grid2D<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    let parallel = sim.aerial_corners(&mask).unwrap();
+    let serial = with_worker_limit(1, || sim.aerial_corners(&mask).unwrap());
+    for corner in ProcessCorner::ALL {
+        assert_eq!(
+            bits(parallel.get(corner)),
+            bits(serial.get(corner)),
+            "resampled {corner:?} image depends on thread count"
+        );
+    }
+
+    let mut target = BitGrid::new(n, n);
+    fill_rect(&mut target, Rect::new(64, 48, 192, 208));
+    let target = target.to_real();
+    for weights in [
+        LossWeights::default(),
+        LossWeights { l2: 1.0, pvb: 0.0 },
+        LossWeights { l2: 0.0, pvb: 2.0 },
+    ] {
+        let (pv, pg) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
+        let (sv, sg) = with_worker_limit(1, || {
+            loss_and_gradient(&sim, &mask, &target, weights).unwrap()
+        });
+        assert_eq!(pv.total.to_bits(), sv.total.to_bits(), "{weights:?}");
+        assert_eq!(pv.l2.to_bits(), sv.l2.to_bits(), "{weights:?}");
+        assert_eq!(pv.pvb.to_bits(), sv.pvb.to_bits(), "{weights:?}");
+        assert_eq!(bits(&pg), bits(&sg), "resampled gradient with {weights:?}");
+    }
+
+    let mut printed = BitGrid::new(n, n);
+    fill_rect(&mut printed, Rect::new(96, 12, 160, 244));
+    let probe = CdProbe {
+        at: Point::new(128, 128),
+        axis: CdAxis::Horizontal,
+    };
+    let (defocus, doses) = ([0.0, 60.0], [0.97, 1.0, 1.03]);
+    let parallel = bossung_surface(&sim, &printed, &probe, &defocus, &doses).unwrap();
+    let serial = with_worker_limit(1, || {
+        bossung_surface(&sim, &printed, &probe, &defocus, &doses).unwrap()
+    });
+    assert!(parallel.points.iter().any(|p| p.cd_nm.is_some()));
+    for (p, s) in parallel.points.iter().zip(&serial.points) {
+        assert_eq!(p.cd_nm.map(f64::to_bits), s.cd_nm.map(f64::to_bits));
+    }
 }

@@ -111,6 +111,7 @@ impl Counter {
 /// | Counter | Incremented by |
 /// |---|---|
 /// | `fft_2d` | every 2-D FFT execution (parallel or serial) |
+/// | `fft_2d_points` | `h·w` of every 2-D FFT execution |
 /// | `pool_regions` | every parallel region opened on the worker pool |
 /// | `tiles_rendered` | composition tiles cleared + rendered |
 /// | `tiles_skipped` | composition tiles skipped (untouched twice over) |
@@ -124,6 +125,9 @@ pub mod counters {
 
     /// 2-D FFT executions (forward + inverse, parallel + serial).
     pub static FFT_2D: Counter = Counter::new("fft_2d");
+    /// Grid points of those executions (`h·w` per 2-D transform), so a
+    /// small transform counts less work than a large one.
+    pub static FFT_2D_POINTS: Counter = Counter::new("fft_2d_points");
     /// Parallel regions opened on the persistent worker pool.
     pub static POOL_REGIONS: Counter = Counter::new("pool_regions");
     /// Composition tiles cleared and rendered.
@@ -144,9 +148,10 @@ pub mod counters {
     pub static BACKWARD_MERGE_NS: Counter = Counter::new("backward_merge_ns");
 
     /// Every counter, in inventory order.
-    pub fn all() -> [&'static Counter; 9] {
+    pub fn all() -> [&'static Counter; 10] {
         [
             &FFT_2D,
+            &FFT_2D_POINTS,
             &POOL_REGIONS,
             &TILES_RENDERED,
             &TILES_SKIPPED,
