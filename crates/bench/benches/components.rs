@@ -167,6 +167,34 @@ fn main() {
     }));
     drop((rfft_out, rfft_out512, real_base512));
 
+    // The chip's per-kernel transform: a 4096 nm window at 128 px has a
+    // 128² pupil grid (S = N), so each kernel's field `H_k ⊙ F` is
+    // inverted on the full grid by the row-skipping sparse inverse. The
+    // field is restored from a copy before each transform.
+    {
+        let n = N / 2;
+        let window = LithoSimulator::new(LithoConfig {
+            size: n,
+            tile_nm: 4096.0,
+            kernel_count: 6,
+            ..LithoConfig::default()
+        })
+        .unwrap();
+        let mask = benchmark_case(3).unwrap().rasterize(n).to_real();
+        let spectrum = window.mask_spectrum(&mask).unwrap();
+        let mut field = vec![Complex::ZERO; n * n];
+        for &(idx, h) in &window.kernel_set(ProcessCorner::Nominal).kernels()[0].spectrum {
+            field[idx as usize] = h * spectrum[idx as usize];
+        }
+        let plan = Fft2d::square(n).unwrap();
+        let mut buf = field.clone();
+        results.push(run_case("fft2d_inverse_sparse_128", || {
+            buf.copy_from_slice(&field);
+            plan.inverse_serial_sparse(&mut buf).unwrap();
+            black_box(buf[0]);
+        }));
+    }
+
     // Litho forward model. The warmup iterations also bring the worker
     // pool and buffer pools to steady state, so the thread count taken
     // here must stay flat across the timed loop.

@@ -4,6 +4,20 @@
 //! factors for every butterfly stage so repeated transforms of the same
 //! length (the common case: one plan per grid edge, thousands of row and
 //! column transforms) pay no trigonometry at run time.
+//!
+//! [`butterflies_scalar`] defines the arithmetic: after the bit-reversal
+//! (kept as its list of transpositions, so applying it tests no index),
+//! stage `m = 1, 2, 4, …, n/2` replaces each pair `(a, b)` at distance
+//! `m` by `(a + b·w, a − b·w)`, and the inverse multiplies each result of
+//! the last stage by `1/n` as it stores it, with no separate scaling
+//! loop. The AVX2 bodies run the stages two per memory pass: stages `m`
+//! and `2m` over each quadruple `j, j+m, j+2m, j+3m` of elements (1-D)
+//! or rows (column pass), held in registers between the two, with one
+//! stage on its own where the count is odd. Every element still goes
+//! through exactly the operations of the scalar ladder, in the same
+//! order, so the transforms are bit-identical to it by construction; the
+//! unit tests pin both the 1-D transform and the in-place column pass to
+//! it bit for bit.
 
 use crate::complex::Complex;
 use crate::parallel::ColumnBlockMut;
@@ -77,9 +91,13 @@ pub enum Direction {
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
-    bit_rev: Arc<[u32]>,
+    /// The bit-reversal permutation as its transpositions `(i, j)`,
+    /// `i < j`, where `j` is `i` with its `log2 n` bits reversed. Walking
+    /// the list swaps without testing every index.
+    swaps: Arc<[(u32, u32)]>,
     /// Forward twiddles laid out stage-major: for each stage `s`
-    /// (half-size `m = 2^s`), `m` factors `e^{-iπ j/m}`, `j = 0..m`.
+    /// (half-size `m = 2^s`), `m` factors `e^{-iπ j/m}`, `j = 0..m`, so
+    /// stage `m`'s run starts at index `m − 1`.
     twiddles: Arc<[Complex]>,
     /// Conjugated copy of `twiddles` for the inverse transform, so the
     /// butterfly loops index one table instead of conjugating per
@@ -99,14 +117,14 @@ impl Fft {
         if n == 0 || !n.is_power_of_two() {
             return Err(FftError::LengthNotPowerOfTwo(n));
         }
-        let log2n = n.trailing_zeros();
-        let mut bit_rev = vec![0u32; n];
-        for (i, slot) in bit_rev.iter_mut().enumerate() {
-            *slot = (i as u32).reverse_bits() >> (32 - log2n.max(1));
-        }
-        if n == 1 {
-            bit_rev[0] = 0;
-        }
+        let bits = n.trailing_zeros();
+        let swaps: Vec<(u32, u32)> = (0..n)
+            .map(|i| i as u32)
+            .filter_map(|i| {
+                let j = i.reverse_bits().checked_shr(32 - bits).unwrap_or(0);
+                (i < j).then_some((i, j))
+            })
+            .collect();
         // Total twiddle count: 1 + 2 + 4 + ... + n/2 = n - 1.
         let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
         let mut m = 1usize;
@@ -119,7 +137,7 @@ impl Fft {
         let twiddles_inv: Vec<Complex> = twiddles.iter().map(|w| w.conj()).collect();
         Ok(Fft {
             n,
-            bit_rev: bit_rev.into(),
+            swaps: swaps.into(),
             twiddles: twiddles.into(),
             twiddles_inv: twiddles_inv.into(),
         })
@@ -167,10 +185,6 @@ impl Fft {
     pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
         self.check(data)?;
         self.dispatch(data, Direction::Inverse);
-        let inv = 1.0 / self.n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(inv);
-        }
         Ok(())
     }
 
@@ -186,24 +200,28 @@ impl Fft {
         }
     }
 
+    /// The stage-major twiddle table for `dir` (the inverse table is the
+    /// conjugated copy — bit-identical to conjugating per butterfly) and
+    /// the factor the last stage multiplies into its results: `1/n` for
+    /// the inverse, none for the forward transform.
+    fn ladder_args(&self, dir: Direction) -> (&[Complex], Option<f64>) {
+        match dir {
+            Direction::Forward => (&self.twiddles, None),
+            Direction::Inverse => (&self.twiddles_inv, Some(1.0 / self.n as f64)),
+        }
+    }
+
+    /// A length-1 transform is the identity, and the inverse's `1/1`
+    /// scale leaves every non-NaN value unchanged, so `n = 1` returns at
+    /// once.
     fn dispatch(&self, data: &mut [Complex], dir: Direction) {
         if self.n == 1 {
             return;
         }
-        // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
+        for &(i, j) in self.swaps.iter() {
+            data.swap(i as usize, j as usize);
         }
-        // Iterative butterflies; the direction picks one of the two
-        // precomputed stage-major twiddle tables (the inverse table is the
-        // conjugated copy — bit-identical to conjugating per butterfly).
-        let tw = match dir {
-            Direction::Forward => &self.twiddles,
-            Direction::Inverse => &self.twiddles_inv,
-        };
+        let (tw, scale) = self.ladder_args(dir);
         #[cfg(target_arch = "x86_64")]
         {
             if self.n >= 4 && crate::simd::avx2_available() {
@@ -211,12 +229,12 @@ impl Fft {
                 // precondition of the target_feature function below.
                 #[allow(unsafe_code)]
                 unsafe {
-                    butterflies_avx2(data, tw);
+                    avx2::ladder(data, tw, scale);
                 }
                 return;
             }
         }
-        butterflies_scalar(data, tw);
+        butterflies_scalar(data, tw, scale);
     }
 
     /// In-place transform of every column of `block`, which must have
@@ -224,12 +242,13 @@ impl Fft {
     /// the columns already lie instead of on a transposed copy.
     ///
     /// The plan's bit-reversal becomes swaps of row segments, and each
-    /// radix-2 butterfly of [`butterflies_scalar`] becomes one
-    /// [`butterfly_rows`] over a pair of row segments under one broadcast
-    /// twiddle; the inverse then scales by `1/n`, as [`Fft::inverse`]
-    /// does. Every element therefore goes through exactly the operations
-    /// the 1-D transform of its gathered column applies to it, in the same
-    /// order, and each column comes out bit-identical to that transform.
+    /// radix-2 butterfly of [`butterflies_scalar`] becomes one butterfly
+    /// over a pair of row segments under one broadcast twiddle, the
+    /// inverse's `1/n` multiplied into the last stage's results. The AVX2
+    /// body runs two stages per pass over row quadruples. Every element
+    /// therefore goes through exactly the operations the 1-D transform of
+    /// its gathered column applies to it, in the same order, and each
+    /// column comes out bit-identical to that transform.
     ///
     /// # Panics
     ///
@@ -237,222 +256,436 @@ impl Fft {
     pub(crate) fn transform_columns(&self, mut block: ColumnBlockMut<'_, Complex>, dir: Direction) {
         let n = self.n;
         assert_eq!(block.rows(), n, "column length must match the plan");
-        if n > 1 {
-            for i in 0..n {
-                let j = self.bit_rev[i] as usize;
-                if i < j {
-                    let (a, b) = block.row_pair_mut(i, j);
-                    a.swap_with_slice(b);
-                }
-            }
-            let tw = match dir {
-                Direction::Forward => &self.twiddles,
-                Direction::Inverse => &self.twiddles_inv,
-            };
-            let mut m = 1usize;
-            let mut tw_base = 0usize;
-            while m < n {
-                let step = m << 1;
-                for start in (0..n).step_by(step) {
-                    for j in 0..m {
-                        let (a, b) = block.row_pair_mut(start + j, start + j + m);
-                        butterfly_rows(a, b, tw[tw_base + j]);
-                    }
-                }
-                tw_base += m;
-                m = step;
-            }
-        }
-        if dir == Direction::Inverse {
-            let inv = 1.0 / n as f64;
-            for r in 0..n {
-                for z in block.row_mut(r) {
-                    *z = z.scale(inv);
-                }
-            }
-        }
-    }
-}
-
-/// One butterfly of [`butterflies_scalar`] applied column by column to two
-/// row segments: `(a, b) ← (a + b·w, a − b·w)` elementwise, under one
-/// twiddle `w`. Dispatches to AVX2 when available; both paths produce
-/// identical bits.
-#[inline]
-fn butterfly_rows(a: &mut [Complex], b: &mut [Complex], w: Complex) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::avx2_available() {
-            // SAFETY: AVX2 was detected at runtime — the only
-            // precondition of the target_feature function below.
-            #[allow(unsafe_code)]
-            unsafe {
-                butterfly_rows_avx2(a, b, w);
-            }
+        if n == 1 {
             return;
         }
-    }
-    butterfly_rows_scalar(a, b, w);
-}
-
-/// Scalar reference for [`butterfly_rows`]: the body of
-/// [`butterflies_scalar`]'s inner loop, once per column.
-#[inline]
-fn butterfly_rows_scalar(a: &mut [Complex], b: &mut [Complex], w: Complex) {
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        let top = *x;
-        let bw = *y * w;
-        *x = top + bw;
-        *y = top - bw;
-    }
-}
-
-/// AVX2 row-pair butterfly: two columns per register, the odd last column
-/// through [`butterfly_rows_scalar`].
-///
-/// The lanes compute what the first stage of [`butterflies_avx2`] does
-/// with a broadcast twiddle — `vmulpd` + `vaddsubpd` for `b·w`, then
-/// `vaddpd`/`vsubpd` — so by the same argument every lane carries the
-/// scalar bits.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-// SAFETY: callers must have verified AVX2 support (the `butterfly_rows`
-// gate). Every load and store below is bounded by `i + 2 <= len`, with
-// `len` the shorter segment's length.
-unsafe fn butterfly_rows_avx2(a: &mut [Complex], b: &mut [Complex], w: Complex) {
-    use std::arch::x86_64::*;
-    let len = a.len().min(b.len());
-    let pa = a.as_mut_ptr() as *mut f64;
-    let pb = b.as_mut_ptr() as *mut f64;
-    let w_re = _mm256_set1_pd(w.re);
-    let w_im = _mm256_set1_pd(w.im);
-    let mut i = 0usize;
-    while i + 2 <= len {
-        // SAFETY: `i + 2 <= len` keeps both 2-complex loads and stores
-        // inside their segments; `Complex` is `repr(C)`, so the f64 view
-        // sees [re, im] pairs.
-        unsafe {
-            let x = _mm256_loadu_pd(pa.add(2 * i));
-            let y = _mm256_loadu_pd(pb.add(2 * i));
-            let y_swap = _mm256_permute_pd(y, 0b0101);
-            let yw = _mm256_addsub_pd(_mm256_mul_pd(y, w_re), _mm256_mul_pd(y_swap, w_im));
-            _mm256_storeu_pd(pa.add(2 * i), _mm256_add_pd(x, yw));
-            _mm256_storeu_pd(pb.add(2 * i), _mm256_sub_pd(x, yw));
+        for &(i, j) in self.swaps.iter() {
+            let (a, b) = block.row_pair_mut(i as usize, j as usize);
+            a.swap_with_slice(b);
         }
-        i += 2;
+        let (tw, scale) = self.ladder_args(dir);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::simd::avx2_available() {
+                // SAFETY: AVX2 was detected at runtime — the only
+                // precondition of the target_feature function below.
+                #[allow(unsafe_code)]
+                unsafe {
+                    avx2::column_ladder(&mut block, tw, scale);
+                }
+                return;
+            }
+        }
+        column_ladder_scalar(&mut block, tw, scale);
     }
-    butterfly_rows_scalar(&mut a[i..len], &mut b[i..len], w);
+}
+
+/// The radix-2 butterfly `(a, b) ← (a + b·w, a − b·w)`, each result then
+/// multiplied by `scale` when one is given: the one operation sequence
+/// every path of the transform applies to an element pair.
+#[inline]
+fn butterfly(a: &mut Complex, b: &mut Complex, w: Complex, scale: Option<f64>) {
+    let top = *a;
+    let bw = *b * w;
+    (*a, *b) = (top + bw, top - bw);
+    if let Some(s) = scale {
+        (*a, *b) = (a.scale(s), b.scale(s));
+    }
 }
 
 /// Scalar butterfly ladder — the definition of the transform's numerical
 /// semantics and the fallback for non-AVX2 targets. `data.len()` must be
-/// a power of two ≥ 2 and `tw` its stage-major twiddle table (already
-/// conjugated for inverse transforms).
+/// a power of two and `tw` its stage-major twiddle table (already
+/// conjugated for inverse transforms); `scale` multiplies the results of
+/// the last stage.
 #[inline]
-fn butterflies_scalar(data: &mut [Complex], tw: &[Complex]) {
+fn butterflies_scalar(data: &mut [Complex], tw: &[Complex], scale: Option<f64>) {
     let n = data.len();
     let mut m = 1usize;
-    let mut tw_base = 0usize;
     while m < n {
-        let step = m << 1;
-        for start in (0..n).step_by(step) {
-            for j in 0..m {
-                let w = tw[tw_base + j];
-                let a = data[start + j];
-                let b = data[start + j + m] * w;
-                data[start + j] = a + b;
-                data[start + j + m] = a - b;
+        let last = 2 * m == n;
+        for block in data.chunks_exact_mut(2 * m) {
+            let (lo, hi) = block.split_at_mut(m);
+            for ((a, b), &w) in lo.iter_mut().zip(hi).zip(&tw[m - 1..]) {
+                butterfly(a, b, w, scale.filter(|_| last));
             }
         }
-        tw_base += m;
-        m = step;
+        m <<= 1;
     }
 }
 
-/// AVX2 butterfly ladder, two complex butterflies per vector op.
-///
-/// # Why this is bit-identical to [`butterflies_scalar`]
-///
-/// The twiddle product uses `vmulpd` + `vaddsubpd`: even lanes compute
-/// `b.re·w.re − b.im·w.im` and odd lanes `b.im·w.re + b.re·w.im`. The
-/// scalar `Complex::mul` computes `b.re·w.im + b.im·w.re` for the
-/// imaginary part — the same two correctly rounded products added in the
-/// other order, and IEEE-754 addition is commutative (one rounding of the
-/// exact sum either way) — so every lane carries the scalar bits. The
-/// `a ± b·w` adds and the first-stage deinterleave/reinterleave shuffles
-/// (`vperm2f128` moves finished values only) preserve that. No FMA is
-/// emitted: the intrinsics pin the instruction selection.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-// SAFETY: callers must have verified AVX2 support (the `dispatch` gate);
-// additionally `data.len()` must be a power of two ≥ 4 with `tw` its
-// stage-major twiddle table — both guaranteed by plan construction. All
-// pointer arithmetic below is bounded by those shapes.
-unsafe fn butterflies_avx2(data: &mut [Complex], tw: &[Complex]) {
-    use std::arch::x86_64::*;
-    let n = data.len();
-    debug_assert!(n >= 4 && n.is_power_of_two());
-    let p = data.as_mut_ptr() as *mut f64;
-    let twp = tw.as_ptr() as *const f64;
+/// One butterfly of [`butterflies_scalar`] applied column by column to two
+/// row segments under one twiddle `w`.
+#[inline]
+fn butterfly_rows_scalar(a: &mut [Complex], b: &mut [Complex], w: Complex, scale: Option<f64>) {
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        butterfly(x, y, w, scale);
+    }
+}
 
-    // Stage m = 1: butterflies on adjacent pairs (a, b) with w = tw[0].
-    // Two 2-complex registers are deinterleaved into an `a` vector and a
-    // `b` vector, processed, and reinterleaved — the arithmetic per lane
-    // matches the generic scalar butterfly with w = tw[0] exactly.
-    // SAFETY: `i + 4 <= n` bounds all loads/stores; `Complex` is
-    // `repr(C)` so the f64 view sees [re, im] pairs.
-    unsafe {
-        let w_re = _mm256_set1_pd(tw[0].re);
-        let w_im = _mm256_set1_pd(tw[0].im);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v_lo = _mm256_loadu_pd(p.add(2 * i)); // a0 b0
-            let v_hi = _mm256_loadu_pd(p.add(2 * i + 4)); // a1 b1
-            let a = _mm256_permute2f128_pd(v_lo, v_hi, 0x20); // a0 a1
-            let b = _mm256_permute2f128_pd(v_lo, v_hi, 0x31); // b0 b1
-                                                              // b·w via mul/addsub (see the bit-identity argument above).
-            let b_swap = _mm256_permute_pd(b, 0b0101);
-            let bw = _mm256_addsub_pd(_mm256_mul_pd(b, w_re), _mm256_mul_pd(b_swap, w_im));
-            let s = _mm256_add_pd(a, bw);
-            let d = _mm256_sub_pd(a, bw);
-            _mm256_storeu_pd(p.add(2 * i), _mm256_permute2f128_pd(s, d, 0x20));
-            _mm256_storeu_pd(p.add(2 * i + 4), _mm256_permute2f128_pd(s, d, 0x31));
-            i += 4;
+/// Scalar column pass: [`butterflies_scalar`] with each butterfly over a
+/// pair of bit-reversed row segments.
+fn column_ladder_scalar(
+    block: &mut ColumnBlockMut<'_, Complex>,
+    tw: &[Complex],
+    scale: Option<f64>,
+) {
+    let n = block.rows();
+    let mut m = 1usize;
+    while m < n {
+        let last = 2 * m == n;
+        for start in (0..n).step_by(2 * m) {
+            for j in 0..m {
+                let (a, b) = block.row_pair_mut(start + j, start + j + m);
+                butterfly_rows_scalar(a, b, tw[m - 1 + j], scale.filter(|_| last));
+            }
+        }
+        m <<= 1;
+    }
+}
+
+/// AVX2 bodies of the 1-D ladder and the column pass, two complex values
+/// per register and two radix-2 stages per memory pass.
+///
+/// # Why these are bit-identical to [`butterflies_scalar`]
+///
+/// Packed `vmulpd`/`vaddsubpd`/`vaddpd`/`vsubpd` round each lane exactly
+/// as their scalar forms do. The twiddle product uses `vmulpd` +
+/// `vaddsubpd`: even lanes compute `b.re·w.re − b.im·w.im` and odd lanes
+/// `b.im·w.re + b.re·w.im`. The scalar `Complex::mul` computes
+/// `b.re·w.im + b.im·w.re` for the imaginary part — the same two
+/// correctly rounded products added in the other order, and IEEE-754
+/// addition is commutative — so every lane carries the scalar bits. The
+/// `a ± b·w` adds and the `1/n` multiply of the last pass are the scalar
+/// ladder's own operations, and the 1-D stage 1's deinterleave and
+/// reinterleave shuffles (`vperm2f128` moves finished values only) change
+/// no bits. Fusing stages `m` and `2m` keeps each element's operations
+/// and their order: stage `m` turns the quadruple `x0..x3` at `j, j+m, j+2m, j+3m` into
+/// `(y0, y1)` and `(y2, y3)` under `w_m[j]`, then stage `2m` pairs
+/// `(y0, y2)` under `w_2m[j]` and `(y1, y3)` under `w_2m[j+m]` — exactly
+/// the pairs and twiddles the scalar ladder's stage `2m` gives those
+/// positions. The `1/n` multiply follows the last add, as in the scalar
+/// ladder; moving it to an earlier pass or ahead of that add would round
+/// differently on subnormal values. No FMA is emitted: the
+/// intrinsics pin the instruction selection.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{butterfly_rows_scalar, ColumnBlockMut, Complex};
+    use std::arch::x86_64::*;
+
+    /// A twiddle in registers: `(re lanes, im lanes)`.
+    type Twiddle = (__m256d, __m256d);
+
+    /// `w` broadcast to every lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat(w: Complex) -> Twiddle {
+        (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im))
+    }
+
+    /// The two twiddles `w[j]`, `w[j + 1]`, one per complex lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `j + 2 <= w.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn twiddle_pair(w: &[Complex], j: usize) -> Twiddle {
+        let pair = &w[j..j + 2];
+        // SAFETY: `pair` is two `repr(C)` complexes, four contiguous f64.
+        #[allow(unsafe_code)]
+        let v = unsafe { _mm256_loadu_pd(pair.as_ptr() as *const f64) };
+        (_mm256_movedup_pd(v), _mm256_permute_pd(v, 0b1111))
+    }
+
+    /// `(a + b·w, a − b·w)` on two complex lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn butterfly(a: __m256d, b: __m256d, (w_re, w_im): Twiddle) -> (__m256d, __m256d) {
+        let b_swap = _mm256_permute_pd(b, 0b0101);
+        let bw = _mm256_addsub_pd(_mm256_mul_pd(b, w_re), _mm256_mul_pd(b_swap, w_im));
+        (_mm256_add_pd(a, bw), _mm256_sub_pd(a, bw))
+    }
+
+    /// Stages `m` and `2m` on the quadruple `x` at `j, j+m, j+2m, j+3m`:
+    /// `w` holds `w_m[j]`, `w_2m[j]` and `w_2m[j+m]`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn stage_pair([x0, x1, x2, x3]: [__m256d; 4], w: [Twiddle; 3]) -> [__m256d; 4] {
+        let (y0, y1) = butterfly(x0, x1, w[0]);
+        let (y2, y3) = butterfly(x2, x3, w[0]);
+        let (z0, z2) = butterfly(y0, y2, w[1]);
+        let (z1, z3) = butterfly(y1, y3, w[2]);
+        [z0, z1, z2, z3]
+    }
+
+    /// `v · s` in the last pass of an inverse (`SCALED`), `v` otherwise.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn finish<const SCALED: bool>(v: __m256d, s: __m256d) -> __m256d {
+        if SCALED {
+            _mm256_mul_pd(v, s)
+        } else {
+            v
         }
     }
 
-    // Stages m ≥ 2: lanes j and j+1 live in one register already.
-    let mut m = 2usize;
-    let mut tw_base = 1usize;
-    while m < n {
-        let step = m << 1;
-        let mut start = 0usize;
-        while start < n {
-            let mut j = 0usize;
-            while j + 2 <= m {
-                // SAFETY: `j + 2 <= m` keeps the twiddle load inside this
-                // stage's table block and both data loads/stores inside
-                // the current butterfly group (`start + j + m + 2 <=
-                // start + step <= n`).
-                unsafe {
-                    let w = _mm256_loadu_pd(twp.add(2 * (tw_base + j))); // w0 w1
-                    let a = _mm256_loadu_pd(p.add(2 * (start + j)));
-                    let b = _mm256_loadu_pd(p.add(2 * (start + j + m)));
-                    let w_re = _mm256_movedup_pd(w); // w0.re w0.re w1.re w1.re
-                    let w_im = _mm256_permute_pd(w, 0b1111); // w0.im w0.im w1.im w1.im
-                    let b_swap = _mm256_permute_pd(b, 0b0101);
-                    let bw = _mm256_addsub_pd(_mm256_mul_pd(b, w_re), _mm256_mul_pd(b_swap, w_im));
-                    _mm256_storeu_pd(p.add(2 * (start + j)), _mm256_add_pd(a, bw));
-                    _mm256_storeu_pd(p.add(2 * (start + j + m)), _mm256_sub_pd(a, bw));
-                }
-                j += 2;
-            }
-            start += step;
+    /// The 1-D ladder on bit-reversed `data`: stage 1, then stages
+    /// `(2, 4), (8, 16), …` in pairs, then a single stage `n/2` when the
+    /// count after stage 1 is odd. `scale` multiplies the last pass's
+    /// results.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data.len()` is a power of two `≥ 4` and `tw` holds
+    /// its `n − 1` stage-major twiddles.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn ladder(data: &mut [Complex], tw: &[Complex], scale: Option<f64>) {
+        let n = data.len();
+        assert!(
+            n >= 4 && n.is_power_of_two() && tw.len() + 1 == n,
+            "ladder needs a power-of-two length ≥ 4 and its twiddle table"
+        );
+        first_stage(data, tw[0]);
+        let s = _mm256_set1_pd(scale.unwrap_or(1.0));
+        let mut m = 2;
+        while 4 * m < n {
+            pair_pass::<false>(data, tw, m, s);
+            m *= 4;
         }
-        tw_base += m;
-        m = step;
+        match (n / m, scale.is_some()) {
+            (4, true) => pair_pass::<true>(data, tw, m, s),
+            (4, false) => pair_pass::<false>(data, tw, m, s),
+            (_, true) => single_pass::<true>(data, tw, m, s),
+            (_, false) => single_pass::<false>(data, tw, m, s),
+        }
+    }
+
+    /// Stage 1: butterflies on adjacent pairs under `w = tw[0]`. Two
+    /// 2-complex registers are deinterleaved into an `a` vector and a `b`
+    /// vector, processed, and reinterleaved. Stage 1 is never the last
+    /// stage here (`n ≥ 4`), so it never scales.
+    #[target_feature(enable = "avx2")]
+    fn first_stage(data: &mut [Complex], w: Complex) {
+        let w = splat(w);
+        for quad in data.chunks_exact_mut(4) {
+            let p = quad.as_mut_ptr() as *mut f64;
+            // SAFETY: `quad` is four `repr(C)` complexes, eight contiguous
+            // f64, which bounds both loads and both stores.
+            #[allow(unsafe_code)]
+            unsafe {
+                let (lo, hi) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))); // a0 b0, a1 b1
+                let (s, d) = butterfly(
+                    _mm256_permute2f128_pd(lo, hi, 0x20), // a0 a1
+                    _mm256_permute2f128_pd(lo, hi, 0x31), // b0 b1
+                    w,
+                );
+                _mm256_storeu_pd(p, _mm256_permute2f128_pd(s, d, 0x20));
+                _mm256_storeu_pd(p.add(4), _mm256_permute2f128_pd(s, d, 0x31));
+            }
+        }
+    }
+
+    /// Stages `m` and `2m` (`m ≥ 2`) in one pass: lanes `j, j+1` of the
+    /// quadruple `j, j+m, j+2m, j+3m` of every block of `4m` elements go
+    /// through [`stage_pair`], under twiddles loaded once per `j`.
+    #[target_feature(enable = "avx2")]
+    fn pair_pass<const SCALED: bool>(data: &mut [Complex], tw: &[Complex], m: usize, s: __m256d) {
+        let n = data.len();
+        let (w_m, w_2m) = (&tw[m - 1..2 * m - 1], &tw[2 * m - 1..4 * m - 1]);
+        let p = data.as_mut_ptr() as *mut f64;
+        let mut j = 0;
+        while j + 2 <= m {
+            let w = [
+                twiddle_pair(w_m, j),
+                twiddle_pair(w_2m, j),
+                twiddle_pair(w_2m, j + m),
+            ];
+            let mut i = j;
+            while i + 3 * m + 2 <= n {
+                // SAFETY: `i + 3m + 2 <= n = data.len()` bounds the
+                // two-complex loads and stores at `i`, `i + m`, `i + 2m`
+                // and `i + 3m`; `Complex` is `repr(C)`, so the f64 view
+                // sees [re, im] pairs.
+                #[allow(unsafe_code)]
+                unsafe {
+                    let at = [i, i + m, i + 2 * m, i + 3 * m].map(|k| p.add(2 * k));
+                    let x = [
+                        _mm256_loadu_pd(at[0]),
+                        _mm256_loadu_pd(at[1]),
+                        _mm256_loadu_pd(at[2]),
+                        _mm256_loadu_pd(at[3]),
+                    ];
+                    let [z0, z1, z2, z3] = stage_pair(x, w);
+                    _mm256_storeu_pd(at[0], finish::<SCALED>(z0, s));
+                    _mm256_storeu_pd(at[1], finish::<SCALED>(z1, s));
+                    _mm256_storeu_pd(at[2], finish::<SCALED>(z2, s));
+                    _mm256_storeu_pd(at[3], finish::<SCALED>(z3, s));
+                }
+                i += 4 * m;
+            }
+            j += 2;
+        }
+    }
+
+    /// The last stage `m = n/2` on its own, when `log2 n` is even.
+    #[target_feature(enable = "avx2")]
+    fn single_pass<const SCALED: bool>(data: &mut [Complex], tw: &[Complex], m: usize, s: __m256d) {
+        let w_m = &tw[m - 1..2 * m - 1];
+        let (lo, hi) = data.split_at_mut(m);
+        let (pa, pb) = (lo.as_mut_ptr() as *mut f64, hi.as_mut_ptr() as *mut f64);
+        let len = lo.len().min(hi.len());
+        let mut j = 0;
+        while j + 2 <= len {
+            let w = twiddle_pair(w_m, j);
+            // SAFETY: `j + 2 <= len`, the shorter half's length, bounds
+            // both two-complex loads and stores.
+            #[allow(unsafe_code)]
+            unsafe {
+                let (a, b) = butterfly(
+                    _mm256_loadu_pd(pa.add(2 * j)),
+                    _mm256_loadu_pd(pb.add(2 * j)),
+                    w,
+                );
+                _mm256_storeu_pd(pa.add(2 * j), finish::<SCALED>(a, s));
+                _mm256_storeu_pd(pb.add(2 * j), finish::<SCALED>(b, s));
+            }
+            j += 2;
+        }
+    }
+
+    /// The column pass on `block`'s bit-reversed rows: stages `(1, 2),
+    /// (4, 8), …` in pairs over row quadruples, then a single stage `n/2`
+    /// when `log2 n` is odd. `scale` multiplies the last pass's results.
+    /// `block` must have at least two rows.
+    ///
+    /// Unlike the 1-D ladder's stage 1, which pairs neighbours inside one
+    /// register, stage 1 here is a row-pair stage like any other, so it
+    /// pairs with stage 2: where `log2 n` is even that saves a whole pass
+    /// over a grid larger than L1.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn column_ladder(
+        block: &mut ColumnBlockMut<'_, Complex>,
+        tw: &[Complex],
+        scale: Option<f64>,
+    ) {
+        let n = block.rows();
+        debug_assert!(n >= 2 && n.is_power_of_two() && tw.len() + 1 == n);
+        let mut m = 1;
+        while 4 * m < n {
+            column_pair_pass::<false>(block, tw, m, 1.0);
+            m *= 4;
+        }
+        let s = scale.unwrap_or(1.0);
+        match (n / m, scale.is_some()) {
+            (4, true) => column_pair_pass::<true>(block, tw, m, s),
+            (4, false) => column_pair_pass::<false>(block, tw, m, s),
+            (_, true) => column_single_pass::<true>(block, tw, m, s),
+            (_, false) => column_single_pass::<false>(block, tw, m, s),
+        }
+    }
+
+    /// Stages `m` and `2m` of the column pass: for each row quadruple
+    /// `r, r+m, r+2m, r+3m`, [`quad_rows`] under its three broadcast
+    /// twiddles.
+    #[target_feature(enable = "avx2")]
+    fn column_pair_pass<const SCALED: bool>(
+        block: &mut ColumnBlockMut<'_, Complex>,
+        tw: &[Complex],
+        m: usize,
+        scale: f64,
+    ) {
+        let (w_m, w_2m) = (&tw[m - 1..2 * m - 1], &tw[2 * m - 1..4 * m - 1]);
+        for start in (0..block.rows()).step_by(4 * m) {
+            for j in 0..m {
+                let rows = block.row_quad_mut(start + j, m);
+                quad_rows::<SCALED>(rows, [w_m[j], w_2m[j], w_2m[j + m]], scale);
+            }
+        }
+    }
+
+    /// The single last stage of the column pass: row pairs `(j, j + m)`
+    /// with `m = n/2`.
+    #[target_feature(enable = "avx2")]
+    fn column_single_pass<const SCALED: bool>(
+        block: &mut ColumnBlockMut<'_, Complex>,
+        tw: &[Complex],
+        m: usize,
+        scale: f64,
+    ) {
+        for (j, &w) in tw[m - 1..2 * m - 1].iter().enumerate() {
+            let (a, b) = block.row_pair_mut(j, j + m);
+            pair_rows::<SCALED>(a, b, w, scale);
+        }
+    }
+
+    /// [`stage_pair`] column by column over four row segments, two
+    /// columns per register; an odd last column runs the same four
+    /// butterflies through [`butterfly_rows_scalar`].
+    #[target_feature(enable = "avx2")]
+    fn quad_rows<const SCALED: bool>(mut rows: [&mut [Complex]; 4], w: [Complex; 3], scale: f64) {
+        let len = rows.iter().map(|r| r.len()).min().unwrap_or(0);
+        let p = rows.each_mut().map(|r| r.as_mut_ptr() as *mut f64);
+        let (wv, s) = (
+            [splat(w[0]), splat(w[1]), splat(w[2])],
+            _mm256_set1_pd(scale),
+        );
+        let mut i = 0;
+        while i + 2 <= len {
+            // SAFETY: `i + 2 <= len`, the shortest segment's length,
+            // bounds every two-complex load and store; `Complex` is
+            // `repr(C)`, so the f64 view sees [re, im] pairs.
+            #[allow(unsafe_code)]
+            unsafe {
+                let x = [
+                    _mm256_loadu_pd(p[0].add(2 * i)),
+                    _mm256_loadu_pd(p[1].add(2 * i)),
+                    _mm256_loadu_pd(p[2].add(2 * i)),
+                    _mm256_loadu_pd(p[3].add(2 * i)),
+                ];
+                let [z0, z1, z2, z3] = stage_pair(x, wv);
+                _mm256_storeu_pd(p[0].add(2 * i), finish::<SCALED>(z0, s));
+                _mm256_storeu_pd(p[1].add(2 * i), finish::<SCALED>(z1, s));
+                _mm256_storeu_pd(p[2].add(2 * i), finish::<SCALED>(z2, s));
+                _mm256_storeu_pd(p[3].add(2 * i), finish::<SCALED>(z3, s));
+            }
+            i += 2;
+        }
+        if i < len {
+            let [r0, r1, r2, r3] = rows;
+            let last = SCALED.then_some(scale);
+            butterfly_rows_scalar(&mut r0[i..len], &mut r1[i..len], w[0], None);
+            butterfly_rows_scalar(&mut r2[i..len], &mut r3[i..len], w[0], None);
+            butterfly_rows_scalar(&mut r0[i..len], &mut r2[i..len], w[1], last);
+            butterfly_rows_scalar(&mut r1[i..len], &mut r3[i..len], w[2], last);
+        }
+    }
+
+    /// One butterfly over two row segments under the broadcast twiddle
+    /// `w`, two columns per register and an odd last column through
+    /// [`butterfly_rows_scalar`].
+    #[target_feature(enable = "avx2")]
+    fn pair_rows<const SCALED: bool>(a: &mut [Complex], b: &mut [Complex], w: Complex, scale: f64) {
+        let len = a.len().min(b.len());
+        let (pa, pb) = (a.as_mut_ptr() as *mut f64, b.as_mut_ptr() as *mut f64);
+        let (wv, s) = (splat(w), _mm256_set1_pd(scale));
+        let mut i = 0;
+        while i + 2 <= len {
+            // SAFETY: `i + 2 <= len`, the shorter segment's length, bounds
+            // both two-complex loads and stores.
+            #[allow(unsafe_code)]
+            unsafe {
+                let (x, y) = butterfly(
+                    _mm256_loadu_pd(pa.add(2 * i)),
+                    _mm256_loadu_pd(pb.add(2 * i)),
+                    wv,
+                );
+                _mm256_storeu_pd(pa.add(2 * i), finish::<SCALED>(x, s));
+                _mm256_storeu_pd(pb.add(2 * i), finish::<SCALED>(y, s));
+            }
+            i += 2;
+        }
+        butterfly_rows_scalar(&mut a[i..len], &mut b[i..len], w, SCALED.then_some(scale));
     }
 }
 
@@ -644,57 +877,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn avx2_butterflies_bit_identical_to_scalar() {
-        // The dispatcher's contract: the SIMD ladder must reproduce the
-        // scalar reference bit for bit, in both directions, at every size
-        // the litho stack uses (and the small ones where the m=1 stage
-        // dominates). When AVX2 is unavailable this degenerates to
-        // scalar-vs-scalar, which still pins the shared butterfly body.
-        for log2 in 2..=9 {
-            let n = 1usize << log2;
-            let plan = Fft::new(n).unwrap();
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let tw = match dir {
-                    Direction::Forward => &plan.twiddles,
-                    Direction::Inverse => &plan.twiddles_inv,
-                };
-                let mut simd = ramp(n);
-                plan.dispatch(&mut simd, dir);
-                // dispatch() also bit-reverses; apply the same permutation
-                // to the scalar ladder's input for a like-for-like run.
-                let mut scalar_in = ramp(n);
-                for i in 0..n {
-                    let j = plan.bit_rev[i] as usize;
-                    if i < j {
-                        scalar_in.swap(i, j);
-                    }
-                }
-                butterflies_scalar(&mut scalar_in, tw);
-                for i in 0..n {
-                    assert_eq!(
-                        simd[i].re.to_bits(),
-                        scalar_in[i].re.to_bits(),
-                        "n={n} {dir:?} i={i}"
-                    );
-                    assert_eq!(
-                        simd[i].im.to_bits(),
-                        scalar_in[i].im.to_bits(),
-                        "n={n} {dir:?} i={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Varied values with both signs in both parts, distinct per index.
+    /// Varied values with both signs in both parts, distinct per index,
+    /// with `±0` and subnormal entries mixed in.
     fn grid(len: usize) -> Vec<Complex> {
         (0..len)
             .map(|i| {
                 let x = i as f64;
-                Complex::new((x * 0.731).sin() * 3.0 - 0.4, (x * 0.277).cos() + 0.1)
+                match i % 8 {
+                    3 => Complex::new(0.0, -0.0),
+                    6 => Complex::new(-f64::MIN_POSITIVE / 3.0, 5e-324 * x),
+                    _ => Complex::new((x * 0.731).sin() * 3.0 - 0.4, (x * 0.277).cos() + 0.1),
+                }
             })
             .collect()
+    }
+
+    /// Subnormal values and `±0` only. Their sums are exact while the
+    /// twiddle products and the `1/n` scale round, so a scale moved to
+    /// another pass or ahead of an add changes bits here; on normal values
+    /// a power-of-two scale is exact and would hide the move.
+    fn tiny(len: usize) -> Vec<Complex> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ len as u64;
+        let mut part = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Sign and mantissa bits only: a zero exponent field.
+            f64::from_bits(state & (1 << 63 | ((1 << 52) - 1)))
+        };
+        (0..len)
+            .map(|i| match i % 11 {
+                4 => Complex::new(-0.0, 0.0),
+                _ => Complex::new(part(), part()),
+            })
+            .collect()
+    }
+
+    /// The transform as the radix-2 reference defines it: the
+    /// bit-reversal, [`butterflies_scalar`] without a scale, then, for the
+    /// inverse, a separate `1/n` scaling loop.
+    fn reference(plan: &Fft, data: &mut [Complex], dir: Direction) {
+        for i in 0..plan.n {
+            let j = (i as u32)
+                .reverse_bits()
+                .checked_shr(32 - plan.n.trailing_zeros());
+            let j = j.unwrap_or(0) as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let (tw, scale) = plan.ladder_args(dir);
+        butterflies_scalar(data, tw, None);
+        if let Some(s) = scale {
+            for z in data.iter_mut() {
+                *z = z.scale(s);
+            }
+        }
     }
 
     fn assert_bits(got: Complex, want: Complex, what: &str) {
@@ -711,19 +949,61 @@ mod tests {
     }
 
     #[test]
+    fn transform_matches_the_radix2_reference_bit_for_bit() {
+        // Whichever ladder the dispatcher picks (the fused AVX2 passes
+        // from n = 4 up, the scalar one otherwise) must reproduce the
+        // reference bit for bit, at every power of two up to 1024.
+        for log2 in 0..=10 {
+            let n = 1usize << log2;
+            let plan = Fft::new(n).unwrap();
+            for input in [grid(n), tiny(n)] {
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut got = input.clone();
+                    plan.transform(&mut got, dir).unwrap();
+                    let mut want = input.clone();
+                    reference(&plan, &mut want, dir);
+                    for i in 0..n {
+                        assert_bits(got[i], want[i], &format!("n={n} {dir:?} i={i}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_ladder_folds_the_scale_bit_for_bit() {
+        // The non-AVX2 fallback multiplies 1/n into its last stage.
+        for log2 in 1..=10 {
+            let n = 1usize << log2;
+            let plan = Fft::new(n).unwrap();
+            let (tw, scale) = plan.ladder_args(Direction::Inverse);
+            for input in [grid(n), tiny(n)] {
+                let mut got = input.clone();
+                butterflies_scalar(&mut got, tw, scale);
+                let mut want = input;
+                butterflies_scalar(&mut want, tw, None);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_bits(*g, w.scale(1.0 / n as f64), &format!("n={n} i={i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn column_pass_matches_gathered_1d_transforms_bit_for_bit() {
         // Reference: each column gathered into a buffer and run through
-        // the 1-D plan. Columns outside the range must come back
-        // untouched.
-        let mut col = Vec::new();
-        for log_h in 0..=7 {
-            for log_w in 0..=7 {
-                let (h, w) = (1usize << log_h, 1usize << log_w);
-                let plan = Fft::new(h).unwrap();
-                let input = grid(h * w);
-                // Full width, first and last single columns, odd widths
-                // (a one-column tail after the AVX2 pairs), and a
-                // three-column run off the start.
+        // the radix-2 reference. Columns outside the range must come back
+        // untouched. Heights reach the 512-row columns of the largest
+        // grids; widths cover every odd AVX2 tail up to 9 and the powers
+        // of two.
+        let mut want = Vec::new();
+        for log_h in 0..=9 {
+            let h = 1usize << log_h;
+            let plan = Fft::new(h).unwrap();
+            for w in (1..=9).chain([16, 32, 64, 128]) {
+                // Full width, first and last single columns, everything
+                // but the first column, and a three-column run off the
+                // start.
                 let ranges = [
                     0..w,
                     0..1,
@@ -731,19 +1011,30 @@ mod tests {
                     1.min(w - 1)..w,
                     w / 3..(w / 3 + 3).min(w),
                 ];
-                for dir in [Direction::Forward, Direction::Inverse] {
-                    for cols in &ranges {
-                        let mut got = input.clone();
-                        plan.transform_columns(ColumnBlockMut::new(&mut got, w, cols.clone()), dir);
-                        for c in 0..w {
-                            col.clear();
-                            col.extend((0..h).map(|r| input[r * w + c]));
-                            if cols.contains(&c) {
-                                plan.transform(&mut col, dir).unwrap();
-                            }
-                            for r in 0..h {
-                                let what = format!("{h}x{w} {dir:?} cols {cols:?} ({r},{c})");
-                                assert_bits(got[r * w + c], col[r], &what);
+                for input in [grid(h * w), tiny(h * w)] {
+                    for dir in [Direction::Forward, Direction::Inverse] {
+                        want.clear();
+                        want.extend((0..w).map(|c| {
+                            let mut col: Vec<Complex> = (0..h).map(|r| input[r * w + c]).collect();
+                            reference(&plan, &mut col, dir);
+                            col
+                        }));
+                        for cols in &ranges {
+                            let mut got = input.clone();
+                            plan.transform_columns(
+                                ColumnBlockMut::new(&mut got, w, cols.clone()),
+                                dir,
+                            );
+                            for c in 0..w {
+                                for r in 0..h {
+                                    let expect = if cols.contains(&c) {
+                                        want[c][r]
+                                    } else {
+                                        input[r * w + c]
+                                    };
+                                    let what = format!("{h}x{w} {dir:?} cols {cols:?} ({r},{c})");
+                                    assert_bits(got[r * w + c], expect, &what);
+                                }
                             }
                         }
                     }
@@ -759,38 +1050,6 @@ mod tests {
         Fft::new(4)
             .unwrap()
             .transform_columns(ColumnBlockMut::new(&mut data, 4, 0..4), Direction::Forward);
-    }
-
-    #[test]
-    fn avx2_row_butterfly_bit_identical_to_scalar() {
-        // Every segment length up to a few AVX2 pairs (odd ones leave the
-        // scalar tail), against twiddles from real plans. Without AVX2
-        // the dispatcher stands in, which runs the scalar path itself.
-        let twiddles = Fft::new(64).unwrap().twiddles;
-        for len in 0..=9 {
-            for w in twiddles.iter().step_by(7).copied() {
-                let (a0, b0) = (grid(len), grid(len + 11)[11..].to_vec());
-                let (mut a_fast, mut b_fast) = (a0.clone(), b0.clone());
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::avx2_available() {
-                    // SAFETY: AVX2 was detected at runtime.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        butterfly_rows_avx2(&mut a_fast, &mut b_fast, w)
-                    };
-                } else {
-                    butterfly_rows(&mut a_fast, &mut b_fast, w);
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                butterfly_rows(&mut a_fast, &mut b_fast, w);
-                let (mut a_slow, mut b_slow) = (a0, b0);
-                butterfly_rows_scalar(&mut a_slow, &mut b_slow, w);
-                for i in 0..len {
-                    assert_bits(a_fast[i], a_slow[i], &format!("len {len} a[{i}]"));
-                    assert_bits(b_fast[i], b_slow[i], &format!("len {len} b[{i}]"));
-                }
-            }
-        }
     }
 
     #[test]

@@ -706,6 +706,29 @@ impl<'a, T> ColumnBlockMut<'a, T> {
             )
         }
     }
+
+    /// The segments of rows `r`, `r + stride`, `r + 2·stride` and
+    /// `r + 3·stride`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or row `r + 3·stride` is out of bounds.
+    pub(crate) fn row_quad_mut(&mut self, r: usize, stride: usize) -> [&mut [T]; 4] {
+        let last = stride.checked_mul(3).and_then(|s| s.checked_add(r));
+        assert!(
+            stride > 0 && last.is_some_and(|l| l < self.rows),
+            "row quad out of bounds"
+        );
+        let (ptr, width, cols) = (self.ptr, self.width, self.cols);
+        // SAFETY: as in `row_pair_mut`: all four rows are below `rows`, so
+        // their segments lie inside the buffer and belong to this view
+        // alone; a nonzero stride makes the rows distinct, and segments of
+        // distinct rows do not overlap.
+        #[allow(unsafe_code)]
+        [0, 1, 2, 3].map(|q| unsafe {
+            std::slice::from_raw_parts_mut(ptr.add((r + q * stride) * width), cols)
+        })
+    }
 }
 
 /// Runs `f` over columns `0..cols` of a row-major buffer `width` elements
@@ -1017,6 +1040,34 @@ mod tests {
         let mut data = vec![0u8; 12];
         let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
         let _ = block.row_pair_mut(1, 1);
+    }
+
+    #[test]
+    fn column_block_row_quads_are_the_four_strided_rows() {
+        let mut data: Vec<u32> = (0..40).collect();
+        let mut block = ColumnBlockMut::new(&mut data, 4, 1..3);
+        // Ten rows: the quad may reach the last one.
+        let [a, b, c, d] = block.row_quad_mut(0, 3);
+        assert_eq!(
+            [&*a, &*b, &*c, &*d],
+            [&[1, 2][..], &[13, 14], &[25, 26], &[37, 38]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row quad out of bounds")]
+    fn column_block_rejects_a_row_quad_past_the_last_row() {
+        let mut data = vec![0u8; 40];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_quad_mut(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row quad out of bounds")]
+    fn column_block_rejects_a_zero_row_quad_stride() {
+        let mut data = vec![0u8; 40];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_quad_mut(0, 0);
     }
 
     #[test]

@@ -187,8 +187,12 @@ impl Rfft2d {
             return self.fallback.forward(out);
         }
         let wh = w / 2 + 1;
+        // The wanted non-redundant columns: the column pass transforms
+        // them and the Hermitian fill reads no others.
+        let cols = wh.min(band.saturating_add(1));
 
-        // Row pass: rows (2p, 2p+1) share one complex transform.
+        // Row pass: rows (2p, 2p+1) share one complex transform, unpacked
+        // into the wanted columns only.
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
         row_scratch.reserve(region_width(h / 2), w);
@@ -202,9 +206,9 @@ impl Rfft2d {
             row_fft
                 .forward(&mut buf)
                 .expect("row length matches plan by construction");
-            for k in 0..w {
+            for k in 0..cols {
                 let z = buf[k];
-                let zm = buf[(w - k) % w].conj();
+                let zm = buf[(w - k) & (w - 1)].conj();
                 // F₀ = (Z + conj(Z(−k)))/2, F₁ = (Z − conj(Z(−k)))/(2i).
                 chunk[k] = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
                 chunk[w + k] = Complex::new((z.im - zm.im) * 0.5, (zm.re - z.re) * 0.5);
@@ -212,10 +216,9 @@ impl Rfft2d {
             row_scratch.put(buf);
         });
 
-        // Column pass over the wanted non-redundant columns only, in
-        // place.
+        // Column pass over the wanted non-redundant columns, in place.
         let col_fft = &self.col_fft;
-        par_column_blocks(out, w, wh.min(band.saturating_add(1)), |_, block| {
+        par_column_blocks(out, w, cols, |_, block| {
             col_fft.transform_columns(block, Direction::Forward)
         });
 
@@ -289,12 +292,10 @@ impl Rfft2d {
         // the 2-D symmetry, and the column DFT turns it into rows that are
         // Hermitian in kx (substituting ky → −ky in the column sum
         // conjugates the result and mirrors kx), so the redundant columns
-        // are recoverable by conjugation.
+        // are recoverable by conjugation. Only the band's columns are
+        // computed: the row pass reads no others.
         let mut half = self.half_scratch.take(h * wh);
         let cols = wh.min(band.saturating_add(1));
-        for row in half.chunks_mut(wh) {
-            row[cols..].fill(Complex::ZERO);
-        }
         let col_fft = &self.col_fft;
         par_column_blocks(&mut half, wh, cols, |c0, mut block| {
             for ky in 0..h {
@@ -303,7 +304,7 @@ impl Rfft2d {
                 for (i, slot) in block.row_mut(ky).iter_mut().enumerate() {
                     let c = c0 + i;
                     let z = row[c];
-                    let zm = mirror[(w - c) % w].conj();
+                    let zm = mirror[(w - c) & (w - 1)].conj();
                     *slot = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
                 }
             }
@@ -313,23 +314,24 @@ impl Rfft2d {
         // Row pass: each transformed row is Hermitian in kx, so its row
         // DFT is real; packing rows (2p, 2p+1) as D = C(y₀) + i·C(y₁)
         // makes one transform yield both real output rows (real part →
-        // y₀, imaginary part → y₁).
+        // y₀, imaginary part → y₁). Entries with `band < k < w − band`
+        // pack transforms of zero columns, which are `+0` in both parts
+        // whether mirrored or not, so they are written as zero.
         let half_ro: &[Complex] = &half;
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
+        let mirrored = wh.max(w.saturating_sub(band));
+        let pack = |c0: Complex, c1: Complex| Complex::new(c0.re - c1.im, c0.im + c1.re);
         row_scratch.reserve(region_width(h / 2), w);
         par_chunks_mut(out, 2 * w, |p, chunk| {
             let (row0, row1) = half_ro[2 * p * wh..(2 * p + 2) * wh].split_at(wh);
             let mut buf = row_scratch.take(w);
-            for (k, slot) in buf.iter_mut().enumerate() {
-                let (cs, mirror) = if k < wh { (k, false) } else { (w - k, true) };
-                let mut c0 = row0[cs];
-                let mut c1 = row1[cs];
-                if mirror {
-                    c0 = c0.conj();
-                    c1 = c1.conj();
-                }
-                *slot = Complex::new(c0.re - c1.im, c0.im + c1.re);
+            for k in 0..cols {
+                buf[k] = pack(row0[k], row1[k]);
+            }
+            buf[cols..mirrored].fill(Complex::ZERO);
+            for k in mirrored..w {
+                buf[k] = pack(row0[w - k].conj(), row1[w - k].conj());
             }
             row_fft
                 .forward(&mut buf)
@@ -427,69 +429,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn band_forward_matches_full_on_wanted_columns() {
+    /// `forward_band_into` over an output prefilled with junk must match
+    /// `forward_into` bit for bit on every wanted column.
+    fn check_band_forward(h: usize, w: usize, bands: &[usize]) {
         use crate::fft2d::signed_freq;
-        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
-            let src = real_sample(h, w);
-            let rplan = Rfft2d::new(h, w).unwrap();
-            let mut full = vec![Complex::ZERO; h * w];
-            rplan.forward_into(&src, &mut full).unwrap();
-            for band in [0, 1, 3, w / 2 - 1, w / 2, w, usize::MAX] {
-                let mut got = vec![Complex::new(7.0, 7.0); h * w];
-                rplan.forward_band_into(&src, &mut got, band).unwrap();
-                for ky in 0..h {
-                    for kx in
-                        (0..w).filter(|&kx| signed_freq(kx, w).unsigned_abs() as usize <= band)
-                    {
-                        let (a, b) = (got[ky * w + kx], full[ky * w + kx]);
-                        assert_eq!(
-                            a.re.to_bits(),
-                            b.re.to_bits(),
-                            "({h}x{w}) band {band} ({ky},{kx})"
-                        );
-                        assert_eq!(
-                            a.im.to_bits(),
-                            b.im.to_bits(),
-                            "({h}x{w}) band {band} ({ky},{kx})"
-                        );
-                    }
+        let src = real_sample(h, w);
+        let rplan = Rfft2d::new(h, w).unwrap();
+        let mut full = vec![Complex::ZERO; h * w];
+        rplan.forward_into(&src, &mut full).unwrap();
+        for &band in bands {
+            let mut got = vec![Complex::new(7.0, 7.0); h * w];
+            rplan.forward_band_into(&src, &mut got, band).unwrap();
+            for ky in 0..h {
+                for kx in (0..w).filter(|&kx| signed_freq(kx, w).unsigned_abs() as usize <= band) {
+                    let (a, b) = (got[ky * w + kx], full[ky * w + kx]);
+                    let what = format!("({h}x{w}) band {band} ({ky},{kx})");
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
                 }
             }
         }
     }
 
-    #[test]
-    fn band_forward_re_matches_full_on_band_limited_input() {
+    /// `forward_re_band_into` on input that is zero outside the band (and
+    /// NaN there when the band variant reads it, which it must not) must
+    /// match `forward_re_into`, up to the sign of exact zeros.
+    fn check_band_forward_re(h: usize, w: usize, bands: &[usize]) {
         use crate::fft2d::signed_freq;
-        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
-            let rplan = Rfft2d::new(h, w).unwrap();
-            for band in [0, 1, 3, w / 2 - 1, w / 2, usize::MAX] {
-                let mut freq = complex_sample(h, w);
-                for (i, z) in freq.iter_mut().enumerate() {
-                    if signed_freq(i % w, w).unsigned_abs() as usize > band {
-                        *z = Complex::ZERO;
-                    }
-                }
-                let mut full = vec![0.0; h * w];
-                rplan.forward_re_into(&freq, &mut full).unwrap();
-                // Entries outside the band are never read.
-                for (i, z) in freq.iter_mut().enumerate() {
-                    if signed_freq(i % w, w).unsigned_abs() as usize > band {
-                        *z = Complex::new(f64::NAN, 1.0);
-                    }
-                }
-                let mut got = vec![7.0; h * w];
-                rplan.forward_re_band_into(&freq, &mut got, band).unwrap();
-                for (i, (a, b)) in got.iter().zip(&full).enumerate() {
-                    // Equal bits, or both zero (the sign of an exact zero
-                    // may differ).
-                    assert!(
-                        a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
-                        "({h}x{w}) band {band} pixel {i}: {a} vs {b}"
-                    );
+        let rplan = Rfft2d::new(h, w).unwrap();
+        for &band in bands {
+            let outside = |i: usize| signed_freq(i % w, w).unsigned_abs() as usize > band;
+            let mut freq = complex_sample(h, w);
+            for (i, z) in freq.iter_mut().enumerate() {
+                if outside(i) {
+                    *z = Complex::ZERO;
                 }
             }
+            let mut full = vec![0.0; h * w];
+            rplan.forward_re_into(&freq, &mut full).unwrap();
+            for (i, z) in freq.iter_mut().enumerate() {
+                if outside(i) {
+                    *z = Complex::new(f64::NAN, 1.0);
+                }
+            }
+            let mut got = vec![7.0; h * w];
+            rplan.forward_re_band_into(&freq, &mut got, band).unwrap();
+            for (i, (a, b)) in got.iter().zip(&full).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
+                    "({h}x{w}) band {band} pixel {i}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_forward_matches_full_on_wanted_columns() {
+        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
+            check_band_forward(h, w, &[0, 1, 3, w / 2 - 1, w / 2, w, usize::MAX]);
+        }
+    }
+
+    #[test]
+    fn band_forward_re_matches_full_on_band_limited_input() {
+        for (h, w) in [(4, 8), (8, 4), (16, 16), (32, 64)] {
+            check_band_forward_re(h, w, &[0, 1, 3, w / 2 - 1, w / 2, usize::MAX]);
+        }
+    }
+
+    #[test]
+    fn band_variants_match_full_transforms_on_the_pupil_bands() {
+        // The pupil bands of a 2048 nm tile (28) and a 4096 nm window
+        // (57), on the 256 and 512 px grids the eval and paper suites run.
+        for n in [256, 512] {
+            check_band_forward(n, n, &[28, 57]);
+            check_band_forward_re(n, n, &[28, 57]);
         }
     }
 
