@@ -17,6 +17,7 @@
 use cfaopc_core::{compose, compose_soft, ComposeConfig, SparseCircles};
 use cfaopc_ebeam::{EbeamPsf, WriterModel};
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
+use cfaopc_fft::simd::{resist_corner, GradOut, ResistCorner};
 use cfaopc_fft::{Complex, Fft2d, Rfft2d};
 use cfaopc_fracture::{circle_rule, rect_fracture, CircleRuleConfig};
 use cfaopc_grid::{skeletonize, Grid2D};
@@ -219,6 +220,25 @@ fn main() {
     let grad_mask = Grid2D::new(N, N, 0.4);
     results.push(run_case("loss_and_gradient_256_3corner", || {
         black_box(loss_and_gradient(&s, &grad_mask, &target_real, LossWeights::default()).unwrap());
+    }));
+
+    // The resist kernel alone (sigmoid, loss and dL/dI) over case 3's
+    // three corner images.
+    let images = s.aerial_corners(&mask).unwrap();
+    let resist = ResistCorner {
+        steepness: s.config().resist_steepness,
+        threshold: s.config().threshold,
+        dose: 1.0,
+        weight: 1.0,
+    };
+    let mut dl_di = vec![0.0; N * N];
+    results.push(run_case("resist_256_3corner", || {
+        let mut loss = 0.0;
+        for image in [&images.nominal, &images.max, &images.min] {
+            let (j, t) = (image.as_slice(), target_real.as_slice());
+            loss += resist_corner(j, t, &resist, GradOut::Write(&mut dl_di));
+        }
+        black_box((loss, dl_di[0]));
     }));
 
     // The same gradient at 512², at 8 kernels and at the paper's 24. The

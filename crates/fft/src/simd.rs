@@ -1,5 +1,6 @@
 //! Shared SIMD infrastructure: runtime feature detection plus bit-exact
-//! AVX2 kernels for the complex-field inner loops of the litho stack.
+//! AVX2 kernels for the complex-field inner loops of the litho stack and
+//! for its resist ([`resist_corner`], on an `exp` written in this crate).
 //!
 //! PR 6 introduced the pattern in `cfaopc-core`: explicit intrinsics
 //! behind a runtime latch, with a scalar fallback that *defines* the
@@ -28,6 +29,11 @@
 //! switching paths can never change results.
 
 use crate::complex::Complex;
+
+mod exp_table;
+mod resist;
+
+pub use resist::{resist_corner, sigmoid, GradOut, ResistCorner, SIGMOID_SAT};
 
 /// Returns `true` when the running CPU supports AVX2, latched once.
 ///

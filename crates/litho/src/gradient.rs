@@ -72,14 +72,18 @@
 //!
 //! A call therefore runs, at `S = N`, the mask FFT, `4K` kernel
 //! transforms and the final `FFT`: `4K + 2`. Below it, the `4K` kernel
-//! transforms are `S²`, and each corner's intensity and each weighted
-//! stack's `G_d` cost one `S²` and one `N²` transform to resample: `7`
-//! mask-grid transforms at the default weights, whatever `K` is.
+//! transforms are `S²`, and each focus's dose-free intensity
+//! `J = Σ_k μ_k |a_k|²` and each weighted stack's `G_d` cost one `S²` and
+//! one `N²` transform to resample: `6` mask-grid transforms at the
+//! default weights, whatever `K` is. Each corner applies its dose to its
+//! focus's `J` inside the resist kernel (`cfaopc_fft::simd::resist_corner`),
+//! which also writes its `∂L/∂I` — or adds it, scaled by the dose ratio,
+//! onto `c1`'s for the fold above.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
-use crate::simulator::{sigmoid_sat, Forward, LithoSimulator};
+use crate::simulator::{Forward, LithoSimulator};
 use cfaopc_fft::parallel::{par_map, region_width};
-use cfaopc_fft::simd::conj_mul_real;
+use cfaopc_fft::simd::{conj_mul_real, resist_corner, GradOut, ResistCorner};
 use cfaopc_fft::Complex;
 use cfaopc_grid::Grid2D;
 
@@ -134,6 +138,58 @@ fn corner_plan(weights: LossWeights) -> [(ProcessCorner, f64); 3] {
     ]
 }
 
+/// One stack's folded dL/dI: `(dose_c1, G_d)`.
+type Folded = Option<(f64, Vec<f64>)>;
+
+/// The relaxed loss, each corner's resist run by the resist kernel on its
+/// stack's dose-free intensity `intensities[d]` at its own dose — the one
+/// loss evaluation behind [`loss_only`] and [`loss_and_gradient_into`], so
+/// their losses agree to the bit.
+///
+/// With `folded`, each weighted corner's dL/dI is kept too. The adjoint is
+/// linear in dL/dI and a stack's corners share its fields, so each
+/// weighted corner's `g` folds onto its stack's first weighted corner
+/// `c1` as `(dose_c / dose_c1) · g`, added by the kernel into `c1`'s
+/// pooled buffer: `folded[d]` ends holding stack `d`'s `(dose_c1, G_d)`.
+fn resist_loss(
+    sim: &LithoSimulator,
+    intensities: &[Vec<f64>; 2],
+    target: &[f64],
+    weights: LossWeights,
+    mut folded: Option<&mut [Folded; 2]>,
+) -> LossValues {
+    let cfg = sim.config();
+    let mut values = LossValues::default();
+    for (corner, w_c) in corner_plan(weights) {
+        let d = LithoSimulator::stack_of(corner);
+        let (j, dose) = (&intensities[d], cfg.dose(corner));
+        let grad = match folded.as_deref_mut() {
+            Some(folded) if w_c != 0.0 => match &mut folded[d] {
+                Some((dose_1, g_1)) => GradOut::Add(g_1, dose / *dose_1),
+                // Fully overwritten, so unspecified pool contents are
+                // fine.
+                slot @ None => {
+                    GradOut::Write(&mut slot.insert((dose, sim.real_pool().take(j.len()))).1)
+                }
+            },
+            _ => GradOut::Skip,
+        };
+        let resist = ResistCorner {
+            steepness: cfg.resist_steepness,
+            threshold: cfg.threshold,
+            dose,
+            weight: w_c,
+        };
+        let corner_loss = resist_corner(j, target, &resist, grad);
+        match corner {
+            ProcessCorner::Nominal => values.l2 = corner_loss,
+            _ => values.pvb += corner_loss,
+        }
+    }
+    values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
+    values
+}
+
 /// Evaluates the relaxed loss **and** its exact gradient with respect to
 /// the continuous mask.
 ///
@@ -160,7 +216,7 @@ pub fn loss_and_gradient(
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
 /// All scratch (mask spectrum, pupil-grid fields, spectral accumulator,
-/// per-corner intensity and dL/dI) comes from the simulator's buffer
+/// per-focus intensity and dL/dI) comes from the simulator's buffer
 /// pools, and `grad` is fully overwritten (reallocated only on a
 /// grid-size change) — so a caller looping over iterations with a
 /// persistent `grad` sees
@@ -192,67 +248,29 @@ pub fn loss_and_gradient_into(
         });
     }
     let spectrum = sim.mask_spectrum_pooled(mask)?;
-    let cfg = sim.config();
-    let theta = cfg.resist_steepness;
-    let th = cfg.threshold;
-
-    let corners = corner_plan(weights);
-    // Each corner's stack and dose. Corners sharing a stack (Nominal and
-    // Max) share its fields: `shared.of[c]` is corner c's distinct stack.
-    let imaging = corners.map(|(corner, _)| (sim.kernel_set(corner), cfg.dose(corner)));
-    // Forward: every distinct stack's pupil-grid fields (kept alive for
-    // the adjoint) and each corner's mask-grid intensity — the same pass
-    // `aerial_corners` runs, so `loss_only` agrees to the bit.
-    let forward = sim.socs_forward(&imaging, &spectrum, true);
+    let stacks = sim.stacks();
+    // Forward: every stack's pupil-grid fields (kept alive for the
+    // adjoint) and its dose-free mask-grid intensity J_d — the same pass
+    // `loss_only` runs, so the two agree to the bit.
+    let forward = sim.socs_forward(&stacks, &spectrum, true);
     sim.spectrum_pool().put(spectrum);
     let Forward {
-        shared,
         offsets: fwd_offsets,
         fields,
         intensities,
     } = forward?;
 
-    let mut values = LossValues::default();
-    // Per-corner resist, loss value, and dL/dI. The adjoint is linear in
-    // dL/dI and a stack's corners share its fields, so each weighted
-    // corner's g_i folds onto its stack's first weighted corner c1 as
-    // (dose_c / dose_c1) · g_i, in c1's buffer: `folded[d]` holds stack
-    // d's (dose_c1, G_d) for the adjoint region below.
-    let mut folded: [Option<(f64, Vec<f64>)>; 3] = [None, None, None];
-    for ((c, &(corner, w_c)), intensity) in corners.iter().enumerate().zip(intensities) {
-        let dose = imaging[c].1;
-        let stack = shared.of[c];
-        // g_i is fully overwritten, so unspecified pool contents are
-        // fine.
-        let mut corner_loss = 0.0;
-        let mut g_i = sim.real_pool().take(n2);
-        for i in 0..n2 {
-            let z = sigmoid_sat(theta * (intensity[i] - th));
-            let diff = z - target.as_slice()[i];
-            corner_loss += diff * diff;
-            g_i[i] = w_c * 2.0 * diff * theta * z * (1.0 - z);
-        }
-        sim.real_pool().put(intensity);
-        match corner {
-            ProcessCorner::Nominal => values.l2 = corner_loss,
-            _ => values.pvb += corner_loss,
-        }
-        if w_c == 0.0 {
-            sim.real_pool().put(g_i);
-            continue;
-        }
-        match &mut folded[stack] {
-            Some((dose_1, g_1)) => {
-                let ratio = dose / *dose_1;
-                for (a, &b) in g_1.iter_mut().zip(&g_i) {
-                    *a += ratio * b;
-                }
-                sim.real_pool().put(g_i);
-            }
-            None => folded[stack] = Some((dose, g_i)),
-        }
+    let mut folded: [Folded; 2] = [None, None];
+    let values = resist_loss(
+        sim,
+        &intensities,
+        target.as_slice(),
+        weights,
+        Some(&mut folded),
+    );
+    for j in intensities {
+        sim.real_pool().put(j);
     }
-    values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
 
     // Below S = N, each G_d moves to the pupil grid: only its band
     // [−L, L]² reaches the bins the adjoint reads.
@@ -273,8 +291,8 @@ pub fn loss_and_gradient_into(
     // Adjoint task index over the stacks that carry weight, stack-major
     // and kernel-ascending; `adj[s]` is the s-th such stack's
     // (stack, dose_c1, G_d).
-    let mut adj_offsets = [0usize; 4];
-    let mut adj: [(usize, f64, &[f64]); 3] = [(0, 0.0, &[]); 3];
+    let mut adj_offsets = [0usize; 3];
+    let mut adj: [(usize, f64, &[f64]); 2] = [(0, 0.0, &[]); 2];
     let mut adj_stacks = 0usize;
     for (d, entry) in folded.iter().enumerate() {
         if let Some((dose_1, g)) = entry {
@@ -303,7 +321,7 @@ pub fn loss_and_gradient_into(
                     .unwrap_or(adj_stacks - 1);
                 let (d, dose, g) = adj[s];
                 let k = t - adj_offsets[s];
-                let kernel = &imaging[shared.first[d]].0.kernels()[k];
+                let kernel = &stacks[d].kernels()[k];
                 let mut b = sim.field_pool().take(s2);
                 conj_mul_real(&mut b, &fields[fwd_offsets[d] + k], g);
                 // The transform's output is only sampled on this
@@ -368,24 +386,14 @@ pub fn loss_only(
             actual: (target.width(), target.height()),
         });
     }
-    let images = sim.aerial_corners(mask)?;
-    let theta = sim.config().resist_steepness;
-    let th = sim.config().threshold;
-    let mut values = LossValues::default();
-    for (corner, _) in corner_plan(weights) {
-        let img = images.get(corner);
-        let mut corner_loss = 0.0;
-        for (i, &v) in img.as_slice().iter().enumerate() {
-            let z = sigmoid_sat(theta * (v - th));
-            let diff = z - target.as_slice()[i];
-            corner_loss += diff * diff;
-        }
-        match corner {
-            ProcessCorner::Nominal => values.l2 = corner_loss,
-            _ => values.pvb += corner_loss,
-        }
+    let spectrum = sim.mask_spectrum_pooled(mask)?;
+    let forward = sim.socs_forward(&sim.stacks(), &spectrum, false);
+    sim.spectrum_pool().put(spectrum);
+    let intensities = forward?.intensities;
+    let values = resist_loss(sim, &intensities, target.as_slice(), weights, None);
+    for j in intensities {
+        sim.real_pool().put(j);
     }
-    values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
     Ok(values)
 }
 
@@ -515,6 +523,44 @@ mod tests {
         assert_eq!(v1.l2.to_bits(), v2.l2.to_bits());
         assert_eq!(v1.pvb.to_bits(), v2.pvb.to_bits());
         assert_eq!(v1.total.to_bits(), v2.total.to_bits());
+    }
+
+    #[test]
+    fn loss_only_is_the_resist_of_the_corner_images() {
+        // The loss applies each corner's dose to its focus's intensity
+        // inside the resist kernel; `aerial_corners` applies it on the
+        // mask grid. Both form θ·(dose·J − I_th) from the same `dose·J`,
+        // so the loss is the kernel run on the corner images at dose 1,
+        // bit for bit — at S = N and below it.
+        let resampled = LithoSimulator::new(LithoConfig {
+            size: 128,
+            ..small_config(1.0)
+        })
+        .unwrap();
+        assert!(resampled.pupil_size() < resampled.size());
+        for sim in [small_sim(), resampled] {
+            let n = sim.size();
+            let (mask, target) = (smooth_mask(n), target_square(n));
+            let images = sim.aerial_corners(&mask).unwrap();
+            let cfg = sim.config();
+            let params = ResistCorner {
+                steepness: cfg.resist_steepness,
+                threshold: cfg.threshold,
+                dose: 1.0,
+                weight: 1.0,
+            };
+            let resist = |image: &Grid2D<f64>| {
+                resist_corner(image.as_slice(), target.as_slice(), &params, GradOut::Skip)
+            };
+            let values = loss_only(&sim, &mask, &target, LossWeights::default()).unwrap();
+            assert_eq!(
+                values.l2.to_bits(),
+                resist(&images.nominal).to_bits(),
+                "{n} px"
+            );
+            let pvb = resist(&images.max) + resist(&images.min);
+            assert_eq!(values.pvb.to_bits(), pvb.to_bits(), "{n} px");
+        }
     }
 
     #[test]

@@ -133,8 +133,8 @@ pub fn bossung_surface(
     let mut points = Vec::with_capacity(defocus_values_nm.len() * doses.len());
     for &defocus in defocus_values_nm {
         let set = KernelSet::generate_with_defocus(cfg, defocus)?;
-        // Unit-dose intensity for this focus; doses scale it linearly.
-        let base = sim.intensity(&set, &spectrum, 1.0)?;
+        // Dose-free intensity for this focus; doses scale it linearly.
+        let base = sim.intensity(&set, &spectrum)?;
         for &dose in doses {
             let printed = BitGrid::from_threshold(
                 &Grid2D::from_vec(n, n, base.iter().map(|&v| v * dose).collect()),

@@ -4,7 +4,7 @@
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
 use cfaopc_fft::parallel::{par_map, region_width};
-use cfaopc_fft::simd::accumulate_norm_sqr;
+use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
 use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d};
 use cfaopc_grid::{BitGrid, Grid2D};
 
@@ -35,8 +35,9 @@ impl CornerImages {
 /// corner imaged at that focus.
 ///
 /// The per-kernel work runs on the stacks' `S × S` pupil grid
-/// ([`KernelSet::pupil_size`]); only the mask spectrum, the per-corner
-/// resist and the gradient's final transform touch the `N × N` mask grid.
+/// ([`KernelSet::pupil_size`]); only the mask spectrum, the resampling of
+/// each stack's intensity and of the gradient, the per-corner resist and
+/// the gradient's final transform touch the `N × N` mask grid.
 ///
 /// # Examples
 ///
@@ -87,27 +88,24 @@ pub struct LithoSimulator {
     /// gradient's spectral accumulator and the mask side of each
     /// resampling.
     spectrum_pool: BufferPool<Complex>,
-    /// Recycled mask-grid real scratch (intensity, dL/dI).
+    /// Recycled mask-grid real scratch (intensities, dL/dI).
     real_pool: BufferPool<f64>,
     /// Recycled pupil-grid real scratch (intensity and dL/dI before and
     /// after resampling).
     pupil_real_pool: BufferPool<f64>,
 }
 
-/// What [`LithoSimulator::socs_forward`] computes for a list of
-/// `(stack, scale)` entries.
+/// What [`LithoSimulator::socs_forward`] computes for a list of stacks.
 #[derive(Debug)]
 pub(crate) struct Forward {
-    /// Which entries share a stack.
-    pub(crate) shared: SharedStacks,
-    /// `fields[offsets[d] + k]` is distinct stack `d`'s kernel-`k` field.
-    pub(crate) offsets: [usize; 4],
+    /// `fields[offsets[d] + k]` is stack `d`'s kernel-`k` field.
+    pub(crate) offsets: [usize; 3],
     /// Pupil-grid coherent fields `a_k`, from the field pool (empty
     /// unless kept).
     pub(crate) fields: Vec<Vec<Complex>>,
-    /// Each entry's mask-grid intensity, from the real pool (empty past
-    /// the last entry).
-    pub(crate) intensities: [Vec<f64>; 3],
+    /// Each stack's dose-free mask-grid intensity `J_d`, from the real
+    /// pool (empty past the last stack).
+    pub(crate) intensities: [Vec<f64>; 2],
 }
 
 impl LithoSimulator {
@@ -165,9 +163,20 @@ impl LithoSimulator {
     /// The kernel stack for `corner`. `Nominal` and `Max` share the same
     /// best-focus stack (the same allocation, not a copy).
     pub fn kernel_set(&self, corner: ProcessCorner) -> &KernelSet {
+        self.stacks()[Self::stack_of(corner)]
+    }
+
+    /// The distinct stacks, one per focus: best focus, then defocused.
+    pub(crate) fn stacks(&self) -> [&KernelSet; 2] {
+        [&self.in_focus, &self.defocused]
+    }
+
+    /// Index into [`LithoSimulator::stacks`] of `corner`'s stack:
+    /// [`LithoConfig::defocus`] puts `Nominal` and `Max` at best focus.
+    pub(crate) fn stack_of(corner: ProcessCorner) -> usize {
         match corner {
-            ProcessCorner::Nominal | ProcessCorner::Max => &self.in_focus,
-            ProcessCorner::Min => &self.defocused,
+            ProcessCorner::Nominal | ProcessCorner::Max => 0,
+            ProcessCorner::Min => 1,
         }
     }
 
@@ -261,8 +270,8 @@ impl LithoSimulator {
     /// Aerial image from a precomputed mask spectrum.
     ///
     /// `I(x) = dose(corner) · Σ_k μ_k |IFFT(H_k ⊙ F)(x)|²` — paper Eq. 1
-    /// with the corner's dose folded in, each kernel's transform run on
-    /// the pupil grid ([`KernelSet::pupil_size`]).
+    /// with the corner's dose applied on the mask grid, each kernel's
+    /// transform run on the pupil grid ([`KernelSet::pupil_size`]).
     ///
     /// # Errors
     ///
@@ -274,31 +283,34 @@ impl LithoSimulator {
         corner: ProcessCorner,
     ) -> Result<Grid2D<f64>, LithoError> {
         let n = self.config.size;
-        let set = self.kernel_set(corner);
         let dose = self.config.dose(corner);
-        let intensity = self.intensity(set, spectrum, dose)?;
+        let mut intensity = self.intensity(self.kernel_set(corner), spectrum)?;
+        for v in &mut intensity {
+            *v *= dose;
+        }
         Ok(Grid2D::from_vec(n, n, intensity))
     }
 
-    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the mask grid, for one
-    /// stack.
+    /// The dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the
+    /// mask grid, for one stack.
     pub(crate) fn intensity(
         &self,
         set: &KernelSet,
         spectrum: &[Complex],
-        scale: f64,
     ) -> Result<Vec<f64>, LithoError> {
         let Forward {
-            intensities: [intensity, ..],
+            intensities: [intensity, _],
             ..
-        } = self.socs_forward(&[(set, scale)], spectrum, false)?;
+        } = self.socs_forward(&[set], spectrum, false)?;
         Ok(intensity)
     }
 
     /// The SOCS forward pass behind every imaging entry point: for each
-    /// `(stack, scale)` entry (at most one per process corner), the
-    /// intensity `scale · Σ_k μ_k |a_k|²` on the mask grid, plus — when
-    /// `keep_fields` — the pupil-grid fields `a_k` the adjoint reuses.
+    /// stack (at most one per focus), the dose-free intensity
+    /// `J = Σ_k μ_k |a_k|²` on the mask grid, plus — when `keep_fields` —
+    /// the pupil-grid fields `a_k` the adjoint reuses. Each corner applies
+    /// its dose to its stack's `J` on the mask grid, so corners that share
+    /// a focus (`Nominal` and `Max`) share one `J` and one resampling.
     ///
     /// Kernel `k`'s field is `a_k = IFFT_S(Ĥ_k)`, where `Ĥ_k` holds
     /// `(S²/N²) · H_k ⊙ spectrum` at the kernel's pupil-grid bins
@@ -309,26 +321,30 @@ impl LithoSimulator {
     /// ([`LithoSimulator::resample`]). At `S = N` nothing moves and
     /// nothing is resampled.
     ///
-    /// Entries naming the same stack (by identity, as `Nominal` and `Max`
-    /// do) share its fields. The fields run in flat parallel regions,
-    /// stack-major and kernel-ascending, each inverse serially on its
-    /// claimed thread in a pooled buffer; after each region every entry
-    /// adds its stack's new fields in ascending `k`, each `|a_k|²`
-    /// weighted by `μ_k · scale`. The summation order is fixed, so every
-    /// output bit is the same at any worker count and however the fields
-    /// are split into regions, and batching entries changes no bit
-    /// against one entry per call. The adjoint needs every field, so with
-    /// `keep_fields` one region runs them all; imaging alone runs as many
-    /// as can run at once per region, so at most that many are held. When
-    /// `kernel_energy_floor < 1.0` the tail of each (weight-sorted) stack
-    /// is skipped per [`KernelSet::active_count`].
+    /// The fields run in flat parallel regions, stack-major and
+    /// kernel-ascending, each inverse serially on its claimed thread in a
+    /// pooled buffer; after each region every stack adds its new fields
+    /// in ascending `k`, each `|a_k|²` weighted by `μ_k`. The summation
+    /// order is fixed, so every output bit is the same at any worker
+    /// count and however the fields are split into regions, and batching
+    /// stacks changes no bit against one stack per call. The adjoint
+    /// needs every field, so with `keep_fields` one region runs them all;
+    /// imaging alone runs as many as can run at once per region, so at
+    /// most that many are held. When `kernel_energy_floor < 1.0` the tail
+    /// of each (weight-sorted) stack is skipped per
+    /// [`KernelSet::active_count`]. Below `S = N` each stack's `J` is
+    /// resampled once.
     ///
     /// The caller returns kept fields with
     /// [`LithoSimulator::recycle_fields`] and the intensities to
     /// `real_pool`, or keeps them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stacks` has more than two entries.
     pub(crate) fn socs_forward(
         &self,
-        stacks: &[(&KernelSet, f64)],
+        stacks: &[&KernelSet],
         spectrum: &[Complex],
         keep_fields: bool,
     ) -> Result<Forward, LithoError> {
@@ -342,9 +358,10 @@ impl LithoSimulator {
                 spectrum.len(),
             )));
         }
-        if let Some(&(set, _)) = stacks
+        assert!(stacks.len() <= 2, "at most one stack per focus");
+        if let Some(set) = stacks
             .iter()
-            .find(|(set, _)| set.pupil_size() != s || set.band() != self.band)
+            .find(|set| set.pupil_size() != s || set.band() != self.band)
         {
             return Err(LithoError::BadParameter(format!(
                 "kernel stack has pupil grid {} and band {}, the simulator {s} and {}",
@@ -353,22 +370,20 @@ impl LithoSimulator {
                 self.band,
             )));
         }
-        let shared = SharedStacks::new(stacks);
         let floor = self.config.kernel_energy_floor;
-        // offsets[d] is the first global task of distinct stack d (prefix
-        // sums).
-        let mut offsets = [0usize; 4];
-        for d in 0..shared.count {
-            offsets[d + 1] = offsets[d] + stacks[shared.first[d]].0.active_count(floor);
+        // offsets[d] is the first global task of stack d (prefix sums).
+        let mut offsets = [0usize; 3];
+        for (d, set) in stacks.iter().enumerate() {
+            offsets[d + 1] = offsets[d] + set.active_count(floor);
         }
-        let total = offsets[shared.count];
+        let total = offsets[stacks.len()];
         let scale = s2 as f64 / n2 as f64;
         let field = |t: usize| -> Result<Vec<Complex>, LithoError> {
-            let d = offsets[1..=shared.count]
+            let d = offsets[1..=stacks.len()]
                 .iter()
                 .position(|&o| t < o)
-                .unwrap_or(shared.count - 1);
-            let kernel = &stacks[shared.first[d]].0.kernels()[t - offsets[d]];
+                .unwrap_or(stacks.len() - 1);
+            let kernel = &stacks[d].kernels()[t - offsets[d]];
             let mut field = self.field_pool.take_zeroed(s2);
             for (&(idx, h), &p) in kernel.spectrum.iter().zip(&kernel.pupil) {
                 field[p as usize] = h * spectrum[idx as usize] * scale;
@@ -379,7 +394,7 @@ impl LithoSimulator {
             Ok(field)
         };
 
-        // Each entry's intensity, summed on the pupil grid and, below
+        // Each stack's intensity, summed on the pupil grid and, below
         // S = N, interpolated onto the mask grid.
         let resampled = self.resampled();
         let pool = if resampled {
@@ -387,7 +402,7 @@ impl LithoSimulator {
         } else {
             &self.real_pool
         };
-        let mut intensities: [Vec<f64>; 3] = Default::default();
+        let mut intensities: [Vec<f64>; 2] = Default::default();
         for image in &mut intensities[..stacks.len()] {
             *image = pool.take_zeroed(s2);
         }
@@ -407,11 +422,10 @@ impl LithoSimulator {
             let fields: Vec<Vec<Complex>> = par_map(end - start, |j| field(start + j))
                 .into_iter()
                 .collect::<Result<_, _>>()?;
-            for (i, &(set, dose)) in stacks.iter().enumerate() {
-                let d = shared.of[i];
+            for (d, set) in stacks.iter().enumerate() {
                 for t in start.max(offsets[d])..end.min(offsets[d + 1]) {
-                    let weight = set.kernels()[t - offsets[d]].weight * dose;
-                    accumulate_norm_sqr(&mut intensities[i], &fields[t - start], weight);
+                    let weight = set.kernels()[t - offsets[d]].weight;
+                    accumulate_norm_sqr(&mut intensities[d], &fields[t - start], weight);
                 }
             }
             if keep_fields {
@@ -429,7 +443,6 @@ impl LithoSimulator {
             }
         }
         Ok(Forward {
-            shared,
             offsets,
             fields: kept.unwrap_or_default(),
             intensities,
@@ -509,9 +522,10 @@ impl LithoSimulator {
     }
 
     /// Aerial images at all three corners, sharing one mask FFT, one
-    /// batched forward pass, and the in-focus fields that `Nominal` and
+    /// batched forward pass, and the in-focus intensity that `Nominal` and
     /// `Max` both use: `2K` pupil-grid kernel inverses for the three
-    /// corners, plus one resampling per corner below `S = N`.
+    /// corners, plus one resampling per focus below `S = N`. Each corner's
+    /// dose is applied on the mask grid.
     ///
     /// # Errors
     ///
@@ -519,16 +533,24 @@ impl LithoSimulator {
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
         let spectrum = self.mask_spectrum_pooled(mask)?;
-        let stacks =
-            ProcessCorner::ALL.map(|corner| (self.kernel_set(corner), self.config.dose(corner)));
-        let forward = self.socs_forward(&stacks, &spectrum, false);
+        let forward = self.socs_forward(&self.stacks(), &spectrum, false);
         self.spectrum_pool.put(spectrum);
         let Forward {
-            intensities: [nominal, max, min],
+            intensities: [in_focus, mut min],
             ..
         } = forward?;
+        // `Nominal` images at dose 1 (`LithoConfig::dose`): `J` itself.
+        let dose_max = self.config.dose(ProcessCorner::Max);
+        let mut max = self.real_pool.take(n * n);
+        for (m, &j) in max.iter_mut().zip(&in_focus) {
+            *m = dose_max * j;
+        }
+        let dose_min = self.config.dose(ProcessCorner::Min);
+        for v in &mut min {
+            *v *= dose_min;
+        }
         Ok(CornerImages {
-            nominal: Grid2D::from_vec(n, n, nominal),
+            nominal: Grid2D::from_vec(n, n, in_focus),
             max: Grid2D::from_vec(n, n, max),
             min: Grid2D::from_vec(n, n, min),
         })
@@ -540,11 +562,13 @@ impl LithoSimulator {
     }
 
     /// Relaxed sigmoid resist used inside losses:
-    /// `Z = 1 / (1 + e^{-θ_z (I - I_th)})`.
+    /// `Z = 1 / (1 + e^{-θ_z (I - I_th)})`, evaluated by the loss's own
+    /// resist kernel's sigmoid ([`cfaopc_fft::simd::sigmoid`]), so it
+    /// equals the `Z` the loss sees pixel for pixel.
     pub fn resist_sigmoid(&self, aerial: &Grid2D<f64>) -> Grid2D<f64> {
         let th = self.config.threshold;
         let steep = self.config.resist_steepness;
-        aerial.map(|&i| sigmoid_sat(steep * (i - th)))
+        aerial.map(|&i| resist_sigma(steep * (i - th)))
     }
 
     /// Prints a binary mask at one corner: aerial image + hard resist.
@@ -572,47 +596,6 @@ impl LithoSimulator {
     }
 }
 
-/// Which entries of a per-image `(stack, scale)` list (at most one per
-/// process corner) name the same kernel stack, compared by identity.
-///
-/// Distinct stacks are numbered in order of first appearance, so the entry
-/// order alone fixes the forward task order. Fixed arrays keep the map off
-/// the heap in the hot paths.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedStacks {
-    /// Distinct-stack index of each entry.
-    pub(crate) of: [usize; 3],
-    /// Entry index at which each distinct stack first appears.
-    pub(crate) first: [usize; 3],
-    /// Number of distinct stacks.
-    pub(crate) count: usize,
-}
-
-impl SharedStacks {
-    /// Groups `stacks` by stack identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stacks` has more than three entries.
-    pub(crate) fn new(stacks: &[(&KernelSet, f64)]) -> Self {
-        assert!(stacks.len() <= 3, "at most one stack per process corner");
-        let mut shared = SharedStacks {
-            of: [0; 3],
-            first: [0; 3],
-            count: 0,
-        };
-        for (i, &(set, _)) in stacks.iter().enumerate() {
-            let seen = (0..shared.count).find(|&d| std::ptr::eq(stacks[shared.first[d]].0, set));
-            shared.of[i] = seen.unwrap_or_else(|| {
-                shared.first[shared.count] = i;
-                shared.count += 1;
-                shared.count - 1
-            });
-        }
-        shared
-    }
-}
-
 /// Numerically stable logistic function.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
@@ -624,12 +607,9 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Saturation threshold for [`sigmoid_sat`].
-///
-/// For `x ≥ 37`, `e^{-x} < 2^{-53} = ulp(1.0)/2`, so `1.0 + e^{-x}`
-/// rounds to exactly `1.0` and `sigmoid(x) == 1.0` bit-for-bit. 40 keeps
-/// a safety margin over that bound.
-pub const SIGMOID_SAT: f64 = 40.0;
+/// Saturation threshold for [`sigmoid_sat`] and the resist kernel's
+/// sigmoid (defined with the kernel in `cfaopc-fft`).
+pub use cfaopc_fft::simd::SIGMOID_SAT;
 
 /// [`sigmoid`] with an exact saturation shortcut: for `x ≥`
 /// [`SIGMOID_SAT`] the `exp` call is skipped and `1.0` returned directly,
@@ -638,16 +618,9 @@ pub const SIGMOID_SAT: f64 = 40.0;
 ///
 /// The shortcut pays off in the circle window of `cfaopc-core`'s
 /// `compose`, where `α = 8` saturates every pixel 5 px or more inside a
-/// circle. The resist model almost never reaches it: at the default
-/// `θ = 50` and `I_th = 0.225` it needs `I ≥ 1.025`. Over benchmark cases
-/// 1–10 (targets, and Mosaic and MultiILT-like masks after 30 iterations,
-/// continuous and binary), at all three corners, 2 of 2,457,600 resist
-/// evaluations reached it at 128 px on 2048 nm tiles, 8 of 9,830,400 at
-/// 256 px, and none of 2,457,600 at 128 px on 4096 nm windows holding
-/// 2×2 of those tiles; the peak intensity was 0.97–1.04. So the resist
-/// loops pay one `exp` per pixel per corner: the three corners' sigmoids
-/// alone take about 30 % of a 256² `loss_and_gradient_into` call (one
-/// thread of a 2-vCPU Intel Xeon VM).
+/// circle. The resist does not use this function: its kernel
+/// ([`cfaopc_fft::simd::resist_corner`]) evaluates its own sigmoid on an
+/// in-repo `exp`.
 #[inline]
 pub fn sigmoid_sat(x: f64) -> f64 {
     if x >= SIGMOID_SAT {
@@ -810,6 +783,36 @@ mod tests {
                 assert!(z <= 0.5 + 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn resist_sigmoid_is_the_resist_kernels_sigma() {
+        use cfaopc_fft::simd::{resist_corner, GradOut, ResistCorner};
+        let s = sim();
+        let mask = square_mask(s.size(), 10);
+        let aerial = s.aerial_image(&mask.to_real(), ProcessCorner::Max).unwrap();
+        let (theta, th) = (s.config().resist_steepness, s.config().threshold);
+        let soft = s.resist_sigmoid(&aerial);
+        // Pixel for pixel, the kernel's scalar σ.
+        for (&i, &z) in aerial.as_slice().iter().zip(soft.as_slice()) {
+            assert_eq!(z.to_bits(), resist_sigma(theta * (i - th)).to_bits());
+        }
+        // And the σ the kernel evaluates on its dispatched path: against
+        // an all-zero target its loss is Σ z², in its lane order.
+        let zeros = vec![0.0; aerial.as_slice().len()];
+        let params = ResistCorner {
+            steepness: theta,
+            threshold: th,
+            dose: 1.0,
+            weight: 1.0,
+        };
+        let loss = resist_corner(aerial.as_slice(), &zeros, &params, GradOut::Skip);
+        let mut sums = [0.0; 4];
+        for (i, &z) in soft.as_slice().iter().enumerate() {
+            sums[i % 4] += z * z;
+        }
+        let want = (sums[0] + sums[1]) + (sums[2] + sums[3]);
+        assert_eq!(loss.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -3,20 +3,22 @@
 //! The simulator runs each kernel's transforms on an `S × S` pupil grid
 //! and resamples the intensity and dL/dI between it and the `N × N` mask
 //! grid. The oracle here is the full-grid path, kept only in this file:
-//! every kernel's field, intensity and adjoint inverse on the mask grid,
-//! `4K + 2` transforms of `N²` per loss-and-gradient call.
+//! every kernel's field, each focus's dose-free intensity and every
+//! adjoint inverse on the mask grid, `4K + 2` transforms of `N²` per
+//! loss-and-gradient call, with each corner's dose applied on the mask
+//! grid and the same resist kernel as the simulator.
 //!
 //! Below `S = N` the two must agree to 1e-13 relative on the loss, the
 //! three corner images and the gradient, over grid and tile sizes, kernel
 //! counts, energy floors and loss weights, on full-band random masks. At
 //! `S = N` nothing is resampled and every output must match bit for bit.
 
-use cfaopc_fft::simd::{accumulate_norm_sqr, conj_mul_real};
+use cfaopc_fft::simd::{accumulate_norm_sqr, conj_mul_real, resist_corner, GradOut, ResistCorner};
 use cfaopc_fft::{Complex, Fft2d, Rfft2d};
 use cfaopc_grid::Grid2D;
 use cfaopc_litho::{
-    loss_and_gradient, loss_and_gradient_into, loss_only, sigmoid_sat, LithoConfig, LithoSimulator,
-    LossValues, LossWeights, ProcessCorner,
+    loss_and_gradient, loss_and_gradient_into, loss_only, LithoConfig, LithoSimulator, LossValues,
+    LossWeights, ProcessCorner,
 };
 
 const TOL: f64 = 1e-13;
@@ -68,12 +70,24 @@ fn simulator(size: usize, tile_nm: f64, kernel_count: usize, floor: f64) -> Lith
     .unwrap()
 }
 
-/// The full-grid forward pass: mask spectrum, each distinct stack's
-/// mask-grid fields, and each corner's intensity.
+/// The full-grid forward pass: mask spectrum, then each distinct stack's
+/// mask-grid fields and dose-free intensity.
 struct FullGrid {
     /// `fields[0]` the in-focus stack's, `fields[1]` the defocused one's.
     fields: [Vec<Vec<Complex>>; 2],
-    intensities: [Vec<f64>; 3],
+    /// `J_d = Σ_k μ_k |A_k|²` of each stack, in the same order.
+    intensities: [Vec<f64>; 2],
+}
+
+impl FullGrid {
+    /// Corner `c`'s aerial image: its dose times its stack's intensity.
+    fn image(&self, sim: &LithoSimulator, c: usize) -> Vec<f64> {
+        let dose = sim.config().dose(ProcessCorner::ALL[c]);
+        self.intensities[STACK[c]]
+            .iter()
+            .map(|&j| dose * j)
+            .collect()
+    }
 }
 
 /// Distinct stack of each corner in `ProcessCorner::ALL` order: Nominal
@@ -103,17 +117,11 @@ fn full_grid_forward(sim: &LithoSimulator, mask: &Grid2D<f64>) -> FullGrid {
             })
             .collect::<Vec<_>>()
     });
-    let intensities = [0, 1, 2].map(|c| {
-        let corner = ProcessCorner::ALL[c];
-        let dose = sim.config().dose(corner);
+    let intensities = [0, 1].map(|d| {
+        let corner = [ProcessCorner::Nominal, ProcessCorner::Min][d];
         let mut intensity = vec![0.0; n * n];
-        for (kernel, field) in sim
-            .kernel_set(corner)
-            .kernels()
-            .iter()
-            .zip(&fields[STACK[c]])
-        {
-            accumulate_norm_sqr(&mut intensity, field, kernel.weight * dose);
+        for (kernel, field) in sim.kernel_set(corner).kernels().iter().zip(&fields[d]) {
+            accumulate_norm_sqr(&mut intensity, field, kernel.weight);
         }
         intensity
     });
@@ -133,21 +141,25 @@ fn full_grid_loss_and_gradient(
 ) -> (LossValues, Vec<f64>) {
     let n = sim.size();
     let cfg = sim.config();
-    let (theta, th) = (cfg.resist_steepness, cfg.threshold);
     let corner_weights = [weights.l2, weights.pvb, weights.pvb];
     let mut values = LossValues::default();
     let mut folded: [Option<(f64, Vec<f64>)>; 2] = [None, None];
     for (c, &corner) in ProcessCorner::ALL.iter().enumerate() {
         let w_c = corner_weights[c];
         let dose = cfg.dose(corner);
-        let mut corner_loss = 0.0;
+        let resist = ResistCorner {
+            steepness: cfg.resist_steepness,
+            threshold: cfg.threshold,
+            dose,
+            weight: w_c,
+        };
         let mut g_i = vec![0.0; n * n];
-        for (i, g) in g_i.iter_mut().enumerate() {
-            let z = sigmoid_sat(theta * (forward.intensities[c][i] - th));
-            let diff = z - target.as_slice()[i];
-            corner_loss += diff * diff;
-            *g = w_c * 2.0 * diff * theta * z * (1.0 - z);
-        }
+        let corner_loss = resist_corner(
+            &forward.intensities[STACK[c]],
+            target.as_slice(),
+            &resist,
+            GradOut::Write(&mut g_i),
+        );
         match corner {
             ProcessCorner::Nominal => values.l2 = corner_loss,
             _ => values.pvb += corner_loss,
@@ -228,7 +240,7 @@ fn check(size: usize, tile_nm: f64, kernels: usize, floor: f64, weights: &[LossW
 
     let images = sim.aerial_corners(&mask).unwrap();
     for (c, corner) in ProcessCorner::ALL.into_iter().enumerate() {
-        let (got, want) = (images.get(corner).as_slice(), &oracle.intensities[c]);
+        let (got, want) = (images.get(corner).as_slice(), &oracle.image(&sim, c));
         if exact {
             assert!(same_bits(got, want), "{label}: {corner:?} image moved");
         } else {

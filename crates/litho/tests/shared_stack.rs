@@ -5,8 +5,9 @@
 //!
 //! Below `S = N` the per-kernel transforms run on the `S × S` pupil
 //! grid, and the work on the `N × N` mask grid is fixed: per call, the
-//! mask FFT, two transforms to resample each corner's intensity, two to
-//! resample each weighted stack's dL/dI, and the final `Re[FFT]`.
+//! mask FFT, two transforms to resample each focus's dose-free intensity
+//! (`Nominal` and `Max` share one), two to resample each weighted stack's
+//! dL/dI, and the final `Re[FFT]`.
 //!
 //! The FFT counts come from the process-wide trace counters, so these
 //! tests have their own binary and take turns: no other test can
@@ -104,27 +105,27 @@ fn mask_grid_work_does_not_grow_with_the_kernel_count() {
         );
         let mut grad = Grid2D::new(n as usize, n as usize, 0.0);
 
-        // Mask grid: mask FFT, 2 per corner to resample its intensity,
+        // Mask grid: mask FFT, 2 per focus to resample its intensity,
         // 2 per weighted stack to resample its dL/dI, the final Re[FFT].
         // Pupil grid: 2K fields, 2K adjoint inverses, and the pupil side
-        // of the 5 resamplings.
+        // of the 4 resamplings.
         let loss = work_during(|| {
             loss_and_gradient_into(&sim, &mask, &target, LossWeights::default(), &mut grad)
                 .unwrap();
         });
         assert_eq!(
             loss,
-            (4 * k + 12, 7 * n * n + (4 * k + 5) * s * s),
+            (4 * k + 10, 6 * n * n + (4 * k + 4) * s * s),
             "K = {k}"
         );
 
-        // Mask FFT, 2K fields, 2 per corner to resample its intensity.
+        // Mask FFT, 2K fields, 2 per focus to resample its intensity.
         let aerial = work_during(|| {
             sim.aerial_corners(&mask).unwrap();
         });
         assert_eq!(
             aerial,
-            (2 * k + 7, 4 * n * n + (2 * k + 3) * s * s),
+            (2 * k + 5, 3 * n * n + (2 * k + 2) * s * s),
             "K = {k}"
         );
         per_k.push((loss, aerial, s));
