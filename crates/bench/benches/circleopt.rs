@@ -33,8 +33,8 @@
 //! with tracing disabled, so the medians measure the untraced hot path.
 
 use cfaopc_core::{
-    compose_serial, run_circleopt_traced, CircleOptConfig, CircleParams, ComposeConfig,
-    ComposeWorkspace, SparseCircles,
+    compose_serial, run_circleopt, CircleOptConfig, CircleParams, ComposeConfig, ComposeWorkspace,
+    RunCtx, SparseCircles,
 };
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
@@ -345,7 +345,7 @@ fn main() {
         let mut circles_s = sparse.clone();
 
         // Pooled steady state: reused workspace and buffers throughout —
-        // the exact shape of `run_circleopt_impl`'s inner loop.
+        // the exact shape of `run_circleopt`'s inner loop.
         let mut flat = sparse.to_flat();
         let mut optimizer = Optimizer::new(OptimizerKind::adam(0.1), flat.len());
         let mut circles = sparse.clone();
@@ -494,7 +494,11 @@ fn write_telemetry_artifact() {
         }
     };
     let mut sink = cfaopc_trace::JsonlSink::new(file);
-    let run = run_circleopt_traced(&sim, &target, &config, &mut sink);
+    let ctx = RunCtx {
+        sink: Some(&mut sink),
+        ..RunCtx::default()
+    };
+    let run = run_circleopt(&sim, &target, &config, ctx);
     let summary = sink.write_summary().and_then(|()| sink.flush());
     cfaopc_trace::set_enabled(false);
     match (run, summary) {

@@ -37,7 +37,7 @@ use crate::spec::ChipSpec;
 use crate::stitch::{
     accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
 };
-use cfaopc_core::run_circleopt;
+use cfaopc_core::{run_circleopt, RunCtx};
 use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
 use cfaopc_fracture::{check_mrc, circle_rule, CircularMask, MrcRules, MrcViolation};
 use cfaopc_grid::{BitGrid, Grid2D};
@@ -113,7 +113,7 @@ pub fn run_tile(
         spec.rule_iterations,
     )?;
     let rule = circle_rule(&pixel.mask_binary, &opt_config.rule, pixel_nm);
-    let opt = run_circleopt(sim, window_target, &opt_config)?;
+    let opt = run_circleopt(sim, window_target, &opt_config, RunCtx::default())?;
     Ok(TileShots {
         rule,
         opt: opt.mask,
@@ -247,21 +247,6 @@ pub struct ChipOutcome {
 }
 
 /// Runs one chip through the decomposed pipeline with a shared window
-/// simulator, returning the record only; see [`run_chip_case_full`] for
-/// the merged masks.
-///
-/// # Errors
-///
-/// As [`run_chip_case_full`].
-pub fn run_chip_case(
-    spec: &ChipSpec,
-    sim: &LithoSimulator,
-    chip: &ChipLayout,
-) -> Result<ChipRecord, ChipError> {
-    run_chip_case_full(spec, sim, chip).map(|o| o.record)
-}
-
-/// Runs one chip through the decomposed pipeline with a shared window
 /// simulator.
 ///
 /// # Errors
@@ -354,7 +339,7 @@ pub fn run_chip_suite(spec: &ChipSpec) -> Result<ChipReport, ChipError> {
     let mut records = Vec::with_capacity(spec.chips.len());
     for source in &spec.chips {
         let chip = source.chip();
-        records.push(run_chip_case(spec, &sim, &chip)?);
+        records.push(run_chip_case_full(spec, &sim, &chip)?.record);
     }
     let geom = ChipGeometry::new(1, 1, spec.tile_px);
     Ok(ChipReport {

@@ -51,7 +51,7 @@ mod stitch;
 
 pub use geometry::ChipGeometry;
 pub use harness::{
-    run_chip_case, run_chip_case_full, run_chip_suite, run_tile, ChipError, ChipOutcome, TileShots,
+    run_chip_case_full, run_chip_suite, run_tile, ChipError, ChipOutcome, TileShots,
 };
 pub use report::{
     compare_chip_reports, ChipMethodOutcome, ChipRecord, ChipReport, TileRecord, SCHEMA,

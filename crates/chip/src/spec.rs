@@ -7,7 +7,7 @@
 //! thread count.
 
 use crate::geometry::ChipGeometry;
-use cfaopc_core::CircleOptConfig;
+use cfaopc_core::{scaled_gamma, CircleOptConfig};
 use cfaopc_layouts::{all_cases, generate_chip, ChipGeneratorConfig, ChipLayout, TILE_NM};
 use cfaopc_litho::LithoConfig;
 
@@ -155,11 +155,10 @@ impl ChipSpec {
     /// the grid resolution exactly as `cfaopc_eval::SuiteSpec` does
     /// (`tile_px` pixels span one 2048 nm tile pitch).
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        let gamma = 3.0 * (self.tile_px as f64 / 2048.0).powi(2);
         CircleOptConfig {
             init_iterations: self.opt_init_iterations,
             circle_iterations: self.opt_circle_iterations,
-            gamma,
+            gamma: scaled_gamma(self.tile_px),
             // At chip pitches (TILE_NM / tile_px ≥ 32 nm/px) minimum
             // features span only 1–3 px, so the default 1-px morphological
             // opening of the init mask would erase them and CircleOpt

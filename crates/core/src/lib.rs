@@ -18,7 +18,7 @@
 //! # Examples
 //!
 //! ```
-//! use cfaopc_core::{run_circleopt, CircleOptConfig};
+//! use cfaopc_core::{run_circleopt, CircleOptConfig, RunCtx};
 //! use cfaopc_grid::{fill_rect, BitGrid, Rect};
 //! use cfaopc_litho::{LithoConfig, LithoSimulator};
 //!
@@ -37,7 +37,7 @@
 //!     circle_iterations: 2,
 //!     ..CircleOptConfig::default()
 //! };
-//! let result = run_circleopt(&sim, &target, &config)?;
+//! let result = run_circleopt(&sim, &target, &config, RunCtx::default())?;
 //! assert!(result.shot_count() > 0);
 //! # Ok(())
 //! # }
@@ -58,12 +58,12 @@ mod simd;
 mod soft;
 mod ste;
 
+pub use cfaopc_ilt::RunCtx;
 pub use compose::{compose, compose_serial, ComposeConfig, ComposeWorkspace, Composite, TILE};
 pub use optimize::Composition;
-pub use optimize::{
-    run_circleopt, run_circleopt_cancellable, run_circleopt_from, run_circleopt_from_traced,
-    run_circleopt_traced, CircleOptConfig, CircleOptResult, CircleOptTrace,
-};
+pub use optimize::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, CircleOptTrace};
+#[doc(hidden)]
+pub use optimize::{run_circleopt_cancellable, run_circleopt_traced};
 pub use repr::{CircleParams, SparseCircles};
 pub use soft::{compose_soft, compose_soft_serial, SoftComposite, SoftWorkspace};
 pub use ste::{ste, SteValue};

@@ -28,7 +28,7 @@ use cfaopc_fracture::{circle_rule, CircleRuleConfig, CircularMask};
 use cfaopc_grid::{
     disk_area, open, remove_small_regions, BitGrid, Connectivity, Grid2D, Structuring,
 };
-use cfaopc_ilt::{run_pixel_ilt_cancellable, IltEngine, Optimizer, OptimizerKind};
+use cfaopc_ilt::{run_pixel_ilt, IltEngine, Optimizer, OptimizerKind, RunCtx};
 use cfaopc_litho::{
     loss_and_gradient_into, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
     NonFiniteTerm,
@@ -115,6 +115,17 @@ impl Default for CircleOptConfig {
     }
 }
 
+/// The sparsity weight `γ` for a grid of `tile_px` pixels per 2048 nm
+/// tile.
+///
+/// The paper's `γ = 3` is calibrated at 1 nm/px (2048²); the
+/// per-activation lithography gradient scales with the circle's pixel
+/// area, so the sparsity weight is rescaled by `(tile_px/2048)²` to keep
+/// the Lasso/fidelity balance resolution-independent.
+pub fn scaled_gamma(tile_px: usize) -> f64 {
+    3.0 * (tile_px as f64 / 2048.0).powi(2)
+}
+
 /// Per-iteration trace of the circle-level stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CircleOptTrace {
@@ -153,15 +164,29 @@ impl CircleOptResult {
 
 /// Runs the full CircleOpt pipeline on `target`.
 ///
+/// `ctx.init` is a warm restart: the circle-level stage starts from those
+/// circles, skipping the pixel-level initialization and the CircleRule
+/// reparameterization (`init_mask` is then empty). The sink receives one
+/// [`IterationRecord`] per optimizer step: stage-1 pixel iterations
+/// ([`Stage::PixelIlt`]) followed by stage-2 circle iterations
+/// ([`Stage::CircleOpt`], where `sparsity` is the Lasso penalty
+/// `γ Σ|qᵢ|` and `active` counts circles above `q_threshold`); recording
+/// is allocation-free when the sink is (see `cfaopc_trace::MemorySink`).
+/// The cancel token is polled at the top of every iteration of both
+/// stages, so a daemon can cancel one job and keep serving on the same
+/// simulator (see `cfaopc-serve`).
+///
 /// # Errors
 ///
 /// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
+/// simulator grid, [`LithoError::NonFinite`] when the numerical-health
+/// guard trips, or [`LithoError::Cancelled`] when `ctx.cancel` fires
+/// mid-run.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use cfaopc_core::{run_circleopt, CircleOptConfig};
+/// use cfaopc_core::{run_circleopt, CircleOptConfig, RunCtx};
 /// use cfaopc_grid::{fill_rect, BitGrid, Rect};
 /// use cfaopc_litho::{LithoConfig, LithoSimulator};
 ///
@@ -169,7 +194,7 @@ impl CircleOptResult {
 /// let sim = LithoSimulator::new(LithoConfig::default())?;
 /// let mut target = BitGrid::new(512, 512);
 /// fill_rect(&mut target, Rect::new(100, 120, 130, 380));
-/// let result = run_circleopt(&sim, &target, &CircleOptConfig::default())?;
+/// let result = run_circleopt(&sim, &target, &CircleOptConfig::default(), RunCtx::default())?;
 /// println!("#Shot = {}", result.shot_count());
 /// # Ok(())
 /// # }
@@ -178,120 +203,37 @@ pub fn run_circleopt(
     sim: &LithoSimulator,
     target: &BitGrid,
     config: &CircleOptConfig,
+    ctx: RunCtx<'_, SparseCircles>,
 ) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, None, None)
-}
-
-/// [`run_circleopt`] with a [`TelemetrySink`] receiving one
-/// [`IterationRecord`] per optimizer step: stage-1 pixel iterations
-/// ([`Stage::PixelIlt`]) followed by stage-2 circle iterations
-/// ([`Stage::CircleOpt`], where `sparsity` is the Lasso penalty
-/// `γ Σ|qᵢ|` and `active` counts circles above `q_threshold`).
-///
-/// Attaching a sink never changes the optimization — results are
-/// bit-identical to the untraced run, and per-record work is
-/// allocation-free when the sink is (see `cfaopc_trace::MemorySink`).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the numerical-health guard trips.
-pub fn run_circleopt_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, Some(sink), None)
-}
-
-/// [`run_circleopt_traced`] plus cooperative cancellation: the token is
-/// polled at the top of every stage-1 pixel iteration and every stage-2
-/// circle iteration, aborting with [`LithoError::Cancelled`] before any
-/// further simulation work.
-///
-/// Cancellation takes the same mid-run exit as the
-/// [`LithoError::NonFinite`] health guard, so an aborted run leaves the
-/// simulator's shared state (kernels, FFT plans, buffer pools) and the
-/// worker pool fully reusable by the next run — this is what lets a
-/// daemon cancel one job and keep serving (see `cfaopc-serve`).
-///
-/// # Errors
-///
-/// As [`run_circleopt_traced`], plus [`LithoError::Cancelled`] when
-/// `cancel` fires mid-run.
-pub fn run_circleopt_cancellable(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    sink: &mut dyn TelemetrySink,
-    cancel: &CancelToken,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, Some(sink), Some(cancel))
-}
-
-/// Runs only the circle-level stage from an existing sparse circular
-/// representation — a warm restart. Skips the pixel-level initialization
-/// and the CircleRule reparameterization; useful for parameter sweeps
-/// and incremental re-optimization after small target edits.
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
-pub fn run_circleopt_from(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    circles: SparseCircles,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, Some(circles), None, None)
-}
-
-/// [`run_circleopt_from`] with a [`TelemetrySink`] — a traced warm
-/// restart (see [`run_circleopt_traced`] for the record semantics).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the numerical-health guard trips.
-pub fn run_circleopt_from_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    circles: SparseCircles,
-    sink: &mut dyn TelemetrySink,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, Some(circles), Some(sink), None)
-}
-
-fn run_circleopt_impl(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    warm_start: Option<SparseCircles>,
-    mut sink: Option<&mut (dyn TelemetrySink + '_)>,
-    cancel: Option<&CancelToken>,
-) -> Result<CircleOptResult, LithoError> {
+    let RunCtx {
+        init,
+        mut sink,
+        cancel,
+    } = ctx;
     let _span = cfaopc_trace::span("core.circleopt");
     let n = sim.size();
+    if target.width() != n || target.height() != n {
+        return Err(LithoError::ShapeMismatch {
+            expected: (n, n),
+            actual: (target.width(), target.height()),
+        });
+    }
     let pixel_nm = sim.config().pixel_nm();
     let (r_min, r_max) = config.rule.radius_range_px(pixel_nm);
 
-    let (mut circles, init_mask) = match warm_start {
+    let (mut circles, init_mask) = match init {
         Some(circles) => (circles, BitGrid::new(n, n)),
         None => {
             // Stage 1: pixel-level initialization (MOSAIC, a few steps).
             let mut init_cfg = IltEngine::Mosaic.config(config.init_iterations);
             init_cfg.weights = config.weights;
-            let init = run_pixel_ilt_cancellable(
-                sim,
-                target,
-                &init_cfg,
-                None,
-                sink.as_deref_mut(),
+            // The cast reborrows the sink for stage 1 only.
+            let stage1 = RunCtx {
+                init: None,
+                sink: sink.as_deref_mut().map(|s| s as &mut dyn TelemetrySink),
                 cancel,
-            )?;
+            };
+            let init = run_pixel_ilt(sim, target, &init_cfg, stage1)?;
             let init_mask = if config.cleanup_init {
                 // Writability hygiene: 1-px opening, then drop regions
                 // smaller than the minimum writable shot — they cannot
@@ -299,7 +241,7 @@ fn run_circleopt_impl(
                 let opened = open(&init.mask_binary, Structuring::Disk(1));
                 remove_small_regions(&opened, disk_area(r_min), Connectivity::Eight)
             } else {
-                init.mask_binary.clone()
+                init.mask_binary
             };
             // Sparse circular reparameterization (Algorithm 1).
             let seed_mask = circle_rule(&init_mask, &config.rule, pixel_nm);
@@ -433,6 +375,40 @@ fn run_circleopt_impl(
     })
 }
 
+/// `run_circleopt` with a sink; kept only for the benchmark's pipeline
+/// replicas in `perf/`, which call it by this name.
+#[doc(hidden)]
+pub fn run_circleopt_traced(
+    sim: &LithoSimulator,
+    target: &BitGrid,
+    config: &CircleOptConfig,
+    sink: &mut dyn TelemetrySink,
+) -> Result<CircleOptResult, LithoError> {
+    let ctx = RunCtx {
+        sink: Some(sink),
+        ..RunCtx::default()
+    };
+    run_circleopt(sim, target, config, ctx)
+}
+
+/// `run_circleopt` with a sink and a cancel token; kept only for the
+/// benchmark's pipeline replicas in `perf/`, which call it by this name.
+#[doc(hidden)]
+pub fn run_circleopt_cancellable(
+    sim: &LithoSimulator,
+    target: &BitGrid,
+    config: &CircleOptConfig,
+    sink: &mut dyn TelemetrySink,
+    cancel: &CancelToken,
+) -> Result<CircleOptResult, LithoError> {
+    let ctx = RunCtx {
+        init: None,
+        sink: Some(sink),
+        cancel: Some(cancel),
+    };
+    run_circleopt(sim, target, config, ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +432,13 @@ mod tests {
         }
     }
 
+    fn warm(circles: SparseCircles) -> RunCtx<'static, SparseCircles> {
+        RunCtx {
+            init: Some(circles),
+            ..RunCtx::default()
+        }
+    }
+
     fn bar_target(n: usize) -> BitGrid {
         let mut t = BitGrid::new(n, n);
         // 16 nm/px: a 96nm x 768nm bar.
@@ -464,10 +447,22 @@ mod tests {
     }
 
     #[test]
+    fn scaled_gamma_is_the_paper_weight_at_1_nm_per_px() {
+        for (px, gamma) in [
+            (64, 3.0 / 1024.0),
+            (128, 3.0 / 256.0),
+            (256, 3.0 / 64.0),
+            (2048, 3.0),
+        ] {
+            assert_eq!(scaled_gamma(px).to_bits(), f64::to_bits(gamma), "{px} px");
+        }
+    }
+
+    #[test]
     fn pipeline_produces_a_circular_mask() {
         let s = sim();
         let target = bar_target(s.size());
-        let result = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let result = run_circleopt(&s, &target, &fast_cfg(), RunCtx::default()).unwrap();
         assert!(result.shot_count() > 0, "no shots");
         let (r_min, r_max) = fast_cfg().rule.radius_range_px(s.config().pixel_nm());
         for shot in result.mask.shots() {
@@ -488,7 +483,7 @@ mod tests {
             gamma: 0.0, // isolate the lithography objective
             ..fast_cfg()
         };
-        let result = run_circleopt(&s, &target, &cfg).unwrap();
+        let result = run_circleopt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let first = result.history.first().unwrap().loss.total;
         let last = result.history.last().unwrap().loss.total;
         assert!(
@@ -508,6 +503,7 @@ mod tests {
                 gamma: 0.0,
                 ..fast_cfg()
             },
+            RunCtx::default(),
         )
         .unwrap();
         let with = run_circleopt(
@@ -517,6 +513,7 @@ mod tests {
                 gamma: 30.0, // aggressive to make the effect decisive
                 ..fast_cfg()
             },
+            RunCtx::default(),
         )
         .unwrap();
         assert!(
@@ -532,7 +529,7 @@ mod tests {
     fn empty_target_yields_empty_mask() {
         let s = sim();
         let empty = BitGrid::new(s.size(), s.size());
-        let result = run_circleopt(&s, &empty, &fast_cfg()).unwrap();
+        let result = run_circleopt(&s, &empty, &fast_cfg(), RunCtx::default()).unwrap();
         assert_eq!(result.shot_count(), 0);
         assert!(result.history.is_empty());
         assert!(result.mask_raster.is_clear());
@@ -542,8 +539,8 @@ mod tests {
     fn deterministic() {
         let s = sim();
         let target = bar_target(s.size());
-        let a = run_circleopt(&s, &target, &fast_cfg()).unwrap();
-        let b = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let a = run_circleopt(&s, &target, &fast_cfg(), RunCtx::default()).unwrap();
+        let b = run_circleopt(&s, &target, &fast_cfg(), RunCtx::default()).unwrap();
         assert_eq!(a.mask, b.mask);
     }
 
@@ -551,12 +548,12 @@ mod tests {
     fn warm_restart_continues_from_given_circles() {
         let s = sim();
         let target = bar_target(s.size());
-        let first = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let first = run_circleopt(&s, &target, &fast_cfg(), RunCtx::default()).unwrap();
         let more = CircleOptConfig {
             circle_iterations: 5,
             ..fast_cfg()
         };
-        let restarted = run_circleopt_from(&s, &target, &more, first.circles.clone()).unwrap();
+        let restarted = run_circleopt(&s, &target, &more, warm(first.circles.clone())).unwrap();
         assert_eq!(restarted.history.len(), 5);
         assert!(restarted.shot_count() > 0);
         // The warm start skips stage 1 entirely.
@@ -574,7 +571,33 @@ mod tests {
     fn rejects_mismatched_target() {
         let s = sim();
         let target = BitGrid::new(16, 16);
-        assert!(run_circleopt(&s, &target, &fast_cfg()).is_err());
+        let one_circle = SparseCircles {
+            circles: vec![crate::CircleParams {
+                x: 64.0,
+                y: 64.0,
+                r: 3.0,
+                q: 1.0,
+            }],
+        };
+        let no_iterations = CircleOptConfig {
+            circle_iterations: 0,
+            ..fast_cfg()
+        };
+        // The full pipeline, a warm start with no circles, and a warm
+        // start that runs no circle iteration: none reaches the loss.
+        for (cfg, ctx) in [
+            (fast_cfg(), RunCtx::default()),
+            (fast_cfg(), warm(SparseCircles::default())),
+            (no_iterations, warm(one_circle)),
+        ] {
+            match run_circleopt(&s, &target, &cfg, ctx) {
+                Err(LithoError::ShapeMismatch { expected, actual }) => {
+                    assert_eq!(expected, (128, 128));
+                    assert_eq!(actual, (16, 16));
+                }
+                other => panic!("expected ShapeMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -587,7 +610,7 @@ mod tests {
             composition: Composition::Softmax { beta: 20.0 },
             ..fast_cfg()
         };
-        let result = run_circleopt(&s, &target, &cfg).unwrap();
+        let result = run_circleopt(&s, &target, &cfg, RunCtx::default()).unwrap();
         assert!(result.shot_count() > 0);
         let first = result.history.first().unwrap().loss.total;
         let last = result.history.last().unwrap().loss.total;
@@ -602,9 +625,13 @@ mod tests {
         let s = sim();
         let target = bar_target(s.size());
         let cfg = fast_cfg();
-        let plain = run_circleopt(&s, &target, &cfg).unwrap();
+        let plain = run_circleopt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let mut sink = cfaopc_trace::MemorySink::new();
-        let traced = run_circleopt_traced(&s, &target, &cfg, &mut sink).unwrap();
+        let ctx = RunCtx {
+            sink: Some(&mut sink),
+            ..RunCtx::default()
+        };
+        let traced = run_circleopt(&s, &target, &cfg, ctx).unwrap();
         assert_eq!(plain.mask, traced.mask);
         assert_eq!(plain.mask_raster, traced.mask_raster);
         for (a, b) in plain.history.iter().zip(&traced.history) {
@@ -633,7 +660,7 @@ mod tests {
         let target = bar_target(s.size());
         // A finite stage-1 seeds the circles; the circle stage then runs
         // under poisoned weights and must trip the guard at iteration 0.
-        let seeded = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let seeded = run_circleopt(&s, &target, &fast_cfg(), RunCtx::default()).unwrap();
         let cfg = CircleOptConfig {
             weights: cfaopc_litho::LossWeights {
                 l2: f64::NAN,
@@ -641,7 +668,7 @@ mod tests {
             },
             ..fast_cfg()
         };
-        match run_circleopt_from(&s, &target, &cfg, seeded.circles) {
+        match run_circleopt(&s, &target, &cfg, warm(seeded.circles)) {
             Err(LithoError::NonFinite { iteration, term }) => {
                 assert_eq!(iteration, 0);
                 assert_eq!(term, NonFiniteTerm::LossTotal);

@@ -1,15 +1,18 @@
-//! Guard: the steady-state CircleOpt iteration (hard-max path) performs
-//! **zero net heap growth** after warm-up.
+//! Guard: steady-state CircleOpt iterations, hard-max and softmax,
+//! perform **zero net heap growth** after warm-up.
 //!
-//! The iteration body below is the same sequence `run_circleopt_impl`
-//! executes per step — compose into a reused [`ComposeWorkspace`],
-//! pooled `loss_and_gradient_into`, `backward_into` a reused gradient
-//! buffer, Lasso subgradient, Adam step — driven through the public API
-//! so a counting global allocator can watch it. Transient allocations
-//! that free within the iteration (parallel-region bookkeeping, the
-//! adjoint's per-kernel contribution lists) net to zero; what this test
-//! forbids is *growth*: any buffer allocated per iteration and kept, or
-//! reallocated bigger each step, shows up as a positive byte delta.
+//! The guard drives the real loop: `run_circleopt` with a warm start (no
+//! stage 1) and a sink whose `record` snapshots the net live bytes of a
+//! counting global allocator into a preallocated array. Between the
+//! record of the last warm-up iteration and the record of the last
+//! measured one, the loop runs its whole body: compose into the reused
+//! workspace, pooled `loss_and_gradient_into`, `backward_into` the reused
+//! gradient buffer, the Lasso subgradient, the health guard's gradient
+//! norms, the sink record and the Adam step. Transient allocations that
+//! free within the iteration (parallel-region bookkeeping, the adjoint's
+//! per-kernel contribution lists) net to zero; what this test forbids is
+//! *growth*: any buffer allocated per iteration and kept, or reallocated
+//! bigger each step, shows up as a positive byte delta.
 //!
 //! `backward_into` runs the fused compose+backward path (band-partial
 //! scratch lives in the workspace), so this guard also pins the fused
@@ -33,11 +36,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
-use cfaopc_core::{CircleParams, ComposeConfig, ComposeWorkspace, SoftWorkspace, SparseCircles};
-use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
-use cfaopc_ilt::{Optimizer, OptimizerKind};
-use cfaopc_litho::{loss_and_gradient_into, LithoConfig, LithoSimulator, LossWeights};
-use cfaopc_trace::{grad_norms, IterationRecord, MemorySink, Stage, TelemetrySink};
+use cfaopc_core::{
+    run_circleopt, CircleOptConfig, CircleParams, Composition, RunCtx, SparseCircles,
+};
+use cfaopc_grid::{fill_rect, BitGrid, Rect};
+use cfaopc_litho::{LithoConfig, LithoSimulator};
+use cfaopc_trace::{IterationRecord, TelemetrySink};
 
 /// Wraps the system allocator, tracking net live bytes.
 struct CountingAlloc;
@@ -82,18 +86,26 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const WARMUP: usize = 3;
 const MEASURED: usize = 6;
+const ITERATIONS: usize = WARMUP + MEASURED;
 
-struct Fixture {
-    sim: LithoSimulator,
-    target_real: Grid2D<f64>,
-    circles: SparseCircles,
-    compose_cfg: ComposeConfig,
+/// Snapshots the net live bytes at every record, into an array sized
+/// up front so that recording allocates nothing.
+struct HeapProbe {
+    net: [isize; ITERATIONS],
+    seen: usize,
+}
+
+impl TelemetrySink for HeapProbe {
+    fn record(&mut self, _rec: &IterationRecord) {
+        self.net[self.seen] = net_bytes();
+        self.seen += 1;
+    }
 }
 
 /// `size` 64 images on the full grid; at 128 the 2048 nm tile's 64² pupil
 /// grid is smaller than the mask grid, so the per-kernel work runs on
 /// pupil-grid buffers and the intensity and dL/dI are resampled.
-fn fixture(size: usize) -> Fixture {
+fn fixture(size: usize) -> (LithoSimulator, BitGrid, SparseCircles) {
     let sim = LithoSimulator::new(LithoConfig {
         size,
         kernel_count: 4,
@@ -103,7 +115,6 @@ fn fixture(size: usize) -> Fixture {
     let n = sim.size();
     let mut target = BitGrid::new(n, n);
     fill_rect(&mut target, Rect::new(24, 16, 40, 48));
-    let target_real = target.to_real();
 
     // A spread of circles covering several tiles, some destined to go
     // negative under Lasso pressure (exercising the q-floor skip).
@@ -117,31 +128,7 @@ fn fixture(size: usize) -> Fixture {
             })
             .collect(),
     };
-    let compose_cfg = ComposeConfig::new(n, 2, 8);
-    Fixture {
-        sim,
-        target_real,
-        circles,
-        compose_cfg,
-    }
-}
-
-/// Records one telemetry iteration exactly as `run_circleopt_impl` does —
-/// gradient norms plus a sink record — so the measurement covers the
-/// tracing hot path, not just the numeric one.
-fn record_iteration(sink: &mut MemorySink, it: usize, sparsity: f64, grads: &[f64]) {
-    let (grad_l2, grad_linf) = grad_norms(grads);
-    sink.record(&IterationRecord {
-        stage: Stage::CircleOpt,
-        iteration: it,
-        loss_l2: 0.0,
-        loss_pvb: 0.0,
-        loss_total: 0.0,
-        sparsity,
-        active: 0,
-        grad_l2,
-        grad_linf,
-    });
+    (sim, target, circles)
 }
 
 #[test]
@@ -151,103 +138,29 @@ fn steady_state_iterations_are_allocation_free() {
     // once their nodes/buffers exist (warm-up covers first-touch).
     cfaopc_trace::set_enabled(true);
     for size in [64, 128] {
-        hard_max_iteration_is_allocation_free(size);
-        softmax_iteration_is_allocation_free(size);
-    }
-}
-
-fn hard_max_iteration_is_allocation_free(size: usize) {
-    let Fixture {
-        sim,
-        target_real,
-        mut circles,
-        compose_cfg,
-    } = fixture(size);
-    let n = sim.size();
-    let weights = LossWeights::default();
-    let gamma = 3.0;
-
-    let mut flat = circles.to_flat();
-    let mut optimizer = Optimizer::new(OptimizerKind::adam(0.1), flat.len());
-    let mut ws = ComposeWorkspace::new();
-    let mut grad_mask = Grid2D::new(n, n, 0.0);
-    let mut grads: Vec<f64> = Vec::new();
-    let mut sink = MemorySink::with_capacity(WARMUP + MEASURED);
-
-    let mut baseline = 0isize;
-    for it in 0..WARMUP + MEASURED {
-        let _span = cfaopc_trace::span("alloc_test.hard_max_iter");
-        circles.set_from_flat(&flat);
-        ws.compose(&circles, &compose_cfg);
-        let _loss =
-            loss_and_gradient_into(&sim, ws.mask(), &target_real, weights, &mut grad_mask).unwrap();
-        ws.backward_into(&grad_mask, &mut grads);
-        let mut sparsity = 0.0;
-        for (i, c) in circles.circles.iter().enumerate() {
-            sparsity += c.q.abs();
-            grads[4 * i + 3] += gamma * c.q.signum() * if c.q == 0.0 { 0.0 } else { 1.0 };
-        }
-        record_iteration(&mut sink, it, gamma * sparsity, &grads);
-        optimizer.step(&mut flat, &grads);
-        if it + 1 == WARMUP {
-            baseline = net_bytes();
+        for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
+            let (sim, target, circles) = fixture(size);
+            let config = CircleOptConfig {
+                circle_iterations: ITERATIONS,
+                composition,
+                ..CircleOptConfig::default()
+            };
+            let mut probe = HeapProbe {
+                net: [0; ITERATIONS],
+                seen: 0,
+            };
+            let ctx = RunCtx {
+                init: Some(circles),
+                sink: Some(&mut probe),
+                cancel: None,
+            };
+            run_circleopt(&sim, &target, &config, ctx).unwrap();
+            assert_eq!(probe.seen, ITERATIONS);
+            let growth = probe.net[ITERATIONS - 1] - probe.net[WARMUP - 1];
+            assert_eq!(
+                growth, 0,
+                "steady-state {composition:?} iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
+            );
         }
     }
-    let growth = net_bytes() - baseline;
-    assert_eq!(
-        growth, 0,
-        "steady-state CircleOpt iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
-    );
-    assert_eq!(sink.records().len(), WARMUP + MEASURED);
-}
-
-fn softmax_iteration_is_allocation_free(size: usize) {
-    // Same guard for the softmax composition branch: the reused
-    // `SoftWorkspace` (numerator/normalizer grids, tile buckets) plus
-    // `backward_into` must reach zero net growth after warm-up, with the
-    // telemetry path attached exactly as in the hard-max run.
-    let Fixture {
-        sim,
-        target_real,
-        mut circles,
-        compose_cfg,
-    } = fixture(size);
-    let n = sim.size();
-    let weights = LossWeights::default();
-    let gamma = 3.0;
-    let beta = 20.0;
-
-    let mut flat = circles.to_flat();
-    let mut optimizer = Optimizer::new(OptimizerKind::adam(0.1), flat.len());
-    let mut soft_ws = SoftWorkspace::new();
-    let mut grad_mask = Grid2D::new(n, n, 0.0);
-    let mut grads: Vec<f64> = Vec::new();
-    let mut sink = MemorySink::with_capacity(WARMUP + MEASURED);
-
-    let mut baseline = 0isize;
-    for it in 0..WARMUP + MEASURED {
-        let _span = cfaopc_trace::span("alloc_test.softmax_iter");
-        circles.set_from_flat(&flat);
-        soft_ws.compose(&circles, &compose_cfg, beta);
-        let _loss =
-            loss_and_gradient_into(&sim, soft_ws.mask(), &target_real, weights, &mut grad_mask)
-                .unwrap();
-        soft_ws.backward_into(&grad_mask, &mut grads);
-        let mut sparsity = 0.0;
-        for (i, c) in circles.circles.iter().enumerate() {
-            sparsity += c.q.abs();
-            grads[4 * i + 3] += gamma * c.q.signum() * if c.q == 0.0 { 0.0 } else { 1.0 };
-        }
-        record_iteration(&mut sink, it, gamma * sparsity, &grads);
-        optimizer.step(&mut flat, &grads);
-        if it + 1 == WARMUP {
-            baseline = net_bytes();
-        }
-    }
-    let growth = net_bytes() - baseline;
-    assert_eq!(
-        growth, 0,
-        "steady-state softmax iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
-    );
-    assert_eq!(sink.records().len(), WARMUP + MEASURED);
 }

@@ -10,9 +10,7 @@
 //! every way we support, and then demands a clean rerun on the *same*
 //! simulator be bit-identical to the pristine reference.
 
-use cfaopc_core::{
-    run_circleopt_cancellable, run_circleopt_from, run_circleopt_traced, CircleOptConfig,
-};
+use cfaopc_core::{run_circleopt, CircleOptConfig, RunCtx};
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Rect};
 use cfaopc_litho::{
@@ -63,7 +61,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
 
     // Pristine reference on the shared simulator; warms the pool.
     let mut ref_sink = MemorySink::new();
-    let reference = run_circleopt_traced(&sim, &target, &cfg, &mut ref_sink).unwrap();
+    let ctx = RunCtx {
+        sink: Some(&mut ref_sink),
+        ..RunCtx::default()
+    };
+    let reference = run_circleopt(&sim, &target, &cfg, ctx).unwrap();
     assert!(
         reference.shot_count() > 0,
         "reference run must do real work"
@@ -75,7 +77,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
     //    any simulation work.
     let token = CancelToken::new();
     token.cancel();
-    match run_circleopt_cancellable(&sim, &target, &cfg, &mut (), &token) {
+    let ctx = RunCtx {
+        cancel: Some(&token),
+        ..RunCtx::default()
+    };
+    match run_circleopt(&sim, &target, &cfg, ctx) {
         Err(LithoError::Cancelled { iteration }) => assert_eq!(iteration, 0),
         other => panic!("expected immediate Cancelled, got {other:?}"),
     }
@@ -89,7 +95,12 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
         after: cfg.init_iterations + 2,
         seen: 0,
     };
-    match run_circleopt_cancellable(&sim, &target, &cfg, &mut cancelling, &token) {
+    let ctx = RunCtx {
+        init: None,
+        sink: Some(&mut cancelling),
+        cancel: Some(&token),
+    };
+    match run_circleopt(&sim, &target, &cfg, ctx) {
         Err(LithoError::Cancelled { iteration }) => {
             assert_eq!(iteration, 2, "cancel observed at the next iteration top")
         }
@@ -105,7 +116,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
         },
         ..cfg.clone()
     };
-    match run_circleopt_from(&sim, &target, &bad, reference.circles.clone()) {
+    let ctx = RunCtx {
+        init: Some(reference.circles.clone()),
+        ..RunCtx::default()
+    };
+    match run_circleopt(&sim, &target, &bad, ctx) {
         Err(LithoError::NonFinite { iteration, term }) => {
             assert_eq!(iteration, 0);
             assert_eq!(term, NonFiniteTerm::LossTotal);
@@ -118,7 +133,12 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
     // the telemetry stream.
     let token = CancelToken::new();
     let mut rerun_sink = MemorySink::new();
-    let rerun = run_circleopt_cancellable(&sim, &target, &cfg, &mut rerun_sink, &token).unwrap();
+    let ctx = RunCtx {
+        init: None,
+        sink: Some(&mut rerun_sink),
+        cancel: Some(&token),
+    };
+    let rerun = run_circleopt(&sim, &target, &cfg, ctx).unwrap();
     assert_eq!(rerun.mask, reference.mask);
     assert_eq!(rerun.mask_raster, reference.mask_raster);
     assert_eq!(rerun.history.len(), reference.history.len());

@@ -1,7 +1,8 @@
 //! Finite-difference check of the whole CircleOpt gradient chain.
 //!
-//! Circle parameters `(x, y, r, q)` → max-composition (Eq. 10–11, with
-//! `quantize: false` so the STE's rounding staircase is out of the way) →
+//! Circle parameters `(x, y, r, q)` → max-composition (Eq. 10–11) or its
+//! softmax alternative (with `quantize: false` so the STE's rounding
+//! staircase is out of the way) →
 //! the three-corner SOCS loss (Eq. 6) and its hand-derived adjoint, which
 //! folds `Nominal`'s and `Max`'s dL/dI onto their shared field → the
 //! composition backward (Eq. 12–14), plus the Lasso term `γ·Σ|q|`
@@ -9,7 +10,7 @@
 //! catches what only the composed map shows, such as a gradient grid
 //! handed over transposed or at the wrong scale.
 
-use cfaopc_core::{compose, CircleParams, ComposeConfig, SparseCircles};
+use cfaopc_core::{compose, compose_soft, CircleParams, ComposeConfig, Composition, SparseCircles};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_litho::{loss_and_gradient, loss_only, LithoConfig, LithoSimulator, LossWeights};
 
@@ -67,8 +68,11 @@ fn lasso(circles: &SparseCircles) -> f64 {
 
 /// The litho part of the objective: the relaxed loss of the composed
 /// mask.
-fn litho_total(sim: &LithoSimulator, circles: &SparseCircles) -> f64 {
-    let mask = compose(circles, &compose_config()).mask;
+fn litho_total(sim: &LithoSimulator, circles: &SparseCircles, composition: Composition) -> f64 {
+    let mask = match composition {
+        Composition::Max => compose(circles, &compose_config()).mask,
+        Composition::Softmax { beta } => compose_soft(circles, &compose_config(), beta).mask,
+    };
     loss_only(sim, &mask, &target(), LossWeights::default())
         .unwrap()
         .total
@@ -76,21 +80,36 @@ fn litho_total(sim: &LithoSimulator, circles: &SparseCircles) -> f64 {
 
 /// The litho part of the gradient, chained by hand: the adjoint's mask
 /// gradient through the composition backward.
-fn litho_gradient(sim: &LithoSimulator, circles: &SparseCircles) -> Vec<f64> {
-    let composite = compose(circles, &compose_config());
-    let (_, grad_mask) =
-        loss_and_gradient(sim, &composite.mask, &target(), LossWeights::default()).unwrap();
-    composite.backward(&grad_mask)
+fn litho_gradient(
+    sim: &LithoSimulator,
+    circles: &SparseCircles,
+    composition: Composition,
+) -> Vec<f64> {
+    let grad_mask = |mask| {
+        loss_and_gradient(sim, mask, &target(), LossWeights::default())
+            .unwrap()
+            .1
+    };
+    match composition {
+        Composition::Max => {
+            let composite = compose(circles, &compose_config());
+            composite.backward(&grad_mask(&composite.mask))
+        }
+        Composition::Softmax { beta } => {
+            let composite = compose_soft(circles, &compose_config(), beta);
+            composite.backward(&grad_mask(&composite.mask))
+        }
+    }
 }
 
 /// Full objective and gradient, Lasso included (its subgradient
 /// `γ·sign(q)`, as CircleOpt adds it).
-fn objective(sim: &LithoSimulator, circles: &SparseCircles) -> f64 {
-    litho_total(sim, circles) + lasso(circles)
+fn objective(sim: &LithoSimulator, circles: &SparseCircles, composition: Composition) -> f64 {
+    litho_total(sim, circles, composition) + lasso(circles)
 }
 
-fn gradient(sim: &LithoSimulator, circles: &SparseCircles) -> Vec<f64> {
-    let mut grads = litho_gradient(sim, circles);
+fn gradient(sim: &LithoSimulator, circles: &SparseCircles, composition: Composition) -> Vec<f64> {
+    let mut grads = litho_gradient(sim, circles, composition);
     for (i, c) in circles.circles.iter().enumerate() {
         grads[4 * i + 3] += GAMMA * c.q.signum();
     }
@@ -119,20 +138,22 @@ fn central_difference(
 #[test]
 fn chain_gradient_matches_finite_differences() {
     let base = circles();
-    // The exact model and truncated SOCS.
-    for floor in [1.0, 0.5] {
-        let sim = sim(floor);
-        let analytic = gradient(&sim, &base);
-        let eps = 1e-6;
-        for (p, &an) in analytic.iter().enumerate() {
-            let fd = central_difference(|c| objective(&sim, c), &base, p, eps);
-            let denom = fd.abs().max(an.abs()).max(1e-3);
-            assert!(
-                (fd - an).abs() / denom < 1e-6,
-                "floor {floor}, circle {} param {}: fd={fd}, analytic={an}",
-                p / 4,
-                p % 4
-            );
+    // The exact model and truncated SOCS, through either composition.
+    for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
+        for floor in [1.0, 0.5] {
+            let sim = sim(floor);
+            let analytic = gradient(&sim, &base, composition);
+            let eps = 1e-6;
+            for (p, &an) in analytic.iter().enumerate() {
+                let fd = central_difference(|c| objective(&sim, c, composition), &base, p, eps);
+                let denom = fd.abs().max(an.abs()).max(1e-3);
+                assert!(
+                    (fd - an).abs() / denom < 1e-6,
+                    "{composition:?}, floor {floor}, circle {} param {}: fd={fd}, analytic={an}",
+                    p / 4,
+                    p % 4
+                );
+            }
         }
     }
 }
@@ -143,17 +164,17 @@ fn a_circle_below_the_activation_floor_gets_no_chain_gradient() {
     assert!(base.circles[PRUNED].q < Q_FLOOR);
     for floor in [1.0, 0.5] {
         let sim = sim(floor);
-        let chain = litho_gradient(&sim, &base);
+        let chain = litho_gradient(&sim, &base, Composition::Max);
         for (p, &an) in chain.iter().enumerate().skip(4 * PRUNED).take(4) {
             // Neither pass sees the pruned circle, so the composed mask,
             // and with it the litho loss, does not move at all.
             assert_eq!(an, 0.0, "floor {floor}, param {}", p % 4);
-            let fd = central_difference(|c| litho_total(&sim, c), &base, p, 1e-6);
+            let fd = central_difference(|c| litho_total(&sim, c, Composition::Max), &base, p, 1e-6);
             assert_eq!(fd, 0.0, "floor {floor}, param {}", p % 4);
         }
         // Only the Lasso term, which acts on every activation, reaches
         // its `q`.
-        let full = gradient(&sim, &base);
+        let full = gradient(&sim, &base, Composition::Max);
         assert_eq!(full[4 * PRUNED + 3], GAMMA);
     }
 }
@@ -163,8 +184,8 @@ fn a_step_down_the_chain_gradient_lowers_the_objective() {
     let base = circles();
     for floor in [1.0, 0.5] {
         let sim = sim(floor);
-        let before = objective(&sim, &base);
-        let grads = gradient(&sim, &base);
+        let before = objective(&sim, &base, Composition::Max);
+        let grads = gradient(&sim, &base, Composition::Max);
         let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
         assert!(norm > 0.0);
         let step = 1e-2 / norm;
@@ -174,7 +195,7 @@ fn a_step_down_the_chain_gradient_lowers_the_objective() {
         }
         let mut after_circles = base.clone();
         after_circles.set_from_flat(&flat);
-        let after = objective(&sim, &after_circles);
+        let after = objective(&sim, &after_circles, Composition::Max);
         assert!(
             after < before,
             "floor {floor}: descent step raised the objective {before} -> {after}"

@@ -32,7 +32,7 @@
 //! sacrifices byte-identity.
 
 use crate::suite::{CaseSource, SuiteSpec};
-use cfaopc_core::run_circleopt_traced;
+use cfaopc_core::{run_circleopt, RunCtx};
 use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
 use cfaopc_fracture::circle_rule;
 use cfaopc_grid::{BitGrid, Point};
@@ -251,8 +251,12 @@ fn run_case(spec: &SuiteSpec, layout: &Layout, timing: bool) -> Result<CaseRecor
     let mut sink = MemorySink::with_capacity(
         spec.opt_init_iterations + spec.opt_circle_iterations + spec.opt_circle_iterations / 2,
     );
-    let opt_result = run_circleopt_traced(&sim, &target, &spec.circleopt_config(), &mut sink)
-        .map_err(litho_err)?;
+    let ctx = RunCtx {
+        sink: Some(&mut sink),
+        ..RunCtx::default()
+    };
+    let opt_result =
+        run_circleopt(&sim, &target, &spec.circleopt_config(), ctx).map_err(litho_err)?;
     let opt = method_outcome(
         spec,
         &sim,

@@ -6,7 +6,7 @@
 //! same suite produce identical work regardless of machine or thread
 //! count.
 
-use cfaopc_core::CircleOptConfig;
+use cfaopc_core::{scaled_gamma, CircleOptConfig};
 use cfaopc_layouts::{benchmark_case, generate_layout, GeneratorConfig, Layout, LayoutError};
 use cfaopc_litho::LithoConfig;
 
@@ -124,11 +124,10 @@ impl SuiteSpec {
     /// The CircleOpt configuration, with the sparsity weight rescaled to
     /// the grid resolution exactly as the `cfaopc fracture` CLI does.
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        let gamma = 3.0 * (self.size as f64 / 2048.0).powi(2);
         CircleOptConfig {
             init_iterations: self.opt_init_iterations,
             circle_iterations: self.opt_circle_iterations,
-            gamma,
+            gamma: scaled_gamma(self.size),
             ..CircleOptConfig::default()
         }
     }

@@ -416,82 +416,6 @@ where
     });
 }
 
-/// Applies `f` to equal-length mutable chunk *pairs* of two buffers in
-/// parallel — chunk `i` of `a` together with chunk `i` of `b`.
-///
-/// The two buffers may have different element types and different chunk
-/// lengths, but must split into the **same number** of chunks; the final
-/// pair may be shorter on either side. This is the race-free primitive
-/// behind the tiled composition engine in `cfaopc-core`, where each band
-/// of the mask grid and the matching band of the argmax grid are written
-/// by one task. Runs serially (inline, spawning nothing) when only one
-/// worker is configured or there is at most one chunk pair.
-///
-/// # Panics
-///
-/// Panics if either chunk length is zero or the chunk counts differ.
-/// Panics propagate from `f` after the region drains.
-pub fn par_chunks2_mut<A, B, F>(a: &mut [A], b: &mut [B], chunk_a: usize, chunk_b: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(chunk_a > 0 && chunk_b > 0, "chunk lengths must be positive");
-    let n_chunks = a.len().div_ceil(chunk_a);
-    assert_eq!(
-        n_chunks,
-        b.len().div_ceil(chunk_b),
-        "buffers must split into the same number of chunks"
-    );
-    let workers = region_width(n_chunks);
-    if workers <= 1 || n_chunks <= 1 {
-        for (idx, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-            f(idx, ca, cb);
-        }
-        return;
-    }
-    let (len_a, len_b) = (a.len(), b.len());
-    let base_a = SendPtr(a.as_mut_ptr());
-    let base_b = SendPtr(b.as_mut_ptr());
-    run_region(n_chunks, workers, &|i| {
-        let (start_a, start_b) = (i * chunk_a, i * chunk_b);
-        let end_a = (start_a + chunk_a).min(len_a);
-        let end_b = (start_b + chunk_b).min(len_b);
-        // SAFETY: chunk index `i` is claimed exactly once per region, and
-        // distinct indices map to disjoint windows of each buffer, so no
-        // two live `&mut` slices alias. Both buffers outlive the region
-        // because `run_region` blocks until all tasks finish.
-        #[allow(unsafe_code)]
-        let (ca, cb) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(base_a.at(start_a), end_a - start_a),
-                std::slice::from_raw_parts_mut(base_b.at(start_b), end_b - start_b),
-            )
-        };
-        f(i, ca, cb);
-    });
-}
-
-/// Runs `f(i)` for every `i in 0..n` in parallel on the persistent pool.
-///
-/// Use for index-driven work where each iteration owns its output slot via
-/// interior mutability or returns through `f`'s captured state. Iterations
-/// are claimed dynamically so uneven work balances out.
-pub fn par_for<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = region_width(n);
-    if workers <= 1 || n <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    run_region(n, workers, &f);
-}
-
 /// Runs `f(i)` for every `i in 0..n` with **dynamic claiming in batches
 /// of `grain` consecutive indices** on the persistent pool.
 ///
@@ -902,46 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks2_mut_pairs_matching_chunks() {
-        let mut a = vec![0u32; 330]; // 4 chunks of 100 (last short)
-        let mut b = vec![0u8; 66]; // 4 chunks of 20 (last short)
-        par_chunks2_mut(&mut a, &mut b, 100, 20, |idx, ca, cb| {
-            for v in ca.iter_mut() {
-                *v = idx as u32 + 1;
-            }
-            for v in cb.iter_mut() {
-                *v = idx as u8 + 1;
-            }
-        });
-        assert_eq!(a[0], 1);
-        assert_eq!(a[250], 3);
-        assert_eq!(a[329], 4);
-        assert_eq!(b[0], 1);
-        assert_eq!(b[65], 4);
-        assert!(a.iter().all(|&v| v > 0) && b.iter().all(|&v| v > 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "same number of chunks")]
-    fn par_chunks2_mut_rejects_mismatched_counts() {
-        let mut a = vec![0u32; 10];
-        let mut b = vec![0u32; 30];
-        par_chunks2_mut(&mut a, &mut b, 5, 5, |_, _, _| {});
-    }
-
-    #[test]
-    fn par_for_runs_each_index_once() {
-        let count = AtomicU64::new(0);
-        let sum = AtomicU64::new(0);
-        par_for(1000, |i| {
-            count.fetch_add(1, Ordering::Relaxed);
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1000);
-        assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
-    }
-
-    #[test]
     fn par_index_claim_runs_each_index_once() {
         for grain in [1, 3, 16, 1000] {
             let count = AtomicU64::new(0);
@@ -957,12 +841,14 @@ mod tests {
 
     #[test]
     fn par_index_claim_handles_zero_and_one() {
-        par_index_claim(0, 4, |_| panic!("must not run"));
-        let hit = AtomicU64::new(0);
-        par_index_claim(1, 4, |_| {
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
+        for grain in [1, 4] {
+            par_index_claim(0, grain, |_| panic!("must not run"));
+            let hit = AtomicU64::new(0);
+            par_index_claim(1, grain, |_| {
+                hit.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "grain {grain}");
+        }
     }
 
     #[test]
@@ -1096,16 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_handles_zero_and_one() {
-        par_for(0, |_| panic!("must not run"));
-        let hit = AtomicU64::new(0);
-        par_for(1, |_| {
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn worker_limit_is_scoped_and_restored() {
         let outer = worker_count();
         with_worker_limit(1, || {
@@ -1121,7 +997,7 @@ mod tests {
     #[test]
     fn pool_survives_a_panicking_region() {
         let result = std::panic::catch_unwind(|| {
-            par_for(64, |i| {
+            par_index_claim(64, 1, |i| {
                 if i == 13 {
                     panic!("boom at 13");
                 }

@@ -6,7 +6,7 @@
 //! guarantee sequentially in that known configuration. (Separate
 //! `#[test]`s would race on the process-wide pool setup.)
 
-use cfaopc_fft::parallel::{par_for, pool_thread_count, with_worker_limit, worker_count};
+use cfaopc_fft::parallel::{par_index_claim, pool_thread_count, with_worker_limit, worker_count};
 use cfaopc_fft::{Complex, Fft2d, Rfft2d};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -178,7 +178,7 @@ fn steady_state_spawns_no_new_threads() {
 
 fn panics_cross_the_pool_boundary() {
     let result = std::panic::catch_unwind(|| {
-        par_for(256, |i| {
+        par_index_claim(256, 1, |i| {
             if i == 200 {
                 panic!("worker panic escapes");
             }
@@ -191,7 +191,7 @@ fn panics_cross_the_pool_boundary() {
 
     // Every index of a fresh region still runs: the pool fully recovered.
     let hits = AtomicUsize::new(0);
-    par_for(256, |_| {
+    par_index_claim(256, 1, |_| {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 256);

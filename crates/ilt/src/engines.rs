@@ -15,9 +15,7 @@
 
 use crate::levelset::{run_levelset_ilt, LevelSetConfig};
 use crate::optimizer::OptimizerKind;
-use crate::pixel::{
-    run_pixel_ilt, run_pixel_ilt_with_init, IltResult, PixelIltConfig, UpdateDomain,
-};
+use crate::pixel::{run_pixel_ilt, IltResult, PixelIltConfig, RunCtx, UpdateDomain};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_litho::{LithoConfig, LithoError, LithoSimulator};
 
@@ -119,7 +117,7 @@ pub fn run_engine(
                 ..LevelSetConfig::default()
             },
         ),
-        other => run_pixel_ilt(sim, target, &other.config(iterations)),
+        other => run_pixel_ilt(sim, target, &other.config(iterations), RunCtx::default()),
     }
 }
 
@@ -144,14 +142,22 @@ fn run_multiresolution(
         let coarse_sim = LithoSimulator::new(coarse_cfg)?;
         let coarse_target = downsample_majority(target, f)?;
         let cfg = IltEngine::MultiIltLike.config(iterations);
-        let result = run_pixel_ilt_with_init(&coarse_sim, &coarse_target, &cfg, warm.as_ref())?;
+        let warm_start = RunCtx {
+            init: warm.take(),
+            ..RunCtx::default()
+        };
+        let result = run_pixel_ilt(&coarse_sim, &coarse_target, &cfg, warm_start)?;
         warm = Some(upsample_nearest(&result.latent, 2)?);
         // After upsampling from n/4 we are at n/2; after n/2 at n. The
         // loop structure advances one octave per level by construction
         // (4 then 2), so `warm` always matches the next level's size.
     }
     let cfg = IltEngine::MultiIltLike.config(iterations);
-    run_pixel_ilt_with_init(sim, target, &cfg, warm.as_ref())
+    let warm_start = RunCtx {
+        init: warm,
+        ..RunCtx::default()
+    };
+    run_pixel_ilt(sim, target, &cfg, warm_start)
 }
 
 /// Downsamples a binary image by `factor` with 50 % majority voting.

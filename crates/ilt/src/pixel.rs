@@ -80,59 +80,41 @@ pub struct IltResult {
     pub loss_history: Vec<LossValues>,
 }
 
+/// Per-run inputs of an optimizer entry point: this crate's
+/// [`run_pixel_ilt`] and `cfaopc_core::run_circleopt`.
+/// `RunCtx::default()` is a plain run.
+pub struct RunCtx<'a, I> {
+    /// Warm start in the optimizer's own parameters (a pixel latent here,
+    /// circles for CircleOpt), replacing its initialization.
+    pub init: Option<I>,
+    /// Receives one [`IterationRecord`] per optimizer step. Attaching a
+    /// sink never changes the optimization: results are bit-identical to
+    /// the untraced run.
+    pub sink: Option<&'a mut dyn TelemetrySink>,
+    /// Polled once at the top of every iteration; a cancelled token aborts
+    /// with [`LithoError::Cancelled`] before any further simulation work,
+    /// leaving the simulator's shared state (kernels, FFT plans, buffer
+    /// pools) and the worker pool fully reusable, the same exit as the
+    /// [`LithoError::NonFinite`] health guard.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl<I> Default for RunCtx<'_, I> {
+    fn default() -> Self {
+        RunCtx {
+            init: None,
+            sink: None,
+            cancel: None,
+        }
+    }
+}
+
 /// Runs pixel-level ILT for `target` on `sim`.
 ///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
-pub fn run_pixel_ilt(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, None, None)
-}
-
-/// [`run_pixel_ilt`] with a [`TelemetrySink`] receiving one
-/// [`IterationRecord`] per gradient step (stage [`Stage::PixelIlt`];
-/// `active` counts mask pixels above 0.5).
-///
-/// Attaching a sink never changes the optimization — the result is
-/// bit-identical to the untraced run.
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the health guard trips.
-pub fn run_pixel_ilt_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, None, Some(sink))
-}
-
-/// Runs pixel-level ILT from an explicit latent initialization (used by
-/// the multi-resolution engine to warm-start finer levels).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` or `init_latent`
-/// do not match the simulator grid.
-pub fn run_pixel_ilt_with_init(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, init_latent, None)
-}
-
-/// The most general pixel-ILT entry point: optional warm-start latent
-/// **and** optional telemetry sink. The other `run_pixel_ilt*` functions
-/// are thin wrappers over this.
+/// `ctx.init` is a warm-start latent (the multi-resolution engine
+/// warm-starts finer levels with it). The sink receives stage
+/// [`Stage::PixelIlt`] records, where `active` counts mask pixels above
+/// 0.5.
 ///
 /// Every iteration the numerical-health guard checks the loss terms and
 /// the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run with
@@ -142,38 +124,21 @@ pub fn run_pixel_ilt_with_init(
 ///
 /// # Errors
 ///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the health guard trips.
-pub fn run_pixel_ilt_with_init_traced(
+/// Returns [`LithoError::ShapeMismatch`] when `target` or the warm-start
+/// latent does not match the simulator grid, [`LithoError::NonFinite`]
+/// when the health guard trips, or [`LithoError::Cancelled`] when
+/// `ctx.cancel` fires mid-run.
+pub fn run_pixel_ilt(
     sim: &LithoSimulator,
     target: &BitGrid,
     config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-    sink: Option<&mut (dyn TelemetrySink + '_)>,
+    ctx: RunCtx<'_, Grid2D<f64>>,
 ) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_cancellable(sim, target, config, init_latent, sink, None)
-}
-
-/// [`run_pixel_ilt_with_init_traced`] plus cooperative cancellation.
-///
-/// The token is polled once at the top of every iteration; a cancelled
-/// token aborts with [`LithoError::Cancelled`] before any further
-/// simulation work, leaving the simulator's shared state (kernels, FFT
-/// plans, buffer pools) and the worker pool fully reusable — the same
-/// exit discipline as the [`LithoError::NonFinite`] health guard.
-///
-/// # Errors
-///
-/// As [`run_pixel_ilt_with_init_traced`], plus [`LithoError::Cancelled`]
-/// when `cancel` fires mid-run.
-pub fn run_pixel_ilt_cancellable(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-    mut sink: Option<&mut (dyn TelemetrySink + '_)>,
-    cancel: Option<&CancelToken>,
-) -> Result<IltResult, LithoError> {
+    let RunCtx {
+        init,
+        mut sink,
+        cancel,
+    } = ctx;
     let _span = cfaopc_trace::span("ilt.pixel");
     let n = sim.size();
     if target.width() != n || target.height() != n {
@@ -182,7 +147,7 @@ pub fn run_pixel_ilt_cancellable(
             actual: (target.width(), target.height()),
         });
     }
-    if let Some(l) = init_latent {
+    if let Some(l) = &init {
         if l.width() != n || l.height() != n {
             return Err(LithoError::ShapeMismatch {
                 expected: (n, n),
@@ -194,8 +159,8 @@ pub fn run_pixel_ilt_cancellable(
 
     // Latent init: explicit warm start, or ±amplitude inside/outside the
     // (possibly dilated) target.
-    let mut latent: Vec<f64> = match init_latent {
-        Some(l) => l.as_slice().to_vec(),
+    let mut latent: Vec<f64> = match init {
+        Some(l) => l.into_vec(),
         None => {
             let init_px = sim.config().nm_to_px(config.init_dilation_nm).round() as i32;
             let seed = if init_px > 0 {
@@ -323,6 +288,13 @@ mod tests {
         LithoSimulator::new(LithoConfig::fast_test()).unwrap()
     }
 
+    fn traced(sink: &mut dyn TelemetrySink) -> RunCtx<'_, Grid2D<f64>> {
+        RunCtx {
+            sink: Some(sink),
+            ..RunCtx::default()
+        }
+    }
+
     fn bar_target(n: usize) -> BitGrid {
         let mut t = BitGrid::new(n, n);
         // 64px/2048nm grid: a 96nm x 768nm bar.
@@ -338,7 +310,7 @@ mod tests {
             iterations: 12,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let first = result.loss_history.first().unwrap().total;
         let last = result.loss_history.last().unwrap().total;
         assert!(last < first, "ILT failed to descend: {first} -> {last}");
@@ -354,7 +326,7 @@ mod tests {
             iterations: 25,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let w = LossWeights::default();
         let opt = cfaopc_litho::loss_only(&s, &result.mask_binary.to_real(), &target.to_real(), w)
             .unwrap()
@@ -375,7 +347,7 @@ mod tests {
             domain: UpdateDomain::NearTarget { halo_nm: 96.0 },
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let halo_px = s.config().nm_to_px(96.0).round() as i32;
         let allowed = dilate(&target, Structuring::Disk(halo_px));
         for p in result.mask_binary.ones() {
@@ -391,8 +363,8 @@ mod tests {
             iterations: 6,
             ..PixelIltConfig::default()
         };
-        let a = run_pixel_ilt(&s, &target, &cfg).unwrap();
-        let b = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let a = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
+        let b = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         assert_eq!(a.mask_binary, b.mask_binary);
         assert_eq!(a.loss_history.len(), b.loss_history.len());
     }
@@ -405,7 +377,7 @@ mod tests {
             iterations: 0,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         assert!(result.loss_history.is_empty());
         assert_eq!(result.mask_binary, target);
     }
@@ -419,7 +391,7 @@ mod tests {
             init_dilation_nm: 64.0,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         assert!(result.mask_binary.count_ones() > target.count_ones());
     }
 
@@ -437,7 +409,7 @@ mod tests {
     fn rejects_wrong_target_shape() {
         let s = sim();
         let target = BitGrid::new(8, 8);
-        assert!(run_pixel_ilt(&s, &target, &PixelIltConfig::default()).is_err());
+        assert!(run_pixel_ilt(&s, &target, &PixelIltConfig::default(), RunCtx::default()).is_err());
     }
 
     #[test]
@@ -448,9 +420,9 @@ mod tests {
             iterations: 6,
             ..PixelIltConfig::default()
         };
-        let plain = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let plain = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         let mut sink = cfaopc_trace::MemorySink::new();
-        let traced = run_pixel_ilt_traced(&s, &target, &cfg, &mut sink).unwrap();
+        let traced = run_pixel_ilt(&s, &target, &cfg, traced(&mut sink)).unwrap();
         assert_eq!(plain.mask_binary, traced.mask_binary);
         for (a, b) in plain.latent.as_slice().iter().zip(traced.latent.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "sink perturbed the latent");
@@ -480,7 +452,7 @@ mod tests {
         };
         // The raw l2/pvb terms stay finite; the weighted total is the
         // first poisoned quantity the guard sees.
-        match run_pixel_ilt(&s, &target, &cfg) {
+        match run_pixel_ilt(&s, &target, &cfg, RunCtx::default()) {
             Err(LithoError::NonFinite { iteration, term }) => {
                 assert_eq!(iteration, 0);
                 assert_eq!(term, NonFiniteTerm::LossTotal);
@@ -502,7 +474,7 @@ mod tests {
             ..PixelIltConfig::default()
         };
         let mut sink = cfaopc_trace::MemorySink::new();
-        let err = run_pixel_ilt_traced(&s, &target, &cfg, &mut sink).unwrap_err();
+        let err = run_pixel_ilt(&s, &target, &cfg, traced(&mut sink)).unwrap_err();
         assert!(matches!(err, LithoError::NonFinite { iteration: 0, .. }));
         let recs = sink.records();
         assert_eq!(recs.len(), 1, "the poisoned iteration must still record");

@@ -1,7 +1,7 @@
 //! Rule L8: unordered parallel merge in the determinism crates.
 //!
-//! `par_map` / `par_index_claim` / `par_chunks2_mut` hand work items to
-//! threads in claim order, which varies run to run. A `+=` accumulation
+//! `par_map` / `par_index_claim` hand work items to threads in claim
+//! order, which varies run to run. A `+=` accumulation
 //! inside the argument list of such a call folds float results in that
 //! nondeterministic order, so the sum's rounding depends on thread timing
 //! and golden-file identity breaks. The fix is to write per-index results
@@ -16,7 +16,7 @@ use crate::manifest::Manifest;
 use super::{push, Finding};
 
 /// Parallel primitives whose work-claim order is nondeterministic.
-const PRIMITIVES: &[&str] = &["par_chunks2_mut", "par_index_claim", "par_map"];
+const PRIMITIVES: &[&str] = &["par_index_claim", "par_map"];
 
 /// Runs the rule over the workspace.
 pub(crate) fn run(ws: &Workspace<'_>, manifest: &Manifest, findings: &mut Vec<Finding>) {

@@ -150,9 +150,9 @@ pub const CATALOG: &[RuleInfo] = &[
     RuleInfo {
         id: "L8",
         name: "unordered-parallel-merge",
-        rationale: "par_map/par_index_claim/par_chunks2_mut claim work in nondeterministic \
-                    order; `+=` accumulation inside their closures makes float results \
-                    depend on thread timing, breaking golden-file identity.",
+        rationale: "par_map/par_index_claim claim work in nondeterministic order; `+=` \
+                    accumulation inside their closures makes float results depend on thread \
+                    timing, breaking golden-file identity.",
         example: "`+=` accumulation inside a `par_index_claim` closure in a determinism \
                   crate; claim order is nondeterministic",
         fix: "Write per-index results and reduce serially in ascending order (or through the \

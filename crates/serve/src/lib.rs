@@ -45,7 +45,7 @@
 //!   onto the client socket. A dead client surfaces as the sink's
 //!   latched write error, which cancels the job.
 //! * **Cancellation** — every job carries a `CancelToken` polled at
-//!   optimizer-iteration boundaries (`run_circleopt_cancellable`), the
+//!   optimizer-iteration boundaries (`RunCtx::cancel`), the
 //!   same clean exit as the `NonFinite` health guard; timeouts are a
 //!   watchdog flipping the token, client cancels flip it over the wire,
 //!   and shutdown flips them all.

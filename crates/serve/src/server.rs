@@ -30,10 +30,11 @@ use crate::cache::SimulatorCache;
 use crate::protocol::{self, JobSpec, Request};
 use crate::queue::{JobQueue, PushError};
 use crate::stream::{SharedWriter, StreamSink};
-use cfaopc_core::{run_circleopt_cancellable, CircleOptConfig, CircleOptResult};
+use cfaopc_core::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fft::parallel::{with_worker_limit, worker_count, worker_shares};
 use cfaopc_litho::{CancelToken, LithoError};
 use cfaopc_metrics::{evaluate_mask, EpeConfig};
+use cfaopc_trace::TelemetrySink;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -431,7 +432,7 @@ fn job_config(spec: &JobSpec) -> CircleOptConfig {
     let mut config = CircleOptConfig {
         init_iterations: spec.init_iterations,
         circle_iterations: spec.circle_iterations,
-        gamma: 3.0 * (spec.size as f64 / 2048.0).powi(2),
+        gamma: scaled_gamma(spec.size),
         ..CircleOptConfig::default()
     };
     if let Some(w) = spec.weight_l2 {
@@ -500,13 +501,15 @@ fn execute(
     // pool share; inner regions are bit-identical at any limit, so the
     // share never shows up in the results.
     with_worker_limit(share, || {
-        let run = if spec.stream {
-            let mut sink = StreamSink::new(writer.clone(), &spec.id, cancel.clone());
-            run_circleopt_cancellable(&sim, &target, &config, &mut sink, cancel)
-        } else {
-            run_circleopt_cancellable(&sim, &target, &config, &mut (), cancel)
+        let mut stream = spec
+            .stream
+            .then(|| StreamSink::new(writer.clone(), &spec.id, cancel.clone()));
+        let ctx = RunCtx {
+            init: None,
+            sink: stream.as_mut().map(|s| s as &mut dyn TelemetrySink),
+            cancel: Some(cancel),
         };
-        let result = run.map_err(|e| match e {
+        let result = run_circleopt(&sim, &target, &config, ctx).map_err(|e| match e {
             LithoError::Cancelled { .. } => JobError::Cancelled,
             other => fail(other.to_string()),
         })?;

@@ -61,11 +61,6 @@ pub trait TelemetrySink {
     fn record(&mut self, rec: &IterationRecord);
 }
 
-/// A no-op [`TelemetrySink`] usable where a sink is required.
-impl TelemetrySink for () {
-    fn record(&mut self, _rec: &IterationRecord) {}
-}
-
 /// Collects records into a pre-allocated `Vec`.
 ///
 /// With [`MemorySink::with_capacity`] sized to the planned iteration

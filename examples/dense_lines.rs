@@ -58,6 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 rule: rule_cfg,
                 ..CircleOptConfig::default()
             },
+            RunCtx::default(),
         )?;
         let mo = evaluate_mask(&sim, &opt.mask_raster, &target, &epe_cfg)?;
         println!(

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circle_iterations: 30,
         ..CircleOptConfig::default()
     };
-    let result = run_circleopt(&sim, &target, &opt_cfg)?;
+    let result = run_circleopt(&sim, &target, &opt_cfg, RunCtx::default())?;
     println!(
         "[3] CircleOpt: {} shots after {} circle iterations (stage-1 mask had {} px)",
         result.shot_count(),

@@ -36,9 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &CircleOptConfig {
             init_iterations: 10,
             circle_iterations: 30,
-            gamma: 3.0 * (n as f64 / 2048.0).powi(2),
+            gamma: scaled_gamma(n),
             ..CircleOptConfig::default()
         },
+        RunCtx::default(),
     )?;
 
     let out_dir = std::path::Path::new("target/experiments");

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circle_iterations: 30,
         ..CircleOptConfig::default()
     };
-    let opt = run_circleopt(&sim, &target, &opt_cfg)?;
+    let opt = run_circleopt(&sim, &target, &opt_cfg, RunCtx::default())?;
     let mut m2 = evaluate_mask(&sim, &opt.mask_raster, &target, &epe_cfg)?;
     m2.shots = opt.shot_count();
 

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pixel_nm = config.pixel_nm();
     let sim = LithoSimulator::new(config)?;
     let n = sim.size();
-    let gamma = 3.0 * (n as f64 / 2048.0).powi(2);
+    let gamma = scaled_gamma(n);
     let (r_min, r_max) = CircleRuleConfig::default().radius_range_px(pixel_nm);
 
     let mut table = MetricTable::new(format!("random stress ({seeds} tiles)"));
@@ -37,6 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 gamma,
                 ..CircleOptConfig::default()
             },
+            RunCtx::default(),
         )?;
         // Invariants: every shot within writer limits, raster = union.
         let report = check_mrc(

@@ -260,26 +260,31 @@ fn cmd_fracture(flags: &Flags) -> CliResult {
             (mask, raster, "MultiILT+CircleRule")
         }
         "opt" => {
-            let gamma = 3.0 * (n as f64 / 2048.0).powi(2);
             let config = CircleOptConfig {
                 init_iterations: iters.div_ceil(2),
                 circle_iterations: iters + 10,
-                gamma,
+                gamma: scaled_gamma(n),
                 ..CircleOptConfig::default()
             };
-            let result = match flags.get("trace") {
+            let mut trace = match flags.get("trace") {
                 Some(path) => {
                     cfaopc::trace::set_enabled(true);
                     let file = std::io::BufWriter::new(std::fs::File::create(path)?);
-                    let mut sink = JsonlSink::new(file);
-                    let result = run_circleopt_traced(&sim, &target, &config, &mut sink);
-                    sink.write_summary()?;
-                    sink.flush()?;
-                    println!("wrote {path}");
-                    result?
+                    Some((path, JsonlSink::new(file)))
                 }
-                None => run_circleopt(&sim, &target, &config)?,
+                None => None,
             };
+            let ctx = RunCtx {
+                sink: trace.as_mut().map(|(_, s)| s as &mut dyn TelemetrySink),
+                ..RunCtx::default()
+            };
+            let result = run_circleopt(&sim, &target, &config, ctx);
+            if let Some((path, mut sink)) = trace {
+                sink.write_summary()?;
+                sink.flush()?;
+                println!("wrote {path}");
+            }
+            let result = result?;
             // `mask_raster` is the run's cached rasterization — no need
             // to re-rasterize here.
             (result.mask, result.mask_raster, "CircleOpt")
