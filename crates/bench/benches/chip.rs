@@ -4,11 +4,13 @@
 //! precomputed window images and interior-owned shot merging. Run with
 //! `cargo bench -p cfaopc-bench --bench chip`.
 //!
-//! Results are written as a JSON snapshot (default `BENCH_chip.json`,
-//! override with `CFAOPC_BENCH_CHIP_OUT`) in the same shape the other
-//! bench snapshots use, so `scripts/check_bench.py` gates it against
-//! `eval/baselines/BENCH_chip.json` unchanged.
+//! Every case runs under `cfaopc_bench::snapshot`'s policy, and the
+//! results are written through its snapshot writer (default
+//! `BENCH_chip.json`, override with `CFAOPC_BENCH_CHIP_OUT`), so
+//! `scripts/check_bench.py` gates it against
+//! `eval/baselines/BENCH_chip.json` like the other snapshots.
 
+use cfaopc_bench::snapshot::{run_case, write_snapshot, CaseResult};
 use cfaopc_chip::{
     accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
     run_chip_case_full, run_chip_suite, run_tile, ChipSpec,
@@ -17,65 +19,6 @@ use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::BitGrid;
 use cfaopc_litho::{LithoSimulator, ProcessCorner};
 use std::hint::black_box;
-use std::time::Instant;
-
-const WARMUP_ITERS: usize = 2;
-const TIMED_ITERS: usize = 7;
-/// Sub-20 ms cases are noisy at 7 samples; top them up (same policy as
-/// the other bench binaries).
-const TIMED_ITERS_FAST: usize = 15;
-const FAST_CASE_NS: u128 = 20_000_000; // 20 ms
-
-struct CaseResult {
-    name: String,
-    iters: usize,
-    min_ns: u128,
-    median_ns: u128,
-    mean_ns: u128,
-}
-
-fn run_case<F: FnMut()>(name: String, mut f: F) -> CaseResult {
-    for _ in 0..WARMUP_ITERS {
-        f();
-    }
-    let mut samples: Vec<u128> = Vec::with_capacity(TIMED_ITERS_FAST);
-    for _ in 0..TIMED_ITERS {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    if samples[samples.len() / 2] < FAST_CASE_NS {
-        for _ in TIMED_ITERS..TIMED_ITERS_FAST {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed().as_nanos());
-        }
-    }
-    samples.sort_unstable();
-    let min_ns = samples[0];
-    let median_ns = samples[samples.len() / 2];
-    let mean_ns = samples.iter().sum::<u128>() / samples.len() as u128;
-    println!(
-        "{:<40} min {:>12.3} ms   median {:>12.3} ms   mean {:>12.3} ms   ({} iters)",
-        name,
-        min_ns as f64 / 1e6,
-        median_ns as f64 / 1e6,
-        mean_ns as f64 / 1e6,
-        samples.len(),
-    );
-    CaseResult {
-        name,
-        iters: samples.len(),
-        min_ns,
-        median_ns,
-        mean_ns,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn main() {
     println!(
@@ -87,7 +30,7 @@ fn main() {
 
     // End to end: the CI-gated suite (2 chips, 20 tiles total).
     let spec = ChipSpec::named("chip-tiny").unwrap();
-    results.push(run_case("chip_suite_tiny".into(), || {
+    results.push(run_case("chip_suite_tiny", || {
         black_box(run_chip_suite(&spec).unwrap());
     }));
 
@@ -95,7 +38,7 @@ fn main() {
     // steady state inside the suite loop).
     let sim = LithoSimulator::new(spec.litho_config()).unwrap();
     let chip = spec.chips[0].chip();
-    results.push(run_case("chip_case_4x4".into(), || {
+    results.push(run_case("chip_case_4x4", || {
         black_box(run_chip_case_full(&spec, &sim, &chip).unwrap());
     }));
 
@@ -124,7 +67,7 @@ fn main() {
     let weights = axis_weights(&geom);
     let mut acc = vec![0.0; cw * ch];
     let mut wsum = vec![0.0; cw * ch];
-    results.push(run_case("stitch_blend_4x4".into(), || {
+    results.push(run_case("stitch_blend_4x4", || {
         acc.iter_mut().for_each(|v| *v = 0.0);
         wsum.iter_mut().for_each(|v| *v = 0.0);
         for (i, image) in images.iter().enumerate() {
@@ -152,7 +95,7 @@ fn main() {
         .collect();
     let mut shots = Vec::new();
     let mut owners = Vec::new();
-    results.push(run_case("merge_shots_4x4".into(), || {
+    results.push(run_case("merge_shots_4x4", || {
         shots.clear();
         owners.clear();
         for (i, t) in tiles.iter().enumerate() {
@@ -161,27 +104,5 @@ fn main() {
         black_box(shots.len());
     }));
 
-    // Snapshot, in the shape `scripts/check_bench.py` expects.
-    let path =
-        std::env::var("CFAOPC_BENCH_CHIP_OUT").unwrap_or_else(|_| "BENCH_chip.json".to_string());
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"worker_count\": {},\n", worker_count()));
-    out.push_str(&format!("  \"pool_threads\": {},\n", pool_thread_count()));
-    out.push_str("  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}}}{}\n",
-            json_escape(&r.name),
-            r.iters,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("\nperf snapshot written to {path}"),
-        Err(e) => eprintln!("\nfailed to write perf snapshot: {e}"),
-    }
+    write_snapshot("CFAOPC_BENCH_CHIP_OUT", "BENCH_chip.json", vec![], &results);
 }

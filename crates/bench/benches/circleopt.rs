@@ -1,7 +1,7 @@
 //! CircleOpt inner-loop benchmarks: the tiled parallel composition
 //! engine against its retained serial reference, plus a full CircleOpt
 //! iteration (compose → litho gradient → backward → Adam step) in both
-//! the pooled steady-state form and the allocating serial form. Run with
+//! the real pooled loop and the allocating serial form. Run with
 //! `cargo bench -p cfaopc-bench --bench circleopt`.
 //!
 //! Grid/shot sizes follow the tentpole acceptance matrix: 512² and 1024²
@@ -9,22 +9,25 @@
 //! as its own case pair (`fused_serial_*` / `fused_engine_*`) — a single
 //! closure running forward then backward — rather than summing the
 //! medians of separately timed phases, which fabricates a ratio no run
-//! ever achieved. Results are written as a JSON snapshot (default
-//! `BENCH_circleopt.json`, override with `CFAOPC_BENCH_CIRCLEOPT_OUT`)
-//! including serial-vs-engine speedup ratios computed from both medians
-//! (`speedup`) and minima (`speedup_min`, the statistic the CI gate
-//! compares), and the measured heap behaviour of a steady-state
-//! iteration (net bytes — expected 0 — and transient allocation count),
-//! via a counting global allocator local to this binary. Cases whose
-//! first-pass median lands under 20 ms are re-sampled up to 15
-//! iterations so the median and min stop disagreeing by scheduler noise.
+//! ever achieved. Every case runs under `cfaopc_bench::snapshot`'s
+//! policy (warm-up, 7 samples, topped up to 15 below 20 ms). Results are
+//! written as a JSON snapshot (default `BENCH_circleopt.json`, override
+//! with `CFAOPC_BENCH_CIRCLEOPT_OUT`) including serial-vs-engine speedup
+//! ratios computed from both medians (`speedup`) and minima
+//! (`speedup_min`, the statistic the CI gate compares).
 //!
 //! The full-iteration cases need a lithography simulator; 512² runs by
 //! default, the 1024² variant is opt-in via `CFAOPC_BENCH_FULL=1` to
-//! keep CI smoke runs fast. Because the serial/pooled iteration pair
-//! differs by only a few percent of a multi-hundred-ms run, its samples
-//! are interleaved (A, B, A, B, …) instead of block-sequential so that
-//! machine-state drift cannot masquerade as a speedup or regression.
+//! keep CI smoke runs fast. The pooled case is `run_circleopt` itself,
+//! warm-started from the circles (no stage 1), with a sink that stamps
+//! the time and a counting global allocator's counters (local to this
+//! binary) at every record: its samples are the times between
+//! consecutive records after warm-up, under the same policy, and the
+//! snapshot's `steady_state_net_bytes_per_iteration` and
+//! `steady_state_transient_allocs_per_iteration` are the largest
+//! per-iteration counter deltas of the same window at 512². The serial
+//! case runs the same iteration allocating, with the loop's own compose
+//! config, loss weights, γ and Adam step.
 //!
 //! After timing, a short tracing-enabled CircleOpt run emits a JSONL
 //! telemetry artifact (per-iteration records, counters, span tree) next
@@ -32,6 +35,9 @@
 //! override with `CFAOPC_BENCH_CIRCLEOPT_TRACE_OUT`. The timed cases run
 //! with tracing disabled, so the medians measure the untraced hot path.
 
+use cfaopc_bench::snapshot::{
+    needs_top_up, run_case, write_snapshot, CaseResult, TIMED_ITERS, TIMED_ITERS_FAST, WARMUP_ITERS,
+};
 use cfaopc_core::{
     compose_serial, run_circleopt, CircleOptConfig, CircleParams, ComposeConfig, ComposeWorkspace,
     RunCtx, SparseCircles,
@@ -39,21 +45,13 @@ use cfaopc_core::{
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_ilt::{Optimizer, OptimizerKind};
-use cfaopc_litho::{
-    loss_and_gradient, loss_and_gradient_into, LithoConfig, LithoSimulator, LossWeights,
-};
+use cfaopc_litho::{loss_and_gradient, LithoConfig, LithoSimulator};
+use cfaopc_trace::json::Json;
+use cfaopc_trace::{IterationRecord, TelemetrySink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::time::Instant;
-
-const WARMUP_ITERS: usize = 2;
-const TIMED_ITERS: usize = 7;
-/// Extra samples for fast cases: anything whose first-pass median is
-/// under [`FAST_CASE_NS`] is noisy at 5 samples, so the harness tops the
-/// sample set up to this many iterations before computing statistics.
-const TIMED_ITERS_FAST: usize = 15;
-const FAST_CASE_NS: u128 = 20_000_000; // 20 ms
 
 // --- allocation accounting -------------------------------------------------
 
@@ -97,114 +95,38 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-// --- harness ---------------------------------------------------------------
-
-struct CaseResult {
-    name: String,
-    iters: usize,
-    min_ns: u128,
-    median_ns: u128,
-    mean_ns: u128,
+/// Stamps the time and the allocation counters at every record into a
+/// vector sized up front, so recording allocates nothing.
+struct IterationClock {
+    stamps: Vec<(Instant, isize, usize)>,
 }
 
-fn run_case<F: FnMut()>(name: String, mut f: F) -> CaseResult {
-    for _ in 0..WARMUP_ITERS {
-        f();
+impl TelemetrySink for IterationClock {
+    fn record(&mut self, _rec: &IterationRecord) {
+        self.stamps.push((
+            Instant::now(),
+            NET_BYTES.load(Ordering::SeqCst),
+            ALLOC_CALLS.load(Ordering::SeqCst),
+        ));
     }
-    let mut samples: Vec<u128> = Vec::with_capacity(TIMED_ITERS_FAST);
-    for _ in 0..TIMED_ITERS {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    // Sub-20 ms cases are noisy at 5 samples — and the CI gate compares
-    // `min_ns` while the table is median-based, so noise can make the
-    // two disagree. Top fast cases up with extra samples.
-    if samples[samples.len() / 2] < FAST_CASE_NS {
-        for _ in TIMED_ITERS..TIMED_ITERS_FAST {
-            let t0 = Instant::now();
-            f();
-            samples.push(t0.elapsed().as_nanos());
-        }
-    }
-    finish_case(name, samples)
-}
-
-fn finish_case(name: String, mut samples: Vec<u128>) -> CaseResult {
-    samples.sort_unstable();
-    let min_ns = samples[0];
-    let median_ns = samples[samples.len() / 2];
-    let mean_ns = samples.iter().sum::<u128>() / samples.len() as u128;
-    println!(
-        "{:<40} min {:>12.3} ms   median {:>12.3} ms   mean {:>12.3} ms   ({} iters)",
-        name,
-        min_ns as f64 / 1e6,
-        median_ns as f64 / 1e6,
-        mean_ns as f64 / 1e6,
-        samples.len(),
-    );
-    CaseResult {
-        name,
-        iters: samples.len(),
-        min_ns,
-        median_ns,
-        mean_ns,
-    }
-}
-
-/// Times two closures with **interleaved** samples (A, B, A, B, …) so
-/// slow machine-state drift — frequency scaling, a noisy co-tenant —
-/// lands on both sides of the comparison instead of biasing whichever
-/// case happened to run during the bad window. Used for the long
-/// full-iteration pairs, where the compared difference is a few percent
-/// of a multi-hundred-ms run and block-sequential timing lets drift
-/// masquerade as a speedup or a regression.
-fn run_interleaved_pair<FA: FnMut(), FB: FnMut()>(
-    name_a: String,
-    mut fa: FA,
-    name_b: String,
-    mut fb: FB,
-) -> (CaseResult, CaseResult) {
-    for _ in 0..WARMUP_ITERS {
-        fa();
-        fb();
-    }
-    let mut sa: Vec<u128> = Vec::with_capacity(TIMED_ITERS_FAST);
-    let mut sb: Vec<u128> = Vec::with_capacity(TIMED_ITERS_FAST);
-    for _ in 0..TIMED_ITERS_FAST {
-        let t0 = Instant::now();
-        fa();
-        sa.push(t0.elapsed().as_nanos());
-        let t0 = Instant::now();
-        fb();
-        sb.push(t0.elapsed().as_nanos());
-    }
-    (finish_case(name_a, sa), finish_case(name_b, sb))
-}
-
-struct Speedup {
-    case: String,
-    serial_ns: u128,
-    tiled_ns: u128,
-    serial_min_ns: u128,
-    tiled_min_ns: u128,
 }
 
 /// A speedup row derived from two *measured* cases — medians for the
 /// human-facing table, minimums for the CI gate's noise-resistant view.
-fn speedup_of(case: String, serial: &CaseResult, tiled: &CaseResult) -> Speedup {
-    Speedup {
-        case,
-        serial_ns: serial.median_ns,
-        tiled_ns: tiled.median_ns,
-        serial_min_ns: serial.min_ns,
-        tiled_min_ns: tiled.min_ns,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn speedup(case: String, serial: &CaseResult, tiled: &CaseResult) -> Json {
+    let ratio = |a: u128, b: u128| Json::Num((a as f64 / b.max(1) as f64 * 1e3).round() / 1e3);
+    Json::Obj(vec![
+        ("case".into(), Json::Str(case)),
+        (
+            "serial_median_ns".into(),
+            Json::Num(serial.median_ns as f64),
+        ),
+        ("tiled_median_ns".into(), Json::Num(tiled.median_ns as f64)),
+        ("speedup".into(), ratio(serial.median_ns, tiled.median_ns)),
+        ("serial_min_ns".into(), Json::Num(serial.min_ns as f64)),
+        ("tiled_min_ns".into(), Json::Num(tiled.min_ns as f64)),
+        ("speedup_min".into(), ratio(serial.min_ns, tiled.min_ns)),
+    ])
 }
 
 // --- deterministic workloads ----------------------------------------------
@@ -239,7 +161,7 @@ fn compose_cfg(n: usize) -> ComposeConfig {
 
 fn main() {
     let mut results: Vec<CaseResult> = Vec::new();
-    let mut speedups: Vec<Speedup> = Vec::new();
+    let mut speedups: Vec<Json> = Vec::new();
     println!(
         "cfaopc circleopt benchmarks: {} workers ({} pool threads)\n",
         worker_count(),
@@ -260,7 +182,7 @@ fn main() {
             ws.compose(&sparse, &cfg);
             black_box(ws.mask());
         });
-        speedups.push(speedup_of(
+        speedups.push(speedup(
             format!("compose_{n}_{count}c"),
             &serial_compose,
             &tiled_compose,
@@ -275,7 +197,7 @@ fn main() {
             ws.backward_into(&grad, &mut grads);
             black_box(grads.len());
         });
-        speedups.push(speedup_of(
+        speedups.push(speedup(
             format!("backward_{n}_{count}c"),
             &serial_backward,
             &tiled_backward,
@@ -294,7 +216,7 @@ fn main() {
             ws.backward_into(&grad, &mut grads);
             black_box(grads.len());
         });
-        speedups.push(speedup_of(
+        speedups.push(speedup(
             format!("compose+backward_{n}_{count}c"),
             &fused_serial,
             &fused_engine,
@@ -309,8 +231,8 @@ fn main() {
         ]);
     }
 
-    // Full CircleOpt iterations: allocating serial form vs pooled
-    // steady-state form, plus the steady-state allocation profile.
+    // Full CircleOpt iterations: allocating serial form vs the real
+    // loop, plus the steady-state allocation profile.
     let full_sizes: &[usize] = if std::env::var("CFAOPC_BENCH_FULL").is_ok_and(|v| v == "1") {
         &[512, 1024]
     } else {
@@ -333,131 +255,93 @@ fn main() {
         let c = n as i32 / 2;
         fill_rect(&mut target, Rect::new(c - 40, c - 120, c + 40, c + 120));
         let target_real = target.to_real();
-        let weights = LossWeights::default();
-        let cfg = compose_cfg(n);
+        let config = CircleOptConfig {
+            circle_iterations: WARMUP_ITERS + TIMED_ITERS_FAST,
+            ..CircleOptConfig::default()
+        };
+        let (r_min, r_max) = config.rule.radius_range_px(sim.config().pixel_nm());
+        let cfg = ComposeConfig::new(n, r_min, r_max);
+        let (weights, gamma) = (config.weights, config.gamma);
         let sparse = make_circles(n, count);
-        let gamma = 3.0;
 
         // Serial/allocating: fresh compose, allocating gradient call,
-        // allocating backward.
+        // allocating backward, over the loop's own compose config, loss
+        // weights, γ and Adam step.
         let mut flat_s = sparse.to_flat();
-        let mut optimizer_s = Optimizer::new(OptimizerKind::adam(0.1), flat_s.len());
+        let mut optimizer_s = Optimizer::new(OptimizerKind::adam(config.step), flat_s.len());
         let mut circles_s = sparse.clone();
+        let serial = run_case(format!("iteration_serial_{n}_{count}c"), || {
+            circles_s.set_from_flat(&flat_s);
+            let composite = compose_serial(&circles_s, &cfg);
+            let (_loss, grad_mask) =
+                loss_and_gradient(&sim, &composite.mask, &target_real, weights).unwrap();
+            let mut grads = composite.backward_serial(&grad_mask);
+            for (i, p) in circles_s.circles.iter().enumerate() {
+                grads[4 * i + 3] += gamma * p.q.signum() * if p.q == 0.0 { 0.0 } else { 1.0 };
+            }
+            optimizer_s.step(&mut flat_s, &grads);
+            black_box(&flat_s);
+        });
 
-        // Pooled steady state: reused workspace and buffers throughout —
-        // the exact shape of `run_circleopt`'s inner loop.
-        let mut flat = sparse.to_flat();
-        let mut optimizer = Optimizer::new(OptimizerKind::adam(0.1), flat.len());
-        let mut circles = sparse.clone();
-        let mut ws = ComposeWorkspace::new();
-        let mut grad_mask = Grid2D::new(n, n, 0.0);
-        let mut grads: Vec<f64> = Vec::new();
-        let mut pooled_iteration =
-            |flat: &mut Vec<f64>, circles: &mut SparseCircles, optimizer: &mut Optimizer| {
-                circles.set_from_flat(flat);
-                ws.compose(circles, &cfg);
-                let _loss =
-                    loss_and_gradient_into(&sim, ws.mask(), &target_real, weights, &mut grad_mask)
-                        .unwrap();
-                ws.backward_into(&grad_mask, &mut grads);
-                for (i, p) in circles.circles.iter().enumerate() {
-                    grads[4 * i + 3] += gamma * p.q.signum() * if p.q == 0.0 { 0.0 } else { 1.0 };
-                }
-                optimizer.step(flat, &grads);
-            };
-
-        // The two variants differ by a few percent of a multi-hundred-ms
-        // iteration, so they are sampled interleaved (see
-        // `run_interleaved_pair`) rather than block-sequentially.
-        let (serial, pooled) = run_interleaved_pair(
-            format!("iteration_serial_{n}_{count}c"),
-            || {
-                circles_s.set_from_flat(&flat_s);
-                let composite = compose_serial(&circles_s, &cfg);
-                let (_loss, grad_mask) =
-                    loss_and_gradient(&sim, &composite.mask, &target_real, weights).unwrap();
-                let mut grads = composite.backward_serial(&grad_mask);
-                for (i, p) in circles_s.circles.iter().enumerate() {
-                    grads[4 * i + 3] += gamma * p.q.signum() * if p.q == 0.0 { 0.0 } else { 1.0 };
-                }
-                optimizer_s.step(&mut flat_s, &grads);
-                black_box(&flat_s);
-            },
-            format!("iteration_pooled_{n}_{count}c"),
-            || {
-                pooled_iteration(&mut flat, &mut circles, &mut optimizer);
-                black_box(&flat);
-            },
-        );
-
-        // Allocation profile of one steady-state iteration (the harness
-        // above already warmed everything up).
+        // Pooled: `run_circleopt` itself from the same circles. Each
+        // sample is the time from one record to the next, one whole
+        // iteration of the real loop. The run is long enough for a
+        // top-up; the policy decides how many samples count.
+        let mut clock = IterationClock {
+            stamps: Vec::with_capacity(config.circle_iterations),
+        };
+        let ctx = RunCtx {
+            init: Some(sparse),
+            sink: Some(&mut clock),
+            cancel: None,
+        };
+        run_circleopt(&sim, &target, &config, ctx).unwrap();
+        // Per iteration after warm-up: (time, net bytes, alloc calls).
+        let mut deltas: Vec<_> = clock.stamps[WARMUP_ITERS - 1..]
+            .windows(2)
+            .map(|w| (w[1].0 - w[0].0, w[1].1 - w[0].1, w[1].2 - w[0].2))
+            .collect();
+        let first: Vec<u128> = deltas[..TIMED_ITERS]
+            .iter()
+            .map(|d| d.0.as_nanos())
+            .collect();
+        if !needs_top_up(&first) {
+            deltas.truncate(TIMED_ITERS);
+        }
         if n == 512 {
-            let bytes0 = NET_BYTES.load(Ordering::SeqCst);
-            let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
-            pooled_iteration(&mut flat, &mut circles, &mut optimizer);
-            steady_net_bytes = Some(NET_BYTES.load(Ordering::SeqCst) - bytes0);
-            steady_allocs = Some(ALLOC_CALLS.load(Ordering::SeqCst) - calls0);
+            steady_net_bytes = deltas.iter().map(|d| d.1).max();
+            steady_allocs = deltas.iter().map(|d| d.2).max();
             println!(
-                "steady-state iteration allocations: net {} bytes, {} transient alloc calls",
-                steady_net_bytes.unwrap(),
-                steady_allocs.unwrap()
+                "steady-state iteration allocations: net {} bytes, {} transient alloc calls (largest per iteration)",
+                steady_net_bytes.unwrap_or(0),
+                steady_allocs.unwrap_or(0)
             );
         }
+        let pooled = CaseResult::from_samples(
+            format!("iteration_pooled_{n}_{count}c"),
+            deltas.iter().map(|d| d.0.as_nanos()).collect(),
+        );
 
-        speedups.push(speedup_of(
-            format!("iteration_{n}_{count}c"),
-            &serial,
-            &pooled,
-        ));
+        speedups.push(speedup(format!("iteration_{n}_{count}c"), &serial, &pooled));
         results.extend([serial, pooled]);
     }
 
-    // Snapshot.
-    let path = std::env::var("CFAOPC_BENCH_CIRCLEOPT_OUT")
-        .unwrap_or_else(|_| "BENCH_circleopt.json".to_string());
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"worker_count\": {},\n", worker_count()));
-    out.push_str(&format!("  \"pool_threads\": {},\n", pool_thread_count()));
-    out.push_str(&format!(
-        "  \"steady_state_net_bytes_per_iteration\": {},\n",
-        steady_net_bytes.map_or("null".to_string(), |v| v.to_string())
-    ));
-    out.push_str(&format!(
-        "  \"steady_state_transient_allocs_per_iteration\": {},\n",
-        steady_allocs.map_or("null".to_string(), |v| v.to_string())
-    ));
-    out.push_str("  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}}}{}\n",
-            json_escape(&r.name),
-            r.iters,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": [\n");
-    for (i, s) in speedups.iter().enumerate() {
-        let ratio = s.serial_ns as f64 / s.tiled_ns.max(1) as f64;
-        let ratio_min = s.serial_min_ns as f64 / s.tiled_min_ns.max(1) as f64;
-        out.push_str(&format!(
-            "    {{\"case\": \"{}\", \"serial_median_ns\": {}, \"tiled_median_ns\": {}, \"speedup\": {ratio:.3}, \"serial_min_ns\": {}, \"tiled_min_ns\": {}, \"speedup_min\": {ratio_min:.3}}}{}\n",
-            json_escape(&s.case),
-            s.serial_ns,
-            s.tiled_ns,
-            s.serial_min_ns,
-            s.tiled_min_ns,
-            if i + 1 == speedups.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("\nperf snapshot written to {path}"),
-        Err(e) => eprintln!("\nfailed to write perf snapshot: {e}"),
-    }
+    write_snapshot(
+        "CFAOPC_BENCH_CIRCLEOPT_OUT",
+        "BENCH_circleopt.json",
+        vec![
+            (
+                "steady_state_net_bytes_per_iteration",
+                steady_net_bytes.map_or(Json::Null, |v| Json::Num(v as f64)),
+            ),
+            (
+                "steady_state_transient_allocs_per_iteration",
+                steady_allocs.map_or(Json::Null, Json::int),
+            ),
+            ("speedups", Json::Arr(speedups)),
+        ],
+        &results,
+    );
 
     write_telemetry_artifact();
 }

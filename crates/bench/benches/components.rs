@@ -2,11 +2,12 @@
 //! experiment resolution (256²). Run with `cargo bench -p cfaopc-bench`.
 //!
 //! Hand-rolled harness (`harness = false`, no external benchmark
-//! dependency): each case is warmed up, timed over a fixed number of
-//! iterations, and summarized as min / median / mean wall time. The
-//! full summary is also written as a JSON perf snapshot (default
-//! `BENCH_components.json`, override with `CFAOPC_BENCH_OUT`) so CI can
-//! archive it as an artifact and successive runs can be diffed.
+//! dependency): every case runs under `cfaopc_bench::snapshot`'s policy
+//! (warm-up, 7 samples, topped up to 15 below 20 ms) and is summarized
+//! as min / median / mean wall time. The full summary is also written as
+//! a JSON perf snapshot (default `BENCH_components.json`, override with
+//! `CFAOPC_BENCH_OUT`) so CI can archive it as an artifact and successive
+//! runs can be diffed.
 //!
 //! The snapshot records the worker-pool configuration
 //! (`worker_count`, `pool_threads`) and the process thread count
@@ -14,6 +15,7 @@
 //! "zero new threads per call" property of the persistent pool
 //! observable from the artifact alone.
 
+use cfaopc_bench::snapshot::{run_case, write_snapshot};
 use cfaopc_core::{compose, compose_soft, ComposeConfig, SparseCircles};
 use cfaopc_ebeam::{EbeamPsf, WriterModel};
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
@@ -24,52 +26,10 @@ use cfaopc_grid::{skeletonize, Grid2D};
 use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::benchmark_case;
 use cfaopc_litho::{loss_and_gradient, LithoConfig, LithoSimulator, LossWeights, ProcessCorner};
+use cfaopc_trace::json::Json;
 use std::hint::black_box;
-use std::time::Instant;
 
 const N: usize = 256;
-const WARMUP_ITERS: usize = 2;
-const TIMED_ITERS: usize = 10;
-
-/// Timing summary of one benchmark case, in nanoseconds.
-struct CaseResult {
-    name: &'static str,
-    iters: usize,
-    min_ns: u128,
-    median_ns: u128,
-    mean_ns: u128,
-}
-
-fn run_case<F: FnMut()>(name: &'static str, mut f: F) -> CaseResult {
-    for _ in 0..WARMUP_ITERS {
-        f();
-    }
-    let mut samples: Vec<u128> = Vec::with_capacity(TIMED_ITERS);
-    for _ in 0..TIMED_ITERS {
-        let t0 = Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    let min_ns = samples[0];
-    let median_ns = samples[samples.len() / 2];
-    let mean_ns = samples.iter().sum::<u128>() / samples.len() as u128;
-    let result = CaseResult {
-        name,
-        iters: TIMED_ITERS,
-        min_ns,
-        median_ns,
-        mean_ns,
-    };
-    println!(
-        "{:<32} min {:>12.3} ms   median {:>12.3} ms   mean {:>12.3} ms",
-        name,
-        min_ns as f64 / 1e6,
-        median_ns as f64 / 1e6,
-        mean_ns as f64 / 1e6,
-    );
-    result
-}
 
 /// Current thread count of this process, from `/proc/self/status`
 /// (Linux only; `None` elsewhere).
@@ -79,46 +39,6 @@ fn process_thread_count() -> Option<usize> {
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_snapshot(
-    results: &[CaseResult],
-    threads_before: Option<usize>,
-    threads_after: Option<usize>,
-) -> std::io::Result<String> {
-    let path =
-        std::env::var("CFAOPC_BENCH_OUT").unwrap_or_else(|_| "BENCH_components.json".to_string());
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"grid_size\": {N},\n"));
-    out.push_str(&format!("  \"worker_count\": {},\n", worker_count()));
-    out.push_str(&format!("  \"pool_threads\": {},\n", pool_thread_count()));
-    out.push_str(&format!(
-        "  \"threads_before_steady_state\": {},\n",
-        threads_before.map_or("null".to_string(), |t| t.to_string())
-    ));
-    out.push_str(&format!(
-        "  \"threads_after_steady_state\": {},\n",
-        threads_after.map_or("null".to_string(), |t| t.to_string())
-    ));
-    out.push_str("  \"cases\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}}}{}\n",
-            json_escape(r.name),
-            r.iters,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 fn sim() -> LithoSimulator {
@@ -316,8 +236,15 @@ fn main() {
         black_box(compose_soft(&sparse, &cfg, 20.0));
     }));
 
-    match write_snapshot(&results, threads_before, threads_after) {
-        Ok(path) => println!("\nperf snapshot written to {path}"),
-        Err(e) => eprintln!("\nfailed to write perf snapshot: {e}"),
-    }
+    let threads = |t: Option<usize>| t.map_or(Json::Null, Json::int);
+    write_snapshot(
+        "CFAOPC_BENCH_OUT",
+        "BENCH_components.json",
+        vec![
+            ("grid_size", Json::int(N)),
+            ("threads_before_steady_state", threads(threads_before)),
+            ("threads_after_steady_state", threads(threads_after)),
+        ],
+        &results,
+    );
 }

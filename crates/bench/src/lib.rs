@@ -14,9 +14,14 @@
 //! * `CFAOPC_KERNELS` — SOCS kernels per corner (default 8).
 //!
 //! Artifacts (CSV/SVG/PGM) are written under `target/experiments/`.
+//!
+//! The microbenchmarks (`benches/`) share [`snapshot`]: one timing
+//! policy and one JSON snapshot writer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod snapshot;
 
 use cfaopc_core::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fracture::{circle_rule, rect_shot_count, CircleRuleConfig, CircularMask};

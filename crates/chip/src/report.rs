@@ -21,28 +21,11 @@
 //! Every field is a pure function of the suite spec, so the serialized
 //! bytes are stable across runs and thread counts; the golden file
 //! (`eval/golden_chip.json`) is a blessed copy of this format. Drift
-//! checking reuses `cfaopc_eval`'s [`Tolerance`]/[`Drift`] machinery.
+//! checking is `cfaopc_eval`'s: [`metric_drifts`] over each method's six
+//! metrics, [`Drift::structural`] for a suite or chip-list mismatch.
 
-use cfaopc_eval::{Drift, Json, Tolerance};
+use cfaopc_eval::{metric_drifts, Drift, Json, Tolerance};
 use std::fmt::Write as _;
-
-fn field_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))
-}
-
-fn field_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    obj.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn field_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric {key:?}"))
-}
 
 /// Schema tag written to and required from every chip report file.
 pub const SCHEMA: &str = "cfaopc-chip/1";
@@ -114,22 +97,17 @@ pub struct ChipReport {
     pub chips: Vec<ChipRecord>,
 }
 
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
-fn int(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
 fn method_json(m: &ChipMethodOutcome) -> Json {
     Json::Obj(vec![
-        ("l2".into(), num(m.l2)),
-        ("pvb".into(), num(m.pvb)),
-        ("epe".into(), int(m.epe)),
-        ("shots".into(), int(m.shots)),
-        ("mrc_violations".into(), int(m.mrc_violations)),
-        ("cross_seam_violations".into(), int(m.cross_seam_violations)),
+        ("l2".into(), Json::Num(m.l2)),
+        ("pvb".into(), Json::Num(m.pvb)),
+        ("epe".into(), Json::int(m.epe)),
+        ("shots".into(), Json::int(m.shots)),
+        ("mrc_violations".into(), Json::int(m.mrc_violations)),
+        (
+            "cross_seam_violations".into(),
+            Json::int(m.cross_seam_violations),
+        ),
     ])
 }
 
@@ -146,17 +124,17 @@ impl ChipReport {
                     .map(|t| {
                         Json::Obj(vec![
                             ("tile".into(), Json::Str(t.name.clone())),
-                            ("rule_shots".into(), int(t.rule_shots)),
-                            ("opt_shots".into(), int(t.opt_shots)),
+                            ("rule_shots".into(), Json::int(t.rule_shots)),
+                            ("opt_shots".into(), Json::int(t.opt_shots)),
                         ])
                     })
                     .collect();
                 Json::Obj(vec![
                     ("chip".into(), Json::Str(c.name.clone())),
-                    ("tiles_x".into(), int(c.tiles_x)),
-                    ("tiles_y".into(), int(c.tiles_y)),
-                    ("area_nm2".into(), num(c.area_nm2 as f64)),
-                    ("rects".into(), int(c.rects)),
+                    ("tiles_x".into(), Json::int(c.tiles_x)),
+                    ("tiles_y".into(), Json::int(c.tiles_y)),
+                    ("area_nm2".into(), Json::Num(c.area_nm2 as f64)),
+                    ("rects".into(), Json::int(c.rects)),
                     ("rule".into(), method_json(&c.rule)),
                     ("opt".into(), method_json(&c.opt)),
                     ("tiles".into(), Json::Arr(tiles)),
@@ -166,10 +144,10 @@ impl ChipReport {
         Json::Obj(vec![
             ("schema".into(), Json::Str(SCHEMA.into())),
             ("suite".into(), Json::Str(self.suite.clone())),
-            ("tile_px".into(), int(self.tile_px)),
-            ("window_px".into(), int(self.window_px)),
-            ("halo_px".into(), int(self.halo_px)),
-            ("kernel_count".into(), int(self.kernel_count)),
+            ("tile_px".into(), Json::int(self.tile_px)),
+            ("window_px".into(), Json::int(self.window_px)),
+            ("halo_px".into(), Json::int(self.halo_px)),
+            ("kernel_count".into(), Json::int(self.kernel_count)),
             ("chips".into(), Json::Arr(chips)),
         ])
     }
@@ -206,11 +184,11 @@ impl ChipReport {
             .map(chip_from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ChipReport {
-            suite: field_str(&doc, "suite")?.to_string(),
-            tile_px: field_usize(&doc, "tile_px")?,
-            window_px: field_usize(&doc, "window_px")?,
-            halo_px: field_usize(&doc, "halo_px")?,
-            kernel_count: field_usize(&doc, "kernel_count")?,
+            suite: doc.str_field("suite")?.to_string(),
+            tile_px: doc.usize_field("tile_px")?,
+            window_px: doc.usize_field("window_px")?,
+            halo_px: doc.usize_field("halo_px")?,
+            kernel_count: doc.usize_field("kernel_count")?,
             chips,
         })
     }
@@ -254,17 +232,17 @@ fn method_from_json(obj: &Json, which: &str) -> Result<ChipMethodOutcome, String
         .get(which)
         .ok_or_else(|| format!("missing {which:?} object"))?;
     Ok(ChipMethodOutcome {
-        l2: field_f64(m, "l2")?,
-        pvb: field_f64(m, "pvb")?,
-        epe: field_usize(m, "epe")?,
-        shots: field_usize(m, "shots")?,
-        mrc_violations: field_usize(m, "mrc_violations")?,
-        cross_seam_violations: field_usize(m, "cross_seam_violations")?,
+        l2: m.f64_field("l2")?,
+        pvb: m.f64_field("pvb")?,
+        epe: m.usize_field("epe")?,
+        shots: m.usize_field("shots")?,
+        mrc_violations: m.usize_field("mrc_violations")?,
+        cross_seam_violations: m.usize_field("cross_seam_violations")?,
     })
 }
 
 fn chip_from_json(obj: &Json) -> Result<ChipRecord, String> {
-    let name = field_str(obj, "chip")?.to_string();
+    let name = obj.str_field("chip")?.to_string();
     let context = |e: String| format!("chip {name:?}: {e}");
     let tiles = obj
         .get("tiles")
@@ -273,18 +251,18 @@ fn chip_from_json(obj: &Json) -> Result<ChipRecord, String> {
         .iter()
         .map(|t| {
             Ok(TileRecord {
-                name: field_str(t, "tile")?.to_string(),
-                rule_shots: field_usize(t, "rule_shots")?,
-                opt_shots: field_usize(t, "opt_shots")?,
+                name: t.str_field("tile")?.to_string(),
+                rule_shots: t.usize_field("rule_shots")?,
+                opt_shots: t.usize_field("opt_shots")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()
         .map_err(context)?;
     Ok(ChipRecord {
-        tiles_x: field_usize(obj, "tiles_x").map_err(context)?,
-        tiles_y: field_usize(obj, "tiles_y").map_err(context)?,
-        area_nm2: field_f64(obj, "area_nm2").map_err(context)? as i64,
-        rects: field_usize(obj, "rects").map_err(context)?,
+        tiles_x: obj.usize_field("tiles_x").map_err(context)?,
+        tiles_y: obj.usize_field("tiles_y").map_err(context)?,
+        area_nm2: obj.f64_field("area_nm2").map_err(context)? as i64,
+        rects: obj.usize_field("rects").map_err(context)?,
         rule: method_from_json(obj, "rule").map_err(context)?,
         opt: method_from_json(obj, "opt").map_err(context)?,
         tiles,
@@ -300,7 +278,7 @@ fn method_drifts(
     tol: &Tolerance,
     out: &mut Vec<Drift>,
 ) {
-    let metrics: [(&str, f64, f64); 6] = [
+    let metrics = [
         ("l2", golden.l2, got.l2),
         ("pvb", golden.pvb, got.pvb),
         ("epe", golden.epe as f64, got.epe as f64),
@@ -316,30 +294,7 @@ fn method_drifts(
             got.cross_seam_violations as f64,
         ),
     ];
-    for (name, golden_v, got_v) in metrics {
-        let allowed = tol.allowed(golden_v);
-        if (got_v - golden_v).abs() > allowed {
-            out.push(Drift {
-                case: chip.to_string(),
-                method: method.to_string(),
-                metric: name.to_string(),
-                golden: golden_v,
-                got: got_v,
-                allowed,
-            });
-        }
-    }
-}
-
-fn structural(metric: impl Into<String>, golden: f64, got: f64) -> Drift {
-    Drift {
-        case: "<report>".into(),
-        method: "-".into(),
-        metric: metric.into(),
-        golden,
-        got,
-        allowed: 0.0,
-    }
+    metric_drifts(chip, method, &metrics, tol, out);
 }
 
 /// Compares a freshly measured chip report against the golden one; an
@@ -348,7 +303,7 @@ fn structural(metric: impl Into<String>, golden: f64, got: f64) -> Drift {
 pub fn compare_chip_reports(golden: &ChipReport, got: &ChipReport, tol: &Tolerance) -> Vec<Drift> {
     let mut drifts = Vec::new();
     if golden.suite != got.suite {
-        drifts.push(structural(
+        drifts.push(Drift::structural(
             format!("suite {:?} vs {:?}", golden.suite, got.suite),
             0.0,
             0.0,
@@ -361,11 +316,11 @@ pub fn compare_chip_reports(golden: &ChipReport, got: &ChipReport, tol: &Toleran
         ("kernel_count", golden.kernel_count, got.kernel_count),
     ] {
         if g != m {
-            drifts.push(structural(name, g as f64, m as f64));
+            drifts.push(Drift::structural(name, g as f64, m as f64));
         }
     }
     if golden.chips.len() != got.chips.len() {
-        drifts.push(structural(
+        drifts.push(Drift::structural(
             "chip count",
             golden.chips.len() as f64,
             got.chips.len() as f64,
@@ -374,7 +329,7 @@ pub fn compare_chip_reports(golden: &ChipReport, got: &ChipReport, tol: &Toleran
     }
     for (g, m) in golden.chips.iter().zip(&got.chips) {
         if g.name != m.name {
-            drifts.push(structural(
+            drifts.push(Drift::structural(
                 format!("chip {:?} vs {:?}", g.name, m.name),
                 0.0,
                 0.0,

@@ -1,5 +1,7 @@
 //! Guard: steady-state CircleOpt iterations, hard-max and softmax,
-//! perform **zero net heap growth** after warm-up.
+//! perform **zero net heap growth** after warm-up, and a steady-state
+//! pixel-ILT iteration (CircleOpt's stage 1 and the baseline engines)
+//! allocates no per-iteration grid.
 //!
 //! The guard drives the real loop: `run_circleopt` with a warm start (no
 //! stage 1) and a sink whose `record` snapshots the net live bytes of a
@@ -22,7 +24,14 @@
 //! kernels; the allocator shim here is unsafe and lives only in this
 //! test binary.
 //!
-//! The byte counter is process-wide, so both composition paths run one
+//! Stage 1 runs `run_pixel_ilt` the same way, with the `Mosaic`,
+//! `MultiIltLike` and `NeuralIltLike` configs (0, 1 and 2 gradient-blur
+//! passes). Its loop reuses its mask, gradient and blur buffers, so the
+//! *gross* bytes one steady-state iteration allocates (what the simulator's
+//! parallel regions allocate and free inside the call) are the same at
+//! 128 and 256 px: a grid allocated per iteration would scale with N².
+//!
+//! The byte counters are process-wide, so every run goes one
 //! after the other inside a **single** test: the test harness gives every
 //! test its own thread, and a second test running, starting up or shutting
 //! down would allocate inside this one's measured window. Growth must be
@@ -34,36 +43,48 @@
 //! happen to overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use cfaopc_core::{
     run_circleopt, CircleOptConfig, CircleParams, Composition, RunCtx, SparseCircles,
 };
 use cfaopc_grid::{fill_rect, BitGrid, Rect};
+use cfaopc_ilt::{run_pixel_ilt, IltEngine};
 use cfaopc_litho::{LithoConfig, LithoSimulator};
 use cfaopc_trace::{IterationRecord, TelemetrySink};
 
-/// Wraps the system allocator, tracking net live bytes.
+/// Wraps the system allocator, tracking net live bytes and gross
+/// allocated bytes.
 struct CountingAlloc;
 
 static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
+static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 fn net_bytes() -> isize {
     NET_BYTES.load(Ordering::SeqCst)
 }
 
-// SAFETY: pure pass-through to `System` plus a relaxed byte counter; the
-// counter has no effect on the allocator contract.
+fn gross_bytes() -> usize {
+    GROSS_BYTES.load(Ordering::SeqCst)
+}
+
+fn count_alloc(size: usize) {
+    NET_BYTES.fetch_add(size as isize, Ordering::SeqCst);
+    GROSS_BYTES.fetch_add(size, Ordering::SeqCst);
+}
+
+// SAFETY: pure pass-through to `System` plus relaxed byte counters; the
+// counters have no effect on the allocator contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards `layout` unchanged to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        NET_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        count_alloc(layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: forwards `layout` unchanged to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        NET_BYTES.fetch_add(layout.size() as isize, Ordering::SeqCst);
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -77,6 +98,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards all arguments unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         NET_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
+        GROSS_BYTES.fetch_add(new_size, Ordering::SeqCst);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -88,16 +110,28 @@ const WARMUP: usize = 3;
 const MEASURED: usize = 6;
 const ITERATIONS: usize = WARMUP + MEASURED;
 
-/// Snapshots the net live bytes at every record, into an array sized
-/// up front so that recording allocates nothing.
+/// Snapshots the net live and gross allocated bytes at every record,
+/// into arrays sized up front so that recording allocates nothing.
 struct HeapProbe {
     net: [isize; ITERATIONS],
+    gross: [usize; ITERATIONS],
     seen: usize,
+}
+
+impl HeapProbe {
+    fn new() -> Self {
+        HeapProbe {
+            net: [0; ITERATIONS],
+            gross: [0; ITERATIONS],
+            seen: 0,
+        }
+    }
 }
 
 impl TelemetrySink for HeapProbe {
     fn record(&mut self, _rec: &IterationRecord) {
         self.net[self.seen] = net_bytes();
+        self.gross[self.seen] = gross_bytes();
         self.seen += 1;
     }
 }
@@ -145,10 +179,7 @@ fn steady_state_iterations_are_allocation_free() {
                 composition,
                 ..CircleOptConfig::default()
             };
-            let mut probe = HeapProbe {
-                net: [0; ITERATIONS],
-                seen: 0,
-            };
+            let mut probe = HeapProbe::new();
             let ctx = RunCtx {
                 init: Some(circles),
                 sink: Some(&mut probe),
@@ -162,5 +193,36 @@ fn steady_state_iterations_are_allocation_free() {
                 "steady-state {composition:?} iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
             );
         }
+    }
+
+    // Stage 1: the same window over `run_pixel_ilt`, and the gross bytes
+    // of its last iteration at two grid sizes.
+    for engine in [
+        IltEngine::Mosaic,
+        IltEngine::MultiIltLike,
+        IltEngine::NeuralIltLike,
+    ] {
+        let config = engine.config(ITERATIONS);
+        let gross = [128, 256].map(|size| {
+            let (sim, target, _) = fixture(size);
+            let mut probe = HeapProbe::new();
+            let ctx = RunCtx {
+                sink: Some(&mut probe),
+                ..RunCtx::default()
+            };
+            run_pixel_ilt(&sim, &target, &config, ctx).unwrap();
+            assert_eq!(probe.seen, ITERATIONS);
+            let growth = probe.net[ITERATIONS - 1] - probe.net[WARMUP - 1];
+            assert_eq!(
+                growth, 0,
+                "steady-state {engine:?} pixel iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
+            );
+            probe.gross[ITERATIONS - 1] - probe.gross[ITERATIONS - 2]
+        });
+        assert_eq!(
+            gross[0], gross[1],
+            "one steady-state {engine:?} pixel iteration allocates {} B at 128 px but {} B at 256 px",
+            gross[0], gross[1]
+        );
     }
 }

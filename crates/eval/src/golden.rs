@@ -79,6 +79,45 @@ impl fmt::Display for Drift {
     }
 }
 
+impl Drift {
+    /// A structural mismatch (suite, grid, case list), reported against
+    /// `"<report>"` with no tolerance.
+    pub fn structural(metric: impl Into<String>, golden: f64, got: f64) -> Drift {
+        Drift {
+            case: "<report>".into(),
+            method: "-".into(),
+            metric: metric.into(),
+            golden,
+            got,
+            allowed: 0.0,
+        }
+    }
+}
+
+/// Appends a [`Drift`] for every `(metric, golden, got)` entry of
+/// `case`'s `method` that moved beyond `tol`, in list order.
+pub fn metric_drifts(
+    case: &str,
+    method: &str,
+    metrics: &[(&str, f64, f64)],
+    tol: &Tolerance,
+    out: &mut Vec<Drift>,
+) {
+    for &(name, golden, got) in metrics {
+        let allowed = tol.allowed(golden);
+        if (got - golden).abs() > allowed {
+            out.push(Drift {
+                case: case.to_string(),
+                method: method.to_string(),
+                metric: name.to_string(),
+                golden,
+                got,
+                allowed,
+            });
+        }
+    }
+}
+
 fn method_drifts(
     case: &str,
     method: &str,
@@ -87,37 +126,14 @@ fn method_drifts(
     tol: &Tolerance,
     out: &mut Vec<Drift>,
 ) {
-    let metrics: [(&str, f64, f64); 5] = [
+    let metrics = [
         ("l2", golden.l2, got.l2),
         ("pvb", golden.pvb, got.pvb),
         ("epe", golden.epe as f64, got.epe as f64),
         ("shots", golden.shots as f64, got.shots as f64),
         ("window", golden.window, got.window),
     ];
-    for (name, golden_v, got_v) in metrics {
-        let allowed = tol.allowed(golden_v);
-        if (got_v - golden_v).abs() > allowed {
-            out.push(Drift {
-                case: case.to_string(),
-                method: method.to_string(),
-                metric: name.to_string(),
-                golden: golden_v,
-                got: got_v,
-                allowed,
-            });
-        }
-    }
-}
-
-fn structural(metric: impl Into<String>, golden: f64, got: f64) -> Drift {
-    Drift {
-        case: "<report>".into(),
-        method: "-".into(),
-        metric: metric.into(),
-        golden,
-        got,
-        allowed: 0.0,
-    }
+    metric_drifts(case, method, &metrics, tol, out);
 }
 
 /// Compares a freshly measured report against the golden one; an empty
@@ -127,24 +143,28 @@ fn structural(metric: impl Into<String>, golden: f64, got: f64) -> Drift {
 pub fn compare_reports(golden: &EvalReport, got: &EvalReport, tol: &Tolerance) -> Vec<Drift> {
     let mut drifts = Vec::new();
     if golden.suite != got.suite {
-        drifts.push(structural(
+        drifts.push(Drift::structural(
             format!("suite {:?} vs {:?}", golden.suite, got.suite),
             0.0,
             0.0,
         ));
     }
     if golden.size != got.size {
-        drifts.push(structural("size", golden.size as f64, got.size as f64));
+        drifts.push(Drift::structural(
+            "size",
+            golden.size as f64,
+            got.size as f64,
+        ));
     }
     if golden.kernel_count != got.kernel_count {
-        drifts.push(structural(
+        drifts.push(Drift::structural(
             "kernel_count",
             golden.kernel_count as f64,
             got.kernel_count as f64,
         ));
     }
     if golden.cases.len() != got.cases.len() {
-        drifts.push(structural(
+        drifts.push(Drift::structural(
             "case count",
             golden.cases.len() as f64,
             got.cases.len() as f64,
@@ -153,7 +173,7 @@ pub fn compare_reports(golden: &EvalReport, got: &EvalReport, tol: &Tolerance) -
     }
     for (g, m) in golden.cases.iter().zip(&got.cases) {
         if g.name != m.name {
-            drifts.push(structural(
+            drifts.push(Drift::structural(
                 format!("case {:?} vs {:?}", g.name, m.name),
                 0.0,
                 0.0,

@@ -40,14 +40,13 @@
 
 mod golden;
 mod harness;
-mod json;
 mod report;
 mod suite;
 
-pub use golden::{compare_reports, Drift, Tolerance};
+pub use cfaopc_trace::json::{Json, JsonError};
+pub use golden::{compare_reports, metric_drifts, Drift, Tolerance};
 pub use harness::{
     run_suite, run_suite_timed, CaseRecord, EvalError, EvalReport, MethodOutcome, TelemetrySummary,
 };
-pub use json::{Json, JsonError};
 pub use report::SCHEMA;
 pub use suite::{CaseSource, SuiteSpec};

@@ -21,40 +21,32 @@
 //! a blessed copy of this format.
 
 use crate::harness::{CaseRecord, EvalReport, MethodOutcome, TelemetrySummary};
-use crate::json::Json;
+use crate::Json;
 use std::fmt::Write as _;
 
 /// Schema tag written to and required from every report file.
 pub const SCHEMA: &str = "cfaopc-eval/1";
 
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
-fn int(v: usize) -> Json {
-    Json::Num(v as f64)
-}
-
 fn method_json(m: &MethodOutcome) -> Json {
     Json::Obj(vec![
-        ("l2".into(), num(m.l2)),
-        ("pvb".into(), num(m.pvb)),
-        ("epe".into(), int(m.epe)),
-        ("shots".into(), int(m.shots)),
-        ("window".into(), num(m.window)),
+        ("l2".into(), Json::Num(m.l2)),
+        ("pvb".into(), Json::Num(m.pvb)),
+        ("epe".into(), Json::int(m.epe)),
+        ("shots".into(), Json::int(m.shots)),
+        ("window".into(), Json::Num(m.window)),
     ])
 }
 
 fn telemetry_json(t: &TelemetrySummary) -> Json {
     Json::Obj(vec![
-        ("pixel_iterations".into(), int(t.pixel_iterations)),
-        ("pixel_loss_first".into(), num(t.pixel_loss_first)),
-        ("pixel_loss_last".into(), num(t.pixel_loss_last)),
-        ("circle_iterations".into(), int(t.circle_iterations)),
-        ("circle_loss_first".into(), num(t.circle_loss_first)),
-        ("circle_loss_last".into(), num(t.circle_loss_last)),
-        ("final_sparsity".into(), num(t.final_sparsity)),
-        ("final_active".into(), int(t.final_active)),
+        ("pixel_iterations".into(), Json::int(t.pixel_iterations)),
+        ("pixel_loss_first".into(), Json::Num(t.pixel_loss_first)),
+        ("pixel_loss_last".into(), Json::Num(t.pixel_loss_last)),
+        ("circle_iterations".into(), Json::int(t.circle_iterations)),
+        ("circle_loss_first".into(), Json::Num(t.circle_loss_first)),
+        ("circle_loss_last".into(), Json::Num(t.circle_loss_last)),
+        ("final_sparsity".into(), Json::Num(t.final_sparsity)),
+        ("final_active".into(), Json::int(t.final_active)),
     ])
 }
 
@@ -67,8 +59,8 @@ impl EvalReport {
             .map(|c| {
                 Json::Obj(vec![
                     ("case".into(), Json::Str(c.name.clone())),
-                    ("area_nm2".into(), num(c.area_nm2 as f64)),
-                    ("rects".into(), int(c.rects)),
+                    ("area_nm2".into(), Json::Num(c.area_nm2 as f64)),
+                    ("rects".into(), Json::int(c.rects)),
                     ("wall_ms".into(), c.wall_ms.map_or(Json::Null, Json::Num)),
                     ("rule".into(), method_json(&c.rule)),
                     ("opt".into(), method_json(&c.opt)),
@@ -79,8 +71,8 @@ impl EvalReport {
         Json::Obj(vec![
             ("schema".into(), Json::Str(SCHEMA.into())),
             ("suite".into(), Json::Str(self.suite.clone())),
-            ("size".into(), int(self.size)),
-            ("kernel_count".into(), int(self.kernel_count)),
+            ("size".into(), Json::int(self.size)),
+            ("kernel_count".into(), Json::int(self.kernel_count)),
             ("cases".into(), Json::Arr(cases)),
         ])
     }
@@ -108,9 +100,9 @@ impl EvalReport {
                 "unsupported schema {schema:?} (expected {SCHEMA:?})"
             ));
         }
-        let suite = field_str(&doc, "suite")?.to_string();
-        let size = field_usize(&doc, "size")?;
-        let kernel_count = field_usize(&doc, "kernel_count")?;
+        let suite = doc.str_field("suite")?.to_string();
+        let size = doc.usize_field("size")?;
+        let kernel_count = doc.usize_field("kernel_count")?;
         let cases = doc
             .get("cases")
             .and_then(Json::as_array)
@@ -170,57 +162,39 @@ impl EvalReport {
     }
 }
 
-fn field_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))
-}
-
-fn field_usize(obj: &Json, key: &str) -> Result<usize, String> {
-    obj.get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn field_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric {key:?}"))
-}
-
 fn method_from_json(obj: &Json, which: &str) -> Result<MethodOutcome, String> {
     let m = obj
         .get(which)
         .ok_or_else(|| format!("missing {which:?} object"))?;
     Ok(MethodOutcome {
-        l2: field_f64(m, "l2")?,
-        pvb: field_f64(m, "pvb")?,
-        epe: field_usize(m, "epe")?,
-        shots: field_usize(m, "shots")?,
-        window: field_f64(m, "window")?,
+        l2: m.f64_field("l2")?,
+        pvb: m.f64_field("pvb")?,
+        epe: m.usize_field("epe")?,
+        shots: m.usize_field("shots")?,
+        window: m.f64_field("window")?,
     })
 }
 
 fn case_from_json(obj: &Json) -> Result<CaseRecord, String> {
-    let name = field_str(obj, "case")?.to_string();
+    let name = obj.str_field("case")?.to_string();
     let telemetry = match obj.get("telemetry") {
         Some(t) => TelemetrySummary {
-            pixel_iterations: field_usize(t, "pixel_iterations")?,
-            pixel_loss_first: field_f64(t, "pixel_loss_first")?,
-            pixel_loss_last: field_f64(t, "pixel_loss_last")?,
-            circle_iterations: field_usize(t, "circle_iterations")?,
-            circle_loss_first: field_f64(t, "circle_loss_first")?,
-            circle_loss_last: field_f64(t, "circle_loss_last")?,
-            final_sparsity: field_f64(t, "final_sparsity")?,
-            final_active: field_usize(t, "final_active")?,
+            pixel_iterations: t.usize_field("pixel_iterations")?,
+            pixel_loss_first: t.f64_field("pixel_loss_first")?,
+            pixel_loss_last: t.f64_field("pixel_loss_last")?,
+            circle_iterations: t.usize_field("circle_iterations")?,
+            circle_loss_first: t.f64_field("circle_loss_first")?,
+            circle_loss_last: t.f64_field("circle_loss_last")?,
+            final_sparsity: t.f64_field("final_sparsity")?,
+            final_active: t.usize_field("final_active")?,
         },
         None => return Err(format!("case {name:?}: missing \"telemetry\"")),
     };
     Ok(CaseRecord {
         rule: method_from_json(obj, "rule").map_err(|e| format!("case {name:?}: {e}"))?,
         opt: method_from_json(obj, "opt").map_err(|e| format!("case {name:?}: {e}"))?,
-        area_nm2: field_f64(obj, "area_nm2")? as i64,
-        rects: field_usize(obj, "rects")?,
+        area_nm2: obj.f64_field("area_nm2")? as i64,
+        rects: obj.usize_field("rects")?,
         wall_ms: obj.get("wall_ms").and_then(Json::as_f64),
         telemetry,
         name,

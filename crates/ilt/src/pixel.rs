@@ -8,8 +8,8 @@
 use crate::optimizer::{Optimizer, OptimizerKind};
 use cfaopc_grid::{dilate, BitGrid, Grid2D, Structuring};
 use cfaopc_litho::{
-    loss_and_gradient, sigmoid, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
-    NonFiniteTerm,
+    loss_and_gradient_into, sigmoid, CancelToken, LithoError, LithoSimulator, LossValues,
+    LossWeights, NonFiniteTerm,
 };
 use cfaopc_trace::{grad_norms, IterationRecord, Stage, TelemetrySink};
 
@@ -191,16 +191,24 @@ pub fn run_pixel_ilt(
     let mut optimizer = Optimizer::new(config.optimizer, latent.len());
     let mut history = Vec::with_capacity(config.iterations);
     let mut grad_p = vec![0.0f64; latent.len()];
+    // The mask, dL/dM and the blur's output are reused every iteration,
+    // so a steady-state iteration allocates no grid (`tests/alloc.rs` in
+    // `cfaopc-core`).
+    let mut mask = Grid2D::new(n, n, 0.0);
+    let mut grad_m = Grid2D::new(n, n, 0.0);
+    let blur_px = if config.grad_smoothing > 0 { n } else { 0 };
+    let mut blurred = Grid2D::new(blur_px, blur_px, 0.0);
 
     for it in 0..config.iterations {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(LithoError::Cancelled { iteration: it });
         }
-        let mask = mask_from_latent(&latent, n, theta);
-        let (values, mut grad_m) = loss_and_gradient(sim, &mask, &target_real, config.weights)?;
+        mask_from_latent(&latent, theta, &mut mask);
+        let values = loss_and_gradient_into(sim, &mask, &target_real, config.weights, &mut grad_m)?;
         history.push(values);
         for _ in 0..config.grad_smoothing {
-            grad_m = box_blur3(&grad_m);
+            box_blur3_into(&grad_m, &mut blurred);
+            std::mem::swap(&mut grad_m, &mut blurred);
         }
         // Chain rule through the sigmoid: dL/dP = dL/dM · θ m (1 − m).
         let mut active = 0usize;
@@ -244,24 +252,27 @@ pub fn run_pixel_ilt(
         optimizer.step(&mut latent, &grad_p);
     }
 
-    let mask_continuous = mask_from_latent(&latent, n, theta);
-    let mask_binary = BitGrid::from_threshold(&mask_continuous, 0.5);
+    mask_from_latent(&latent, theta, &mut mask);
+    let mask_binary = BitGrid::from_threshold(&mask, 0.5);
     Ok(IltResult {
         latent: Grid2D::from_vec(n, n, latent),
-        mask_continuous,
+        mask_continuous: mask,
         mask_binary,
         loss_history: history,
     })
 }
 
-fn mask_from_latent(latent: &[f64], n: usize, theta: f64) -> Grid2D<f64> {
-    Grid2D::from_vec(n, n, latent.iter().map(|&p| sigmoid(theta * p)).collect())
+/// Writes `M = σ(θ P)` into `mask`.
+fn mask_from_latent(latent: &[f64], theta: f64, mask: &mut Grid2D<f64>) {
+    for (m, &p) in mask.as_mut_slice().iter_mut().zip(latent) {
+        *m = sigmoid(theta * p);
+    }
 }
 
-/// One 3×3 box-blur pass with clamped borders.
-pub(crate) fn box_blur3(g: &Grid2D<f64>) -> Grid2D<f64> {
+/// One 3×3 box-blur pass of `g` with clamped borders, into `out` (same
+/// shape).
+fn box_blur3_into(g: &Grid2D<f64>, out: &mut Grid2D<f64>) {
     let (w, h) = (g.width(), g.height());
-    let mut out = Grid2D::new(w, h, 0.0);
     for y in 0..h as i32 {
         for x in 0..w as i32 {
             let mut acc = 0.0;
@@ -275,7 +286,6 @@ pub(crate) fn box_blur3(g: &Grid2D<f64>) -> Grid2D<f64> {
             out[(x as usize, y as usize)] = acc / 9.0;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -399,7 +409,8 @@ mod tests {
     fn box_blur_preserves_mean() {
         let mut g = Grid2D::new(8, 8, 0.0);
         g[(3, 3)] = 9.0;
-        let b = box_blur3(&g);
+        let mut b = Grid2D::new(8, 8, f64::NAN);
+        box_blur3_into(&g, &mut b);
         let sum: f64 = b.as_slice().iter().sum();
         assert!((sum - 9.0).abs() < 1e-9);
         assert!((b[(3, 3)] - 1.0).abs() < 1e-9);

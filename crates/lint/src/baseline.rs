@@ -8,8 +8,8 @@
 //! baselined counts no longer reached are **stale** (exit 2), so the
 //! baseline can only shrink deliberately.
 
-use crate::json::{self, Json};
 use crate::rules::Finding;
+use cfaopc_trace::json::Json;
 
 /// One accepted legacy finding (possibly several identical sites).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,10 +75,10 @@ pub struct Outcome {
 impl Baseline {
     /// Parses `lint/baseline.json` text.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let entries_json = doc
             .get("entries")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .ok_or("baseline: missing `entries` array")?;
         let mut entries = Vec::new();
         for (i, entry) in entries_json.iter().enumerate() {

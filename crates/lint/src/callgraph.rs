@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use crate::analyze::SourceFile;
-use crate::json::Json;
 use crate::parser::{self, CallSite, ParsedFile};
+use cfaopc_trace::json::Json;
 
 /// One analyzed file plus its parsed item tree.
 pub struct FileEntry<'a> {

@@ -1,5 +1,6 @@
-//! `cfaopc-lint` — a zero-dependency static analyzer for the cfaopc
-//! workspace.
+//! `cfaopc-lint` — a static analyzer for the cfaopc workspace with no
+//! third-party dependency; its one dependency is the std-only workspace
+//! leaf `cfaopc-trace`, for the JSON layer.
 //!
 //! The repo's core guarantees (bit-identical serial/parallel composition,
 //! allocation-free steady-state iterations, byte-identical `RESULTS.json`
@@ -28,7 +29,6 @@
 pub mod analyze;
 pub mod baseline;
 pub mod callgraph;
-pub mod json;
 pub mod lexer;
 pub mod manifest;
 pub mod parser;
@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use baseline::{Baseline, Outcome};
-use json::Json;
+use cfaopc_trace::json::Json;
 
 /// Exit codes of the `cfaopc-lint` binary. Distinct codes let CI and
 /// scripts distinguish "fix your code" from "prune the baseline" from
@@ -117,8 +117,8 @@ impl Report {
         }
     }
 
-    /// Machine-readable report, mirroring the eval crate's ordered-JSON
-    /// conventions (stable key order, trailing newline).
+    /// Machine-readable report in the workspace's ordered JSON
+    /// (`cfaopc_trace::json`: stable key order, trailing newline).
     pub fn to_json(&self) -> Json {
         let findings = self
             .outcome

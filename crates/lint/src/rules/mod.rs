@@ -575,7 +575,7 @@ mod tests {
 
     #[test]
     fn l2_requires_method_position() {
-        // A free function named `expect` (as in eval's JSON layer) is fine.
+        // A free function named `expect` (as in the JSON parser) is fine.
         let src = "fn expect(t: Tok) -> Tok { t }\nfn f(t: Tok) { expect(t); }\n";
         assert!(lint("crates/x/src/a.rs", src).is_empty());
     }

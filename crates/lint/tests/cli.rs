@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use cfaopc_lint::json::{self, Json};
+use cfaopc_trace::json::Json;
 
 const BIN: &str = env!("CARGO_BIN_EXE_cfaopc-lint");
 
@@ -92,7 +92,7 @@ fn seed_violations(root: &Path) {
 
 fn parse_report(root: &Path, json_rel: &str) -> Json {
     let text = std::fs::read_to_string(root.join(json_rel)).unwrap();
-    json::parse(&text).unwrap()
+    Json::parse(&text).unwrap()
 }
 
 #[test]
@@ -103,7 +103,7 @@ fn seeded_violations_of_every_rule_fail_with_json_findings() {
     assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
 
     let report = parse_report(&root, "report.json");
-    let findings = report.get("findings").and_then(Json::as_arr).unwrap();
+    let findings = report.get("findings").and_then(Json::as_array).unwrap();
     let expect = [
         ("L1", "crates/litho/src/lib.rs", 2),
         ("L2", "crates/litho/src/panicky.rs", 2),
@@ -141,7 +141,7 @@ fn update_baseline_then_check_is_clean() {
 
     // Baselined entries carry the placeholder justification until a
     // human rewrites it; the JSON must surface it for review.
-    let findings = report.get("findings").and_then(Json::as_arr).unwrap();
+    let findings = report.get("findings").and_then(Json::as_array).unwrap();
     assert!(findings
         .iter()
         .all(|f| f.get("baselined") == Some(&Json::Bool(true))));
@@ -163,7 +163,10 @@ fn fixing_a_baselined_site_turns_the_entry_stale() {
     let (code, stdout, _) = run_lint(&root, &["--check", "--json", "report.json"]);
     assert_eq!(code, 2, "stdout:\n{stdout}");
     let report = parse_report(&root, "report.json");
-    let stale = report.get("stale_baseline").and_then(Json::as_arr).unwrap();
+    let stale = report
+        .get("stale_baseline")
+        .and_then(Json::as_array)
+        .unwrap();
     assert_eq!(stale.len(), 1);
     assert_eq!(
         stale[0].get("file").and_then(Json::as_str),
@@ -205,7 +208,7 @@ fn interprocedural_l3_flags_helper_one_call_removed_from_the_seed() {
     let (code, stdout, _) = run_lint(&root, &["--check", "--json", "report.json"]);
     assert_eq!(code, 1, "stdout:\n{stdout}");
     let report = parse_report(&root, "report.json");
-    let findings = report.get("findings").and_then(Json::as_arr).unwrap();
+    let findings = report.get("findings").and_then(Json::as_array).unwrap();
     let hit = findings
         .iter()
         .find(|f| {
@@ -233,7 +236,10 @@ fn stale_manifest_entry_exits_two() {
     assert!(stdout.contains("stale manifest entry"));
     assert!(stdout.contains("renamed_away"));
     let report = parse_report(&root, "report.json");
-    let stale = report.get("stale_manifest").and_then(Json::as_arr).unwrap();
+    let stale = report
+        .get("stale_manifest")
+        .and_then(Json::as_array)
+        .unwrap();
     assert_eq!(stale.len(), 1);
     assert_eq!(
         stale[0].get("section").and_then(Json::as_str),
@@ -295,7 +301,7 @@ fn seeded_graph_rule_violations_fail_with_json_findings() {
     assert_eq!(code, 1, "stdout:\n{stdout}\nstderr:\n{stderr}");
 
     let report = parse_report(&root, "report.json");
-    let findings = report.get("findings").and_then(Json::as_arr).unwrap();
+    let findings = report.get("findings").and_then(Json::as_array).unwrap();
     let expect = [
         ("L6", "crates/serve/src/worker.rs", 5),
         ("L7", "crates/serve/src/stream.rs", 3),
@@ -320,7 +326,7 @@ fn seeded_graph_rule_violations_fail_with_json_findings() {
         "{message}"
     );
     // The report embeds the full rule catalog.
-    let rules = report.get("rules").and_then(Json::as_arr).unwrap();
+    let rules = report.get("rules").and_then(Json::as_array).unwrap();
     assert_eq!(rules.len(), 8);
 }
 
@@ -349,7 +355,7 @@ fn callgraph_export_names_nodes_and_edges() {
     let (code, _, _) = run_lint(&root, &["--check", "--callgraph", "graph.json"]);
     assert_eq!(code, 1);
     let graph = parse_report(&root, "graph.json");
-    let nodes = graph.get("nodes").and_then(Json::as_arr).unwrap();
+    let nodes = graph.get("nodes").and_then(Json::as_array).unwrap();
     let idx_of = |name: &str| {
         nodes
             .iter()
@@ -357,9 +363,9 @@ fn callgraph_export_names_nodes_and_edges() {
             .unwrap_or_else(|| panic!("no node {name}"))
     };
     let (runner, step) = (idx_of("runner_loop"), idx_of("step"));
-    let edges = graph.get("edges").and_then(Json::as_arr).unwrap();
+    let edges = graph.get("edges").and_then(Json::as_array).unwrap();
     let has_edge = edges.iter().any(|e| {
-        let pair = e.as_arr().unwrap();
+        let pair = e.as_array().unwrap();
         pair[0].as_usize() == Some(runner) && pair[1].as_usize() == Some(step)
     });
     assert!(has_edge, "runner_loop -> step edge missing");

@@ -81,17 +81,12 @@ pub struct TaggedLineWriter<W: Write> {
 impl<W: Write> TaggedLineWriter<W> {
     /// Tags every line with `job_id` and multiplexes onto `out`.
     pub fn new(out: SharedWriter<W>, job_id: &str) -> Self {
-        let mut tag = Vec::with_capacity(job_id.len() + 16);
-        tag.extend_from_slice(b"{\"job\":");
-        tag.extend_from_slice(
-            cfaopc_eval::Json::Str(job_id.to_string())
-                .to_string_compact()
-                .as_bytes(),
-        );
-        tag.extend_from_slice(b",");
+        let mut tag = String::from("{\"job\":");
+        cfaopc_trace::json::write_str(&mut tag, job_id);
+        tag.push(',');
         TaggedLineWriter {
             out,
-            tag,
+            tag: tag.into_bytes(),
             pending: Vec::with_capacity(256),
             scratch: Vec::with_capacity(256),
         }

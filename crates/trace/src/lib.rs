@@ -21,6 +21,10 @@
 //!   into a pre-allocated buffer (allocation-free once warm);
 //!   [`JsonlSink`] streams JSON lines through a reusable format buffer.
 //!
+//! It also holds the workspace's one JSON layer ([`json`]): the ordered
+//! tree, deterministic writer and strict parser behind every report,
+//! golden file, protocol frame and telemetry line.
+//!
 //! Tracing is **opt-in** ([`set_enabled`]) and strictly observational:
 //! attaching a sink or enabling counters never changes what the
 //! optimizers compute — outputs are bit-identical either way.
@@ -37,6 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+pub mod json;
 mod sink;
 
 pub use sink::{IterationRecord, JsonlSink, MemorySink, Stage, TelemetrySink};

@@ -3,6 +3,7 @@
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
+use crate::json::{write_num, write_str};
 use crate::{counter_snapshot, span_snapshot};
 
 /// Which optimizer stage emitted a record.
@@ -104,9 +105,11 @@ impl TelemetrySink for MemorySink {
 
 /// Streams records as JSON lines (one object per record) to a writer.
 ///
-/// A reusable `String` buffer formats each line, so steady-state
-/// recording allocates nothing beyond what the underlying writer does.
-/// Non-finite floats serialize as `null` to stay valid JSON.
+/// A reusable `String` buffer formats each line through the JSON layer's
+/// string and number writers ([`write_str`], [`write_num`]) without
+/// building a tree, so steady-state recording allocates nothing beyond
+/// what the underlying writer does. Non-finite floats serialize as
+/// `null` to stay valid JSON.
 ///
 /// Recording never aborts an optimization, but write failures are not
 /// lost either: the first `io::Error` is latched, further records are
@@ -119,34 +122,6 @@ pub struct JsonlSink<W: Write> {
     out: W,
     buf: String,
     error: Option<io::Error>,
-}
-
-fn push_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(buf, "{v}");
-    } else {
-        buf.push_str("null");
-    }
-}
-
-/// Appends `s` to `buf` with JSON string escaping (`"`/`\`, common
-/// control characters, `\u00XX` for the rest of C0). Shared by the
-/// record and summary paths so no name interpolation can emit an
-/// invalid line.
-fn push_escaped(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
 }
 
 /// `io::Error` is not `Clone`; reconstruct a same-kind, same-message
@@ -192,17 +167,17 @@ impl<W: Write> JsonlSink<W> {
         self.buf.clear();
         self.buf.push_str("{\"kind\":\"counters\"");
         for (name, value) in counter_snapshot() {
-            self.buf.push_str(",\"");
-            push_escaped(&mut self.buf, name);
-            let _ = write!(self.buf, "\":{value}");
+            self.buf.push(',');
+            write_str(&mut self.buf, name);
+            let _ = write!(self.buf, ":{value}");
         }
         self.buf.push_str("}\n");
         for s in span_snapshot() {
-            self.buf.push_str("{\"kind\":\"span\",\"name\":\"");
-            push_escaped(&mut self.buf, s.name);
+            self.buf.push_str("{\"kind\":\"span\",\"name\":");
+            write_str(&mut self.buf, s.name);
             let _ = writeln!(
                 self.buf,
-                "\",\"depth\":{},\"calls\":{},\"total_ns\":{}}}",
+                ",\"depth\":{},\"calls\":{},\"total_ns\":{}}}",
                 s.depth, s.calls, s.total_ns
             );
         }
@@ -245,9 +220,9 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
             return;
         }
         self.buf.clear();
-        self.buf.push_str("{\"kind\":\"iter\",\"stage\":\"");
-        push_escaped(&mut self.buf, rec.stage.as_str());
-        let _ = write!(self.buf, "\",\"iteration\":{}", rec.iteration);
+        self.buf.push_str("{\"kind\":\"iter\",\"stage\":");
+        write_str(&mut self.buf, rec.stage.as_str());
+        let _ = write!(self.buf, ",\"iteration\":{}", rec.iteration);
         for (key, v) in [
             ("loss_l2", rec.loss_l2),
             ("loss_pvb", rec.loss_pvb),
@@ -255,13 +230,13 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
             ("sparsity", rec.sparsity),
         ] {
             let _ = write!(self.buf, ",\"{key}\":");
-            push_f64(&mut self.buf, v);
+            write_num(&mut self.buf, v);
         }
         let _ = write!(self.buf, ",\"active\":{}", rec.active);
         self.buf.push_str(",\"grad_l2\":");
-        push_f64(&mut self.buf, rec.grad_l2);
+        write_num(&mut self.buf, rec.grad_l2);
         self.buf.push_str(",\"grad_linf\":");
-        push_f64(&mut self.buf, rec.grad_linf);
+        write_num(&mut self.buf, rec.grad_linf);
         self.buf.push_str("}\n");
         if let Err(e) = self.out.write_all(self.buf.as_bytes()) {
             self.error = Some(e);

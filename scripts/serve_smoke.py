@@ -5,6 +5,8 @@ Spawns the daemon on an ephemeral loopback port, drives it over raw TCP:
 
   1. submits a hostile `kernels` count and requires an `error`, then a
      `pong`, so an oversized request cannot take the daemon down,
+     and does the same for a raw frame whose number is not JSON
+     (`"size":0128`), which the strict parser must refuse, not ack,
   2. submits a quick job and a long streaming job concurrently,
   3. captures streamed `iter` telemetry into the artifact file,
   4. cancels the long job mid-run,
@@ -82,6 +84,17 @@ def main():
         msg = recv()
         if msg.get("kind") != "pong":
             fail(f"expected pong after the hostile submit, got {msg}")
+
+        # A leading zero is not a JSON number: the frame is malformed and
+        # must get an error, never a job.
+        sock.sendall(b'{"cmd":"submit","id":"octal","case":1,"size":0128}\n')
+        msg = recv()
+        if msg.get("kind") != "error":
+            fail(f"expected an error for size 0128, got {msg}")
+        send({"cmd": "ping"})
+        msg = recv()
+        if msg.get("kind") != "pong":
+            fail(f"expected pong after the malformed submit, got {msg}")
 
         # Two concurrent jobs: a quick one and a long streaming one.
         send({"cmd": "submit", "id": "quick", "case": 1, "size": 64,
