@@ -207,11 +207,23 @@ pub(crate) fn place_circles(
 /// Tile buckets: which circles touch which [`TILE`]`×`[`TILE`] tile, plus
 /// a dirty flag per tile so a reused workspace only clears tiles that
 /// held content on the previous render.
+///
+/// The buckets are one flat index array in tile order, bucket `t` being
+/// `indices[start[t]..start[t + 1]]` (a counting sort: per-tile counts,
+/// their prefix sums, then the indices). Its capacity is reserved for
+/// every circle touching the most tiles a window can touch, so a run
+/// whose circles move, grow or come back above the activation floor
+/// never reallocates it after its first `bin`.
 #[derive(Debug, Default)]
 pub(crate) struct TileGrid {
     size: usize,
     tiles_x: usize,
-    buckets: Vec<Vec<u32>>,
+    /// Bucket `t` is `indices[start[t]..start[t + 1]]`; `tiles + 1`
+    /// entries.
+    start: Vec<u32>,
+    /// Each tile's next free slot while [`TileGrid::bin`] fills.
+    cursor: Vec<u32>,
+    indices: Vec<u32>,
     dirty: Vec<bool>,
     /// Worklist rebuilt by [`TileGrid::bin`]: tiles whose bucket is
     /// non-empty *or* whose dirty flag is set — exactly the tiles the
@@ -229,8 +241,10 @@ impl TileGrid {
             let tx = n.div_ceil(TILE);
             self.size = n;
             self.tiles_x = tx;
-            self.buckets.clear();
-            self.buckets.resize_with(tx * tx, Vec::new);
+            self.start.clear();
+            self.start.resize(tx * tx + 1, 0);
+            self.cursor.clear();
+            self.cursor.resize(tx * tx, 0);
             // Every tile of the new geometry starts *dirty*: a workspace
             // alternating between sizes (n₁ → n₂ → n₁) can still hold
             // pixels from the previous same-sized render, and the flags
@@ -240,7 +254,39 @@ impl TileGrid {
             // grids (it does, but nothing should lean on that).
             self.dirty.clear();
             self.dirty.resize(tx * tx, true);
+            self.active.clear();
+            self.active.reserve(tx * tx);
         }
+    }
+
+    /// The most tiles one placed circle's window can touch along an
+    /// axis: its span is at most `2·(r_max + margin) + 1` pixels when the
+    /// STE clips radii to `r_max`, and any span touches at most
+    /// `⌈(span − 1)/TILE⌉ + 1` tiles. Unquantized radii are unbounded, so
+    /// there it is the whole grid.
+    fn max_tiles_per_axis(&self, config: &ComposeConfig) -> usize {
+        if !config.quantize {
+            return self.tiles_x;
+        }
+        let span = (2 * (config.r_max + config.window_margin) + 1).max(1) as usize;
+        ((span - 1).div_ceil(TILE) + 1).min(self.tiles_x)
+    }
+
+    /// The tiles `pc`'s window touches, row-major; none when it misses
+    /// the grid.
+    fn tiles_of(
+        pc: &PlacedCircle,
+        n: usize,
+        margin: i32,
+        tiles_x: usize,
+    ) -> impl Iterator<Item = usize> {
+        pc.window(n, margin)
+            .into_iter()
+            .flat_map(move |(x0, x1, y0, y1)| {
+                let xs = x0 as usize / TILE..=x1 as usize / TILE;
+                (y0 as usize / TILE..=y1 as usize / TILE)
+                    .flat_map(move |ty| xs.clone().map(move |tx| ty * tiles_x + tx))
+            })
     }
 
     /// Bins circles into tile buckets by their window `U`, preserving
@@ -250,36 +296,45 @@ impl TileGrid {
     pub(crate) fn bin(
         &mut self,
         placed: &[PlacedCircle],
-        n: usize,
-        margin: i32,
+        config: &ComposeConfig,
         q_floor: Option<f64>,
     ) {
+        let (n, margin) = (config.size, config.window_margin);
         self.reset(n);
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        let tiles_x = self.tiles_x;
+        let kept = |pc: &PlacedCircle| q_floor.is_none_or(|floor| pc.q > floor);
+        // Count each tile's circles into `start[t + 1]`, then prefix-sum.
+        self.start.fill(0);
         let mut pruned = 0u64;
-        for (i, pc) in placed.iter().enumerate() {
-            if let Some(floor) = q_floor {
-                if pc.q <= floor {
-                    pruned += 1;
-                    continue;
-                }
-            }
-            let Some((x0, x1, y0, y1)) = pc.window(n, margin) else {
+        for pc in placed {
+            if !kept(pc) {
+                pruned += 1;
                 continue;
-            };
-            let (tx0, tx1) = (x0 as usize / TILE, x1 as usize / TILE);
-            let (ty0, ty1) = (y0 as usize / TILE, y1 as usize / TILE);
-            for ty in ty0..=ty1 {
-                for tx in tx0..=tx1 {
-                    self.buckets[ty * self.tiles_x + tx].push(i as u32);
-                }
+            }
+            for t in Self::tiles_of(pc, n, margin, tiles_x) {
+                self.start[t + 1] += 1;
+            }
+        }
+        for t in 1..self.start.len() {
+            self.start[t] += self.start[t - 1];
+        }
+        let per_axis = self.max_tiles_per_axis(config);
+        self.indices.clear();
+        self.indices.reserve(placed.len() * per_axis * per_axis);
+        self.indices
+            .resize(self.start.last().map_or(0, |&e| e as usize), 0);
+        // Fill in circle order, so every bucket keeps ascending indices.
+        let tiles = self.cursor.len();
+        self.cursor.copy_from_slice(&self.start[..tiles]);
+        for (i, pc) in placed.iter().enumerate().filter(|(_, pc)| kept(pc)) {
+            for t in Self::tiles_of(pc, n, margin, tiles_x) {
+                self.indices[self.cursor[t] as usize] = i as u32;
+                self.cursor[t] += 1;
             }
         }
         self.active.clear();
-        for (t, bucket) in self.buckets.iter().enumerate() {
-            if !bucket.is_empty() || self.dirty[t] {
+        for t in 0..tiles {
+            if !self.bucket(t).is_empty() || self.dirty[t] {
                 self.active.push(t as u32);
             }
         }
@@ -294,7 +349,7 @@ impl TileGrid {
 
     /// The circle indices binned into tile `t` (row-major tile order).
     pub(crate) fn bucket(&self, t: usize) -> &[u32] {
-        &self.buckets[t]
+        &self.indices[self.start[t] as usize..self.start[t + 1] as usize]
     }
 
     /// Number of tiles along one grid edge after the last bin.
@@ -305,8 +360,8 @@ impl TileGrid {
     /// Records which tiles now hold content, for the next render's
     /// skip-or-clear decision.
     pub(crate) fn commit_dirty(&mut self) {
-        for (d, bucket) in self.dirty.iter_mut().zip(&self.buckets) {
-            *d = !bucket.is_empty();
+        for (t, d) in self.dirty.iter_mut().enumerate() {
+            *d = self.start[t + 1] > self.start[t];
         }
     }
 }
@@ -743,8 +798,7 @@ impl ComposeWorkspace {
         }
         self.config = Some(*config);
         place_circles(circles, config, &mut self.placed);
-        self.tiles
-            .bin(&self.placed, n, config.window_margin, Some(config.q_floor));
+        self.tiles.bin(&self.placed, config, Some(config.q_floor));
         // Integer centers/radii (quantize = true) make the sigmoid a
         // finite function of (r, d²) — serve it from lookup tables.
         let table = if config.quantize {

@@ -128,7 +128,7 @@ impl SoftWorkspace {
         place_circles(circles, config, &mut self.placed);
         // No q-floor here: every circle, even at q ≤ 0, feeds the softmax
         // normalizer, so pruning would change the output.
-        self.tiles.bin(&self.placed, n, config.window_margin, None);
+        self.tiles.bin(&self.placed, config, None);
 
         let placed = &self.placed;
         let tiles = &self.tiles;

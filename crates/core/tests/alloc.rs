@@ -152,15 +152,26 @@ fn fixture(size: usize) -> (LithoSimulator, BitGrid, SparseCircles) {
 
     // A spread of circles covering several tiles, some destined to go
     // negative under Lasso pressure (exercising the q-floor skip).
+    let spread = (0..12).map(|i| CircleParams {
+        x: 12.0 + 4.0 * (i % 4) as f64,
+        y: 14.0 + 11.0 * (i / 4) as f64,
+        r: 4.0 + (i % 3) as f64,
+        q: if i % 5 == 0 { 0.05 } else { 1.0 },
+    });
+    // A cluster that comes back after warm-up: its activations start
+    // below the q floor, so the hard-max passes skip it and the Lasso
+    // subgradient is its only gradient. Adam's steps of about `step` =
+    // 0.1 carry every `q` from −0.35 above 0 at the fourth step, inside
+    // the measured window, and sixteen circles enter the tile bins at
+    // once, past any count a bin held during warm-up.
+    let revived = (0..16).map(|i| CircleParams {
+        x: 44.0 + (i % 4) as f64,
+        y: 44.0 + (i / 4) as f64,
+        r: 4.0,
+        q: -0.35,
+    });
     let circles = SparseCircles {
-        circles: (0..12)
-            .map(|i| CircleParams {
-                x: 12.0 + 4.0 * (i % 4) as f64,
-                y: 14.0 + 11.0 * (i / 4) as f64,
-                r: 4.0 + (i % 3) as f64,
-                q: if i % 5 == 0 { 0.05 } else { 1.0 },
-            })
-            .collect(),
+        circles: spread.chain(revived).collect(),
     };
     (sim, target, circles)
 }

@@ -9,6 +9,13 @@
 //! (Eq. 17). Each layer has a finite-difference test of its own; this one
 //! catches what only the composed map shows, such as a gradient grid
 //! handed over transposed or at the wrong scale.
+//!
+//! With `quantize: true` the STE (Eq. 8–9) sits in front of the chain: it
+//! has no finite difference to check against (its forward is a
+//! staircase), so its tests check the straight-through rule instead. An
+//! in-range circle's chain gradient is the continuous chain gradient at
+//! its rounded parameters, and the clip gates zero exactly the clipped
+//! coordinate's gradient.
 
 use cfaopc_core::{compose, compose_soft, CircleParams, ComposeConfig, Composition, SparseCircles};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
@@ -200,5 +207,115 @@ fn a_step_down_the_chain_gradient_lowers_the_objective() {
             after < before,
             "floor {floor}: descent step raised the objective {before} -> {after}"
         );
+    }
+}
+
+/// Radius clip range of the STE tests: small enough that a circle can
+/// sit past `r_max` inside the 32 px tile.
+const R_RANGE: (i32, i32) = (2, 6);
+
+/// The STE's composition: quantized, with or without its clip gates.
+fn ste_config(clip_gates: bool) -> ComposeConfig {
+    ComposeConfig {
+        clip_gates,
+        ..ComposeConfig::new(N, R_RANGE.0, R_RANGE.1)
+    }
+}
+
+/// Two in-range circles, one whose radius is past `r_max` and one whose
+/// centre is left of the grid.
+fn ste_circles() -> SparseCircles {
+    let circle = |x, y, r, q| CircleParams { x, y, r, q };
+    SparseCircles {
+        circles: vec![
+            circle(12.3, 15.1, 5.2, 0.9),
+            circle(20.7, 16.4, 4.1, 0.7),
+            circle(17.4, 26.2, 7.6, 0.8),
+            circle(-1.4, 14.6, 4.3, 0.8),
+        ],
+    }
+}
+
+/// Index of the circle past `r_max`, and of the one past the grid edge.
+const PAST_R_MAX: usize = 2;
+const PAST_EDGE: usize = 3;
+
+/// The circles where the STE's forward pass puts them: each coordinate
+/// clipped to its range and rounded.
+fn ste_placed(circles: &SparseCircles) -> SparseCircles {
+    let edge = (N - 1) as f64;
+    let (r_min, r_max) = (f64::from(R_RANGE.0), f64::from(R_RANGE.1));
+    let mut out = circles.clone();
+    for c in &mut out.circles {
+        c.x = c.x.clamp(0.0, edge).round();
+        c.y = c.y.clamp(0.0, edge).round();
+        c.r = c.r.clamp(r_min, r_max).round();
+    }
+    out
+}
+
+/// The chain gradient through `config`'s composition.
+fn chain_at(
+    sim: &LithoSimulator,
+    circles: &SparseCircles,
+    config: &ComposeConfig,
+    composition: Composition,
+) -> Vec<f64> {
+    let grad_mask = |mask| {
+        loss_and_gradient(sim, mask, &target(), LossWeights::default())
+            .unwrap()
+            .1
+    };
+    match composition {
+        Composition::Max => {
+            let composite = compose(circles, config);
+            composite.backward(&grad_mask(&composite.mask))
+        }
+        Composition::Softmax { beta } => {
+            let composite = compose_soft(circles, config, beta);
+            composite.backward(&grad_mask(&composite.mask))
+        }
+    }
+}
+
+fn assert_close(got: f64, want: f64, what: &str) {
+    assert!(
+        (got - want).abs() <= 1e-12 * got.abs().max(want.abs()),
+        "{what}: {got} vs {want}"
+    );
+}
+
+#[test]
+fn ste_passes_the_continuous_chain_gradient_straight_through() {
+    let base = ste_circles();
+    let placed = ste_placed(&base);
+    let continuous = ComposeConfig {
+        quantize: false,
+        ..ste_config(true)
+    };
+    let sim = sim(1.0);
+    for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
+        let straight = chain_at(&sim, &placed, &continuous, composition);
+        let gated = chain_at(&sim, &base, &ste_config(true), composition);
+        let ungated = chain_at(&sim, &base, &ste_config(false), composition);
+        for i in 0..base.circles.len() {
+            for (k, name) in ["x", "y", "r"].into_iter().enumerate() {
+                let p = 4 * i + k;
+                let what = format!("{composition:?}, circle {i} {name}");
+                let clipped = (i, k) == (PAST_R_MAX, 2) || (i, k) == (PAST_EDGE, 0);
+                if clipped {
+                    // The gate has something to block, and blocks all of it.
+                    assert!(straight[p] != 0.0, "{what}: no straight-through gradient");
+                    assert_eq!(gated[p], 0.0, "{what} with clip gates");
+                } else {
+                    assert_close(gated[p], straight[p], &format!("{what} with clip gates"));
+                }
+                assert_close(
+                    ungated[p],
+                    straight[p],
+                    &format!("{what} without clip gates"),
+                );
+            }
+        }
     }
 }

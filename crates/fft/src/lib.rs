@@ -13,7 +13,8 @@
 //! * [`parallel`] — persistent-worker-pool helpers the rest of the
 //!   workspace reuses for data-parallel loops,
 //! * [`simd`] — the workspace's shared AVX2 detection latch and bit-exact
-//!   vector kernels for complex-field inner loops,
+//!   vector kernels for complex-field inner loops, the resist and the
+//!   pixel-ILT iteration,
 //! * [`workspace`] — recyclable buffer pools for hot-loop scratch space,
 //! * [`naive_dft`] / [`naive_dft_into`] — O(n²) reference transforms for
 //!   tests.

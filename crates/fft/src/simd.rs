@@ -1,6 +1,7 @@
 //! Shared SIMD infrastructure: runtime feature detection plus bit-exact
-//! AVX2 kernels for the complex-field inner loops of the litho stack and
-//! for its resist ([`resist_corner`], on an `exp` written in this crate).
+//! AVX2 kernels for the complex-field inner loops of the litho stack, for
+//! its resist ([`resist_corner`], on an `exp` written in this crate) and
+//! for the pixel-ILT iteration on the same `exp` ([`pixel_ilt_step`]).
 //!
 //! PR 6 introduced the pattern in `cfaopc-core`: explicit intrinsics
 //! behind a runtime latch, with a scalar fallback that *defines* the
@@ -31,8 +32,10 @@
 use crate::complex::Complex;
 
 mod exp_table;
+mod pixel;
 mod resist;
 
+pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, Descent, PixelStepStats};
 pub use resist::{resist_corner, sigmoid, GradOut, ResistCorner, SIGMOID_SAT};
 
 /// Returns `true` when the running CPU supports AVX2, latched once.

@@ -269,7 +269,7 @@ unsafe fn resist_corner_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn sigmoid_pd(x: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m256d {
+pub(super) fn sigmoid_pd(x: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m256d {
     use std::arch::x86_64::*;
     let one = _mm256_set1_pd(1.0);
     let sign = _mm256_set1_pd(-0.0);

@@ -11,7 +11,9 @@
 //! per-run inputs (warm start, telemetry sink, cancel token),
 //! [`IltEngine`] / [`run_engine`] for the named baseline profiles, and
 //! [`Optimizer`]/[`OptimizerKind`] for the shared first-order optimizers
-//! (the circle-level stage reuses them).
+//! (the circle-level stage reuses them). The per-pixel work of every
+//! pixel-ILT iteration runs in `cfaopc_fft::simd::pixel_ilt_step`, so
+//! this crate stays free of `unsafe`.
 //!
 //! # Examples
 //!

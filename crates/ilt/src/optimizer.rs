@@ -2,7 +2,11 @@
 //!
 //! Both the pixel-level engines (latent mask pixels) and the circle-level
 //! optimizer (the `(xᵢ, yᵢ, rᵢ, qᵢ)` tuples) descend hand-computed
-//! gradients; this module supplies plain SGD and Adam.
+//! gradients; this module supplies plain SGD and Adam. The update's
+//! arithmetic is [`Descent::update`] in `cfaopc-fft`, next to the fused
+//! pixel-ILT pass that runs it four pixels at a time.
+
+use cfaopc_fft::simd::{AdamStep, Descent};
 
 /// Optimizer choice and hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +50,7 @@ impl OptimizerKind {
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     kind: OptimizerKind,
+    len: usize,
     m: Vec<f64>,
     v: Vec<f64>,
     t: u64,
@@ -57,6 +62,7 @@ impl Optimizer {
         let state = matches!(kind, OptimizerKind::Adam { .. });
         Optimizer {
             kind,
+            len,
             m: if state { vec![0.0; len] } else { Vec::new() },
             v: if state { vec![0.0; len] } else { Vec::new() },
             t: 0,
@@ -65,15 +71,16 @@ impl Optimizer {
 
     /// Number of parameters this optimizer was built for.
     pub fn len(&self) -> usize {
-        self.m.len()
+        self.len
     }
 
     /// `true` when built for zero parameters.
     pub fn is_empty(&self) -> bool {
-        self.m.is_empty() && matches!(self.kind, OptimizerKind::Adam { .. })
+        self.len == 0
     }
 
-    /// Applies one descent step in place.
+    /// Applies one descent step in place: [`Descent::update`] on every
+    /// parameter.
     ///
     /// # Panics
     ///
@@ -81,29 +88,40 @@ impl Optimizer {
     /// the length given at construction.
     pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
+        if matches!(self.kind, OptimizerKind::Adam { .. }) {
+            assert_eq!(params.len(), self.len, "Adam state length mismatch");
+        }
+        let mut descent = self.descent();
+        for (i, (p, &g)) in params.iter_mut().zip(grads).enumerate() {
+            *p = descent.update(i, *p, g);
+        }
+    }
+
+    /// Counts one step and hands out its [`Descent`]: the coefficients,
+    /// Adam's bias corrections for this step and its moment state, for a
+    /// caller that applies the update itself (the fused pixel-ILT pass,
+    /// `cfaopc_fft::simd::pixel_ilt_step`). [`Optimizer::step`] is this
+    /// plus the update of every parameter.
+    pub fn descent(&mut self) -> Descent<'_> {
         match self.kind {
-            OptimizerKind::Sgd { lr } => {
-                for (p, g) in params.iter_mut().zip(grads) {
-                    *p -= lr * g;
-                }
-            }
+            OptimizerKind::Sgd { lr } => Descent::Sgd { lr },
             OptimizerKind::Adam {
                 lr,
                 beta1,
                 beta2,
                 eps,
             } => {
-                assert_eq!(params.len(), self.m.len(), "Adam state length mismatch");
                 self.t += 1;
-                let bc1 = 1.0 - beta1.powi(self.t as i32);
-                let bc2 = 1.0 - beta2.powi(self.t as i32);
-                for i in 0..params.len() {
-                    self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * grads[i];
-                    self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * grads[i] * grads[i];
-                    let m_hat = self.m[i] / bc1;
-                    let v_hat = self.v[i] / bc2;
-                    params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
+                Descent::Adam(AdamStep {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    bc1: 1.0 - beta1.powi(self.t as i32),
+                    bc2: 1.0 - beta2.powi(self.t as i32),
+                    m: &mut self.m,
+                    v: &mut self.v,
+                })
             }
         }
     }
@@ -162,6 +180,47 @@ mod tests {
         let mut opt = Optimizer::new(OptimizerKind::adam(0.5), 2);
         opt.step(&mut p, &[0.0, 0.0]);
         assert_eq!(p, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn len_is_the_construction_length_for_both_kinds() {
+        for kind in [OptimizerKind::sgd(0.1), OptimizerKind::adam(0.1)] {
+            let opt = Optimizer::new(kind, 7);
+            assert_eq!(opt.len(), 7, "{kind:?}");
+            assert!(!opt.is_empty(), "{kind:?}");
+            let empty = Optimizer::new(kind, 0);
+            assert_eq!(empty.len(), 0, "{kind:?}");
+            assert!(empty.is_empty(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn step_is_the_descent_update_in_order() {
+        // `step` counts Adam's steps: its second step's bias corrections
+        // are those of t = 2.
+        let g = [0.3, -1.2, 0.0];
+        let mut p = vec![1.0, -2.0, 0.5];
+        let mut opt = Optimizer::new(OptimizerKind::adam(0.2), 3);
+        opt.step(&mut p, &g);
+        opt.step(&mut p, &g);
+        let mut q = vec![1.0, -2.0, 0.5];
+        let (mut m, mut v) = (vec![0.0; 3], vec![0.0; 3]);
+        for t in 1..=2 {
+            let mut d = Descent::Adam(AdamStep {
+                lr: 0.2,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+                bc1: 1.0 - 0.9f64.powi(t),
+                bc2: 1.0 - 0.999f64.powi(t),
+                m: &mut m,
+                v: &mut v,
+            });
+            for (i, q) in q.iter_mut().enumerate() {
+                *q = d.update(i, *q, g[i]);
+            }
+        }
+        assert_eq!(p, q);
     }
 
     #[test]

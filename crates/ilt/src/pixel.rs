@@ -6,12 +6,13 @@
 //! from the hand-derived adjoint in `cfaopc-litho`.
 
 use crate::optimizer::{Optimizer, OptimizerKind};
+use cfaopc_fft::simd::{latent_mask, pixel_ilt_step};
 use cfaopc_grid::{dilate, BitGrid, Grid2D, Structuring};
 use cfaopc_litho::{
-    loss_and_gradient_into, sigmoid, CancelToken, LithoError, LithoSimulator, LossValues,
-    LossWeights, NonFiniteTerm,
+    loss_and_gradient_into, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
+    NonFiniteTerm,
 };
-use cfaopc_trace::{grad_norms, IterationRecord, Stage, TelemetrySink};
+use cfaopc_trace::{IterationRecord, Stage, TelemetrySink};
 
 /// Where latent pixels are allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,11 +117,16 @@ impl<I> Default for RunCtx<'_, I> {
 /// [`Stage::PixelIlt`] records, where `active` counts mask pixels above
 /// 0.5.
 ///
-/// Every iteration the numerical-health guard checks the loss terms and
-/// the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run with
-/// [`LithoError::NonFinite`] naming the iteration and offending term
+/// After each loss evaluation (and the optional gradient blur), one
+/// fused pass ([`cfaopc_fft::simd::pixel_ilt_step`]) takes the chain rule
+/// through the mask sigmoid, the latent gradient's norms, the descent
+/// step and the next mask, on the calling thread.
+///
+/// Every iteration the numerical-health guard then checks the loss terms
+/// and the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run
+/// with [`LithoError::NonFinite`] naming the iteration and offending term
 /// (the poisoned record is still delivered to the sink first, for
-/// post-mortems).
+/// post-mortems; the already stepped latent is dropped).
 ///
 /// # Errors
 ///
@@ -190,11 +196,11 @@ pub fn run_pixel_ilt(
     let theta = config.mask_steepness;
     let mut optimizer = Optimizer::new(config.optimizer, latent.len());
     let mut history = Vec::with_capacity(config.iterations);
-    let mut grad_p = vec![0.0f64; latent.len()];
     // The mask, dL/dM and the blur's output are reused every iteration,
     // so a steady-state iteration allocates no grid (`tests/alloc.rs` in
     // `cfaopc-core`).
     let mut mask = Grid2D::new(n, n, 0.0);
+    latent_mask(&latent, theta, mask.as_mut_slice());
     let mut grad_m = Grid2D::new(n, n, 0.0);
     let blur_px = if config.grad_smoothing > 0 { n } else { 0 };
     let mut blurred = Grid2D::new(blur_px, blur_px, 0.0);
@@ -203,31 +209,26 @@ pub fn run_pixel_ilt(
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(LithoError::Cancelled { iteration: it });
         }
-        mask_from_latent(&latent, theta, &mut mask);
         let values = loss_and_gradient_into(sim, &mask, &target_real, config.weights, &mut grad_m)?;
         history.push(values);
         for _ in 0..config.grad_smoothing {
             box_blur3_into(&grad_m, &mut blurred);
             std::mem::swap(&mut grad_m, &mut blurred);
         }
-        // Chain rule through the sigmoid: dL/dP = dL/dM · θ m (1 − m).
-        let mut active = 0usize;
-        for i in 0..latent.len() {
-            let m = mask.as_slice()[i];
-            if m > 0.5 {
-                active += 1;
-            }
-            let mut g = grad_m.as_slice()[i] * theta * m * (1.0 - m);
-            if let Some(dom) = &domain {
-                if !dom[i] {
-                    g = 0.0;
-                }
-            }
-            grad_p[i] = g;
-        }
-        let (grad_l2, grad_linf) = grad_norms(&grad_p);
+        // One fused pass: the chain rule through the sigmoid
+        // (dL/dP = dL/dM · θ m (1 − m), 0 outside the domain), the
+        // gradient norms, the descent step and the next mask σ(θ P).
+        let stats = pixel_ilt_step(
+            grad_m.as_slice(),
+            mask.as_mut_slice(),
+            &mut latent,
+            domain.as_deref(),
+            theta,
+            optimizer.descent(),
+        );
         let term = values.non_finite_term().or_else(|| {
-            (!grad_l2.is_finite() || !grad_linf.is_finite()).then_some(NonFiniteTerm::Gradient)
+            (!stats.grad_l2.is_finite() || !stats.grad_linf.is_finite())
+                .then_some(NonFiniteTerm::Gradient)
         });
         if let Some(s) = sink.as_deref_mut() {
             s.record(&IterationRecord {
@@ -237,9 +238,9 @@ pub fn run_pixel_ilt(
                 loss_pvb: values.pvb,
                 loss_total: values.total,
                 sparsity: 0.0,
-                active,
-                grad_l2,
-                grad_linf,
+                active: stats.active,
+                grad_l2: stats.grad_l2,
+                grad_linf: stats.grad_linf,
             });
         }
         if let Some(term) = term {
@@ -249,10 +250,8 @@ pub fn run_pixel_ilt(
                 term,
             });
         }
-        optimizer.step(&mut latent, &grad_p);
     }
 
-    mask_from_latent(&latent, theta, &mut mask);
     let mask_binary = BitGrid::from_threshold(&mask, 0.5);
     Ok(IltResult {
         latent: Grid2D::from_vec(n, n, latent),
@@ -262,28 +261,52 @@ pub fn run_pixel_ilt(
     })
 }
 
-/// Writes `M = σ(θ P)` into `mask`.
-fn mask_from_latent(latent: &[f64], theta: f64, mask: &mut Grid2D<f64>) {
-    for (m, &p) in mask.as_mut_slice().iter_mut().zip(latent) {
-        *m = sigmoid(theta * p);
-    }
-}
-
 /// One 3×3 box-blur pass of `g` with clamped borders, into `out` (same
-/// shape).
+/// shape). Each output is its nine neighbours added to `0.0` row by row,
+/// left to right, then divided by 9. Interior pixels read three row
+/// slices, in a loop the compiler runs several pixels at a time; border
+/// pixels clamp their indices. Both add in the same order, so they give
+/// the bits the clamped loop gives everywhere.
 fn box_blur3_into(g: &Grid2D<f64>, out: &mut Grid2D<f64>) {
     let (w, h) = (g.width(), g.height());
-    for y in 0..h as i32 {
-        for x in 0..w as i32 {
-            let mut acc = 0.0;
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    let xx = (x + dx).clamp(0, w as i32 - 1) as usize;
-                    let yy = (y + dy).clamp(0, h as i32 - 1) as usize;
-                    acc += g[(xx, yy)];
-                }
+    let src = g.as_slice();
+    let clamped = |x: usize, y: usize| {
+        let mut acc = 0.0;
+        for yy in [y.saturating_sub(1), y, (y + 1).min(h - 1)] {
+            for xx in [x.saturating_sub(1), x, (x + 1).min(w - 1)] {
+                acc += src[yy * w + xx];
             }
-            out[(x as usize, y as usize)] = acc / 9.0;
+        }
+        acc / 9.0
+    };
+    for (y, row) in out.as_mut_slice().chunks_exact_mut(w.max(1)).enumerate() {
+        if y == 0 || y + 1 == h || w < 3 {
+            for (x, o) in row.iter_mut().enumerate() {
+                *o = clamped(x, y);
+            }
+            continue;
+        }
+        row[0] = clamped(0, y);
+        row[w - 1] = clamped(w - 1, y);
+        // Interior: nine equal-length shifted slices, so the loop carries
+        // no bounds check and no clamp.
+        let k = w - 2;
+        let [a0, a1, a2, b0, b1, b2, c0, c1, c2] = [
+            (y - 1, 0),
+            (y - 1, 1),
+            (y - 1, 2),
+            (y, 0),
+            (y, 1),
+            (y, 2),
+            (y + 1, 0),
+            (y + 1, 1),
+            (y + 1, 2),
+        ]
+        .map(|(yy, dx)| &src[yy * w + dx..yy * w + dx + k]);
+        let inner = &mut row[1..=k];
+        for x in 0..k {
+            let acc = 0.0 + a0[x] + a1[x] + a2[x] + b0[x] + b1[x] + b2[x] + c0[x] + c1[x] + c2[x];
+            inner[x] = acc / 9.0;
         }
     }
 }
@@ -416,6 +439,62 @@ mod tests {
         assert!((b[(3, 3)] - 1.0).abs() < 1e-9);
     }
 
+    /// The clamped 3×3 loop the blur replaced: the nine neighbours added
+    /// to `0.0` row by row, left to right, through clamped indices.
+    fn box_blur3_clamped(g: &Grid2D<f64>) -> Grid2D<f64> {
+        let (w, h) = (g.width(), g.height());
+        let mut out = Grid2D::new(w, h, 0.0);
+        for y in 0..h as i32 {
+            for x in 0..w as i32 {
+                let mut acc = 0.0;
+                for dy in -1..=1 {
+                    for dx in -1..=1 {
+                        let xx = (x + dx).clamp(0, w as i32 - 1) as usize;
+                        let yy = (y + dy).clamp(0, h as i32 - 1) as usize;
+                        acc += g[(xx, yy)];
+                    }
+                }
+                out[(x as usize, y as usize)] = acc / 9.0;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn box_blur_matches_the_clamped_loop_bitwise() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [1, 2, 3, 4, 5, 7, 16, 33];
+        for &w in &edges {
+            for &h in &edges {
+                // Values over many decades, both signs, and signed zeros
+                // (`0.0 + -0.0` is `+0.0`, so the first add matters).
+                let values: Vec<f64> = (0..w * h)
+                    .map(|_| match next() % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        r => {
+                            let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                            (u - 0.5) * 10f64.powi(r as i32 * 3 - 12)
+                        }
+                    })
+                    .collect();
+                let g = Grid2D::from_vec(w, h, values);
+                let mut got = Grid2D::new(w, h, f64::NAN);
+                box_blur3_into(&g, &mut got);
+                let want = box_blur3_clamped(&g);
+                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h}, pixel {i}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rejects_wrong_target_shape() {
         let s = sim();
@@ -462,7 +541,9 @@ mod tests {
             ..PixelIltConfig::default()
         };
         // The raw l2/pvb terms stay finite; the weighted total is the
-        // first poisoned quantity the guard sees.
+        // first poisoned quantity the guard sees. The fused pass has
+        // already stepped the latent with the poisoned gradient when the
+        // guard runs; the run must still end with the typed error.
         match run_pixel_ilt(&s, &target, &cfg, RunCtx::default()) {
             Err(LithoError::NonFinite { iteration, term }) => {
                 assert_eq!(iteration, 0);
@@ -490,5 +571,7 @@ mod tests {
         let recs = sink.records();
         assert_eq!(recs.len(), 1, "the poisoned iteration must still record");
         assert!(!recs[0].loss_total.is_finite());
+        // The fused pass took the norms of the poisoned gradient.
+        assert!(!recs[0].grad_l2.is_finite());
     }
 }

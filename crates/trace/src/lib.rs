@@ -306,19 +306,53 @@ pub fn reset() {
 /// telemetry record and the numerical-health guard (a NaN or Inf entry
 /// makes at least one of the returned norms non-finite; an L2 overflow
 /// from astronomically large finite entries also trips the guard, which
-/// is the right call for a gradient that size).
+/// is the right call for a gradient that size). Entries are summed in
+/// [`NormLanes`]' order.
 pub fn grad_norms(grad: &[f64]) -> (f64, f64) {
-    let mut sum_sq = 0.0f64;
-    let mut linf = 0.0f64;
-    for &g in grad {
-        sum_sq += g * g;
-        let a = g.abs();
-        // A NaN entry must poison the max, so take it alongside `>`.
-        if a > linf || a.is_nan() {
-            linf = a;
-        }
+    let mut lanes = NormLanes::default();
+    for (i, &g) in grad.iter().enumerate() {
+        lanes.add(i, g);
     }
-    (sum_sq.sqrt(), linf)
+    lanes.norms()
+}
+
+/// Running gradient norms in four lanes, entry `i` into lane `i mod 4`:
+/// the summation order of [`grad_norms`] and of the fused pixel-ILT pass
+/// (`cfaopc_fft::simd::pixel_ilt_step`), whose AVX2 lanes are these.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NormLanes {
+    /// Each lane's sum of squares, in entry order.
+    pub sum_sq: [f64; 4],
+    /// Each lane's largest `|g|`, NaN once a NaN entry was seen.
+    pub linf: [f64; 4],
+}
+
+impl NormLanes {
+    /// Adds entry `i`, valued `g`, to lane `i mod 4`.
+    #[inline]
+    pub fn add(&mut self, i: usize, g: f64) {
+        let lane = i % 4;
+        self.sum_sq[lane] += g * g;
+        self.linf[lane] = linf_update(self.linf[lane], g.abs());
+    }
+
+    /// The L2 norm, `√((s0 + s1) + (s2 + s3))`, and the L∞ norm.
+    pub fn norms(&self) -> (f64, f64) {
+        let s = self.sum_sq;
+        let l2 = ((s[0] + s[1]) + (s[2] + s[3])).sqrt();
+        (l2, self.linf.iter().fold(0.0, |m, &a| linf_update(m, a)))
+    }
+}
+
+/// `a` when it beats the running max `m`; a NaN `a` poisons the max, and
+/// a NaN max stays NaN.
+#[inline]
+fn linf_update(m: f64, a: f64) -> f64 {
+    if a > m || a.is_nan() {
+        a
+    } else {
+        m
+    }
 }
 
 /// Counters and spans are process-global; tests that reset or assert on
@@ -404,5 +438,25 @@ mod tests {
         assert!(l2.is_infinite());
         assert!(linf.is_infinite());
         assert_eq!(grad_norms(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn grad_norms_sum_in_four_lanes() {
+        let g: Vec<f64> = (0..11).map(|i| (f64::from(i) * 0.77).sin() * 1e3).collect();
+        let mut s = [0.0f64; 4];
+        for (i, v) in g.iter().enumerate() {
+            s[i % 4] += v * v;
+        }
+        let want = ((s[0] + s[1]) + (s[2] + s[3])).sqrt();
+        let (l2, linf) = grad_norms(&g);
+        assert_eq!(l2.to_bits(), want.to_bits());
+        assert_eq!(linf, g.iter().fold(0.0f64, |m, v| m.max(v.abs())));
+        // A NaN poisons L∞ from any lane, before or after larger entries.
+        for at in 0..6 {
+            let mut g = vec![1.0; 6];
+            g[at] = f64::NAN;
+            g[5 - at] = -7.0;
+            assert!(grad_norms(&g).1.is_nan(), "NaN at {at}");
+        }
     }
 }

@@ -20,6 +20,12 @@ the baseline has them but the measurement does not, treated as failures
 (a silently vanished benchmark would otherwise hide a deleted code
 path).
 
+A snapshot that records `steady_state_net_bytes_per_iteration` (the
+circleopt bench's largest per-iteration heap growth after warm-up) also
+fails when that value exceeds the baseline's, or is missing while the
+baseline has it: the committed baseline is 0, so any steady-state growth
+fails.
+
 Exit status: 0 when clean (or --warn-only), 1 on regression, 2 on
 malformed input. `--warn-only` is for pull requests — report, but let
 the PR proceed; pushes to main enforce.
@@ -36,12 +42,18 @@ import sys
 from pathlib import Path
 
 
-def load_cases(path: Path) -> dict:
+NET_BYTES = "steady_state_net_bytes_per_iteration"
+
+
+def load_snapshot(path: Path) -> tuple:
+    """The snapshot's `min_ns` per case, and its steady-state net bytes
+    per iteration (None when it records none)."""
     try:
         doc = json.loads(path.read_text())
-        cases = doc["cases"]
-        return {c["name"]: int(c["min_ns"]) for c in cases}
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        cases = {c["name"]: int(c["min_ns"]) for c in doc["cases"]}
+        net = doc.get(NET_BYTES)
+        return cases, None if net is None else int(net)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         print(f"error: cannot read bench snapshot {path}: {e!r}", file=sys.stderr)
         sys.exit(2)
 
@@ -66,10 +78,22 @@ def main() -> int:
         print("error: --tolerance must be positive", file=sys.stderr)
         return 2
 
-    baseline = load_cases(args.baseline)
-    measured = load_cases(args.measured)
+    baseline, base_net = load_snapshot(args.baseline)
+    measured, got_net = load_snapshot(args.measured)
 
     failures = []
+    if base_net is not None:
+        grew = got_net is None or got_net > base_net
+        print(
+            f"{'FAIL' if grew else 'ok':>4}  {NET_BYTES}: baseline {base_net}"
+            f"  measured {'missing' if got_net is None else got_net}"
+        )
+        if grew:
+            failures.append(
+                f"{NET_BYTES}: measured "
+                f"{'missing' if got_net is None else got_net} "
+                f"exceeds baseline {base_net}"
+            )
     removed = sorted(set(baseline) - set(measured))
     for name, base_ns in sorted(baseline.items()):
         got_ns = measured.get(name)
