@@ -44,7 +44,7 @@ use cfaopc_core::{
 };
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
-use cfaopc_ilt::{Optimizer, OptimizerKind};
+use cfaopc_ilt::Optimizer;
 use cfaopc_litho::{loss_and_gradient, LithoConfig, LithoSimulator};
 use cfaopc_trace::json::Json;
 use cfaopc_trace::{IterationRecord, TelemetrySink};
@@ -133,7 +133,7 @@ fn speedup(case: String, serial: &CaseResult, tiled: &CaseResult) -> Json {
 
 /// Low-discrepancy circle placement over the grid: fractional parts of
 /// multiples of irrational constants, radii cycling 4..16 px, with a few
-/// activations below the q-floor so pruning is part of the workload.
+/// activations at or below 0 so pruning is part of the workload.
 fn make_circles(n: usize, count: usize) -> SparseCircles {
     const PHI: f64 = 0.618_033_988_749_894_9;
     const PSI: f64 = 0.754_877_666_246_692_7;
@@ -268,7 +268,7 @@ fn main() {
         // allocating backward, over the loop's own compose config, loss
         // weights, γ and Adam step.
         let mut flat_s = sparse.to_flat();
-        let mut optimizer_s = Optimizer::new(OptimizerKind::adam(config.step), flat_s.len());
+        let mut optimizer_s = Optimizer::new(config.step, flat_s.len());
         let mut circles_s = sparse.clone();
         let serial = run_case(format!("iteration_serial_{n}_{count}c"), || {
             circles_s.set_from_flat(&flat_s);

@@ -1,15 +1,15 @@
 //! Demonstrates why the circular writer wins: VSB rectangle counts grow
 //! linearly with raster resolution (one shot per curved boundary row),
 //! while circular shot counts are resolution-invariant. Extrapolating the
-//! doubling to the writer's native 1 nm grid reproduces the paper's
-//! Figure 1 ratio (~6x fewer shots for curvilinear masks).
+//! doubling to the writer's native 1 nm grid gives about 5x fewer circles
+//! than rectangles, near the paper's Figure 1 ratio (~6x for curvilinear
+//! masks).
 //!
 //! ```sh
 //! cargo run --release -p cfaopc-bench --example shot_scaling
 //! ```
 
 use cfaopc_fracture::*;
-use cfaopc_grid::*;
 use cfaopc_ilt::*;
 use cfaopc_litho::*;
 
@@ -25,9 +25,7 @@ fn main() {
         let target = cfaopc_layouts::benchmark_case(4).unwrap().rasterize(size);
         let t0 = std::time::Instant::now();
         let r = run_engine(&sim, &target, IltEngine::DevelSetLike, 20).unwrap();
-        let opened = open(&r.mask_binary, Structuring::Disk(1));
-        let (rmin, _) = CircleRuleConfig::default().radius_range_px(px);
-        let mask = remove_small_regions(&opened, disk_area(rmin), Connectivity::Eight);
+        let mask = CircleRuleConfig::default().writable_mask(&r.mask_binary, px);
         let rects = rect_shot_count(&mask);
         let circles = circle_rule(&mask, &CircleRuleConfig::default(), px).shot_count();
         println!(

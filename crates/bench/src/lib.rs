@@ -25,9 +25,7 @@ pub mod snapshot;
 
 use cfaopc_core::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fracture::{circle_rule, rect_shot_count, CircleRuleConfig, CircularMask};
-use cfaopc_grid::{
-    disk_area, open, remove_small_regions, upsample_bilinear, BitGrid, Connectivity, Structuring,
-};
+use cfaopc_grid::{upsample_bilinear, BitGrid};
 use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::{all_cases, benchmark_case, Layout};
 use cfaopc_litho::{LithoConfig, LithoSimulator};
@@ -99,18 +97,15 @@ impl Experiment {
         layout.rasterize(self.size())
     }
 
-    /// Runs a pixel-ILT engine and applies mask-writability hygiene
-    /// before fracturing: a 1-px morphological opening, then removal of
-    /// connected regions smaller than the minimum writable circular shot
-    /// (`R_min` = 12 nm) — such features cannot be manufactured on the
-    /// circular writer and only inflate fracture counts. The paper's
-    /// 1 nm/px masks are implicitly clean at our coarser pitch.
+    /// Runs a pixel-ILT engine and applies the writability clean-up
+    /// before fracturing ([`CircleRuleConfig::writable_mask`]: a 1-px
+    /// opening, then removal of regions smaller than the minimum writable
+    /// circular shot, `R_min` = 12 nm). The paper's 1 nm/px masks are
+    /// implicitly clean at our coarser pitch.
     pub fn pixel_mask(&self, engine: IltEngine, target: &BitGrid) -> BitGrid {
         let result =
             run_engine(&self.sim, target, engine, self.ilt_iterations).expect("engine run");
-        let opened = open(&result.mask_binary, Structuring::Disk(1));
-        let (r_min, _) = CircleRuleConfig::default().radius_range_px(self.pixel_nm());
-        remove_small_regions(&opened, disk_area(r_min), Connectivity::Eight)
+        CircleRuleConfig::default().writable_mask(&result.mask_binary, self.pixel_nm())
     }
 
     /// Evaluates a rasterized mask and attaches a shot count.

@@ -39,11 +39,11 @@
 //! * The per-pixel distance rows are computed by the AVX2 kernel in
 //!   [`crate::simd`] (bit-exact, scalar fallback elsewhere), and the
 //!   sigmoid skips its `exp` for provably saturated interior pixels.
-//! * Circles with activation `q ≤ q_floor` are skipped entirely. The
-//!   default floor of `0.0` is *exact*: a non-positive activation can
-//!   never win a pixel (the max starts at the 0 background) and therefore
-//!   never receives lithography gradient, so work shrinks for free as the
-//!   Lasso regularizer (Eq. 17) drives activations negative.
+//! * Circles with activation `q ≤ 0` are skipped entirely. That is
+//!   *exact*: a non-positive activation can never win a pixel (the max
+//!   starts at the 0 background) and therefore never receives lithography
+//!   gradient, so work shrinks for free as the Lasso regularizer
+//!   (Eq. 17) drives activations negative.
 //! * The backward pass is **fused with the forward routing**: one
 //!   pixel-major sweep over the content tiles reuses the argmax winners,
 //!   accumulating per-band partial gradients that a deterministic
@@ -92,14 +92,6 @@ pub struct ComposeConfig {
     /// the clip range). Disabling this is the `ablation_ste` study:
     /// parameters then drift past the writer's limits.
     pub clip_gates: bool,
-    /// Activation floor: circles with `q ≤ q_floor` are skipped by both
-    /// passes of the hard-max engine. `0.0` (the default) is exact —
-    /// non-positive activations never claim a pixel and never receive
-    /// lithography gradient; raising the floor trades exactness for
-    /// speed as Lasso pruning (Eq. 17) pushes activations negative. The
-    /// softmax composition ignores the floor (every circle contributes
-    /// to its normalizer).
-    pub q_floor: f64,
 }
 
 impl ComposeConfig {
@@ -113,7 +105,6 @@ impl ComposeConfig {
             r_max,
             quantize: true,
             clip_gates: true,
-            q_floor: 0.0,
         }
     }
 }
@@ -291,18 +282,14 @@ impl TileGrid {
 
     /// Bins circles into tile buckets by their window `U`, preserving
     /// circle index order within each bucket (which is what keeps tiled
-    /// rendering bit-identical to the serial reference). Circles with
-    /// `q ≤ q_floor` (when given) or an off-grid window are dropped.
-    pub(crate) fn bin(
-        &mut self,
-        placed: &[PlacedCircle],
-        config: &ComposeConfig,
-        q_floor: Option<f64>,
-    ) {
+    /// rendering bit-identical to the serial reference). Circles with an
+    /// off-grid window are dropped, and with `prune` (the hard max) so
+    /// are circles with `q ≤ 0`.
+    pub(crate) fn bin(&mut self, placed: &[PlacedCircle], config: &ComposeConfig, prune: bool) {
         let (n, margin) = (config.size, config.window_margin);
         self.reset(n);
         let tiles_x = self.tiles_x;
-        let kept = |pc: &PlacedCircle| q_floor.is_none_or(|floor| pc.q > floor);
+        let kept = |pc: &PlacedCircle| !prune || pc.q > 0.0;
         // Count each tile's circles into `start[t + 1]`, then prefix-sum.
         self.start.fill(0);
         let mut pruned = 0u64;
@@ -784,7 +771,7 @@ impl ComposeWorkspace {
 
     /// Renders the dense mask and argmax map for `circles` into the
     /// workspace buffers (tile-parallel, skipping untouched tiles and
-    /// circles at or below `config.q_floor`). Bit-identical to
+    /// circles with `q ≤ 0`). Bit-identical to
     /// [`compose_serial`] at any worker count.
     pub fn compose(&mut self, circles: &SparseCircles, config: &ComposeConfig) {
         let n = config.size;
@@ -798,7 +785,7 @@ impl ComposeWorkspace {
         }
         self.config = Some(*config);
         place_circles(circles, config, &mut self.placed);
-        self.tiles.bin(&self.placed, config, Some(config.q_floor));
+        self.tiles.bin(&self.placed, config, true);
         // Integer centers/radii (quantize = true) make the sigmoid a
         // finite function of (r, d²) — serve it from lookup tables.
         let table = if config.quantize {
@@ -929,7 +916,7 @@ pub fn compose_serial(circles: &SparseCircles, config: &ComposeConfig) -> Compos
     place_circles(circles, config, &mut placed);
 
     for (i, pc) in placed.iter().enumerate() {
-        if pc.q <= config.q_floor {
+        if pc.q <= 0.0 {
             continue;
         }
         let Some((x0, x1, y0, y1)) = pc.window(n, config.window_margin) else {
@@ -1024,7 +1011,7 @@ impl Composite {
             let band_y1 = (band_y0 + TILE).min(n);
             let part = &mut partials[b * stride..(b + 1) * stride];
             for (i, pc) in self.placed.iter().enumerate() {
-                if pc.q <= self.config.q_floor {
+                if pc.q <= 0.0 {
                     continue;
                 }
                 let Some((x0, x1, y0, y1)) = pc.window(n, self.config.window_margin) else {
@@ -1173,14 +1160,14 @@ mod tests {
     }
 
     #[test]
-    fn q_floor_prunes_low_activation_circles() {
+    fn non_positive_activations_are_pruned() {
         let circles = SparseCircles {
             circles: vec![
                 CircleParams {
                     x: 10.0,
                     y: 10.0,
                     r: 5.0,
-                    q: 0.05,
+                    q: -0.05,
                 },
                 CircleParams {
                     x: 22.0,
@@ -1190,12 +1177,11 @@ mod tests {
                 },
             ],
         };
-        let mut config = cfg(32);
-        config.q_floor = 0.1;
+        let config = cfg(32);
         let c = compose(&circles, &config);
         assert!(c.mask[(10, 10)] == 0.0, "pruned circle must not render");
         assert!(c.mask[(22, 22)] > 0.9);
-        // Serial reference implements the same floor semantics.
+        // Serial reference implements the same pruning.
         let s = compose_serial(&circles, &config);
         assert_eq!(s.mask, c.mask);
         let grads = c.backward(&Grid2D::new(32, 32, 1.0));

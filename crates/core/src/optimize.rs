@@ -25,10 +25,8 @@ use crate::compose::{ComposeConfig, ComposeWorkspace};
 use crate::repr::SparseCircles;
 use crate::soft::SoftWorkspace;
 use cfaopc_fracture::{circle_rule, CircleRuleConfig, CircularMask};
-use cfaopc_grid::{
-    disk_area, open, remove_small_regions, BitGrid, Connectivity, Grid2D, Structuring,
-};
-use cfaopc_ilt::{run_pixel_ilt, IltEngine, Optimizer, OptimizerKind, RunCtx};
+use cfaopc_grid::{BitGrid, Grid2D};
+use cfaopc_ilt::{run_pixel_ilt, IltEngine, Optimizer, RunCtx};
 use cfaopc_litho::{
     loss_and_gradient_into, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
     NonFiniteTerm,
@@ -63,8 +61,10 @@ pub struct CircleOptConfig {
     pub weights: LossWeights,
     /// Activation threshold for a circle to exist in the final mask.
     pub q_threshold: f64,
-    /// Morphologically open the stage-1 mask with a 1-px disk to drop
-    /// sub-resolution specks before fracturing.
+    /// Apply the writability clean-up
+    /// ([`CircleRuleConfig::writable_mask`]: a 1-px opening, then removal
+    /// of regions smaller than the `R_min` disk) to the stage-1 mask
+    /// before fracturing.
     pub cleanup_init: bool,
     /// How circles combine into the dense mask: the paper's hard max
     /// with argmax gradient routing (Eq. 11–14), or the smooth softmax
@@ -73,13 +73,6 @@ pub struct CircleOptConfig {
     /// Apply the STE indicator gates (Eq. 9). Disabling lets parameters
     /// drift outside the writer's limits (ablation).
     pub ste_gates: bool,
-    /// Activation floor passed to the composition engine: circles with
-    /// `q ≤ q_floor` are skipped by the hard-max forward/backward passes.
-    /// The default `0.0` is exact (such circles can never claim a pixel),
-    /// so compose work shrinks as the Lasso regularizer prunes shots;
-    /// raising it trades exactness for speed. Ignored by the softmax
-    /// composition.
-    pub q_floor: f64,
 }
 
 /// Dense-mask composition strategy (see [`CircleOptConfig::composition`]).
@@ -110,7 +103,6 @@ impl Default for CircleOptConfig {
             cleanup_init: true,
             composition: Composition::Max,
             ste_gates: true,
-            q_floor: 0.0,
         }
     }
 }
@@ -235,11 +227,7 @@ pub fn run_circleopt(
             };
             let init = run_pixel_ilt(sim, target, &init_cfg, stage1)?;
             let init_mask = if config.cleanup_init {
-                // Writability hygiene: 1-px opening, then drop regions
-                // smaller than the minimum writable shot — they cannot
-                // survive the circular constraint anyway.
-                let opened = open(&init.mask_binary, Structuring::Disk(1));
-                remove_small_regions(&opened, disk_area(r_min), Connectivity::Eight)
+                config.rule.writable_mask(&init.mask_binary, pixel_nm)
             } else {
                 init.mask_binary
             };
@@ -266,11 +254,10 @@ pub fn run_circleopt(
         r_max,
         quantize: true,
         clip_gates: config.ste_gates,
-        q_floor: config.q_floor,
     };
     let target_real = target.to_real();
     let mut flat = circles.to_flat();
-    let mut optimizer = Optimizer::new(OptimizerKind::adam(config.step), flat.len());
+    let mut optimizer = Optimizer::new(config.step, flat.len());
     let mut history = Vec::with_capacity(config.circle_iterations);
 
     // Every buffer the iteration touches lives outside the loop (the

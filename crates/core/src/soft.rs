@@ -20,7 +20,7 @@
 //! distance rows come from the bit-exact SIMD kernel in [`crate::simd`].
 //! Deep-interior pixels (sigmoid provably saturated at `f = 1`) reuse a
 //! per-circle cached `e^{βq}` instead of calling `exp` twice per pixel.
-//! Unlike the hard max, the softmax **ignores `q_floor`** — a circle
+//! Unlike the hard max, the softmax **prunes nothing** — a circle
 //! with `q = 0` still contributes `e^{β·0} = 1` to every covered pixel's
 //! normalizer, so dropping it would change the output. Accumulation
 //! order within a pixel follows circle index order in every bucket, so
@@ -126,9 +126,9 @@ impl SoftWorkspace {
         self.config = Some(*config);
         self.beta = beta;
         place_circles(circles, config, &mut self.placed);
-        // No q-floor here: every circle, even at q ≤ 0, feeds the softmax
+        // No pruning here: every circle, even at q ≤ 0, feeds the softmax
         // normalizer, so pruning would change the output.
-        self.tiles.bin(&self.placed, config, None);
+        self.tiles.bin(&self.placed, config, false);
 
         let placed = &self.placed;
         let tiles = &self.tiles;

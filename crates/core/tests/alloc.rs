@@ -26,7 +26,7 @@
 //!
 //! Stage 1 runs `run_pixel_ilt` the same way, with the `Mosaic`,
 //! `MultiIltLike` and `NeuralIltLike` configs (0, 1 and 2 gradient-blur
-//! passes). Its loop reuses its mask, gradient and blur buffers, so the
+//! passes) and `DevelSetLike`'s (the level set's chunks). Its loop reuses its mask, gradient and blur buffers, so the
 //! *gross* bytes one steady-state iteration allocates (what the simulator's
 //! parallel regions allocate and free inside the call) are the same at
 //! 128 and 256 px: a grid allocated per iteration would scale with N².
@@ -151,7 +151,7 @@ fn fixture(size: usize) -> (LithoSimulator, BitGrid, SparseCircles) {
     fill_rect(&mut target, Rect::new(24, 16, 40, 48));
 
     // A spread of circles covering several tiles, some destined to go
-    // negative under Lasso pressure (exercising the q-floor skip).
+    // negative under Lasso pressure (exercising the `q ≤ 0` skip).
     let spread = (0..12).map(|i| CircleParams {
         x: 12.0 + 4.0 * (i % 4) as f64,
         y: 14.0 + 11.0 * (i / 4) as f64,
@@ -159,7 +159,7 @@ fn fixture(size: usize) -> (LithoSimulator, BitGrid, SparseCircles) {
         q: if i % 5 == 0 { 0.05 } else { 1.0 },
     });
     // A cluster that comes back after warm-up: its activations start
-    // below the q floor, so the hard-max passes skip it and the Lasso
+    // below 0, so the hard-max passes skip it and the Lasso
     // subgradient is its only gradient. Adam's steps of about `step` =
     // 0.1 carry every `q` from −0.35 above 0 at the fourth step, inside
     // the measured window, and sixteen circles enter the tile bins at
@@ -212,6 +212,7 @@ fn steady_state_iterations_are_allocation_free() {
         IltEngine::Mosaic,
         IltEngine::MultiIltLike,
         IltEngine::NeuralIltLike,
+        IltEngine::DevelSetLike,
     ] {
         let config = engine.config(ITERATIONS);
         let gross = [128, 256].map(|size| {

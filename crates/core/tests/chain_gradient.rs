@@ -25,17 +25,14 @@ const N: usize = 32;
 /// Lasso weight; large enough that its subgradient is a visible share of
 /// each activation's gradient.
 const GAMMA: f64 = 0.5;
-/// A raised activation floor: circles at or below it are pruned from
-/// both composition passes.
-const Q_FLOOR: f64 = 0.3;
-/// Index of the circle whose activation sits below [`Q_FLOOR`].
+/// Index of the circle with a negative activation, which the hard max
+/// prunes from both composition passes.
 const PRUNED: usize = 2;
 
-fn sim(kernel_energy_floor: f64) -> LithoSimulator {
+fn sim() -> LithoSimulator {
     LithoSimulator::new(LithoConfig {
         size: N,
         kernel_count: 4,
-        kernel_energy_floor,
         ..LithoConfig::default()
     })
     .unwrap()
@@ -44,7 +41,6 @@ fn sim(kernel_energy_floor: f64) -> LithoSimulator {
 fn compose_config() -> ComposeConfig {
     ComposeConfig {
         quantize: false,
-        q_floor: Q_FLOOR,
         ..ComposeConfig::new(N, 2, 12)
     }
 }
@@ -57,14 +53,14 @@ fn target() -> Grid2D<f64> {
 
 /// Two overlapping circles that straddle the target's edges, so the
 /// argmax routing, the rims and the loss all matter, and one circle
-/// below the activation floor.
+/// with a negative activation.
 fn circles() -> SparseCircles {
     let circle = |x, y, r, q| CircleParams { x, y, r, q };
     SparseCircles {
         circles: vec![
             circle(12.3, 15.1, 5.2, 0.9),
             circle(20.7, 16.4, 4.1, 0.7),
-            circle(16.2, 24.6, 3.3, 0.2),
+            circle(16.2, 24.6, 3.3, -0.2),
         ],
     }
 }
@@ -145,69 +141,62 @@ fn central_difference(
 #[test]
 fn chain_gradient_matches_finite_differences() {
     let base = circles();
-    // The exact model and truncated SOCS, through either composition.
+    let sim = sim();
     for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
-        for floor in [1.0, 0.5] {
-            let sim = sim(floor);
-            let analytic = gradient(&sim, &base, composition);
-            let eps = 1e-6;
-            for (p, &an) in analytic.iter().enumerate() {
-                let fd = central_difference(|c| objective(&sim, c, composition), &base, p, eps);
-                let denom = fd.abs().max(an.abs()).max(1e-3);
-                assert!(
-                    (fd - an).abs() / denom < 1e-6,
-                    "{composition:?}, floor {floor}, circle {} param {}: fd={fd}, analytic={an}",
-                    p / 4,
-                    p % 4
-                );
-            }
+        let analytic = gradient(&sim, &base, composition);
+        let eps = 1e-6;
+        for (p, &an) in analytic.iter().enumerate() {
+            let fd = central_difference(|c| objective(&sim, c, composition), &base, p, eps);
+            let denom = fd.abs().max(an.abs()).max(1e-3);
+            assert!(
+                (fd - an).abs() / denom < 1e-6,
+                "{composition:?}, circle {} param {}: fd={fd}, analytic={an}",
+                p / 4,
+                p % 4
+            );
         }
     }
 }
 
 #[test]
-fn a_circle_below_the_activation_floor_gets_no_chain_gradient() {
+fn a_circle_with_a_negative_activation_gets_no_chain_gradient() {
     let base = circles();
-    assert!(base.circles[PRUNED].q < Q_FLOOR);
-    for floor in [1.0, 0.5] {
-        let sim = sim(floor);
-        let chain = litho_gradient(&sim, &base, Composition::Max);
-        for (p, &an) in chain.iter().enumerate().skip(4 * PRUNED).take(4) {
-            // Neither pass sees the pruned circle, so the composed mask,
-            // and with it the litho loss, does not move at all.
-            assert_eq!(an, 0.0, "floor {floor}, param {}", p % 4);
-            let fd = central_difference(|c| litho_total(&sim, c, Composition::Max), &base, p, 1e-6);
-            assert_eq!(fd, 0.0, "floor {floor}, param {}", p % 4);
-        }
-        // Only the Lasso term, which acts on every activation, reaches
-        // its `q`.
-        let full = gradient(&sim, &base, Composition::Max);
-        assert_eq!(full[4 * PRUNED + 3], GAMMA);
+    assert!(base.circles[PRUNED].q < 0.0);
+    let sim = sim();
+    let chain = litho_gradient(&sim, &base, Composition::Max);
+    for (p, &an) in chain.iter().enumerate().skip(4 * PRUNED).take(4) {
+        // Neither pass sees the pruned circle, so the composed mask, and
+        // with it the litho loss, does not move at all.
+        assert_eq!(an, 0.0, "param {}", p % 4);
+        let fd = central_difference(|c| litho_total(&sim, c, Composition::Max), &base, p, 1e-6);
+        assert_eq!(fd, 0.0, "param {}", p % 4);
     }
+    // Only the Lasso term, which acts on every activation, reaches its
+    // `q`.
+    let full = gradient(&sim, &base, Composition::Max);
+    assert_eq!(full[4 * PRUNED + 3], -GAMMA);
 }
 
 #[test]
 fn a_step_down_the_chain_gradient_lowers_the_objective() {
     let base = circles();
-    for floor in [1.0, 0.5] {
-        let sim = sim(floor);
-        let before = objective(&sim, &base, Composition::Max);
-        let grads = gradient(&sim, &base, Composition::Max);
-        let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
-        assert!(norm > 0.0);
-        let step = 1e-2 / norm;
-        let mut flat = base.to_flat();
-        for (v, g) in flat.iter_mut().zip(&grads) {
-            *v -= step * g;
-        }
-        let mut after_circles = base.clone();
-        after_circles.set_from_flat(&flat);
-        let after = objective(&sim, &after_circles, Composition::Max);
-        assert!(
-            after < before,
-            "floor {floor}: descent step raised the objective {before} -> {after}"
-        );
+    let sim = sim();
+    let before = objective(&sim, &base, Composition::Max);
+    let grads = gradient(&sim, &base, Composition::Max);
+    let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
+    assert!(norm > 0.0);
+    let step = 1e-2 / norm;
+    let mut flat = base.to_flat();
+    for (v, g) in flat.iter_mut().zip(&grads) {
+        *v -= step * g;
     }
+    let mut after_circles = base.clone();
+    after_circles.set_from_flat(&flat);
+    let after = objective(&sim, &after_circles, Composition::Max);
+    assert!(
+        after < before,
+        "descent step raised the objective {before} -> {after}"
+    );
 }
 
 /// Radius clip range of the STE tests: small enough that a circle can
@@ -293,7 +282,7 @@ fn ste_passes_the_continuous_chain_gradient_straight_through() {
         quantize: false,
         ..ste_config(true)
     };
-    let sim = sim(1.0);
+    let sim = sim();
     for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
         let straight = chain_at(&sim, &placed, &continuous, composition);
         let gated = chain_at(&sim, &base, &ste_config(true), composition);

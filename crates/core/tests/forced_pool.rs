@@ -202,11 +202,14 @@ fn engine_bit_identical_across_worker_counts() {
     check_soft(&scattered_circles(32, 2), &config, "soft scattered");
     check_soft(&straddling_circles(), &config, "soft straddling");
 
-    // q ≤ q_floor pruning must not change which circles the parallel
-    // engine skips relative to the serial reference.
-    let mut pruning = config;
-    pruning.q_floor = 0.5;
-    check_hard(&scattered_circles(32, 3), &pruning, "q_floor pruning");
+    // q ≤ 0 pruning must not change which circles the parallel engine
+    // skips relative to the serial reference: the same set with every
+    // activation lowered by 0.5, so about half of it is pruned.
+    let mut lowered = scattered_circles(32, 3);
+    for c in &mut lowered.circles {
+        c.q -= 0.5;
+    }
+    check_hard(&lowered, &config, "q <= 0 pruning");
 
     reused_workspace_stays_identical();
 }

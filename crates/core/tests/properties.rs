@@ -173,13 +173,17 @@ proptest! {
     #[test]
     fn fused_backward_with_pruning_bit_identical_to_serial(
         circles in arb_straddling_circles(10),
-        q_floor in 0.0f64..0.8,
+        lowered_by in 0.0f64..0.8,
     ) {
-        // An activation floor makes both paths skip circles; the fused
-        // sweep and the serial reference must skip the same set and
-        // still agree bit for bit on the survivors' gradients.
-        let mut config = cfg();
-        config.q_floor = q_floor;
+        // Activations lowered so that a varying share is at or below 0
+        // make both paths skip circles; the fused sweep and the serial
+        // reference must skip the same set and still agree bit for bit
+        // on the survivors' gradients.
+        let mut circles = circles;
+        for c in &mut circles.circles {
+            c.q -= lowered_by;
+        }
+        let config = cfg();
         let mut ws = ComposeWorkspace::new();
         ws.compose(&circles, &config);
         let serial = compose_serial(&circles, &config);

@@ -35,7 +35,7 @@ mod exp_table;
 mod pixel;
 mod resist;
 
-pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, Descent, PixelStepStats};
+pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, PixelStepStats};
 pub use resist::{resist_corner, sigmoid, GradOut, ResistCorner, SIGMOID_SAT};
 
 /// Returns `true` when the running CPU supports AVX2, latched once.

@@ -1,6 +1,6 @@
 //! The pixel-ILT kernel: everything one pixel-ILT iteration does per
 //! pixel after the loss — the chain rule through the mask sigmoid, the
-//! latent gradient's norms, the descent step and the next mask — in one
+//! latent gradient's norms, the Adam step and the next mask — in one
 //! pass, four pixels per AVX2 step, on the resist kernel's in-repo `exp`.
 //!
 //! # Why AVX2 equals the scalar reference
@@ -10,8 +10,8 @@
 //! correctly rounded packed ops (`vsqrtpd` and `vdivpd` included) and no
 //! FMA; `|g|` and the domain test are bit masks, the L∞ update selects
 //! exactly as the scalar comparison does (NaN included), and the sigmoid
-//! is the resist kernel's four-lane one. The descent is
-//! [`Descent::update`]'s arithmetic with its coefficients broadcast. The
+//! is the resist kernel's four-lane one. The Adam step is
+//! [`AdamStep::update`]'s arithmetic with its coefficients broadcast. The
 //! gradient norms are summed in [`NormLanes`]' four lanes, which are the
 //! vector accumulators' lanes, and the AVX2 body hands them to the
 //! scalar reference for the last `n mod 4` pixels. The active-pixel count
@@ -20,29 +20,19 @@
 use super::resist::sigmoid;
 use cfaopc_trace::NormLanes;
 
-/// One descent step over a parameter vector.
-#[derive(Debug)]
-pub enum Descent<'a> {
-    /// Plain gradient descent.
-    Sgd {
-        /// Learning rate.
-        lr: f64,
-    },
-    /// An Adam step.
-    Adam(AdamStep<'a>),
-}
+/// Adam's first-moment decay `β₁`.
+const ADAM_BETA1: f64 = 0.9;
+/// Adam's second-moment decay `β₂`.
+const ADAM_BETA2: f64 = 0.999;
+/// Adam's denominator fuzz `ε`.
+const ADAM_EPS: f64 = 1e-8;
 
-/// One Adam step: its coefficients and the moment state it advances.
+/// One Adam step over a parameter vector: its learning rate, this step's
+/// bias corrections and the moment state it advances.
 #[derive(Debug)]
 pub struct AdamStep<'a> {
     /// Learning rate.
     pub lr: f64,
-    /// First-moment decay `β₁`.
-    pub beta1: f64,
-    /// Second-moment decay `β₂`.
-    pub beta2: f64,
-    /// Denominator fuzz `ε`.
-    pub eps: f64,
     /// This step's first-moment bias correction `1 − β₁ᵗ`.
     pub bc1: f64,
     /// This step's second-moment bias correction `1 − β₂ᵗ`.
@@ -53,33 +43,39 @@ pub struct AdamStep<'a> {
     pub v: &'a mut [f64],
 }
 
-impl Descent<'_> {
+impl<'a> AdamStep<'a> {
+    /// Step `t` (counted from 1) at learning rate `lr` over moments `m`
+    /// and `v`.
+    pub fn new(lr: f64, t: i32, m: &'a mut [f64], v: &'a mut [f64]) -> Self {
+        AdamStep {
+            lr,
+            bc1: 1.0 - ADAM_BETA1.powi(t),
+            bc2: 1.0 - ADAM_BETA2.powi(t),
+            m,
+            v,
+        }
+    }
+
     /// Parameter `i`'s step: the new value of `p` for gradient `g`,
-    /// advancing Adam's moments `i`. The one definition of the update's
+    /// advancing moments `i`. The one definition of the update's
     /// arithmetic, in this order:
     ///
     /// ```text
-    /// SGD:   p − lr·g
-    /// Adam:  m ← β₁·m + (1 − β₁)·g
-    ///        v ← β₂·v + (1 − β₂)·g·g
-    ///        p − lr·(m / bc1) / (√(v / bc2) + ε)
+    /// m ← β₁·m + (1 − β₁)·g
+    /// v ← β₂·v + (1 − β₂)·g·g
+    /// p − lr·(m / bc1) / (√(v / bc2) + ε)
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `i` is past Adam's moments.
+    /// Panics if `i` is past the moments.
     #[inline]
     pub fn update(&mut self, i: usize, p: f64, g: f64) -> f64 {
-        match self {
-            Descent::Sgd { lr } => p - *lr * g,
-            Descent::Adam(a) => {
-                a.m[i] = a.beta1 * a.m[i] + (1.0 - a.beta1) * g;
-                a.v[i] = a.beta2 * a.v[i] + (1.0 - a.beta2) * g * g;
-                let m_hat = a.m[i] / a.bc1;
-                let v_hat = a.v[i] / a.bc2;
-                p - a.lr * m_hat / (v_hat.sqrt() + a.eps)
-            }
-        }
+        self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g;
+        self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g;
+        let m_hat = self.m[i] / self.bc1;
+        let v_hat = self.v[i] / self.bc2;
+        p - self.lr * m_hat / (v_hat.sqrt() + ADAM_EPS)
     }
 }
 
@@ -100,7 +96,7 @@ pub struct PixelStepStats {
 /// ```text
 /// g         = dL/dM · θ · M · (1 − M)      (in that order; 0 where
 ///                                            `domain` is false)
-/// latent[i] = descent.update(i, P, g)
+/// latent[i] = adam.update(i, P, g)
 /// mask[i]   = sigmoid(θ · latent[i])        (the resist kernel's sigmoid)
 /// ```
 ///
@@ -118,7 +114,7 @@ pub fn pixel_ilt_step(
     latent: &mut [f64],
     domain: Option<&[bool]>,
     steepness: f64,
-    descent: Descent<'_>,
+    adam: AdamStep<'_>,
 ) -> PixelStepStats {
     let n = grad_mask.len();
     assert_eq!(mask.len(), n, "gradient/mask length mismatch");
@@ -126,19 +122,17 @@ pub fn pixel_ilt_step(
     if let Some(d) = domain {
         assert_eq!(d.len(), n, "gradient/domain length mismatch");
     }
-    if let Descent::Adam(a) = &descent {
-        assert!(
-            a.m.len() == n && a.v.len() == n,
-            "gradient/moment length mismatch"
-        );
-    }
+    assert!(
+        adam.m.len() == n && adam.v.len() == n,
+        "gradient/moment length mismatch"
+    );
     let mut pass = Pass {
         grad_mask,
         mask,
         latent,
         domain,
         theta: steepness,
-        descent,
+        adam,
         norms: NormLanes::default(),
         active: 0,
     };
@@ -172,7 +166,7 @@ struct Pass<'a, 'd> {
     latent: &'a mut [f64],
     domain: Option<&'a [bool]>,
     theta: f64,
-    descent: Descent<'d>,
+    adam: AdamStep<'d>,
     norms: NormLanes,
     active: usize,
 }
@@ -191,7 +185,7 @@ fn pixel_ilt_step_scalar(s: &mut Pass<'_, '_>, from: usize) {
             g = 0.0;
         }
         s.norms.add(i, g);
-        let p = s.descent.update(i, s.latent[i], g);
+        let p = s.adam.update(i, s.latent[i], g);
         s.latent[i] = p;
         s.mask[i] = sigmoid(theta * p);
     }
@@ -231,22 +225,6 @@ fn latent_mask_scalar(latent: &[f64], theta: f64, mask: &mut [f64], from: usize)
     }
 }
 
-/// Adam's coefficients broadcast to four lanes, and its moments.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct AdamPd {
-    lr: std::arch::x86_64::__m256d,
-    beta1: std::arch::x86_64::__m256d,
-    keep1: std::arch::x86_64::__m256d,
-    beta2: std::arch::x86_64::__m256d,
-    keep2: std::arch::x86_64::__m256d,
-    bc1: std::arch::x86_64::__m256d,
-    bc2: std::arch::x86_64::__m256d,
-    eps: std::arch::x86_64::__m256d,
-    m: *mut f64,
-    v: *mut f64,
-}
-
 /// AVX2 body: pixels `0..4·⌊n/4⌋`, four per step. Leaves the norm lanes
 /// and the active count in `s` and returns the first pixel it left to
 /// the scalar reference.
@@ -264,25 +242,16 @@ unsafe fn pixel_ilt_step_avx2(s: &mut Pass<'_, '_>) -> usize {
     let one = _mm256_set1_pd(1.0);
     let half = _mm256_set1_pd(0.5);
     let sign = _mm256_set1_pd(-0.0);
-    // SGD's rate, or Adam's broadcast coefficients.
-    let (sgd_lr, adam) = match &mut s.descent {
-        Descent::Sgd { lr } => (_mm256_set1_pd(*lr), None),
-        Descent::Adam(a) => (
-            _mm256_setzero_pd(),
-            Some(AdamPd {
-                lr: _mm256_set1_pd(a.lr),
-                beta1: _mm256_set1_pd(a.beta1),
-                keep1: _mm256_set1_pd(1.0 - a.beta1),
-                beta2: _mm256_set1_pd(a.beta2),
-                keep2: _mm256_set1_pd(1.0 - a.beta2),
-                bc1: _mm256_set1_pd(a.bc1),
-                bc2: _mm256_set1_pd(a.bc2),
-                eps: _mm256_set1_pd(a.eps),
-                m: a.m.as_mut_ptr(),
-                v: a.v.as_mut_ptr(),
-            }),
-        ),
-    };
+    // Adam's coefficients, broadcast.
+    let lr = _mm256_set1_pd(s.adam.lr);
+    let beta1 = _mm256_set1_pd(ADAM_BETA1);
+    let keep1 = _mm256_set1_pd(1.0 - ADAM_BETA1);
+    let beta2 = _mm256_set1_pd(ADAM_BETA2);
+    let keep2 = _mm256_set1_pd(1.0 - ADAM_BETA2);
+    let bc1 = _mm256_set1_pd(s.adam.bc1);
+    let bc2 = _mm256_set1_pd(s.adam.bc2);
+    let eps = _mm256_set1_pd(ADAM_EPS);
+    let (mom1, mom2) = (s.adam.m.as_mut_ptr(), s.adam.v.as_mut_ptr());
     let gp = s.grad_mask.as_ptr();
     let mp = s.mask.as_mut_ptr();
     let pp = s.latent.as_mut_ptr();
@@ -317,25 +286,20 @@ unsafe fn pixel_ilt_step_avx2(s: &mut Pass<'_, '_>) -> usize {
             );
             linf = _mm256_blendv_pd(linf, a, take);
             let p = _mm256_loadu_pd(pp.add(i));
-            let p = match adam {
-                None => _mm256_sub_pd(p, _mm256_mul_pd(sgd_lr, g)),
-                Some(a) => {
-                    let first = _mm256_add_pd(
-                        _mm256_mul_pd(a.beta1, _mm256_loadu_pd(a.m.add(i))),
-                        _mm256_mul_pd(a.keep1, g),
-                    );
-                    let second = _mm256_add_pd(
-                        _mm256_mul_pd(a.beta2, _mm256_loadu_pd(a.v.add(i))),
-                        _mm256_mul_pd(_mm256_mul_pd(a.keep2, g), g),
-                    );
-                    _mm256_storeu_pd(a.m.add(i), first);
-                    _mm256_storeu_pd(a.v.add(i), second);
-                    let m_hat = _mm256_div_pd(first, a.bc1);
-                    let v_hat = _mm256_div_pd(second, a.bc2);
-                    let den = _mm256_add_pd(_mm256_sqrt_pd(v_hat), a.eps);
-                    _mm256_sub_pd(p, _mm256_div_pd(_mm256_mul_pd(a.lr, m_hat), den))
-                }
-            };
+            let first = _mm256_add_pd(
+                _mm256_mul_pd(beta1, _mm256_loadu_pd(mom1.add(i))),
+                _mm256_mul_pd(keep1, g),
+            );
+            let second = _mm256_add_pd(
+                _mm256_mul_pd(beta2, _mm256_loadu_pd(mom2.add(i))),
+                _mm256_mul_pd(_mm256_mul_pd(keep2, g), g),
+            );
+            _mm256_storeu_pd(mom1.add(i), first);
+            _mm256_storeu_pd(mom2.add(i), second);
+            let m_hat = _mm256_div_pd(first, bc1);
+            let v_hat = _mm256_div_pd(second, bc2);
+            let den = _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps);
+            let p = _mm256_sub_pd(p, _mm256_div_pd(_mm256_mul_pd(lr, m_hat), den));
             _mm256_storeu_pd(pp.add(i), p);
             _mm256_storeu_pd(
                 mp.add(i),
@@ -428,27 +392,9 @@ mod tests {
         }
     }
 
-    /// Which optimizer a comparison runs: SGD, or Adam at step `t`.
-    #[derive(Clone, Copy, Debug)]
-    enum Kind {
-        Sgd,
-        Adam(i32),
-    }
-
-    fn descent<'a>(kind: Kind, m: &'a mut [f64], v: &'a mut [f64]) -> Descent<'a> {
-        match kind {
-            Kind::Sgd => Descent::Sgd { lr: 0.3 },
-            Kind::Adam(t) => Descent::Adam(AdamStep {
-                lr: 0.2,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-                bc1: 1.0 - 0.9f64.powi(t),
-                bc2: 1.0 - 0.999f64.powi(t),
-                m,
-                v,
-            }),
-        }
+    /// Adam's step `t` at learning rate 0.2 over moments `m` and `v`.
+    fn adam<'a>(t: i32, m: &'a mut [f64], v: &'a mut [f64]) -> AdamStep<'a> {
+        AdamStep::new(0.2, t, m, v)
     }
 
     fn same_bits(a: &[f64], b: &[f64], what: &str) {
@@ -464,7 +410,7 @@ mod tests {
 
     /// One step through the dispatcher and through the scalar reference
     /// alone, from the same inputs: every output compared bit for bit.
-    fn assert_paths_agree(c: &Case, mask: &[f64], with_domain: bool, kind: Kind, label: &str) {
+    fn assert_paths_agree(c: &Case, mask: &[f64], with_domain: bool, t: i32, label: &str) {
         let theta = 4.0;
         let domain = with_domain.then_some(c.domain.as_slice());
         let (mut fast_mask, mut fast_latent) = (mask.to_vec(), c.latent.clone());
@@ -475,7 +421,7 @@ mod tests {
             &mut fast_latent,
             domain,
             theta,
-            descent(kind, &mut fast_m, &mut fast_v),
+            adam(t, &mut fast_m, &mut fast_v),
         );
         let (mut slow_mask, mut slow_latent) = (mask.to_vec(), c.latent.clone());
         let (mut slow_m, mut slow_v) = (c.m.clone(), c.v.clone());
@@ -485,7 +431,7 @@ mod tests {
             latent: &mut slow_latent,
             domain,
             theta,
-            descent: descent(kind, &mut slow_m, &mut slow_v),
+            adam: adam(t, &mut slow_m, &mut slow_v),
             norms: NormLanes::default(),
             active: 0,
         };
@@ -499,7 +445,8 @@ mod tests {
         same_bits(&fast_v, &slow_v, &format!("{label}: v"));
     }
 
-    const KINDS: [Kind; 3] = [Kind::Sgd, Kind::Adam(1), Kind::Adam(57)];
+    /// Adam's first step and a late one.
+    const STEPS: [i32; 2] = [1, 57];
 
     #[test]
     fn step_matches_scalar_reference_bitwise() {
@@ -509,9 +456,9 @@ mod tests {
             let mut mask = vec![0.0; n];
             latent_mask_scalar(&c.latent, 4.0, &mut mask, 0);
             for with_domain in [false, true] {
-                for kind in KINDS {
-                    let label = format!("n = {n}, domain {with_domain}, {kind:?}");
-                    assert_paths_agree(&c, &mask, with_domain, kind, &label);
+                for t in STEPS {
+                    let label = format!("n = {n}, domain {with_domain}, Adam step {t}");
+                    assert_paths_agree(&c, &mask, with_domain, t, &label);
                 }
             }
         }
@@ -566,10 +513,10 @@ mod tests {
             r.grad.rotate_left(rot);
             r.latent.rotate_left(rot);
             for with_domain in [false, true] {
-                for kind in KINDS {
+                for t in STEPS {
                     let label =
-                        format!("edge inputs rotated {rot}, domain {with_domain}, {kind:?}");
-                    assert_paths_agree(&r, &mask, with_domain, kind, &label);
+                        format!("edge inputs rotated {rot}, domain {with_domain}, Adam step {t}");
+                    assert_paths_agree(&r, &mask, with_domain, t, &label);
                 }
             }
         }
@@ -577,21 +524,23 @@ mod tests {
 
     #[test]
     fn step_is_the_open_coded_iteration() {
-        // The chain rule, the domain, the norms, the update and the
-        // next mask, written out: SGD at θ = 4.
+        // The chain rule, the domain, the norms, the Adam update and the
+        // next mask, written out: Adam's third step at θ = 4.
         let n = 23;
         let c = case(n, 5);
         let mut mask = vec![0.0; n];
         latent_mask(&c.latent, 4.0, &mut mask);
         let (mut got_mask, mut got_latent) = (mask.clone(), c.latent.clone());
+        let (mut m, mut v) = (c.m.clone(), c.v.clone());
         let stats = pixel_ilt_step(
             &c.grad,
             &mut got_mask,
             &mut got_latent,
             Some(&c.domain),
             4.0,
-            Descent::Sgd { lr: 0.3 },
+            adam(3, &mut m, &mut v),
         );
+        let (bc1, bc2) = (1.0 - 0.9f64.powi(3), 1.0 - 0.999f64.powi(3));
         let mut g = vec![0.0; n];
         let mut active = 0;
         for i in 0..n {
@@ -601,7 +550,13 @@ mod tests {
             } else {
                 0.0
             };
-            let p = c.latent[i] - 0.3 * g[i];
+            let m1 = 0.9 * c.m[i] + (1.0 - 0.9) * g[i];
+            let v1 = 0.999 * c.v[i] + (1.0 - 0.999) * g[i] * g[i];
+            let p = c.latent[i] - 0.2 * (m1 / bc1) / ((v1 / bc2).sqrt() + 1e-8);
+            assert_eq!(
+                (m[i].to_bits(), v[i].to_bits()),
+                (m1.to_bits(), v1.to_bits())
+            );
             assert_eq!(got_latent[i].to_bits(), p.to_bits(), "latent[{i}]");
             assert_eq!(
                 got_mask[i].to_bits(),
@@ -642,7 +597,7 @@ mod tests {
     #[test]
     fn adam_update_is_its_formula() {
         let (mut m, mut v) = (vec![0.01], vec![2e-4]);
-        let mut d = descent(Kind::Adam(3), &mut m, &mut v);
+        let mut d = adam(3, &mut m, &mut v);
         let p = d.update(0, 1.5, -0.7);
         let (bc1, bc2) = (1.0 - 0.9f64.powi(3), 1.0 - 0.999f64.powi(3));
         let m1 = 0.9 * 0.01 + (1.0 - 0.9) * -0.7;

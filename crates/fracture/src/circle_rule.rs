@@ -8,7 +8,8 @@
 
 use crate::shots::{CircleShot, CircularMask};
 use cfaopc_grid::{
-    connected_components, disk_area, endpoints, skeletonize, BitGrid, Connectivity, Point,
+    connected_components, disk_area, endpoints, open, remove_small_regions, skeletonize, BitGrid,
+    Connectivity, Point, Structuring,
 };
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +68,16 @@ impl CircleRuleConfig {
         let r_min = (self.r_min_nm / pixel_nm).round().max(1.0) as i32;
         let r_max = ((self.r_max_nm / pixel_nm).round() as i32).max(r_min);
         (r_min, r_max)
+    }
+
+    /// The writability clean-up of a pixel mask before fracturing: a
+    /// 1-px morphological opening, then removal of the 8-connected
+    /// regions smaller than the `R_min` disk. Such specks cannot be
+    /// written as circular shots and only inflate fracture counts.
+    pub fn writable_mask(&self, mask: &BitGrid, pixel_nm: f64) -> BitGrid {
+        let (r_min, _) = self.radius_range_px(pixel_nm);
+        let opened = open(mask, Structuring::Disk(1));
+        remove_small_regions(&opened, disk_area(r_min), Connectivity::Eight)
     }
 }
 

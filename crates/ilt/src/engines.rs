@@ -9,12 +9,11 @@
 //! | Engine          | Profile reproduced                                   |
 //! |-----------------|------------------------------------------------------|
 //! | `Mosaic`        | plain sigmoid ILT, the paper's stage-1 initializer   |
-//! | `DevelSetLike`  | level-set-style front evolution close to the target, **no SRAFs** (the paper notes DevelSet masks carry none) |
+//! | `DevelSetLike`  | level-set front evolution from the target's signed distance, **no SRAFs** (the paper notes DevelSet masks carry none) |
 //! | `NeuralIltLike` | domain-restricted ILT with smoothed gradients (the low-complexity masks a trained network produces) |
 //! | `MultiIltLike`  | multi-resolution coarse→fine ILT, full domain, SRAFs — best L2/EPE, highest mask complexity |
 
-use crate::levelset::{run_levelset_ilt, LevelSetConfig};
-use crate::optimizer::OptimizerKind;
+use crate::levelset::run_levelset;
 use crate::pixel::{run_pixel_ilt, IltResult, PixelIltConfig, RunCtx, UpdateDomain};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_litho::{LithoConfig, LithoError, LithoSimulator};
@@ -24,8 +23,8 @@ use cfaopc_litho::{LithoConfig, LithoError, LithoSimulator};
 pub enum IltEngine {
     /// Plain sigmoid-ILT (MOSAIC \[2\]); also CircleOpt's stage-1 engine.
     Mosaic,
-    /// DevelSet-style: front evolution confined to the target
-    /// neighbourhood, no SRAFs.
+    /// DevelSet-style: level-set front evolution from the target, no
+    /// SRAFs.
     DevelSetLike,
     /// Neural-ILT-style: restricted domain, smoothed gradients.
     NeuralIltLike,
@@ -53,32 +52,32 @@ impl IltEngine {
     ];
 
     /// Full-resolution configuration for this engine with `iterations`
-    /// steps.
+    /// steps. `DevelSetLike`'s is the level set's: latent `P = −φ`,
+    /// steepness `θ = 1/ε` with interface half-width `ε = 1.5` px, Adam at
+    /// 0.4 over the full domain.
     pub fn config(self, iterations: usize) -> PixelIltConfig {
         match self {
             IltEngine::Mosaic => PixelIltConfig {
                 iterations,
-                optimizer: OptimizerKind::adam(0.2),
+                lr: 0.2,
                 ..PixelIltConfig::default()
             },
             IltEngine::DevelSetLike => PixelIltConfig {
                 iterations,
-                optimizer: OptimizerKind::adam(0.25),
-                domain: UpdateDomain::NearTarget { halo_nm: 48.0 },
-                init_dilation_nm: 16.0,
-                grad_smoothing: 1,
+                lr: 0.4,
+                mask_steepness: 1.0 / 1.5,
                 ..PixelIltConfig::default()
             },
             IltEngine::NeuralIltLike => PixelIltConfig {
                 iterations,
-                optimizer: OptimizerKind::adam(0.2),
+                lr: 0.2,
                 domain: UpdateDomain::NearTarget { halo_nm: 200.0 },
                 grad_smoothing: 2,
                 ..PixelIltConfig::default()
             },
             IltEngine::MultiIltLike => PixelIltConfig {
                 iterations,
-                optimizer: OptimizerKind::adam(0.25),
+                lr: 0.25,
                 // SRAFs nucleate in a wide band around the mains — the
                 // realistic SRAF placement zone — rather than the whole
                 // tile, which at coarse grids grows unmanufacturable
@@ -95,7 +94,9 @@ impl IltEngine {
 ///
 /// `MultiIltLike` additionally runs `iterations` steps at 1/4 and 1/2
 /// resolution first (when those grids are at least 64 px), warm-starting
-/// each finer level from the coarser latent.
+/// each finer level from the coarser latent. `DevelSetLike` runs its
+/// config as a level set: from the target's signed distance, with a
+/// re-initialization every 10 steps.
 ///
 /// # Errors
 ///
@@ -109,14 +110,7 @@ pub fn run_engine(
 ) -> Result<IltResult, LithoError> {
     match engine {
         IltEngine::MultiIltLike => run_multiresolution(sim, target, iterations),
-        IltEngine::DevelSetLike => run_levelset_ilt(
-            sim,
-            target,
-            &LevelSetConfig {
-                iterations,
-                ..LevelSetConfig::default()
-            },
-        ),
+        IltEngine::DevelSetLike => run_levelset(sim, target, &engine.config(iterations)),
         other => run_pixel_ilt(sim, target, &other.config(iterations), RunCtx::default()),
     }
 }

@@ -1,50 +1,30 @@
 //! Level-set inverse lithography (the DevelSet [4] / GPU-level-set [9]
-//! family).
+//! family), run on the pixel-ILT loop.
 //!
 //! The mask is the sub-zero set of a level-set function `φ` (negative
-//! inside). Each iteration relaxes the mask as
-//! `M = σ(−φ/ε)`, pulls the lithography gradient back onto `φ`
-//! (`∂M/∂φ = −(1/ε)·M(1−M)`), steps, and periodically **re-initializes**
-//! `φ` to a signed distance function of its own zero level set — the
-//! classical stabilization that keeps `|∇φ| ≈ 1`.
+//! inside), relaxed as `M = σ(−φ/ε)`. That is pixel ILT with latent
+//! `P = −φ` and mask steepness `θ = 1/ε`: the chain rule
+//! (`∂M/∂φ = −(1/ε)·M(1−M)`), the Adam step and the mask are
+//! [`run_pixel_ilt`]'s operations, negated exactly. What the level set
+//! adds is its start and its stabilization: `φ` starts as the target's
+//! signed distance, and every [`REINIT_EVERY`] steps it is
+//! **re-initialized** to the signed distance of its own zero level set —
+//! the classical fix that keeps `|∇φ| ≈ 1` — with fresh Adam moments,
+//! since the old ones refer to the pre-reinit surface.
 //!
 //! Because `∂M/∂φ` vanishes away from the interface, the evolution moves
 //! the existing front but does not nucleate new regions: level-set masks
 //! carry **no SRAFs**, exactly the DevelSet profile the paper's Table 1/2
 //! rely on.
 
-use crate::optimizer::{Optimizer, OptimizerKind};
-use crate::pixel::IltResult;
+use crate::pixel::{run_pixel_ilt, IltResult, PixelIltConfig, RunCtx};
+use cfaopc_fft::simd::latent_mask;
 use cfaopc_grid::{distance_to, BitGrid, Grid2D};
-use cfaopc_litho::{loss_and_gradient, sigmoid, LithoError, LithoSimulator, LossWeights};
+use cfaopc_litho::{LithoError, LithoSimulator};
 
-/// Level-set ILT configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelSetConfig {
-    /// Evolution steps.
-    pub iterations: usize,
-    /// Optimizer over `φ` (Adam by default).
-    pub optimizer: OptimizerKind,
-    /// Loss weights.
-    pub weights: LossWeights,
-    /// Interface half-width `ε` in pixels for the relaxed mask.
-    pub epsilon: f64,
-    /// Re-initialize `φ` to a signed distance function every this many
-    /// steps (0 disables re-initialization).
-    pub reinit_every: usize,
-}
-
-impl Default for LevelSetConfig {
-    fn default() -> Self {
-        LevelSetConfig {
-            iterations: 30,
-            optimizer: OptimizerKind::adam(0.4),
-            weights: LossWeights::default(),
-            epsilon: 1.5,
-            reinit_every: 10,
-        }
-    }
-}
+/// Level-set steps between re-initializations of `φ` to a signed
+/// distance.
+const REINIT_EVERY: usize = 10;
 
 /// Signed distance to the boundary of `mask`: negative inside, positive
 /// outside, approximately `|∇φ| = 1`.
@@ -65,69 +45,68 @@ pub fn signed_distance(mask: &BitGrid) -> Grid2D<f64> {
     phi
 }
 
-/// Runs level-set ILT from `target`'s own boundary.
+/// Runs the level set for `config.iterations` steps from `target`'s own
+/// boundary: [`run_pixel_ilt`] in chunks of [`REINIT_EVERY`] steps, the
+/// first warm-started from `−signed_distance(target)`, each later one
+/// from `−signed_distance` of the previous latent's zero set. When the
+/// last chunk ends on a re-initialization, the returned latent and mask
+/// are the re-initialized ones.
 ///
 /// # Errors
 ///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
-pub fn run_levelset_ilt(
+/// As [`run_pixel_ilt`]: [`LithoError::ShapeMismatch`] when `target`
+/// does not match the simulator grid.
+pub(crate) fn run_levelset(
     sim: &LithoSimulator,
     target: &BitGrid,
-    config: &LevelSetConfig,
+    config: &PixelIltConfig,
 ) -> Result<IltResult, LithoError> {
-    let n = sim.size();
-    if target.width() != n || target.height() != n {
-        return Err(LithoError::ShapeMismatch {
-            expected: (n, n),
-            actual: (target.width(), target.height()),
-        });
-    }
-    let target_real = target.to_real();
-    let mut phi = signed_distance(target).into_vec();
-    let inv_eps = 1.0 / config.epsilon;
-    let mut optimizer = Optimizer::new(config.optimizer, phi.len());
+    let mut latent = latent_of(target);
     let mut history = Vec::with_capacity(config.iterations);
-    let mut grad_phi = vec![0.0f64; phi.len()];
-
-    for step in 0..config.iterations {
-        let mask = Grid2D::from_vec(n, n, phi.iter().map(|&p| sigmoid(-p * inv_eps)).collect());
-        let (values, grad_m) = loss_and_gradient(sim, &mask, &target_real, config.weights)?;
-        history.push(values);
-        for (g, (&m, &gm)) in grad_phi
-            .iter_mut()
-            .zip(mask.as_slice().iter().zip(grad_m.as_slice()))
-        {
-            *g = -gm * inv_eps * m * (1.0 - m);
-        }
-        optimizer.step(&mut phi, &grad_phi);
-        if config.reinit_every > 0 && (step + 1) % config.reinit_every == 0 {
-            let binary = BitGrid::from_threshold(
-                &Grid2D::from_vec(n, n, phi.iter().map(|&p| -p).collect()),
-                0.0,
+    let mut remaining = config.iterations;
+    loop {
+        let steps = remaining.min(REINIT_EVERY);
+        remaining -= steps;
+        let chunk = PixelIltConfig {
+            iterations: steps,
+            ..config.clone()
+        };
+        let warm = RunCtx {
+            init: Some(latent),
+            ..RunCtx::default()
+        };
+        let mut run = run_pixel_ilt(sim, target, &chunk, warm)?;
+        history.append(&mut run.loss_history);
+        if steps == REINIT_EVERY {
+            // A full chunk ends on a re-initialization; the next chunk's
+            // `run_pixel_ilt` starts Adam afresh.
+            latent = latent_of(&BitGrid::from_threshold(&run.latent, 0.0));
+            if remaining > 0 {
+                continue;
+            }
+            latent_mask(
+                latent.as_slice(),
+                config.mask_steepness,
+                run.mask_continuous.as_mut_slice(),
             );
-            phi = signed_distance(&binary).into_vec();
-            // The optimizer's moments refer to the pre-reinit surface.
-            optimizer = Optimizer::new(config.optimizer, phi.len());
+            run.mask_binary = BitGrid::from_threshold(&run.mask_continuous, 0.5);
+            run.latent = latent;
         }
+        run.loss_history = history;
+        return Ok(run);
     }
+}
 
-    let latent = Grid2D::from_vec(n, n, phi.iter().map(|&p| -p).collect());
-    let mask_continuous =
-        Grid2D::from_vec(n, n, phi.iter().map(|&p| sigmoid(-p * inv_eps)).collect());
-    let mask_binary = BitGrid::from_threshold(&mask_continuous, 0.5);
-    Ok(IltResult {
-        latent,
-        mask_continuous,
-        mask_binary,
-        loss_history: history,
-    })
+/// The level-set latent `P = −φ` of `mask`: its negated signed distance.
+fn latent_of(mask: &BitGrid) -> Grid2D<f64> {
+    signed_distance(mask).map(|&d| -d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfaopc_grid::{fill_rect, Point, Rect};
+    use crate::{run_engine, IltEngine};
+    use cfaopc_grid::{fill_rect, Rect};
     use cfaopc_litho::LithoConfig;
 
     fn sim() -> LithoSimulator {
@@ -165,11 +144,15 @@ mod tests {
         assert_eq!(back, m);
     }
 
+    fn develset(s: &LithoSimulator, target: &BitGrid, iterations: usize) -> IltResult {
+        run_engine(s, target, IltEngine::DevelSetLike, iterations).unwrap()
+    }
+
     #[test]
     fn levelset_descends_the_loss() {
         let s = sim();
         let target = bar_target(s.size());
-        let result = run_levelset_ilt(&s, &target, &LevelSetConfig::default()).unwrap();
+        let result = develset(&s, &target, 30);
         let first = result.loss_history.first().unwrap().total;
         let last = result.loss_history.last().unwrap().total;
         assert!(
@@ -182,7 +165,7 @@ mod tests {
     fn levelset_masks_have_no_srafs() {
         let s = sim();
         let target = bar_target(s.size());
-        let result = run_levelset_ilt(&s, &target, &LevelSetConfig::default()).unwrap();
+        let result = develset(&s, &target, 30);
         // Every mask pixel stays near the target front (no remote
         // nucleation).
         let phi_t = signed_distance(&target);
@@ -198,31 +181,25 @@ mod tests {
 
     #[test]
     fn reinit_restores_signed_distance() {
-        // After a run with reinit, |φ| near the front stays ~distance-like
-        // (bounded), rather than exploding.
+        // A run that ends on a re-initialization leaves a distance-like
+        // latent: |φ| near the front stays bounded rather than exploding.
         let s = sim();
         let target = bar_target(s.size());
-        let cfg = LevelSetConfig {
-            iterations: 10,
-            reinit_every: 5,
-            ..LevelSetConfig::default()
-        };
-        let result = run_levelset_ilt(&s, &target, &cfg).unwrap();
+        let result = develset(&s, &target, REINIT_EVERY);
         // Latent = -φ; near the mask boundary it must be small.
         let boundary = cfaopc_grid::boundary_pixels(&result.mask_binary);
         for p in boundary.ones().into_iter().take(50) {
             let v = result.latent[(p.x as usize, p.y as usize)].abs();
             assert!(v < 5.0, "φ at boundary {p} drifted to {v}");
         }
-        let _ = Point::new(0, 0);
     }
 
     #[test]
     fn deterministic() {
         let s = sim();
         let target = bar_target(s.size());
-        let a = run_levelset_ilt(&s, &target, &LevelSetConfig::default()).unwrap();
-        let b = run_levelset_ilt(&s, &target, &LevelSetConfig::default()).unwrap();
+        let a = develset(&s, &target, 30);
+        let b = develset(&s, &target, 30);
         assert_eq!(a.mask_binary, b.mask_binary);
     }
 
@@ -230,6 +207,6 @@ mod tests {
     fn rejects_wrong_shape() {
         let s = sim();
         let target = BitGrid::new(16, 16);
-        assert!(run_levelset_ilt(&s, &target, &LevelSetConfig::default()).is_err());
+        assert!(run_engine(&s, &target, IltEngine::DevelSetLike, 30).is_err());
     }
 }

@@ -9,11 +9,12 @@
 //!
 //! See [`run_pixel_ilt`] for the optimizer loop and [`RunCtx`] for its
 //! per-run inputs (warm start, telemetry sink, cancel token),
-//! [`IltEngine`] / [`run_engine`] for the named baseline profiles, and
-//! [`Optimizer`]/[`OptimizerKind`] for the shared first-order optimizers
-//! (the circle-level stage reuses them). The per-pixel work of every
-//! pixel-ILT iteration runs in `cfaopc_fft::simd::pixel_ilt_step`, so
-//! this crate stays free of `unsafe`.
+//! [`IltEngine`] / [`run_engine`] for the named baseline profiles (the
+//! DevelSet-like level set runs on the same loop), and [`Optimizer`] for
+//! the shared Adam state (the circle-level stage reuses it). The
+//! per-pixel work of every pixel-ILT iteration runs in
+//! `cfaopc_fft::simd::pixel_ilt_step`, so this crate stays free of
+//! `unsafe`.
 //!
 //! # Examples
 //!
@@ -42,6 +43,6 @@ mod optimizer;
 mod pixel;
 
 pub use engines::{downsample_majority, run_engine, upsample_nearest, IltEngine};
-pub use levelset::{run_levelset_ilt, signed_distance, LevelSetConfig};
-pub use optimizer::{Optimizer, OptimizerKind};
+pub use levelset::signed_distance;
+pub use optimizer::Optimizer;
 pub use pixel::{run_pixel_ilt, IltResult, PixelIltConfig, RunCtx, UpdateDomain};

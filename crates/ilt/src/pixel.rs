@@ -5,7 +5,7 @@
 //! the loss is the relaxed `L2 + L_pvb` of Eq. 6 and its gradient comes
 //! from the hand-derived adjoint in `cfaopc-litho`.
 
-use crate::optimizer::{Optimizer, OptimizerKind};
+use crate::optimizer::Optimizer;
 use cfaopc_fft::simd::{latent_mask, pixel_ilt_step};
 use cfaopc_grid::{dilate, BitGrid, Grid2D, Structuring};
 use cfaopc_litho::{
@@ -17,12 +17,12 @@ use cfaopc_trace::{IterationRecord, Stage, TelemetrySink};
 /// Where latent pixels are allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateDomain {
-    /// Every pixel optimizes — SRAFs can nucleate anywhere (MOSAIC,
-    /// MultiILT style).
+    /// Every pixel optimizes — SRAFs can nucleate anywhere (MOSAIC; the
+    /// level set too, whose gradient vanishes away from its front).
     Full,
     /// Only pixels within `halo_nm` of the target may change — masks stay
-    /// near the main features and grow no SRAFs (DevelSet-style level-set
-    /// evolution keeps the front near the initial shape).
+    /// near the main features (the NeuralILT- and MultiILT-like
+    /// profiles).
     NearTarget {
         /// Halo radius around the target, nanometres.
         halo_nm: f64,
@@ -34,36 +34,29 @@ pub enum UpdateDomain {
 pub struct PixelIltConfig {
     /// Gradient steps.
     pub iterations: usize,
-    /// Optimizer and learning rate.
-    pub optimizer: OptimizerKind,
+    /// Adam's learning rate.
+    pub lr: f64,
     /// Loss term weights (Eq. 6 uses 1/1).
     pub weights: LossWeights,
     /// Steepness `θ_m` of the mask sigmoid (paper §4.1 follows \[10\]).
     pub mask_steepness: f64,
-    /// Magnitude of the latent initialization (`P = ±init_amplitude`).
-    pub init_amplitude: f64,
     /// Update domain.
     pub domain: UpdateDomain,
     /// 3×3 box-blur passes applied to the mask gradient before the chain
     /// rule — smoother gradients yield smoother, lower-complexity masks
     /// (the surrogate for the neural regularization of Neural-ILT).
     pub grad_smoothing: usize,
-    /// Initialize the latent from the target dilated by this many nm
-    /// (0 = the raw target).
-    pub init_dilation_nm: f64,
 }
 
 impl Default for PixelIltConfig {
     fn default() -> Self {
         PixelIltConfig {
             iterations: 30,
-            optimizer: OptimizerKind::adam(0.2),
+            lr: 0.2,
             weights: LossWeights::default(),
             mask_steepness: 4.0,
-            init_amplitude: 1.0,
             domain: UpdateDomain::Full,
             grad_smoothing: 0,
-            init_dilation_nm: 0.0,
         }
     }
 }
@@ -112,15 +105,17 @@ impl<I> Default for RunCtx<'_, I> {
 
 /// Runs pixel-level ILT for `target` on `sim`.
 ///
-/// `ctx.init` is a warm-start latent (the multi-resolution engine
-/// warm-starts finer levels with it). The sink receives stage
+/// The latent starts at `P = +1` inside the target and `−1` outside, or
+/// at `ctx.init`, a warm-start latent (the multi-resolution engine
+/// warm-starts finer levels with it, the level set each chunk between
+/// re-initializations). The sink receives stage
 /// [`Stage::PixelIlt`] records, where `active` counts mask pixels above
 /// 0.5.
 ///
 /// After each loss evaluation (and the optional gradient blur), one
 /// fused pass ([`cfaopc_fft::simd::pixel_ilt_step`]) takes the chain rule
-/// through the mask sigmoid, the latent gradient's norms, the descent
-/// step and the next mask, on the calling thread.
+/// through the mask sigmoid, the latent gradient's norms, the Adam step
+/// and the next mask, on the calling thread.
 ///
 /// Every iteration the numerical-health guard then checks the loss terms
 /// and the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run
@@ -163,24 +158,15 @@ pub fn run_pixel_ilt(
     }
     let target_real = target.to_real();
 
-    // Latent init: explicit warm start, or ±amplitude inside/outside the
-    // (possibly dilated) target.
+    // Latent init: explicit warm start, or ±1 inside/outside the target.
     let mut latent: Vec<f64> = match init {
         Some(l) => l.into_vec(),
-        None => {
-            let init_px = sim.config().nm_to_px(config.init_dilation_nm).round() as i32;
-            let seed = if init_px > 0 {
-                dilate(target, Structuring::Disk(init_px))
-            } else {
-                target.clone()
-            };
-            let amp = config.init_amplitude;
-            seed.to_real()
-                .as_slice()
-                .iter()
-                .map(|&v| if v > 0.5 { amp } else { -amp })
-                .collect()
-        }
+        None => target
+            .as_grid()
+            .as_slice()
+            .iter()
+            .map(|&inside| if inside { 1.0 } else { -1.0 })
+            .collect(),
     };
 
     // Domain indicator.
@@ -194,7 +180,7 @@ pub fn run_pixel_ilt(
     };
 
     let theta = config.mask_steepness;
-    let mut optimizer = Optimizer::new(config.optimizer, latent.len());
+    let mut optimizer = Optimizer::new(config.lr, latent.len());
     let mut history = Vec::with_capacity(config.iterations);
     // The mask, dL/dM and the blur's output are reused every iteration,
     // so a steady-state iteration allocates no grid (`tests/alloc.rs` in
@@ -217,7 +203,7 @@ pub fn run_pixel_ilt(
         }
         // One fused pass: the chain rule through the sigmoid
         // (dL/dP = dL/dM · θ m (1 − m), 0 outside the domain), the
-        // gradient norms, the descent step and the next mask σ(θ P).
+        // gradient norms, the Adam step and the next mask σ(θ P).
         let stats = pixel_ilt_step(
             grad_m.as_slice(),
             mask.as_mut_slice(),
@@ -413,19 +399,6 @@ mod tests {
         let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
         assert!(result.loss_history.is_empty());
         assert_eq!(result.mask_binary, target);
-    }
-
-    #[test]
-    fn init_dilation_grows_initial_mask() {
-        let s = sim();
-        let target = bar_target(s.size());
-        let cfg = PixelIltConfig {
-            iterations: 0,
-            init_dilation_nm: 64.0,
-            ..PixelIltConfig::default()
-        };
-        let result = run_pixel_ilt(&s, &target, &cfg, RunCtx::default()).unwrap();
-        assert!(result.mask_binary.count_ones() > target.count_ones());
     }
 
     #[test]

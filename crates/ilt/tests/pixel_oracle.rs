@@ -7,15 +7,24 @@
 //! the kernel's scalar one (`cfaopc_fft::simd::sigmoid`, on the in-repo
 //! `exp`). `run_pixel_ilt` must reproduce it bit for bit — latent,
 //! continuous mask, loss history and sink records — for every engine
-//! profile that runs the pixel loop, at 64 px (mask grid = pupil grid)
-//! and at 128 px (resampled pupil grid).
+//! profile, at 64 px (mask grid = pupil grid) and at 128 px (resampled
+//! pupil grid).
+//!
+//! The DevelSet-like level set runs on `run_pixel_ilt` in chunks between
+//! re-initializations of `φ`. Its oracle is the standalone level-set
+//! loop that did this before, on the same sigmoid: `run_engine` must
+//! reproduce it bit for bit, ending mid-chunk and on a
+//! re-initialization.
 
 use cfaopc_fft::simd::sigmoid;
 use cfaopc_grid::{dilate, fill_rect, BitGrid, Grid2D, Rect, Structuring};
 use cfaopc_ilt::{
-    run_pixel_ilt, IltEngine, Optimizer, OptimizerKind, PixelIltConfig, RunCtx, UpdateDomain,
+    run_engine, run_pixel_ilt, signed_distance, IltEngine, Optimizer, PixelIltConfig, RunCtx,
+    UpdateDomain,
 };
-use cfaopc_litho::{loss_and_gradient_into, LithoConfig, LithoSimulator, LossValues};
+use cfaopc_litho::{
+    loss_and_gradient, loss_and_gradient_into, LithoConfig, LithoSimulator, LossValues, LossWeights,
+};
 use cfaopc_trace::{grad_norms, IterationRecord, MemorySink, Stage};
 
 const ITERATIONS: usize = 7;
@@ -65,18 +74,11 @@ type Run = (Vec<f64>, Vec<f64>, Vec<LossValues>, Vec<IterationRecord>);
 /// The separate-loop pixel ILT.
 fn oracle(sim: &LithoSimulator, target: &BitGrid, config: &PixelIltConfig) -> Run {
     let n = sim.size();
-    let init_px = sim.config().nm_to_px(config.init_dilation_nm).round() as i32;
-    let seed = if init_px > 0 {
-        dilate(target, Structuring::Disk(init_px))
-    } else {
-        target.clone()
-    };
-    let amp = config.init_amplitude;
-    let mut latent: Vec<f64> = seed
+    let mut latent: Vec<f64> = target
         .to_real()
         .as_slice()
         .iter()
-        .map(|&v| if v > 0.5 { amp } else { -amp })
+        .map(|&v| if v > 0.5 { 1.0 } else { -1.0 })
         .collect();
     let domain = match config.domain {
         UpdateDomain::Full => None,
@@ -87,7 +89,7 @@ fn oracle(sim: &LithoSimulator, target: &BitGrid, config: &PixelIltConfig) -> Ru
     };
     let theta = config.mask_steepness;
     let target_real = target.to_real();
-    let mut optimizer = Optimizer::new(config.optimizer, latent.len());
+    let mut optimizer = Optimizer::new(config.lr, latent.len());
     let mut mask = Grid2D::new(n, n, 0.0);
     let mut grad_m = Grid2D::new(n, n, 0.0);
     let mut grad_p = vec![0.0; latent.len()];
@@ -142,16 +144,13 @@ fn same_bits(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// The engine profiles that run the pixel loop, and plain SGD.
+/// The engine profiles.
 fn configs() -> Vec<(&'static str, PixelIltConfig)> {
-    let mut sgd = IltEngine::Mosaic.config(ITERATIONS);
-    sgd.optimizer = OptimizerKind::sgd(40.0);
     vec![
         ("Mosaic", IltEngine::Mosaic.config(ITERATIONS)),
         ("MultiIltLike", IltEngine::MultiIltLike.config(ITERATIONS)),
         ("NeuralIltLike", IltEngine::NeuralIltLike.config(ITERATIONS)),
         ("DevelSetLike", IltEngine::DevelSetLike.config(ITERATIONS)),
-        ("Mosaic with SGD", sgd),
     ]
 }
 
@@ -226,6 +225,78 @@ fn run_pixel_ilt_equals_the_separate_loop_oracle_bitwise() {
                     "{label}: the domain covers every pixel"
                 );
             }
+        }
+    }
+}
+
+/// What a level-set run leaves: latent, continuous mask, loss history
+/// and binary mask.
+type LevelSetRun = (Vec<f64>, Vec<f64>, Vec<LossValues>, BitGrid);
+
+/// The standalone level-set loop: `M = σ(−φ/ε)` with `ε = 1.5`, the
+/// chain rule onto `φ`, Adam at 0.4, and every 10 steps `φ` reset to the
+/// signed distance of its zero set with fresh Adam moments.
+fn levelset_oracle(sim: &LithoSimulator, target: &BitGrid, iterations: usize) -> LevelSetRun {
+    let (n, epsilon, reinit_every) = (sim.size(), 1.5, 10);
+    let target_real = target.to_real();
+    let mut phi = signed_distance(target).into_vec();
+    let inv_eps = 1.0 / epsilon;
+    let mut optimizer = Optimizer::new(0.4, phi.len());
+    let mut history = Vec::with_capacity(iterations);
+    let mut grad_phi = vec![0.0f64; phi.len()];
+    for step in 0..iterations {
+        let mask = Grid2D::from_vec(n, n, phi.iter().map(|&p| sigmoid(-p * inv_eps)).collect());
+        let (values, grad_m) =
+            loss_and_gradient(sim, &mask, &target_real, LossWeights::default()).unwrap();
+        history.push(values);
+        for (g, (&m, &gm)) in grad_phi
+            .iter_mut()
+            .zip(mask.as_slice().iter().zip(grad_m.as_slice()))
+        {
+            *g = -gm * inv_eps * m * (1.0 - m);
+        }
+        optimizer.step(&mut phi, &grad_phi);
+        if (step + 1) % reinit_every == 0 {
+            let binary = BitGrid::from_threshold(
+                &Grid2D::from_vec(n, n, phi.iter().map(|&p| -p).collect()),
+                0.0,
+            );
+            phi = signed_distance(&binary).into_vec();
+            optimizer = Optimizer::new(0.4, phi.len());
+        }
+    }
+    let latent = phi.iter().map(|&p| -p).collect();
+    let mask: Vec<f64> = phi.iter().map(|&p| sigmoid(-p * inv_eps)).collect();
+    let binary = BitGrid::from_threshold(&Grid2D::from_vec(n, n, mask.clone()), 0.5);
+    (latent, mask, history, binary)
+}
+
+#[test]
+fn develset_like_equals_the_level_set_oracle_bitwise() {
+    for size in [64, 128] {
+        let sim = sim(size);
+        let target = target(size);
+        // Mid-chunk, one step past a re-initialization, and ending on
+        // the second and third.
+        for iterations in [7, 12, 20, 30] {
+            let label = format!("{iterations} steps at {size} px");
+            let (latent, mask, history, binary) = levelset_oracle(&sim, &target, iterations);
+            let run = run_engine(&sim, &target, IltEngine::DevelSetLike, iterations).unwrap();
+            same_bits(run.latent.as_slice(), &latent, &format!("{label}: latent"));
+            same_bits(
+                run.mask_continuous.as_slice(),
+                &mask,
+                &format!("{label}: mask"),
+            );
+            let losses = |h: &[LossValues]| -> Vec<f64> {
+                h.iter().flat_map(|v| [v.l2, v.pvb, v.total]).collect()
+            };
+            same_bits(
+                &losses(&run.loss_history),
+                &losses(&history),
+                &format!("{label}: loss history"),
+            );
+            assert_eq!(run.mask_binary, binary, "{label}: binary mask");
         }
     }
 }

@@ -211,14 +211,6 @@ pub struct LithoConfig {
     pub dose_min: f64,
     /// Focus error of the `Min` corner in nanometres.
     pub defocus_nm: f64,
-    /// SOCS accuracy knob in `(0, 1]`: the fraction of total kernel
-    /// energy (sum of SOCS weights `μ_k`, descending) that must be
-    /// captured before the tail of the kernel sum is dropped. `1.0` (the
-    /// default) keeps every kernel and is **bit-identical** to the
-    /// untruncated model; lower values trade aerial-image accuracy for
-    /// proportionally fewer per-kernel transforms in both the forward
-    /// model and the gradient.
-    pub kernel_energy_floor: f64,
 }
 
 impl Default for LithoConfig {
@@ -236,7 +228,6 @@ impl Default for LithoConfig {
             dose_max: 1.02,
             dose_min: 0.98,
             defocus_nm: 25.0,
-            kernel_energy_floor: 1.0,
         }
     }
 }
@@ -295,7 +286,7 @@ impl LithoConfig {
     /// Returns [`LithoError`] when the grid is not a power of two; the
     /// tile, wavelength or NA is not positive; the source annulus is empty
     /// or inverted; there are no kernels; the doses do not bracket 1.0;
-    /// the threshold or the energy floor is out of range; or the pupil is
+    /// the threshold is out of range; or the pupil is
     /// narrower than one frequency bin (`NA/λ · tile_nm < 1`). A pupil
     /// wider than the grid is not an error: the kernels keep only the bins
     /// up to Nyquist. Every pupil holds DC, so a clipped one spans at least
@@ -337,12 +328,6 @@ impl LithoConfig {
             return Err(LithoError::BadParameter(format!(
                 "threshold must lie in (0,1), got {}",
                 self.threshold
-            )));
-        }
-        if !(self.kernel_energy_floor > 0.0 && self.kernel_energy_floor <= 1.0) {
-            return Err(LithoError::BadParameter(format!(
-                "kernel_energy_floor must lie in (0,1], got {}",
-                self.kernel_energy_floor
             )));
         }
         // The pupil (radius NA/λ in frequency space) must resolve to at
@@ -416,22 +401,6 @@ mod tests {
         assert_eq!(cfg.dose(ProcessCorner::Min), 0.98);
         assert_eq!(cfg.defocus(ProcessCorner::Nominal), 0.0);
         assert_eq!(cfg.defocus(ProcessCorner::Min), 25.0);
-    }
-
-    #[test]
-    fn rejects_bad_energy_floor() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let cfg = LithoConfig {
-                kernel_energy_floor: bad,
-                ..LithoConfig::default()
-            };
-            assert!(cfg.validate().is_err(), "floor {bad} must be rejected");
-        }
-        let cfg = LithoConfig {
-            kernel_energy_floor: 0.75,
-            ..LithoConfig::default()
-        };
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -404,14 +404,13 @@ mod tests {
     use cfaopc_grid::{fill_rect, BitGrid, Rect};
 
     fn small_sim() -> LithoSimulator {
-        LithoSimulator::new(small_config(1.0)).unwrap()
+        LithoSimulator::new(small_config()).unwrap()
     }
 
-    fn small_config(kernel_energy_floor: f64) -> LithoConfig {
+    fn small_config() -> LithoConfig {
         LithoConfig {
             size: 32,
             kernel_count: 4,
-            kernel_energy_floor,
             ..LithoConfig::default()
         }
     }
@@ -440,22 +439,20 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        // The exact model; truncated SOCS (`active_count` drops the
-        // lightest kernels); the nominal corner alone, so the adjoint
-        // skips both zero-weight corners; the process-variation corners
-        // alone; doses far from 1, so a fold that drops `Max`'s dose,
-        // applies it twice or inverts its ratio, or a `Min` adjoint
-        // without its dose, moves the gradient well past the tolerance.
+        // Both terms; the nominal corner alone, so the adjoint skips both
+        // zero-weight corners; the process-variation corners alone; doses
+        // far from 1, so a fold that drops `Max`'s dose, applies it twice
+        // or inverts its ratio, or a `Min` adjoint without its dose,
+        // moves the gradient well past the tolerance.
         let cases = [
-            (small_config(1.0), LossWeights::default()),
-            (small_config(0.5), LossWeights::default()),
-            (small_config(0.4), LossWeights { l2: 1.0, pvb: 0.0 }),
-            (small_config(1.0), LossWeights { l2: 0.0, pvb: 1.0 }),
+            (small_config(), LossWeights::default()),
+            (small_config(), LossWeights { l2: 1.0, pvb: 0.0 }),
+            (small_config(), LossWeights { l2: 0.0, pvb: 1.0 }),
             (
                 LithoConfig {
                     dose_max: 1.3,
                     dose_min: 0.7,
-                    ..small_config(1.0)
+                    ..small_config()
                 },
                 LossWeights::default(),
             ),
@@ -464,24 +461,15 @@ mod tests {
             (
                 LithoConfig {
                     size: 128,
-                    ..small_config(1.0)
+                    ..small_config()
                 },
                 LossWeights::default(),
             ),
         ];
         for (cfg, weights) in cases {
-            let (floor, doses) = (cfg.kernel_energy_floor, (cfg.dose_max, cfg.dose_min));
+            let doses = (cfg.dose_max, cfg.dose_min);
             let sim = LithoSimulator::new(cfg).unwrap();
             let n = sim.size();
-            if floor < 1.0 {
-                for corner in [ProcessCorner::Nominal, ProcessCorner::Min] {
-                    let set = sim.kernel_set(corner);
-                    assert!(
-                        set.active_count(floor) < set.kernels().len(),
-                        "floor {floor} must truncate the {corner:?} stack"
-                    );
-                }
-            }
             let mask = smooth_mask(n);
             let target = target_square(n);
             let (_, grad) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
@@ -502,7 +490,7 @@ mod tests {
                 let denom = fd.abs().max(an.abs()).max(1e-6);
                 assert!(
                     (fd - an).abs() / denom < 1e-3,
-                    "floor {floor}, doses {doses:?}, {weights:?}: gradient mismatch \
+                    "{n} px, doses {doses:?}, {weights:?}: gradient mismatch \
                      at ({x},{y}): fd={fd}, analytic={an}"
                 );
             }
@@ -534,7 +522,7 @@ mod tests {
         // bit for bit — at S = N and below it.
         let resampled = LithoSimulator::new(LithoConfig {
             size: 128,
-            ..small_config(1.0)
+            ..small_config()
         })
         .unwrap();
         assert!(resampled.pupil_size() < resampled.size());

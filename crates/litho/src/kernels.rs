@@ -175,12 +175,9 @@ impl KernelSet {
                 kernel.columns[p as usize % s] = true;
             }
         }
-        // Descending singular-value weight, so energy truncation (the
-        // `kernel_energy_floor` knob) can drop a suffix. The sort is
-        // stable and the Abbe weights are uniform, so today's generation
-        // order — and therefore every accumulation order downstream — is
-        // unchanged bit for bit; the sort only matters for kernel sets
-        // with genuinely decaying spectra.
+        // Descending singular-value weight. The sort is stable and the
+        // Abbe weights are uniform, so it keeps the generation order, and
+        // with it every accumulation order downstream.
         kernels.sort_by(|a, b| b.weight.total_cmp(&a.weight));
         Ok(KernelSet {
             size: n,
@@ -217,27 +214,6 @@ impl KernelSet {
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
     }
-
-    /// Number of leading kernels needed to capture `energy_floor` of the
-    /// total SOCS weight (kernels are stored in descending weight order).
-    ///
-    /// `energy_floor >= 1.0` keeps every kernel — the exact model. The
-    /// result is never zero: at least the heaviest kernel always stays.
-    pub fn active_count(&self, energy_floor: f64) -> usize {
-        if energy_floor >= 1.0 || self.kernels.is_empty() {
-            return self.kernels.len();
-        }
-        let total: f64 = self.kernels.iter().map(|k| k.weight).sum();
-        let target = energy_floor * total;
-        let mut captured = 0.0;
-        for (i, kernel) in self.kernels.iter().enumerate() {
-            captured += kernel.weight;
-            if captured >= target {
-                return i + 1;
-            }
-        }
-        self.kernels.len()
-    }
 }
 
 #[cfg(test)]
@@ -260,20 +236,6 @@ mod tests {
         for pair in set.kernels().windows(2) {
             assert!(pair[0].weight >= pair[1].weight);
         }
-    }
-
-    #[test]
-    fn active_count_respects_energy_floor() {
-        let cfg = LithoConfig::fast_test(); // 6 uniform-weight kernels
-        let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
-        let k = set.kernels().len();
-        assert_eq!(set.active_count(1.0), k, "floor 1.0 keeps everything");
-        assert_eq!(set.active_count(1.5), k);
-        // Uniform weights: capturing a fraction f needs ~ceil(f·k)
-        // kernels (floors chosen off the rounding boundaries).
-        assert_eq!(set.active_count(0.49), k / 2);
-        assert_eq!(set.active_count(0.51), k / 2 + 1);
-        assert!(set.active_count(1e-9) >= 1, "never drops every kernel");
     }
 
     #[test]

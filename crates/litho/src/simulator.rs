@@ -330,9 +330,7 @@ impl LithoSimulator {
     /// stacks changes no bit against one stack per call. The adjoint
     /// needs every field, so with `keep_fields` one region runs them all;
     /// imaging alone runs as many as can run at once per region, so at
-    /// most that many are held. When `kernel_energy_floor < 1.0` the tail
-    /// of each (weight-sorted) stack is skipped per
-    /// [`KernelSet::active_count`]. Below `S = N` each stack's `J` is
+    /// most that many are held. Below `S = N` each stack's `J` is
     /// resampled once.
     ///
     /// The caller returns kept fields with
@@ -370,11 +368,10 @@ impl LithoSimulator {
                 self.band,
             )));
         }
-        let floor = self.config.kernel_energy_floor;
         // offsets[d] is the first global task of stack d (prefix sums).
         let mut offsets = [0usize; 3];
         for (d, set) in stacks.iter().enumerate() {
-            offsets[d + 1] = offsets[d] + set.active_count(floor);
+            offsets[d + 1] = offsets[d] + set.kernels().len();
         }
         let total = offsets[stacks.len()];
         let scale = s2 as f64 / n2 as f64;

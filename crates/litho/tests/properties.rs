@@ -102,59 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn unit_energy_floor_is_bit_identical_to_default(mask in arb_mask(), target in arb_rects()) {
-        // `kernel_energy_floor = 1.0` (spelled explicitly) must be
-        // indistinguishable — bit for bit — from the default exact
-        // configuration, in both the loss and the gradient.
-        let exact = sim();
-        let floored = LithoSimulator::new(LithoConfig {
-            size: 32,
-            kernel_count: 4,
-            kernel_energy_floor: 1.0,
-            ..LithoConfig::default()
-        })
-        .unwrap();
-        let t = target.to_real();
-        let w = LossWeights::default();
-        let (va, ga) = loss_and_gradient(&exact, &mask, &t, w).unwrap();
-        let (vb, gb) = loss_and_gradient(&floored, &mask, &t, w).unwrap();
-        prop_assert_eq!(va.total.to_bits(), vb.total.to_bits());
-        prop_assert_eq!(va.l2.to_bits(), vb.l2.to_bits());
-        prop_assert_eq!(va.pvb.to_bits(), vb.pvb.to_bits());
-        for (a, b) in ga.as_slice().iter().zip(gb.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn truncated_energy_floor_approximates_the_exact_loss(mask in arb_mask(), target in arb_rects()) {
-        // Dropping the low-weight SOCS tail perturbs the intensity by at
-        // most the discarded energy fraction; the loss must stay close
-        // and finite, and truncation must never *add* kernels.
-        let exact = sim();
-        let truncated = LithoSimulator::new(LithoConfig {
-            size: 32,
-            kernel_count: 4,
-            kernel_energy_floor: 0.95,
-            ..LithoConfig::default()
-        })
-        .unwrap();
-        let t = target.to_real();
-        let w = LossWeights::default();
-        let ve = loss_only(&exact, &mask, &t, w).unwrap();
-        let (vt, gt) = loss_and_gradient(&truncated, &mask, &t, w).unwrap();
-        prop_assert!(vt.total.is_finite() && vt.total >= 0.0);
-        for &g in gt.as_slice() {
-            prop_assert!(g.is_finite());
-        }
-        // Relative agreement: loose bound, the point is "same model,
-        // slightly less energy", not equality.
-        let denom = ve.total.max(1.0);
-        prop_assert!((vt.total - ve.total).abs() / denom < 0.25,
-            "truncated loss strayed: {} vs {}", vt.total, ve.total);
-    }
-
-    #[test]
     fn empty_and_open_masks_are_extremes(target in arb_rects()) {
         // The all-dark mask prints nothing; the open frame prints
         // everything; any target loss lies between the two extremes'

@@ -10,7 +10,7 @@
 //!
 //! Below `S = N` the two must agree to 1e-13 relative on the loss, the
 //! three corner images and the gradient, over grid and tile sizes, kernel
-//! counts, energy floors and loss weights, on full-band random masks. At
+//! counts and loss weights, on full-band random masks. At
 //! `S = N` nothing is resampled and every output must match bit for bit.
 
 use cfaopc_fft::simd::{accumulate_norm_sqr, conj_mul_real, resist_corner, GradOut, ResistCorner};
@@ -59,12 +59,11 @@ fn mask_and_target(n: usize, seed: u64) -> (Grid2D<f64>, Grid2D<f64>) {
     (mask, Grid2D::from_vec(n, n, target))
 }
 
-fn simulator(size: usize, tile_nm: f64, kernel_count: usize, floor: f64) -> LithoSimulator {
+fn simulator(size: usize, tile_nm: f64, kernel_count: usize) -> LithoSimulator {
     LithoSimulator::new(LithoConfig {
         size,
         tile_nm,
         kernel_count,
-        kernel_energy_floor: floor,
         ..LithoConfig::default()
     })
     .unwrap()
@@ -96,7 +95,6 @@ const STACK: [usize; 3] = [0, 0, 1];
 
 fn full_grid_forward(sim: &LithoSimulator, mask: &Grid2D<f64>) -> FullGrid {
     let n = sim.size();
-    let floor = sim.config().kernel_energy_floor;
     let mut spectrum = vec![Complex::ZERO; n * n];
     Rfft2d::square(n)
         .unwrap()
@@ -104,8 +102,8 @@ fn full_grid_forward(sim: &LithoSimulator, mask: &Grid2D<f64>) -> FullGrid {
         .unwrap();
     let plan = Fft2d::square(n).unwrap();
     let fields = [ProcessCorner::Nominal, ProcessCorner::Min].map(|corner| {
-        let set = sim.kernel_set(corner);
-        set.kernels()[..set.active_count(floor)]
+        sim.kernel_set(corner)
+            .kernels()
             .iter()
             .map(|kernel| {
                 let mut field = vec![Complex::ZERO; n * n];
@@ -228,11 +226,11 @@ fn loss_terms(v: &LossValues) -> [f64; 3] {
 /// Runs one configuration under each of `weights` and compares every
 /// output with the full-grid oracle: bit for bit when `exact`, else to
 /// [`TOL`] relative.
-fn check(size: usize, tile_nm: f64, kernels: usize, floor: f64, weights: &[LossWeights]) {
-    let sim = simulator(size, tile_nm, kernels, floor);
+fn check(size: usize, tile_nm: f64, kernels: usize, weights: &[LossWeights]) {
+    let sim = simulator(size, tile_nm, kernels);
     let exact = sim.pupil_size() == size;
     let label = format!(
-        "{size} px, {tile_nm} nm, K = {kernels}, floor {floor}, S = {}",
+        "{size} px, {tile_nm} nm, K = {kernels}, S = {}",
         sim.pupil_size()
     );
     let (mask, target) = mask_and_target(size, size as u64 ^ kernels as u64);
@@ -285,26 +283,26 @@ fn check(size: usize, tile_nm: f64, kernels: usize, floor: f64, weights: &[LossW
 #[test]
 fn pupil_grid_matches_the_full_grid_on_2048_nm_tiles() {
     // L = 28, so S = 64 at every N >= 64.
-    check(128, 2048.0, 24, 0.5, &ALL_WEIGHTS);
-    check(128, 2048.0, 4, 1.0, &ALL_WEIGHTS);
-    check(256, 2048.0, 6, 1.0, &[BOTH, PVB_ONLY]);
-    check(512, 2048.0, 4, 0.5, &[HALF_PVB]);
+    check(128, 2048.0, 24, &ALL_WEIGHTS);
+    check(128, 2048.0, 4, &ALL_WEIGHTS);
+    check(256, 2048.0, 6, &[BOTH, PVB_ONLY]);
+    check(512, 2048.0, 4, &[HALF_PVB]);
 }
 
 #[test]
 fn pupil_grid_matches_the_full_grid_on_4096_nm_tiles() {
     // L = 57, so S = 128.
-    check(256, 4096.0, 6, 0.5, &[HALF_PVB, L2_ONLY]);
-    check(512, 4096.0, 4, 1.0, &[BOTH]);
+    check(256, 4096.0, 6, &[HALF_PVB, L2_ONLY]);
+    check(512, 4096.0, 4, &[BOTH]);
 }
 
 #[test]
 fn full_size_pupil_grid_is_bit_identical_to_the_full_grid() {
     // S = N: 64 px on a 2048 nm tile, 128 px on a 4096 nm one, and 64 px
     // on a 4096 nm tile, whose pupil the grid clips at Nyquist.
-    check(64, 2048.0, 6, 1.0, &ALL_WEIGHTS);
-    check(128, 4096.0, 24, 1.0, &[HALF_PVB, PVB_ONLY]);
-    check(64, 4096.0, 4, 0.5, &[BOTH, L2_ONLY]);
+    check(64, 2048.0, 6, &ALL_WEIGHTS);
+    check(128, 4096.0, 24, &[HALF_PVB, PVB_ONLY]);
+    check(64, 4096.0, 4, &[BOTH, L2_ONLY]);
 }
 
 #[test]
@@ -319,7 +317,7 @@ fn the_cases_cover_both_sides_of_s_equals_n() {
         (256, 4096.0, true),
         (512, 4096.0, true),
     ] {
-        let sim = simulator(size, tile_nm, 4, 1.0);
+        let sim = simulator(size, tile_nm, 4);
         assert_eq!(
             sim.pupil_size() < size,
             resampled,
@@ -331,7 +329,7 @@ fn the_cases_cover_both_sides_of_s_equals_n() {
 
 #[test]
 fn loss_only_and_loss_and_gradient_agree_bit_for_bit_below_s_equals_n() {
-    let sim = simulator(256, 2048.0, 6, 1.0);
+    let sim = simulator(256, 2048.0, 6);
     assert!(sim.pupil_size() < sim.size());
     let (mask, target) = mask_and_target(256, 7);
     let mut grad = Grid2D::new(256, 256, 0.0);

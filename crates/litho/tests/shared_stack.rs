@@ -49,11 +49,8 @@ fn nominal_and_max_share_one_stack_and_its_fields() {
         "Nominal and Max must be the same stack, not two equal ones"
     );
     assert!(!std::ptr::eq(nominal, sim.kernel_set(ProcessCorner::Min)));
-    let k = nominal.active_count(cfg.kernel_energy_floor) as u64;
-    assert_eq!(
-        k, cfg.kernel_count as u64,
-        "the exact model keeps every kernel"
-    );
+    let k = nominal.kernels().len() as u64;
+    assert_eq!(k, cfg.kernel_count as u64, "one kernel per source point");
 
     let n = sim.size();
     let mut target = BitGrid::new(n, n);

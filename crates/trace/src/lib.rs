@@ -120,7 +120,7 @@ impl Counter {
 /// | `pool_regions` | every parallel region opened on the worker pool |
 /// | `tiles_rendered` | composition tiles cleared + rendered |
 /// | `tiles_skipped` | composition tiles skipped (untouched twice over) |
-/// | `circles_pruned` | circles dropped by the hard-max `q_floor` |
+/// | `circles_pruned` | circles with `q ≤ 0` the hard max skips |
 /// | `nonfinite_aborts` | runs terminated by the numerical-health guard |
 /// | `compose_render_ns` | wall ns inside composition render regions |
 /// | `backward_scan_ns` | wall ns inside fused-backward band scans |

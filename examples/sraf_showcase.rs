@@ -24,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("=== SRAF showcase (case10: isolated 320nm square) ===\n");
 
-    // SRAF-free baseline: DevelSet-like (domain restricted to the target).
+    // SRAF-free baseline: the DevelSet-like level set, whose front moves
+    // from the target but nucleates nothing new.
     let plain = run_engine(&sim, &target, IltEngine::DevelSetLike, 25)?;
     // SRAF-rich: MultiILT-like (full-domain, assists can nucleate).
     let sraf = run_engine(&sim, &target, IltEngine::MultiIltLike, 25)?;

@@ -547,6 +547,17 @@ fn cmd_evaluate(flags: &Flags) -> CliResult {
     if list.height != size {
         return Err("non-square shot grids are not supported".into());
     }
+    // The layout is one benchmark tile; a list drawn at another pitch
+    // (a chip's shot file, say) would be scored against the wrong field.
+    let span_nm = size as f64 * list.pixel_nm;
+    if (span_nm - f64::from(TILE_NM)).abs() > 1e-9 * f64::from(TILE_NM) {
+        return Err(format!(
+            "shot grid is {size} px at {} nm/px = {span_nm} nm wide, \
+             but a benchmark tile is {TILE_NM} nm",
+            list.pixel_nm
+        )
+        .into());
+    }
     let sim = LithoSimulator::new(LithoConfig {
         size,
         kernel_count: 8,

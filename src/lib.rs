@@ -94,10 +94,7 @@ pub mod prelude {
         CircularMask, MrcRules, ShotList,
     };
     pub use cfaopc_grid::{fill_circle, fill_rect, BitGrid, Grid2D, Point, Rect};
-    pub use cfaopc_ilt::{
-        run_engine, run_levelset_ilt, run_pixel_ilt, IltEngine, IltResult, LevelSetConfig,
-        PixelIltConfig,
-    };
+    pub use cfaopc_ilt::{run_engine, run_pixel_ilt, IltEngine, IltResult, PixelIltConfig};
     pub use cfaopc_layouts::{
         all_cases, benchmark_case, generate_chip, generate_layout, ChipGeneratorConfig, ChipLayout,
         GeneratorConfig, Layout, PAPER_AREAS_NM2, TILE_NM,
