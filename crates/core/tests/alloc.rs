@@ -11,8 +11,8 @@
 //! workspace, pooled `loss_and_gradient_into`, `backward_into` the reused
 //! gradient buffer, the Lasso subgradient, the health guard's gradient
 //! norms, the sink record and the Adam step. Transient allocations that
-//! free within the iteration (parallel-region bookkeeping, the adjoint's
-//! per-kernel contribution lists) net to zero; what this test forbids is
+//! free within the iteration (parallel-region bookkeeping and result
+//! lists) net to zero; what this test forbids is
 //! *growth*: any buffer allocated per iteration and kept, or reallocated
 //! bigger each step, shows up as a positive byte delta.
 //!
@@ -29,7 +29,10 @@
 //! passes) and `DevelSetLike`'s (the level set's chunks). Its loop reuses its mask, gradient and blur buffers, so the
 //! *gross* bytes one steady-state iteration allocates (what the simulator's
 //! parallel regions allocate and free inside the call) are the same at
-//! 128 and 256 px: a grid allocated per iteration would scale with N².
+//! 128 and 256 px on a 2048 nm tile: a grid allocated per iteration would
+//! scale with N². They are also the same at 128 px on a 4096 nm window,
+//! whose kernels hold four times the bins: a per-bin list allocated per
+//! call would scale with them.
 //!
 //! The byte counters are process-wide, so every run goes one
 //! after the other inside a **single** test: the test harness gives every
@@ -136,12 +139,14 @@ impl TelemetrySink for HeapProbe {
     }
 }
 
-/// `size` 64 images on the full grid; at 128 the 2048 nm tile's 64² pupil
-/// grid is smaller than the mask grid, so the per-kernel work runs on
-/// pupil-grid buffers and the intensity and dL/dI are resampled.
-fn fixture(size: usize) -> (LithoSimulator, BitGrid, SparseCircles) {
+/// `size` 64 images a 2048 nm tile on the full grid; at 128 the tile's
+/// 64² pupil grid is smaller than the mask grid, so the per-kernel work
+/// runs on pupil-grid buffers and the intensity and dL/dI are resampled.
+/// A 4096 nm window at 128 px runs on the full grid again.
+fn fixture(size: usize, tile_nm: f64) -> (LithoSimulator, BitGrid, SparseCircles) {
     let sim = LithoSimulator::new(LithoConfig {
         size,
+        tile_nm,
         kernel_count: 4,
         ..LithoConfig::default()
     })
@@ -184,7 +189,7 @@ fn steady_state_iterations_are_allocation_free() {
     cfaopc_trace::set_enabled(true);
     for size in [64, 128] {
         for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
-            let (sim, target, circles) = fixture(size);
+            let (sim, target, circles) = fixture(size, 2048.0);
             let config = CircleOptConfig {
                 circle_iterations: ITERATIONS,
                 composition,
@@ -207,7 +212,8 @@ fn steady_state_iterations_are_allocation_free() {
     }
 
     // Stage 1: the same window over `run_pixel_ilt`, and the gross bytes
-    // of its last iteration at two grid sizes.
+    // of its last iteration at two grid sizes and two tile sizes.
+    let shapes = [(128, 2048.0), (256, 2048.0), (128, 4096.0)];
     for engine in [
         IltEngine::Mosaic,
         IltEngine::MultiIltLike,
@@ -215,8 +221,8 @@ fn steady_state_iterations_are_allocation_free() {
         IltEngine::DevelSetLike,
     ] {
         let config = engine.config(ITERATIONS);
-        let gross = [128, 256].map(|size| {
-            let (sim, target, _) = fixture(size);
+        let gross = shapes.map(|(size, tile_nm)| {
+            let (sim, target, _) = fixture(size, tile_nm);
             let mut probe = HeapProbe::new();
             let ctx = RunCtx {
                 sink: Some(&mut probe),
@@ -227,14 +233,16 @@ fn steady_state_iterations_are_allocation_free() {
             let growth = probe.net[ITERATIONS - 1] - probe.net[WARMUP - 1];
             assert_eq!(
                 growth, 0,
-                "steady-state {engine:?} pixel iterations at {size} px grew the heap by {growth} bytes over {MEASURED} iterations"
+                "steady-state {engine:?} pixel iterations at {size} px on {tile_nm} nm grew the heap by {growth} bytes over {MEASURED} iterations"
             );
             probe.gross[ITERATIONS - 1] - probe.gross[ITERATIONS - 2]
         });
-        assert_eq!(
-            gross[0], gross[1],
-            "one steady-state {engine:?} pixel iteration allocates {} B at 128 px but {} B at 256 px",
-            gross[0], gross[1]
-        );
+        for ((size, tile_nm), bytes) in shapes.iter().zip(gross).skip(1) {
+            assert_eq!(
+                gross[0], bytes,
+                "one steady-state {engine:?} pixel iteration allocates {} B at 128 px on 2048 nm but {bytes} B at {size} px on {tile_nm} nm",
+                gross[0]
+            );
+        }
     }
 }

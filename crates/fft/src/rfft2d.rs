@@ -26,14 +26,20 @@
 //! low frequencies use the band variants: [`Rfft2d::forward_band_into`]
 //! transforms only the band's columns, and [`Rfft2d::forward_re_band_into`]
 //! skips the column transforms of an input that is zero outside the band.
-//! Every output cell is computed by exactly one task and no cross-task
-//! reductions occur, so results are **bit-identical across worker
-//! counts**.
+//! Their spectra may also be **band-packed**: `height` rows of only
+//! `2·band + 1` columns, column `f mod (2·band + 1)` holding signed column
+//! frequency `f`, which a consumer that reads nothing else stores in a
+//! fraction of the full grid's memory.
+//!
+//! Every transform runs on the thread that calls it. Split into row
+//! pairs and column blocks, a transform's pieces are too small for a
+//! second worker to pay for; the lithography model runs whole transforms
+//! side by side in its per-stack tasks instead.
 
 use crate::complex::Complex;
 use crate::fft1d::{Direction, Fft, FftError};
 use crate::fft2d::Fft2d;
-use crate::parallel::{par_chunks_mut, par_column_blocks, region_width};
+use crate::parallel::ColumnBlockMut;
 use crate::workspace::BufferPool;
 
 /// A reusable real-input 2-D FFT plan for a fixed `height × width` shape.
@@ -142,13 +148,40 @@ impl Rfft2d {
         Ok(())
     }
 
+    /// Row width of a band variant's `len`-entry spectrum: `width` in the
+    /// full layout, or `2·band + 1` band-packed, which must be narrower
+    /// than `width` on a grid of at least two rows.
+    fn band_stride(&self, len: usize, band: usize) -> Result<usize, FftError> {
+        let packed = band.saturating_mul(2).saturating_add(1);
+        if len == self.len() {
+            Ok(self.width)
+        } else if packed < self.width && self.height >= 2 && len == self.height * packed {
+            Ok(packed)
+        } else {
+            Err(FftError::LengthMismatch {
+                expected: self.len(),
+                actual: len,
+            })
+        }
+    }
+
+    /// Parks scratch for `transforms` transforms running at once on this
+    /// plan and its clones: one packed-row buffer and one half-width grid
+    /// each. Callers that run transforms in concurrent tasks call it first,
+    /// so the scratch pools reach their high-water mark on the first run
+    /// rather than whenever enough tasks first overlap.
+    pub fn reserve(&self, transforms: usize) {
+        self.row_scratch.reserve(transforms, self.width);
+        self.half_scratch
+            .reserve(transforms, self.height * (self.width / 2 + 1));
+    }
+
     /// Forward 2-D DFT of a real field into a full complex spectrum.
     ///
     /// Equivalent to widening `src` to complex and running
-    /// [`Fft2d::forward`], at roughly half the transform work. Output
-    /// cells are each written by exactly one task, so the result is
-    /// bit-identical across worker counts (though not bit-identical to
-    /// the complex plan — the packing reassociates a few additions).
+    /// [`Fft2d::forward`], at roughly half the transform work (though not
+    /// bit-identical to the complex plan — the packing reassociates a few
+    /// additions).
     ///
     /// # Errors
     ///
@@ -163,12 +196,15 @@ impl Rfft2d {
     /// on those columns alone. Entries in the other columns are left
     /// **unspecified**; wanted columns are bit-identical to
     /// [`Rfft2d::forward_into`], since column transforms are independent.
-    /// `band ≥ width/2` wants every column.
+    /// `band ≥ width/2` wants every column. With `2·band + 1 < width`,
+    /// `out` may instead be band-packed (`height·(2·band + 1)` entries,
+    /// column `f mod (2·band + 1)` holding frequency `f`), and then every
+    /// entry is wanted and written, with the same bits.
     ///
     /// # Errors
     ///
-    /// Returns [`FftError::LengthMismatch`] if `src` or `out` is not
-    /// `height·width` long.
+    /// Returns [`FftError::LengthMismatch`] if `src` is not
+    /// `height·width` long, or `out` is neither that nor band-packed.
     pub fn forward_band_into(
         &self,
         src: &[f64],
@@ -176,7 +212,7 @@ impl Rfft2d {
         band: usize,
     ) -> Result<(), FftError> {
         self.check(src.len())?;
-        self.check(out.len())?;
+        let stride = self.band_stride(out.len(), band)?;
         cfaopc_trace::counters::FFT_2D.incr();
         cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
         let (h, w) = (self.height, self.width);
@@ -193,44 +229,40 @@ impl Rfft2d {
 
         // Row pass: rows (2p, 2p+1) share one complex transform, unpacked
         // into the wanted columns only.
-        let row_fft = &self.row_fft;
-        let row_scratch = &self.row_scratch;
-        row_scratch.reserve(region_width(h / 2), w);
-        par_chunks_mut(out, 2 * w, |p, chunk| {
-            let r0 = 2 * p * w;
-            let r1 = r0 + w;
-            let mut buf = row_scratch.take(w);
-            for (x, slot) in buf.iter_mut().enumerate() {
-                *slot = Complex::new(src[r0 + x], src[r1 + x]);
+        let mut buf = self.row_scratch.take(w);
+        for (pair, chunk) in src
+            .chunks_exact(2 * w)
+            .zip(out.chunks_exact_mut(2 * stride))
+        {
+            let (r0, r1) = pair.split_at(w);
+            for (slot, (&a, &b)) in buf.iter_mut().zip(r0.iter().zip(r1)) {
+                *slot = Complex::new(a, b);
             }
-            row_fft
-                .forward(&mut buf)
-                .expect("row length matches plan by construction");
+            self.row_fft.forward(&mut buf)?;
             for k in 0..cols {
                 let z = buf[k];
                 let zm = buf[(w - k) & (w - 1)].conj();
                 // F₀ = (Z + conj(Z(−k)))/2, F₁ = (Z − conj(Z(−k)))/(2i).
                 chunk[k] = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
-                chunk[w + k] = Complex::new((z.im - zm.im) * 0.5, (zm.re - z.re) * 0.5);
+                chunk[stride + k] = Complex::new((z.im - zm.im) * 0.5, (zm.re - z.re) * 0.5);
             }
-            row_scratch.put(buf);
-        });
+        }
+        self.row_scratch.put(buf);
 
         // Column pass over the wanted non-redundant columns, in place.
-        let col_fft = &self.col_fft;
-        par_column_blocks(out, w, cols, |_, block| {
-            col_fft.transform_columns(block, Direction::Forward)
-        });
+        self.col_fft.transform_columns(
+            ColumnBlockMut::new(out, stride, 0..cols),
+            Direction::Forward,
+        );
 
-        // Hermitian fill of the wanted redundant columns:
-        // S(ky,kx) = conj(S(−ky,−kx)). Reads stay in columns < wh (already
-        // final), writes in columns ≥ wh — disjoint, so fill order is
-        // irrelevant.
+        // Hermitian fill of the wanted negative frequencies −f, in column
+        // `stride − f`: S(ky,−f) = conj(S(−ky,f)). Reads stay in columns
+        // below `cols` (already final), writes at or above it — disjoint,
+        // so fill order is irrelevant.
         for ky in 0..h {
-            let mirror_row = ((h - ky) % h) * w;
-            for kx in wh.max(w.saturating_sub(band))..w {
-                let v = out[mirror_row + (w - kx)].conj();
-                out[ky * w + kx] = v;
+            let mirror_row = ((h - ky) % h) * stride;
+            for f in 1..=band.min(w / 2 - 1) {
+                out[ky * stride + stride - f] = out[mirror_row + f].conj();
             }
         }
         Ok(())
@@ -243,7 +275,7 @@ impl Rfft2d {
     /// imaginary part of the transform, so `freq` is first projected onto
     /// its Hermitian part, whose transform is real and recoverable from
     /// `w/2 + 1` column transforms plus one packed complex row transform
-    /// per *pair* of output rows. Bit-identical across worker counts.
+    /// per *pair* of output rows.
     ///
     /// # Errors
     ///
@@ -258,19 +290,21 @@ impl Rfft2d {
     /// read): the column pass runs on the band's columns alone, since the
     /// transform of a zero column is zero. The output is bit-identical to
     /// [`Rfft2d::forward_re_into`] on such input, up to the sign of exact
-    /// zeros. `band ≥ width/2` reads every column.
+    /// zeros. `band ≥ width/2` reads every column. With
+    /// `2·band + 1 < width`, `freq` may instead be band-packed, as in
+    /// [`Rfft2d::forward_band_into`], with the same output bits.
     ///
     /// # Errors
     ///
-    /// Returns [`FftError::LengthMismatch`] if `freq` or `out` is not
-    /// `height·width` long.
+    /// Returns [`FftError::LengthMismatch`] if `out` is not
+    /// `height·width` long, or `freq` is neither that nor band-packed.
     pub fn forward_re_band_into(
         &self,
         freq: &[Complex],
         out: &mut [f64],
         band: usize,
     ) -> Result<(), FftError> {
-        self.check(freq.len())?;
+        let stride = self.band_stride(freq.len(), band)?;
         self.check(out.len())?;
         cfaopc_trace::counters::FFT_2D.incr();
         cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
@@ -296,20 +330,18 @@ impl Rfft2d {
         // computed: the row pass reads no others.
         let mut half = self.half_scratch.take(h * wh);
         let cols = wh.min(band.saturating_add(1));
-        let col_fft = &self.col_fft;
-        par_column_blocks(&mut half, wh, cols, |c0, mut block| {
-            for ky in 0..h {
-                let row = &freq[ky * w..][..w];
-                let mirror = &freq[(h - ky) % h * w..][..w];
-                for (i, slot) in block.row_mut(ky).iter_mut().enumerate() {
-                    let c = c0 + i;
-                    let z = row[c];
-                    let zm = mirror[(w - c) & (w - 1)].conj();
-                    *slot = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
-                }
+        let mut block = ColumnBlockMut::new(&mut half, wh, 0..cols);
+        for ky in 0..h {
+            let row = &freq[ky * stride..][..stride];
+            let mirror = &freq[(h - ky) % h * stride..][..stride];
+            for (c, slot) in block.row_mut(ky).iter_mut().enumerate() {
+                let z = row[c];
+                // Frequency −c: column 0 for c = 0, `stride − c` otherwise.
+                let zm = mirror[if c == 0 { 0 } else { stride - c }].conj();
+                *slot = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
             }
-            col_fft.transform_columns(block, Direction::Forward);
-        });
+        }
+        self.col_fft.transform_columns(block, Direction::Forward);
 
         // Row pass: each transformed row is Hermitian in kx, so its row
         // DFT is real; packing rows (2p, 2p+1) as D = C(y₀) + i·C(y₁)
@@ -317,15 +349,11 @@ impl Rfft2d {
         // y₀, imaginary part → y₁). Entries with `band < k < w − band`
         // pack transforms of zero columns, which are `+0` in both parts
         // whether mirrored or not, so they are written as zero.
-        let half_ro: &[Complex] = &half;
-        let row_fft = &self.row_fft;
-        let row_scratch = &self.row_scratch;
         let mirrored = wh.max(w.saturating_sub(band));
         let pack = |c0: Complex, c1: Complex| Complex::new(c0.re - c1.im, c0.im + c1.re);
-        row_scratch.reserve(region_width(h / 2), w);
-        par_chunks_mut(out, 2 * w, |p, chunk| {
-            let (row0, row1) = half_ro[2 * p * wh..(2 * p + 2) * wh].split_at(wh);
-            let mut buf = row_scratch.take(w);
+        let mut buf = self.row_scratch.take(w);
+        for (rows, chunk) in half.chunks_exact(2 * wh).zip(out.chunks_exact_mut(2 * w)) {
+            let (row0, row1) = rows.split_at(wh);
             for k in 0..cols {
                 buf[k] = pack(row0[k], row1[k]);
             }
@@ -333,15 +361,13 @@ impl Rfft2d {
             for k in mirrored..w {
                 buf[k] = pack(row0[w - k].conj(), row1[w - k].conj());
             }
-            row_fft
-                .forward(&mut buf)
-                .expect("row length matches plan by construction");
-            for x in 0..w {
-                chunk[x] = buf[x].re;
-                chunk[w + x] = buf[x].im;
+            self.row_fft.forward(&mut buf)?;
+            let (out0, out1) = chunk.split_at_mut(w);
+            for ((o0, o1), z) in out0.iter_mut().zip(out1).zip(&buf) {
+                (*o0, *o1) = (z.re, z.im);
             }
-            row_scratch.put(buf);
-        });
+        }
+        self.row_scratch.put(buf);
         self.half_scratch.put(half);
         Ok(())
     }
@@ -430,22 +456,39 @@ mod tests {
     }
 
     /// `forward_band_into` over an output prefilled with junk must match
-    /// `forward_into` bit for bit on every wanted column.
+    /// `forward_into` bit for bit on every wanted column, and so must
+    /// every entry of a band-packed output.
     fn check_band_forward(h: usize, w: usize, bands: &[usize]) {
         use crate::fft2d::signed_freq;
         let src = real_sample(h, w);
         let rplan = Rfft2d::new(h, w).unwrap();
         let mut full = vec![Complex::ZERO; h * w];
         rplan.forward_into(&src, &mut full).unwrap();
+        let same = |a: Complex, b: Complex, what: &str| {
+            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
+            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
+        };
         for &band in bands {
             let mut got = vec![Complex::new(7.0, 7.0); h * w];
             rplan.forward_band_into(&src, &mut got, band).unwrap();
             for ky in 0..h {
                 for kx in (0..w).filter(|&kx| signed_freq(kx, w).unsigned_abs() as usize <= band) {
-                    let (a, b) = (got[ky * w + kx], full[ky * w + kx]);
                     let what = format!("({h}x{w}) band {band} ({ky},{kx})");
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
+                    same(got[ky * w + kx], full[ky * w + kx], &what);
+                }
+            }
+            // Band-packed needs 2·band + 1 < w.
+            if band >= w / 2 {
+                continue;
+            }
+            let m = 2 * band + 1;
+            let mut packed = vec![Complex::new(7.0, 7.0); h * m];
+            rplan.forward_band_into(&src, &mut packed, band).unwrap();
+            for ky in 0..h {
+                for c in 0..m {
+                    let kx = if c <= band { c } else { w + c - m };
+                    let what = format!("({h}x{w}) packed band {band} ({ky},{c})");
+                    same(packed[ky * m + c], full[ky * w + kx], &what);
                 }
             }
         }
@@ -478,6 +521,29 @@ mod tests {
                 assert!(
                     a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
                     "({h}x{w}) band {band} pixel {i}: {a} vs {b}"
+                );
+            }
+            // The band-packed input gives the band variant's own bits.
+            // Band-packed needs 2·band + 1 < w.
+            if band >= w / 2 {
+                continue;
+            }
+            let m = 2 * band + 1;
+            let packed: Vec<Complex> = (0..h * m)
+                .map(|i| {
+                    let (ky, c) = (i / m, i % m);
+                    freq[ky * w + if c <= band { c } else { w + c - m }]
+                })
+                .collect();
+            let mut from_packed = vec![7.0; h * w];
+            rplan
+                .forward_re_band_into(&packed, &mut from_packed, band)
+                .unwrap();
+            for (i, (a, b)) in from_packed.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "({h}x{w}) packed band {band} pixel {i}"
                 );
             }
         }
@@ -542,6 +608,16 @@ mod tests {
         assert!(rplan.forward_into(&[0.0; 64], &mut short).is_err());
         let mut re = vec![0.0; 63];
         assert!(rplan.forward_re_into(&out, &mut re).is_err());
+        // Band-packed spectra must be narrower than the grid: 8 rows of
+        // 2·band + 1 = 3 columns at band 1, none at band 4.
+        let mut packed = vec![Complex::ZERO; 8 * 3];
+        assert!(rplan.forward_band_into(&[0.0; 64], &mut packed, 1).is_ok());
+        assert!(rplan.forward_band_into(&[0.0; 64], &mut packed, 2).is_err());
+        let mut wide = vec![Complex::ZERO; 8 * 9];
+        assert!(rplan.forward_band_into(&[0.0; 64], &mut wide, 4).is_err());
+        assert!(rplan
+            .forward_re_band_into(&wide, &mut [0.0; 64], 4)
+            .is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `#[test]`s would race on the process-wide pool setup.)
 
 use cfaopc_fft::parallel::{par_index_claim, pool_thread_count, with_worker_limit, worker_count};
-use cfaopc_fft::{Complex, Fft2d, Rfft2d};
+use cfaopc_fft::{Complex, Fft2d};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: usize = 64;
@@ -35,60 +35,8 @@ fn pool_guarantees_with_forced_four_workers() {
     assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
 
     serial_and_parallel_transforms_are_bit_identical();
-    rfft_transforms_are_worker_count_invariant();
     steady_state_spawns_no_new_threads();
     panics_cross_the_pool_boundary();
-}
-
-fn rfft_transforms_are_worker_count_invariant() {
-    // Every parallel region in `Rfft2d` writes disjoint chunks whose
-    // contents do not depend on scheduling, so any worker limit must
-    // reproduce the full pool's bits — including the serial limit of 1.
-    let rplan = Rfft2d::square(N).unwrap();
-    let plan = Fft2d::square(N).unwrap();
-    let reals: Vec<f64> = (0..N * N)
-        .map(|i| {
-            let x = i as f64;
-            (x * 0.29).sin() + 0.4 * (x * 0.017).cos()
-        })
-        .collect();
-
-    let mut full = vec![Complex::ZERO; N * N];
-    rplan.forward_into(&reals, &mut full).unwrap();
-    for limit in 1..=4usize {
-        let mut limited = vec![Complex::ZERO; N * N];
-        with_worker_limit(limit, || rplan.forward_into(&reals, &mut limited).unwrap());
-        assert_eq!(
-            bits(&full),
-            bits(&limited),
-            "Rfft2d::forward_into depends on worker limit {limit}"
-        );
-    }
-
-    let mut re_full = vec![0.0f64; N * N];
-    rplan.forward_re_into(&full, &mut re_full).unwrap();
-    for limit in 1..=4usize {
-        let mut re_limited = vec![0.0f64; N * N];
-        with_worker_limit(limit, || {
-            rplan.forward_re_into(&full, &mut re_limited).unwrap()
-        });
-        let a: Vec<u64> = re_full.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u64> = re_limited.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            a, b,
-            "Rfft2d::forward_re_into depends on worker limit {limit}"
-        );
-    }
-
-    // And the half plan agrees with the full complex plan up to a few
-    // ulps of per-stage reassociation.
-    let mut want: Vec<Complex> = reals.iter().map(|&r| Complex::from_re(r)).collect();
-    plan.forward(&mut want).unwrap();
-    let peak = want.iter().map(|z| z.abs()).fold(1.0f64, f64::max);
-    let tol = peak * f64::EPSILON * 8.0 * ((N * N) as f64).log2();
-    for (a, b) in full.iter().zip(&want) {
-        assert!((*a - *b).abs() <= tol, "{a:?} vs {b:?} (tol {tol})");
-    }
 }
 
 fn serial_and_parallel_transforms_are_bit_identical() {

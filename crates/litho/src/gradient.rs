@@ -79,13 +79,33 @@
 //! focus's `J` inside the resist kernel (`cfaopc_fft::simd::resist_corner`),
 //! which also writes its `∂L/∂I` — or adds it, scaled by the dose ratio,
 //! onto `c1`'s for the fold above.
+//!
+//! **Phases.** [`loss_and_gradient_into`] runs the mask FFT on the
+//! calling thread, then three pool regions, each over whole units of SOCS
+//! work:
+//!
+//! 1. the forward fields, one task per (stack, kernel);
+//! 2. one task per focus stack: it sums and upsamples the stack's `J`,
+//!    runs the stack's corners through the resist kernel (the fold of
+//!    `Max` onto `Nominal` stays inside the in-focus stack's task) and
+//!    downsamples the folded `G_d`;
+//! 3. the adjoint, one task per (weighted stack, kernel), each writing its
+//!    kernel's values into the kernel's own slots of one pooled buffer.
+//!
+//! and then the final `Re[FFT]` on the calling thread. Every transform
+//! runs on the thread of the task that calls it. The corner losses and
+//! the adjoint's values are merged after their regions, on the calling
+//! thread and in a fixed order, so every output bit is the same at any
+//! worker count. [`loss_only`] needs no field after its stack's sum, so
+//! it runs the mask FFT and phase 2 alone, each stack task computing its
+//! own fields one at a time.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
-use crate::simulator::{Forward, LithoSimulator};
+use crate::simulator::{LithoSimulator, Source};
 use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{conj_mul_real, resist_corner, GradOut, ResistCorner};
-use cfaopc_fft::Complex;
 use cfaopc_grid::Grid2D;
+use std::sync::Mutex;
 
 /// Weights of the two loss terms (paper Eq. 6 uses `L = L2 + L_pvb`,
 /// i.e. both 1).
@@ -141,38 +161,51 @@ fn corner_plan(weights: LossWeights) -> [(ProcessCorner, f64); 3] {
 /// One stack's folded dL/dI: `(dose_c1, G_d)`.
 type Folded = Option<(f64, Vec<f64>)>;
 
-/// The relaxed loss, each corner's resist run by the resist kernel on its
-/// stack's dose-free intensity `intensities[d]` at its own dose — the one
+/// What one stack's task of the per-stack phase returns to the loss.
+#[derive(Debug, Default)]
+struct StackLoss {
+    /// The losses of the stack's corners, in corner order.
+    losses: [f64; 2],
+    /// The stack's folded dL/dI on the pupil grid, when the gradient is
+    /// wanted and one of its corners carries weight.
+    folded: Folded,
+}
+
+/// The per-stack work of the relaxed loss, run in stack `d`'s task on its
+/// dose-free intensity `j` (returned to the real pool here): each of the
+/// stack's corners through the resist kernel at its own dose — the one
 /// loss evaluation behind [`loss_only`] and [`loss_and_gradient_into`], so
 /// their losses agree to the bit.
 ///
-/// With `folded`, each weighted corner's dL/dI is kept too. The adjoint is
-/// linear in dL/dI and a stack's corners share its fields, so each
-/// weighted corner's `g` folds onto its stack's first weighted corner
+/// With `gradient`, each weighted corner's dL/dI is kept too. The adjoint
+/// is linear in dL/dI and a stack's corners share its fields, so each
+/// weighted corner's `g` folds onto the stack's first weighted corner
 /// `c1` as `(dose_c / dose_c1) · g`, added by the kernel into `c1`'s
-/// pooled buffer: `folded[d]` ends holding stack `d`'s `(dose_c1, G_d)`.
-fn resist_loss(
+/// pooled buffer; below `S = N` the folded `G_d` then moves to the pupil
+/// grid, since only its band `[−L, L]²` reaches the bins the adjoint
+/// reads.
+fn stack_loss(
     sim: &LithoSimulator,
-    intensities: &[Vec<f64>; 2],
+    d: usize,
+    j: Vec<f64>,
     target: &[f64],
     weights: LossWeights,
-    mut folded: Option<&mut [Folded; 2]>,
-) -> LossValues {
+    gradient: bool,
+) -> Result<StackLoss, LithoError> {
     let cfg = sim.config();
-    let mut values = LossValues::default();
-    for (corner, w_c) in corner_plan(weights) {
-        let d = LithoSimulator::stack_of(corner);
-        let (j, dose) = (&intensities[d], cfg.dose(corner));
-        let grad = match folded.as_deref_mut() {
-            Some(folded) if w_c != 0.0 => match &mut folded[d] {
-                Some((dose_1, g_1)) => GradOut::Add(g_1, dose / *dose_1),
-                // Fully overwritten, so unspecified pool contents are
-                // fine.
-                slot @ None => {
-                    GradOut::Write(&mut slot.insert((dose, sim.real_pool().take(j.len()))).1)
-                }
-            },
-            _ => GradOut::Skip,
+    let mut out = StackLoss::default();
+    let corners = corner_plan(weights)
+        .into_iter()
+        .filter(|&(corner, _)| LithoSimulator::stack_of(corner) == d);
+    for ((corner, w_c), loss) in corners.zip(&mut out.losses) {
+        let dose = cfg.dose(corner);
+        let grad = match &mut out.folded {
+            _ if !gradient || w_c == 0.0 => GradOut::Skip,
+            Some((dose_1, g_1)) => GradOut::Add(g_1, dose / *dose_1),
+            // Fully overwritten, so unspecified pool contents are fine.
+            slot @ None => {
+                GradOut::Write(&mut slot.insert((dose, sim.real_pool().take(j.len()))).1)
+            }
         };
         let resist = ResistCorner {
             steepness: cfg.resist_steepness,
@@ -180,7 +213,30 @@ fn resist_loss(
             dose,
             weight: w_c,
         };
-        let corner_loss = resist_corner(j, target, &resist, grad);
+        *loss = resist_corner(&j, target, &resist, grad);
+    }
+    sim.real_pool().put(j);
+    if let Some((_, g)) = out.folded.as_mut().filter(|_| sim.resampled()) {
+        let mut coarse = sim
+            .pupil_real_pool()
+            .take(sim.pupil_size() * sim.pupil_size());
+        sim.resample(g, &mut coarse)?;
+        sim.real_pool().put(std::mem::replace(g, coarse));
+    }
+    Ok(out)
+}
+
+/// The loss values from each stack's corner losses, merged after the
+/// per-stack region in corner order, so the sums are the same at any
+/// worker count: `l2` is the nominal corner's loss and `pvb` is
+/// `(0 + max) + min`.
+fn merge_losses(weights: LossWeights, stacks: &[StackLoss; 2]) -> LossValues {
+    let mut values = LossValues::default();
+    let mut next = [0usize; 2];
+    for (corner, _) in corner_plan(weights) {
+        let d = LithoSimulator::stack_of(corner);
+        let corner_loss = stacks[d].losses[next[d]];
+        next[d] += 1;
         match corner {
             ProcessCorner::Nominal => values.l2 = corner_loss,
             _ => values.pvb += corner_loss,
@@ -215,16 +271,16 @@ pub fn loss_and_gradient(
 
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
-/// All scratch (mask spectrum, pupil-grid fields, spectral accumulator,
-/// per-focus intensity and dL/dI) comes from the simulator's buffer
-/// pools, and `grad` is fully overwritten (reallocated only on a
-/// grid-size change) — so a caller looping over iterations with a
-/// persistent `grad` sees
-/// **zero net heap growth** in steady state: the allocations left (the
-/// parallel regions' result lists, among them the adjoint's per-kernel
-/// contribution lists) are freed before the call returns, as
-/// `crates/core/tests/alloc.rs` enforces. [`loss_and_gradient`] is the
-/// convenience wrapper that allocates a fresh grid per call.
+/// All scratch (mask spectrum, pupil-grid fields, per-stack intensity
+/// and dL/dI, the adjoint's per-bin output, spectral accumulator) comes
+/// from the simulator's buffer pools, and `grad` is fully overwritten
+/// (reallocated only on a grid-size change) — so a caller looping over
+/// iterations with a persistent `grad` sees **zero net heap growth** in
+/// steady state: the allocations left (the three regions' bookkeeping
+/// and result lists) are freed before the call returns, and none of them
+/// grows with the kernels' bins, as `crates/core/tests/alloc.rs`
+/// enforces. [`loss_and_gradient`] is the convenience wrapper that
+/// allocates a fresh grid per call.
 ///
 /// # Errors
 ///
@@ -247,46 +303,19 @@ pub fn loss_and_gradient_into(
             actual: (target.width(), target.height()),
         });
     }
-    let spectrum = sim.mask_spectrum_pooled(mask)?;
     let stacks = sim.stacks();
-    // Forward: every stack's pupil-grid fields (kept alive for the
-    // adjoint) and its dose-free mask-grid intensity J_d — the same pass
-    // `loss_only` runs, so the two agree to the bit.
-    let forward = sim.socs_forward(&stacks, &spectrum, true);
+    // Phase 1: every stack's fields, kept for the adjoint.
+    let spectrum = sim.mask_spectrum_pooled(mask)?;
+    let fields = sim.socs_fields(&stacks, &spectrum);
     sim.spectrum_pool().put(spectrum);
-    let Forward {
-        offsets: fwd_offsets,
-        fields,
-        intensities,
-    } = forward?;
-
-    let mut folded: [Folded; 2] = [None, None];
-    let values = resist_loss(
-        sim,
-        &intensities,
-        target.as_slice(),
-        weights,
-        Some(&mut folded),
-    );
-    for j in intensities {
-        sim.real_pool().put(j);
-    }
-
-    // Below S = N, each G_d moves to the pupil grid: only its band
-    // [−L, L]² reaches the bins the adjoint reads.
-    let resampled = sim.resampled();
-    let g_pool = if resampled {
-        sim.pupil_real_pool()
-    } else {
-        sim.real_pool()
-    };
-    if resampled {
-        for (_, g) in folded.iter_mut().flatten() {
-            let mut coarse = g_pool.take(s2);
-            sim.resample(g, &mut coarse)?;
-            sim.real_pool().put(std::mem::replace(g, coarse));
-        }
-    }
+    let fields = fields?;
+    // Phase 2: one task per stack for its corners' resist, loss and
+    // folded G_d — the per-stack work `loss_only` runs, on the same fields
+    // summed in the same order, so the two agree to the bit.
+    let per_stack = sim.per_stack(&stacks, Source::Kept(&fields), |d, j| {
+        stack_loss(sim, d, j, target.as_slice(), weights, true)
+    })?;
+    let values = merge_losses(weights, &per_stack);
 
     // Adjoint task index over the stacks that carry weight, stack-major
     // and kernel-ascending; `adj[s]` is the s-th such stack's
@@ -294,64 +323,73 @@ pub fn loss_and_gradient_into(
     let mut adj_offsets = [0usize; 3];
     let mut adj: [(usize, f64, &[f64]); 2] = [(0, 0.0, &[]); 2];
     let mut adj_stacks = 0usize;
-    for (d, entry) in folded.iter().enumerate() {
-        if let Some((dose_1, g)) = entry {
+    for (d, entry) in per_stack.iter().enumerate() {
+        if let Some((dose_1, g)) = &entry.folded {
             adj[adj_stacks] = (d, *dose_1, g);
-            adj_offsets[adj_stacks + 1] =
-                adj_offsets[adj_stacks] + (fwd_offsets[d + 1] - fwd_offsets[d]);
+            adj_offsets[adj_stacks + 1] = adj_offsets[adj_stacks] + stacks[d].kernels().len();
             adj_stacks += 1;
         }
     }
     let adj_total = adj_offsets[adj_stacks];
+    // Stack d's values start at bin_base[d] of the adjoint's output.
+    let bin_base = [0, stacks[0].bin_count()];
 
     // Spectral gradient accumulator (pupil support only is ever nonzero).
     let mut acc = sim.spectrum_pool().take_zeroed(n2);
     if adj_total > 0 {
-        // One `b` buffer per running task.
+        // Phase 3, the adjoint: per kernel, b = G ⊙ conj(a) on the pupil
+        // grid, one `b` buffer per running task; each task writes
+        // 2·μ·dose_c1·H ⊙ IFFT(b), read at the kernel's pupil bins, into
+        // the kernel's own slots of one pooled buffer. One flat region
+        // spans every weighted stack.
         sim.field_pool().reserve(region_width(adj_total), s2);
-        // Adjoint: per kernel, b = G ⊙ conj(a) on the pupil grid;
-        // contribute 2·μ·dose_c1·H ⊙ IFFT(b), read at the kernel's pupil
-        // bins, at its mask-grid bins. One flat region spans every
-        // weighted stack.
-        let contributions: Vec<Vec<(u32, Complex)>> =
-            par_map(adj_total, |t| -> Result<Vec<(u32, Complex)>, LithoError> {
-                let s = adj_offsets[1..=adj_stacks]
-                    .iter()
-                    .position(|&o| t < o)
-                    .unwrap_or(adj_stacks - 1);
-                let (d, dose, g) = adj[s];
-                let k = t - adj_offsets[s];
-                let kernel = &stacks[d].kernels()[k];
-                let mut b = sim.field_pool().take(s2);
-                conj_mul_real(&mut b, &fields[fwd_offsets[d] + k], g);
-                // The transform's output is only sampled on this
-                // kernel's bins below, so the column pass can skip every
-                // column outside its mask — sampled columns are
-                // bit-identical to the dense path.
-                sim.pupil_plan()
-                    .inverse_serial_cols(&mut b, &kernel.columns)?;
-                let scale = 2.0 * kernel.weight * dose;
-                let contribution = kernel
-                    .spectrum
-                    .iter()
-                    .zip(&kernel.pupil)
-                    .map(|(&(idx, h), &p)| (idx, h * b[p as usize] * scale))
-                    .collect();
-                sim.field_pool().put(b);
-                Ok(contribution)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
+        let mut bins = sim
+            .bins_pool()
+            .take(stacks.iter().map(|set| set.bin_count()).sum());
+        let out = Mutex::new(bins.as_mut_slice());
+        let results = par_map(adj_total, |t| -> Result<(), LithoError> {
+            let s = usize::from(t >= adj_offsets[1]);
+            let (d, dose, g) = adj[s];
+            let k = t - adj_offsets[s];
+            let kernel = &stacks[d].kernels()[k];
+            let mut b = sim.field_pool().take(s2);
+            conj_mul_real(&mut b, &fields.stack(d)[k], g);
+            // The transform's output is only sampled on this kernel's
+            // bins below, so the column pass can skip every column
+            // outside its mask — sampled columns are bit-identical to
+            // the dense path.
+            sim.pupil_plan()
+                .inverse_serial_cols(&mut b, &kernel.columns)?;
+            let scale = 2.0 * kernel.weight * dose;
+            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+            let slots = &mut out[bin_base[d]..][stacks[d].bin_range(k)];
+            for (slot, (&(_, h), &p)) in slots
+                .iter_mut()
+                .zip(kernel.spectrum.iter().zip(&kernel.pupil))
+            {
+                *slot = h * b[p as usize] * scale;
+            }
+            drop(out);
+            sim.field_pool().put(b);
+            Ok(())
+        });
+        for result in results {
+            result?;
+        }
         // Serial, task-ordered accumulation keeps the gradient
         // bit-identical across thread counts.
-        for contribution in contributions {
-            for (idx, v) in contribution {
-                acc[idx as usize] += v;
+        for &(d, ..) in &adj[..adj_stacks] {
+            for (k, kernel) in stacks[d].kernels().iter().enumerate() {
+                let values = &bins[bin_base[d]..][stacks[d].bin_range(k)];
+                for (&(idx, _), &v) in kernel.spectrum.iter().zip(values) {
+                    acc[idx as usize] += v;
+                }
             }
         }
+        sim.bins_pool().put(bins);
     }
-    for (_, g) in folded.into_iter().flatten() {
-        g_pool.put(g);
+    for (_, g) in per_stack.into_iter().filter_map(|entry| entry.folded) {
+        sim.pupil_real_pool().put(g);
     }
     sim.recycle_fields(fields);
 
@@ -367,7 +405,8 @@ pub fn loss_and_gradient_into(
 }
 
 /// Evaluates the relaxed loss only (no gradient) — cheaper when a line
-/// search or a metric snapshot is all that is needed.
+/// search or a metric snapshot is all that is needed. It opens one pool
+/// region, one task per stack.
 ///
 /// # Errors
 ///
@@ -386,15 +425,10 @@ pub fn loss_only(
             actual: (target.width(), target.height()),
         });
     }
-    let spectrum = sim.mask_spectrum_pooled(mask)?;
-    let forward = sim.socs_forward(&sim.stacks(), &spectrum, false);
-    sim.spectrum_pool().put(spectrum);
-    let intensities = forward?.intensities;
-    let values = resist_loss(sim, &intensities, target.as_slice(), weights, None);
-    for j in intensities {
-        sim.real_pool().put(j);
-    }
-    Ok(values)
+    let per_stack = sim.image_stacks(mask, |d, j| {
+        stack_loss(sim, d, j, target.as_slice(), weights, false)
+    })?;
+    Ok(merge_losses(weights, &per_stack))
 }
 
 #[cfg(test)]

@@ -56,6 +56,10 @@ pub struct KernelSet {
     /// mask-grid spectra are read and written only within it.
     pub(crate) reach: usize,
     kernels: Vec<Kernel>,
+    /// Prefix sums of the kernels' bin counts, `K + 1` entries: kernel
+    /// `k`'s bins own slots `bins[k]..bins[k + 1]` of a buffer that holds
+    /// one value per bin of every kernel, in kernel order.
+    bins: Vec<usize>,
 }
 
 impl KernelSet {
@@ -179,12 +183,19 @@ impl KernelSet {
         // Abbe weights are uniform, so it keeps the generation order, and
         // with it every accumulation order downstream.
         kernels.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        let bins = std::iter::once(0)
+            .chain(kernels.iter().scan(0, |end, kernel| {
+                *end += kernel.spectrum.len();
+                Some(*end)
+            }))
+            .collect();
         Ok(KernelSet {
             size: n,
             pupil_size: s,
             band,
             reach,
             kernels,
+            bins,
         })
     }
 
@@ -213,6 +224,19 @@ impl KernelSet {
     #[inline]
     pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
+    }
+
+    /// Kernel `k`'s slots in a buffer with one value per bin of every
+    /// kernel, laid out in kernel order.
+    #[inline]
+    pub(crate) fn bin_range(&self, k: usize) -> std::ops::Range<usize> {
+        self.bins[k]..self.bins[k + 1]
+    }
+
+    /// The bins of all the stack's kernels together.
+    #[inline]
+    pub(crate) fn bin_count(&self) -> usize {
+        self.bins[self.kernels.len()]
     }
 }
 

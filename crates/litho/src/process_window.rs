@@ -8,10 +8,10 @@
 //! through a probe, and integrates the window — letting the repository
 //! quantify the process-window claims behind PVB.
 
-use crate::config::LithoError;
+use crate::config::{LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
 use crate::simulator::LithoSimulator;
-use cfaopc_grid::{BitGrid, Grid2D, Point};
+use cfaopc_grid::{BitGrid, Point};
 
 /// Direction along which a CD is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,7 +35,14 @@ pub struct CdProbe {
 /// contiguous printed run through `probe.at`, or `None` when the probe
 /// point itself does not print.
 pub fn measure_cd(printed: &BitGrid, probe: &CdProbe, pixel_nm: f64) -> Option<f64> {
-    if !printed.at(probe.at) {
+    cd_of_run(|p| printed.at(p), probe, pixel_nm)
+}
+
+/// [`measure_cd`] on a print given pixel by pixel: `prints(p)` is
+/// whether `p` prints (`false` off the grid), asked only along the probe's
+/// run and one pixel past each end.
+fn cd_of_run(prints: impl Fn(Point) -> bool, probe: &CdProbe, pixel_nm: f64) -> Option<f64> {
+    if !prints(probe.at) {
         return None;
     }
     let (dx, dy) = match probe.axis {
@@ -46,7 +53,7 @@ pub fn measure_cd(printed: &BitGrid, probe: &CdProbe, pixel_nm: f64) -> Option<f
     let mut p = probe.at;
     loop {
         p = Point::new(p.x + dx, p.y + dy);
-        if printed.at(p) {
+        if prints(p) {
             len += 1;
         } else {
             break;
@@ -55,7 +62,7 @@ pub fn measure_cd(printed: &BitGrid, probe: &CdProbe, pixel_nm: f64) -> Option<f
     p = probe.at;
     loop {
         p = Point::new(p.x - dx, p.y - dy);
-        if printed.at(p) {
+        if prints(p) {
             len += 1;
         } else {
             break;
@@ -113,8 +120,11 @@ impl BossungSurface {
 
 /// Sweeps focus and exposure for a fixed mask, measuring CD at a probe.
 ///
-/// Uses the simulator's optics but regenerates the kernel stack per
-/// defocus value; one mask FFT is shared across the whole sweep.
+/// Uses the simulator's optics and one mask FFT for the whole sweep. A
+/// defocus at one of the simulator's own stack foci images through that
+/// stack (the same kernels a regenerated stack would hold, bit for bit);
+/// any other regenerates the stack. Each dose thresholds only the pixels
+/// the CD probe visits.
 ///
 /// # Errors
 ///
@@ -129,21 +139,33 @@ pub fn bossung_surface(
 ) -> Result<BossungSurface, LithoError> {
     let cfg = sim.config();
     let spectrum = sim.mask_spectrum(&mask.to_real())?;
-    let n = cfg.size;
+    let n = cfg.size as i32;
     let mut points = Vec::with_capacity(defocus_values_nm.len() * doses.len());
     for &defocus in defocus_values_nm {
-        let set = KernelSet::generate_with_defocus(cfg, defocus)?;
+        let own = [ProcessCorner::Nominal, ProcessCorner::Min]
+            .into_iter()
+            .find(|&corner| cfg.defocus(corner).to_bits() == defocus.to_bits());
+        let generated;
+        let set = match own {
+            Some(corner) => sim.kernel_set(corner),
+            None => {
+                generated = KernelSet::generate_with_defocus(cfg, defocus)?;
+                &generated
+            }
+        };
         // Dose-free intensity for this focus; doses scale it linearly.
-        let base = sim.intensity(&set, &spectrum)?;
+        let base = sim.dose_free_intensity(set, &spectrum)?;
         for &dose in doses {
-            let printed = BitGrid::from_threshold(
-                &Grid2D::from_vec(n, n, base.iter().map(|&v| v * dose).collect()),
-                cfg.threshold,
-            );
+            // `BitGrid::from_threshold` of the dosed image, pixel by pixel.
+            let prints = |p: Point| {
+                (0..n).contains(&p.x)
+                    && (0..n).contains(&p.y)
+                    && base[(p.y * n + p.x) as usize] * dose > cfg.threshold
+            };
             points.push(BossungPoint {
                 defocus_nm: defocus,
                 dose,
-                cd_nm: measure_cd(&printed, probe, cfg.pixel_nm()),
+                cd_nm: cd_of_run(prints, probe, cfg.pixel_nm()),
             });
         }
     }

@@ -1,8 +1,22 @@
 //! The forward lithography model: Hopkins aerial image (Eq. 1) and the
 //! threshold / sigmoid resist (Eq. 2).
+//!
+//! Every imaging entry point runs the mask FFT on the calling thread and
+//! then the **per-stack phase** ([`LithoSimulator::per_stack`]): one
+//! region with one task per focus stack. Each task sums its stack's
+//! dose-free intensity `J_d` in kernel order, moves it to the mask grid
+//! and hands it to the caller's per-stack work: the corner images, or
+//! the resist and loss of the stack's corners. Imaging computes each
+//! stack's fields inside its task, one at a time. The gradient needs
+//! every field again in its adjoint, so it computes them first in a
+//! region of their own, one task per kernel
+//! ([`LithoSimulator::socs_fields`]), and ends with the per-kernel
+//! adjoint (`crate::gradient`): three phases. Transforms run on the
+//! thread of the task that calls them, so each phase is a single region,
+//! whatever the grid size.
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
-use crate::kernels::KernelSet;
+use crate::kernels::{Kernel, KernelSet};
 use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
 use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d};
@@ -84,28 +98,48 @@ pub struct LithoSimulator {
     /// Recycled pupil-grid complex buffers: the per-kernel fields (shared
     /// with the adjoint pass) and the pupil side of each resampling.
     field_pool: BufferPool<Complex>,
-    /// Recycled mask-grid complex buffers: the mask spectrum, the
-    /// gradient's spectral accumulator and the mask side of each
-    /// resampling.
+    /// Recycled mask-grid complex buffers: the mask spectrum and the
+    /// gradient's spectral accumulator.
     spectrum_pool: BufferPool<Complex>,
+    /// Recycled band-packed mask-grid spectra (`N × (2L + 1)`): the mask
+    /// side of each resampling.
+    band_pool: BufferPool<Complex>,
     /// Recycled mask-grid real scratch (intensities, dL/dI).
     real_pool: BufferPool<f64>,
     /// Recycled pupil-grid real scratch (intensity and dL/dI before and
     /// after resampling).
     pupil_real_pool: BufferPool<f64>,
+    /// Recycled adjoint output: one value per bin of every kernel of both
+    /// stacks, laid out by [`KernelSet`]'s bin ranges.
+    bins_pool: BufferPool<Complex>,
 }
 
-/// What [`LithoSimulator::socs_forward`] computes for a list of stacks.
+/// Every stack's pupil-grid fields, from
+/// [`LithoSimulator::socs_fields`].
 #[derive(Debug)]
-pub(crate) struct Forward {
+pub(crate) struct Fields {
     /// `fields[offsets[d] + k]` is stack `d`'s kernel-`k` field.
-    pub(crate) offsets: [usize; 3],
-    /// Pupil-grid coherent fields `a_k`, from the field pool (empty
-    /// unless kept).
-    pub(crate) fields: Vec<Vec<Complex>>,
-    /// Each stack's dose-free mask-grid intensity `J_d`, from the real
-    /// pool (empty past the last stack).
-    pub(crate) intensities: [Vec<f64>; 2],
+    offsets: [usize; 3],
+    /// Pupil-grid coherent fields `a_k`, from the field pool.
+    fields: Vec<Vec<Complex>>,
+}
+
+impl Fields {
+    /// Stack `d`'s fields, in kernel order.
+    pub(crate) fn stack(&self, d: usize) -> &[Vec<Complex>] {
+        &self.fields[self.offsets[d]..self.offsets[d + 1]]
+    }
+}
+
+/// Where the per-stack phase ([`LithoSimulator::per_stack`]) finds each
+/// stack's fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// Fields the loss path computed in its own region and keeps for the
+    /// adjoint.
+    Kept(&'a Fields),
+    /// The mask spectrum: each stack task computes its own fields.
+    Spectrum(&'a [Complex]),
 }
 
 impl LithoSimulator {
@@ -137,8 +171,10 @@ impl LithoSimulator {
             config,
             field_pool: BufferPool::new(),
             spectrum_pool: BufferPool::new(),
+            band_pool: BufferPool::new(),
             real_pool: BufferPool::new(),
             pupil_real_pool: BufferPool::new(),
+            bins_pool: BufferPool::new(),
         })
     }
 
@@ -205,11 +241,22 @@ impl LithoSimulator {
         &self.real_pool
     }
 
-    /// The pupil-grid real pool (intensity before upsampling, dL/dI after
-    /// downsampling).
+    /// The pool of pupil-grid real buffers (intensity before upsampling,
+    /// dL/dI after downsampling): the mask grid's at `S = N`.
     #[inline]
     pub(crate) fn pupil_real_pool(&self) -> &BufferPool<f64> {
-        &self.pupil_real_pool
+        if self.resampled() {
+            &self.pupil_real_pool
+        } else {
+            &self.real_pool
+        }
+    }
+
+    /// The adjoint's output pool: buffers of one value per bin of every
+    /// kernel of both stacks.
+    #[inline]
+    pub(crate) fn bins_pool(&self) -> &BufferPool<Complex> {
+        &self.bins_pool
     }
 
     /// Whether the pupil grid is smaller than the mask grid, so the
@@ -284,7 +331,7 @@ impl LithoSimulator {
     ) -> Result<Grid2D<f64>, LithoError> {
         let n = self.config.size;
         let dose = self.config.dose(corner);
-        let mut intensity = self.intensity(self.kernel_set(corner), spectrum)?;
+        let mut intensity = self.dose_free_intensity(self.kernel_set(corner), spectrum)?;
         for v in &mut intensity {
             *v *= dose;
         }
@@ -292,68 +339,49 @@ impl LithoSimulator {
     }
 
     /// The dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the
-    /// mask grid, for one stack.
-    pub(crate) fn intensity(
+    /// mask grid, for one stack: its fields in one region, then its
+    /// intensity on the calling thread.
+    pub(crate) fn dose_free_intensity(
         &self,
         set: &KernelSet,
         spectrum: &[Complex],
     ) -> Result<Vec<f64>, LithoError> {
-        let Forward {
-            intensities: [intensity, _],
-            ..
-        } = self.socs_forward(&[set], spectrum, false)?;
+        let stacks = [set];
+        let fields = self.socs_fields(&stacks, spectrum)?;
+        let [intensity, _] = self.per_stack(&stacks, Source::Kept(&fields), |_, j| Ok(j))?;
+        self.recycle_fields(fields);
         Ok(intensity)
     }
 
-    /// The SOCS forward pass behind every imaging entry point: for each
-    /// stack (at most one per focus), the dose-free intensity
-    /// `J = Σ_k μ_k |a_k|²` on the mask grid, plus — when `keep_fields` —
-    /// the pupil-grid fields `a_k` the adjoint reuses. Each corner applies
-    /// its dose to its stack's `J` on the mask grid, so corners that share
-    /// a focus (`Nominal` and `Max`) share one `J` and one resampling.
-    ///
-    /// Kernel `k`'s field is `a_k = IFFT_S(Ĥ_k)`, where `Ĥ_k` holds
-    /// `(S²/N²) · H_k ⊙ spectrum` at the kernel's pupil-grid bins
-    /// ([`KernelSet::pupil_size`]). Moving a kernel's bins by its centre
-    /// bin only multiplies `a_k` by a phase ramp, so `|a_k|²` samples the
-    /// mask-grid `|A_k|²` at every `N/S`-th pixel; band-limited to
-    /// `[−L, L]²` with `2L + 1 ≤ S`, it is exactly interpolated back
-    /// ([`LithoSimulator::resample`]). At `S = N` nothing moves and
-    /// nothing is resampled.
-    ///
-    /// The fields run in flat parallel regions, stack-major and
-    /// kernel-ascending, each inverse serially on its claimed thread in a
-    /// pooled buffer; after each region every stack adds its new fields
-    /// in ascending `k`, each `|a_k|²` weighted by `μ_k`. The summation
-    /// order is fixed, so every output bit is the same at any worker
-    /// count and however the fields are split into regions, and batching
-    /// stacks changes no bit against one stack per call. The adjoint
-    /// needs every field, so with `keep_fields` one region runs them all;
-    /// imaging alone runs as many as can run at once per region, so at
-    /// most that many are held. Below `S = N` each stack's `J` is
-    /// resampled once.
-    ///
-    /// The caller returns kept fields with
-    /// [`LithoSimulator::recycle_fields`] and the intensities to
-    /// `real_pool`, or keeps them.
+    /// The imaging entry points on a mask: the mask FFT on the calling
+    /// thread, then `f(d, J_d)` in one task per stack
+    /// ([`LithoSimulator::per_stack`]), each task computing its stack's
+    /// fields itself. One region.
+    pub(crate) fn image_stacks<R, F>(&self, mask: &Grid2D<f64>, f: F) -> Result<[R; 2], LithoError>
+    where
+        R: Default + Send,
+        F: Fn(usize, Vec<f64>) -> Result<R, LithoError> + Sync,
+    {
+        let spectrum = self.mask_spectrum_pooled(mask)?;
+        let per_stack = self.per_stack(&self.stacks(), Source::Spectrum(&spectrum), f);
+        self.spectrum_pool.put(spectrum);
+        per_stack
+    }
+
+    /// Checks that `spectrum` is on this simulator's mask grid and that
+    /// each of `stacks` (at most one per focus) runs on its pupil grid.
     ///
     /// # Panics
     ///
     /// Panics if `stacks` has more than two entries.
-    pub(crate) fn socs_forward(
-        &self,
-        stacks: &[&KernelSet],
-        spectrum: &[Complex],
-        keep_fields: bool,
-    ) -> Result<Forward, LithoError> {
+    fn check_stacks(&self, stacks: &[&KernelSet], spectrum: &[Complex]) -> Result<(), LithoError> {
         let n = self.config.size;
-        let n2 = n * n;
         let s = self.pupil_size();
-        let s2 = s * s;
-        if spectrum.len() != n2 {
+        if spectrum.len() != n * n {
             return Err(LithoError::BadParameter(format!(
-                "spectrum has {} entries but the {n}x{n} grid needs {n2}",
+                "spectrum has {} entries but the {n}x{n} grid needs {}",
                 spectrum.len(),
+                n * n,
             )));
         }
         assert!(stacks.len() <= 2, "at most one stack per focus");
@@ -368,87 +396,164 @@ impl LithoSimulator {
                 self.band,
             )));
         }
+        Ok(())
+    }
+
+    /// Kernel `kernel`'s pupil-grid field `a_k = IFFT_S(Ĥ_k)` into `field`
+    /// (fully overwritten), where `Ĥ_k` holds `(S²/N²) · H_k ⊙ spectrum`
+    /// at the kernel's pupil-grid bins ([`KernelSet::pupil_size`]).
+    ///
+    /// Moving a kernel's bins by its centre bin only multiplies `a_k` by a
+    /// phase ramp, so `|a_k|²` samples the mask-grid `|A_k|²` at every
+    /// `N/S`-th pixel; band-limited to `[−L, L]²` with `2L + 1 ≤ S`, it is
+    /// exactly interpolated back ([`LithoSimulator::resample`]). At
+    /// `S = N` nothing moves and nothing is resampled.
+    fn kernel_field(
+        &self,
+        kernel: &Kernel,
+        spectrum: &[Complex],
+        field: &mut [Complex],
+    ) -> Result<(), LithoError> {
+        let scale = field.len() as f64 / spectrum.len() as f64;
+        field.fill(Complex::ZERO);
+        for (&(idx, h), &p) in kernel.spectrum.iter().zip(&kernel.pupil) {
+            field[p as usize] = h * spectrum[idx as usize] * scale;
+        }
+        // Kernel spectra are band-limited to the pupil, so most rows of
+        // the product are all-zero: the sparse inverse skips them.
+        Ok(self.pupil_plan.inverse_serial_sparse(field)?)
+    }
+
+    /// Phase 1 of the loss path: every stack's pupil-grid fields (at most
+    /// one stack per focus), kept for the adjoint, one task per kernel in
+    /// one region, stack-major and kernel-ascending. Each task runs its
+    /// inverse serially in a pooled buffer
+    /// ([`LithoSimulator::kernel_field`]).
+    ///
+    /// The caller returns the fields with
+    /// [`LithoSimulator::recycle_fields`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stacks` has more than two entries.
+    pub(crate) fn socs_fields(
+        &self,
+        stacks: &[&KernelSet],
+        spectrum: &[Complex],
+    ) -> Result<Fields, LithoError> {
+        self.check_stacks(stacks, spectrum)?;
+        let s2 = self.pupil_size() * self.pupil_size();
         // offsets[d] is the first global task of stack d (prefix sums).
         let mut offsets = [0usize; 3];
         for (d, set) in stacks.iter().enumerate() {
             offsets[d + 1] = offsets[d] + set.kernels().len();
         }
-        let total = offsets[stacks.len()];
-        let scale = s2 as f64 / n2 as f64;
-        let field = |t: usize| -> Result<Vec<Complex>, LithoError> {
-            let d = offsets[1..=stacks.len()]
-                .iter()
-                .position(|&o| t < o)
-                .unwrap_or(stacks.len() - 1);
-            let kernel = &stacks[d].kernels()[t - offsets[d]];
-            let mut field = self.field_pool.take_zeroed(s2);
-            for (&(idx, h), &p) in kernel.spectrum.iter().zip(&kernel.pupil) {
-                field[p as usize] = h * spectrum[idx as usize] * scale;
-            }
-            // Kernel spectra are band-limited to the pupil, so most rows
-            // of the product are all-zero: the sparse inverse skips them.
-            self.pupil_plan.inverse_serial_sparse(&mut field)?;
+        // Plan errors are unreachable (plan and buffers share one config)
+        // but propagate as `LithoError::Fft`; pooled buffers from
+        // completed kernels are dropped rather than repooled on that cold
+        // path.
+        let fields = par_map(offsets[stacks.len()], |t| -> Result<_, LithoError> {
+            let d = usize::from(t >= offsets[1]);
+            let mut field = self.field_pool.take(s2);
+            self.kernel_field(&stacks[d].kernels()[t - offsets[d]], spectrum, &mut field)?;
             Ok(field)
-        };
-
-        // Each stack's intensity, summed on the pupil grid and, below
-        // S = N, interpolated onto the mask grid.
-        let resampled = self.resampled();
-        let pool = if resampled {
-            &self.pupil_real_pool
-        } else {
-            &self.real_pool
-        };
-        let mut intensities: [Vec<f64>; 2] = Default::default();
-        for image in &mut intensities[..stacks.len()] {
-            *image = pool.take_zeroed(s2);
-        }
-        let round = if keep_fields {
-            total
-        } else {
-            region_width(total)
-        };
-        let mut kept = None;
-        let mut start = 0;
-        while start < total {
-            let end = total.min(start + round);
-            // Plan errors are unreachable (plan and buffers share one
-            // config) but propagate as `LithoError::Fft`; pooled buffers
-            // from completed kernels are dropped rather than repooled on
-            // that cold path.
-            let fields: Vec<Vec<Complex>> = par_map(end - start, |j| field(start + j))
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            for (d, set) in stacks.iter().enumerate() {
-                for t in start.max(offsets[d])..end.min(offsets[d + 1]) {
-                    let weight = set.kernels()[t - offsets[d]].weight;
-                    accumulate_norm_sqr(&mut intensities[d], &fields[t - start], weight);
-                }
-            }
-            if keep_fields {
-                kept = Some(fields);
-            } else {
-                self.recycle_fields(fields);
-            }
-            start = end;
-        }
-        if resampled {
-            for image in &mut intensities[..stacks.len()] {
-                let mut fine = self.real_pool.take(n2);
-                self.resample(image, &mut fine)?;
-                pool.put(std::mem::replace(image, fine));
-            }
-        }
-        Ok(Forward {
-            offsets,
-            fields: kept.unwrap_or_default(),
-            intensities,
         })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        Ok(Fields { offsets, fields })
     }
 
-    /// Returns [`Forward::fields`] to the field pool.
-    pub(crate) fn recycle_fields(&self, fields: Vec<Vec<Complex>>) {
-        for field in fields {
+    /// The per-stack phase: one task per stack, in one region. Task `d`
+    /// sums stack `d`'s dose-free intensity `J_d = Σ_k μ_k |a_k|²` on the
+    /// pupil grid in ascending `k` — from the fields `source` keeps, or
+    /// computing them one at a time in one pooled buffer, since imaging
+    /// needs no field after its sum — resamples it onto the mask grid
+    /// below `S = N`, and returns `f(d, J_d)`. `J_d` comes from the real
+    /// pool, and `f` returns it there or keeps it. Slots past the last
+    /// stack hold `R::default()`.
+    ///
+    /// Each summation and each transform runs on its task's thread in a
+    /// fixed order, so every output bit is the same at any worker count.
+    /// The tasks run concurrently, so every pool they take from is first
+    /// reserved for as many tasks as can run at once: two mask-grid real
+    /// buffers per task (`J_d` and the loss path's `G_d`), two pupil-grid
+    /// ones, one field buffer, and one resampling's spectra and transform
+    /// scratch on each grid.
+    pub(crate) fn per_stack<R, F>(
+        &self,
+        stacks: &[&KernelSet],
+        source: Source<'_>,
+        f: F,
+    ) -> Result<[R; 2], LithoError>
+    where
+        R: Default + Send,
+        F: Fn(usize, Vec<f64>) -> Result<R, LithoError> + Sync,
+    {
+        if let Source::Spectrum(spectrum) = source {
+            self.check_stacks(stacks, spectrum)?;
+        }
+        let n = self.config.size;
+        let s2 = self.pupil_size() * self.pupil_size();
+        let width = region_width(stacks.len());
+        self.real_pool.reserve(2 * width, n * n);
+        self.field_pool.reserve(width, s2);
+        if self.resampled() {
+            self.pupil_real_pool.reserve(2 * width, s2);
+            self.band_pool.reserve(width, n * (2 * self.band + 1));
+            self.rplan.reserve(width);
+            self.pupil_rplan.reserve(width);
+        }
+        let results = par_map(stacks.len(), |d| {
+            let j = self.stack_intensity(stacks[d], d, source)?;
+            f(d, j)
+        });
+        let mut out: [R; 2] = Default::default();
+        for (slot, result) in out.iter_mut().zip(results) {
+            *slot = result?;
+        }
+        Ok(out)
+    }
+
+    /// Stack `set`'s (the `d`-th stack's) dose-free mask-grid intensity,
+    /// on the calling thread: `J = Σ_k μ_k |a_k|²` summed in ascending
+    /// `k`, then resampled below `S = N`.
+    fn stack_intensity(
+        &self,
+        set: &KernelSet,
+        d: usize,
+        source: Source<'_>,
+    ) -> Result<Vec<f64>, LithoError> {
+        let s2 = self.pupil_size() * self.pupil_size();
+        let pool = self.pupil_real_pool();
+        let mut j = pool.take_zeroed(s2);
+        match source {
+            Source::Kept(fields) => {
+                for (kernel, field) in set.kernels().iter().zip(fields.stack(d)) {
+                    accumulate_norm_sqr(&mut j, field, kernel.weight);
+                }
+            }
+            Source::Spectrum(spectrum) => {
+                let mut field = self.field_pool.take(s2);
+                for kernel in set.kernels() {
+                    self.kernel_field(kernel, spectrum, &mut field)?;
+                    accumulate_norm_sqr(&mut j, &field, kernel.weight);
+                }
+                self.field_pool.put(field);
+            }
+        }
+        if !self.resampled() {
+            return Ok(j);
+        }
+        let mut fine = self.real_pool.take(self.config.size * self.config.size);
+        let moved = self.resample(&j, &mut fine);
+        pool.put(j);
+        moved?;
+        Ok(fine)
+    }
+
+    /// Returns [`Fields::fields`] to the field pool.
+    pub(crate) fn recycle_fields(&self, fields: Fields) {
+        for field in fields.fields {
             self.field_pool.put(field);
         }
     }
@@ -467,12 +572,14 @@ impl LithoSimulator {
     /// scaled by `b²/a²` — the conjugate turns the forward transform into
     /// the inverse on a real result. Both transforms use the real-input
     /// plans. `2L + 1 ≤ S ≤ N`, so the band's bins are distinct on both
-    /// grids.
+    /// grids. Only the band's columns are ever read or written, so both
+    /// spectra are band-packed (`2L + 1` columns; the mask side's from
+    /// its own pool), not full grids.
     pub(crate) fn resample(&self, src: &[f64], dst: &mut [f64]) -> Result<(), LithoError> {
         let up = src.len() < dst.len();
         let ((from, from_pool), (to, to_pool)) = {
             let pupil = (&self.pupil_rplan, &self.field_pool);
-            let mask = (&self.rplan, &self.spectrum_pool);
+            let mask = (&self.rplan, &self.band_pool);
             if up {
                 (pupil, mask)
             } else {
@@ -481,21 +588,18 @@ impl LithoSimulator {
         };
         let (a, b) = (from.width(), to.width());
         let band = self.band;
-        let mut spec = from_pool.take(a * a);
+        let m = 2 * band + 1;
+        let mut spec = from_pool.take(a * m);
         from.forward_band_into(src, &mut spec, band)?;
-        // Only the band's columns are read by the second transform.
-        let mut band_spec = to_pool.take(b * b);
-        for row in band_spec.chunks_mut(b) {
-            row[..=band].fill(Complex::ZERO);
-            row[b - band..].fill(Complex::ZERO);
-        }
+        // Rows outside [−L, L] stay zero.
+        let mut band_spec = to_pool.take_zeroed(b * m);
         let norm = 1.0 / (a * a) as f64;
         let l = band as i64;
         let wrap = |f: i64, m: usize| f.rem_euclid(m as i64) as usize;
         for fy in -l..=l {
-            let (row_a, row_b) = (wrap(fy, a) * a, wrap(fy, b) * b);
+            let (row_a, row_b) = (wrap(fy, a) * m, wrap(fy, b) * m);
             for fx in -l..=l {
-                band_spec[row_b + wrap(fx, b)] = spec[row_a + wrap(fx, a)].conj().scale(norm);
+                band_spec[row_b + wrap(fx, m)] = spec[row_a + wrap(fx, m)].conj().scale(norm);
             }
         }
         from_pool.put(spec);
@@ -521,21 +625,16 @@ impl LithoSimulator {
     /// Aerial images at all three corners, sharing one mask FFT, one
     /// batched forward pass, and the in-focus intensity that `Nominal` and
     /// `Max` both use: `2K` pupil-grid kernel inverses for the three
-    /// corners, plus one resampling per focus below `S = N`. Each corner's
-    /// dose is applied on the mask grid.
+    /// corners, plus one resampling per focus below `S = N`, in two pool
+    /// regions (the fields, then one task per stack). Each corner's dose
+    /// is applied on the mask grid.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
-        let spectrum = self.mask_spectrum_pooled(mask)?;
-        let forward = self.socs_forward(&self.stacks(), &spectrum, false);
-        self.spectrum_pool.put(spectrum);
-        let Forward {
-            intensities: [in_focus, mut min],
-            ..
-        } = forward?;
+        let [in_focus, mut min] = self.image_stacks(mask, |_, j| Ok(j))?;
         // `Nominal` images at dose 1 (`LithoConfig::dose`): `J` itself.
         let dose_max = self.config.dose(ProcessCorner::Max);
         let mut max = self.real_pool.take(n * n);

@@ -6,15 +6,16 @@
 //! must not depend on how many workers execute it. Each test pins
 //! `CFAOPC_THREADS=4` before the pool exists, then compares the pooled
 //! run against a forced fully-serial run of the same process: at 64 px,
-//! where the pupil grid is the mask grid, and at 256 px, where the
+//! where the pupil grid is the mask grid, at 256 px, where the
 //! intensity and dL/dI are resampled between a 64² pupil grid and the
-//! mask grid.
+//! mask grid, and at 128 px on a 4096 nm window, whose pupil grid is
+//! again the mask grid.
 
 use cfaopc_fft::parallel::{with_worker_limit, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Point, Rect};
 use cfaopc_litho::{
-    bossung_surface, loss_and_gradient, CdAxis, CdProbe, LithoConfig, LithoSimulator, LossWeights,
-    ProcessCorner,
+    bossung_surface, loss_and_gradient, loss_only, CdAxis, CdProbe, LithoConfig, LithoSimulator,
+    LossValues, LossWeights, ProcessCorner,
 };
 
 fn test_mask(n: usize) -> Grid2D<f64> {
@@ -27,6 +28,49 @@ fn test_mask(n: usize) -> Grid2D<f64> {
         })
         .collect();
     Grid2D::from_vec(n, n, values)
+}
+
+fn bits(g: &Grid2D<f64>) -> Vec<u64> {
+    g.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn loss_bits(v: &LossValues) -> [u64; 3] {
+    [v.l2.to_bits(), v.pvb.to_bits(), v.total.to_bits()]
+}
+
+/// `loss_and_gradient` and `loss_only` on the pool against a serial run,
+/// at both loss terms, the nominal term alone (the adjoint skips the
+/// defocused stack) and the process-variation terms alone (stack 0's
+/// first weighted corner is `Max`).
+fn assert_losses_match(sim: &LithoSimulator, mask: &Grid2D<f64>, target: &Grid2D<f64>) {
+    let n = sim.size();
+    for weights in [
+        LossWeights::default(),
+        LossWeights { l2: 1.0, pvb: 0.0 },
+        LossWeights { l2: 0.0, pvb: 2.0 },
+    ] {
+        let (pv, pg) = loss_and_gradient(sim, mask, target, weights).unwrap();
+        let (sv, sg) =
+            with_worker_limit(1, || loss_and_gradient(sim, mask, target, weights).unwrap());
+        assert_eq!(loss_bits(&pv), loss_bits(&sv), "{n} px, {weights:?}");
+        assert_eq!(
+            bits(&pg),
+            bits(&sg),
+            "{n} px gradient with weights {weights:?} depends on thread count"
+        );
+        let po = loss_only(sim, mask, target, weights).unwrap();
+        let so = with_worker_limit(1, || loss_only(sim, mask, target, weights).unwrap());
+        assert_eq!(
+            loss_bits(&po),
+            loss_bits(&so),
+            "{n} px loss_only, {weights:?}"
+        );
+        assert_eq!(
+            loss_bits(&po),
+            loss_bits(&pv),
+            "{n} px loss_only vs gradient"
+        );
+    }
 }
 
 #[test]
@@ -93,26 +137,7 @@ fn loss_and_gradient_is_bit_identical_serial_vs_parallel() {
         ),
     );
     let target = target.to_real();
-
-    for weights in [
-        LossWeights::default(),
-        LossWeights { l2: 1.0, pvb: 0.0 },
-        LossWeights { l2: 0.0, pvb: 2.0 },
-    ] {
-        let (pv, pg) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
-        let (sv, sg) = with_worker_limit(1, || {
-            loss_and_gradient(&sim, &mask, &target, weights).unwrap()
-        });
-        assert_eq!(pv.total.to_bits(), sv.total.to_bits());
-        assert_eq!(pv.l2.to_bits(), sv.l2.to_bits());
-        assert_eq!(pv.pvb.to_bits(), sv.pvb.to_bits());
-        let pbits: Vec<u64> = pg.as_slice().iter().map(|v| v.to_bits()).collect();
-        let sbits: Vec<u64> = sg.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            pbits, sbits,
-            "gradient with weights {weights:?} depends on thread count"
-        );
-    }
+    assert_losses_match(&sim, &mask, &target);
 }
 
 #[test]
@@ -169,7 +194,6 @@ fn resampled_outputs_are_bit_identical_serial_vs_parallel() {
     let n = sim.size();
     assert!(sim.pupil_size() < n, "256 px on 2048 nm resamples");
     let mask = test_mask(n);
-    let bits = |g: &Grid2D<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
     let parallel = sim.aerial_corners(&mask).unwrap();
     let serial = with_worker_limit(1, || sim.aerial_corners(&mask).unwrap());
@@ -183,21 +207,7 @@ fn resampled_outputs_are_bit_identical_serial_vs_parallel() {
 
     let mut target = BitGrid::new(n, n);
     fill_rect(&mut target, Rect::new(64, 48, 192, 208));
-    let target = target.to_real();
-    for weights in [
-        LossWeights::default(),
-        LossWeights { l2: 1.0, pvb: 0.0 },
-        LossWeights { l2: 0.0, pvb: 2.0 },
-    ] {
-        let (pv, pg) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
-        let (sv, sg) = with_worker_limit(1, || {
-            loss_and_gradient(&sim, &mask, &target, weights).unwrap()
-        });
-        assert_eq!(pv.total.to_bits(), sv.total.to_bits(), "{weights:?}");
-        assert_eq!(pv.l2.to_bits(), sv.l2.to_bits(), "{weights:?}");
-        assert_eq!(pv.pvb.to_bits(), sv.pvb.to_bits(), "{weights:?}");
-        assert_eq!(bits(&pg), bits(&sg), "resampled gradient with {weights:?}");
-    }
+    assert_losses_match(&sim, &mask, &target.to_real());
 
     let mut printed = BitGrid::new(n, n);
     fill_rect(&mut printed, Rect::new(96, 12, 160, 244));
@@ -214,4 +224,37 @@ fn resampled_outputs_are_bit_identical_serial_vs_parallel() {
     for (p, s) in parallel.points.iter().zip(&serial.points) {
         assert_eq!(p.cd_nm.map(f64::to_bits), s.cd_nm.map(f64::to_bits));
     }
+}
+
+#[test]
+fn window_outputs_are_bit_identical_serial_vs_parallel() {
+    // The chip's 4096 nm windows at 128 px: the pupil grid is the mask
+    // grid (S = N), so nothing is resampled and each stack task holds its
+    // folded dL/dI on the mask grid.
+    std::env::set_var("CFAOPC_THREADS", "4");
+    assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
+
+    let sim = LithoSimulator::new(LithoConfig {
+        size: 128,
+        tile_nm: 4096.0,
+        ..LithoConfig::fast_test()
+    })
+    .unwrap();
+    let n = sim.size();
+    assert_eq!(sim.pupil_size(), n, "128 px on 4096 nm runs at S = N");
+    let mask = test_mask(n);
+
+    let parallel = sim.aerial_corners(&mask).unwrap();
+    let serial = with_worker_limit(1, || sim.aerial_corners(&mask).unwrap());
+    for corner in ProcessCorner::ALL {
+        assert_eq!(
+            bits(parallel.get(corner)),
+            bits(serial.get(corner)),
+            "window {corner:?} image depends on thread count"
+        );
+    }
+
+    let mut target = BitGrid::new(n, n);
+    fill_rect(&mut target, Rect::new(32, 24, 96, 104));
+    assert_losses_match(&sim, &mask, &target.to_real());
 }
