@@ -111,7 +111,7 @@ fn main() {
         let mut buf = field.clone();
         results.push(run_case("fft2d_inverse_sparse_128", || {
             buf.copy_from_slice(&field);
-            plan.inverse_serial_sparse(&mut buf).unwrap();
+            plan.inverse_sparse(&mut buf).unwrap();
             black_box(buf[0]);
         }));
     }

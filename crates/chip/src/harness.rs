@@ -341,13 +341,5 @@ pub fn run_chip_suite(spec: &ChipSpec) -> Result<ChipReport, ChipError> {
         let chip = source.chip();
         records.push(run_chip_case_full(spec, &sim, &chip)?.record);
     }
-    let geom = ChipGeometry::new(1, 1, spec.tile_px);
-    Ok(ChipReport {
-        suite: spec.name.clone(),
-        tile_px: spec.tile_px,
-        window_px: geom.window_px(),
-        halo_px: geom.halo_px(),
-        kernel_count: spec.kernel_count,
-        chips: records,
-    })
+    Ok(ChipReport::new(spec, records))
 }

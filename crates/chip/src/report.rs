@@ -24,6 +24,8 @@
 //! checking is `cfaopc_eval`'s: [`metric_drifts`] over each method's six
 //! metrics, [`Drift::structural`] for a suite or chip-list mismatch.
 
+use crate::geometry::ChipGeometry;
+use crate::spec::ChipSpec;
 use cfaopc_eval::{metric_drifts, Drift, Json, Tolerance};
 use std::fmt::Write as _;
 
@@ -112,6 +114,20 @@ fn method_json(m: &ChipMethodOutcome) -> Json {
 }
 
 impl ChipReport {
+    /// The report of a run of `spec`: the suite's name, tile, window,
+    /// halo and kernel count, plus `chips` in suite order.
+    pub fn new(spec: &ChipSpec, chips: Vec<ChipRecord>) -> ChipReport {
+        let geom = ChipGeometry::new(1, 1, spec.tile_px);
+        ChipReport {
+            suite: spec.name.clone(),
+            tile_px: spec.tile_px,
+            window_px: geom.window_px(),
+            halo_px: geom.halo_px(),
+            kernel_count: spec.kernel_count,
+            chips,
+        }
+    }
+
     /// The report as a JSON tree (see the module docs for the schema).
     pub fn to_json(&self) -> Json {
         let chips = self

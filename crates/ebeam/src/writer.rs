@@ -10,7 +10,7 @@
 //! better mask yield".
 
 use crate::psf::EbeamPsf;
-use cfaopc_fft::{Complex, Fft2d, FftError};
+use cfaopc_fft::{Complex, FftError, Rfft2d};
 use cfaopc_fracture::{CircleShot, CircularMask};
 use cfaopc_grid::{disk_points, BitGrid, Grid2D, Point, Rect};
 use rand::rngs::StdRng;
@@ -59,7 +59,9 @@ pub struct WriterModel {
     psf: EbeamPsf,
     /// Develop threshold as a fraction of the nominal clearing dose.
     pub threshold: f64,
-    plan: Fft2d,
+    plan: Rfft2d,
+    /// The PSF's transfer function divided by `size²`, the inverse
+    /// transform's normalization.
     transfer: Vec<f64>,
 }
 
@@ -77,8 +79,13 @@ impl WriterModel {
     /// Panics if the PSF is physically invalid (see [`EbeamPsf::validate`]).
     pub fn new(size: usize, pixel_nm: f64, psf: EbeamPsf) -> Result<Self, FftError> {
         psf.validate();
-        let plan = Fft2d::square(size)?;
-        let transfer = psf.transfer_function(size, pixel_nm);
+        let plan = Rfft2d::square(size)?;
+        let norm = 1.0 / (size * size) as f64;
+        let transfer = psf
+            .transfer_function(size, pixel_nm)
+            .into_iter()
+            .map(|h| h * norm)
+            .collect();
         Ok(WriterModel {
             size,
             pixel_nm,
@@ -155,19 +162,24 @@ impl WriterModel {
     }
 
     /// Blurs an arbitrary dose map with the writer's PSF.
+    ///
+    /// Both transforms run on the real-input plan: the dose is real, and
+    /// the blurred dose is `Re IFFT(Y) = Re FFT(conj Y) / size²` for the
+    /// filtered spectrum `Y`, an identity that holds for any `Y`.
     pub fn blur(&self, dose: &Grid2D<f64>) -> Grid2D<f64> {
         let n = self.size;
-        let mut buf: Vec<Complex> = dose
-            .as_slice()
-            .iter()
-            .map(|&v| Complex::from_re(v))
-            .collect();
-        self.plan.forward(&mut buf).expect("plan matches size");
-        for (z, &h) in buf.iter_mut().zip(&self.transfer) {
-            *z = z.scale(h);
+        let mut spectrum = vec![Complex::ZERO; n * n];
+        self.plan
+            .forward_into(dose.as_slice(), &mut spectrum)
+            .expect("plan matches size");
+        for (z, &h) in spectrum.iter_mut().zip(&self.transfer) {
+            *z = z.conj().scale(h);
         }
-        self.plan.inverse(&mut buf).expect("plan matches size");
-        Grid2D::from_vec(n, n, buf.into_iter().map(|z| z.re).collect())
+        let mut blurred = vec![0.0; n * n];
+        self.plan
+            .forward_re_into(&spectrum, &mut blurred)
+            .expect("plan matches size");
+        Grid2D::from_vec(n, n, blurred)
     }
 
     /// Develops the resist: pixels with delivered dose above threshold.

@@ -20,7 +20,6 @@
 //! it bit for bit.
 
 use crate::complex::Complex;
-use crate::parallel::ColumnBlockMut;
 use std::fmt;
 use std::sync::Arc;
 
@@ -277,6 +276,118 @@ impl Fft {
             }
         }
         column_ladder_scalar(&mut block, tw, scale);
+    }
+}
+
+/// Columns `c0..c1` of a row-major buffer, seen as one mutable row
+/// segment per row — the strided view the in-place FFT column pass works
+/// on.
+///
+/// A view owns its segments exclusively: [`ColumnBlockMut::new`] borrows
+/// the whole buffer for the view's lifetime.
+pub(crate) struct ColumnBlockMut<'a, T> {
+    /// Element `(0, c0)`.
+    ptr: *mut T,
+    /// Row stride of the underlying buffer.
+    width: usize,
+    rows: usize,
+    /// Segment length `c1 − c0`.
+    cols: usize,
+    _marker: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> ColumnBlockMut<'a, T> {
+    /// Columns `cols` of every row of `data`, a row-major buffer `width`
+    /// elements wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or does not divide `data.len()`, or if
+    /// `cols` is not a range inside `0..=width`.
+    pub(crate) fn new(data: &'a mut [T], width: usize, cols: std::ops::Range<usize>) -> Self {
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "buffer is not a whole number of rows"
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= width,
+            "column range out of bounds"
+        );
+        ColumnBlockMut {
+            ptr: data.as_mut_ptr().wrapping_add(cols.start),
+            width,
+            rows: data.len() / width,
+            cols: cols.end - cols.start,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Number of rows (segments).
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row `r`'s segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [T] {
+        assert!(r < self.rows, "row out of bounds");
+        // SAFETY: `r < rows` and `c0 + cols <= width` keep the segment
+        // inside the underlying buffer; the view owns its segments
+        // exclusively (see the type docs) and `&mut self` keeps this the
+        // only live one.
+        #[allow(unsafe_code)]
+        unsafe {
+            std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.cols)
+        }
+    }
+
+    /// The segments of two distinct rows `i` and `j`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i == j` or either row is out of bounds.
+    pub(crate) fn row_pair_mut(&mut self, i: usize, j: usize) -> (&mut [T], &mut [T]) {
+        assert!(
+            i != j && i < self.rows && j < self.rows,
+            "row pair out of bounds"
+        );
+        // SAFETY: as in `row_mut`, both segments lie inside the buffer and
+        // belong to this view alone. Two distinct rows start `width`
+        // elements apart or more, and a segment is at most `width` long,
+        // so the two segments do not overlap.
+        #[allow(unsafe_code)]
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.ptr.add(i * self.width), self.cols),
+                std::slice::from_raw_parts_mut(self.ptr.add(j * self.width), self.cols),
+            )
+        }
+    }
+
+    /// The segments of rows `r`, `r + stride`, `r + 2·stride` and
+    /// `r + 3·stride`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or row `r + 3·stride` is out of bounds.
+    pub(crate) fn row_quad_mut(&mut self, r: usize, stride: usize) -> [&mut [T]; 4] {
+        let last = stride.checked_mul(3).and_then(|s| s.checked_add(r));
+        assert!(
+            stride > 0 && last.is_some_and(|l| l < self.rows),
+            "row quad out of bounds"
+        );
+        let (ptr, width, cols) = (self.ptr, self.width, self.cols);
+        // SAFETY: as in `row_pair_mut`: all four rows are below `rows`, so
+        // their segments lie inside the buffer and belong to this view
+        // alone; a nonzero stride makes the rows distinct, and segments of
+        // distinct rows do not overlap.
+        #[allow(unsafe_code)]
+        [0, 1, 2, 3].map(|q| unsafe {
+            std::slice::from_raw_parts_mut(ptr.add((r + q * stride) * width), cols)
+        })
     }
 }
 
@@ -1091,5 +1202,59 @@ mod tests {
         assert_eq!(buf[0], Complex::new(3.0, -2.0));
         fft.inverse(&mut buf).unwrap();
         assert_eq!(buf[0], Complex::new(3.0, -2.0));
+    }
+
+    #[test]
+    fn column_block_row_pairs_are_the_two_rows() {
+        let mut data: Vec<u32> = (0..24).collect();
+        let mut block = ColumnBlockMut::new(&mut data, 6, 2..5);
+        let (a, b) = block.row_pair_mut(3, 1);
+        assert_eq!((&*a, &*b), (&[20, 21, 22][..], &[8, 9, 10][..]));
+        a.swap_with_slice(b);
+        assert_eq!(block.row_mut(1), &[20, 21, 22]);
+        assert_eq!(&data[18..24], &[18, 19, 8, 9, 10, 23]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row pair out of bounds")]
+    fn column_block_rejects_a_repeated_row() {
+        let mut data = vec![0u8; 12];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_pair_mut(1, 1);
+    }
+
+    #[test]
+    fn column_block_row_quads_are_the_four_strided_rows() {
+        let mut data: Vec<u32> = (0..40).collect();
+        let mut block = ColumnBlockMut::new(&mut data, 4, 1..3);
+        // Ten rows: the quad may reach the last one.
+        let [a, b, c, d] = block.row_quad_mut(0, 3);
+        assert_eq!(
+            [&*a, &*b, &*c, &*d],
+            [&[1, 2][..], &[13, 14], &[25, 26], &[37, 38]]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row quad out of bounds")]
+    fn column_block_rejects_a_row_quad_past_the_last_row() {
+        let mut data = vec![0u8; 40];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_quad_mut(2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row quad out of bounds")]
+    fn column_block_rejects_a_zero_row_quad_stride() {
+        let mut data = vec![0u8; 40];
+        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
+        let _ = block.row_quad_mut(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "column range out of bounds")]
+    fn column_block_rejects_columns_past_the_width() {
+        let mut data = vec![0u8; 12];
+        let _ = ColumnBlockMut::new(&mut data, 4, 2..5);
     }
 }

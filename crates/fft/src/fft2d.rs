@@ -1,15 +1,14 @@
 //! Two-dimensional FFT on row-major buffers.
 //!
-//! The 2-D transform is separable: FFT every row, then every column. Row
-//! passes are striped across the persistent pool with
-//! [`crate::parallel::par_chunks_mut`]; the column pass runs in place on
-//! the row-major data (see `Fft::transform_columns`), one task per
-//! contiguous block of columns, so a transform moves no data between
-//! layouts and allocates nothing.
+//! The 2-D transform is separable: FFT every row, then every column. The
+//! column pass runs in place on the row-major data (see
+//! `Fft::transform_columns`), so a transform moves no data between
+//! layouts and allocates nothing. Every transform runs on the thread that
+//! calls it: the lithography model runs whole transforms side by side,
+//! one per kernel task, instead of splitting one across workers.
 
 use crate::complex::Complex;
-use crate::fft1d::{Direction, Fft, FftError};
-use crate::parallel::{par_chunks_mut, par_column_blocks, ColumnBlockMut};
+use crate::fft1d::{ColumnBlockMut, Direction, Fft, FftError};
 
 /// A reusable plan for 2-D FFTs of a fixed `height × width` shape.
 ///
@@ -104,7 +103,7 @@ impl Fft2d {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
     pub fn forward(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.execute(data, Direction::Forward)
+        self.execute_with(data, Direction::Forward)
     }
 
     /// In-place inverse 2-D DFT (normalized by `1/(height·width)`).
@@ -113,43 +112,10 @@ impl Fft2d {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
     pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.execute(data, Direction::Inverse)
+        self.execute_with(data, Direction::Inverse)
     }
 
-    /// In-place forward 2-D DFT that stays on the calling thread.
-    ///
-    /// Use inside an outer parallel region (e.g. the per-kernel loop of the
-    /// Hopkins model) where nesting another region would only thrash the
-    /// pool. Bit-identical to [`Fft2d::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
-    pub fn forward_serial(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.execute_with(data, Direction::Forward, false)
-    }
-
-    /// In-place inverse 2-D DFT that stays on the calling thread.
-    ///
-    /// See [`Fft2d::forward_serial`]; bit-identical to [`Fft2d::inverse`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
-    pub fn inverse_serial(&self, data: &mut [Complex]) -> Result<(), FftError> {
-        self.execute_with(data, Direction::Inverse, false)
-    }
-
-    /// In-place transform in the given [`Direction`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
-    pub fn execute(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
-        self.execute_with(data, dir, true)
-    }
-
-    /// [`Fft2d::inverse_serial`] specialized for spectra whose support is
+    /// [`Fft2d::inverse`] specialized for spectra whose support is
     /// confined to a band of rows (e.g. a pupil-filtered SOCS field): the
     /// row pass skips rows that are entirely zero, since their transform
     /// is zero.
@@ -163,19 +129,16 @@ impl Fft2d {
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`.
-    pub fn inverse_serial_sparse(&self, data: &mut [Complex]) -> Result<(), FftError> {
+    pub fn inverse_sparse(&self, data: &mut [Complex]) -> Result<(), FftError> {
         self.check(data)?;
         cfaopc_trace::counters::FFT_2D.incr();
         cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
-        let row_fft = &self.row_fft;
         for row in data.chunks_mut(self.width) {
             // The scan short-circuits at the first nonzero entry, so dense
             // rows pay a handful of loads and sparse fields skip ~80% of
             // their row transforms.
             if row.iter().any(|z| z.re != 0.0 || z.im != 0.0) {
-                row_fft
-                    .inverse(row)
-                    .expect("row length matches plan by construction");
+                self.row_fft.inverse(row)?;
             }
         }
         self.col_fft.transform_columns(
@@ -185,26 +148,22 @@ impl Fft2d {
         Ok(())
     }
 
-    /// [`Fft2d::inverse_serial`] for consumers that only read a subset of
-    /// output **columns**: the column pass transforms only the columns
-    /// flagged in `wanted` (indexed by `kx`, length `width`), one maximal
-    /// run of consecutive wanted columns at a time.
+    /// [`Fft2d::inverse`] for consumers that only read a subset of output
+    /// **columns**: the column pass transforms only the columns flagged in
+    /// `wanted` (indexed by `kx`, length `width`), one maximal run of
+    /// consecutive wanted columns at a time.
     ///
     /// Entries in unwanted columns are left **unspecified** (they hold
     /// untransformed row-pass data). Wanted columns are bit-identical to
-    /// the dense serial inverse — each column transform is independent,
-    /// so skipping neighbours cannot perturb it. The adjoint litho pass
-    /// uses this to evaluate `IFFT(B)` only on the pupil support.
+    /// the dense inverse — each column transform is independent, so
+    /// skipping neighbours cannot perturb it. The adjoint litho pass uses
+    /// this to evaluate `IFFT(B)` only on the pupil support.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `data.len() != height*width`
     /// or `wanted.len() != width`.
-    pub fn inverse_serial_cols(
-        &self,
-        data: &mut [Complex],
-        wanted: &[bool],
-    ) -> Result<(), FftError> {
+    pub fn inverse_cols(&self, data: &mut [Complex], wanted: &[bool]) -> Result<(), FftError> {
         self.check(data)?;
         if wanted.len() != self.width {
             return Err(FftError::LengthMismatch {
@@ -214,11 +173,8 @@ impl Fft2d {
         }
         cfaopc_trace::counters::FFT_2D.incr();
         cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
-        let row_fft = &self.row_fft;
         for row in data.chunks_mut(self.width) {
-            row_fft
-                .inverse(row)
-                .expect("row length matches plan by construction");
+            self.row_fft.inverse(row)?;
         }
         let mut c0 = 0;
         for run in wanted.chunk_by(|a, b| a == b) {
@@ -233,36 +189,17 @@ impl Fft2d {
         Ok(())
     }
 
-    /// Shared body of the parallel and serial entry points. The row pass
-    /// writes disjoint rows and the column pass disjoint column blocks,
-    /// with no cross-task reductions, so the parallel and serial results
-    /// are bit-identical.
-    fn execute_with(
-        &self,
-        data: &mut [Complex],
-        dir: Direction,
-        parallel: bool,
-    ) -> Result<(), FftError> {
+    /// Shared body of [`Fft2d::forward`] and [`Fft2d::inverse`]: every
+    /// row, then every column in place.
+    fn execute_with(&self, data: &mut [Complex], dir: Direction) -> Result<(), FftError> {
         self.check(data)?;
         cfaopc_trace::counters::FFT_2D.incr();
         cfaopc_trace::counters::FFT_2D_POINTS.add(self.len() as u64);
-        // FFT every row, then every column in place.
-        let row_fft = &self.row_fft;
-        let row_pass = |row: &mut [Complex]| {
-            row_fft
-                .transform(row, dir)
-                .expect("row length matches plan by construction");
-        };
-        let col_fft = &self.col_fft;
-        if parallel {
-            par_chunks_mut(data, self.width, |_, row| row_pass(row));
-            par_column_blocks(data, self.width, self.width, |_, block| {
-                col_fft.transform_columns(block, dir)
-            });
-        } else {
-            data.chunks_mut(self.width).for_each(row_pass);
-            col_fft.transform_columns(ColumnBlockMut::new(data, self.width, 0..self.width), dir);
+        for row in data.chunks_mut(self.width) {
+            self.row_fft.transform(row, dir)?;
         }
+        self.col_fft
+            .transform_columns(ColumnBlockMut::new(data, self.width, 0..self.width), dir);
         Ok(())
     }
 }
@@ -383,7 +320,7 @@ mod tests {
     #[test]
     fn sparse_inverse_matches_dense_inverse() {
         // A pupil-like field: support confined to a few rows. The sparse
-        // row-skipping inverse must agree with the dense serial inverse —
+        // row-skipping inverse must agree with the dense inverse —
         // bit-identically on nonzero entries, up to the sign of zero on
         // exact zeros.
         let n = 32;
@@ -395,9 +332,9 @@ mod tests {
             }
         }
         let mut dense = field.clone();
-        plan.inverse_serial(&mut dense).unwrap();
+        plan.inverse(&mut dense).unwrap();
         let mut sparse = field;
-        plan.inverse_serial_sparse(&mut sparse).unwrap();
+        plan.inverse_sparse(&mut sparse).unwrap();
         for i in 0..n * n {
             let (a, b) = (sparse[i], dense[i]);
             let same_re = a.re.to_bits() == b.re.to_bits() || (a.re == 0.0 && b.re == 0.0);
@@ -409,14 +346,14 @@ mod tests {
     #[test]
     fn sparse_inverse_of_dense_field_is_exact() {
         // No zero rows at all: the sparse path must degenerate to the
-        // dense serial inverse bit for bit.
+        // dense inverse bit for bit.
         let (h, w) = (16, 8);
         let field = sample(h, w);
         let plan = Fft2d::new(h, w).unwrap();
         let mut dense = field.clone();
-        plan.inverse_serial(&mut dense).unwrap();
+        plan.inverse(&mut dense).unwrap();
         let mut sparse = field;
-        plan.inverse_serial_sparse(&mut sparse).unwrap();
+        plan.inverse_sparse(&mut sparse).unwrap();
         for i in 0..h * w {
             assert_eq!(sparse[i].re.to_bits(), dense[i].re.to_bits(), "pixel {i}");
             assert_eq!(sparse[i].im.to_bits(), dense[i].im.to_bits(), "pixel {i}");
@@ -429,11 +366,11 @@ mod tests {
         let field = sample(h, w);
         let plan = Fft2d::new(h, w).unwrap();
         let mut dense = field.clone();
-        plan.inverse_serial(&mut dense).unwrap();
+        plan.inverse(&mut dense).unwrap();
         // A pupil-like column mask: low and high (wrapped) frequencies.
         let wanted: Vec<bool> = (0..w).map(|kx| kx < 5 || kx >= w - 4).collect();
         let mut sampled = field;
-        plan.inverse_serial_cols(&mut sampled, &wanted).unwrap();
+        plan.inverse_cols(&mut sampled, &wanted).unwrap();
         for ky in 0..h {
             for (kx, &keep) in wanted.iter().enumerate() {
                 if keep {
@@ -449,7 +386,7 @@ mod tests {
     fn column_sampled_inverse_rejects_wrong_mask_length() {
         let plan = Fft2d::new(8, 8).unwrap();
         let mut buf = vec![Complex::ZERO; 64];
-        assert!(plan.inverse_serial_cols(&mut buf, &[true; 7]).is_err());
+        assert!(plan.inverse_cols(&mut buf, &[true; 7]).is_err());
     }
 
     #[test]

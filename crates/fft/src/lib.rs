@@ -6,8 +6,8 @@
 //!
 //! * [`Complex`] — a 16-byte double-precision complex number,
 //! * [`Fft`] — a reusable 1-D radix-2 plan with precomputed twiddles,
-//! * [`Fft2d`] — a separable, thread-parallel 2-D plan whose column pass
-//!   runs in place on the row-major data (no transpose, no scratch),
+//! * [`Fft2d`] — a separable 2-D plan whose column pass runs in place on
+//!   the row-major data (no transpose, no scratch), on the calling thread,
 //! * [`Rfft2d`] — a real-input 2-D plan that exploits Hermitian symmetry
 //!   to roughly halve the transform work for real masks,
 //! * [`parallel`] — persistent-worker-pool helpers the rest of the
@@ -49,8 +49,9 @@
 
 // `deny` rather than `forbid`: the persistent worker pool in [`parallel`]
 // lends non-`'static` closures to long-lived threads and hands tasks
-// disjoint views of shared buffers, and the [`simd`] and FFT butterfly
-// kernels use AVX2 intrinsics — each through a tightly-scoped
+// disjoint slots of shared buffers, the in-place column pass views a
+// row-major grid as strided row segments, and the [`simd`] and FFT
+// butterfly kernels use AVX2 intrinsics — each through a tightly-scoped
 // `#[allow(unsafe_code)]` site with its own safety argument. Everything
 // else in the crate remains unsafe-free.
 #![deny(unsafe_code)]

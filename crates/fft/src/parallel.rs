@@ -1,8 +1,8 @@
 //! Persistent-pool data-parallel helpers.
 //!
-//! The lithography pipeline is embarrassingly parallel across FFT rows,
-//! optical kernels and circle shots, and the optimizer calls into these
-//! helpers thousands of times per run. Rather than spawn scoped threads on
+//! The lithography pipeline is embarrassingly parallel across optical
+//! kernels, focus stacks and circle tiles, and the optimizer calls into
+//! these helpers thousands of times per run. Rather than spawn scoped threads on
 //! every call (the original design) or pull in a work-stealing runtime, this
 //! module keeps one **process-wide worker pool**: long-lived threads created
 //! lazily on the first parallel region and reused for every region after
@@ -14,9 +14,9 @@
 //!    plus a type-erased reference to the closure) on the pool's queue and
 //!    wakes the workers.
 //! 2. Workers and the caller all claim indices through the cursor — dynamic
-//!    claiming, so uneven work balances out; the unit of work (an FFT row
-//!    block, a whole kernel convolution) is large enough that the claim
-//!    cost is noise.
+//!    claiming, so uneven work balances out; the unit of work (one
+//!    kernel's field, one focus stack, a batch of composition tiles) is
+//!    large enough that the claim cost is noise.
 //! 3. The caller participates until the cursor is exhausted, then blocks
 //!    until every claimed index has finished. Only then does it return,
 //!    which is what makes lending the non-`'static` closure to the pool
@@ -44,8 +44,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
-/// Upper bound on pool size; beyond this the FFT row blocks are too small
-/// for extra threads to pay for themselves.
+/// Upper bound on pool size; a litho region holds one task per kernel or
+/// per focus stack, so threads past a few dozen find nothing to claim.
 const MAX_WORKERS: usize = 32;
 
 /// Returns the configured worker count: `CFAOPC_THREADS` if set and valid,
@@ -376,46 +376,6 @@ fn run_region(n: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Applies `f` to equal-length mutable chunks of `data` in parallel.
-///
-/// `f` receives the chunk index (i.e. `offset / chunk_len`) and the chunk.
-/// The final chunk may be shorter when `data.len()` is not a multiple of
-/// `chunk_len`. Runs serially (inline, spawning nothing) when only one
-/// worker is configured or there is at most one chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`. Panics propagate from `f` (the region drains
-/// fully before the panic resumes on this thread).
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = region_width(n_chunks);
-    if workers <= 1 || n_chunks <= 1 {
-        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx, chunk);
-        }
-        return;
-    }
-    let len = data.len();
-    let base = SendPtr(data.as_mut_ptr());
-    run_region(n_chunks, workers, &|i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // SAFETY: chunk index `i` is claimed exactly once per region, and
-        // distinct indices map to disjoint `[start, end)` windows of `data`,
-        // so no two live `&mut` slices alias. `data` outlives the region
-        // because `run_region` blocks until all tasks finish.
-        #[allow(unsafe_code)]
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.at(start), end - start) };
-        f(i, chunk);
-    });
-}
-
 /// Runs `f(i)` for every `i in 0..n` with **dynamic claiming in batches
 /// of `grain` consecutive indices** on the persistent pool.
 ///
@@ -520,181 +480,6 @@ impl<'a, T: Send> DisjointSliceMut<'a, T> {
     }
 }
 
-/// Columns `c0..c1` of a row-major buffer, seen as one mutable row
-/// segment per row — the strided view the in-place FFT column pass works
-/// on.
-///
-/// A view owns its segments exclusively: [`ColumnBlockMut::new`] borrows
-/// the whole buffer, and [`par_column_blocks`] hands each task a block of
-/// columns no other task's block contains.
-pub(crate) struct ColumnBlockMut<'a, T> {
-    /// Element `(0, c0)`.
-    ptr: *mut T,
-    /// Row stride of the underlying buffer.
-    width: usize,
-    rows: usize,
-    /// Segment length `c1 − c0`.
-    cols: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<'a, T> ColumnBlockMut<'a, T> {
-    /// Columns `cols` of every row of `data`, a row-major buffer `width`
-    /// elements wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or does not divide `data.len()`, or if
-    /// `cols` is not a range inside `0..=width`.
-    pub(crate) fn new(data: &'a mut [T], width: usize, cols: std::ops::Range<usize>) -> Self {
-        assert!(
-            width > 0 && data.len().is_multiple_of(width),
-            "buffer is not a whole number of rows"
-        );
-        assert!(
-            cols.start <= cols.end && cols.end <= width,
-            "column range out of bounds"
-        );
-        ColumnBlockMut {
-            ptr: data.as_mut_ptr().wrapping_add(cols.start),
-            width,
-            rows: data.len() / width,
-            cols: cols.end - cols.start,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// The view of `rows` segments of `cols` elements, the first at `ptr`
-    /// and each `width` elements after the previous one.
-    ///
-    /// # Safety
-    ///
-    /// `cols <= width`, every segment must lie inside one live allocation
-    /// for `'a`, and nothing else may access any segment element while
-    /// the view is alive.
-    #[allow(unsafe_code)]
-    // SAFETY: see `# Safety` above — the caller upholds the bounds and the
-    // exclusive-access contract the accessors rely on.
-    unsafe fn from_raw_parts(ptr: *mut T, width: usize, rows: usize, cols: usize) -> Self {
-        debug_assert!(cols <= width);
-        ColumnBlockMut {
-            ptr,
-            width,
-            rows,
-            cols,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of rows (segments).
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row `r`'s segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows()`.
-    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [T] {
-        assert!(r < self.rows, "row out of bounds");
-        // SAFETY: `r < rows` and `c0 + cols <= width` keep the segment
-        // inside the underlying buffer; the view owns its segments
-        // exclusively (see the type docs) and `&mut self` keeps this the
-        // only live one.
-        #[allow(unsafe_code)]
-        unsafe {
-            std::slice::from_raw_parts_mut(self.ptr.add(r * self.width), self.cols)
-        }
-    }
-
-    /// The segments of two distinct rows `i` and `j`, in that order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i == j` or either row is out of bounds.
-    pub(crate) fn row_pair_mut(&mut self, i: usize, j: usize) -> (&mut [T], &mut [T]) {
-        assert!(
-            i != j && i < self.rows && j < self.rows,
-            "row pair out of bounds"
-        );
-        // SAFETY: as in `row_mut`, both segments lie inside the buffer and
-        // belong to this view alone. Two distinct rows start `width`
-        // elements apart or more, and a segment is at most `width` long,
-        // so the two segments do not overlap.
-        #[allow(unsafe_code)]
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(self.ptr.add(i * self.width), self.cols),
-                std::slice::from_raw_parts_mut(self.ptr.add(j * self.width), self.cols),
-            )
-        }
-    }
-
-    /// The segments of rows `r`, `r + stride`, `r + 2·stride` and
-    /// `r + 3·stride`, in that order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero or row `r + 3·stride` is out of bounds.
-    pub(crate) fn row_quad_mut(&mut self, r: usize, stride: usize) -> [&mut [T]; 4] {
-        let last = stride.checked_mul(3).and_then(|s| s.checked_add(r));
-        assert!(
-            stride > 0 && last.is_some_and(|l| l < self.rows),
-            "row quad out of bounds"
-        );
-        let (ptr, width, cols) = (self.ptr, self.width, self.cols);
-        // SAFETY: as in `row_pair_mut`: all four rows are below `rows`, so
-        // their segments lie inside the buffer and belong to this view
-        // alone; a nonzero stride makes the rows distinct, and segments of
-        // distinct rows do not overlap.
-        #[allow(unsafe_code)]
-        [0, 1, 2, 3].map(|q| unsafe {
-            std::slice::from_raw_parts_mut(ptr.add((r + q * stride) * width), cols)
-        })
-    }
-}
-
-/// Runs `f` over columns `0..cols` of a row-major buffer `width` elements
-/// wide, split into contiguous column blocks with one task per block, all
-/// in one region. Each task gets its block's first column and the
-/// [`ColumnBlockMut`] of its own block.
-///
-/// The block layout follows the worker count, so `f` must treat every
-/// column independently of its neighbours (as a column FFT does); results
-/// are then bit-identical at any worker count. Runs inline on one block
-/// spanning every column when only one worker is available.
-///
-/// # Panics
-///
-/// Panics as [`ColumnBlockMut::new`] does for `0..cols`. Panics propagate
-/// from `f` after the region drains.
-pub(crate) fn par_column_blocks<T, F>(data: &mut [T], width: usize, cols: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, ColumnBlockMut<'_, T>) + Sync,
-{
-    let whole = ColumnBlockMut::new(data, width, 0..cols);
-    let blocks = region_width(cols);
-    if blocks <= 1 || whole.rows == 0 {
-        f(0, whole);
-        return;
-    }
-    let (base, rows) = (SendPtr(whole.ptr), whole.rows);
-    run_region(blocks, blocks, &|b| {
-        let (c0, c1) = (b * cols / blocks, (b + 1) * cols / blocks);
-        // SAFETY: block `b` is claimed exactly once per region, and
-        // distinct blocks cover disjoint column ranges of `0..cols`, so no
-        // two tasks' views share an element. `data` stays mutably borrowed
-        // (through `whole`) until `run_region` returns, after every task
-        // has finished. `c0 < cols <= width` and `rows >= 1` keep
-        // `base.at(c0)` inside row 0.
-        #[allow(unsafe_code)]
-        let view = unsafe { ColumnBlockMut::from_raw_parts(base.at(c0), width, rows, c1 - c0) };
-        f(c0, view);
-    });
-}
-
 /// Wrapper making a raw pointer `Send + Sync` so region tasks can write
 /// disjoint slots of a shared buffer.
 struct SendPtr<T>(*mut T);
@@ -795,37 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 1027];
-        par_chunks_mut(&mut data, 64, |_idx, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1; // each element exactly once
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn par_chunks_mut_chunk_indices_are_correct() {
-        let mut data = vec![0usize; 300];
-        par_chunks_mut(&mut data, 100, |idx, chunk| {
-            for v in chunk.iter_mut() {
-                *v = idx;
-            }
-        });
-        assert_eq!(data[0], 0);
-        assert_eq!(data[150], 1);
-        assert_eq!(data[299], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_len must be positive")]
-    fn par_chunks_mut_rejects_zero_chunk() {
-        let mut data = vec![0u8; 4];
-        par_chunks_mut(&mut data, 0, |_, _| {});
-    }
-
-    #[test]
     fn par_index_claim_runs_each_index_once() {
         for grain in [1, 3, 16, 1000] {
             let count = AtomicU64::new(0);
@@ -885,82 +639,6 @@ mod tests {
         // SAFETY: no other sub-slice is alive; the call panics on bounds.
         #[allow(unsafe_code)]
         let _ = unsafe { shared.slice_mut(4, 5) };
-    }
-
-    #[test]
-    fn par_column_blocks_visits_each_column_of_the_range_once() {
-        let (rows, width) = (5usize, 13usize);
-        for cols in [0usize, 1, 2, 7, 13] {
-            let mut data = vec![0u32; rows * width];
-            par_column_blocks(&mut data, width, cols, |c0, mut block| {
-                assert_eq!(block.rows(), rows);
-                for r in 0..rows {
-                    for (i, v) in block.row_mut(r).iter_mut().enumerate() {
-                        // Each cell records its own column, once.
-                        *v += (c0 + i) as u32 + 1;
-                    }
-                }
-            });
-            for (i, v) in data.iter().enumerate() {
-                let c = i % width;
-                let want = if c < cols { c as u32 + 1 } else { 0 };
-                assert_eq!(*v, want, "cols {cols}: cell {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn column_block_row_pairs_are_the_two_rows() {
-        let mut data: Vec<u32> = (0..24).collect();
-        let mut block = ColumnBlockMut::new(&mut data, 6, 2..5);
-        let (a, b) = block.row_pair_mut(3, 1);
-        assert_eq!((&*a, &*b), (&[20, 21, 22][..], &[8, 9, 10][..]));
-        a.swap_with_slice(b);
-        assert_eq!(block.row_mut(1), &[20, 21, 22]);
-        assert_eq!(&data[18..24], &[18, 19, 8, 9, 10, 23]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row pair out of bounds")]
-    fn column_block_rejects_a_repeated_row() {
-        let mut data = vec![0u8; 12];
-        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
-        let _ = block.row_pair_mut(1, 1);
-    }
-
-    #[test]
-    fn column_block_row_quads_are_the_four_strided_rows() {
-        let mut data: Vec<u32> = (0..40).collect();
-        let mut block = ColumnBlockMut::new(&mut data, 4, 1..3);
-        // Ten rows: the quad may reach the last one.
-        let [a, b, c, d] = block.row_quad_mut(0, 3);
-        assert_eq!(
-            [&*a, &*b, &*c, &*d],
-            [&[1, 2][..], &[13, 14], &[25, 26], &[37, 38]]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "row quad out of bounds")]
-    fn column_block_rejects_a_row_quad_past_the_last_row() {
-        let mut data = vec![0u8; 40];
-        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
-        let _ = block.row_quad_mut(2, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "row quad out of bounds")]
-    fn column_block_rejects_a_zero_row_quad_stride() {
-        let mut data = vec![0u8; 40];
-        let mut block = ColumnBlockMut::new(&mut data, 4, 0..4);
-        let _ = block.row_quad_mut(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "column range out of bounds")]
-    fn column_block_rejects_columns_past_the_width() {
-        let mut data = vec![0u8; 12];
-        let _ = ColumnBlockMut::new(&mut data, 4, 2..5);
     }
 
     #[test]

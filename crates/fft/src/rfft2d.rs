@@ -31,15 +31,13 @@
 //! frequency `f`, which a consumer that reads nothing else stores in a
 //! fraction of the full grid's memory.
 //!
-//! Every transform runs on the thread that calls it. Split into row
-//! pairs and column blocks, a transform's pieces are too small for a
-//! second worker to pay for; the lithography model runs whole transforms
-//! side by side in its per-stack tasks instead.
+//! Every transform runs on the thread that calls it, as every [`Fft2d`]
+//! transform does; the lithography model runs whole transforms side by
+//! side in its per-stack tasks instead of splitting one across workers.
 
 use crate::complex::Complex;
-use crate::fft1d::{Direction, Fft, FftError};
+use crate::fft1d::{ColumnBlockMut, Direction, Fft, FftError};
 use crate::fft2d::Fft2d;
-use crate::parallel::ColumnBlockMut;
 use crate::workspace::BufferPool;
 
 /// A reusable real-input 2-D FFT plan for a fixed `height × width` shape.

@@ -7,8 +7,8 @@
 //! that would otherwise be heap-allocated per call, hundreds of thousands
 //! of times per ILT run. A [`BufferPool`] keeps returned buffers on a
 //! small shared stack and hands them back out, so after warm-up the hot
-//! loop recycles the same few allocations. (`Fft2d` needs none: its
-//! column pass works in place.)
+//! loop recycles the same few allocations. (`Fft2d` needs none: both of
+//! its passes work in place on the caller's buffer.)
 //!
 //! Pools are cheap to clone (clones share the same stack, which is what a
 //! cloned FFT plan wants) and safe to use from parallel regions: `take`

@@ -10,9 +10,12 @@
 //!   module path and `impl` type; paths whose qualifiers match nothing in
 //!   the workspace are treated as external (std) and get no edge;
 //! * method calls (`x.f(…)`) have no receiver type information: they
-//!   resolve only when the workspace defines exactly one fn with that
-//!   name (and the name is not a ubiquitous std-trait method); anything
-//!   else is an unknown callee with no edge.
+//!   resolve only when exactly one fn with that name could be the callee
+//!   (and the name is not a ubiquitous std-trait method); anything else
+//!   is an unknown callee with no edge. A library fn can only call
+//!   library fns, so its method calls count library namesakes alone; a
+//!   helper in `tests/`, a bench or `#[cfg(test)]` never hides or takes
+//!   its edge.
 //!
 //! The closure computation is a plain BFS with a visited set, so cycles
 //! (recursion) terminate, and each reached node remembers its BFS parent
@@ -79,6 +82,9 @@ pub struct FnNode {
     pub line: u32,
     /// Whether the fn sits in test scope.
     pub in_test_scope: bool,
+    /// Whether the fn is library code: in a library file (see
+    /// `FileRole::library`) and outside test scope.
+    pub library: bool,
 }
 
 /// Std-trait method names too ubiquitous to attribute to a workspace fn
@@ -156,6 +162,7 @@ impl CallGraph {
                     impl_type: item.impl_type.clone(),
                     line: item.line,
                     in_test_scope: item.in_test_scope,
+                    library: entry.source.role.library && !item.in_test_scope,
                 });
             }
         }
@@ -284,10 +291,17 @@ fn resolve(
         if COMMON_METHODS.contains(&last.as_str()) {
             return Vec::new();
         }
-        // No receiver type: resolve only a workspace-unique name,
-        // otherwise the callee is unknown (no edge).
-        return match by_name.get(last.as_str()) {
-            Some(c) if c.len() == 1 => c.clone(),
+        // No receiver type: resolve only a name unique among the fns the
+        // caller can reach, otherwise the callee is unknown (no edge).
+        let library = nodes[caller].library;
+        let mut reachable = by_name
+            .get(last.as_str())
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&c| !library || nodes[c].library);
+        return match (reachable.next(), reachable.next()) {
+            (Some(c), None) => vec![c],
             _ => Vec::new(),
         };
     }
@@ -458,6 +472,44 @@ mod tests {
         assert_eq!(
             callee_names(&g, "crates/x/src/lib.rs", "go"),
             vec!["crates/x/src/lib.rs:take_buffer"]
+        );
+    }
+
+    #[test]
+    fn library_method_calls_ignore_test_namesakes() {
+        // An integration test defining its own `blur` must not hide the
+        // library method from a library caller.
+        let srcs = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "struct W;\nimpl W { fn blur(&self) {} }\nfn expose(w: &W) { w.blur(); }\n",
+            ),
+            ("crates/x/tests/oracle.rs", "fn blur() {}\n"),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "expose"),
+            vec!["crates/x/src/lib.rs:blur"]
+        );
+    }
+
+    #[test]
+    fn library_method_calls_never_reach_cfg_test_fns() {
+        // The workspace's only `lock` is a test helper, which library
+        // code cannot call: `m.lock()` is some other type's method.
+        let srcs = sources(&[
+            ("crates/x/src/lib.rs", "fn go(m: &M) { m.lock(); }\n"),
+            (
+                "crates/y/src/lib.rs",
+                "#[cfg(test)]\nmod tests {\n    fn lock() {}\n}\n",
+            ),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "go"),
+            Vec::<String>::new()
         );
     }
 

@@ -358,8 +358,7 @@ pub fn loss_and_gradient_into(
             // bins below, so the column pass can skip every column
             // outside its mask — sampled columns are bit-identical to
             // the dense path.
-            sim.pupil_plan()
-                .inverse_serial_cols(&mut b, &kernel.columns)?;
+            sim.pupil_plan().inverse_cols(&mut b, &kernel.columns)?;
             let scale = 2.0 * kernel.weight * dose;
             let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
             let slots = &mut out[bin_base[d]..][stacks[d].bin_range(k)];

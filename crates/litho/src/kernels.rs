@@ -40,7 +40,7 @@ pub struct Kernel {
     /// `columns[x]` is true iff `pupil` has an entry in pupil-grid column
     /// `x`; length `S`. The adjoint samples its per-kernel inverse FFT
     /// only on this kernel's bins, so it feeds this mask to
-    /// [`cfaopc_fft::Fft2d::inverse_serial_cols`].
+    /// [`cfaopc_fft::Fft2d::inverse_cols`].
     pub(crate) columns: Vec<bool>,
 }
 

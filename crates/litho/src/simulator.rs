@@ -421,7 +421,7 @@ impl LithoSimulator {
         }
         // Kernel spectra are band-limited to the pupil, so most rows of
         // the product are all-zero: the sparse inverse skips them.
-        Ok(self.pupil_plan.inverse_serial_sparse(field)?)
+        Ok(self.pupil_plan.inverse_sparse(field)?)
     }
 
     /// Phase 1 of the loss path: every stack's pupil-grid fields (at most

@@ -110,7 +110,7 @@ fn full_grid_forward(sim: &LithoSimulator, mask: &Grid2D<f64>) -> FullGrid {
                 for &(idx, h) in &kernel.spectrum {
                     field[idx as usize] = h * spectrum[idx as usize];
                 }
-                plan.inverse_serial_sparse(&mut field).unwrap();
+                plan.inverse_sparse(&mut field).unwrap();
                 field
             })
             .collect::<Vec<_>>()
@@ -185,7 +185,7 @@ fn full_grid_loss_and_gradient(
         for (kernel, field) in set.kernels().iter().zip(&forward.fields[d]) {
             let mut b = vec![Complex::ZERO; n * n];
             conj_mul_real(&mut b, field, g);
-            plan.inverse_serial(&mut b).unwrap();
+            plan.inverse(&mut b).unwrap();
             let scale = 2.0 * kernel.weight * dose;
             for &(idx, h) in &kernel.spectrum {
                 acc[idx as usize] += h * b[idx as usize] * scale;

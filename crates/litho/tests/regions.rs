@@ -5,12 +5,14 @@
 //! Imaging and the loss alone run only the per-stack phase, each task
 //! computing its stack's fields. The mask FFT, the final `Re[FFT]` and
 //! every resampling transform run on the thread that calls them, so the
-//! count does not grow with the grid.
+//! count does not grow with the grid. No 2-D transform opens a region of
+//! its own, on either plan.
 //!
 //! The region count comes from the process-wide trace counter, so this
 //! binary holds one test: no other test can open regions concurrently.
 
 use cfaopc_fft::parallel::worker_count;
+use cfaopc_fft::{Complex, Fft2d};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_litho::{loss_and_gradient_into, loss_only, LithoConfig, LithoSimulator, LossWeights};
 use cfaopc_trace::counters::POOL_REGIONS;
@@ -27,6 +29,16 @@ fn each_litho_call_opens_one_region_per_phase() {
     std::env::set_var("CFAOPC_THREADS", "4");
     assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
     cfaopc_trace::set_enabled(true);
+
+    let plan = Fft2d::square(256).unwrap();
+    let mut field: Vec<Complex> = (0..256 * 256)
+        .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+        .collect();
+    let regions = regions_during(|| {
+        plan.forward(&mut field).unwrap();
+        plan.inverse(&mut field).unwrap();
+    });
+    assert_eq!(regions, 0, "Fft2d forward + inverse at 256 px");
 
     // 256 px on a 2048 nm tile resamples between a 64² pupil grid and the
     // mask grid; 128 px on a 4096 nm window runs at S = N.

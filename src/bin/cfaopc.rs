@@ -33,6 +33,7 @@
 //! cross-seam MRC counts. `CHIP_RESULTS.json` is byte-identical across
 //! runs and `CFAOPC_THREADS` values; `--check` works as for `eval`.
 
+use cfaopc::eval::Drift;
 use cfaopc::fracture::ShotList;
 use cfaopc::litho::loss_only;
 use cfaopc::prelude::*;
@@ -367,27 +368,44 @@ fn cmd_eval(flags: &Flags) -> CliResult {
         std::fs::write(md, report.markdown_table())?;
         println!("wrote {md}");
     }
-    if let Some(golden_path) = flags.get("check") {
-        let tol = parse_tolerance(flags)?;
-        let golden = EvalReport::from_json_str(&std::fs::read_to_string(golden_path)?)
-            .map_err(|e| format!("cannot load golden file {golden_path}: {e}"))?;
-        let drifts = compare_reports(&golden, &report, &tol);
-        if drifts.is_empty() {
-            println!(
-                "golden check OK: {} cases within tolerance (rel {}, abs {}) of {golden_path}",
-                report.cases.len(),
-                tol.rel,
-                tol.abs
-            );
-        } else {
-            eprintln!("golden check FAILED against {golden_path}:");
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-            return Err(format!("{} metric(s) drifted beyond tolerance", drifts.len()).into());
-        }
+    golden_check(
+        flags,
+        &report,
+        format!("{} cases", report.cases.len()),
+        EvalReport::from_json_str,
+        compare_reports,
+    )
+}
+
+/// The `--check` step shared by `eval` and `chip`: loads the golden
+/// report with `load`, compares `report` (`what` names its entries)
+/// against it within `--tol` / `--tol-abs`, and fails on any drift.
+fn golden_check<R>(
+    flags: &Flags,
+    report: &R,
+    what: String,
+    load: fn(&str) -> Result<R, String>,
+    compare: fn(&R, &R, &Tolerance) -> Vec<Drift>,
+) -> CliResult {
+    let Some(golden_path) = flags.get("check") else {
+        return Ok(());
+    };
+    let tol = parse_tolerance(flags)?;
+    let golden = load(&std::fs::read_to_string(golden_path)?)
+        .map_err(|e| format!("cannot load golden file {golden_path}: {e}"))?;
+    let drifts = compare(&golden, report, &tol);
+    if drifts.is_empty() {
+        println!(
+            "golden check OK: {what} within tolerance (rel {}, abs {}) of {golden_path}",
+            tol.rel, tol.abs
+        );
+        return Ok(());
     }
-    Ok(())
+    eprintln!("golden check FAILED against {golden_path}:");
+    for d in &drifts {
+        eprintln!("  {d}");
+    }
+    Err(format!("{} metric(s) drifted beyond tolerance", drifts.len()).into())
 }
 
 /// `--tol` / `--tol-abs` with the library defaults, shared by the
@@ -467,15 +485,7 @@ fn cmd_chip(flags: &Flags) -> CliResult {
         }
         records.push(outcome.record);
     }
-    let geom = ChipGeometry::new(1, 1, spec.tile_px);
-    let report = ChipReport {
-        suite: spec.name.clone(),
-        tile_px: spec.tile_px,
-        window_px: geom.window_px(),
-        halo_px: geom.halo_px(),
-        kernel_count: spec.kernel_count,
-        chips: records,
-    };
+    let report = ChipReport::new(&spec, records);
 
     let out = flags
         .get("out")
@@ -487,27 +497,13 @@ fn cmd_chip(flags: &Flags) -> CliResult {
         std::fs::write(md, report.markdown_table())?;
         println!("wrote {md}");
     }
-    if let Some(golden_path) = flags.get("check") {
-        let tol = parse_tolerance(flags)?;
-        let golden = ChipReport::from_json_str(&std::fs::read_to_string(golden_path)?)
-            .map_err(|e| format!("cannot load golden file {golden_path}: {e}"))?;
-        let drifts = compare_chip_reports(&golden, &report, &tol);
-        if drifts.is_empty() {
-            println!(
-                "golden check OK: {} chips within tolerance (rel {}, abs {}) of {golden_path}",
-                report.chips.len(),
-                tol.rel,
-                tol.abs
-            );
-        } else {
-            eprintln!("golden check FAILED against {golden_path}:");
-            for d in &drifts {
-                eprintln!("  {d}");
-            }
-            return Err(format!("{} metric(s) drifted beyond tolerance", drifts.len()).into());
-        }
-    }
-    Ok(())
+    golden_check(
+        flags,
+        &report,
+        format!("{} chips", report.chips.len()),
+        ChipReport::from_json_str,
+        compare_chip_reports,
+    )
 }
 
 fn cmd_serve(flags: &Flags) -> CliResult {
