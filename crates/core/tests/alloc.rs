@@ -34,6 +34,13 @@
 //! whose kernels hold four times the bins: a per-bin list allocated per
 //! call would scale with them.
 //!
+//! Scoring is held to the same rule: a steady-state `evaluate_mask`
+//! (`print_corners`, then L2, PVB and EPE on the prints) allocates no
+//! buffer of `N²` f64 or complex elements, at 64 and 256 px on a 2048 nm
+//! tile and at 128 px on a 4096 nm window. Its real mask, band-packed
+//! spectrum and intensities come from the simulator's pools and go back
+//! to them; only the three printed bit grids are new.
+//!
 //! The byte counters are process-wide, so every run goes one
 //! after the other inside a **single** test: the test harness gives every
 //! test its own thread, and a second test running, starting up or shutting
@@ -54,6 +61,7 @@ use cfaopc_core::{
 use cfaopc_grid::{fill_rect, BitGrid, Rect};
 use cfaopc_ilt::{run_pixel_ilt, IltEngine};
 use cfaopc_litho::{LithoConfig, LithoSimulator};
+use cfaopc_metrics::{evaluate_mask, EpeConfig};
 use cfaopc_trace::{IterationRecord, TelemetrySink};
 
 /// Wraps the system allocator, tracking net live bytes and gross
@@ -62,6 +70,11 @@ struct CountingAlloc;
 
 static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of one `N²`-element f64 grid while a window watches for grids
+/// (`0` otherwise), and the allocations of that size or of an `N²`
+/// complex grid (twice it) seen since.
+static GRID_WATCH: AtomicUsize = AtomicUsize::new(0);
+static GRID_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn net_bytes() -> isize {
     NET_BYTES.load(Ordering::SeqCst)
@@ -74,6 +87,14 @@ fn gross_bytes() -> usize {
 fn count_alloc(size: usize) {
     NET_BYTES.fetch_add(size as isize, Ordering::SeqCst);
     GROSS_BYTES.fetch_add(size, Ordering::SeqCst);
+    watch_grid(size);
+}
+
+fn watch_grid(size: usize) {
+    let grid = GRID_WATCH.load(Ordering::SeqCst);
+    if grid != 0 && (size == grid || size == 2 * grid) {
+        GRID_ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 // SAFETY: pure pass-through to `System` plus relaxed byte counters; the
@@ -102,6 +123,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         NET_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
         GROSS_BYTES.fetch_add(new_size, Ordering::SeqCst);
+        watch_grid(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -244,5 +266,22 @@ fn steady_state_iterations_are_allocation_free() {
                 gross[0]
             );
         }
+    }
+
+    // Scoring: the second `evaluate_mask` on one simulator, after the
+    // first has filled its pools.
+    for (size, tile_nm) in [(64, 2048.0), (256, 2048.0), (128, 4096.0)] {
+        let (sim, target, _) = fixture(size, tile_nm);
+        let score = || evaluate_mask(&sim, &target, &target, &EpeConfig::default()).unwrap();
+        score();
+        GRID_ALLOCS.store(0, Ordering::SeqCst);
+        GRID_WATCH.store(size * size * std::mem::size_of::<f64>(), Ordering::SeqCst);
+        score();
+        GRID_WATCH.store(0, Ordering::SeqCst);
+        let grids = GRID_ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            grids, 0,
+            "a steady-state evaluate_mask at {size} px on {tile_nm} nm allocated {grids} buffers of {size}² f64 or complex elements"
+        );
     }
 }

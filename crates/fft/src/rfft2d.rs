@@ -20,16 +20,16 @@
 //! transformed in place, and two real output rows are then recovered from
 //! each packed complex row transform.
 //!
-//! The output is the full complex spectrum in the row-major grid layout,
-//! so sparse spectral consumers (the SOCS kernel supports index the full
-//! grid) need no layout changes. Consumers whose spectra live in a band of
-//! low frequencies use the band variants: [`Rfft2d::forward_band_into`]
-//! transforms only the band's columns, and [`Rfft2d::forward_re_band_into`]
-//! skips the column transforms of an input that is zero outside the band.
-//! Their spectra may also be **band-packed**: `height` rows of only
-//! `2·band + 1` columns, column `f mod (2·band + 1)` holding signed column
-//! frequency `f`, which a consumer that reads nothing else stores in a
-//! fraction of the full grid's memory.
+//! [`Rfft2d::forward_into`] and [`Rfft2d::forward_re_into`] take the full
+//! complex spectrum in the row-major grid layout. Consumers whose spectra
+//! live in a band of low frequencies, `|f| ≤ band` along the columns, use
+//! the band variants instead: [`Rfft2d::forward_band_into`] transforms
+//! only the band's columns, and [`Rfft2d::forward_re_band_into`] skips the
+//! column transforms of the zero columns outside it. Their spectra are
+//! **band-packed**: `height` rows of `m = min(2·band + 1, width)` columns,
+//! column `f mod m` holding signed column frequency `f`, in a fraction of
+//! the full grid's memory. The band alone fixes the layout: once it covers
+//! every column (`m = width`), the packed layout is the full one.
 //!
 //! Every transform runs on the thread that calls it, as every [`Fft2d`]
 //! transform does; the lithography model runs whole transforms side by
@@ -146,18 +146,18 @@ impl Rfft2d {
         Ok(())
     }
 
-    /// Row width of a band variant's `len`-entry spectrum: `width` in the
-    /// full layout, or `2·band + 1` band-packed, which must be narrower
-    /// than `width` on a grid of at least two rows.
+    /// Row width `m = min(2·band + 1, width)` of a band variant's packed
+    /// spectrum, checked against its `len`. A grid of one row falls back
+    /// to the complex plan, which packs nothing, so it takes only the full
+    /// layout.
     fn band_stride(&self, len: usize, band: usize) -> Result<usize, FftError> {
-        let packed = band.saturating_mul(2).saturating_add(1);
-        if len == self.len() {
-            Ok(self.width)
-        } else if packed < self.width && self.height >= 2 && len == self.height * packed {
-            Ok(packed)
+        let stride = band.saturating_mul(2).saturating_add(1).min(self.width);
+        let expected = self.height * stride;
+        if len == expected && (stride == self.width || self.height >= 2) {
+            Ok(stride)
         } else {
             Err(FftError::LengthMismatch {
-                expected: self.len(),
+                expected,
                 actual: len,
             })
         }
@@ -189,20 +189,18 @@ impl Rfft2d {
         self.forward_band_into(src, out, self.width / 2)
     }
 
-    /// [`Rfft2d::forward_into`] for consumers that read only the output
-    /// columns `kx` with `|signed_freq(kx)| ≤ band`: the column pass runs
-    /// on those columns alone. Entries in the other columns are left
-    /// **unspecified**; wanted columns are bit-identical to
+    /// [`Rfft2d::forward_into`] on the output columns `kx` with
+    /// `|signed_freq(kx)| ≤ band` alone, into a band-packed `out`
+    /// (`height·m` entries, `m = min(2·band + 1, width)`, column `f mod m`
+    /// holding frequency `f`): the column pass runs on those columns only.
+    /// Every entry is written, with the bits of the same entry of
     /// [`Rfft2d::forward_into`], since column transforms are independent.
-    /// `band ≥ width/2` wants every column. With `2·band + 1 < width`,
-    /// `out` may instead be band-packed (`height·(2·band + 1)` entries,
-    /// column `f mod (2·band + 1)` holding frequency `f`), and then every
-    /// entry is wanted and written, with the same bits.
+    /// `band ≥ width/2` is [`Rfft2d::forward_into`] itself.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `src` is not
-    /// `height·width` long, or `out` is neither that nor band-packed.
+    /// `height·width` long or `out` is not `height·m`.
     pub fn forward_band_into(
         &self,
         src: &[f64],
@@ -283,19 +281,18 @@ impl Rfft2d {
         self.forward_re_band_into(freq, out, self.width / 2)
     }
 
-    /// [`Rfft2d::forward_re_into`] for a `freq` that is zero in every
-    /// column `kx` with `|signed_freq(kx)| > band` (entries there are not
-    /// read): the column pass runs on the band's columns alone, since the
-    /// transform of a zero column is zero. The output is bit-identical to
-    /// [`Rfft2d::forward_re_into`] on such input, up to the sign of exact
-    /// zeros. `band ≥ width/2` reads every column. With
-    /// `2·band + 1 < width`, `freq` may instead be band-packed, as in
-    /// [`Rfft2d::forward_band_into`], with the same output bits.
+    /// [`Rfft2d::forward_re_into`] of a spectrum that is zero in every
+    /// column `kx` with `|signed_freq(kx)| > band`, given band-packed as
+    /// in [`Rfft2d::forward_band_into`]: the column pass runs on the
+    /// band's columns alone, since the transform of a zero column is zero.
+    /// The output is bit-identical to [`Rfft2d::forward_re_into`] of the
+    /// full zero-padded spectrum, up to the sign of exact zeros.
+    /// `band ≥ width/2` is [`Rfft2d::forward_re_into`] itself.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `out` is not
-    /// `height·width` long, or `freq` is neither that nor band-packed.
+    /// `height·width` long or `freq` is not `height·m`.
     pub fn forward_re_band_into(
         &self,
         freq: &[Complex],
@@ -453,48 +450,44 @@ mod tests {
         }
     }
 
-    /// `forward_band_into` over an output prefilled with junk must match
-    /// `forward_into` bit for bit on every wanted column, and so must
-    /// every entry of a band-packed output.
+    /// The grid column of band-packed column `c` (`m` columns).
+    fn grid_column(c: usize, band: usize, m: usize, w: usize) -> usize {
+        if c <= band {
+            c
+        } else {
+            w + c - m
+        }
+    }
+
+    /// Every entry of `forward_band_into`'s band-packed output, prefilled
+    /// with junk, must match `forward_into`'s entry at the same frequency
+    /// bit for bit.
     fn check_band_forward(h: usize, w: usize, bands: &[usize]) {
-        use crate::fft2d::signed_freq;
         let src = real_sample(h, w);
         let rplan = Rfft2d::new(h, w).unwrap();
         let mut full = vec![Complex::ZERO; h * w];
         rplan.forward_into(&src, &mut full).unwrap();
-        let same = |a: Complex, b: Complex, what: &str| {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
-        };
         for &band in bands {
-            let mut got = vec![Complex::new(7.0, 7.0); h * w];
-            rplan.forward_band_into(&src, &mut got, band).unwrap();
-            for ky in 0..h {
-                for kx in (0..w).filter(|&kx| signed_freq(kx, w).unsigned_abs() as usize <= band) {
-                    let what = format!("({h}x{w}) band {band} ({ky},{kx})");
-                    same(got[ky * w + kx], full[ky * w + kx], &what);
-                }
-            }
-            // Band-packed needs 2·band + 1 < w.
-            if band >= w / 2 {
-                continue;
-            }
-            let m = 2 * band + 1;
+            let m = band.saturating_mul(2).saturating_add(1).min(w);
             let mut packed = vec![Complex::new(7.0, 7.0); h * m];
             rplan.forward_band_into(&src, &mut packed, band).unwrap();
             for ky in 0..h {
                 for c in 0..m {
-                    let kx = if c <= band { c } else { w + c - m };
+                    let (a, b) = (
+                        packed[ky * m + c],
+                        full[ky * w + grid_column(c, band, m, w)],
+                    );
                     let what = format!("({h}x{w}) packed band {band} ({ky},{c})");
-                    same(packed[ky * m + c], full[ky * w + kx], &what);
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
                 }
             }
         }
     }
 
-    /// `forward_re_band_into` on input that is zero outside the band (and
-    /// NaN there when the band variant reads it, which it must not) must
-    /// match `forward_re_into`, up to the sign of exact zeros.
+    /// `forward_re_band_into` on the band-packed columns of a spectrum
+    /// that is zero outside the band must match `forward_re_into` on the
+    /// full spectrum, up to the sign of exact zeros.
     fn check_band_forward_re(h: usize, w: usize, bands: &[usize]) {
         use crate::fft2d::signed_freq;
         let rplan = Rfft2d::new(h, w).unwrap();
@@ -508,40 +501,16 @@ mod tests {
             }
             let mut full = vec![0.0; h * w];
             rplan.forward_re_into(&freq, &mut full).unwrap();
-            for (i, z) in freq.iter_mut().enumerate() {
-                if outside(i) {
-                    *z = Complex::new(f64::NAN, 1.0);
-                }
-            }
+            let m = band.saturating_mul(2).saturating_add(1).min(w);
+            let packed: Vec<Complex> = (0..h * m)
+                .map(|i| freq[i / m * w + grid_column(i % m, band, m, w)])
+                .collect();
             let mut got = vec![7.0; h * w];
-            rplan.forward_re_band_into(&freq, &mut got, band).unwrap();
+            rplan.forward_re_band_into(&packed, &mut got, band).unwrap();
             for (i, (a, b)) in got.iter().zip(&full).enumerate() {
                 assert!(
                     a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
                     "({h}x{w}) band {band} pixel {i}: {a} vs {b}"
-                );
-            }
-            // The band-packed input gives the band variant's own bits.
-            // Band-packed needs 2·band + 1 < w.
-            if band >= w / 2 {
-                continue;
-            }
-            let m = 2 * band + 1;
-            let packed: Vec<Complex> = (0..h * m)
-                .map(|i| {
-                    let (ky, c) = (i / m, i % m);
-                    freq[ky * w + if c <= band { c } else { w + c - m }]
-                })
-                .collect();
-            let mut from_packed = vec![7.0; h * w];
-            rplan
-                .forward_re_band_into(&packed, &mut from_packed, band)
-                .unwrap();
-            for (i, (a, b)) in from_packed.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "({h}x{w}) packed band {band} pixel {i}"
                 );
             }
         }
@@ -606,15 +575,23 @@ mod tests {
         assert!(rplan.forward_into(&[0.0; 64], &mut short).is_err());
         let mut re = vec![0.0; 63];
         assert!(rplan.forward_re_into(&out, &mut re).is_err());
-        // Band-packed spectra must be narrower than the grid: 8 rows of
-        // 2·band + 1 = 3 columns at band 1, none at band 4.
+        // The band fixes the layout: 8 rows of 2·band + 1 = 3 columns at
+        // band 1, and the full 8 × 8 grid at band 4 and above.
         let mut packed = vec![Complex::ZERO; 8 * 3];
         assert!(rplan.forward_band_into(&[0.0; 64], &mut packed, 1).is_ok());
         assert!(rplan.forward_band_into(&[0.0; 64], &mut packed, 2).is_err());
+        assert!(rplan.forward_band_into(&[0.0; 64], &mut out, 1).is_err());
+        assert!(rplan.forward_band_into(&[0.0; 64], &mut out, 4).is_ok());
+        assert!(rplan.forward_re_band_into(&out, &mut [0.0; 64], 3).is_err());
         let mut wide = vec![Complex::ZERO; 8 * 9];
         assert!(rplan.forward_band_into(&[0.0; 64], &mut wide, 4).is_err());
         assert!(rplan
             .forward_re_band_into(&wide, &mut [0.0; 64], 4)
+            .is_err());
+        // A one-row grid falls back to the complex plan: full layout only.
+        let row = Rfft2d::new(1, 8).unwrap();
+        assert!(row
+            .forward_band_into(&[0.0; 8], &mut [Complex::ZERO; 3], 1)
             .is_err());
     }
 

@@ -12,7 +12,9 @@
 //! * method calls (`x.f(…)`) have no receiver type information: they
 //!   resolve only when exactly one fn with that name could be the callee
 //!   (and the name is not a ubiquitous std-trait method); anything else
-//!   is an unknown callee with no edge. A library fn can only call
+//!   is an unknown callee with no edge. Only fns declared in an `impl` or
+//!   `trait` block can be called with method syntax, so a free fn never
+//!   takes or hides a method call's edge. A library fn can only call
 //!   library fns, so its method calls count library namesakes alone; a
 //!   helper in `tests/`, a bench or `#[cfg(test)]` never hides or takes
 //!   its edge.
@@ -78,6 +80,8 @@ pub struct FnNode {
     pub module_path: Vec<String>,
     /// Surrounding `impl` block's `Self` type, if any.
     pub impl_type: Option<String>,
+    /// Whether the fn sits directly in an `impl` or `trait` block.
+    pub associated: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Whether the fn sits in test scope.
@@ -105,6 +109,7 @@ const COMMON_METHODS: &[&str] = &[
     "drop",
     "eq",
     "fill",
+    "find",
     "fmt",
     "flush",
     "from",
@@ -160,6 +165,7 @@ impl CallGraph {
                     name: item.name.clone(),
                     module_path: item.module_path.clone(),
                     impl_type: item.impl_type.clone(),
+                    associated: item.associated,
                     line: item.line,
                     in_test_scope: item.in_test_scope,
                     library: entry.source.role.library && !item.in_test_scope,
@@ -291,15 +297,16 @@ fn resolve(
         if COMMON_METHODS.contains(&last.as_str()) {
             return Vec::new();
         }
-        // No receiver type: resolve only a name unique among the fns the
-        // caller can reach, otherwise the callee is unknown (no edge).
+        // No receiver type: resolve only a name unique among the
+        // associated fns the caller can reach, otherwise the callee is
+        // unknown (no edge).
         let library = nodes[caller].library;
         let mut reachable = by_name
             .get(last.as_str())
             .into_iter()
             .flatten()
             .copied()
-            .filter(|&c| !library || nodes[c].library);
+            .filter(|&c| nodes[c].associated && (!library || nodes[c].library));
         return match (reachable.next(), reachable.next()) {
             (Some(c), None) => vec![c],
             _ => Vec::new(),
@@ -491,6 +498,47 @@ mod tests {
         assert_eq!(
             callee_names(&g, "crates/x/src/lib.rs", "expose"),
             vec!["crates/x/src/lib.rs:blur"]
+        );
+    }
+
+    #[test]
+    fn method_calls_never_reach_free_fns() {
+        // The workspace's only `expect` is a free parser helper, which
+        // method syntax cannot call: `r.expect(..)` is `Result`'s.
+        let srcs = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "fn go(r: R) { r.expect(\"msg\"); }\n",
+            ),
+            (
+                "crates/y/src/json.rs",
+                "fn expect(bytes: &[u8], pos: usize) {}\n",
+            ),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "go"),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn method_calls_resolve_to_trait_default_methods() {
+        // A free fn of the same name does not make the trait's default
+        // method ambiguous.
+        let srcs = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "pub trait Sink: Send {\n    fn flush_all(&mut self) {}\n}\nfn go(s: &mut dyn Sink) { s.flush_all(); }\n",
+            ),
+            ("crates/y/src/lib.rs", "pub fn flush_all() {}\n"),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "go"),
+            vec!["crates/x/src/lib.rs:flush_all"]
         );
     }
 

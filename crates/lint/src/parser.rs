@@ -34,6 +34,9 @@ pub struct FnItem {
     /// The `Self` type name when the fn sits in an `impl` block
     /// (`impl Foo` and `impl Trait for Foo` both record `Foo`).
     pub impl_type: Option<String>,
+    /// Whether the fn is declared directly in an `impl` or `trait` block:
+    /// only such fns can be called with method syntax.
+    pub associated: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token-index range of the body, inclusive of both braces.
@@ -108,7 +111,15 @@ fn is_keyword(text: &str) -> bool {
 /// Parses a file into its item tree.
 pub fn parse(file: &SourceFile) -> ParsedFile {
     let mut out = ParsedFile::default();
-    walk(file, 0, file.toks.len(), &mut Vec::new(), None, &mut out);
+    walk(
+        file,
+        0,
+        file.toks.len(),
+        &mut Vec::new(),
+        None,
+        false,
+        &mut out,
+    );
     out
 }
 
@@ -132,13 +143,15 @@ fn prev_code_tok(toks: &[Tok], i: usize) -> Option<&Tok> {
 }
 
 /// Walks the token range `[start, end)` collecting items. `module_path`
-/// and `impl_type` describe the enclosing scope.
+/// and `impl_type` describe the enclosing scope, and `associated` is
+/// whether the range is an `impl` or `trait` body.
 fn walk(
     file: &SourceFile,
     start: usize,
     end: usize,
     module_path: &mut Vec<String>,
     impl_type: Option<&str>,
+    associated: bool,
     out: &mut ParsedFile,
 ) {
     let toks = &file.toks;
@@ -168,7 +181,7 @@ fn walk(
             if toks.get(k).is_some_and(|t| t.is_punct("{")) {
                 if let Some(close) = brace_match(toks, k) {
                     module_path.push(name);
-                    walk(file, k + 1, close.min(end), module_path, None, out);
+                    walk(file, k + 1, close.min(end), module_path, None, false, out);
                     module_path.pop();
                     i = close + 1;
                     continue;
@@ -186,6 +199,29 @@ fn walk(
                         close.min(end),
                         module_path,
                         ty.as_deref(),
+                        true,
+                        out,
+                    );
+                    i = close + 1;
+                    continue;
+                }
+            }
+            i += 1;
+            continue;
+        }
+        if t.is_ident("trait") {
+            // A trait's header ends at its body's `{` as an impl's does;
+            // its default method bodies are associated fns with no `Self`
+            // type.
+            if let Some((_, body_open)) = impl_header(toks, i + 1, end) {
+                if let Some(close) = brace_match(toks, body_open) {
+                    walk(
+                        file,
+                        body_open + 1,
+                        close.min(end),
+                        module_path,
+                        None,
+                        true,
                         out,
                     );
                     i = close + 1;
@@ -230,13 +266,22 @@ fn walk(
                 name: name_tok.text.clone(),
                 module_path: module_path.clone(),
                 impl_type: impl_type.map(|s| s.to_string()),
+                associated,
                 line: toks[i].line,
                 body: (open, close),
                 calls,
                 in_test_scope: file.in_test_scope.get(i).copied().unwrap_or(false),
             });
             // Recurse into the body for nested items (fns, mods, uses).
-            walk(file, open + 1, close.min(end), module_path, None, out);
+            walk(
+                file,
+                open + 1,
+                close.min(end),
+                module_path,
+                None,
+                false,
+                out,
+            );
             i = close + 1;
             continue;
         }
@@ -580,6 +625,28 @@ mod outer {
         assert_eq!(m.module_path, vec!["outer"]);
         assert_eq!(m.impl_type.as_deref(), Some("S"));
         assert_eq!(fn_named(&p, "fmt").impl_type.as_deref(), Some("S"));
+        assert!(m.associated && fn_named(&p, "fmt").associated);
+        assert!(!fn_named(&p, "deep").associated);
+    }
+
+    #[test]
+    fn trait_bodies_hold_associated_fns() {
+        let src = "\
+pub trait Sink<T>: Send where T: Clone {
+    fn required(&self);
+    fn provided(&self) {
+        fn nested() {}
+    }
+}
+fn free() {}
+";
+        let p = parsed(src);
+        let provided = fn_named(&p, "provided");
+        assert!(provided.associated);
+        assert_eq!(provided.impl_type, None);
+        assert!(!fn_named(&p, "nested").associated);
+        assert!(!fn_named(&p, "free").associated);
+        assert_eq!(p.fns.len(), 3, "a required method has no body");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! where `G = ∂L/∂I` and the outer `FFT` is shared across kernels and
 //! corners (the spectral contributions are accumulated sparsely on the
-//! pupil support first, then transformed once). The fields `A_k` depend
+//! kernels' bins first, then transformed once). The fields `A_k` depend
 //! only on the kernel stack, so `Nominal` and `Max` (one best-focus stack
 //! at two doses) share theirs: the forward pass runs `K` IFFTs per
 //! distinct focus, `2K` in all.
@@ -99,6 +99,17 @@
 //! worker count. [`loss_only`] needs no field after its stack's sum, so
 //! it runs the mask FFT and phase 2 alone, each stack task computing its
 //! own fields one at a time.
+//!
+//! **Band-packed spectra.** Every bin of every kernel lies within the
+//! kernels' reach `R` along both axes, so the mask spectrum the fields
+//! read and the spectral accumulator the adjoint's values are added into
+//! keep only the `m = min(2R + 1, N)` columns with `|f| ≤ R`, column
+//! `f mod m` holding frequency `f` (`crate::kernels`): `N × m` entries
+//! instead of `N²`. The fields read each bin at its packed index
+//! (`Kernel::packed`), the merge adds each value at the same index in the
+//! order a full-grid accumulator took them, and the final transform
+//! (`cfaopc_fft::Rfft2d::forward_re_band_into`) reads the packed layout
+//! with the full layout's bits, so the gradient is unchanged to the bit.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
 use crate::simulator::{LithoSimulator, Source};
@@ -271,12 +282,13 @@ pub fn loss_and_gradient(
 
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
-/// All scratch (mask spectrum, pupil-grid fields, per-stack intensity
-/// and dL/dI, the adjoint's per-bin output, spectral accumulator) comes
-/// from the simulator's buffer pools, and `grad` is fully overwritten
-/// (reallocated only on a grid-size change) — so a caller looping over
-/// iterations with a persistent `grad` sees **zero net heap growth** in
-/// steady state: the allocations left (the three regions' bookkeeping
+/// All scratch (band-packed mask spectrum, pupil-grid fields, per-stack
+/// intensity and dL/dI, the adjoint's per-bin output, band-packed
+/// spectral accumulator) comes from the simulator's buffer pools, and
+/// `grad` is fully overwritten (reallocated only on a grid-size
+/// change) — so a caller looping over iterations with a persistent
+/// `grad` sees **zero net heap growth** in steady state: the
+/// allocations left (the three regions' bookkeeping
 /// and result lists) are freed before the call returns, and none of them
 /// grows with the kernels' bins, as `crates/core/tests/alloc.rs`
 /// enforces. [`loss_and_gradient`] is the convenience wrapper that
@@ -295,7 +307,6 @@ pub fn loss_and_gradient_into(
 ) -> Result<LossValues, LithoError> {
     let _span = cfaopc_trace::span("litho.loss_and_gradient");
     let n = sim.size();
-    let n2 = n * n;
     let s2 = sim.pupil_size() * sim.pupil_size();
     if target.width() != n || target.height() != n {
         return Err(LithoError::ShapeMismatch {
@@ -334,8 +345,9 @@ pub fn loss_and_gradient_into(
     // Stack d's values start at bin_base[d] of the adjoint's output.
     let bin_base = [0, stacks[0].bin_count()];
 
-    // Spectral gradient accumulator (pupil support only is ever nonzero).
-    let mut acc = sim.spectrum_pool().take_zeroed(n2);
+    // Band-packed spectral gradient accumulator: only the kernels' bins
+    // are ever nonzero.
+    let mut acc = sim.spectrum_pool().take_zeroed(sim.spectrum_len());
     if adj_total > 0 {
         // Phase 3, the adjoint: per kernel, b = G ⊙ conj(a) on the pupil
         // grid, one `b` buffer per running task; each task writes
@@ -380,8 +392,8 @@ pub fn loss_and_gradient_into(
         for &(d, ..) in &adj[..adj_stacks] {
             for (k, kernel) in stacks[d].kernels().iter().enumerate() {
                 let values = &bins[bin_base[d]..][stacks[d].bin_range(k)];
-                for (&(idx, _), &v) in kernel.spectrum.iter().zip(values) {
-                    acc[idx as usize] += v;
+                for (&b, &v) in kernel.packed.iter().zip(values) {
+                    acc[b as usize] += v;
                 }
             }
         }
@@ -424,7 +436,7 @@ pub fn loss_only(
             actual: (target.width(), target.height()),
         });
     }
-    let per_stack = sim.image_stacks(mask, |d, j| {
+    let per_stack = sim.image_stacks(sim.mask_spectrum_pooled(mask)?, |d, j| {
         stack_loss(sim, d, j, target.as_slice(), weights, false)
     })?;
     Ok(merge_losses(weights, &per_stack))

@@ -14,6 +14,14 @@
 //! pixel count), so each spectrum is stored **sparsely** as
 //! `(flat index, value)` pairs.
 //!
+//! Mask-grid spectra are stored **band-packed**: the kernels' bins reach
+//! at most `R` bins from DC along either axis, so a spectrum the kernels
+//! read or write keeps only the `m = min(2R + 1, N)` columns with
+//! `|f| ≤ R`, column `f mod m` holding column frequency `f` (every row
+//! is kept). This is the layout of `cfaopc_fft::Rfft2d`'s band variants,
+//! and each kernel stores its bins' indices in it next to their
+//! row-major ones. At `2R + 1 ≥ N` it is the full grid.
+//!
 //! Each stack also sizes the **pupil grid** the per-kernel work runs on.
 //! `L`, the stack's band, is the widest span of bins one kernel covers
 //! along either axis, so every `|A_k|²` lives on `[−L, L]²`. The pupil
@@ -33,6 +41,10 @@ pub struct Kernel {
     pub weight: f64,
     /// Sparse spectrum: `(row-major frequency index, H(ν))`.
     pub spectrum: Vec<(u32, Complex)>,
+    /// `packed[j]` is the index of `spectrum[j]`'s bin in the band-packed
+    /// mask-grid layout ([`KernelSet::spectrum_width`] columns): the same
+    /// row, column `fx mod m`.
+    pub(crate) packed: Vec<u32>,
     /// `pupil[j]` is the row-major pupil-grid index of `spectrum[j]`'s
     /// bin, less this kernel's centre bin. At `S = N` it is the bin's own
     /// index.
@@ -55,6 +67,8 @@ pub struct KernelSet {
     /// The largest `|frequency|` of any kernel's bin along either axis:
     /// mask-grid spectra are read and written only within it.
     pub(crate) reach: usize,
+    /// Columns `m = min(2·reach + 1, size)` of the band-packed layout.
+    spectrum_width: usize,
     kernels: Vec<Kernel>,
     /// Prefix sums of the kernels' bin counts, `K + 1` entries: kernel
     /// `k`'s bins own slots `bins[k]..bins[k + 1]` of a buffer that holds
@@ -137,6 +151,7 @@ impl KernelSet {
             kernels.push(Kernel {
                 weight: 1.0 / k_count as f64,
                 spectrum,
+                packed: Vec::new(),
                 pupil: Vec::new(),
                 columns: Vec::new(),
             });
@@ -154,6 +169,7 @@ impl KernelSet {
             .max()
             .unwrap_or(0);
         let s = (2 * band + 1).next_power_of_two().min(n);
+        let m = (2 * reach + 1).min(n);
         for (kernel, [(y0, y1), (x0, x1)]) in kernels.iter_mut().zip(&boxes) {
             // Any integer centre leaves |A_k|² unchanged; the box's
             // midpoint keeps the moved bins around DC.
@@ -165,15 +181,17 @@ impl KernelSet {
             // Grid edges are powers of two: masks wrap, shifts divide.
             let wrap = |f: i64| (f & (s as i64 - 1)) as usize;
             let (row_shift, col_mask) = (n.trailing_zeros(), n - 1);
-            kernel.pupil = kernel
+            (kernel.pupil, kernel.packed) = kernel
                 .spectrum
                 .iter()
                 .map(|&(idx, _)| {
-                    let fy = signed_freq(idx as usize >> row_shift, n);
+                    let ky = idx as usize >> row_shift;
+                    let fy = signed_freq(ky, n);
                     let fx = signed_freq(idx as usize & col_mask, n);
-                    (wrap(fy - cy) * s + wrap(fx - cx)) as u32
+                    let packed = ky * m + fx.rem_euclid(m as i64) as usize;
+                    ((wrap(fy - cy) * s + wrap(fx - cx)) as u32, packed as u32)
                 })
-                .collect();
+                .unzip();
             kernel.columns = vec![false; s];
             for &p in &kernel.pupil {
                 kernel.columns[p as usize % s] = true;
@@ -194,6 +212,7 @@ impl KernelSet {
             pupil_size: s,
             band,
             reach,
+            spectrum_width: m,
             kernels,
             bins,
         })
@@ -218,6 +237,14 @@ impl KernelSet {
     #[inline]
     pub fn band(&self) -> usize {
         self.band
+    }
+
+    /// Columns `m = min(2R + 1, N)` of the band-packed mask-grid layout
+    /// (`R` the largest `|frequency|` of any bin): `N × m` entries hold
+    /// every bin any kernel reads or writes.
+    #[inline]
+    pub(crate) fn spectrum_width(&self) -> usize {
+        self.spectrum_width
     }
 
     /// The kernels, sorted by descending SOCS weight.
@@ -392,6 +419,43 @@ mod tests {
                 if set.pupil_size() == size {
                     let bins: Vec<u32> = kernel.spectrum.iter().map(|&(idx, _)| idx).collect();
                     assert_eq!(kernel.pupil, bins, "S = N moves no bin");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_bins_keep_their_frequencies() {
+        // (tile nm, N) -> m = min(2R + 1, N): a 2048 nm tile's kernels
+        // reach R = 26 bins at every N, a 4096 nm window's R = 52, which a
+        // 64 px grid clips at Nyquist, so its band is the full grid.
+        for (tile_nm, size, width) in [
+            (2048.0, 64, 53),
+            (2048.0, 2048, 53),
+            (4096.0, 64, 64),
+            (4096.0, 128, 105),
+        ] {
+            let cfg = LithoConfig {
+                size,
+                tile_nm,
+                ..LithoConfig::fast_test()
+            };
+            for corner in ProcessCorner::ALL {
+                let set = KernelSet::generate(&cfg, corner).unwrap();
+                let m = set.spectrum_width();
+                assert_eq!(m, width, "{tile_nm} nm, {size} px, {corner:?}");
+                for kernel in set.kernels() {
+                    for (&(idx, _), &b) in kernel.spectrum.iter().zip(&kernel.packed) {
+                        let (ky, kx) = (idx as usize / size, idx as usize % size);
+                        let (row, c) = (b as usize / m, b as usize % m);
+                        assert_eq!(row, ky, "a packed bin keeps its row");
+                        let f = signed_freq(kx, size);
+                        assert!(f.unsigned_abs() as usize <= set.reach);
+                        assert_eq!(c as i64, f.rem_euclid(m as i64), "column f mod m");
+                        if m == size {
+                            assert_eq!(b, idx, "the full-width band is the grid");
+                        }
+                    }
                 }
             }
         }

@@ -120,11 +120,11 @@ impl BossungSurface {
 
 /// Sweeps focus and exposure for a fixed mask, measuring CD at a probe.
 ///
-/// Uses the simulator's optics and one mask FFT for the whole sweep. A
-/// defocus at one of the simulator's own stack foci images through that
-/// stack (the same kernels a regenerated stack would hold, bit for bit);
-/// any other regenerates the stack. Each dose thresholds only the pixels
-/// the CD probe visits.
+/// Uses the simulator's optics and one mask FFT for the whole sweep, kept
+/// band-packed in the simulator's pool. A defocus at one of the
+/// simulator's own stack foci images through that stack (the same kernels
+/// a regenerated stack would hold, bit for bit); any other regenerates
+/// the stack. Each dose thresholds only the pixels the CD probe visits.
 ///
 /// # Errors
 ///
@@ -138,7 +138,7 @@ pub fn bossung_surface(
     doses: &[f64],
 ) -> Result<BossungSurface, LithoError> {
     let cfg = sim.config();
-    let spectrum = sim.mask_spectrum(&mask.to_real())?;
+    let spectrum = sim.bit_spectrum_pooled(mask)?;
     let n = cfg.size as i32;
     let mut points = Vec::with_capacity(defocus_values_nm.len() * doses.len());
     for &defocus in defocus_values_nm {
@@ -168,7 +168,9 @@ pub fn bossung_surface(
                 cd_nm: cd_of_run(prints, probe, cfg.pixel_nm()),
             });
         }
+        sim.real_pool().put(base);
     }
+    sim.spectrum_pool().put(spectrum);
     Ok(BossungSurface {
         points,
         defocus_nm: defocus_values_nm.to_vec(),

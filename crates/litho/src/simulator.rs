@@ -14,6 +14,14 @@
 //! adjoint (`crate::gradient`): three phases. Transforms run on the
 //! thread of the task that calls them, so each phase is a single region,
 //! whatever the grid size.
+//!
+//! Every mask-grid spectrum the model reads or writes — the mask spectrum
+//! and the gradient's spectral accumulator — is **band-packed**
+//! (`crate::kernels`): `N` rows of `m = min(2R + 1, N)` columns, where
+//! `R` is the kernels' reach. No complex buffer of the litho path spans
+//! the full `N × N` grid unless `m = N`. Only the public
+//! [`LithoSimulator::mask_spectrum`] / [`LithoSimulator::aerial_from_spectrum`]
+//! pair speaks the full layout, and it converts at the boundary.
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::{Kernel, KernelSet};
@@ -51,7 +59,8 @@ impl CornerImages {
 /// The per-kernel work runs on the stacks' `S × S` pupil grid
 /// ([`KernelSet::pupil_size`]); only the mask spectrum, the resampling of
 /// each stack's intensity and of the gradient, the per-corner resist and
-/// the gradient's final transform touch the `N × N` mask grid.
+/// the gradient's final transform touch the `N × N` mask grid, and the
+/// spectra among them keep only the `N × m` band the kernels reach.
 ///
 /// # Examples
 ///
@@ -86,9 +95,12 @@ pub struct LithoSimulator {
     pupil_rplan: Rfft2d,
     /// The stacks' band `L` ([`KernelSet::band`]).
     band: usize,
-    /// The stacks' reach: the mask FFT and the gradient's final transform
-    /// touch only the columns within it.
+    /// The stacks' reach `R`: the mask FFT and the gradient's final
+    /// transform touch only the columns within it.
     reach: usize,
+    /// Columns `m = min(2R + 1, N)` of every band-packed mask-grid
+    /// spectrum ([`KernelSet::spectrum_width`]).
+    spectrum_width: usize,
     /// The best-focus stack. A stack depends only on focus, and
     /// [`LithoConfig::defocus`] puts `Nominal` and `Max` at the same best
     /// focus (they differ only in dose), so both image through this one.
@@ -98,8 +110,8 @@ pub struct LithoSimulator {
     /// Recycled pupil-grid complex buffers: the per-kernel fields (shared
     /// with the adjoint pass) and the pupil side of each resampling.
     field_pool: BufferPool<Complex>,
-    /// Recycled mask-grid complex buffers: the mask spectrum and the
-    /// gradient's spectral accumulator.
+    /// Recycled band-packed mask spectra and gradient accumulators
+    /// (`N × m`).
     spectrum_pool: BufferPool<Complex>,
     /// Recycled band-packed mask-grid spectra (`N × (2L + 1)`): the mask
     /// side of each resampling.
@@ -164,7 +176,8 @@ impl LithoSimulator {
                 Rfft2d::square(s)?
             },
             band: in_focus.band(),
-            reach: in_focus.reach.max(defocused.reach),
+            reach: in_focus.reach,
+            spectrum_width: in_focus.spectrum_width(),
             in_focus,
             defocused,
             rplan,
@@ -229,10 +242,17 @@ impl LithoSimulator {
         &self.field_pool
     }
 
-    /// The mask-grid complex pool (mask spectrum, spectral accumulator).
+    /// The band-packed spectrum pool (mask spectrum, spectral
+    /// accumulator): buffers of [`LithoSimulator::spectrum_len`] entries.
     #[inline]
     pub(crate) fn spectrum_pool(&self) -> &BufferPool<Complex> {
         &self.spectrum_pool
+    }
+
+    /// Entries `N · m` of a band-packed mask-grid spectrum.
+    #[inline]
+    pub(crate) fn spectrum_len(&self) -> usize {
+        self.size() * self.spectrum_width
     }
 
     /// The mask-grid real pool (per-corner intensity and dL/dI).
@@ -266,46 +286,87 @@ impl LithoSimulator {
         self.pupil_size() < self.size()
     }
 
-    fn check_mask(&self, mask: &Grid2D<f64>) -> Result<(), LithoError> {
-        if mask.width() != self.config.size || mask.height() != self.config.size {
+    fn check_shape(&self, width: usize, height: usize) -> Result<(), LithoError> {
+        if width != self.config.size || height != self.config.size {
             return Err(LithoError::ShapeMismatch {
                 expected: (self.config.size, self.config.size),
-                actual: (mask.width(), mask.height()),
+                actual: (width, height),
             });
         }
         Ok(())
     }
 
-    /// Forward FFT of a real-valued mask via the Hermitian-symmetry
-    /// real-input plan (half the row transforms of the complex plan).
+    /// The mask-grid column of band-packed column `c`: frequency `c` up to
+    /// the reach, `c − m` past it.
+    fn grid_column(&self, c: usize) -> usize {
+        if c <= self.reach {
+            c
+        } else {
+            self.size() + c - self.spectrum_width
+        }
+    }
+
+    /// Forward FFT of a real-valued mask on the columns the kernels reach
+    /// (`|f| ≤ R` for every row), in the full row-major layout and zero
+    /// in every other column: each kept entry has the bits of
+    /// [`Rfft2d::forward_into`]'s. The imaging paths keep the same band
+    /// packed; this unpacks it once for callers that index the full grid
+    /// (such as [`Kernel::spectrum`]).
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] when the mask shape differs
     /// from the simulator grid.
     pub fn mask_spectrum(&self, mask: &Grid2D<f64>) -> Result<Vec<Complex>, LithoError> {
-        self.check_mask(mask)?;
-        let mut spectrum = vec![Complex::ZERO; mask.as_slice().len()];
-        self.rplan.forward_into(mask.as_slice(), &mut spectrum)?;
+        let n = self.size();
+        let packed = self.mask_spectrum_pooled(mask)?;
+        let mut spectrum = vec![Complex::ZERO; n * n];
+        for (row, band) in spectrum
+            .chunks_exact_mut(n)
+            .zip(packed.chunks_exact(self.spectrum_width))
+        {
+            for (c, &z) in band.iter().enumerate() {
+                row[self.grid_column(c)] = z;
+            }
+        }
+        self.spectrum_pool.put(packed);
         Ok(spectrum)
     }
 
-    /// [`LithoSimulator::mask_spectrum`] into a pooled buffer, computed
-    /// only in the columns the kernels reach (the rest is unspecified);
-    /// return it with `spectrum_pool().put(...)` when done.
+    /// The band-packed spectrum of `mask` in a pooled buffer: `N` rows of
+    /// `m` columns, computed by the band transform on the kept columns
+    /// alone. Return it with `spectrum_pool().put(...)` when done.
     pub(crate) fn mask_spectrum_pooled(
         &self,
         mask: &Grid2D<f64>,
     ) -> Result<Vec<Complex>, LithoError> {
-        self.check_mask(mask)?;
-        let mut spectrum = self.spectrum_pool.take(mask.as_slice().len());
+        self.check_shape(mask.width(), mask.height())?;
+        self.band_spectrum(mask.as_slice())
+    }
+
+    /// [`LithoSimulator::mask_spectrum_pooled`] of a binary mask, read as
+    /// `1.0` / `0.0` (the values of [`BitGrid::to_real`]) from a pooled
+    /// real buffer.
+    pub(crate) fn bit_spectrum_pooled(&self, mask: &BitGrid) -> Result<Vec<Complex>, LithoError> {
+        self.check_shape(mask.width(), mask.height())?;
+        let mut pixels = self.real_pool.take(self.size() * self.size());
+        for (v, &on) in pixels.iter_mut().zip(mask.as_grid().as_slice()) {
+            *v = if on { 1.0 } else { 0.0 };
+        }
+        let spectrum = self.band_spectrum(&pixels);
+        self.real_pool.put(pixels);
+        spectrum
+    }
+
+    fn band_spectrum(&self, pixels: &[f64]) -> Result<Vec<Complex>, LithoError> {
+        let mut spectrum = self.spectrum_pool.take(self.spectrum_len());
         self.rplan
-            .forward_band_into(mask.as_slice(), &mut spectrum, self.reach)?;
+            .forward_band_into(pixels, &mut spectrum, self.reach)?;
         Ok(spectrum)
     }
 
     /// The gradient's final transform: `grad = Re[FFT(acc)]`, for a
-    /// spectral accumulator that is zero outside the kernels' bins.
+    /// band-packed spectral accumulator.
     pub(crate) fn spectral_to_pixels(
         &self,
         acc: &[Complex],
@@ -314,7 +375,9 @@ impl LithoSimulator {
         Ok(self.rplan.forward_re_band_into(acc, grad, self.reach)?)
     }
 
-    /// Aerial image from a precomputed mask spectrum.
+    /// Aerial image from a precomputed mask spectrum in the full row-major
+    /// layout (as [`LithoSimulator::mask_spectrum`] returns it): its band
+    /// is packed once, and entries outside it are not read.
     ///
     /// `I(x) = dose(corner) · Σ_k μ_k |IFFT(H_k ⊙ F)(x)|²` — paper Eq. 1
     /// with the corner's dose applied on the mask grid, each kernel's
@@ -329,6 +392,34 @@ impl LithoSimulator {
         spectrum: &[Complex],
         corner: ProcessCorner,
     ) -> Result<Grid2D<f64>, LithoError> {
+        let n = self.size();
+        if spectrum.len() != n * n {
+            return Err(LithoError::BadParameter(format!(
+                "spectrum has {} entries but the {n}x{n} grid needs {}",
+                spectrum.len(),
+                n * n,
+            )));
+        }
+        let mut packed = self.spectrum_pool.take(self.spectrum_len());
+        for (band, row) in packed
+            .chunks_exact_mut(self.spectrum_width)
+            .zip(spectrum.chunks_exact(n))
+        {
+            for (c, slot) in band.iter_mut().enumerate() {
+                *slot = row[self.grid_column(c)];
+            }
+        }
+        let image = self.corner_image(&packed, corner);
+        self.spectrum_pool.put(packed);
+        image
+    }
+
+    /// `corner`'s aerial image from a band-packed mask spectrum.
+    fn corner_image(
+        &self,
+        spectrum: &[Complex],
+        corner: ProcessCorner,
+    ) -> Result<Grid2D<f64>, LithoError> {
         let n = self.config.size;
         let dose = self.config.dose(corner);
         let mut intensity = self.dose_free_intensity(self.kernel_set(corner), spectrum)?;
@@ -339,8 +430,10 @@ impl LithoSimulator {
     }
 
     /// The dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the
-    /// mask grid, for one stack: its fields in one region, then its
-    /// intensity on the calling thread.
+    /// mask grid, for one stack and a band-packed `spectrum`: its fields
+    /// in one region, then its intensity on the calling thread. The
+    /// buffer comes from the real pool; return it with
+    /// `real_pool().put(...)` when done.
     pub(crate) fn dose_free_intensity(
         &self,
         set: &KernelSet,
@@ -353,23 +446,28 @@ impl LithoSimulator {
         Ok(intensity)
     }
 
-    /// The imaging entry points on a mask: the mask FFT on the calling
-    /// thread, then `f(d, J_d)` in one task per stack
-    /// ([`LithoSimulator::per_stack`]), each task computing its stack's
-    /// fields itself. One region.
-    pub(crate) fn image_stacks<R, F>(&self, mask: &Grid2D<f64>, f: F) -> Result<[R; 2], LithoError>
+    /// The imaging entry points on a mask, given its pooled band-packed
+    /// `spectrum` (the mask FFT, on the calling thread): `f(d, J_d)` in
+    /// one task per stack ([`LithoSimulator::per_stack`]), each task
+    /// computing its stack's fields itself. One region. The spectrum goes
+    /// back to its pool.
+    pub(crate) fn image_stacks<R, F>(
+        &self,
+        spectrum: Vec<Complex>,
+        f: F,
+    ) -> Result<[R; 2], LithoError>
     where
         R: Default + Send,
         F: Fn(usize, Vec<f64>) -> Result<R, LithoError> + Sync,
     {
-        let spectrum = self.mask_spectrum_pooled(mask)?;
         let per_stack = self.per_stack(&self.stacks(), Source::Spectrum(&spectrum), f);
         self.spectrum_pool.put(spectrum);
         per_stack
     }
 
-    /// Checks that `spectrum` is on this simulator's mask grid and that
-    /// each of `stacks` (at most one per focus) runs on its pupil grid.
+    /// Checks that `spectrum` is band-packed on this simulator's mask grid
+    /// and that each of `stacks` (at most one per focus) runs on its pupil
+    /// grid and packs its bins in the same layout.
     ///
     /// # Panics
     ///
@@ -377,23 +475,26 @@ impl LithoSimulator {
     fn check_stacks(&self, stacks: &[&KernelSet], spectrum: &[Complex]) -> Result<(), LithoError> {
         let n = self.config.size;
         let s = self.pupil_size();
-        if spectrum.len() != n * n {
+        if spectrum.len() != self.spectrum_len() {
             return Err(LithoError::BadParameter(format!(
-                "spectrum has {} entries but the {n}x{n} grid needs {}",
+                "spectrum has {} entries but the {n}x{} band needs {}",
                 spectrum.len(),
-                n * n,
+                self.spectrum_width,
+                self.spectrum_len(),
             )));
         }
         assert!(stacks.len() <= 2, "at most one stack per focus");
         if let Some(set) = stacks
             .iter()
-            .find(|set| set.pupil_size() != s || set.band() != self.band)
+            .find(|set| set.pupil_size() != s || set.band() != self.band || set.reach != self.reach)
         {
             return Err(LithoError::BadParameter(format!(
-                "kernel stack has pupil grid {} and band {}, the simulator {s} and {}",
+                "kernel stack has pupil grid {}, band {} and reach {}, the simulator {s}, {} and {}",
                 set.pupil_size(),
                 set.band(),
+                set.reach,
                 self.band,
+                self.reach,
             )));
         }
         Ok(())
@@ -401,7 +502,8 @@ impl LithoSimulator {
 
     /// Kernel `kernel`'s pupil-grid field `a_k = IFFT_S(Ĥ_k)` into `field`
     /// (fully overwritten), where `Ĥ_k` holds `(S²/N²) · H_k ⊙ spectrum`
-    /// at the kernel's pupil-grid bins ([`KernelSet::pupil_size`]).
+    /// at the kernel's pupil-grid bins ([`KernelSet::pupil_size`]), read
+    /// from the band-packed `spectrum` at the kernel's packed bins.
     ///
     /// Moving a kernel's bins by its centre bin only multiplies `a_k` by a
     /// phase ramp, so `|a_k|²` samples the mask-grid `|A_k|²` at every
@@ -414,10 +516,16 @@ impl LithoSimulator {
         spectrum: &[Complex],
         field: &mut [Complex],
     ) -> Result<(), LithoError> {
-        let scale = field.len() as f64 / spectrum.len() as f64;
+        let (n, s) = (self.size(), self.pupil_size());
+        let scale = (s * s) as f64 / (n * n) as f64;
         field.fill(Complex::ZERO);
-        for (&(idx, h), &p) in kernel.spectrum.iter().zip(&kernel.pupil) {
-            field[p as usize] = h * spectrum[idx as usize] * scale;
+        let bins = kernel
+            .spectrum
+            .iter()
+            .zip(&kernel.pupil)
+            .zip(&kernel.packed);
+        for ((&(_, h), &p), &b) in bins {
+            field[p as usize] = h * spectrum[b as usize] * scale;
         }
         // Kernel spectra are band-limited to the pupil, so most rows of
         // the product are all-zero: the sparse inverse skips them.
@@ -618,8 +726,10 @@ impl LithoSimulator {
         mask: &Grid2D<f64>,
         corner: ProcessCorner,
     ) -> Result<Grid2D<f64>, LithoError> {
-        let spectrum = self.mask_spectrum(mask)?;
-        self.aerial_from_spectrum(&spectrum, corner)
+        let spectrum = self.mask_spectrum_pooled(mask)?;
+        let image = self.corner_image(&spectrum, corner);
+        self.spectrum_pool.put(spectrum);
+        image
     }
 
     /// Aerial images at all three corners, sharing one mask FFT, one
@@ -634,7 +744,8 @@ impl LithoSimulator {
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
-        let [in_focus, mut min] = self.image_stacks(mask, |_, j| Ok(j))?;
+        let [in_focus, mut min] =
+            self.image_stacks(self.mask_spectrum_pooled(mask)?, |_, j| Ok(j))?;
         // `Nominal` images at dose 1 (`LithoConfig::dose`): `J` itself.
         let dose_max = self.config.dose(ProcessCorner::Max);
         let mut max = self.real_pool.take(n * n);
@@ -667,28 +778,54 @@ impl LithoSimulator {
         aerial.map(|&i| resist_sigma(steep * (i - th)))
     }
 
-    /// Prints a binary mask at one corner: aerial image + hard resist.
+    /// Prints a binary mask at one corner: aerial image + hard resist,
+    /// the same bits as [`LithoSimulator::resist_binary`] of
+    /// [`LithoSimulator::aerial_image`], without building the image.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn print(&self, mask: &BitGrid, corner: ProcessCorner) -> Result<BitGrid, LithoError> {
-        let aerial = self.aerial_image(&mask.to_real(), corner)?;
-        Ok(self.resist_binary(&aerial))
+        let spectrum = self.bit_spectrum_pooled(mask)?;
+        let intensity = self.dose_free_intensity(self.kernel_set(corner), &spectrum);
+        self.spectrum_pool.put(spectrum);
+        let intensity = intensity?;
+        let printed = self.threshold(&intensity, corner);
+        self.real_pool.put(intensity);
+        Ok(printed)
     }
 
-    /// Prints a binary mask at all corners (one FFT of the mask).
+    /// Prints a binary mask at all corners (one FFT of the mask): the bits
+    /// of [`LithoSimulator::resist_binary`] on each of
+    /// [`LithoSimulator::aerial_corners`]' images, thresholded straight
+    /// from each focus's dose-free intensity, whose buffers go back to the
+    /// pool.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn print_corners(&self, mask: &BitGrid) -> Result<[BitGrid; 3], LithoError> {
-        let images = self.aerial_corners(&mask.to_real())?;
-        Ok([
-            self.resist_binary(&images.nominal),
-            self.resist_binary(&images.max),
-            self.resist_binary(&images.min),
-        ])
+        let [in_focus, defocused] =
+            self.image_stacks(self.bit_spectrum_pooled(mask)?, |_, j| Ok(j))?;
+        let printed = [
+            self.threshold(&in_focus, ProcessCorner::Nominal),
+            self.threshold(&in_focus, ProcessCorner::Max),
+            self.threshold(&defocused, ProcessCorner::Min),
+        ];
+        self.real_pool.put(in_focus);
+        self.real_pool.put(defocused);
+        Ok(printed)
+    }
+
+    /// The hard resist of `corner` on its focus's dose-free intensity `j`:
+    /// `dose · J > I_th`. Multiplication is commutative and `Nominal`'s
+    /// dose is exactly 1, so each product has the bits of the aerial
+    /// image's pixel.
+    fn threshold(&self, j: &[f64], corner: ProcessCorner) -> BitGrid {
+        let n = self.size();
+        let (dose, th) = (self.config.dose(corner), self.config.threshold);
+        let prints = j.iter().map(|&v| dose * v > th).collect();
+        BitGrid::from(Grid2D::from_vec(n, n, prints))
     }
 }
 
