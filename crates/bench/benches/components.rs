@@ -25,7 +25,9 @@ use cfaopc_fracture::{circle_rule, rect_fracture, CircleRuleConfig};
 use cfaopc_grid::{skeletonize, Grid2D};
 use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::benchmark_case;
-use cfaopc_litho::{loss_and_gradient, LithoConfig, LithoSimulator, LossWeights, ProcessCorner};
+use cfaopc_litho::{
+    loss_and_gradient, LithoConfig, LithoSimulator, LossWeights, ProcessCorner, RESIST_STEEPNESS,
+};
 use cfaopc_trace::json::Json;
 use std::hint::black_box;
 
@@ -146,7 +148,7 @@ fn main() {
     // three corner images.
     let images = s.aerial_corners(&mask).unwrap();
     let resist = ResistCorner {
-        steepness: s.config().resist_steepness,
+        steepness: RESIST_STEEPNESS,
         threshold: s.config().threshold,
         dose: 1.0,
         weight: 1.0,

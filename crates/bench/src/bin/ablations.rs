@@ -12,7 +12,9 @@
 //! Runs on one benchmark case (override with `CFAOPC_CASES`).
 
 use cfaopc_bench::{banner, Experiment};
-use cfaopc_core::{compose, CircleOptConfig, ComposeConfig, Composition, SparseCircles};
+use cfaopc_core::{
+    compose, CircleOptConfig, ComposeConfig, Composition, SparseCircles, Q_THRESHOLD,
+};
 use cfaopc_fracture::{circle_rule, CircleRuleConfig};
 use cfaopc_grid::Grid2D;
 use std::time::Instant;
@@ -87,7 +89,7 @@ fn main() {
             .circles
             .circles
             .iter()
-            .filter(|c| c.q > cfg.q_threshold)
+            .filter(|c| c.q > Q_THRESHOLD)
             .filter(|c| c.r < r_min as f64 - 0.5 || c.r > r_max as f64 + 0.5)
             .count();
         println!(

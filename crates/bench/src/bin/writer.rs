@@ -11,7 +11,7 @@
 //! measures that, including the shot-count → dose-noise coupling.
 
 use cfaopc_bench::{banner, Experiment};
-use cfaopc_ebeam::{correct_proximity, intended_pattern, EbeamPsf, PecConfig, WriterModel};
+use cfaopc_ebeam::{correct_proximity, intended_pattern, EbeamPsf, WriterModel};
 use cfaopc_fracture::{circle_rule, rect_fracture, CircleRuleConfig};
 use cfaopc_ilt::IltEngine;
 
@@ -43,7 +43,7 @@ fn main() {
         for (name, shots) in [("rect", rect_shots), ("circle", circle_shots)] {
             let intended = intended_pattern(&shots, n);
             // PEC first — both writers get the same correction budget.
-            let corrected = correct_proximity(&writer, &shots, &PecConfig::default()).shots;
+            let corrected = correct_proximity(&writer, &shots).shots;
             let clean = writer.writing_error(&corrected, &intended);
             let noisy: usize = (0..4)
                 .map(|seed| {

@@ -13,6 +13,10 @@
 //! * `CFAOPC_ITERS` — pixel-ILT iterations per engine (default 30),
 //! * `CFAOPC_KERNELS` — SOCS kernels per corner (default 8).
 //!
+//! A variable set to a value that does not parse (or a case outside
+//! `1..=10`) stops the binary with an `error:` line naming the variable
+//! and the value; an unset variable takes its default.
+//!
 //! Artifacts (CSV/SVG/PGM) are written under `target/experiments/`.
 //!
 //! The microbenchmarks (`benches/`) share [`snapshot`]: one timing
@@ -23,14 +27,15 @@
 
 pub mod snapshot;
 
-use cfaopc_core::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, RunCtx};
+use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fracture::{circle_rule, rect_shot_count, CircleRuleConfig, CircularMask};
 use cfaopc_grid::{upsample_bilinear, BitGrid};
 use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::{all_cases, benchmark_case, Layout};
 use cfaopc_litho::{LithoConfig, LithoSimulator};
 use cfaopc_metrics::{evaluate_mask, EpeConfig, MaskMetrics, MetricTable};
-use std::path::{Path, PathBuf};
+use std::ffi::OsString;
+use std::path::PathBuf;
 
 /// The shared experiment context.
 pub struct Experiment {
@@ -38,8 +43,6 @@ pub struct Experiment {
     pub sim: LithoSimulator,
     /// Benchmark tiles to run.
     pub cases: Vec<Layout>,
-    /// EPE measurement parameters.
-    pub epe: EpeConfig,
     /// Pixel-ILT iterations for the baseline engines.
     pub ilt_iterations: usize,
     /// Artifact output directory.
@@ -47,36 +50,28 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Builds the context from `CFAOPC_*` environment variables.
+    /// Builds the context from `CFAOPC_*` environment variables (see the
+    /// crate docs).
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration (bad grid size, unknown case).
+    /// Panics on an invalid configuration (bad grid size).
     pub fn from_env() -> Self {
-        let size = env_usize("CFAOPC_SIZE", 256);
-        let kernels = env_usize("CFAOPC_KERNELS", 8);
-        let ilt_iterations = env_usize("CFAOPC_ITERS", 30);
+        let size = env("CFAOPC_SIZE", 256, count);
+        let kernels = env("CFAOPC_KERNELS", 8, count);
+        let ilt_iterations = env("CFAOPC_ITERS", 30, count);
+        let cases = env("CFAOPC_CASES", all_cases(), case_list);
         let config = LithoConfig {
             size,
             kernel_count: kernels,
             ..LithoConfig::default()
         };
         let sim = LithoSimulator::new(config).expect("valid litho configuration");
-        let cases = match std::env::var("CFAOPC_CASES") {
-            Ok(list) => list
-                .split(',')
-                .map(|t| {
-                    benchmark_case(t.trim().parse().expect("case number")).expect("case in 1..=10")
-                })
-                .collect(),
-            Err(_) => all_cases(),
-        };
         let out_dir = PathBuf::from("target/experiments");
         std::fs::create_dir_all(&out_dir).expect("create target/experiments");
         Experiment {
             sim,
             cases,
-            epe: EpeConfig::default(),
             ilt_iterations,
             out_dir,
         }
@@ -110,7 +105,8 @@ impl Experiment {
 
     /// Evaluates a rasterized mask and attaches a shot count.
     pub fn eval(&self, mask: &BitGrid, target: &BitGrid, shots: usize) -> MaskMetrics {
-        let mut m = evaluate_mask(&self.sim, mask, target, &self.epe).expect("evaluation");
+        let mut m =
+            evaluate_mask(&self.sim, mask, target, &EpeConfig::default()).expect("evaluation");
         m.shots = shots;
         m
     }
@@ -154,15 +150,15 @@ impl Experiment {
         (metrics, circles)
     }
 
-    /// CircleOpt configuration tuned for the experiment resolution (`γ`
-    /// rescaled by [`scaled_gamma`]).
+    /// CircleOpt configuration at the experiment resolution
+    /// ([`CircleOptConfig::for_grid`]), with the iteration counts
+    /// `cfaopc fracture` derives from `--iters`.
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        CircleOptConfig {
-            init_iterations: self.ilt_iterations.div_ceil(2),
-            circle_iterations: self.ilt_iterations + 10,
-            gamma: scaled_gamma(self.size()),
-            ..CircleOptConfig::default()
-        }
+        CircleOptConfig::for_grid(
+            self.size(),
+            self.ilt_iterations.div_ceil(2),
+            self.ilt_iterations + 10,
+        )
     }
 
     /// Runs CircleOpt and evaluates it.
@@ -191,11 +187,40 @@ impl Experiment {
     }
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+/// `key`'s value from the environment, parsed by `parse`; `default`
+/// when unset. A value that does not parse exits with status 1.
+fn env<T>(key: &str, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
+    parse_var(key, std::env::var_os(key), default, parse).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Parses `raw`, the value of the variable `key`: `default` when unset.
+///
+/// # Errors
+///
+/// Names the variable and the value when `parse` rejects it.
+fn parse_var<T>(
+    key: &str,
+    raw: Option<OsString>,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let Some(raw) = raw else { return Ok(default) };
+    let v = raw.to_string_lossy();
+    parse(&v).ok_or_else(|| format!("{key}: invalid value {v:?}"))
+}
+
+fn count(v: &str) -> Option<usize> {
+    v.trim().parse().ok()
+}
+
+/// A comma-separated list of benchmark case numbers (`1..=10`).
+fn case_list(list: &str) -> Option<Vec<Layout>> {
+    list.split(',')
+        .map(|t| benchmark_case(count(t)?).ok())
+        .collect()
 }
 
 /// Prints the standard experiment banner.
@@ -214,7 +239,35 @@ pub fn banner(what: &str, exp: &Experiment) {
     println!("### paper-native scale: CFAOPC_SIZE=2048 (1 nm/px); defaults favour wall-clock\n");
 }
 
-/// Convenience: does `path` exist already (artifacts reused across bins)?
-pub fn exists(path: &Path) -> bool {
-    path.exists()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unparsable_values_name_the_variable_and_the_value() {
+        assert_eq!(parse_var("CFAOPC_SIZE", None, 256, count), Ok(256));
+        assert_eq!(
+            parse_var("CFAOPC_SIZE", Some(" 64 ".into()), 256, count),
+            Ok(64)
+        );
+        for (key, value) in [
+            ("CFAOPC_SIZE", "64x"),
+            ("CFAOPC_ITERS", "two"),
+            ("CFAOPC_KERNELS", ""),
+        ] {
+            let parsed = parse_var(key, Some(value.into()), 0, count);
+            assert_eq!(parsed, Err(format!("{key}: invalid value {value:?}")));
+        }
+        let names = |list: &str| {
+            let parsed = parse_var("CFAOPC_CASES", Some(list.into()), Vec::new(), case_list);
+            parsed.map(|c| c.into_iter().map(|l| l.name).collect::<Vec<_>>())
+        };
+        assert_eq!(names("3, 7"), Ok(vec!["case3".to_string(), "case7".into()]));
+        for list in ["3,x", "3,11", ""] {
+            assert_eq!(
+                names(list),
+                Err(format!("CFAOPC_CASES: invalid value {list:?}"))
+            );
+        }
+    }
 }

@@ -10,17 +10,17 @@
 //!
 //! Tiles are independent, so the harness parallelizes at the *tile*
 //! level, exactly the whole-case sharding `cfaopc_eval` uses: one
-//! `par_map` region over the tile list, each tile capping its inner
-//! parallel regions at its share from
-//! [`worker_shares`]`(workers, min(tiles, workers))`, with shares keyed
-//! off the tile index so the schedule is timing-independent.
+//! [`par_map_coarse`] region over the tile list, each tile capping its
+//! inner parallel regions at its share from
+//! `worker_shares(workers, min(tiles, workers))`, with shares keyed off
+//! the tile index so the schedule is timing-independent.
 //!
 //! # Determinism
 //!
 //! `CHIP_RESULTS.json` is reproducible to the byte across runs and
 //! across `CFAOPC_THREADS` values:
 //!
-//! * `par_map` collects per-tile results in index order and every inner
+//! * `par_map_coarse` collects per-tile results in index order and every inner
 //!   parallel path is bit-identical to its serial execution (asserted by
 //!   the fft/litho/core concurrency tests);
 //! * shot merging walks tiles in row-major order and keeps each shot
@@ -38,7 +38,7 @@ use crate::stitch::{
     accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
 };
 use cfaopc_core::{run_circleopt, RunCtx};
-use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
+use cfaopc_fft::parallel::par_map_coarse;
 use cfaopc_fracture::{check_mrc, circle_rule, CircularMask, MrcRules, MrcViolation};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_ilt::{run_engine, IltEngine};
@@ -155,17 +155,11 @@ fn stitched_outcome(
 
     // Per-window corner images of the *merged* mask, in parallel with
     // index-keyed shares (results land in tile order).
-    let tiles = geom.tile_count();
-    let workers = worker_count();
-    let concurrent = workers.min(tiles).max(1);
-    let shares = worker_shares(workers, concurrent);
-    let images = par_map(tiles, |i| {
-        with_worker_limit(shares[i % concurrent], || {
-            let (tx, ty) = geom.tile_at(i);
-            let mut window = BitGrid::new(win, win);
-            extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
-            sim.aerial_corners(&window.to_real())
-        })
+    let images = par_map_coarse(geom.tile_count(), |i| {
+        let (tx, ty) = geom.tile_at(i);
+        let mut window = BitGrid::new(win, win);
+        extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
+        sim.aerial_corners(&window.to_real())
     });
 
     // Serial partition-of-unity accumulation in row-major tile order.
@@ -272,12 +266,7 @@ pub fn run_chip_case_full(
             w
         })
         .collect();
-    let workers = worker_count();
-    let concurrent = workers.min(tiles).max(1);
-    let shares = worker_shares(workers, concurrent);
-    let results = par_map(tiles, |i| {
-        with_worker_limit(shares[i % concurrent], || run_tile(sim, &windows[i], spec))
-    });
+    let results = par_map_coarse(tiles, |i| run_tile(sim, &windows[i], spec));
     let mut tile_shots = Vec::with_capacity(tiles);
     for (i, r) in results.into_iter().enumerate() {
         let (tx, ty) = geom.tile_at(i);

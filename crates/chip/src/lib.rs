@@ -13,7 +13,8 @@
 //! 2. **Optimize** — every window runs the full per-tile pipeline (pixel
 //!    ILT → CircleRule and CircleOpt) in parallel on the persistent
 //!    worker pool, sharded exactly like `cfaopc_eval` (index-keyed
-//!    [`worker_shares`](cfaopc_fft::parallel::worker_shares), so results
+//!    shares through
+//!    [`par_map_coarse`](cfaopc_fft::parallel::par_map_coarse), so results
 //!    are byte-identical to serial at any `CFAOPC_THREADS`).
 //! 3. **Merge** — each shot belongs to the tile that owns its centre
 //!    pixel; owned shots translate to chip coordinates and concatenate

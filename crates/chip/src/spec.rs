@@ -7,15 +7,15 @@
 //! thread count.
 
 use crate::geometry::ChipGeometry;
-use cfaopc_core::{scaled_gamma, CircleOptConfig};
-use cfaopc_layouts::{all_cases, generate_chip, ChipGeneratorConfig, ChipLayout, TILE_NM};
+use cfaopc_core::CircleOptConfig;
+use cfaopc_layouts::{all_cases, generate_chip, ChipLayout, TILE_NM};
 use cfaopc_litho::LithoConfig;
 
 /// Where a chip's layout comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChipSource {
-    /// A seeded chip from `cfaopc_layouts::generate_chip` with the
-    /// default chip-generator configuration (seam straddlers included).
+    /// A seeded chip from `cfaopc_layouts::generate_chip` (seam
+    /// straddlers included).
     Generated {
         /// Generator seed.
         seed: u64,
@@ -42,7 +42,7 @@ impl ChipSource {
                 seed,
                 tiles_x,
                 tiles_y,
-            } => generate_chip(*seed, *tiles_x, *tiles_y, &ChipGeneratorConfig::default()),
+            } => generate_chip(*seed, *tiles_x, *tiles_y),
             ChipSource::BenchmarkMosaic { tiles_x, tiles_y } => ChipLayout::from_tiles(
                 format!("mosaic_{tiles_x}x{tiles_y}"),
                 *tiles_x,
@@ -151,21 +151,22 @@ impl ChipSpec {
         f64::from(TILE_NM) / self.tile_px as f64
     }
 
-    /// The CircleOpt configuration, with the sparsity weight rescaled to
-    /// the grid resolution exactly as `cfaopc_eval::SuiteSpec` does
-    /// (`tile_px` pixels span one 2048 nm tile pitch).
+    /// The CircleOpt configuration at the chip raster's pitch
+    /// ([`CircleOptConfig::for_grid`]: `tile_px` pixels span one 2048 nm
+    /// tile pitch), without the stage-1 clean-up.
     pub fn circleopt_config(&self) -> CircleOptConfig {
         CircleOptConfig {
-            init_iterations: self.opt_init_iterations,
-            circle_iterations: self.opt_circle_iterations,
-            gamma: scaled_gamma(self.tile_px),
             // At chip pitches (TILE_NM / tile_px ≥ 32 nm/px) minimum
             // features span only 1–3 px, so the default 1-px morphological
             // opening of the init mask would erase them and CircleOpt
             // would seed no circles at all. The r_min region filter in
             // CircleRule still enforces writability.
             cleanup_init: false,
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_grid(
+                self.tile_px,
+                self.opt_init_iterations,
+                self.opt_circle_iterations,
+            )
         }
     }
 }

@@ -14,7 +14,7 @@ use cfaopc_chip::{
 use cfaopc_fft::parallel::{with_worker_limit, worker_count};
 use cfaopc_fracture::CircleShot;
 use cfaopc_grid::{BitGrid, Rect};
-use cfaopc_layouts::{generate_chip, ChipGeneratorConfig, ChipLayout};
+use cfaopc_layouts::{generate_chip, ChipLayout};
 use cfaopc_litho::{LithoSimulator, ProcessCorner};
 
 /// A small two-chip-free spec: one seeded 2×2 chip, light iteration
@@ -118,7 +118,7 @@ fn interior_feature_matches_single_tile_run() {
 /// a wide margin — measured ~2.2e-2 vs ~2.1e-1, an order of magnitude.
 fn halo_makes_interior_intensity_decomposition_independent() {
     let spec = small_spec();
-    let chip = generate_chip(5, 2, 2, &ChipGeneratorConfig::default());
+    let chip = generate_chip(5, 2, 2);
     let geom = ChipGeometry::new(2, 2, spec.tile_px);
     let sim = LithoSimulator::new(spec.litho_config()).unwrap();
     let mask = chip.rasterize(spec.tile_px);

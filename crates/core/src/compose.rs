@@ -70,11 +70,17 @@ use cfaopc_litho::sigmoid;
 /// bands to balance (a 1024² grid has 32 bands).
 pub const TILE: usize = 32;
 
-/// Parameters of the circle-to-pixel transformation.
+/// Steepness `α` of the circular window (paper §5).
+pub(crate) const ALPHA: f64 = 8.0;
+
+/// Default halfwidth of the gradient window `U` beyond the radius, px
+/// (the paper: a square "marginally larger than the diameter").
+const WINDOW_MARGIN: i32 = 3;
+
+/// Parameters of the circle-to-pixel transformation (window steepness
+/// `α = 8`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComposeConfig {
-    /// Window steepness `α` (paper §5 sets 8).
-    pub alpha: f64,
     /// Halfwidth of the gradient window `U` beyond the radius, pixels.
     pub window_margin: i32,
     /// Grid width (= height) in pixels; also the STE clip bound for
@@ -98,8 +104,7 @@ impl ComposeConfig {
     /// Standard configuration for a `size × size` grid.
     pub fn new(size: usize, r_min: i32, r_max: i32) -> Self {
         ComposeConfig {
-            alpha: 8.0,
-            window_margin: 3,
+            window_margin: WINDOW_MARGIN,
             size,
             r_min,
             r_max,
@@ -371,7 +376,6 @@ pub(crate) const RENDER_GRAIN: usize = 4;
 /// so lookups are bit-identical by construction, not by approximation.
 #[derive(Debug, Default)]
 pub(crate) struct SigmaTable {
-    alpha: f64,
     r_min: i32,
     r_max: i32,
     margin: i32,
@@ -387,15 +391,13 @@ impl SigmaTable {
     /// Rebuilds the tables when the governing config fields changed;
     /// no-op (and allocation-free) otherwise.
     pub(crate) fn ensure(&mut self, config: &ComposeConfig) {
-        if self.alpha == config.alpha
-            && self.r_min == config.r_min
+        if self.r_min == config.r_min
             && self.r_max == config.r_max
             && self.margin == config.window_margin
             && !self.ftable.is_empty()
         {
             return;
         }
-        self.alpha = config.alpha;
         self.r_min = config.r_min;
         self.r_max = config.r_max;
         self.margin = config.window_margin;
@@ -410,7 +412,7 @@ impl SigmaTable {
         for ri in 0..nr {
             let r = (config.r_min + ri as i32) as f64;
             self.ftable
-                .extend(self.dtable.iter().map(|&d| sigmoid(config.alpha * (r - d))));
+                .extend(self.dtable.iter().map(|&d| sigmoid(ALPHA * (r - d))));
         }
     }
 
@@ -457,7 +459,6 @@ fn render_max(
     let total_tiles = tiles_x * n.div_ceil(TILE);
     cfaopc_trace::counters::TILES_RENDERED.add(active.len() as u64);
     cfaopc_trace::counters::TILES_SKIPPED.add((total_tiles - active.len()) as u64);
-    let alpha = config.alpha;
     let margin = config.window_margin;
     let started = std::time::Instant::now();
     let mask_sh = DisjointSliceMut::new(mask);
@@ -549,7 +550,7 @@ fn render_max(
                     if pc.q <= mrow[j] {
                         continue;
                     }
-                    let f = sigmoid_sat(alpha * (pc.r - d));
+                    let f = sigmoid_sat(ALPHA * (pc.r - d));
                     let v = pc.q * f;
                     if v > mrow[j] {
                         mrow[j] = v;
@@ -618,7 +619,6 @@ fn backward_fused_into(
     let stride = placed.len() * 4;
     partials.clear();
     partials.resize(bands * stride, 0.0);
-    let alpha = config.alpha;
     let am = argmax.as_slice();
     let gm = grad_mask.as_slice();
     let started = std::time::Instant::now();
@@ -661,23 +661,23 @@ fn backward_fused_into(
                         let dx = x as f64 - pc.cx;
                         let dy = y as f64 - pc.cy;
                         let d2 = dx * dx + dy * dy;
-                        let r_in = pc.r - SIGMOID_SAT / alpha - 1.0;
+                        let r_in = pc.r - SIGMOID_SAT / ALPHA - 1.0;
                         if r_in > 0.0 && d2 <= r_in * r_in {
                             // Saturated interior: f = 1 exactly, h = 0.
                             part[slot + 3] += g;
                             continue;
                         }
                         let d = d2.sqrt();
-                        (sigmoid_sat(alpha * (pc.r - d)), d)
+                        (sigmoid_sat(ALPHA * (pc.r - d)), d)
                     };
                     let dx = x as f64 - pc.cx;
                     let dy = y as f64 - pc.cy;
                     let h = f * (1.0 - f);
                     if d > 1e-9 {
-                        part[slot] += g * alpha * pc.q * h * (dx / d);
-                        part[slot + 1] += g * alpha * pc.q * h * (dy / d);
+                        part[slot] += g * ALPHA * pc.q * h * (dx / d);
+                        part[slot + 1] += g * ALPHA * pc.q * h * (dy / d);
                     }
-                    part[slot + 2] += g * alpha * pc.q * h;
+                    part[slot + 2] += g * ALPHA * pc.q * h;
                     part[slot + 3] += g * f;
                 }
             }
@@ -925,7 +925,7 @@ pub fn compose_serial(circles: &SparseCircles, config: &ComposeConfig) -> Compos
         for y in y0..=y1 {
             for x in x0..=x1 {
                 let d = (((x as f64 - pc.cx).powi(2)) + ((y as f64 - pc.cy).powi(2))).sqrt();
-                let f = sigmoid(config.alpha * (pc.r - d));
+                let f = sigmoid(ALPHA * (pc.r - d));
                 let v = pc.q * f;
                 let cell = &mut mask[(x as usize, y as usize)];
                 if v > *cell {
@@ -1002,7 +1002,6 @@ impl Composite {
             grad_mask.width() == n && grad_mask.height() == n,
             "gradient shape mismatch"
         );
-        let alpha = self.config.alpha;
         let bands = n.div_ceil(TILE);
         let stride = self.placed.len() * 4;
         let mut partials = vec![0.0f64; bands * stride];
@@ -1027,14 +1026,14 @@ impl Composite {
                         let dx = x as f64 - pc.cx;
                         let dy = y as f64 - pc.cy;
                         let d = (dx * dx + dy * dy).sqrt();
-                        let f = sigmoid(alpha * (pc.r - d));
+                        let f = sigmoid(ALPHA * (pc.r - d));
                         let h = f * (1.0 - f);
                         let g = grad_mask[(x as usize, y)];
                         if d > 1e-9 {
-                            part[4 * i] += g * alpha * pc.q * h * (dx / d);
-                            part[4 * i + 1] += g * alpha * pc.q * h * (dy / d);
+                            part[4 * i] += g * ALPHA * pc.q * h * (dx / d);
+                            part[4 * i + 1] += g * ALPHA * pc.q * h * (dy / d);
                         }
-                        part[4 * i + 2] += g * alpha * pc.q * h;
+                        part[4 * i + 2] += g * ALPHA * pc.q * h;
                         part[4 * i + 3] += g * f;
                     }
                 }

@@ -32,11 +32,7 @@
 //! })?;
 //! let mut target = BitGrid::new(128, 128);
 //! fill_rect(&mut target, Rect::new(61, 40, 67, 88));
-//! let config = CircleOptConfig {
-//!     init_iterations: 2,
-//!     circle_iterations: 2,
-//!     ..CircleOptConfig::default()
-//! };
+//! let config = CircleOptConfig::for_grid(128, 2, 2);
 //! let result = run_circleopt(&sim, &target, &config, RunCtx::default())?;
 //! assert!(result.shot_count() > 0);
 //! # Ok(())
@@ -61,9 +57,9 @@ mod ste;
 pub use cfaopc_ilt::RunCtx;
 pub use compose::{compose, compose_serial, ComposeConfig, ComposeWorkspace, Composite, TILE};
 pub use optimize::Composition;
-pub use optimize::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, CircleOptTrace};
+pub use optimize::{run_circleopt, CircleOptConfig, CircleOptResult, CircleOptTrace};
 #[doc(hidden)]
 pub use optimize::{run_circleopt_cancellable, run_circleopt_traced};
-pub use repr::{CircleParams, SparseCircles};
+pub use repr::{CircleParams, SparseCircles, Q_THRESHOLD};
 pub use soft::{compose_soft, compose_soft_serial, SoftComposite, SoftWorkspace};
 pub use ste::{ste, SteValue};

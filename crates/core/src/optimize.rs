@@ -35,8 +35,10 @@ use cfaopc_trace::{grad_norms, IterationRecord, Stage, TelemetrySink};
 use serde::{Deserialize, Serialize};
 
 /// CircleOpt hyper-parameters. Defaults are the paper's §5 constants:
-/// optimization step 0.1, `γ = 3`, `α = 8`, radii `[12, 76]` nm, sample
-/// distance 32 nm.
+/// optimization step 0.1, `γ = 3`, radii `[12, 76]` nm, sample distance
+/// 32 nm; `α = 8` and the activation threshold
+/// [`Q_THRESHOLD`](crate::Q_THRESHOLD) are fixed. Pipelines build it with
+/// [`CircleOptConfig::for_grid`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CircleOptConfig {
     /// Stage-1 pixel ILT steps ("only a few steps", §4.1).
@@ -46,21 +48,14 @@ pub struct CircleOptConfig {
     /// Optimization step size (paper: 0.1), used as the Adam learning
     /// rate over the `4n` circle parameters.
     pub step: f64,
-    /// Sparsity weight `γ` (paper: 3). Zero disables the regularizer
-    /// (the Table 3 ablation).
+    /// Sparsity weight `γ` at the run's grid (paper: 3 at 1 nm/px). Zero
+    /// disables the regularizer (the Table 3 ablation).
     pub gamma: f64,
-    /// Circular-window steepness `α` (paper: 8).
-    pub alpha: f64,
-    /// Gradient-window halfwidth beyond the radius, pixels (the paper
-    /// limits `U` to a square "marginally larger than the diameter").
-    pub window_margin: i32,
     /// CircleRule parameters for the sparse reparameterization (radius
     /// bounds double as the STE clip range).
     pub rule: CircleRuleConfig,
     /// Loss weights (Eq. 6 / Eq. 15 use 1/1).
     pub weights: LossWeights,
-    /// Activation threshold for a circle to exist in the final mask.
-    pub q_threshold: f64,
     /// Apply the writability clean-up
     /// ([`CircleRuleConfig::writable_mask`]: a 1-px opening, then removal
     /// of regions smaller than the `R_min` disk) to the stage-1 mask
@@ -95,11 +90,8 @@ impl Default for CircleOptConfig {
             circle_iterations: 40,
             step: 0.1,
             gamma: 3.0,
-            alpha: 8.0,
-            window_margin: 3,
             rule: CircleRuleConfig::default(),
             weights: LossWeights::default(),
-            q_threshold: 0.5,
             cleanup_init: true,
             composition: Composition::Max,
             ste_gates: true,
@@ -107,15 +99,22 @@ impl Default for CircleOptConfig {
     }
 }
 
-/// The sparsity weight `γ` for a grid of `tile_px` pixels per 2048 nm
-/// tile.
-///
-/// The paper's `γ = 3` is calibrated at 1 nm/px (2048²); the
-/// per-activation lithography gradient scales with the circle's pixel
-/// area, so the sparsity weight is rescaled by `(tile_px/2048)²` to keep
-/// the Lasso/fidelity balance resolution-independent.
-pub fn scaled_gamma(tile_px: usize) -> f64 {
-    3.0 * (tile_px as f64 / 2048.0).powi(2)
+impl CircleOptConfig {
+    /// The configuration every pipeline runs on a grid of `tile_px` pixels
+    /// per 2048 nm tile, with the given iteration counts.
+    ///
+    /// The paper's `γ = 3` is calibrated at 1 nm/px (2048²); the
+    /// per-activation lithography gradient scales with the circle's pixel
+    /// area, so `γ` is rescaled by `(tile_px/2048)²` to keep the
+    /// Lasso/fidelity balance resolution-independent.
+    pub fn for_grid(tile_px: usize, init_iterations: usize, circle_iterations: usize) -> Self {
+        CircleOptConfig {
+            init_iterations,
+            circle_iterations,
+            gamma: 3.0 * (tile_px as f64 / 2048.0).powi(2),
+            ..CircleOptConfig::default()
+        }
+    }
 }
 
 /// Per-iteration trace of the circle-level stage.
@@ -162,7 +161,8 @@ impl CircleOptResult {
 /// [`IterationRecord`] per optimizer step: stage-1 pixel iterations
 /// ([`Stage::PixelIlt`]) followed by stage-2 circle iterations
 /// ([`Stage::CircleOpt`], where `sparsity` is the Lasso penalty
-/// `γ Σ|qᵢ|` and `active` counts circles above `q_threshold`); recording
+/// `γ Σ|qᵢ|` and `active` counts circles above
+/// [`Q_THRESHOLD`](crate::Q_THRESHOLD)); recording
 /// is allocation-free when the sink is (see `cfaopc_trace::MemorySink`).
 /// The cancel token is polled at the top of every iteration of both
 /// stages, so a daemon can cancel one job and keep serving on the same
@@ -247,13 +247,8 @@ pub fn run_circleopt(
     }
 
     let compose_cfg = ComposeConfig {
-        alpha: config.alpha,
-        window_margin: config.window_margin,
-        size: n,
-        r_min,
-        r_max,
-        quantize: true,
         clip_gates: config.ste_gates,
+        ..ComposeConfig::new(n, r_min, r_max)
     };
     let target_real = target.to_real();
     let mut flat = circles.to_flat();
@@ -307,7 +302,7 @@ pub fn run_circleopt(
             grads[4 * i + 3] += config.gamma * c.q.signum() * if c.q == 0.0 { 0.0 } else { 1.0 };
         }
         let sparsity = config.gamma * sparsity;
-        let active = circles.active_count(config.q_threshold);
+        let active = circles.active_count();
         history.push(CircleOptTrace {
             loss,
             sparsity,
@@ -351,7 +346,7 @@ pub fn run_circleopt(
     }
     circles.set_from_flat(&flat);
 
-    let mask = circles.to_circular_mask(config.q_threshold, n, n, r_min, r_max);
+    let mask = circles.to_circular_mask(n, n, r_min, r_max);
     let mask_raster = mask.rasterize(n, n);
     Ok(CircleOptResult {
         mask,
@@ -434,14 +429,24 @@ mod tests {
     }
 
     #[test]
-    fn scaled_gamma_is_the_paper_weight_at_1_nm_per_px() {
+    fn for_grid_rescales_gamma_to_the_paper_weight_at_1_nm_per_px() {
         for (px, gamma) in [
             (64, 3.0 / 1024.0),
             (128, 3.0 / 256.0),
             (256, 3.0 / 64.0),
             (2048, 3.0),
         ] {
-            assert_eq!(scaled_gamma(px).to_bits(), f64::to_bits(gamma), "{px} px");
+            let cfg = CircleOptConfig::for_grid(px, 4, 5);
+            assert_eq!(cfg.gamma.to_bits(), f64::to_bits(gamma), "{px} px");
+            assert_eq!(
+                cfg,
+                CircleOptConfig {
+                    init_iterations: 4,
+                    circle_iterations: 5,
+                    gamma,
+                    ..CircleOptConfig::default()
+                }
+            );
         }
     }
 

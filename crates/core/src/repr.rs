@@ -3,13 +3,17 @@
 //! A mask becomes a list of four-element tuples
 //! `{(x₁,y₁,r₁,q₁), …, (xₙ,yₙ,rₙ,qₙ)}`: center, radius and a learnable
 //! *activation* `q` whose magnitude decides whether the circle exists in
-//! the final mask (`q > 0.5` keeps the shot). All four entries are
+//! the final mask (`q >` [`Q_THRESHOLD`] keeps the shot). All four entries are
 //! continuous during optimization; the straight-through estimator of
 //! [`crate::ste`] maps centers and radii back onto the integer pixel
 //! grid.
 
 use cfaopc_fracture::{CircleShot, CircularMask};
 use serde::{Deserialize, Serialize};
+
+/// Activation threshold: a circle with `q > 0.5` exists in the final
+/// mask (paper §4.2).
+pub const Q_THRESHOLD: f64 = 0.5;
 
 /// One circle's continuous parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,18 +64,18 @@ impl SparseCircles {
         self.circles.is_empty()
     }
 
-    /// Number of circles with `q > threshold` (the final shot count).
-    pub fn active_count(&self, threshold: f64) -> usize {
-        self.circles.iter().filter(|c| c.q > threshold).count()
+    /// Number of circles with `q >` [`Q_THRESHOLD`] (the final shot
+    /// count).
+    pub fn active_count(&self) -> usize {
+        self.circles.iter().filter(|c| c.q > Q_THRESHOLD).count()
     }
 
-    /// Recovers the fractured mask: circles with `q > threshold`,
+    /// Recovers the fractured mask: circles with `q >` [`Q_THRESHOLD`],
     /// centers and radii rounded and clamped onto the grid — by
     /// construction this mask "definitely meets the circular constraints
     /// for CFAOPC since each circle serves as one shot" (paper §4.2).
     pub fn to_circular_mask(
         &self,
-        threshold: f64,
         width: usize,
         height: usize,
         r_min: i32,
@@ -79,7 +83,7 @@ impl SparseCircles {
     ) -> CircularMask {
         self.circles
             .iter()
-            .filter(|c| c.q > threshold)
+            .filter(|c| c.q > Q_THRESHOLD)
             .map(|c| {
                 CircleShot::new(
                     (c.x.round() as i32).clamp(0, width as i32 - 1),
@@ -151,16 +155,16 @@ mod tests {
 
     #[test]
     fn active_count_thresholds_q() {
-        let s = sample();
-        assert_eq!(s.active_count(0.5), 1);
-        assert_eq!(s.active_count(0.1), 2);
-        assert_eq!(s.active_count(0.95), 0);
+        let mut s = sample();
+        assert_eq!(s.active_count(), 1);
+        s.circles[0].q = Q_THRESHOLD; // strict: `q = Q_THRESHOLD` is inactive
+        assert_eq!(s.active_count(), 0);
     }
 
     #[test]
     fn to_circular_mask_rounds_clamps_and_filters() {
         let s = sample();
-        let m = s.to_circular_mask(0.5, 64, 64, 3, 19);
+        let m = s.to_circular_mask(64, 64, 3, 19);
         assert_eq!(m.shot_count(), 1);
         let shot = m.shots()[0];
         assert_eq!((shot.x, shot.y), (10, 21));

@@ -34,7 +34,9 @@
 //!
 //! [`TILE`]: crate::compose::TILE
 
-use crate::compose::{place_circles, ComposeConfig, PlacedCircle, TileGrid, RENDER_GRAIN, TILE};
+use crate::compose::{
+    place_circles, ComposeConfig, PlacedCircle, TileGrid, ALPHA, RENDER_GRAIN, TILE,
+};
 use crate::repr::SparseCircles;
 use crate::simd::{fill_dist_row, SIGMOID_SAT};
 use cfaopc_fft::parallel::{par_index_claim, DisjointSliceMut};
@@ -137,7 +139,6 @@ impl SoftWorkspace {
         let total_tiles = tiles_x * n.div_ceil(TILE);
         cfaopc_trace::counters::TILES_RENDERED.add(active.len() as u64);
         cfaopc_trace::counters::TILES_SKIPPED.add((total_tiles - active.len()) as u64);
-        let alpha = config.alpha;
         let margin = config.window_margin;
         let started = std::time::Instant::now();
         let num_sh = DisjointSliceMut::new(self.mask.as_mut_slice());
@@ -190,7 +191,7 @@ impl SoftWorkspace {
                     #[allow(unsafe_code)]
                     let zrow = unsafe { norm_sh.slice_mut(y * n + x0, seg_len) };
                     for (j, &d) in seg.iter().enumerate() {
-                        let t_arg = alpha * (pc.r - d);
+                        let t_arg = ALPHA * (pc.r - d);
                         let (v, e) = if t_arg >= SIGMOID_SAT {
                             (pc.q, e_sat) // f = 1.0 exactly
                         } else {
@@ -314,7 +315,6 @@ fn backward_soft_into(
     let stride = placed.len() * 4;
     partials.clear();
     partials.resize(bands * stride, 0.0);
-    let alpha = config.alpha;
     let margin = config.window_margin;
     let m = mask.as_slice();
     let z = norm.as_slice();
@@ -352,7 +352,7 @@ fn backward_soft_into(
                     fill_dist_row(seg, x, pc.cx, dy2);
                     for (j, &d) in seg.iter().enumerate() {
                         let p = row + x + j;
-                        let t_arg = alpha * (pc.r - d);
+                        let t_arg = ALPHA * (pc.r - d);
                         if t_arg >= SIGMOID_SAT {
                             // f = 1.0 exactly, h = 0: only ∂q survives.
                             let w = e_sat / z[p];
@@ -368,10 +368,10 @@ fn backward_soft_into(
                         let h = f * (1.0 - f);
                         if d > 1e-9 {
                             let dx = (x + j) as f64 - pc.cx;
-                            gx += g * alpha * pc.q * h * (dx / d);
-                            gy += g * alpha * pc.q * h * (dyv / d);
+                            gx += g * ALPHA * pc.q * h * (dx / d);
+                            gy += g * ALPHA * pc.q * h * (dyv / d);
                         }
-                        gr += g * alpha * pc.q * h;
+                        gr += g * ALPHA * pc.q * h;
                         gq += g * f;
                     }
                     x += seg_len;
@@ -424,7 +424,7 @@ pub fn compose_soft_serial(
         for y in y0..=y1 {
             for x in x0..=x1 {
                 let d = ((x as f64 - pc.cx).powi(2) + (y as f64 - pc.cy).powi(2)).sqrt();
-                let v = pc.q * sigmoid(config.alpha * (pc.r - d));
+                let v = pc.q * sigmoid(ALPHA * (pc.r - d));
                 let e = (beta * v).exp();
                 num[(x as usize, y as usize)] += v * e;
                 norm[(x as usize, y as usize)] += e;
@@ -492,7 +492,6 @@ impl SoftComposite {
             grad_mask.width() == n && grad_mask.height() == n,
             "gradient shape mismatch"
         );
-        let alpha = self.config.alpha;
         let beta = self.beta;
         let bands = n.div_ceil(TILE);
         let stride = self.placed.len() * 4;
@@ -514,17 +513,17 @@ impl SoftComposite {
                         let dx = x as f64 - pc.cx;
                         let dy = y as f64 - pc.cy;
                         let d = (dx * dx + dy * dy).sqrt();
-                        let f = sigmoid(alpha * (pc.r - d));
+                        let f = sigmoid(ALPHA * (pc.r - d));
                         let v = pc.q * f;
                         let w = (beta * v).exp() / self.norm[p];
                         let dm_dv = w * (1.0 + beta * v - beta * self.mask[p]);
                         let g = grad_mask[p] * dm_dv;
                         let h = f * (1.0 - f);
                         if d > 1e-9 {
-                            gx += g * alpha * pc.q * h * (dx / d);
-                            gy += g * alpha * pc.q * h * (dy / d);
+                            gx += g * ALPHA * pc.q * h * (dx / d);
+                            gy += g * ALPHA * pc.q * h * (dy / d);
                         }
-                        gr += g * alpha * pc.q * h;
+                        gr += g * ALPHA * pc.q * h;
                         gq += g * f;
                     }
                 }

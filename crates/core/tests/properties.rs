@@ -113,13 +113,13 @@ proptest! {
 
     #[test]
     fn final_mask_respects_radius_bounds(circles in arb_circles(10)) {
-        let mask = circles.to_circular_mask(0.5, N, N, 2, 10);
+        let mask = circles.to_circular_mask(N, N, 2, 10);
         for shot in mask.shots() {
             prop_assert!(shot.r >= 2 && shot.r <= 10);
             prop_assert!(shot.x >= 0 && shot.x < N as i32);
             prop_assert!(shot.y >= 0 && shot.y < N as i32);
         }
-        prop_assert_eq!(mask.shot_count(), circles.active_count(0.5));
+        prop_assert_eq!(mask.shot_count(), circles.active_count());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * [`EbeamPsf`] — the double-Gaussian proximity function (forward blur
 //!   `α`, backscatter `β`/`η`), with its analytic transfer function;
 //! * [`WriterModel`] — additive per-shot dose deposition (circular and
-//!   VSB-rectangular shots), FFT blur, threshold develop, writing-error
-//!   and write-time measures, seeded flash-dose noise;
+//!   VSB-rectangular shots), FFT blur, develop at half the clearing dose,
+//!   writing-error and write-time measures, seeded flash-dose noise;
 //! * [`correct_proximity`] — iterative per-shot proximity-effect
-//!   correction (PEC).
+//!   correction (PEC): five damped sweeps, doses clamped to `[0.3, 3]`.
 //!
 //! # Examples
 //!
@@ -42,6 +42,6 @@ mod pec;
 mod psf;
 mod writer;
 
-pub use pec::{correct_proximity, PecConfig, PecResult};
+pub use pec::{correct_proximity, PecResult};
 pub use psf::EbeamPsf;
 pub use writer::{intended_pattern, DosedShot, WriterModel};

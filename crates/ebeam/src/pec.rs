@@ -11,29 +11,17 @@
 use crate::writer::{DosedShot, WriterModel};
 use cfaopc_grid::Point;
 
-/// PEC iteration parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PecConfig {
-    /// Fixed-point sweeps.
-    pub iterations: usize,
-    /// Target delivered dose at shot centers (the clearing dose).
-    pub target: f64,
-    /// Dose clamp range (writers bound per-flash dose).
-    pub dose_range: (f64, f64),
-    /// Damping factor in `(0, 1]`; 1 = undamped fixed point.
-    pub damping: f64,
-}
+/// Fixed-point sweeps.
+const ITERATIONS: usize = 5;
+/// Target delivered dose at shot centers (the clearing dose).
+const TARGET: f64 = 1.0;
+/// Dose clamp range (writers bound per-flash dose).
+const DOSE_RANGE: (f64, f64) = (0.3, 3.0);
+/// Damping factor in `(0, 1]`; 1 = undamped fixed point.
+const DAMPING: f64 = 0.8;
 
-impl Default for PecConfig {
-    fn default() -> Self {
-        PecConfig {
-            iterations: 5,
-            target: 1.0,
-            dose_range: (0.3, 3.0),
-            damping: 0.8,
-        }
-    }
-}
+const _: () = assert!(0.0 < DOSE_RANGE.0 && DOSE_RANGE.0 <= TARGET && TARGET <= DOSE_RANGE.1);
+const _: () = assert!(0.0 < DAMPING && DAMPING <= 1.0);
 
 /// The probe point of a shot: its center (circles) or centroid (rects).
 fn probe(shot: &DosedShot) -> Point {
@@ -57,24 +45,22 @@ pub struct PecResult {
     pub rms_error_after: f64,
 }
 
-/// Runs iterative dose correction for `shots` on `writer`.
-pub fn correct_proximity(
-    writer: &WriterModel,
-    shots: &[DosedShot],
-    config: &PecConfig,
-) -> PecResult {
+/// Runs iterative dose correction for `shots` on `writer`: five damped
+/// (0.8) fixed-point sweeps towards the clearing dose at every shot's
+/// probe point, each dose clamped to `[0.3, 3.0]`.
+pub fn correct_proximity(writer: &WriterModel, shots: &[DosedShot]) -> PecResult {
     let mut current: Vec<DosedShot> = shots.to_vec();
-    let rms_error_before = center_rms_error(writer, &current, config.target);
-    for _ in 0..config.iterations {
+    let rms_error_before = center_rms_error(writer, &current);
+    for _ in 0..ITERATIONS {
         let delivered = writer.expose(&current);
         current = current
             .iter()
             .map(|s| {
                 let p = probe(s);
-                let got = delivered.get(p).copied().unwrap_or(config.target).max(1e-6);
-                let ideal = s.dose() * config.target / got;
-                let damped = s.dose() + config.damping * (ideal - s.dose());
-                let clamped = damped.clamp(config.dose_range.0, config.dose_range.1);
+                let got = delivered.get(p).copied().unwrap_or(TARGET).max(1e-6);
+                let ideal = s.dose() * TARGET / got;
+                let damped = s.dose() + DAMPING * (ideal - s.dose());
+                let clamped = damped.clamp(DOSE_RANGE.0, DOSE_RANGE.1);
                 match *s {
                     DosedShot::Circle { shot, .. } => DosedShot::Circle {
                         shot,
@@ -88,7 +74,7 @@ pub fn correct_proximity(
             })
             .collect();
     }
-    let rms_error_after = center_rms_error(writer, &current, config.target);
+    let rms_error_after = center_rms_error(writer, &current);
     PecResult {
         shots: current,
         rms_error_before,
@@ -96,7 +82,7 @@ pub fn correct_proximity(
     }
 }
 
-fn center_rms_error(writer: &WriterModel, shots: &[DosedShot], target: f64) -> f64 {
+fn center_rms_error(writer: &WriterModel, shots: &[DosedShot]) -> f64 {
     if shots.is_empty() {
         return 0.0;
     }
@@ -105,8 +91,8 @@ fn center_rms_error(writer: &WriterModel, shots: &[DosedShot], target: f64) -> f
         .iter()
         .map(|s| {
             let p = probe(s);
-            let got = delivered.get(p).copied().unwrap_or(target);
-            (got - target) * (got - target)
+            let got = delivered.get(p).copied().unwrap_or(TARGET);
+            (got - TARGET) * (got - TARGET)
         })
         .sum();
     (sum_sq / shots.len() as f64).sqrt()
@@ -153,7 +139,7 @@ mod tests {
     fn pec_reduces_center_dose_error() {
         let w = writer_with_backscatter();
         let shots = dense_and_isolated();
-        let result = correct_proximity(&w, &shots, &PecConfig::default());
+        let result = correct_proximity(&w, &shots);
         assert!(
             result.rms_error_after < result.rms_error_before,
             "PEC failed: {} -> {}",
@@ -167,7 +153,7 @@ mod tests {
     fn pec_lowers_dense_doses_below_isolated() {
         let w = writer_with_backscatter();
         let shots = dense_and_isolated();
-        let result = correct_proximity(&w, &shots, &PecConfig::default());
+        let result = correct_proximity(&w, &shots);
         let cluster_mean: f64 = result.shots[..25].iter().map(DosedShot::dose).sum::<f64>() / 25.0;
         let isolated = result.shots[25].dose();
         assert!(
@@ -179,21 +165,29 @@ mod tests {
     #[test]
     fn doses_respect_the_clamp() {
         let w = writer_with_backscatter();
-        let shots = dense_and_isolated();
-        let cfg = PecConfig {
-            dose_range: (0.8, 1.2),
-            ..PecConfig::default()
-        };
-        let result = correct_proximity(&w, &shots, &cfg);
+        // Isolated circles of radius 1, 2 and 3 px receive a small
+        // fraction of the clearing dose at their centres: unclamped, the
+        // correction would drive them to about 37, 15 and 7.
+        let mut shots = dense_and_isolated();
+        shots.extend([(10, 110, 1), (60, 110, 2), (110, 10, 3)].map(|(x, y, r)| {
+            DosedShot::Circle {
+                shot: CircleShot::new(x, y, r),
+                dose: 1.0,
+            }
+        }));
+        let result = correct_proximity(&w, &shots);
         for s in &result.shots {
-            assert!((0.8..=1.2).contains(&s.dose()));
+            assert!((DOSE_RANGE.0..=DOSE_RANGE.1).contains(&s.dose()), "{s:?}");
+        }
+        for s in &result.shots[26..] {
+            assert_eq!(s.dose(), DOSE_RANGE.1, "{s:?}");
         }
     }
 
     #[test]
     fn empty_shot_list_is_a_noop() {
         let w = writer_with_backscatter();
-        let result = correct_proximity(&w, &[], &PecConfig::default());
+        let result = correct_proximity(&w, &[]);
         assert!(result.shots.is_empty());
         assert_eq!(result.rms_error_before, 0.0);
         assert_eq!(result.rms_error_after, 0.0);

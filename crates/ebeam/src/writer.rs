@@ -51,14 +51,16 @@ impl DosedShot {
     }
 }
 
-/// The writer: grid geometry, PSF and develop threshold.
+/// Develop threshold as a fraction of the nominal clearing dose.
+const DEVELOP_THRESHOLD: f64 = 0.5;
+
+/// The writer: grid geometry, PSF and a develop threshold of half the
+/// nominal clearing dose.
 #[derive(Debug, Clone)]
 pub struct WriterModel {
     size: usize,
     pixel_nm: f64,
     psf: EbeamPsf,
-    /// Develop threshold as a fraction of the nominal clearing dose.
-    pub threshold: f64,
     plan: Rfft2d,
     /// The PSF's transfer function divided by `size²`, the inverse
     /// transform's normalization.
@@ -90,7 +92,6 @@ impl WriterModel {
             size,
             pixel_nm,
             psf,
-            threshold: 0.5,
             plan,
             transfer,
         })
@@ -184,7 +185,7 @@ impl WriterModel {
 
     /// Develops the resist: pixels with delivered dose above threshold.
     pub fn develop(&self, delivered: &Grid2D<f64>) -> BitGrid {
-        BitGrid::from_threshold(delivered, self.threshold)
+        BitGrid::from_threshold(delivered, DEVELOP_THRESHOLD)
     }
 
     /// One-call writing simulation: expose and develop.

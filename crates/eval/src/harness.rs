@@ -8,11 +8,11 @@
 //! # Sharding model
 //!
 //! Testcases are independent, so the harness parallelizes at the
-//! *testcase* level: one `par_map` region over the case list on the
-//! persistent worker pool. Each case then runs its inner parallel
+//! *testcase* level: one [`par_map_coarse`] region over the case list on
+//! the persistent worker pool. Each case then runs its inner parallel
 //! regions (FFTs, aerial images, tiled composition) under
-//! [`with_worker_limit`] set to its share of the pool from
-//! [`worker_shares`]`(workers, min(cases, workers))`, which distributes
+//! `with_worker_limit` set to its share of the pool from
+//! `worker_shares(workers, min(cases, workers))`, which distributes
 //! the remainder instead of leaving workers idle: with 4 workers and 12
 //! cases each case computes serially while 4 cases run concurrently;
 //! with 4 workers and 3 cases the shares are `[2, 1, 1]` (the old
@@ -24,7 +24,7 @@
 //! # Determinism
 //!
 //! The report is reproducible to the byte across runs *and across
-//! `CFAOPC_THREADS` values**: `par_map` collects case records in index
+//! `CFAOPC_THREADS` values**: `par_map_coarse` collects case records in index
 //! order, every inner parallel path is bit-identical to its serial
 //! execution (asserted by the fft/litho/core concurrency tests), and
 //! wall-clock timing is excluded from the report unless explicitly
@@ -33,7 +33,7 @@
 
 use crate::suite::{CaseSource, SuiteSpec};
 use cfaopc_core::{run_circleopt, RunCtx};
-use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
+use cfaopc_fft::parallel::par_map_coarse;
 use cfaopc_fracture::circle_rule;
 use cfaopc_grid::{BitGrid, Point};
 use cfaopc_ilt::{run_engine, IltEngine};
@@ -196,18 +196,9 @@ fn run_suite_impl(spec: &SuiteSpec, timing: bool) -> Result<EvalReport, EvalErro
 
     // Coarse-grained outer parallelism: whole testcases are claimed from
     // the pool; each one caps its inner regions at its share so nested
-    // parallelism does not oversubscribe the pool. Shares distribute the
-    // remainder (4 workers / 3 cases → [2, 1, 1]) and are keyed off the
-    // case index so the assignment is timing-independent.
-    let workers = worker_count();
-    let concurrent = workers.min(layouts.len()).max(1);
-    let shares = worker_shares(workers, concurrent);
-
-    let results: Vec<Result<CaseRecord, EvalError>> = par_map(layouts.len(), |i| {
-        with_worker_limit(shares[i % concurrent], || {
-            run_case(spec, &layouts[i], timing)
-        })
-    });
+    // parallelism does not oversubscribe the pool.
+    let results: Vec<Result<CaseRecord, EvalError>> =
+        par_map_coarse(layouts.len(), |i| run_case(spec, &layouts[i], timing));
 
     let cases = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(EvalReport {

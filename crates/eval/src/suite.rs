@@ -6,8 +6,8 @@
 //! same suite produce identical work regardless of machine or thread
 //! count.
 
-use cfaopc_core::{scaled_gamma, CircleOptConfig};
-use cfaopc_layouts::{benchmark_case, generate_layout, GeneratorConfig, Layout, LayoutError};
+use cfaopc_core::CircleOptConfig;
+use cfaopc_layouts::{benchmark_case, generate_layout, Layout, LayoutError};
 use cfaopc_litho::LithoConfig;
 
 /// Where a testcase's layout comes from.
@@ -15,8 +15,7 @@ use cfaopc_litho::LithoConfig;
 pub enum CaseSource {
     /// One of the ten ICCAD-style benchmark tiles (`1..=10`).
     Benchmark(usize),
-    /// A seeded tile from `cfaopc_layouts::generate_layout` with the
-    /// default generator configuration.
+    /// A seeded tile from `cfaopc_layouts::generate_layout`.
     Generated(u64),
 }
 
@@ -29,7 +28,7 @@ impl CaseSource {
     pub fn layout(&self) -> Result<Layout, LayoutError> {
         match self {
             CaseSource::Benchmark(n) => benchmark_case(*n),
-            CaseSource::Generated(seed) => Ok(generate_layout(*seed, &GeneratorConfig::default())),
+            CaseSource::Generated(seed) => Ok(generate_layout(*seed)),
         }
     }
 }
@@ -121,15 +120,14 @@ impl SuiteSpec {
         }
     }
 
-    /// The CircleOpt configuration, with the sparsity weight rescaled to
-    /// the grid resolution exactly as the `cfaopc fracture` CLI does.
+    /// The CircleOpt configuration at the suite's grid
+    /// ([`CircleOptConfig::for_grid`]).
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        CircleOptConfig {
-            init_iterations: self.opt_init_iterations,
-            circle_iterations: self.opt_circle_iterations,
-            gamma: scaled_gamma(self.size),
-            ..CircleOptConfig::default()
-        }
+        CircleOptConfig::for_grid(
+            self.size,
+            self.opt_init_iterations,
+            self.opt_circle_iterations,
+        )
     }
 }
 

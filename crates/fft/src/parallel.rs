@@ -122,11 +122,12 @@ pub fn region_width(n: usize) -> usize {
 ///
 /// This is the share table for two-level scheduling — an outer claim of
 /// whole tasks (eval cases, daemon jobs) where each task caps its inner
-/// regions at its share via [`with_worker_limit`]. `4` workers over `3`
-/// slots yields `[2, 1, 1]`, not the `[1, 1, 1]`-plus-idle-worker split
-/// a plain `workers / slots` produces. Because inner regions are
-/// bit-identical at any worker limit, the uneven shares never change
-/// results — only how fully the pool is used.
+/// regions at its share via [`with_worker_limit`]; [`par_map_coarse`]
+/// runs that schedule. `4` workers over `3` slots yields `[2, 1, 1]`, not
+/// the `[1, 1, 1]`-plus-idle-worker split a plain `workers / slots`
+/// produces. Because inner regions are bit-identical at any worker limit,
+/// the uneven shares never change results — only how fully the pool is
+/// used.
 pub fn worker_shares(workers: usize, slots: usize) -> Vec<usize> {
     let slots = slots.max(1);
     let workers = workers.max(1);
@@ -135,6 +136,22 @@ pub fn worker_shares(workers: usize, slots: usize) -> Vec<usize> {
     (0..slots)
         .map(|i| (base + usize::from(i < rem)).max(1))
         .collect()
+}
+
+/// Two-level scheduling: maps `f` over `0..n` coarse-grained tasks (eval
+/// cases, chip tiles) with [`par_map`], capping task `i`'s inner regions
+/// at share `i mod c` of [`worker_shares`]`(workers, c)`, where `c =
+/// min(n, workers)` tasks run at once. The share is keyed off the index,
+/// not the claiming thread, so the assignment is timing-independent.
+pub fn par_map_coarse<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = worker_count();
+    let concurrent = workers.min(n).max(1);
+    let shares = worker_shares(workers, concurrent);
+    par_map(n, |i| with_worker_limit(shares[i % concurrent], || f(i)))
 }
 
 /// Number of OS threads the persistent pool has spawned so far (0 until the

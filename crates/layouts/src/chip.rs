@@ -8,11 +8,12 @@
 //! single-tile layouts, e.g. the benchmark cases).
 //!
 //! Seam straddlers are confined to the keep-out band the per-tile
-//! generator never enters (`|coord − seam| ≤ straddle_length/2 <
-//! margin`), so straddlers and tile shapes stay pairwise disjoint by
+//! generator never enters (`|coord − seam| ≤ STRADDLE_LENGTH/2 <
+//! MARGIN`), so straddlers and tile shapes stay pairwise disjoint by
 //! construction; the unit tests verify it.
 
-use crate::{generate_layout, GeneratorConfig, Layout, TILE_NM};
+use crate::generator::MARGIN;
+use crate::{generate_layout, Layout, TILE_NM};
 use cfaopc_grid::{fill_rect, BitGrid, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,31 +101,15 @@ impl ChipLayout {
     }
 }
 
-/// Knobs for the seeded chip generator (all lengths in nm).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChipGeneratorConfig {
-    /// Per-tile random content (see [`GeneratorConfig`]). The tile
-    /// margin doubles as the seam keep-out band; `straddle_length / 2`
-    /// must stay below it.
-    pub tile: GeneratorConfig,
-    /// Features forced across each interior seam, per adjacent tile pair.
-    pub straddlers_per_seam: usize,
-    /// Total straddler length across the seam (half on each side).
-    pub straddle_length: i32,
-    /// Straddler width range.
-    pub straddle_width: (i32, i32),
-}
+/// Features forced across each interior seam, per adjacent tile pair.
+const STRADDLERS_PER_SEAM: usize = 2;
+/// Total straddler length across the seam (half on each side), nm.
+const STRADDLE_LENGTH: i32 = 360;
+/// Straddler width range, nm.
+const STRADDLE_WIDTH: (i32, i32) = (60, 90);
 
-impl Default for ChipGeneratorConfig {
-    fn default() -> Self {
-        ChipGeneratorConfig {
-            tile: GeneratorConfig::default(),
-            straddlers_per_seam: 2,
-            straddle_length: 360,
-            straddle_width: (60, 90),
-        }
-    }
-}
+// The tile margin doubles as the seam keep-out band.
+const _: () = assert!(0 < STRADDLE_LENGTH / 2 && STRADDLE_LENGTH / 2 < MARGIN);
 
 /// SplitMix64-style mix so every tile draws from an independent stream.
 fn tile_seed(seed: u64, index: u64) -> u64 {
@@ -138,38 +123,32 @@ fn tile_seed(seed: u64, index: u64) -> u64 {
 ///
 /// Every tile gets independent random content from
 /// [`generate_layout`] (translated to its tile origin), then every
-/// interior seam — vertical and horizontal — receives
-/// `straddlers_per_seam` wires centered on the seam line, one batch per
-/// adjacent tile pair, rejection-sampled against each other. Straddlers
-/// never touch per-tile shapes because both respect the tile margin
-/// band; the straddler half-length is clamped below the margin.
+/// interior seam — vertical and horizontal — receives two wires
+/// centered on the seam line, one batch per adjacent tile pair,
+/// rejection-sampled against each other. Straddlers never touch
+/// per-tile shapes because both respect the tile margin band; the
+/// straddler half-length is below the margin.
 ///
 /// # Examples
 ///
 /// ```
-/// use cfaopc_layouts::{generate_chip, ChipGeneratorConfig, TILE_NM};
+/// use cfaopc_layouts::{generate_chip, TILE_NM};
 ///
-/// let cfg = ChipGeneratorConfig::default();
-/// let chip = generate_chip(3, 4, 4, &cfg);
-/// assert_eq!(chip, generate_chip(3, 4, 4, &cfg)); // deterministic
+/// let chip = generate_chip(3, 4, 4);
+/// assert_eq!(chip, generate_chip(3, 4, 4)); // deterministic
 /// // At least one rect crosses the first vertical seam.
 /// assert!(chip
 ///     .rects
 ///     .iter()
 ///     .any(|r| r.x0 < TILE_NM && r.x1 > TILE_NM));
 /// ```
-pub fn generate_chip(
-    seed: u64,
-    tiles_x: usize,
-    tiles_y: usize,
-    config: &ChipGeneratorConfig,
-) -> ChipLayout {
+pub fn generate_chip(seed: u64, tiles_x: usize, tiles_y: usize) -> ChipLayout {
     let mut rects: Vec<Rect> = Vec::new();
     // Per-tile content, translated into chip coordinates.
     for ty in 0..tiles_y {
         for tx in 0..tiles_x {
             let idx = (ty * tiles_x + tx) as u64;
-            let tile = generate_layout(tile_seed(seed, idx), &config.tile);
+            let tile = generate_layout(tile_seed(seed, idx));
             let (dx, dy) = (tx as i32 * TILE_NM, ty as i32 * TILE_NM);
             for r in &tile.rects {
                 rects.push(r.translated(dx, dy));
@@ -180,8 +159,7 @@ pub fn generate_chip(
     // Seam straddlers, drawn from their own stream so tile content and
     // seam content stay independent.
     let mut rng = StdRng::seed_from_u64(tile_seed(seed, u64::MAX));
-    let margin = config.tile.margin;
-    let half = (config.straddle_length / 2).min(margin - 1).max(1);
+    let half = STRADDLE_LENGTH / 2;
     let clearance = 60;
     let mut straddlers: Vec<Rect> = Vec::new();
     let place = |straddlers: &mut Vec<Rect>,
@@ -189,9 +167,9 @@ pub fn generate_chip(
                  seam_rect: &dyn Fn(i32, i32) -> Rect,
                  lo: i32,
                  hi: i32| {
-        for _ in 0..config.straddlers_per_seam {
+        for _ in 0..STRADDLERS_PER_SEAM {
             for _attempt in 0..64 {
-                let w = rng.gen_range(config.straddle_width.0..=config.straddle_width.1);
+                let w = rng.gen_range(STRADDLE_WIDTH.0..=STRADDLE_WIDTH.1);
                 if hi - w <= lo {
                     break;
                 }
@@ -216,7 +194,7 @@ pub fn generate_chip(
     for sx in 1..tiles_x as i32 {
         for ty in 0..tiles_y as i32 {
             let seam = sx * TILE_NM;
-            let (lo, hi) = (ty * TILE_NM + margin, (ty + 1) * TILE_NM - margin);
+            let (lo, hi) = (ty * TILE_NM + MARGIN, (ty + 1) * TILE_NM - MARGIN);
             place(
                 &mut straddlers,
                 &mut rng,
@@ -230,7 +208,7 @@ pub fn generate_chip(
     for sy in 1..tiles_y as i32 {
         for tx in 0..tiles_x as i32 {
             let seam = sy * TILE_NM;
-            let (lo, hi) = (tx * TILE_NM + margin, (tx + 1) * TILE_NM - margin);
+            let (lo, hi) = (tx * TILE_NM + MARGIN, (tx + 1) * TILE_NM - MARGIN);
             place(
                 &mut straddlers,
                 &mut rng,
@@ -257,18 +235,13 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed_and_distinct_across_seeds() {
-        let cfg = ChipGeneratorConfig::default();
-        assert_eq!(generate_chip(7, 3, 2, &cfg), generate_chip(7, 3, 2, &cfg));
-        assert_ne!(
-            generate_chip(1, 3, 2, &cfg).rects,
-            generate_chip(2, 3, 2, &cfg).rects
-        );
+        assert_eq!(generate_chip(7, 3, 2), generate_chip(7, 3, 2));
+        assert_ne!(generate_chip(1, 3, 2).rects, generate_chip(2, 3, 2).rects);
     }
 
     #[test]
     fn every_interior_seam_has_a_straddler() {
-        let cfg = ChipGeneratorConfig::default();
-        let chip = generate_chip(3, 4, 4, &cfg);
+        let chip = generate_chip(3, 4, 4);
         for sx in 1..4 {
             let seam = sx * TILE_NM;
             assert!(
@@ -287,9 +260,8 @@ mod tests {
 
     #[test]
     fn chip_rects_are_pairwise_disjoint_and_inside_the_chip() {
-        let cfg = ChipGeneratorConfig::default();
         for seed in [0, 3, 11] {
-            let chip = generate_chip(seed, 3, 3, &cfg);
+            let chip = generate_chip(seed, 3, 3);
             for (i, a) in chip.rects.iter().enumerate() {
                 assert!(a.x0 >= 0 && a.y0 >= 0, "seed {seed}: {a:?}");
                 assert!(

@@ -11,38 +11,21 @@ use cfaopc_grid::Rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Knobs for the random tile generator (all lengths in nm).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratorConfig {
-    /// Number of line arrays (each 2–5 parallel wires).
-    pub line_arrays: usize,
-    /// Number of isolated wires.
-    pub isolated_wires: usize,
-    /// Number of contact-like blocks.
-    pub contacts: usize,
-    /// Wire width range.
-    pub wire_width: (i32, i32),
-    /// Wire length range.
-    pub wire_length: (i32, i32),
-    /// Array pitch range (edge to edge spacing = pitch − width).
-    pub pitch: (i32, i32),
-    /// Keep-out margin from the tile edge.
-    pub margin: i32,
-}
-
-impl Default for GeneratorConfig {
-    fn default() -> Self {
-        GeneratorConfig {
-            line_arrays: 2,
-            isolated_wires: 2,
-            contacts: 2,
-            wire_width: (48, 96),
-            wire_length: (400, 1100),
-            pitch: (140, 260),
-            margin: 220,
-        }
-    }
-}
+/// Number of line arrays (each 2–5 parallel wires).
+const LINE_ARRAYS: usize = 2;
+/// Number of isolated wires.
+const ISOLATED_WIRES: usize = 2;
+/// Number of contact-like blocks.
+const CONTACTS: usize = 2;
+/// Wire width range, nm.
+const WIRE_WIDTH: (i32, i32) = (48, 96);
+/// Wire length range, nm.
+const WIRE_LENGTH: (i32, i32) = (400, 1100);
+/// Array pitch range, nm (edge to edge spacing = pitch − width).
+const PITCH: (i32, i32) = (140, 260);
+/// Keep-out margin from the tile edge, nm; the chip generator's seam
+/// straddlers live inside it.
+pub(crate) const MARGIN: i32 = 220;
 
 /// Generates a deterministic pseudo-random tile for `seed`.
 ///
@@ -53,24 +36,21 @@ impl Default for GeneratorConfig {
 /// # Examples
 ///
 /// ```
-/// use cfaopc_layouts::{generate_layout, GeneratorConfig};
+/// use cfaopc_layouts::generate_layout;
 ///
-/// let a = generate_layout(7, &GeneratorConfig::default());
-/// let b = generate_layout(7, &GeneratorConfig::default());
-/// assert_eq!(a, b); // deterministic per seed
+/// let a = generate_layout(7);
+/// assert_eq!(a, generate_layout(7)); // deterministic per seed
 /// assert!(a.area_nm2() > 0);
 /// ```
-pub fn generate_layout(seed: u64, config: &GeneratorConfig) -> Layout {
+pub fn generate_layout(seed: u64) -> Layout {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rects: Vec<Rect> = Vec::new();
     let clearance = 60;
 
     let try_place = |rects: &mut Vec<Rect>, rng: &mut StdRng, w: i32, h: i32| -> Option<Rect> {
         for _ in 0..64 {
-            let x =
-                rng.gen_range(config.margin..(TILE_NM - config.margin - w).max(config.margin + 1));
-            let y =
-                rng.gen_range(config.margin..(TILE_NM - config.margin - h).max(config.margin + 1));
+            let x = rng.gen_range(MARGIN..(TILE_NM - MARGIN - w).max(MARGIN + 1));
+            let y = rng.gen_range(MARGIN..(TILE_NM - MARGIN - h).max(MARGIN + 1));
             let candidate = Rect::new(x, y, x + w, y + h);
             let padded = Rect::new(
                 x - clearance,
@@ -87,12 +67,12 @@ pub fn generate_layout(seed: u64, config: &GeneratorConfig) -> Layout {
     };
 
     // Line arrays.
-    for _ in 0..config.line_arrays {
+    for _ in 0..LINE_ARRAYS {
         let horizontal: bool = rng.gen();
         let count = rng.gen_range(2..=5);
-        let width = rng.gen_range(config.wire_width.0..=config.wire_width.1);
-        let length = rng.gen_range(config.wire_length.0..=config.wire_length.1);
-        let pitch = rng.gen_range(config.pitch.0.max(width + 60)..=config.pitch.1.max(width + 61));
+        let width = rng.gen_range(WIRE_WIDTH.0..=WIRE_WIDTH.1);
+        let length = rng.gen_range(WIRE_LENGTH.0..=WIRE_LENGTH.1);
+        let pitch = rng.gen_range(PITCH.0.max(width + 60)..=PITCH.1.max(width + 61));
         let (w, h) = if horizontal {
             (length, width + (count - 1) * pitch)
         } else {
@@ -123,10 +103,10 @@ pub fn generate_layout(seed: u64, config: &GeneratorConfig) -> Layout {
         }
     }
     // Isolated wires.
-    for _ in 0..config.isolated_wires {
+    for _ in 0..ISOLATED_WIRES {
         let horizontal: bool = rng.gen();
-        let width = rng.gen_range(config.wire_width.0..=config.wire_width.1);
-        let length = rng.gen_range(config.wire_length.0..=config.wire_length.1);
+        let width = rng.gen_range(WIRE_WIDTH.0..=WIRE_WIDTH.1);
+        let length = rng.gen_range(WIRE_LENGTH.0..=WIRE_LENGTH.1);
         let (w, h) = if horizontal {
             (length, width)
         } else {
@@ -135,7 +115,7 @@ pub fn generate_layout(seed: u64, config: &GeneratorConfig) -> Layout {
         try_place(&mut rects, &mut rng, w, h);
     }
     // Contacts.
-    for _ in 0..config.contacts {
+    for _ in 0..CONTACTS {
         let w = rng.gen_range(60..=200);
         let h = rng.gen_range(60..=200);
         try_place(&mut rects, &mut rng, w, h);
@@ -150,24 +130,19 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let cfg = GeneratorConfig::default();
-        assert_eq!(generate_layout(42, &cfg), generate_layout(42, &cfg));
-        assert_ne!(
-            generate_layout(1, &cfg).rects,
-            generate_layout(2, &cfg).rects
-        );
+        assert_eq!(generate_layout(42), generate_layout(42));
+        assert_ne!(generate_layout(1).rects, generate_layout(2).rects);
     }
 
     #[test]
     fn shapes_are_disjoint_and_inside_the_margin() {
-        let cfg = GeneratorConfig::default();
         for seed in 0..20 {
-            let layout = generate_layout(seed, &cfg);
+            let layout = generate_layout(seed);
             assert!(!layout.rects.is_empty(), "seed {seed} produced nothing");
             for (i, a) in layout.rects.iter().enumerate() {
-                assert!(a.x0 >= cfg.margin && a.y0 >= cfg.margin, "seed {seed}");
+                assert!(a.x0 >= MARGIN && a.y0 >= MARGIN, "seed {seed}");
                 assert!(
-                    a.x1 <= TILE_NM - cfg.margin && a.y1 <= TILE_NM - cfg.margin,
+                    a.x1 <= TILE_NM - MARGIN && a.y1 <= TILE_NM - MARGIN,
                     "seed {seed}: {a:?}"
                 );
                 for b in layout.rects.iter().skip(i + 1) {
@@ -181,24 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn wire_widths_respect_config() {
-        let cfg = GeneratorConfig {
-            line_arrays: 0,
-            contacts: 0,
-            isolated_wires: 4,
-            wire_width: (64, 64),
-            ..GeneratorConfig::default()
-        };
-        let layout = generate_layout(9, &cfg);
-        for r in &layout.rects {
-            let short_side = r.width().min(r.height());
-            assert_eq!(short_side, 64);
-        }
-    }
-
-    #[test]
     fn rasterizes_cleanly() {
-        let layout = generate_layout(5, &GeneratorConfig::default());
+        let layout = generate_layout(5);
         let mask = layout.rasterize(256);
         assert!(mask.count_ones() > 0);
     }

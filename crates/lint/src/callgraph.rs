@@ -11,8 +11,11 @@
 //!   the workspace are treated as external (std) and get no edge;
 //! * method calls (`x.f(…)`) have no receiver type information: they
 //!   resolve only when exactly one fn with that name could be the callee
-//!   (and the name is not a ubiquitous std-trait method); anything else
-//!   is an unknown callee with no edge. Only fns declared in an `impl` or
+//!   (and the name is not a ubiquitous std method); anything else is an
+//!   unknown callee with no edge. The one receiver whose type is known
+//!   is a bare `self`: a ubiquitous name called on it resolves to the
+//!   caller's own `impl` type's method of that name, when the type
+//!   declares one in the caller's crate. Only fns declared in an `impl` or
 //!   `trait` block can be called with method syntax, so a free fn never
 //!   takes or hides a method call's edge. A library fn can only call
 //!   library fns, so its method calls count library namesakes alone; a
@@ -91,9 +94,11 @@ pub struct FnNode {
     pub library: bool,
 }
 
-/// Std-trait method names too ubiquitous to attribute to a workspace fn
-/// from a `receiver.name(…)` call, even when the workspace happens to
-/// define exactly one fn with the name.
+/// Std method names too ubiquitous to attribute to a workspace fn from a
+/// `receiver.name(…)` call, even when the workspace happens to define
+/// exactly one fn with the name: std-trait methods, and std builders'
+/// and hashers' methods (`finish` ends every `f.debug_struct(..)` chain
+/// in a `Debug` impl and every `Hasher`).
 const COMMON_METHODS: &[&str] = &[
     "add",
     "as_mut",
@@ -110,6 +115,7 @@ const COMMON_METHODS: &[&str] = &[
     "eq",
     "fill",
     "find",
+    "finish",
     "fmt",
     "flush",
     "from",
@@ -294,19 +300,27 @@ fn resolve(
         return Vec::new();
     };
     if call.method {
-        if COMMON_METHODS.contains(&last.as_str()) {
-            return Vec::new();
-        }
-        // No receiver type: resolve only a name unique among the
-        // associated fns the caller can reach, otherwise the callee is
-        // unknown (no edge).
-        let library = nodes[caller].library;
+        let me = &nodes[caller];
         let mut reachable = by_name
             .get(last.as_str())
             .into_iter()
             .flatten()
             .copied()
-            .filter(|&c| nodes[c].associated && (!library || nodes[c].library));
+            .filter(|&c| nodes[c].associated && (!me.library || nodes[c].library));
+        if COMMON_METHODS.contains(&last.as_str()) {
+            // Only a bare `self` receiver has a known type: the caller's.
+            let own = |&c: &usize| {
+                let n = &nodes[c];
+                call.on_self
+                    && me.impl_type.is_some()
+                    && n.impl_type == me.impl_type
+                    && n.crate_name == me.crate_name
+            };
+            return reachable.filter(own).collect();
+        }
+        // No receiver type: resolve only a name unique among the
+        // associated fns the caller can reach, otherwise the callee is
+        // unknown (no edge).
         return match (reachable.next(), reachable.next()) {
             (Some(c), None) => vec![c],
             _ => Vec::new(),
@@ -573,6 +587,43 @@ mod tests {
             callee_names(&g, "crates/x/src/lib.rs", "go"),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn debug_builder_finish_gets_no_edge() {
+        // The one workspace `finish` is an SVG writer's; the `.finish()`
+        // ending a `Debug` impl's builder chain is std's.
+        let srcs = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "struct Pool;\nimpl std::fmt::Debug for Pool {\n    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n        f.debug_struct(\"Pool\").field(\"n\", &1).finish()\n    }\n}\n",
+            ),
+            (
+                "crates/viz/src/lib.rs",
+                "pub struct Scene;\nimpl Scene {\n    pub fn finish(&self) -> String { String::new() }\n}\n",
+            ),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "fmt"),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn self_receivers_resolve_ubiquitous_names_to_their_own_type() {
+        let scene = "pub struct Scene;\nimpl Scene {\n    pub fn finish(&self) {}\n    pub fn save(&self) { self.finish(); }\n    pub fn copy(&self, o: &Scene) { o.finish(); }\n}\n";
+        let other = "pub struct Other;\nimpl Other {\n    pub fn finish(&self) {}\n}\n";
+        let srcs = sources(&[
+            ("crates/viz/src/lib.rs", scene),
+            ("crates/x/src/lib.rs", other),
+        ]);
+        let g = CallGraph::build(&Workspace::new(&srcs));
+        let callees = |name| callee_names(&g, "crates/viz/src/lib.rs", name);
+        assert_eq!(callees("save"), vec!["crates/viz/src/lib.rs:finish"]);
+        // Any other receiver's type is unknown.
+        assert_eq!(callees("copy"), Vec::<String>::new());
     }
 
     #[test]

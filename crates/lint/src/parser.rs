@@ -18,6 +18,9 @@ pub struct CallSite {
     /// True for `receiver.name(…)` — resolution must be conservative
     /// because the receiver's type is unknown.
     pub method: bool,
+    /// True for a method call on the bare `self` receiver
+    /// (`self.name(…)`), whose type is the caller's `impl` type.
+    pub on_self: bool,
     /// 1-based line of the callee name.
     pub line: u32,
     /// Token index of the callee name (last path segment).
@@ -134,12 +137,11 @@ fn skip_comments(toks: &[Tok], mut i: usize) -> usize {
     i
 }
 
-/// Previous non-comment token before `i`.
-fn prev_code_tok(toks: &[Tok], i: usize) -> Option<&Tok> {
-    toks[..i]
-        .iter()
+/// Index of the previous non-comment token before `i`.
+fn prev_code(toks: &[Tok], i: usize) -> Option<usize> {
+    (0..i)
         .rev()
-        .find(|t| !matches!(t.kind, TokKind::Comment { .. }))
+        .find(|&p| !matches!(toks[p].kind, TokKind::Comment { .. }))
 }
 
 /// Walks the token range `[start, end)` collecting items. `module_path`
@@ -572,10 +574,16 @@ fn extract_calls(toks: &[Tok], start: usize, end: usize, out: &mut Vec<CallSite>
         }
         let k = skip_comments(toks, cursor + 1);
         if toks.get(k).is_some_and(|t| t.is_punct("(")) {
-            let method = segs.len() == 1 && prev_code_tok(toks, i).is_some_and(|t| t.is_punct("."));
+            let dot = prev_code(toks, i).filter(|&d| toks[d].is_punct("."));
+            let method = segs.len() == 1 && dot.is_some();
+            let on_self = method
+                && dot
+                    .and_then(|d| prev_code(toks, d))
+                    .is_some_and(|r| toks[r].text == "self");
             out.push(CallSite {
                 path: segs,
                 method,
+                on_self,
                 line: toks[j].line,
                 tok: j,
             });

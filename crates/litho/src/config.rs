@@ -168,14 +168,28 @@ impl ProcessCorner {
     ];
 }
 
-/// Full configuration of the optical projection system, the resist model
-/// and the simulation grid.
+/// Exposure wavelength in nanometres (193 nm ArF immersion).
+pub(crate) const WAVELENGTH_NM: f64 = 193.0;
+/// Numerical aperture of the projection lens.
+pub(crate) const NA: f64 = 1.35;
+/// Inner partial-coherence factor of the annular source.
+pub(crate) const SIGMA_INNER: f64 = 0.6;
+/// Outer partial-coherence factor of the annular source.
+pub(crate) const SIGMA_OUTER: f64 = 0.9;
+/// Steepness `θ_z` of the relaxed (sigmoid) resist used inside losses.
+pub const RESIST_STEEPNESS: f64 = 50.0;
+
+const _: () = assert!(WAVELENGTH_NM > 0.0 && NA > 0.0);
+const _: () = assert!(0.0 <= SIGMA_INNER && SIGMA_INNER < SIGMA_OUTER && SIGMA_OUTER <= 1.0);
+
+/// Configuration of the simulation grid, the imaging corners and the
+/// resist threshold. The optics are the fixed ICCAD-2013 contest
+/// conventions of the paper's setup (193 nm, NA 1.35, an annular source
+/// σ 0.6–0.9, the relaxed resist's [`RESIST_STEEPNESS`]).
 ///
-/// Defaults follow the ICCAD-2013 contest conventions used by the paper's
-/// experimental setup (193 nm immersion, NA 1.35, annular illumination,
-/// intensity threshold 0.225, ±2 % dose corners) on a 2048 nm tile. The
-/// grid is `size × size` pixels covering `tile_nm × tile_nm` nanometres,
-/// so the pixel pitch is `tile_nm / size`.
+/// Defaults: intensity threshold 0.225 and ±2 % dose corners on a
+/// 2048 nm tile. The grid is `size × size` pixels covering
+/// `tile_nm × tile_nm` nanometres, so the pixel pitch is `tile_nm / size`.
 ///
 /// # Examples
 ///
@@ -191,20 +205,10 @@ pub struct LithoConfig {
     pub size: usize,
     /// Physical tile edge in nanometres (the ICCAD-13 tiles are 2048 nm).
     pub tile_nm: f64,
-    /// Exposure wavelength in nanometres (193 nm ArF immersion).
-    pub wavelength_nm: f64,
-    /// Numerical aperture of the projection lens.
-    pub na: f64,
-    /// Inner partial-coherence factor of the annular source.
-    pub sigma_inner: f64,
-    /// Outer partial-coherence factor of the annular source.
-    pub sigma_outer: f64,
     /// Number of source sample points = number of SOCS kernels per corner.
     pub kernel_count: usize,
     /// Resist intensity threshold `I_th` (paper Eq. 2).
     pub threshold: f64,
-    /// Steepness of the relaxed (sigmoid) resist used inside losses.
-    pub resist_steepness: f64,
     /// Dose of the over-exposure corner (e.g. `1.02`).
     pub dose_max: f64,
     /// Dose of the under-exposure corner (e.g. `0.98`).
@@ -218,13 +222,8 @@ impl Default for LithoConfig {
         LithoConfig {
             size: 512,
             tile_nm: 2048.0,
-            wavelength_nm: 193.0,
-            na: 1.35,
-            sigma_inner: 0.6,
-            sigma_outer: 0.9,
             kernel_count: 12,
             threshold: 0.225,
-            resist_steepness: 50.0,
             dose_max: 1.02,
             dose_min: 0.98,
             defocus_nm: 25.0,
@@ -284,9 +283,8 @@ impl LithoConfig {
     /// # Errors
     ///
     /// Returns [`LithoError`] when the grid is not a power of two; the
-    /// tile, wavelength or NA is not positive; the source annulus is empty
-    /// or inverted; there are no kernels; the doses do not bracket 1.0;
-    /// the threshold is out of range; or the pupil is
+    /// tile is not positive; there are no kernels; the doses do not
+    /// bracket 1.0; the threshold is out of range; or the pupil is
     /// narrower than one frequency bin (`NA/λ · tile_nm < 1`). A pupil
     /// wider than the grid is not an error: the kernels keep only the bins
     /// up to Nyquist. Every pupil holds DC, so a clipped one spans at least
@@ -298,20 +296,6 @@ impl LithoConfig {
         }
         if self.tile_nm <= 0.0 || self.tile_nm.is_nan() {
             return Err(LithoError::BadParameter("tile_nm must be positive".into()));
-        }
-        if !(self.wavelength_nm > 0.0 && self.na > 0.0) {
-            return Err(LithoError::BadParameter(
-                "wavelength and NA must be positive".into(),
-            ));
-        }
-        if !(0.0 <= self.sigma_inner
-            && self.sigma_inner < self.sigma_outer
-            && self.sigma_outer <= 1.0)
-        {
-            return Err(LithoError::BadParameter(format!(
-                "annular source needs 0 <= sigma_inner < sigma_outer <= 1, got [{}, {}]",
-                self.sigma_inner, self.sigma_outer
-            )));
         }
         if self.kernel_count == 0 {
             return Err(LithoError::BadParameter(
@@ -332,7 +316,7 @@ impl LithoConfig {
         }
         // The pupil (radius NA/λ in frequency space) must resolve to at
         // least one frequency bin: NA/λ >= 1/tile.
-        let cutoff = self.na / self.wavelength_nm;
+        let cutoff = NA / WAVELENGTH_NM;
         if cutoff * self.tile_nm < 1.0 {
             return Err(LithoError::BadParameter(
                 "pupil smaller than one frequency bin; enlarge tile_nm".into(),
@@ -367,16 +351,6 @@ mod tests {
             ..LithoConfig::default()
         };
         assert!(matches!(cfg.validate(), Err(LithoError::BadGridSize(100))));
-    }
-
-    #[test]
-    fn rejects_inverted_annulus() {
-        let cfg = LithoConfig {
-            sigma_inner: 0.9,
-            sigma_outer: 0.6,
-            ..LithoConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

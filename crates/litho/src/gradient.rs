@@ -111,7 +111,7 @@
 //! (`cfaopc_fft::Rfft2d::forward_re_band_into`) reads the packed layout
 //! with the full layout's bits, so the gradient is unchanged to the bit.
 
-use crate::config::{LithoError, NonFiniteTerm, ProcessCorner};
+use crate::config::{LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS};
 use crate::simulator::{LithoSimulator, Source};
 use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{conj_mul_real, resist_corner, GradOut, ResistCorner};
@@ -219,7 +219,7 @@ fn stack_loss(
             }
         };
         let resist = ResistCorner {
-            steepness: cfg.resist_steepness,
+            steepness: RESIST_STEEPNESS,
             threshold: cfg.threshold,
             dose,
             weight: w_c,
@@ -577,7 +577,7 @@ mod tests {
             let images = sim.aerial_corners(&mask).unwrap();
             let cfg = sim.config();
             let params = ResistCorner {
-                steepness: cfg.resist_steepness,
+                steepness: RESIST_STEEPNESS,
                 threshold: cfg.threshold,
                 dose: 1.0,
                 weight: 1.0,

@@ -30,7 +30,9 @@
 //! an integer centre bin and wrapped onto the pupil grid; at `S = N` they
 //! stay where they are.
 
-use crate::config::{LithoConfig, LithoError, ProcessCorner};
+use crate::config::{
+    LithoConfig, LithoError, ProcessCorner, NA, SIGMA_INNER, SIGMA_OUTER, WAVELENGTH_NM,
+};
 use cfaopc_fft::{signed_freq, Complex};
 
 /// One coherent kernel: a weight and a sparse frequency-domain transfer
@@ -81,7 +83,7 @@ impl KernelSet {
     /// ([`LithoConfig::defocus`]).
     ///
     /// Source points are laid out on an area-uniform golden-angle spiral
-    /// across the annulus `[sigma_inner, sigma_outer]·NA/λ`, giving an
+    /// across the annulus `[SIGMA_INNER, SIGMA_OUTER]·NA/λ`, giving an
     /// even, unclustered sampling for any `kernel_count`. Weights are
     /// uniform and normalized so an open-frame mask images at unit
     /// intensity before the corner's dose is applied.
@@ -102,7 +104,7 @@ impl KernelSet {
     pub fn generate_with_defocus(config: &LithoConfig, defocus: f64) -> Result<Self, LithoError> {
         config.validate()?;
         let n = config.size;
-        let cutoff = config.na / config.wavelength_nm; // cycles per nm
+        let cutoff = NA / WAVELENGTH_NM; // cycles per nm
         let freq_step = 1.0 / config.tile_nm; // frequency-bin pitch
         let k_count = config.kernel_count;
         let golden = std::f64::consts::PI * (3.0 - 5f64.sqrt());
@@ -113,15 +115,15 @@ impl KernelSet {
         for k in 0..k_count {
             // Area-uniform radial position inside the annulus.
             let t = (k as f64 + 0.5) / k_count as f64;
-            let s2 = config.sigma_inner * config.sigma_inner;
-            let o2 = config.sigma_outer * config.sigma_outer;
+            let s2 = SIGMA_INNER * SIGMA_INNER;
+            let o2 = SIGMA_OUTER * SIGMA_OUTER;
             let sigma = (s2 + t * (o2 - s2)).sqrt();
             let theta = k as f64 * golden;
             let src = (sigma * cutoff * theta.cos(), sigma * cutoff * theta.sin());
 
             // Enumerate frequency bins inside the shifted pupil. The pupil
-            // spans at most (1+sigma_outer)*cutoff from DC.
-            let max_bin = (((1.0 + config.sigma_outer) * cutoff / freq_step).ceil() as i64) + 1;
+            // spans at most (1+SIGMA_OUTER)*cutoff from DC.
+            let max_bin = (((1.0 + SIGMA_OUTER) * cutoff / freq_step).ceil() as i64) + 1;
             let mut spectrum = Vec::new();
             let mut bin_box = [(i64::MAX, i64::MIN); 2];
             for ky in 0..n {
@@ -139,7 +141,7 @@ impl KernelSet {
                     let nu2 = nu_x * nu_x + nu_y * nu_y;
                     if nu2.sqrt() <= cutoff {
                         // Paraxial defocus phase: exp(-iπλδ|ν|²).
-                        let phase = -std::f64::consts::PI * config.wavelength_nm * defocus * nu2;
+                        let phase = -std::f64::consts::PI * WAVELENGTH_NM * defocus * nu2;
                         spectrum.push(((ky * n + kx) as u32, Complex::cis(phase)));
                         for ((lo, hi), f) in bin_box.iter_mut().zip([fy, fx]) {
                             (*lo, *hi) = ((*lo).min(f), (*hi).max(f));
@@ -294,9 +296,9 @@ mod tests {
         let cfg = LithoConfig::fast_test();
         let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
         let n = cfg.size;
-        let cutoff = cfg.na / cfg.wavelength_nm;
+        let cutoff = NA / WAVELENGTH_NM;
         let freq_step = 1.0 / cfg.tile_nm;
-        let max_norm = (1.0 + cfg.sigma_outer) * cutoff;
+        let max_norm = (1.0 + SIGMA_OUTER) * cutoff;
         for kernel in set.kernels() {
             assert!(!kernel.spectrum.is_empty());
             for &(idx, h) in &kernel.spectrum {

@@ -2,8 +2,10 @@
 //!
 //! Implements the paper's preliminaries (§2.1–§2.2) from first principles:
 //!
-//! * [`LithoConfig`] — optics (193 nm / NA 1.35 / annular source), resist
-//!   threshold, process corners, grid geometry;
+//! * the optics, fixed at the ICCAD-13 conventions (193 nm, NA 1.35, an
+//!   annular source σ 0.6–0.9) and the relaxed resist's
+//!   [`RESIST_STEEPNESS`];
+//! * [`LithoConfig`] — resist threshold, process corners, grid geometry;
 //! * [`KernelSet`] — Abbe/SOCS kernel generation (the `h_k`, `μ_k` of
 //!   Eq. 1), stored sparsely on the pupil support;
 //! * [`LithoSimulator`] — the Hopkins forward model
@@ -38,7 +40,9 @@ mod kernels;
 mod process_window;
 mod simulator;
 
-pub use config::{CancelToken, LithoConfig, LithoError, NonFiniteTerm, ProcessCorner};
+pub use config::{
+    CancelToken, LithoConfig, LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS,
+};
 pub use gradient::{loss_and_gradient, loss_and_gradient_into, loss_only, LossValues, LossWeights};
 pub use kernels::{Kernel, KernelSet};
 pub use process_window::{

@@ -23,7 +23,7 @@
 //! [`LithoSimulator::mask_spectrum`] / [`LithoSimulator::aerial_from_spectrum`]
 //! pair speaks the full layout, and it converts at the boundary.
 
-use crate::config::{LithoConfig, LithoError, ProcessCorner};
+use crate::config::{LithoConfig, LithoError, ProcessCorner, RESIST_STEEPNESS};
 use crate::kernels::{Kernel, KernelSet};
 use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
@@ -774,8 +774,7 @@ impl LithoSimulator {
     /// equals the `Z` the loss sees pixel for pixel.
     pub fn resist_sigmoid(&self, aerial: &Grid2D<f64>) -> Grid2D<f64> {
         let th = self.config.threshold;
-        let steep = self.config.resist_steepness;
-        aerial.map(|&i| resist_sigma(steep * (i - th)))
+        aerial.map(|&i| resist_sigma(RESIST_STEEPNESS * (i - th)))
     }
 
     /// Prints a binary mask at one corner: aerial image + hard resist,
@@ -1024,7 +1023,7 @@ mod tests {
         let s = sim();
         let mask = square_mask(s.size(), 10);
         let aerial = s.aerial_image(&mask.to_real(), ProcessCorner::Max).unwrap();
-        let (theta, th) = (s.config().resist_steepness, s.config().threshold);
+        let (theta, th) = (RESIST_STEEPNESS, s.config().threshold);
         let soft = s.resist_sigmoid(&aerial);
         // Pixel for pixel, the kernel's scalar σ.
         for (&i, &z) in aerial.as_slice().iter().zip(soft.as_slice()) {

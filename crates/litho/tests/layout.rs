@@ -22,6 +22,7 @@ use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_litho::{
     bossung_surface, loss_and_gradient_into, loss_only, measure_cd, CdAxis, CdProbe, Kernel,
     KernelSet, LithoConfig, LithoSimulator, LossValues, LossWeights, ProcessCorner,
+    RESIST_STEEPNESS,
 };
 
 /// The grids the layout is checked on: `(N, tile nm)`.
@@ -239,7 +240,7 @@ impl<'a> FullLayout<'a> {
                 }
             };
             let resist = ResistCorner {
-                steepness: cfg.resist_steepness,
+                steepness: RESIST_STEEPNESS,
                 threshold: cfg.threshold,
                 dose,
                 weight: w_c,
@@ -355,7 +356,7 @@ fn imaging_matches_the_public_full_spectrum_path() {
 
         // The loss is the resist kernel on the public images at dose 1.
         let params = ResistCorner {
-            steepness: sim.config().resist_steepness,
+            steepness: RESIST_STEEPNESS,
             threshold: sim.config().threshold,
             dose: 1.0,
             weight: 1.0,

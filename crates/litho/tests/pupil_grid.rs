@@ -18,7 +18,7 @@ use cfaopc_fft::{Complex, Fft2d, Rfft2d};
 use cfaopc_grid::Grid2D;
 use cfaopc_litho::{
     loss_and_gradient, loss_and_gradient_into, loss_only, LithoConfig, LithoSimulator, LossValues,
-    LossWeights, ProcessCorner,
+    LossWeights, ProcessCorner, RESIST_STEEPNESS,
 };
 
 const TOL: f64 = 1e-13;
@@ -146,7 +146,7 @@ fn full_grid_loss_and_gradient(
         let w_c = corner_weights[c];
         let dose = cfg.dose(corner);
         let resist = ResistCorner {
-            steepness: cfg.resist_steepness,
+            steepness: RESIST_STEEPNESS,
             threshold: cfg.threshold,
             dose,
             weight: w_c,

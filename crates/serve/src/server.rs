@@ -30,7 +30,7 @@ use crate::cache::SimulatorCache;
 use crate::protocol::{self, JobSpec, Request};
 use crate::queue::{JobQueue, PushError};
 use crate::stream::{SharedWriter, StreamSink};
-use cfaopc_core::{run_circleopt, scaled_gamma, CircleOptConfig, CircleOptResult, RunCtx};
+use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fft::parallel::{with_worker_limit, worker_count, worker_shares};
 use cfaopc_litho::{CancelToken, LithoError};
 use cfaopc_metrics::{evaluate_mask, EpeConfig};
@@ -426,15 +426,11 @@ fn watchdog_loop(state: &Arc<State>) {
 }
 
 /// Builds the job's optimizer configuration exactly as the eval suite
-/// does (gamma rescaled to grid resolution), with optional per-job loss
+/// does ([`CircleOptConfig::for_grid`]), with optional per-job loss
 /// weights on top.
 fn job_config(spec: &JobSpec) -> CircleOptConfig {
-    let mut config = CircleOptConfig {
-        init_iterations: spec.init_iterations,
-        circle_iterations: spec.circle_iterations,
-        gamma: scaled_gamma(spec.size),
-        ..CircleOptConfig::default()
-    };
+    let mut config =
+        CircleOptConfig::for_grid(spec.size, spec.init_iterations, spec.circle_iterations);
     if let Some(w) = spec.weight_l2 {
         config.weights.l2 = w;
     }

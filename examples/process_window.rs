@@ -33,12 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opt = run_circleopt(
         &sim,
         &target,
-        &CircleOptConfig {
-            init_iterations: 10,
-            circle_iterations: 30,
-            gamma: scaled_gamma(n),
-            ..CircleOptConfig::default()
-        },
+        &CircleOptConfig::for_grid(n, 10, 30),
         RunCtx::default(),
     )?;
 

@@ -21,22 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pixel_nm = config.pixel_nm();
     let sim = LithoSimulator::new(config)?;
     let n = sim.size();
-    let gamma = scaled_gamma(n);
     let (r_min, r_max) = CircleRuleConfig::default().radius_range_px(pixel_nm);
 
     let mut table = MetricTable::new(format!("random stress ({seeds} tiles)"));
     for seed in 0..seeds {
-        let layout = generate_layout(seed, &GeneratorConfig::default());
+        let layout = generate_layout(seed);
         let target = layout.rasterize(n);
         let result = run_circleopt(
             &sim,
             &target,
-            &CircleOptConfig {
-                init_iterations: 10,
-                circle_iterations: 25,
-                gamma,
-                ..CircleOptConfig::default()
-            },
+            &CircleOptConfig::for_grid(n, 10, 25),
             RunCtx::default(),
         )?;
         // Invariants: every shot within writer limits, raster = union.

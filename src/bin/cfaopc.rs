@@ -261,12 +261,7 @@ fn cmd_fracture(flags: &Flags) -> CliResult {
             (mask, raster, "MultiILT+CircleRule")
         }
         "opt" => {
-            let config = CircleOptConfig {
-                init_iterations: iters.div_ceil(2),
-                circle_iterations: iters + 10,
-                gamma: scaled_gamma(n),
-                ..CircleOptConfig::default()
-            };
+            let config = CircleOptConfig::for_grid(n, iters.div_ceil(2), iters + 10);
             let mut trace = match flags.get("trace") {
                 Some(path) => {
                     cfaopc::trace::set_enabled(true);

@@ -80,12 +80,10 @@ pub mod prelude {
         ChipSpec,
     };
     pub use cfaopc_core::{
-        compose, compose_soft, run_circleopt, scaled_gamma, ste, CircleOptConfig, CircleOptResult,
-        CircleParams, ComposeConfig, Composition, RunCtx, SparseCircles,
+        compose, compose_soft, run_circleopt, ste, CircleOptConfig, CircleOptResult, CircleParams,
+        ComposeConfig, Composition, RunCtx, SparseCircles,
     };
-    pub use cfaopc_ebeam::{
-        correct_proximity, intended_pattern, DosedShot, EbeamPsf, PecConfig, WriterModel,
-    };
+    pub use cfaopc_ebeam::{correct_proximity, intended_pattern, DosedShot, EbeamPsf, WriterModel};
     pub use cfaopc_eval::{
         compare_reports, run_suite, run_suite_timed, CaseRecord, EvalReport, SuiteSpec, Tolerance,
     };
@@ -96,8 +94,8 @@ pub mod prelude {
     pub use cfaopc_grid::{fill_circle, fill_rect, BitGrid, Grid2D, Point, Rect};
     pub use cfaopc_ilt::{run_engine, run_pixel_ilt, IltEngine, IltResult, PixelIltConfig};
     pub use cfaopc_layouts::{
-        all_cases, benchmark_case, generate_chip, generate_layout, ChipGeneratorConfig, ChipLayout,
-        GeneratorConfig, Layout, PAPER_AREAS_NM2, TILE_NM,
+        all_cases, benchmark_case, generate_chip, generate_layout, ChipLayout, Layout,
+        PAPER_AREAS_NM2, TILE_NM,
     };
     pub use cfaopc_litho::{
         bossung_surface, measure_cd, standard_sweep, CdAxis, CdProbe, LithoConfig, LithoSimulator,

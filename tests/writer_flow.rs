@@ -16,12 +16,7 @@ fn circleopt_shots_survive_the_writer() {
     let result = run_circleopt(
         &sim,
         &target,
-        &CircleOptConfig {
-            init_iterations: 8,
-            circle_iterations: 12,
-            gamma: scaled_gamma(n),
-            ..CircleOptConfig::default()
-        },
+        &CircleOptConfig::for_grid(n, 8, 12),
         RunCtx::default(),
     )
     .unwrap();
@@ -38,7 +33,7 @@ fn circleopt_shots_survive_the_writer() {
     let writer = WriterModel::new(n, px * 4.0, EbeamPsf::forward_only(30.0)).unwrap();
     let shots = WriterModel::dose_circles(&parsed.mask);
     let intended = intended_pattern(&shots, n);
-    let corrected = correct_proximity(&writer, &shots, &PecConfig::default()).shots;
+    let corrected = correct_proximity(&writer, &shots).shots;
     let err = writer.writing_error(&corrected, &intended);
     assert!(
         err < intended.count_ones() / 4,
@@ -76,12 +71,7 @@ fn meef_of_an_optimized_mask_is_finite() {
     let result = run_circleopt(
         &sim,
         &target,
-        &CircleOptConfig {
-            init_iterations: 6,
-            circle_iterations: 8,
-            gamma: scaled_gamma(n),
-            ..CircleOptConfig::default()
-        },
+        &CircleOptConfig::for_grid(n, 6, 8),
         RunCtx::default(),
     )
     .unwrap();
