@@ -37,9 +37,18 @@
 //! Scoring is held to the same rule: a steady-state `evaluate_mask`
 //! (`print_corners`, then L2, PVB and EPE on the prints) allocates no
 //! buffer of `N²` f64 or complex elements, at 64 and 256 px on a 2048 nm
-//! tile and at 128 px on a 4096 nm window. Its real mask, band-packed
-//! spectrum and intensities come from the simulator's pools and go back
-//! to them; only the three printed bit grids are new.
+//! tile and at 128 px on a 4096 nm window. Its band-packed spectrum and
+//! pupil-grid intensities come from the simulator's pools and go back to
+//! them; only the three printed bit grids are new.
+//!
+//! Below `S = N` no litho call needs a mask-grid grid of its own at all,
+//! warm or cold: each stack task streams its intensity and dL/dI one row
+//! pair at a time. On a fresh simulator at 256 px on a 2048 nm tile
+//! (`S = 64`), whose pools are empty, the first `loss_and_gradient_into`,
+//! `loss_only` and `evaluate_mask` allocate every buffer they use, and
+//! none of them holds `N²` f64 (an intensity or dL/dI), `N²` complex (a
+//! full spectrum) or `N × (N/2 + 1)` complex elements (a transform's full
+//! half spectrum). Only the caller's mask, target and gradient are `N²`.
 //!
 //! The byte counters are process-wide, so every run goes one
 //! after the other inside a **single** test: the test harness gives every
@@ -58,9 +67,9 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use cfaopc_core::{
     run_circleopt, CircleOptConfig, CircleParams, Composition, RunCtx, SparseCircles,
 };
-use cfaopc_grid::{fill_rect, BitGrid, Rect};
+use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_ilt::{run_pixel_ilt, IltEngine};
-use cfaopc_litho::{LithoConfig, LithoSimulator};
+use cfaopc_litho::{loss_and_gradient_into, loss_only, LithoConfig, LithoSimulator, LossWeights};
 use cfaopc_metrics::{evaluate_mask, EpeConfig};
 use cfaopc_trace::{IterationRecord, TelemetrySink};
 
@@ -70,9 +79,9 @@ struct CountingAlloc;
 
 static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes of one `N²`-element f64 grid while a window watches for grids
-/// (`0` otherwise), and the allocations of that size or of an `N²`
-/// complex grid (twice it) seen since.
+/// The edge `N` of the grid a window watches (`0` when none does), and
+/// the allocations of a mask-grid buffer seen since: `N²` f64, `N²`
+/// complex or `N × (N/2 + 1)` complex elements.
 static GRID_WATCH: AtomicUsize = AtomicUsize::new(0);
 static GRID_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
@@ -91,10 +100,21 @@ fn count_alloc(size: usize) {
 }
 
 fn watch_grid(size: usize) {
-    let grid = GRID_WATCH.load(Ordering::SeqCst);
-    if grid != 0 && (size == grid || size == 2 * grid) {
+    let n = GRID_WATCH.load(Ordering::SeqCst);
+    let (real, complex) = (8, 16);
+    let grids = [n * n * real, n * n * complex, n * (n / 2 + 1) * complex];
+    if n != 0 && grids.contains(&size) {
         GRID_ALLOCS.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// The mask-grid buffers `f` allocates, watching an `n × n` grid.
+fn grid_allocs(n: usize, f: impl FnOnce()) -> usize {
+    GRID_ALLOCS.store(0, Ordering::SeqCst);
+    GRID_WATCH.store(n, Ordering::SeqCst);
+    f();
+    GRID_WATCH.store(0, Ordering::SeqCst);
+    GRID_ALLOCS.load(Ordering::SeqCst)
 }
 
 // SAFETY: pure pass-through to `System` plus relaxed byte counters; the
@@ -274,14 +294,42 @@ fn steady_state_iterations_are_allocation_free() {
         let (sim, target, _) = fixture(size, tile_nm);
         let score = || evaluate_mask(&sim, &target, &target, &EpeConfig::default()).unwrap();
         score();
-        GRID_ALLOCS.store(0, Ordering::SeqCst);
-        GRID_WATCH.store(size * size * std::mem::size_of::<f64>(), Ordering::SeqCst);
-        score();
-        GRID_WATCH.store(0, Ordering::SeqCst);
-        let grids = GRID_ALLOCS.load(Ordering::SeqCst);
+        let grids = grid_allocs(size, || {
+            score();
+        });
         assert_eq!(
             grids, 0,
-            "a steady-state evaluate_mask at {size} px on {tile_nm} nm allocated {grids} buffers of {size}² f64 or complex elements"
+            "a steady-state evaluate_mask at {size} px on {tile_nm} nm allocated {grids} mask-grid buffers"
         );
     }
+
+    // Cold calls below `S = N`: each entry point's first call on a fresh
+    // simulator, whose pools it fills.
+    let size = 256;
+    let fresh = || {
+        let (sim, target, _) = fixture(size, 2048.0);
+        assert!(sim.pupil_size() < size, "the grid must be resampled");
+        let real = target.to_real();
+        (sim, target, real)
+    };
+    let weights = LossWeights::default();
+    let (sim, _, real) = fresh();
+    let mut grad = Grid2D::new(size, size, 0.0);
+    let gradient = grid_allocs(size, || {
+        loss_and_gradient_into(&sim, &real, &real, weights, &mut grad).unwrap();
+    });
+    let (sim, _, real) = fresh();
+    let loss = grid_allocs(size, || {
+        loss_only(&sim, &real, &real, weights).unwrap();
+    });
+    let (sim, target, _) = fresh();
+    let score = grid_allocs(size, || {
+        evaluate_mask(&sim, &target, &target, &EpeConfig::default()).unwrap();
+    });
+    assert_eq!(
+        [gradient, loss, score],
+        [0, 0, 0],
+        "the first loss_and_gradient_into, loss_only and evaluate_mask at {size} px on 2048 nm \
+         allocated that many mask-grid buffers"
+    );
 }

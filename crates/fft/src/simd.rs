@@ -36,7 +36,9 @@ mod pixel;
 mod resist;
 
 pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, PixelStepStats};
-pub use resist::{resist_corner, sigmoid, GradOut, ResistCorner, SIGMOID_SAT};
+pub use resist::{
+    reduce_sums, resist_corner, resist_corner_sums, sigmoid, GradOut, ResistCorner, SIGMOID_SAT,
+};
 
 /// Returns `true` when the running CPU supports AVX2, latched once.
 ///

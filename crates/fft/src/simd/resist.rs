@@ -46,6 +46,11 @@
 //! `i mod 4` in pixel order, reduced as `(s0 + s1) + (s2 + s3)`: the
 //! vector accumulator's lanes are those sums, and the AVX2 body hands the
 //! scalar reference its partial sums for the last `n mod 4` pixels.
+//! [`resist_corner_sums`] takes the sums from its caller and returns them
+//! unreduced, so a run of pixels may be fed in blocks (a streamed
+//! intensity's row pairs): the AVX2 body loads them into its lanes, and a
+//! block of a multiple of four pixels leaves each lane on the sum of its
+//! pixels' index in the whole run.
 
 use super::exp_table::{EXP_C, EXP_N, EXP_TABLE, INV_LN2_N, LN2_HI_N, LN2_LO_N};
 
@@ -147,7 +152,8 @@ pub enum GradOut<'a> {
 /// Returns `Σ diff²`, summed in four partial sums (pixel `i` into sum
 /// `i mod 4`) reduced as `(s0 + s1) + (s2 + s3)`, and stores `g` as
 /// `grad` says. Dispatches to AVX2 when available; both paths produce
-/// identical bits.
+/// identical bits. It is [`resist_corner_sums`] from zeroed sums, then
+/// [`reduce_sums`].
 ///
 /// # Panics
 ///
@@ -157,14 +163,38 @@ pub fn resist_corner(
     intensity: &[f64],
     target: &[f64],
     corner: &ResistCorner,
-    mut grad: GradOut<'_>,
+    grad: GradOut<'_>,
 ) -> f64 {
+    let mut sums = [0.0; 4];
+    resist_corner_sums(intensity, target, corner, grad, &mut sums);
+    reduce_sums(&sums)
+}
+
+/// [`resist_corner`] on one block of a longer run of pixels, adding each
+/// `diff²` into the caller's partial sums `sums[i mod 4]` (`i` the
+/// pixel's index in the block) instead of returning the reduced loss.
+/// Blocks whose lengths are multiples of four, fed in pixel order from
+/// zeroed sums, leave every pixel in the sum of its index in the whole
+/// run, so [`reduce_sums`] of the result has the bits of one
+/// [`resist_corner`] call over the concatenated blocks; each pixel's `g`
+/// has them too, whatever the blocks.
+///
+/// # Panics
+///
+/// Panics if `target` or a gradient buffer differs in length from
+/// `intensity`.
+pub fn resist_corner_sums(
+    intensity: &[f64],
+    target: &[f64],
+    corner: &ResistCorner,
+    mut grad: GradOut<'_>,
+    sums: &mut [f64; 4],
+) {
     let n = intensity.len();
     assert_eq!(target.len(), n, "intensity/target length mismatch");
     if let GradOut::Write(g) | GradOut::Add(g, _) = &grad {
         assert_eq!(g.len(), n, "intensity/gradient length mismatch");
     }
-    let mut sums = [0.0; 4];
     #[cfg(target_arch = "x86_64")]
     let done = if super::avx2_available() {
         // SAFETY: AVX2 was detected at runtime on this CPU, the only
@@ -172,14 +202,20 @@ pub fn resist_corner(
         // checked equal above.
         #[allow(unsafe_code)]
         unsafe {
-            resist_corner_avx2(intensity, target, corner, &mut grad, &mut sums)
+            resist_corner_avx2(intensity, target, corner, &mut grad, sums)
         }
     } else {
         0
     };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
-    resist_corner_scalar(intensity, target, corner, &mut grad, done, &mut sums);
+    resist_corner_scalar(intensity, target, corner, &mut grad, done, sums);
+}
+
+/// The loss from [`resist_corner_sums`]' partial sums: `(s0 + s1) + (s2 +
+/// s3)`, [`resist_corner`]'s reduction.
+#[inline]
+pub fn reduce_sums(sums: &[f64; 4]) -> f64 {
     (sums[0] + sums[1]) + (sums[2] + sums[3])
 }
 
@@ -208,9 +244,9 @@ fn resist_corner_scalar(
 }
 
 /// AVX2 body: pixels `0..4·⌊n/4⌋`, four per step, each lane of the
-/// accumulator one of the scalar reference's partial sums. Stores those
-/// sums in `sums` and returns the first pixel it left to the scalar
-/// reference.
+/// accumulator one of the scalar reference's partial sums, starting from
+/// `sums`. Stores those sums back in `sums` and returns the first pixel it
+/// left to the scalar reference.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
@@ -234,7 +270,8 @@ unsafe fn resist_corner_avx2(
     let one = _mm256_set1_pd(1.0);
     let jp = intensity.as_ptr();
     let tp = target.as_ptr();
-    let mut acc = _mm256_setzero_pd();
+    // SAFETY: `sums` holds exactly four f64s.
+    let mut acc = unsafe { _mm256_loadu_pd(sums.as_ptr()) };
     let mut i = 0usize;
     while i + 4 <= n {
         // SAFETY: `i + 4 <= n` bounds the loads from `intensity` and
@@ -686,6 +723,90 @@ mod tests {
             j[at] = f64::NAN;
             let loss = resist_corner(&j, &[0.0; 6], &c, GradOut::Skip);
             assert!(loss.is_nan(), "NaN at {at}");
+        }
+    }
+
+    /// The kernel over row pairs (blocks of `2·row` pixels, `row` even)
+    /// with carried sums, against one call over the whole buffer: the
+    /// reduced loss and every `g`, bit for bit, on the dispatched path and
+    /// on the scalar reference, in each gradient mode.
+    fn assert_blocks_agree(j: &[f64], t: &[f64], c: &ResistCorner, block: usize, label: &str) {
+        let n = j.len();
+        let base: Vec<f64> = uniform(7, n).iter().map(|v| v - 0.5).collect();
+        let whole_scalar = |grad: &mut GradOut<'_>| {
+            let mut sums = [0.0; 4];
+            resist_corner_scalar(j, t, c, grad, 0, &mut sums);
+            reduce_sums(&sums)
+        };
+        // `blocks(scalar, mode)`: the loss and gradient of the blocked run.
+        let blocks = |scalar: bool, mode: usize| {
+            let mut g = if mode == 2 {
+                base.clone()
+            } else {
+                vec![0.0; n]
+            };
+            let mut sums = [0.0; 4];
+            for ((jb, tb), gb) in j
+                .chunks(block)
+                .zip(t.chunks(block))
+                .zip(g.chunks_mut(block))
+            {
+                let mut grad = match mode {
+                    0 => GradOut::Skip,
+                    1 => GradOut::Write(gb),
+                    _ => GradOut::Add(gb, 1.02),
+                };
+                if scalar {
+                    resist_corner_scalar(jb, tb, c, &mut grad, 0, &mut sums);
+                } else {
+                    resist_corner_sums(jb, tb, c, grad, &mut sums);
+                }
+            }
+            (reduce_sums(&sums), g)
+        };
+        for mode in 0..3 {
+            let mut g = if mode == 2 {
+                base.clone()
+            } else {
+                vec![0.0; n]
+            };
+            let mut g_scalar = g.clone();
+            let (want, want_scalar) = match mode {
+                0 => (
+                    resist_corner(j, t, c, GradOut::Skip),
+                    whole_scalar(&mut GradOut::Skip),
+                ),
+                1 => (
+                    resist_corner(j, t, c, GradOut::Write(&mut g)),
+                    whole_scalar(&mut GradOut::Write(&mut g_scalar)),
+                ),
+                _ => (
+                    resist_corner(j, t, c, GradOut::Add(&mut g, 1.02)),
+                    whole_scalar(&mut GradOut::Add(&mut g_scalar, 1.02)),
+                ),
+            };
+            for (scalar, want, want_g) in [(false, want, &g), (true, want_scalar, &g_scalar)] {
+                let what = format!("{label}, mode {mode}, scalar {scalar}");
+                let (loss, got_g) = blocks(scalar, mode);
+                assert_eq!(loss.to_bits(), want.to_bits(), "{what}: loss");
+                for (i, (a, b)) in got_g.iter().zip(want_g).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: g[{i}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_sums_over_row_pairs_match_one_call() {
+        // Row pairs of 2N pixels, N ≥ 2 even: every block is a multiple
+        // of four pixels, on grids up to the 256 px one.
+        for row in [2, 4, 6, 64, 256] {
+            let n = 2 * row * 8.min(row);
+            let (j, t) = (intensity(n, row as u64), target(n));
+            for (dose, weight) in [(1.0, 1.0), (1.02, 0.5), (0.98, 0.0)] {
+                let label = format!("rows of {row}, dose {dose}, weight {weight}");
+                assert_blocks_agree(&j, &t, &corner(dose, weight), 2 * row, &label);
+            }
         }
     }
 

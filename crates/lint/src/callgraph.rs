@@ -3,8 +3,13 @@
 //! Resolution is deliberately approximate but *predictably* so:
 //!
 //! * unqualified calls prefer same-file candidates (innermost module
-//!   first), then fall back to every same-named fn in the workspace —
-//!   ambiguity over-approximates, so reachability rules stay sound;
+//!   first), then fall back to every same-named free fn in the workspace
+//!   (a library caller's: library fns alone) — ambiguity
+//!   over-approximates, so reachability rules stay sound. A plain call
+//!   cannot reach a method (that takes `Self::` or a receiver), and a
+//!   library fn cannot reach a fn of `tests/`, a bench or `#[cfg(test)]`,
+//!   so a call to a local closure with no same-file namesake gets no edge
+//!   to those;
 //! * qualified calls (`a::b::f(…)`) match each qualifier against the
 //!   candidate's crate name (`cfaopc_fft` ↔ `crates/fft`), file stem,
 //!   module path and `impl` type; paths whose qualifiers match nothing in
@@ -346,7 +351,8 @@ fn resolve(
     if quals.is_empty() {
         // Same file, same module wins; then an ancestor module in the
         // same file (deepest first); then any same-file fn; then every
-        // same-named fn in the workspace (conservative ambiguity).
+        // same-named free fn in the workspace the caller can reach
+        // (conservative ambiguity).
         let same_file: Vec<usize> = candidates
             .iter()
             .copied()
@@ -373,7 +379,11 @@ fn resolve(
         if !same_file.is_empty() {
             return same_file;
         }
-        return candidates.clone();
+        return candidates
+            .iter()
+            .copied()
+            .filter(|&c| !nodes[c].associated && (!caller_node.library || nodes[c].library))
+            .collect();
     }
     // Qualified: every qualifier must match something the candidate is
     // known by; otherwise the path points outside the workspace.
@@ -512,6 +522,36 @@ mod tests {
         assert_eq!(
             callee_names(&g, "crates/x/src/lib.rs", "expose"),
             vec!["crates/x/src/lib.rs:blur"]
+        );
+    }
+
+    #[test]
+    fn plain_calls_elsewhere_reach_only_free_fns_the_caller_can_call() {
+        // `value(..)` calls a local closure. No fn in the caller's file is
+        // named so; of the workspace's namesakes a plain call can reach
+        // only a free fn, and a library caller only a library one: not a
+        // method, a `#[cfg(test)]` helper or an integration test's fn.
+        let srcs = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "pub fn go() { let value = |i: u32| i; value(1); }\n",
+            ),
+            (
+                "crates/y/src/lib.rs",
+                "pub struct Row;\nimpl Row { pub fn value(&self) -> u32 { 0 } }\n",
+            ),
+            (
+                "crates/z/src/lib.rs",
+                "#[cfg(test)]\nmod tests {\n    fn value() {}\n}\n",
+            ),
+            ("crates/z/tests/it.rs", "fn value() {}\n"),
+            ("crates/w/src/lib.rs", "pub fn value() -> u32 { 0 }\n"),
+        ]);
+        let ws = Workspace::new(&srcs);
+        let g = CallGraph::build(&ws);
+        assert_eq!(
+            callee_names(&g, "crates/x/src/lib.rs", "go"),
+            vec!["crates/w/src/lib.rs:value"]
         );
     }
 

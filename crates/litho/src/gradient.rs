@@ -52,7 +52,7 @@
 //! on `[−L, L]²` (`L` = `KernelSet::band`, the widest span of one
 //! kernel's bins). With `2L + 1 ≤ S` those samples fix `I` exactly:
 //! `I = IFFT_N( (N²/S²) · FFT_S(I_S) on [−L, L]² )` (the resampling of
-//! `LithoSimulator::resample`). The adjoint needs `G ⊙ conj(A_k)` only at
+//! `LithoSimulator::move_band`). The adjoint needs `G ⊙ conj(A_k)` only at
 //! the frequencies `f − f'` between two of kernel `k`'s bins, all inside
 //! `[−L, L]²`, so `G` may be replaced by its low-pass `G_L` — sampled on
 //! the pupil grid, `G_S = IFFT_S( (S²/N²) · FFT_N(G) on [−L, L]² )`. The
@@ -85,10 +85,14 @@
 //! work:
 //!
 //! 1. the forward fields, one task per (stack, kernel);
-//! 2. one task per focus stack: it sums and upsamples the stack's `J`,
-//!    runs the stack's corners through the resist kernel (the fold of
-//!    `Max` onto `Nominal` stays inside the in-focus stack's task) and
-//!    downsamples the folded `G_d`;
+//! 2. one task per focus stack: it sums the stack's `J` and streams it
+//!    (`crate::simulator`): below `S = N`, each upsampled row pair of `J`
+//!    runs through the resist kernel at each of the stack's corners (the
+//!    fold of `Max` onto `Nominal` stays inside the in-focus stack's task,
+//!    and each corner's partial loss sums carry from pair to pair), and
+//!    the pair's folded `G_d` goes straight into the downsampling's row
+//!    pass, whose column pass runs after the last pair; no mask-grid `J`
+//!    or `G_d` is ever whole;
 //! 3. the adjoint, one task per (weighted stack, kernel), each writing its
 //!    kernel's values into the kernel's own slots of one pooled buffer.
 //!
@@ -112,9 +116,9 @@
 //! with the full layout's bits, so the gradient is unchanged to the bit.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS};
-use crate::simulator::{LithoSimulator, Source};
+use crate::simulator::{Downsample, LithoSimulator, Source, StackRows};
 use cfaopc_fft::parallel::{par_map, region_width};
-use cfaopc_fft::simd::{conj_mul_real, resist_corner, GradOut, ResistCorner};
+use cfaopc_fft::simd::{conj_mul_real, reduce_sums, resist_corner_sums, GradOut, ResistCorner};
 use cfaopc_grid::Grid2D;
 use std::sync::Mutex;
 
@@ -169,72 +173,154 @@ fn corner_plan(weights: LossWeights) -> [(ProcessCorner, f64); 3] {
     ]
 }
 
-/// One stack's folded dL/dI: `(dose_c1, G_d)`.
-type Folded = Option<(f64, Vec<f64>)>;
-
 /// What one stack's task of the per-stack phase returns to the loss.
 #[derive(Debug, Default)]
 struct StackLoss {
     /// The losses of the stack's corners, in corner order.
     losses: [f64; 2],
-    /// The stack's folded dL/dI on the pupil grid, when the gradient is
-    /// wanted and one of its corners carries weight.
-    folded: Folded,
+    /// `(dose_c1, G_d)`: the stack's folded dL/dI on the pupil grid, when
+    /// the gradient is wanted and one of its corners carries weight.
+    folded: Option<(f64, Vec<f64>)>,
 }
 
-/// The per-stack work of the relaxed loss, run in stack `d`'s task on its
-/// dose-free intensity `j` (returned to the real pool here): each of the
-/// stack's corners through the resist kernel at its own dose — the one
-/// loss evaluation behind [`loss_only`] and [`loss_and_gradient_into`], so
-/// their losses agree to the bit.
+/// Where a corner's dL/dI goes.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// Nowhere: no gradient, or no weight.
+    Skip,
+    /// Into `G_d`: the stack's first weighted corner `c1`.
+    Write,
+    /// Added onto `G_d`, scaled by `dose_c / dose_c1`.
+    Add(f64),
+}
+
+/// Where a stack's folded dL/dI is built.
+enum FoldTarget<'a> {
+    /// At `S = N`, `G_d` itself, whole: the pupil-grid buffer the adjoint
+    /// reads.
+    Whole(Vec<f64>),
+    /// Below `S = N`, row pair by row pair, downsampled on the way.
+    Stream(Downsample<'a>),
+}
+
+/// The per-stack work of the relaxed loss, run in stack `d`'s task as its
+/// dose-free intensity streams in ([`StackRows`]): each of the stack's
+/// corners through the resist kernel at its own dose, its partial sums
+/// carried from block to block — the one loss evaluation behind
+/// [`loss_only`] and [`loss_and_gradient_into`], so their losses agree to
+/// the bit. Row pairs are `2N ≡ 0 (mod 4)` pixels, so each pixel lands in
+/// the partial sum of its index in the whole grid and every loss has the
+/// bits of one kernel call over the whole intensity.
 ///
 /// With `gradient`, each weighted corner's dL/dI is kept too. The adjoint
 /// is linear in dL/dI and a stack's corners share its fields, so each
 /// weighted corner's `g` folds onto the stack's first weighted corner
-/// `c1` as `(dose_c / dose_c1) · g`, added by the kernel into `c1`'s
-/// pooled buffer; below `S = N` the folded `G_d` then moves to the pupil
-/// grid, since only its band `[−L, L]²` reaches the bins the adjoint
-/// reads.
-fn stack_loss(
-    sim: &LithoSimulator,
-    d: usize,
-    j: Vec<f64>,
-    target: &[f64],
-    weights: LossWeights,
-    gradient: bool,
-) -> Result<StackLoss, LithoError> {
-    let cfg = sim.config();
-    let mut out = StackLoss::default();
-    let corners = corner_plan(weights)
-        .into_iter()
-        .filter(|&(corner, _)| LithoSimulator::stack_of(corner) == d);
-    for ((corner, w_c), loss) in corners.zip(&mut out.losses) {
-        let dose = cfg.dose(corner);
-        let grad = match &mut out.folded {
-            _ if !gradient || w_c == 0.0 => GradOut::Skip,
-            Some((dose_1, g_1)) => GradOut::Add(g_1, dose / *dose_1),
-            // Fully overwritten, so unspecified pool contents are fine.
-            slot @ None => {
-                GradOut::Write(&mut slot.insert((dose, sim.real_pool().take(j.len()))).1)
-            }
-        };
-        let resist = ResistCorner {
-            steepness: RESIST_STEEPNESS,
-            threshold: cfg.threshold,
-            dose,
-            weight: w_c,
-        };
-        *loss = resist_corner(&j, target, &resist, grad);
+/// `c1` as `(dose_c / dose_c1) · g`, added by the kernel into `c1`'s rows
+/// (the fold is per pixel, so doing it a row pair at a time changes no
+/// bit). Below `S = N` the folded rows then stream to the pupil grid
+/// ([`Downsample`]), since only `G_d`'s band `[−L, L]²` reaches the bins
+/// the adjoint reads.
+struct LossRows<'a> {
+    sim: &'a LithoSimulator,
+    target: &'a [f64],
+    /// The stack's corners in corner order (one or two).
+    corners: [Option<(ResistCorner, Fold)>; 2],
+    /// Each corner's partial sums ([`resist_corner_sums`]).
+    sums: [[f64; 4]; 2],
+    /// `dose_c1` and where `G_d` is built, when it is wanted.
+    folded: Option<(f64, FoldTarget<'a>)>,
+}
+
+impl<'a> LossRows<'a> {
+    fn new(
+        sim: &'a LithoSimulator,
+        d: usize,
+        target: &'a [f64],
+        weights: LossWeights,
+        gradient: bool,
+    ) -> Self {
+        let cfg = sim.config();
+        let mut corners = [None; 2];
+        let mut dose_1 = None;
+        let stack = corner_plan(weights)
+            .into_iter()
+            .filter(|&(corner, _)| LithoSimulator::stack_of(corner) == d);
+        for (slot, (corner, w_c)) in corners.iter_mut().zip(stack) {
+            let dose = cfg.dose(corner);
+            let fold = match dose_1 {
+                _ if !gradient || w_c == 0.0 => Fold::Skip,
+                Some(dose_1) => Fold::Add(dose / dose_1),
+                None => {
+                    dose_1 = Some(dose);
+                    Fold::Write
+                }
+            };
+            let resist = ResistCorner {
+                steepness: RESIST_STEEPNESS,
+                threshold: cfg.threshold,
+                dose,
+                weight: w_c,
+            };
+            *slot = Some((resist, fold));
+        }
+        let folded = dose_1.map(|dose| {
+            let s2 = sim.pupil_size() * sim.pupil_size();
+            let g = if sim.resampled() {
+                FoldTarget::Stream(Downsample::new(sim))
+            } else {
+                // Fully overwritten by `c1`, so unspecified pool contents
+                // are fine.
+                FoldTarget::Whole(sim.pupil_real_pool().take(s2))
+            };
+            (dose, g)
+        });
+        LossRows {
+            sim,
+            target,
+            corners,
+            sums: [[0.0; 4]; 2],
+            folded,
+        }
     }
-    sim.real_pool().put(j);
-    if let Some((_, g)) = out.folded.as_mut().filter(|_| sim.resampled()) {
-        let mut coarse = sim
-            .pupil_real_pool()
-            .take(sim.pupil_size() * sim.pupil_size());
-        sim.resample(g, &mut coarse)?;
-        sim.real_pool().put(std::mem::replace(g, coarse));
+}
+
+impl StackRows for LossRows<'_> {
+    type Out = StackLoss;
+
+    fn rows(&mut self, first: usize, j: &[f64]) -> Result<(), LithoError> {
+        let at = first * self.sim.size();
+        let target = &self.target[at..][..j.len()];
+        let mut g = match &mut self.folded {
+            None => None,
+            Some((_, FoldTarget::Whole(g))) => Some(&mut g[at..][..j.len()]),
+            Some((_, FoldTarget::Stream(down))) => Some(down.rows()),
+        };
+        let corners = self.corners.iter().flatten();
+        for ((resist, fold), sums) in corners.zip(&mut self.sums) {
+            let grad = match (*fold, g.as_deref_mut()) {
+                (Fold::Write, Some(g)) => GradOut::Write(g),
+                (Fold::Add(ratio), Some(g)) => GradOut::Add(g, ratio),
+                _ => GradOut::Skip,
+            };
+            resist_corner_sums(j, target, resist, grad, sums);
+        }
+        if let Some((_, FoldTarget::Stream(down))) = &mut self.folded {
+            down.push(first / 2)?;
+        }
+        Ok(())
     }
-    Ok(out)
+
+    fn finish(self) -> Result<StackLoss, LithoError> {
+        let folded = match self.folded {
+            None => None,
+            Some((dose, FoldTarget::Whole(g))) => Some((dose, g)),
+            Some((dose, FoldTarget::Stream(down))) => Some((dose, down.finish()?)),
+        };
+        Ok(StackLoss {
+            losses: self.sums.map(|sums| reduce_sums(&sums)),
+            folded,
+        })
+    }
 }
 
 /// The loss values from each stack's corner losses, merged after the
@@ -283,7 +369,8 @@ pub fn loss_and_gradient(
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
 /// All scratch (band-packed mask spectrum, pupil-grid fields, per-stack
-/// intensity and dL/dI, the adjoint's per-bin output, band-packed
+/// intensity and dL/dI on the pupil grid and their mask-grid streams'
+/// band buffers and row pairs, the adjoint's per-bin output, band-packed
 /// spectral accumulator) comes from the simulator's buffer pools, and
 /// `grad` is fully overwritten (reallocated only on a grid-size
 /// change) — so a caller looping over iterations with a persistent
@@ -323,8 +410,8 @@ pub fn loss_and_gradient_into(
     // Phase 2: one task per stack for its corners' resist, loss and
     // folded G_d — the per-stack work `loss_only` runs, on the same fields
     // summed in the same order, so the two agree to the bit.
-    let per_stack = sim.per_stack(&stacks, Source::Kept(&fields), |d, j| {
-        stack_loss(sim, d, j, target.as_slice(), weights, true)
+    let per_stack = sim.per_stack(&stacks, Source::Kept(&fields), |d| {
+        LossRows::new(sim, d, target.as_slice(), weights, true)
     })?;
     let values = merge_losses(weights, &per_stack);
 
@@ -436,8 +523,8 @@ pub fn loss_only(
             actual: (target.width(), target.height()),
         });
     }
-    let per_stack = sim.image_stacks(sim.mask_spectrum_pooled(mask)?, |d, j| {
-        stack_loss(sim, d, j, target.as_slice(), weights, false)
+    let per_stack = sim.image_stacks(sim.mask_spectrum_pooled(mask)?, |d| {
+        LossRows::new(sim, d, target.as_slice(), weights, false)
     })?;
     Ok(merge_losses(weights, &per_stack))
 }
@@ -446,6 +533,7 @@ pub fn loss_only(
 mod tests {
     use super::*;
     use crate::config::LithoConfig;
+    use cfaopc_fft::simd::resist_corner;
     use cfaopc_grid::{fill_rect, BitGrid, Rect};
 
     fn small_sim() -> LithoSimulator {

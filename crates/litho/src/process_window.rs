@@ -10,7 +10,7 @@
 
 use crate::config::{LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
-use crate::simulator::LithoSimulator;
+use crate::simulator::{LithoSimulator, StackRows};
 use cfaopc_grid::{BitGrid, Point};
 
 /// Direction along which a CD is measured.
@@ -124,7 +124,9 @@ impl BossungSurface {
 /// band-packed in the simulator's pool. A defocus at one of the
 /// simulator's own stack foci images through that stack (the same kernels
 /// a regenerated stack would hold, bit for bit); any other regenerates
-/// the stack. Each dose thresholds only the pixels the CD probe visits.
+/// the stack. Each focus keeps only the probe's row (horizontal) or
+/// column (vertical) of its intensity as the rows stream past, and each
+/// dose thresholds only the pixels the CD probe visits.
 ///
 /// # Errors
 ///
@@ -153,14 +155,16 @@ pub fn bossung_surface(
                 &generated
             }
         };
-        // Dose-free intensity for this focus; doses scale it linearly.
-        let base = sim.dose_free_intensity(set, &spectrum)?;
+        // The dose-free intensity on the probe's line for this focus;
+        // doses scale it linearly.
+        let line = sim.image_stack(set, &spectrum, || ProbeLine::new(cfg.size, probe))?;
         for &dose in doses {
-            // `BitGrid::from_threshold` of the dosed image, pixel by pixel.
+            // `BitGrid::from_threshold` of the dosed image, pixel by pixel
+            // along the probe's line, the only pixels `cd_of_run` asks for.
             let prints = |p: Point| {
                 (0..n).contains(&p.x)
                     && (0..n).contains(&p.y)
-                    && base[(p.y * n + p.x) as usize] * dose > cfg.threshold
+                    && line[ProbeLine::index(probe, p)] * dose > cfg.threshold
             };
             points.push(BossungPoint {
                 defocus_nm: defocus,
@@ -168,7 +172,6 @@ pub fn bossung_surface(
                 cd_nm: cd_of_run(prints, probe, cfg.pixel_nm()),
             });
         }
-        sim.real_pool().put(base);
     }
     sim.spectrum_pool().put(spectrum);
     Ok(BossungSurface {
@@ -176,6 +179,60 @@ pub fn bossung_surface(
         defocus_nm: defocus_values_nm.to_vec(),
         doses: doses.to_vec(),
     })
+}
+
+/// The dose-free intensity along a CD probe's line, kept as a stack's
+/// intensity streams past ([`StackRows`]): row `at.y` for a horizontal
+/// probe, column `at.x` for a vertical one. A line off the grid stays
+/// zero and is never read.
+struct ProbeLine {
+    n: usize,
+    probe: CdProbe,
+    line: Vec<f64>,
+}
+
+impl ProbeLine {
+    fn new(n: usize, probe: &CdProbe) -> Self {
+        ProbeLine {
+            n,
+            probe: *probe,
+            line: vec![0.0; n],
+        }
+    }
+
+    /// Where on-grid pixel `p` of the probe's line sits in the line.
+    fn index(probe: &CdProbe, p: Point) -> usize {
+        match probe.axis {
+            CdAxis::Horizontal => p.x as usize,
+            CdAxis::Vertical => p.y as usize,
+        }
+    }
+}
+
+impl StackRows for ProbeLine {
+    type Out = Vec<f64>;
+
+    fn rows(&mut self, first: usize, j: &[f64]) -> Result<(), LithoError> {
+        let at = self.probe.at;
+        for (y, row) in (first..).zip(j.chunks_exact(self.n)) {
+            match self.probe.axis {
+                CdAxis::Horizontal if usize::try_from(at.y) == Ok(y) => {
+                    self.line.copy_from_slice(row);
+                }
+                CdAxis::Vertical => {
+                    if let Some(&v) = usize::try_from(at.x).ok().and_then(|x| row.get(x)) {
+                        self.line[y] = v;
+                    }
+                }
+                CdAxis::Horizontal => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<f64>, LithoError> {
+        Ok(self.line)
+    }
 }
 
 /// Convenience: the symmetric sweep the examples use

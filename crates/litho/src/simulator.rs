@@ -4,16 +4,31 @@
 //! Every imaging entry point runs the mask FFT on the calling thread and
 //! then the **per-stack phase** ([`LithoSimulator::per_stack`]): one
 //! region with one task per focus stack. Each task sums its stack's
-//! dose-free intensity `J_d` in kernel order, moves it to the mask grid
-//! and hands it to the caller's per-stack work: the corner images, or
-//! the resist and loss of the stack's corners. Imaging computes each
-//! stack's fields inside its task, one at a time. The gradient needs
-//! every field again in its adjoint, so it computes them first in a
-//! region of their own, one task per kernel
-//! ([`LithoSimulator::socs_fields`]), and ends with the per-kernel
-//! adjoint (`crate::gradient`): three phases. Transforms run on the
-//! thread of the task that calls them, so each phase is a single region,
-//! whatever the grid size.
+//! dose-free intensity `J_d` in kernel order on the pupil grid and
+//! streams it to the caller's per-stack work, a [`StackRows`] sink: the
+//! corner images or prints, a CD probe's line, or the resist and loss of
+//! the stack's corners. Imaging computes each stack's fields inside its
+//! task, one at a time. The gradient needs every field again in its
+//! adjoint, so it computes them first in a region of their own, one task
+//! per kernel ([`LithoSimulator::socs_fields`]), and ends with the
+//! per-kernel adjoint (`crate::gradient`): three phases. Transforms run
+//! on the thread of the task that calls them, so each phase is a single
+//! region, whatever the grid size.
+//!
+//! **The stream.** Below `S = N` (pupil grid smaller than the mask grid),
+//! a stack task never holds a mask-grid `J_d` or `G_d` whole. The
+//! upsampling's column piece turns `J_S`'s band into an `N × (L + 1)`
+//! column buffer ([`cfaopc_fft::Rfft2d::forward_re_band_columns`]); each
+//! row pair of `J_d` is then made from it
+//! ([`cfaopc_fft::RowPairs::forward_re_band_rows`]) and handed to the sink,
+//! which in the loss path resists the pair at each corner and pushes the
+//! pair's folded dL/dI into the downsampling's row pass ([`Downsample`],
+//! an `N × (2L + 1)` band-packed spectrum); the column pass runs once
+//! every row is in. A task so holds two mask-grid band buffers and a few
+//! rows: every element goes through the whole-grid transforms' operations
+//! in their order, so every output bit is theirs. At `S = N` there is no
+//! resampling: `J_S` is the mask-grid intensity, handed to the sink
+//! whole, and `G_d` the pupil-grid buffer the adjoint reads whole.
 //!
 //! Every mask-grid spectrum the model reads or writes — the mask spectrum
 //! and the gradient's spectral accumulator — is **band-packed**
@@ -27,7 +42,7 @@ use crate::config::{LithoConfig, LithoError, ProcessCorner, RESIST_STEEPNESS};
 use crate::kernels::{Kernel, KernelSet};
 use cfaopc_fft::parallel::{par_map, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
-use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d};
+use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d, RowPairs};
 use cfaopc_grid::{BitGrid, Grid2D};
 
 /// Aerial images at the three process corners.
@@ -59,8 +74,10 @@ impl CornerImages {
 /// The per-kernel work runs on the stacks' `S × S` pupil grid
 /// ([`KernelSet::pupil_size`]); only the mask spectrum, the resampling of
 /// each stack's intensity and of the gradient, the per-corner resist and
-/// the gradient's final transform touch the `N × N` mask grid, and the
-/// spectra among them keep only the `N × m` band the kernels reach.
+/// the gradient's final transform touch the `N × N` mask grid. The
+/// spectra among them keep only the `N × m` band the kernels reach, and
+/// the intensity and dL/dI between the two resamplings stream one row
+/// pair at a time.
 ///
 /// # Examples
 ///
@@ -116,10 +133,14 @@ pub struct LithoSimulator {
     /// Recycled band-packed mask-grid spectra (`N × (2L + 1)`): the mask
     /// side of each resampling.
     band_pool: BufferPool<Complex>,
-    /// Recycled mask-grid real scratch (intensities, dL/dI).
-    real_pool: BufferPool<f64>,
+    /// Recycled mask-grid column buffers of the upsampling stream
+    /// (`N × (L + 1)`, [`Rfft2d::half_band_len`]).
+    half_pool: BufferPool<Complex>,
+    /// Recycled mask-grid row pairs (`2N`): a streamed intensity's, a
+    /// streamed dL/dI's and a binary mask's.
+    row_pool: BufferPool<f64>,
     /// Recycled pupil-grid real scratch (intensity and dL/dI before and
-    /// after resampling).
+    /// after resampling; at `S = N`, the mask grid's).
     pupil_real_pool: BufferPool<f64>,
     /// Recycled adjoint output: one value per bin of every kernel of both
     /// stacks, laid out by [`KernelSet`]'s bin ranges.
@@ -185,7 +206,8 @@ impl LithoSimulator {
             field_pool: BufferPool::new(),
             spectrum_pool: BufferPool::new(),
             band_pool: BufferPool::new(),
-            real_pool: BufferPool::new(),
+            half_pool: BufferPool::new(),
+            row_pool: BufferPool::new(),
             pupil_real_pool: BufferPool::new(),
             bins_pool: BufferPool::new(),
         })
@@ -255,21 +277,11 @@ impl LithoSimulator {
         self.size() * self.spectrum_width
     }
 
-    /// The mask-grid real pool (per-corner intensity and dL/dI).
-    #[inline]
-    pub(crate) fn real_pool(&self) -> &BufferPool<f64> {
-        &self.real_pool
-    }
-
     /// The pool of pupil-grid real buffers (intensity before upsampling,
     /// dL/dI after downsampling): the mask grid's at `S = N`.
     #[inline]
     pub(crate) fn pupil_real_pool(&self) -> &BufferPool<f64> {
-        if self.resampled() {
-            &self.pupil_real_pool
-        } else {
-            &self.real_pool
-        }
+        &self.pupil_real_pool
     }
 
     /// The adjoint's output pool: buffers of one value per bin of every
@@ -345,17 +357,33 @@ impl LithoSimulator {
     }
 
     /// [`LithoSimulator::mask_spectrum_pooled`] of a binary mask, read as
-    /// `1.0` / `0.0` (the values of [`BitGrid::to_real`]) from a pooled
-    /// real buffer.
+    /// `1.0` / `0.0` (the values of [`BitGrid::to_real`]) two rows at a
+    /// time into a pooled row pair, each pair pushed into the band
+    /// transform's row pass ([`RowPairs::forward_band_rows`]): no real copy
+    /// of the whole mask.
     pub(crate) fn bit_spectrum_pooled(&self, mask: &BitGrid) -> Result<Vec<Complex>, LithoError> {
         self.check_shape(mask.width(), mask.height())?;
-        let mut pixels = self.real_pool.take(self.size() * self.size());
-        for (v, &on) in pixels.iter_mut().zip(mask.as_grid().as_slice()) {
-            *v = if on { 1.0 } else { 0.0 };
+        let n = self.size();
+        let bits = mask.as_grid().as_slice();
+        let read = |v: &mut f64, &on: &bool| *v = if on { 1.0 } else { 0.0 };
+        if n < 2 {
+            // One pixel, no row pair: the whole-grid transform.
+            let mut pixel = [0.0];
+            read(&mut pixel[0], &bits[0]);
+            return self.band_spectrum(&pixel);
         }
-        let spectrum = self.band_spectrum(&pixels);
-        self.real_pool.put(pixels);
-        spectrum
+        let mut spectrum = self.spectrum_pool.take(self.spectrum_len());
+        let mut rows = self.row_pool.take(2 * n);
+        let mut pairs = self.rplan.row_pairs();
+        for (pair, chunk) in bits.chunks_exact(2 * n).enumerate() {
+            for (v, on) in rows.iter_mut().zip(chunk) {
+                read(v, on);
+            }
+            pairs.forward_band_rows(pair, &rows, &mut spectrum, self.reach)?;
+        }
+        self.row_pool.put(rows);
+        self.rplan.forward_band_columns(&mut spectrum, self.reach)?;
+        Ok(spectrum)
     }
 
     fn band_spectrum(&self, pixels: &[f64]) -> Result<Vec<Complex>, LithoError> {
@@ -421,46 +449,46 @@ impl LithoSimulator {
         corner: ProcessCorner,
     ) -> Result<Grid2D<f64>, LithoError> {
         let n = self.config.size;
-        let dose = self.config.dose(corner);
-        let mut intensity = self.dose_free_intensity(self.kernel_set(corner), spectrum)?;
-        for v in &mut intensity {
-            *v *= dose;
-        }
-        Ok(Grid2D::from_vec(n, n, intensity))
+        let [image, _] = self.image_stack(self.kernel_set(corner), spectrum, || {
+            CornerRows::new(self, &[corner], |dose, j| dose * j)
+        })?;
+        Ok(Grid2D::from_vec(n, n, image))
     }
 
-    /// The dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the
-    /// mask grid, for one stack and a band-packed `spectrum`: its fields
-    /// in one region, then its intensity on the calling thread. The
-    /// buffer comes from the real pool; return it with
-    /// `real_pool().put(...)` when done.
-    pub(crate) fn dose_free_intensity(
+    /// One stack's dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²`
+    /// on the mask grid, for a band-packed `spectrum`, streamed into the
+    /// sink `make_sink` returns: the stack's fields in one region, then its
+    /// stream on the calling thread ([`LithoSimulator::per_stack`]).
+    pub(crate) fn image_stack<S: StackRows>(
         &self,
         set: &KernelSet,
         spectrum: &[Complex],
-    ) -> Result<Vec<f64>, LithoError> {
+        make_sink: impl Fn() -> S + Sync,
+    ) -> Result<S::Out, LithoError> {
         let stacks = [set];
         let fields = self.socs_fields(&stacks, spectrum)?;
-        let [intensity, _] = self.per_stack(&stacks, Source::Kept(&fields), |_, j| Ok(j))?;
+        let streamed = self.per_stack(&stacks, Source::Kept(&fields), |_| make_sink());
         self.recycle_fields(fields);
-        Ok(intensity)
+        let [out, _] = streamed?;
+        Ok(out)
     }
 
     /// The imaging entry points on a mask, given its pooled band-packed
-    /// `spectrum` (the mask FFT, on the calling thread): `f(d, J_d)` in
-    /// one task per stack ([`LithoSimulator::per_stack`]), each task
-    /// computing its stack's fields itself. One region. The spectrum goes
-    /// back to its pool.
-    pub(crate) fn image_stacks<R, F>(
+    /// `spectrum` (the mask FFT, on the calling thread): each stack's
+    /// intensity streamed into the sink `make_sink(d)` returns, in one
+    /// task per stack ([`LithoSimulator::per_stack`]), each task computing
+    /// its stack's fields itself. One region. The spectrum goes back to
+    /// its pool.
+    pub(crate) fn image_stacks<S, F>(
         &self,
         spectrum: Vec<Complex>,
-        f: F,
-    ) -> Result<[R; 2], LithoError>
+        make_sink: F,
+    ) -> Result<[S::Out; 2], LithoError>
     where
-        R: Default + Send,
-        F: Fn(usize, Vec<f64>) -> Result<R, LithoError> + Sync,
+        S: StackRows,
+        F: Fn(usize) -> S + Sync,
     {
-        let per_stack = self.per_stack(&self.stacks(), Source::Spectrum(&spectrum), f);
+        let per_stack = self.per_stack(&self.stacks(), Source::Spectrum(&spectrum), make_sink);
         self.spectrum_pool.put(spectrum);
         per_stack
     }
@@ -508,7 +536,7 @@ impl LithoSimulator {
     /// Moving a kernel's bins by its centre bin only multiplies `a_k` by a
     /// phase ramp, so `|a_k|²` samples the mask-grid `|A_k|²` at every
     /// `N/S`-th pixel; band-limited to `[−L, L]²` with `2L + 1 ≤ S`, it is
-    /// exactly interpolated back ([`LithoSimulator::resample`]). At
+    /// exactly interpolated back ([`LithoSimulator::move_band`]). At
     /// `S = N` nothing moves and nothing is resampled.
     fn kernel_field(
         &self,
@@ -575,27 +603,28 @@ impl LithoSimulator {
     /// sums stack `d`'s dose-free intensity `J_d = Σ_k μ_k |a_k|²` on the
     /// pupil grid in ascending `k` — from the fields `source` keeps, or
     /// computing them one at a time in one pooled buffer, since imaging
-    /// needs no field after its sum — resamples it onto the mask grid
-    /// below `S = N`, and returns `f(d, J_d)`. `J_d` comes from the real
-    /// pool, and `f` returns it there or keeps it. Slots past the last
-    /// stack hold `R::default()`.
+    /// needs no field after its sum — and streams it into the sink
+    /// `make_sink(d)` returns ([`LithoSimulator::stack_rows`]): whole at
+    /// `S = N`, one upsampled row pair at a time below it. Slots past the
+    /// last stack hold `S::Out::default()`.
     ///
     /// Each summation and each transform runs on its task's thread in a
     /// fixed order, so every output bit is the same at any worker count.
     /// The tasks run concurrently, so every pool they take from is first
-    /// reserved for as many tasks as can run at once: two mask-grid real
-    /// buffers per task (`J_d` and the loss path's `G_d`), two pupil-grid
-    /// ones, one field buffer, and one resampling's spectra and transform
-    /// scratch on each grid.
-    pub(crate) fn per_stack<R, F>(
+    /// reserved for as many tasks as can run at once: two pupil-grid real
+    /// buffers per task (`J_S` and the loss path's `G_d`) and one field
+    /// buffer, and below `S = N` one band-packed mask-grid spectrum, one
+    /// column buffer, two row pairs and their two packed-row scratches,
+    /// and the pupil plan's transform scratch.
+    pub(crate) fn per_stack<S, F>(
         &self,
         stacks: &[&KernelSet],
         source: Source<'_>,
-        f: F,
-    ) -> Result<[R; 2], LithoError>
+        make_sink: F,
+    ) -> Result<[S::Out; 2], LithoError>
     where
-        R: Default + Send,
-        F: Fn(usize, Vec<f64>) -> Result<R, LithoError> + Sync,
+        S: StackRows,
+        F: Fn(usize) -> S + Sync,
     {
         if let Source::Spectrum(spectrum) = source {
             self.check_stacks(stacks, spectrum)?;
@@ -603,37 +632,43 @@ impl LithoSimulator {
         let n = self.config.size;
         let s2 = self.pupil_size() * self.pupil_size();
         let width = region_width(stacks.len());
-        self.real_pool.reserve(2 * width, n * n);
         self.field_pool.reserve(width, s2);
+        self.pupil_real_pool.reserve(2 * width, s2);
         if self.resampled() {
-            self.pupil_real_pool.reserve(2 * width, s2);
-            self.band_pool.reserve(width, n * (2 * self.band + 1));
-            self.rplan.reserve(width);
-            self.pupil_rplan.reserve(width);
+            self.band_pool.reserve(width, self.band_len());
+            self.half_pool
+                .reserve(width, self.rplan.half_band_len(self.band));
+            self.row_pool.reserve(2 * width, 2 * n);
+            self.rplan.reserve(2 * width);
+            self.pupil_rplan.reserve_re(width, self.band);
         }
         let results = par_map(stacks.len(), |d| {
-            let j = self.stack_intensity(stacks[d], d, source)?;
-            f(d, j)
+            self.stack_rows(stacks[d], d, source, || make_sink(d))
         });
-        let mut out: [R; 2] = Default::default();
+        let mut out: [S::Out; 2] = Default::default();
         for (slot, result) in out.iter_mut().zip(results) {
             *slot = result?;
         }
         Ok(out)
     }
 
-    /// Stack `set`'s (the `d`-th stack's) dose-free mask-grid intensity,
-    /// on the calling thread: `J = Σ_k μ_k |a_k|²` summed in ascending
-    /// `k`, then resampled below `S = N`.
-    fn stack_intensity(
+    /// Task `d` of the per-stack phase, on the calling thread: stack
+    /// `set`'s `J = Σ_k μ_k |a_k|²` summed on the pupil grid in ascending
+    /// `k`, then handed to the sink `make_sink` returns. At `S = N` that
+    /// is `J` itself, whole. Below it, `J_S`'s band goes through the
+    /// upsampling's column piece ([`LithoSimulator::upsample_columns`])
+    /// and each row pair of the mask-grid `J` is made
+    /// ([`RowPairs::forward_re_band_rows`]) and handed over in turn, so no
+    /// mask-grid `J` is ever whole.
+    fn stack_rows<S: StackRows>(
         &self,
         set: &KernelSet,
         d: usize,
         source: Source<'_>,
-    ) -> Result<Vec<f64>, LithoError> {
+        make_sink: impl FnOnce() -> S,
+    ) -> Result<S::Out, LithoError> {
         let s2 = self.pupil_size() * self.pupil_size();
-        let pool = self.pupil_real_pool();
-        let mut j = pool.take_zeroed(s2);
+        let mut j = self.pupil_real_pool.take_zeroed(s2);
         match source {
             Source::Kept(fields) => {
                 for (kernel, field) in set.kernels().iter().zip(fields.stack(d)) {
@@ -650,13 +685,27 @@ impl LithoSimulator {
             }
         }
         if !self.resampled() {
-            return Ok(j);
+            let mut sink = make_sink();
+            let fed = sink.rows(0, &j);
+            self.pupil_real_pool.put(j);
+            fed?;
+            return sink.finish();
         }
-        let mut fine = self.real_pool.take(self.config.size * self.config.size);
-        let moved = self.resample(&j, &mut fine);
-        pool.put(j);
+        let mut half = self.half_pool.take(self.rplan.half_band_len(self.band));
+        let moved = self.upsample_columns(&j, &mut half);
+        self.pupil_real_pool.put(j);
         moved?;
-        Ok(fine)
+        let mut sink = make_sink();
+        let n = self.size();
+        let mut rows = self.row_pool.take(2 * n);
+        let mut pairs = self.rplan.row_pairs();
+        for pair in 0..n / 2 {
+            pairs.forward_re_band_rows(&half, pair, &mut rows, self.band)?;
+            sink.rows(2 * pair, &rows)?;
+        }
+        self.row_pool.put(rows);
+        self.half_pool.put(half);
+        sink.finish()
     }
 
     /// Returns [`Fields::fields`] to the field pool.
@@ -666,54 +715,64 @@ impl LithoSimulator {
         }
     }
 
-    /// Exact band-limited resampling of a real field between the pupil
-    /// and mask grids, whichever way `src.len()` says: trigonometric
-    /// interpolation from the pupil grid, or the `[−L, L]²` low-pass
-    /// sampled at every `N/S`-th pixel from the mask grid. With `a` and
-    /// `b` the source and destination edges,
+    /// Entries `N · (2L + 1)` of a band-packed mask-grid spectrum of the
+    /// resampling.
+    fn band_len(&self) -> usize {
+        self.size() * (2 * self.band + 1)
+    }
+
+    /// The upsampling's first half: the pupil-grid intensity `j`'s band
+    /// spectrum moved onto the mask grid ([`LithoSimulator::move_band`])
+    /// and put through the mask-grid column piece
+    /// ([`Rfft2d::forward_re_band_columns`]) into `half`
+    /// ([`Rfft2d::half_band_len`] entries). Each row pair of `half` then
+    /// gives two rows of the mask-grid intensity.
+    fn upsample_columns(&self, j: &[f64], half: &mut [Complex]) -> Result<(), LithoError> {
+        let (n, s) = (self.size(), self.pupil_size());
+        let m = 2 * self.band + 1;
+        let mut spec = self.field_pool.take(s * m);
+        self.pupil_rplan
+            .forward_band_into(j, &mut spec, self.band)?;
+        // Rows outside [−L, L] stay zero.
+        let mut band_spec = self.band_pool.take_zeroed(n * m);
+        self.move_band(&spec, s, &mut band_spec, n);
+        self.field_pool.put(spec);
+        let columns = self
+            .rplan
+            .forward_re_band_columns(&band_spec, half, self.band);
+        self.band_pool.put(band_spec);
+        Ok(columns?)
+    }
+
+    /// The spectral step of the exact band-limited resampling between the
+    /// pupil and mask grids. With `a` and `b` the source and destination
+    /// edges,
     ///
     /// ```text
     /// dst = Re[ FFT_b( conj(FFT_a(src)) / a² on [−L, L]², 0 elsewhere ) ]
     /// ```
     ///
-    /// which is `IFFT_b` of the source spectrum kept on the band and
-    /// scaled by `b²/a²` — the conjugate turns the forward transform into
-    /// the inverse on a real result. Both transforms use the real-input
-    /// plans. `2L + 1 ≤ S ≤ N`, so the band's bins are distinct on both
-    /// grids. Only the band's columns are ever read or written, so both
-    /// spectra are band-packed (`2L + 1` columns; the mask side's from
-    /// its own pool), not full grids.
-    pub(crate) fn resample(&self, src: &[f64], dst: &mut [f64]) -> Result<(), LithoError> {
-        let up = src.len() < dst.len();
-        let ((from, from_pool), (to, to_pool)) = {
-            let pupil = (&self.pupil_rplan, &self.field_pool);
-            let mask = (&self.rplan, &self.band_pool);
-            if up {
-                (pupil, mask)
-            } else {
-                (mask, pupil)
-            }
-        };
-        let (a, b) = (from.width(), to.width());
-        let band = self.band;
-        let m = 2 * band + 1;
-        let mut spec = from_pool.take(a * m);
-        from.forward_band_into(src, &mut spec, band)?;
-        // Rows outside [−L, L] stay zero.
-        let mut band_spec = to_pool.take_zeroed(b * m);
+    /// is `IFFT_b` of the source spectrum kept on the band and scaled by
+    /// `b²/a²` — the conjugate turns the forward transform into the
+    /// inverse on a real result: trigonometric interpolation from the
+    /// pupil grid, or the `[−L, L]²` low-pass sampled at every `N/S`-th
+    /// pixel from the mask grid. This step writes the bracket: the band of
+    /// `spec` (`FFT_a(src)`, band-packed, `2L + 1` columns) conjugated and
+    /// scaled into the same bins of the zeroed band-packed `dst`.
+    /// `2L + 1 ≤ S ≤ N`, so the band's bins are distinct on both grids.
+    /// Both transforms around it use the real-input plans on the band's
+    /// columns alone.
+    fn move_band(&self, spec: &[Complex], a: usize, dst: &mut [Complex], b: usize) {
+        let m = 2 * self.band + 1;
         let norm = 1.0 / (a * a) as f64;
-        let l = band as i64;
+        let l = self.band as i64;
         let wrap = |f: i64, m: usize| f.rem_euclid(m as i64) as usize;
         for fy in -l..=l {
             let (row_a, row_b) = (wrap(fy, a) * m, wrap(fy, b) * m);
             for fx in -l..=l {
-                band_spec[row_b + wrap(fx, m)] = spec[row_a + wrap(fx, m)].conj().scale(norm);
+                dst[row_b + wrap(fx, m)] = spec[row_a + wrap(fx, m)].conj().scale(norm);
             }
         }
-        from_pool.put(spec);
-        to.forward_re_band_into(&band_spec, dst, band)?;
-        to_pool.put(band_spec);
-        Ok(())
     }
 
     /// Aerial image of a continuous mask at one corner.
@@ -735,29 +794,22 @@ impl LithoSimulator {
     /// Aerial images at all three corners, sharing one mask FFT, one
     /// batched forward pass, and the in-focus intensity that `Nominal` and
     /// `Max` both use: `2K` pupil-grid kernel inverses for the three
-    /// corners, plus one resampling per focus below `S = N`, in two pool
-    /// regions (the fields, then one task per stack). Each corner's dose
-    /// is applied on the mask grid.
+    /// corners, plus one resampling per focus below `S = N`, in one pool
+    /// region (one task per stack, each computing its own fields). Each
+    /// corner's dose is applied on the mask grid, row by row as its
+    /// stack's intensity streams into the images.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
-        let [in_focus, mut min] =
-            self.image_stacks(self.mask_spectrum_pooled(mask)?, |_, j| Ok(j))?;
-        // `Nominal` images at dose 1 (`LithoConfig::dose`): `J` itself.
-        let dose_max = self.config.dose(ProcessCorner::Max);
-        let mut max = self.real_pool.take(n * n);
-        for (m, &j) in max.iter_mut().zip(&in_focus) {
-            *m = dose_max * j;
-        }
-        let dose_min = self.config.dose(ProcessCorner::Min);
-        for v in &mut min {
-            *v *= dose_min;
-        }
+        let [[nominal, max], [min, _]] = self
+            .image_stacks(self.mask_spectrum_pooled(mask)?, |d| {
+                CornerRows::new(self, Self::corners_of(d), |dose, j| dose * j)
+            })?;
         Ok(CornerImages {
-            nominal: Grid2D::from_vec(n, n, in_focus),
+            nominal: Grid2D::from_vec(n, n, nominal),
             max: Grid2D::from_vec(n, n, max),
             min: Grid2D::from_vec(n, n, min),
         })
@@ -785,46 +837,163 @@ impl LithoSimulator {
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn print(&self, mask: &BitGrid, corner: ProcessCorner) -> Result<BitGrid, LithoError> {
+        let n = self.size();
+        let th = self.config.threshold;
         let spectrum = self.bit_spectrum_pooled(mask)?;
-        let intensity = self.dose_free_intensity(self.kernel_set(corner), &spectrum);
+        let printed = self.image_stack(self.kernel_set(corner), &spectrum, || {
+            CornerRows::new(self, &[corner], |dose, j| dose * j > th)
+        });
         self.spectrum_pool.put(spectrum);
-        let intensity = intensity?;
-        let printed = self.threshold(&intensity, corner);
-        self.real_pool.put(intensity);
-        Ok(printed)
+        let [printed, _] = printed?;
+        Ok(BitGrid::from(Grid2D::from_vec(n, n, printed)))
     }
 
     /// Prints a binary mask at all corners (one FFT of the mask): the bits
     /// of [`LithoSimulator::resist_binary`] on each of
-    /// [`LithoSimulator::aerial_corners`]' images, thresholded straight
-    /// from each focus's dose-free intensity, whose buffers go back to the
-    /// pool.
+    /// [`LithoSimulator::aerial_corners`]' images, thresholded row by row
+    /// from each focus's streamed dose-free intensity.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn print_corners(&self, mask: &BitGrid) -> Result<[BitGrid; 3], LithoError> {
-        let [in_focus, defocused] =
-            self.image_stacks(self.bit_spectrum_pooled(mask)?, |_, j| Ok(j))?;
-        let printed = [
-            self.threshold(&in_focus, ProcessCorner::Nominal),
-            self.threshold(&in_focus, ProcessCorner::Max),
-            self.threshold(&defocused, ProcessCorner::Min),
-        ];
-        self.real_pool.put(in_focus);
-        self.real_pool.put(defocused);
-        Ok(printed)
+        let n = self.size();
+        let th = self.config.threshold;
+        let [[nominal, max], [min, _]] = self
+            .image_stacks(self.bit_spectrum_pooled(mask)?, |d| {
+                CornerRows::new(self, Self::corners_of(d), |dose, j| dose * j > th)
+            })?;
+        Ok([nominal, max, min].map(|bits| BitGrid::from(Grid2D::from_vec(n, n, bits))))
     }
 
-    /// The hard resist of `corner` on its focus's dose-free intensity `j`:
-    /// `dose · J > I_th`. Multiplication is commutative and `Nominal`'s
-    /// dose is exactly 1, so each product has the bits of the aerial
-    /// image's pixel.
-    fn threshold(&self, j: &[f64], corner: ProcessCorner) -> BitGrid {
-        let n = self.size();
-        let (dose, th) = (self.config.dose(corner), self.config.threshold);
-        let prints = j.iter().map(|&v| dose * v > th).collect();
-        BitGrid::from(Grid2D::from_vec(n, n, prints))
+    /// The corners imaged through stack `d` of [`LithoSimulator::stacks`],
+    /// in corner order.
+    fn corners_of(d: usize) -> &'static [ProcessCorner] {
+        const STACKS: [&[ProcessCorner]; 2] = [
+            &[ProcessCorner::Nominal, ProcessCorner::Max],
+            &[ProcessCorner::Min],
+        ];
+        STACKS[d]
+    }
+}
+
+/// A per-stack task's consumer of its stack's dose-free mask-grid
+/// intensity `J_d` ([`LithoSimulator::per_stack`]), fed in blocks of
+/// whole rows.
+pub(crate) trait StackRows {
+    /// What the task returns.
+    type Out: Default + Send;
+
+    /// Rows `first..first + j.len() / N` of `J_d`. The blocks arrive in
+    /// row order and cover every row once: the whole grid at `S = N`, one
+    /// row pair at a time below it.
+    fn rows(&mut self, first: usize, j: &[f64]) -> Result<(), LithoError>;
+
+    /// What the rows made, after the last block.
+    fn finish(self) -> Result<Self::Out, LithoError>;
+}
+
+/// Per-pixel values `f(dose_c, J)` for up to two corners imaged at one
+/// focus, collected row by row into one `N²` grid per corner: corner
+/// images (`dose · J`) or prints (`dose · J > I_th`). Multiplication is
+/// commutative and `Nominal`'s dose is exactly 1, so each product has the
+/// bits of the dosed image's pixel.
+struct CornerRows<T, F> {
+    doses: [Option<f64>; 2],
+    grids: [Vec<T>; 2],
+    f: F,
+}
+
+impl<T, F: Fn(f64, f64) -> T> CornerRows<T, F> {
+    /// Empty grids for `corners` (one or two) of `sim`.
+    fn new(sim: &LithoSimulator, corners: &[ProcessCorner], f: F) -> Self {
+        let n2 = sim.size() * sim.size();
+        let mut doses = [None; 2];
+        for (dose, &corner) in doses.iter_mut().zip(corners) {
+            *dose = Some(sim.config.dose(corner));
+        }
+        CornerRows {
+            doses,
+            grids: doses.map(|dose| Vec::with_capacity(if dose.is_some() { n2 } else { 0 })),
+            f,
+        }
+    }
+}
+
+impl<T: Send, F: Fn(f64, f64) -> T> StackRows for CornerRows<T, F> {
+    type Out = [Vec<T>; 2];
+
+    fn rows(&mut self, _first: usize, j: &[f64]) -> Result<(), LithoError> {
+        let f = &self.f;
+        for (grid, &dose) in self.grids.iter_mut().zip(self.doses.iter().flatten()) {
+            grid.extend(j.iter().map(|&v| f(dose, v)));
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Self::Out, LithoError> {
+        Ok(self.grids)
+    }
+}
+
+/// The downsampling half of a stack task's stream below `S = N`: the
+/// mask-grid dL/dI `G_d`, written one row pair at a time into
+/// [`Downsample::rows`] and pushed into the mask-grid row pass
+/// ([`RowPairs::forward_band_rows`]), then the column pass and the move to
+/// the pupil grid ([`Downsample::finish`]). It holds one band-packed
+/// `N × (2L + 1)` spectrum, one row pair and its packed-row scratch,
+/// never the whole `G_d`.
+pub(crate) struct Downsample<'a> {
+    sim: &'a LithoSimulator,
+    rows: Vec<f64>,
+    spec: Vec<Complex>,
+    pairs: RowPairs<'a>,
+}
+
+impl<'a> Downsample<'a> {
+    /// Takes the stream's buffers from `sim`'s pools.
+    pub(crate) fn new(sim: &'a LithoSimulator) -> Self {
+        Downsample {
+            sim,
+            rows: sim.row_pool.take(2 * sim.size()),
+            spec: sim.band_pool.take(sim.band_len()),
+            pairs: sim.rplan.row_pairs(),
+        }
+    }
+
+    /// The row pair to fill before [`Downsample::push`] (`2N` entries).
+    pub(crate) fn rows(&mut self) -> &mut [f64] {
+        &mut self.rows
+    }
+
+    /// Pushes [`Downsample::rows`] as `G_d`'s rows `2·pair` and
+    /// `2·pair + 1`.
+    pub(crate) fn push(&mut self, pair: usize) -> Result<(), LithoError> {
+        Ok(self
+            .pairs
+            .forward_band_rows(pair, &self.rows, &mut self.spec, self.sim.band)?)
+    }
+
+    /// After the last pair: the column pass, then `G_d`'s band moved onto
+    /// the pupil grid ([`LithoSimulator::move_band`]) and transformed
+    /// there into `G_S`, a buffer of the pupil real pool. The stream's
+    /// buffers go back to their pools.
+    pub(crate) fn finish(mut self) -> Result<Vec<f64>, LithoError> {
+        let sim = self.sim;
+        let (n, s) = (sim.size(), sim.pupil_size());
+        let columns = sim.rplan.forward_band_columns(&mut self.spec, sim.band);
+        sim.row_pool.put(self.rows);
+        columns?;
+        let mut band_spec = sim.field_pool.take_zeroed(s * (2 * sim.band + 1));
+        sim.move_band(&self.spec, n, &mut band_spec, s);
+        sim.band_pool.put(self.spec);
+        let mut coarse = sim.pupil_real_pool.take(s * s);
+        let moved = sim
+            .pupil_rplan
+            .forward_re_band_into(&band_spec, &mut coarse, sim.band);
+        sim.field_pool.put(band_spec);
+        moved?;
+        Ok(coarse)
     }
 }
 

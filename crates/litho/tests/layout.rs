@@ -11,6 +11,11 @@
 //! adjoint's values added into a zeroed `N × N` accumulator in the
 //! simulator's order before the final `Re[FFT]`.
 //!
+//! The oracle also keeps each stack's mask-grid intensity `J_d` and
+//! folded dL/dI `G_d` whole, where the simulator streams them one row pair
+//! at a time below `S = N`: the loss and gradient, the corner images and
+//! prints and `bossung_surface` are checked against its whole grids too.
+//!
 //! Every output must match bit for bit (the gradient up to the sign of
 //! exact zeros, which the full-layout transform may flip), on 2048 nm
 //! tiles at 64, 128 and 256 px (`m < N`) and on 4096 nm windows at 64 px
@@ -203,7 +208,7 @@ impl<'a> FullLayout<'a> {
         dst
     }
 
-    /// Stack `d`'s dose-free mask-grid intensity.
+    /// Stack `d`'s dose-free mask-grid intensity, whole.
     fn intensity(&self, d: usize) -> Vec<f64> {
         let mut j = vec![0.0; self.s * self.s];
         for (kernel, field) in self.stacks[d].kernels().iter().zip(&self.fields[d]) {
@@ -465,6 +470,96 @@ fn loss_and_gradient_match_the_full_layout_oracle() {
                     a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
                     "{label}: gradient pixel {i}: {a} vs {b}"
                 );
+            }
+        }
+    }
+}
+
+/// The stack of `corner` in [`FullLayout::stacks`].
+fn stack_of(corner: ProcessCorner) -> usize {
+    usize::from(corner == ProcessCorner::Min)
+}
+
+#[test]
+fn imaging_matches_the_full_layout_oracle() {
+    for (size, tile_nm) in CASES {
+        let label = format!("{size} px on {tile_nm} nm");
+        let sim = LithoSimulator::new(config(size, tile_nm)).unwrap();
+        let cfg = sim.config();
+        let (mask, target) = mask_and_target(size);
+
+        // Each corner image is its dose times its focus's whole `J_d`.
+        let oracle = FullLayout::new(&sim, &mask);
+        let j = [oracle.intensity(0), oracle.intensity(1)];
+        let images = sim.aerial_corners(&mask).unwrap();
+        for corner in ProcessCorner::ALL {
+            let dose = cfg.dose(corner);
+            let want: Vec<f64> = j[stack_of(corner)].iter().map(|&v| dose * v).collect();
+            let got = images.get(corner).as_slice();
+            assert!(same_bits(got, &want), "{label}: {corner:?} image");
+            let single = sim.aerial_image(&mask, corner).unwrap();
+            assert!(
+                same_bits(single.as_slice(), &want),
+                "{label}: {corner:?} aerial_image"
+            );
+        }
+
+        // Each print is its dosed `J_d` above the threshold.
+        let bits = BitGrid::from_threshold(&mask, 0.5);
+        let oracle = FullLayout::new(&sim, &bits.to_real());
+        let j = [oracle.intensity(0), oracle.intensity(1)];
+        let printed = sim.print_corners(&bits).unwrap();
+        for (corner, got) in ProcessCorner::ALL.into_iter().zip(&printed) {
+            let dose = cfg.dose(corner);
+            let prints = j[stack_of(corner)]
+                .iter()
+                .map(|&v| dose * v > cfg.threshold)
+                .collect();
+            let want = BitGrid::from(Grid2D::from_vec(size, size, prints));
+            assert_eq!(*got, want, "{label}: {corner:?} print_corners");
+            assert_eq!(
+                sim.print(&bits, corner).unwrap(),
+                want,
+                "{label}: {corner:?} print"
+            );
+        }
+
+        // The CDs of a sweep over the simulator's own foci are those of
+        // each focus's whole `J_d`, through both probe axes.
+        let unit = LithoSimulator::new(LithoConfig {
+            dose_max: 1.0,
+            dose_min: 1.0,
+            defocus_nm: 60.0,
+            ..config(size, tile_nm)
+        })
+        .unwrap();
+        let mask = BitGrid::from_threshold(&target, 0.5);
+        let oracle = FullLayout::new(&unit, &mask.to_real());
+        let defocus = [0.0, 60.0];
+        let doses = [0.85, 1.0, 1.2];
+        let c = size as i32 / 2;
+        for axis in [CdAxis::Horizontal, CdAxis::Vertical] {
+            let probe = CdProbe {
+                at: cfaopc_grid::Point::new(c, c),
+                axis,
+            };
+            let surface = bossung_surface(&unit, &mask, &probe, &defocus, &doses).unwrap();
+            assert!(
+                surface.points.iter().any(|p| p.cd_nm.is_some()),
+                "{label}: nothing prints"
+            );
+            for (f, &z) in defocus.iter().enumerate() {
+                let j = oracle.intensity(f);
+                for (k, &dose) in doses.iter().enumerate() {
+                    let prints = j.iter().map(|&v| v * dose > cfg.threshold).collect();
+                    let printed = BitGrid::from(Grid2D::from_vec(size, size, prints));
+                    let want = measure_cd(&printed, &probe, cfg.pixel_nm());
+                    assert_eq!(
+                        surface.cd(f, k),
+                        want,
+                        "{label}: {axis:?} probe, defocus {z}, dose {dose}"
+                    );
+                }
             }
         }
     }

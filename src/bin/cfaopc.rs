@@ -204,6 +204,24 @@ fn parse_flags(args: &[String], allowed: &[FlagSpec]) -> Result<Flags, String> {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
+/// Numeric flag `--name` parsed, or `None` when absent. Every command
+/// parses its numeric flags this way before doing any work, so a bad
+/// value fails at once with an error naming the flag and the value.
+fn numeric<T>(flags: &Flags, name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flags
+        .get(name)
+        .map(|value| {
+            value
+                .parse()
+                .map_err(|e| format!("--{name}: invalid value {value:?} ({e})"))
+        })
+        .transpose()
+}
+
 fn cmd_cases() -> CliResult {
     println!("{:<8} {:>12} {:>7}", "case", "area (nm^2)", "rects");
     for layout in all_cases() {
@@ -217,9 +235,10 @@ fn cmd_cases() -> CliResult {
     Ok(())
 }
 
-fn load_layout(flags: &Flags) -> Result<Layout, Box<dyn std::error::Error>> {
-    if let Some(case) = flags.get("case") {
-        return Ok(benchmark_case(case.parse()?)?);
+/// The layout of `--case` (parsed by the caller) or `--glp FILE`.
+fn load_layout(case: Option<usize>, flags: &Flags) -> Result<Layout, Box<dyn std::error::Error>> {
+    if let Some(case) = case {
+        return Ok(benchmark_case(case)?);
     }
     if let Some(path) = flags.get("glp") {
         return Ok(Layout::from_glp(&std::fs::read_to_string(path)?)?);
@@ -227,12 +246,7 @@ fn load_layout(flags: &Flags) -> Result<Layout, Box<dyn std::error::Error>> {
     Err("need --case <1-10> or --glp FILE".into())
 }
 
-fn build_sim(flags: &Flags) -> Result<LithoSimulator, Box<dyn std::error::Error>> {
-    let size: usize = flags
-        .get("size")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(256);
+fn build_sim(size: usize) -> Result<LithoSimulator, Box<dyn std::error::Error>> {
     Ok(LithoSimulator::new(LithoConfig {
         size,
         kernel_count: 8,
@@ -241,16 +255,14 @@ fn build_sim(flags: &Flags) -> Result<LithoSimulator, Box<dyn std::error::Error>
 }
 
 fn cmd_fracture(flags: &Flags) -> CliResult {
-    let layout = load_layout(flags)?;
-    let sim = build_sim(flags)?;
+    let case = numeric(flags, "case")?;
+    let size = numeric(flags, "size")?.unwrap_or(256);
+    let iters: usize = numeric(flags, "iters")?.unwrap_or(30);
+    let layout = load_layout(case, flags)?;
+    let sim = build_sim(size)?;
     let n = sim.size();
     let pixel_nm = sim.config().pixel_nm();
     let target = layout.rasterize(n);
-    let iters: usize = flags
-        .get("iters")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(30);
     let method = flags.get("method").map(String::as_str).unwrap_or("opt");
 
     let (mask, raster, label) = match method {
@@ -319,6 +331,7 @@ fn cmd_eval(flags: &Flags) -> CliResult {
             cfaopc::eval::SuiteSpec::NAMES.join(", ")
         )
     })?;
+    let tol = parse_tolerance(flags)?;
     let timing = flags.contains_key("timing");
     println!(
         "running suite {:?}: {} cases at {}px, {} workers",
@@ -365,6 +378,7 @@ fn cmd_eval(flags: &Flags) -> CliResult {
     }
     golden_check(
         flags,
+        &tol,
         &report,
         format!("{} cases", report.cases.len()),
         EvalReport::from_json_str,
@@ -374,9 +388,11 @@ fn cmd_eval(flags: &Flags) -> CliResult {
 
 /// The `--check` step shared by `eval` and `chip`: loads the golden
 /// report with `load`, compares `report` (`what` names its entries)
-/// against it within `--tol` / `--tol-abs`, and fails on any drift.
+/// against it within `tol` (`--tol` / `--tol-abs`), and fails on any
+/// drift.
 fn golden_check<R>(
     flags: &Flags,
+    tol: &Tolerance,
     report: &R,
     what: String,
     load: fn(&str) -> Result<R, String>,
@@ -385,10 +401,9 @@ fn golden_check<R>(
     let Some(golden_path) = flags.get("check") else {
         return Ok(());
     };
-    let tol = parse_tolerance(flags)?;
     let golden = load(&std::fs::read_to_string(golden_path)?)
         .map_err(|e| format!("cannot load golden file {golden_path}: {e}"))?;
-    let drifts = compare(&golden, report, &tol);
+    let drifts = compare(&golden, report, tol);
     if drifts.is_empty() {
         println!(
             "golden check OK: {what} within tolerance (rel {}, abs {}) of {golden_path}",
@@ -405,18 +420,10 @@ fn golden_check<R>(
 
 /// `--tol` / `--tol-abs` with the library defaults, shared by the
 /// `eval` and `chip` golden checks.
-fn parse_tolerance(flags: &Flags) -> Result<Tolerance, Box<dyn std::error::Error>> {
+fn parse_tolerance(flags: &Flags) -> Result<Tolerance, String> {
     Ok(Tolerance {
-        rel: flags
-            .get("tol")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or(Tolerance::default().rel),
-        abs: flags
-            .get("tol-abs")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or(Tolerance::default().abs),
+        rel: numeric(flags, "tol")?.unwrap_or(Tolerance::default().rel),
+        abs: numeric(flags, "tol-abs")?.unwrap_or(Tolerance::default().abs),
     })
 }
 
@@ -431,6 +438,7 @@ fn cmd_chip(flags: &Flags) -> CliResult {
             ChipSpec::NAMES.join(", ")
         )
     })?;
+    let tol = parse_tolerance(flags)?;
     println!(
         "running chip suite {:?}: {} chips at {} px tiles ({} px windows, {} px halo), {} workers",
         spec.name,
@@ -494,6 +502,7 @@ fn cmd_chip(flags: &Flags) -> CliResult {
     }
     golden_check(
         flags,
+        &tol,
         &report,
         format!("{} chips", report.chips.len()),
         ChipReport::from_json_str,
@@ -507,17 +516,9 @@ fn cmd_serve(flags: &Flags) -> CliResult {
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        queue_capacity: flags
-            .get("queue")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or(32),
-        runners: flags
-            .get("jobs")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or(0),
-        default_timeout_ms: flags.get("timeout-ms").map(|s| s.parse()).transpose()?,
+        queue_capacity: numeric(flags, "queue")?.unwrap_or(32),
+        runners: numeric(flags, "jobs")?.unwrap_or(0),
+        default_timeout_ms: numeric(flags, "timeout-ms")?,
     };
     let server = cfaopc::serve::Server::bind(config)?;
     // Flush explicitly: when stdout is a pipe (scripts waiting for the
@@ -531,9 +532,10 @@ fn cmd_serve(flags: &Flags) -> CliResult {
 }
 
 fn cmd_evaluate(flags: &Flags) -> CliResult {
+    let case = numeric(flags, "case")?;
     let shots_path = flags.get("shots").ok_or("need --shots FILE.cshot")?;
     let list = ShotList::from_text(&std::fs::read_to_string(shots_path)?)?;
-    let layout = load_layout(flags)?;
+    let layout = load_layout(case, flags)?;
     let size = list.width;
     if list.height != size {
         return Err("non-square shot grids are not supported".into());
@@ -633,6 +635,19 @@ mod tests {
         let err =
             parse_flags(&args(&["--suite", "tiny", "--suite", "small"]), EVAL_FLAGS).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn numeric_flags_name_the_flag_and_the_value() {
+        let flags =
+            parse_flags(&args(&["--iters", "two", "--size", "64"]), FRACTURE_FLAGS).unwrap();
+        let err = numeric::<usize>(&flags, "iters").unwrap_err();
+        assert!(err.contains("--iters") && err.contains("\"two\""), "{err}");
+        assert_eq!(numeric::<usize>(&flags, "size"), Ok(Some(64)));
+        assert_eq!(numeric::<usize>(&flags, "case"), Ok(None));
+        let flags = parse_flags(&args(&["--tol", "abc"]), EVAL_FLAGS).unwrap();
+        let err = parse_tolerance(&flags).unwrap_err();
+        assert!(err.contains("--tol") && err.contains("\"abc\""), "{err}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The `cfaopc` binary end to end: a shot file written by `fracture`
-//! scores the same under `evaluate`, and `evaluate` refuses a shot file
-//! whose field is not one benchmark tile.
+//! scores the same under `evaluate`, `evaluate` refuses a shot file
+//! whose field is not one benchmark tile, and a numeric flag that does
+//! not parse stops every command before it does any work, naming the flag
+//! and the value.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -80,5 +82,61 @@ fn evaluate_scores_a_fracture_shot_file_as_fracture_did() {
         for p in [&path, &doubled] {
             std::fs::remove_file(p).unwrap();
         }
+    }
+}
+
+#[test]
+fn numeric_flags_that_do_not_parse_stop_before_any_work() {
+    let out_file = scratch("never-written.json");
+    let out_path = out_file.to_str().unwrap();
+    let cases: [(&[&str], &str, &str); 6] = [
+        (
+            &["fracture", "--case", "1", "--iters", "two"],
+            "--iters",
+            "\"two\"",
+        ),
+        (&["fracture", "--case", "x"], "--case", "\"x\""),
+        (&["serve", "--jobs", "x"], "--jobs", "\"x\""),
+        (
+            &["evaluate", "--shots", out_path, "--case", "z"],
+            "--case",
+            "\"z\"",
+        ),
+        (
+            &[
+                "eval",
+                "--suite",
+                "tiny",
+                "--tol",
+                "abc",
+                "--check",
+                "eval/golden.json",
+                "--out",
+                out_path,
+            ],
+            "--tol",
+            "\"abc\"",
+        ),
+        (
+            &["chip", "--tol-abs", "q", "--out", out_path],
+            "--tol-abs",
+            "\"q\"",
+        ),
+    ];
+    for (args, flag, value) in cases {
+        let out = cfaopc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: exit 0");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "{args:?}: {stderr}"
+        );
+        // Nothing ran: no progress line, no report.
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(!out_file.exists(), "{args:?} wrote {out_path}");
     }
 }
