@@ -25,25 +25,26 @@
 //!   the fft/litho/core concurrency tests);
 //! * shot merging walks tiles in row-major order and keeps each shot
 //!   exactly once (its centre's owner emits it);
-//! * the seam blend accumulates window intensities serially in the same
-//!   row-major tile order, so float non-associativity never reorders —
-//!   the weights are exact small integers and the per-pixel weight sum
-//!   divides out as a partition of unity;
+//! * the seam blend images one pool width of windows at a time and
+//!   accumulates their intensities serially in the same row-major tile
+//!   order, so float non-associativity never reorders — the weights are
+//!   exact small integers and the per-pixel weight sum divides out as a
+//!   partition of unity;
 //! * wall-clock timing is never recorded.
 
 use crate::geometry::ChipGeometry;
 use crate::report::{ChipMethodOutcome, ChipRecord, ChipReport, TileRecord};
 use crate::spec::ChipSpec;
 use crate::stitch::{
-    accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
+    accumulate_windows, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
 };
 use cfaopc_core::{run_circleopt, RunCtx};
-use cfaopc_fft::parallel::par_map_coarse;
+use cfaopc_fft::parallel::{par_map_coarse, region_width};
 use cfaopc_fracture::{check_mrc, circle_rule, CircularMask, MrcRules, MrcViolation};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_ilt::{run_engine, IltEngine};
 use cfaopc_layouts::ChipLayout;
-use cfaopc_litho::{LithoError, LithoSimulator, ProcessCorner};
+use cfaopc_litho::{LithoError, LithoSimulator};
 use cfaopc_metrics::{epe_violations, l2_error, pvb, EpeConfig};
 use std::fmt;
 
@@ -153,47 +154,45 @@ fn stitched_outcome(
     let pixel_nm = spec.pixel_nm();
     let chip_raster = merged.mask.rasterize(cw, ch);
 
-    // Per-window corner images of the *merged* mask, in parallel with
-    // index-keyed shares (results land in tile order).
-    let images = par_map_coarse(geom.tile_count(), |i| {
-        let (tx, ty) = geom.tile_at(i);
-        let mut window = BitGrid::new(win, win);
-        extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
-        sim.aerial_corners(&window.to_real())
-    });
-
-    // Serial partition-of-unity accumulation in row-major tile order.
+    // Per-window corner images of the *merged* mask, one pool width of
+    // windows at a time in parallel with index-keyed shares, each chunk
+    // blended as it lands: the serial partition-of-unity accumulation
+    // runs in row-major tile order, into one accumulator per corner under
+    // one weight sum, and no more than a chunk's images are ever held.
     let weights = axis_weights(geom);
-    let mut prints: Vec<BitGrid> = Vec::with_capacity(3);
-    for corner in [
-        ProcessCorner::Nominal,
-        ProcessCorner::Max,
-        ProcessCorner::Min,
-    ] {
-        let mut acc = vec![0.0; cw * ch];
-        let mut wsum = vec![0.0; cw * ch];
-        for (i, images) in images.iter().enumerate() {
-            let images = match images {
-                Ok(images) => images,
-                Err(e) => return Err(e.clone()),
-            };
+    let mut acc: [Vec<f64>; 3] = std::array::from_fn(|_| vec![0.0; cw * ch]);
+    let mut wsum = vec![0.0; cw * ch];
+    let tiles = geom.tile_count();
+    let chunk = region_width(tiles);
+    for first in (0..tiles).step_by(chunk) {
+        let images = par_map_coarse(chunk.min(tiles - first), |j| {
+            let (tx, ty) = geom.tile_at(first + j);
+            let mut window = BitGrid::new(win, win);
+            extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
+            sim.aerial_corners(&window.to_real())
+        });
+        for (i, images) in (first..).zip(images) {
+            let images = images?;
             let (tx, ty) = geom.tile_at(i);
-            accumulate_window(
-                images.get(corner).as_slice(),
+            accumulate_windows(
+                [&images.nominal, &images.max, &images.min].map(|image| image.as_slice()),
                 win,
                 geom.window_origin(tx, ty),
                 &weights,
                 &weights,
                 cw,
                 ch,
-                &mut acc,
+                acc.each_mut().map(Vec::as_mut_slice),
                 &mut wsum,
             );
         }
+    }
+    // Nominal, Max, Min.
+    let prints = acc.map(|mut acc| {
         normalize_blend(&mut acc, &wsum);
         let blended = Grid2D::from_vec(cw, ch, acc);
-        prints.push(BitGrid::from_threshold(&blended, sim.config().threshold));
-    }
+        BitGrid::from_threshold(&blended, sim.config().threshold)
+    });
 
     // Cross-seam MRC: radius bounds from the CircleRule config (the
     // writer's physical limits), spacing rule between disjoint shot

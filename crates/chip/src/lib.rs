@@ -59,5 +59,6 @@ pub use report::{
 };
 pub use spec::{ChipSource, ChipSpec};
 pub use stitch::{
-    accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
+    accumulate_window, accumulate_windows, axis_weights, extract_window_into, merge_tile_shots,
+    normalize_blend,
 };

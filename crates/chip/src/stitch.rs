@@ -1,20 +1,21 @@
 //! Seam stitching and shot merging — the chip-assembly hot path.
 //!
-//! Three kernels assemble per-tile results into chip-level artifacts,
+//! Four kernels assemble per-tile results into chip-level artifacts,
 //! all driven in the fixed row-major tile order so the outcome is a pure
 //! function of the inputs:
 //!
 //! * [`extract_window_into`] copies a tile's halo window out of the chip
 //!   raster (zero-padded outside the chip),
 //! * [`accumulate_window`] adds one tile's window intensity into the
-//!   chip accumulator under the tent weights,
+//!   chip accumulator under the tent weights ([`accumulate_windows`]
+//!   adds the three corners' at once, under one weight sum),
 //! * [`normalize_blend`] divides by the per-pixel weight sum, turning
 //!   the tent weights into a partition of unity,
 //! * [`merge_tile_shots`] keeps exactly the shots whose centres fall in
 //!   the emitting tile's interior, translated to chip coordinates.
 //!
-//! The first three are listed in `lint/hotpaths.toml`: they run per
-//! pixel per tile per process corner and must not allocate — callers own
+//! All of them are listed in `lint/hotpaths.toml`: they run per pixel
+//! per tile (per process corner) and must not allocate — callers own
 //! every buffer.
 
 use crate::geometry::ChipGeometry;
@@ -54,7 +55,30 @@ pub fn accumulate_window(
     acc: &mut [f64],
     wsum: &mut [f64],
 ) {
-    let win_h = window.len().checked_div(win_w).unwrap_or(0);
+    accumulate_windows([window], win_w, origin, wx, wy, chip_w, chip_h, [acc], wsum);
+}
+
+/// [`accumulate_window`] for `C` images of one window (the three process
+/// corners' intensities) at once: `acc[c][p] += wx·wy·windows[c][p]` for
+/// each image `c`, and `wsum[p] += wx·wy` once. The weights do not depend
+/// on the image, so one weight sum serves every accumulator, and each
+/// accumulator sees the same operations in the same order as one
+/// [`accumulate_window`] call would give it.
+#[allow(clippy::too_many_arguments)]
+pub fn accumulate_windows<const C: usize>(
+    windows: [&[f64]; C],
+    win_w: usize,
+    origin: (i32, i32),
+    wx: &[f64],
+    wy: &[f64],
+    chip_w: usize,
+    chip_h: usize,
+    mut acc: [&mut [f64]; C],
+    wsum: &mut [f64],
+) {
+    let win_h = windows
+        .first()
+        .map_or(0, |window| window.len().checked_div(win_w).unwrap_or(0));
     for (y, &wy) in wy.iter().enumerate().take(win_h) {
         let cy = origin.1 + y as i32;
         if cy < 0 || cy >= chip_h as i32 {
@@ -69,7 +93,9 @@ pub fn accumulate_window(
             }
             let w = wx[x] * wy;
             let i = row + cx as usize;
-            acc[i] += w * window[wrow + x];
+            for (acc, window) in acc.iter_mut().zip(windows) {
+                acc[i] += w * window[wrow + x];
+            }
             wsum[i] += w;
         }
     }

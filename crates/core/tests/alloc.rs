@@ -49,6 +49,11 @@
 //! none of them holds `N²` f64 (an intensity or dL/dI), `N²` complex (a
 //! full spectrum) or `N × (N/2 + 1)` complex elements (a transform's full
 //! half spectrum). Only the caller's mask, target and gradient are `N²`.
+//! At `S = N` (128 px on a 4096 nm window) each pupil-grid field is an
+//! `N²` complex buffer, and a fresh simulator's first
+//! `loss_and_gradient_into` on one worker allocates at most `K + 1` of
+//! them: the focus stacks run one after the other, each returning its
+//! `K` fields before the next stack takes any.
 //!
 //! The byte counters are process-wide, so every run goes one
 //! after the other inside a **single** test: the test harness gives every
@@ -67,6 +72,7 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use cfaopc_core::{
     run_circleopt, CircleOptConfig, CircleParams, Composition, RunCtx, SparseCircles,
 };
+use cfaopc_fft::parallel::with_worker_limit;
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_ilt::{run_pixel_ilt, IltEngine};
 use cfaopc_litho::{loss_and_gradient_into, loss_only, LithoConfig, LithoSimulator, LossWeights};
@@ -80,10 +86,24 @@ struct CountingAlloc;
 static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
 static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// The edge `N` of the grid a window watches (`0` when none does), and
-/// the allocations of a mask-grid buffer seen since: `N²` f64, `N²`
-/// complex or `N × (N/2 + 1)` complex elements.
+/// the allocations of a mask-grid buffer seen since, by kind ([`Grids`]).
 static GRID_WATCH: AtomicUsize = AtomicUsize::new(0);
-static GRID_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static GRID_ALLOCS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+/// Mask-grid buffers allocated in a window: `N²` f64, `N²` complex and
+/// `N × (N/2 + 1)` complex elements.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Grids {
+    real: usize,
+    complex: usize,
+    half: usize,
+}
+
+impl Grids {
+    fn total(self) -> usize {
+        self.real + self.complex + self.half
+    }
+}
 
 fn net_bytes() -> isize {
     NET_BYTES.load(Ordering::SeqCst)
@@ -103,18 +123,27 @@ fn watch_grid(size: usize) {
     let n = GRID_WATCH.load(Ordering::SeqCst);
     let (real, complex) = (8, 16);
     let grids = [n * n * real, n * n * complex, n * (n / 2 + 1) * complex];
-    if n != 0 && grids.contains(&size) {
-        GRID_ALLOCS.fetch_add(1, Ordering::SeqCst);
+    if let Some(kind) = grids.iter().position(|&bytes| n != 0 && bytes == size) {
+        GRID_ALLOCS[kind].fetch_add(1, Ordering::SeqCst);
     }
 }
 
 /// The mask-grid buffers `f` allocates, watching an `n × n` grid.
-fn grid_allocs(n: usize, f: impl FnOnce()) -> usize {
-    GRID_ALLOCS.store(0, Ordering::SeqCst);
+fn grid_allocs(n: usize, f: impl FnOnce()) -> Grids {
+    for count in &GRID_ALLOCS {
+        count.store(0, Ordering::SeqCst);
+    }
     GRID_WATCH.store(n, Ordering::SeqCst);
     f();
     GRID_WATCH.store(0, Ordering::SeqCst);
-    GRID_ALLOCS.load(Ordering::SeqCst)
+    let [real, complex, half] = GRID_ALLOCS
+        .each_ref()
+        .map(|count| count.load(Ordering::SeqCst));
+    Grids {
+        real,
+        complex,
+        half,
+    }
 }
 
 // SAFETY: pure pass-through to `System` plus relaxed byte counters; the
@@ -296,7 +325,8 @@ fn steady_state_iterations_are_allocation_free() {
         score();
         let grids = grid_allocs(size, || {
             score();
-        });
+        })
+        .total();
         assert_eq!(
             grids, 0,
             "a steady-state evaluate_mask at {size} px on {tile_nm} nm allocated {grids} mask-grid buffers"
@@ -327,9 +357,32 @@ fn steady_state_iterations_are_allocation_free() {
         evaluate_mask(&sim, &target, &target, &EpeConfig::default()).unwrap();
     });
     assert_eq!(
-        [gradient, loss, score],
+        [gradient, loss, score].map(Grids::total),
         [0, 0, 0],
         "the first loss_and_gradient_into, loss_only and evaluate_mask at {size} px on 2048 nm \
          allocated that many mask-grid buffers"
+    );
+
+    // A cold gradient at `S = N` (128 px on a 4096 nm window), where each
+    // pupil-grid field is an `N²` complex buffer. On one worker the stack
+    // tasks run one after the other and each returns its fields before
+    // the next takes any, so the call allocates one stack's `K` fields and
+    // one adjoint product: `K + 1`, not both stacks' `2K + 1`.
+    let (sim, target, _) = fixture(128, 4096.0);
+    assert_eq!(sim.pupil_size(), sim.size(), "the window runs at S = N");
+    let kernels = sim.config().kernel_count;
+    let real = target.to_real();
+    let mut grad = Grid2D::new(128, 128, 0.0);
+    let cold = with_worker_limit(1, || {
+        grid_allocs(128, || {
+            loss_and_gradient_into(&sim, &real, &real, weights, &mut grad).unwrap();
+        })
+    });
+    assert!(
+        cold.complex <= kernels + 1,
+        "the first loss_and_gradient_into at 128 px on 4096 nm on one worker allocated \
+         {} N² complex buffers; K + 1 = {}",
+        cold.complex,
+        kernels + 1
     );
 }

@@ -130,28 +130,48 @@ pub fn region_width(n: usize) -> usize {
 /// used.
 pub fn worker_shares(workers: usize, slots: usize) -> Vec<usize> {
     let slots = slots.max(1);
-    let workers = workers.max(1);
-    let base = workers / slots;
-    let rem = workers % slots;
-    (0..slots)
-        .map(|i| (base + usize::from(i < rem)).max(1))
-        .collect()
+    (0..slots).map(|i| slot_share(workers, slots, i)).collect()
+}
+
+/// Entry `i` of [`worker_shares`]`(workers, slots)`.
+fn slot_share(workers: usize, slots: usize, i: usize) -> usize {
+    let (workers, slots) = (workers.max(1), slots.max(1));
+    (workers / slots + usize::from(i < workers % slots)).max(1)
+}
+
+/// The worker count [`par_map_coarse`] over `n` tasks, opened from this
+/// thread, splits: the caller's own width under any [`with_worker_limit`]
+/// cap, and `c = min(n, workers)` of its tasks run at once.
+fn coarse_split(n: usize) -> (usize, usize) {
+    let workers = effective_workers();
+    (workers, workers.min(n).max(1))
+}
+
+/// The cap [`par_map_coarse`]`(n, …)`, opened from this thread, puts on
+/// task `i`'s inner regions — for a caller that reserves pooled scratch
+/// for those regions before opening it.
+pub fn coarse_share(n: usize, i: usize) -> usize {
+    let (workers, concurrent) = coarse_split(n);
+    slot_share(workers, concurrent, i % concurrent)
 }
 
 /// Two-level scheduling: maps `f` over `0..n` coarse-grained tasks (eval
-/// cases, chip tiles) with [`par_map`], capping task `i`'s inner regions
-/// at share `i mod c` of [`worker_shares`]`(workers, c)`, where `c =
-/// min(n, workers)` tasks run at once. The share is keyed off the index,
-/// not the claiming thread, so the assignment is timing-independent.
+/// cases, chip tiles, a litho call's focus stacks) with [`par_map`],
+/// capping task `i`'s inner regions at share `i mod c` of
+/// [`worker_shares`]`(workers, c)`, where `workers` is the calling
+/// thread's own width (so a task already capped by [`with_worker_limit`]
+/// splits its cap, never the whole pool's) and `c = min(n, workers)`
+/// tasks run at once. The share is keyed off the index, not the claiming
+/// thread, so the assignment is timing-independent.
 pub fn par_map_coarse<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = worker_count();
-    let concurrent = workers.min(n).max(1);
-    let shares = worker_shares(workers, concurrent);
-    par_map(n, |i| with_worker_limit(shares[i % concurrent], || f(i)))
+    let (workers, concurrent) = coarse_split(n);
+    par_map(n, |i| {
+        with_worker_limit(slot_share(workers, concurrent, i % concurrent), || f(i))
+    })
 }
 
 /// Number of OS threads the persistent pool has spawned so far (0 until the

@@ -6,7 +6,10 @@
 //! guarantee sequentially in that known configuration. (Separate
 //! `#[test]`s would race on the process-wide pool setup.)
 
-use cfaopc_fft::parallel::{par_index_claim, par_map, pool_thread_count, worker_count};
+use cfaopc_fft::parallel::{
+    coarse_share, par_index_claim, par_map, par_map_coarse, pool_thread_count, region_width,
+    with_worker_limit, worker_count,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -17,6 +20,7 @@ fn pool_guarantees_with_forced_four_workers() {
 
     steady_state_spawns_no_new_threads();
     panics_cross_the_pool_boundary();
+    coarse_tasks_split_their_callers_width();
 }
 
 /// Current thread count of this process, from `/proc/self/status`.
@@ -89,4 +93,22 @@ fn panics_cross_the_pool_boundary() {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 256);
+}
+
+/// `par_map_coarse` splits the width of the thread that opens it: a task
+/// capped by `with_worker_limit` hands its coarse subtasks shares of its
+/// own cap, never of the whole pool (the innermost limit wins, so a share
+/// of the pool would raise the cap).
+fn coarse_tasks_split_their_callers_width() {
+    let widths = || par_map_coarse(2, |_| region_width(8));
+    assert_eq!(widths(), vec![2, 2], "4 workers over two tasks");
+    assert_eq!((coarse_share(2, 0), coarse_share(2, 1)), (2, 2));
+    with_worker_limit(1, || {
+        assert_eq!(widths(), vec![1, 1], "inside a 1-worker cap");
+        assert_eq!((coarse_share(2, 0), coarse_share(2, 1)), (1, 1));
+    });
+    with_worker_limit(3, || {
+        assert_eq!(widths(), vec![2, 1], "inside a 3-worker cap");
+        assert_eq!((coarse_share(2, 0), coarse_share(2, 1)), (2, 1));
+    });
 }

@@ -484,13 +484,18 @@ fn use_tree(
     prefix.truncate(base_len);
 }
 
-/// Matching `}` for the `{` at `open`, bounded by `stop`.
+/// Matching `}` or `]` for the `{` or `[` at `open`, bounded by `stop`.
 fn group_close(toks: &[Tok], open: usize, stop: usize) -> Option<usize> {
+    let (opener, closer) = if toks.get(open)?.is_punct("[") {
+        ("[", "]")
+    } else {
+        ("{", "}")
+    };
     let mut depth = 0i32;
     for (k, t) in toks.iter().enumerate().take(stop).skip(open) {
-        if t.is_punct("{") {
+        if t.is_punct(opener) {
             depth += 1;
-        } else if t.is_punct("}") {
+        } else if t.is_punct(closer) {
             depth -= 1;
             if depth == 0 {
                 return Some(k);
@@ -501,12 +506,25 @@ fn group_close(toks: &[Tok], open: usize, stop: usize) -> Option<usize> {
 }
 
 /// Collects call expressions in `[start, end)`, skipping nested `fn`
-/// bodies (their calls belong to the nested item).
+/// bodies (their calls belong to the nested item) and attributes.
 fn extract_calls(toks: &[Tok], start: usize, end: usize, out: &mut Vec<CallSite>) {
     let mut i = start;
     while i < end {
         let t = &toks[i];
         if matches!(t.kind, TokKind::Comment { .. }) {
+            i += 1;
+            continue;
+        }
+        if t.is_punct("#") {
+            // An attribute, `#[…]` or `#![…]`: its tokens are no calls.
+            let mut k = skip_comments(toks, i + 1);
+            if toks.get(k).is_some_and(|t| t.is_punct("!")) {
+                k = skip_comments(toks, k + 1);
+            }
+            if toks.get(k).is_some_and(|t| t.is_punct("[")) {
+                i = group_close(toks, k, end).map_or(end, |close| close + 1);
+                continue;
+            }
             i += 1;
             continue;
         }
@@ -704,6 +722,25 @@ fn caller() {
         );
         assert!(f.calls[2].method && f.calls[3].method);
         assert!(!f.calls[0].method && !f.calls[4].method);
+    }
+
+    #[test]
+    fn attributes_are_not_calls() {
+        let src = "\
+fn caller() {
+    #![allow(unused)]
+    #[cfg(target_arch = \"x86_64\")]
+    arch_call();
+    #[allow(clippy::too_many_arguments, reason = \"wide\")]
+    let v = vec![after(1)];
+    index[at(0)];
+}
+";
+        let p = parsed(src);
+        assert_eq!(
+            call_paths(fn_named(&p, "caller")),
+            vec!["arch_call", "after", "at"]
+        );
     }
 
     #[test]

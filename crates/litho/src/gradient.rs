@@ -81,28 +81,37 @@
 //! onto `c1`'s for the fold above.
 //!
 //! **Phases.** [`loss_and_gradient_into`] runs the mask FFT on the
-//! calling thread, then three pool regions, each over whole units of SOCS
-//! work:
+//! calling thread, then one pool region with one task per focus stack
+//! (`LithoSimulator::per_stack`), each capped at its share of the
+//! caller's width, and each running its stack's whole SOCS pass:
 //!
-//! 1. the forward fields, one task per (stack, kernel);
-//! 2. one task per focus stack: it sums the stack's `J` and streams it
-//!    (`crate::simulator`): below `S = N`, each upsampled row pair of `J`
-//!    runs through the resist kernel at each of the stack's corners (the
-//!    fold of `Max` onto `Nominal` stays inside the in-focus stack's task,
-//!    and each corner's partial loss sums carry from pair to pair), and
-//!    the pair's folded `G_d` goes straight into the downsampling's row
-//!    pass, whose column pass runs after the last pair; no mask-grid `J`
-//!    or `G_d` is ever whole;
-//! 3. the adjoint, one task per (weighted stack, kernel), each writing its
-//!    kernel's values into the kernel's own slots of one pooled buffer.
+//! 1. the stack's `K` forward fields, one task per kernel in a region of
+//!    the task's own when its share is wider than one worker;
+//! 2. the stack's `J` summed and streamed (`crate::simulator`): below
+//!    `S = N`, each upsampled row pair of `J` runs through the resist
+//!    kernel at each of the stack's corners (the fold of `Max` onto
+//!    `Nominal` stays inside the in-focus stack's task, and each corner's
+//!    partial loss sums carry from pair to pair), and the pair's folded
+//!    `G_d` goes straight into the downsampling's row pass, whose column
+//!    pass runs after the last pair; no mask-grid `J` or `G_d` is ever
+//!    whole;
+//! 3. when one of its corners carries weight, the stack's adjoint over the
+//!    same fields, one task per kernel capped like the fields, each
+//!    writing its kernel's values into the kernel's own slots of the
+//!    stack's own pooled buffer;
 //!
-//! and then the final `Re[FFT]` on the calling thread. Every transform
-//! runs on the thread of the task that calls it. The corner losses and
-//! the adjoint's values are merged after their regions, on the calling
-//! thread and in a fixed order, so every output bit is the same at any
-//! worker count. [`loss_only`] needs no field after its stack's sum, so
-//! it runs the mask FFT and phase 2 alone, each stack task computing its
-//! own fields one at a time.
+//! and only then are the stack's fields returned to the pool. The adjoint
+//! needs a stack's fields only for that stack's `G_d`, so at width 1,
+//! where the stacks run one after the other, a call holds `K + 1`
+//! pupil-grid field buffers at a time: one stack's fields and one adjoint
+//! product. After the region the final `Re[FFT]` runs on the calling
+//! thread. Every transform runs on the thread of the task that calls it.
+//! The corner losses and the adjoint's values are merged after the
+//! region, on the calling thread and in a fixed order (corner order;
+//! stack-major and kernel-ascending), so every output bit is the same at
+//! any worker count. [`loss_only`] needs no field after its stack's sum,
+//! so each of its stack tasks computes its fields one at a time and stops
+//! after phase 2.
 //!
 //! **Band-packed spectra.** Every bin of every kernel lies within the
 //! kernels' reach `R` along both axes, so the mask spectrum the fields
@@ -116,9 +125,11 @@
 //! with the full layout's bits, so the gradient is unchanged to the bit.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS};
+use crate::kernels::KernelSet;
 use crate::simulator::{Downsample, LithoSimulator, Source, StackRows};
-use cfaopc_fft::parallel::{par_map, region_width};
+use cfaopc_fft::parallel::par_map;
 use cfaopc_fft::simd::{conj_mul_real, reduce_sums, resist_corner_sums, GradOut, ResistCorner};
+use cfaopc_fft::Complex;
 use cfaopc_grid::Grid2D;
 use std::sync::Mutex;
 
@@ -173,7 +184,7 @@ fn corner_plan(weights: LossWeights) -> [(ProcessCorner, f64); 3] {
     ]
 }
 
-/// What one stack's task of the per-stack phase returns to the loss.
+/// What one stack's stream returns to the loss ([`LossRows`]).
 #[derive(Debug, Default)]
 struct StackLoss {
     /// The losses of the stack's corners, in corner order.
@@ -181,6 +192,17 @@ struct StackLoss {
     /// `(dose_c1, G_d)`: the stack's folded dL/dI on the pupil grid, when
     /// the gradient is wanted and one of its corners carries weight.
     folded: Option<(f64, Vec<f64>)>,
+}
+
+/// What one stack's task of [`loss_and_gradient_into`] returns.
+#[derive(Debug, Default)]
+struct StackGrad {
+    /// The losses of the stack's corners, in corner order.
+    losses: [f64; 2],
+    /// The adjoint's value at every bin of every kernel of the stack, laid
+    /// out by [`KernelSet::bin_range`], when one of its corners carries
+    /// weight.
+    bins: Option<Vec<Complex>>,
 }
 
 /// Where a corner's dL/dI goes.
@@ -323,16 +345,16 @@ impl StackRows for LossRows<'_> {
     }
 }
 
-/// The loss values from each stack's corner losses, merged after the
-/// per-stack region in corner order, so the sums are the same at any
-/// worker count: `l2` is the nominal corner's loss and `pvb` is
-/// `(0 + max) + min`.
-fn merge_losses(weights: LossWeights, stacks: &[StackLoss; 2]) -> LossValues {
+/// The loss values from each stack's corner losses (in corner order),
+/// merged after the per-stack region in corner order, so the sums are the
+/// same at any worker count: `l2` is the nominal corner's loss and `pvb`
+/// is `(0 + max) + min`.
+fn merge_losses(weights: LossWeights, stacks: [[f64; 2]; 2]) -> LossValues {
     let mut values = LossValues::default();
     let mut next = [0usize; 2];
     for (corner, _) in corner_plan(weights) {
         let d = LithoSimulator::stack_of(corner);
-        let corner_loss = stacks[d].losses[next[d]];
+        let corner_loss = stacks[d][next[d]];
         next[d] += 1;
         match corner {
             ProcessCorner::Nominal => values.l2 = corner_loss,
@@ -341,6 +363,49 @@ fn merge_losses(weights: LossWeights, stacks: &[StackLoss; 2]) -> LossValues {
     }
     values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
     values
+}
+
+/// Stack `set`'s adjoint, in its task of [`loss_and_gradient_into`]: per
+/// kernel, `b = G_d ⊙ conj(a_k)` on the pupil grid, then
+/// `2·μ_k·dose_c1·H_k ⊙ IFFT(b)` read at the kernel's pupil bins into the
+/// kernel's own slots of one pooled buffer of the stack's bins. One task
+/// per kernel, in a region across the calling task's width; each takes
+/// one `b` buffer.
+fn stack_adjoint(
+    sim: &LithoSimulator,
+    set: &KernelSet,
+    fields: &[Vec<Complex>],
+    dose: f64,
+    g: &[f64],
+) -> Result<Vec<Complex>, LithoError> {
+    let s2 = sim.pupil_size() * sim.pupil_size();
+    let mut bins = sim.bins_pool().take(set.bin_count());
+    let out = Mutex::new(bins.as_mut_slice());
+    let results = par_map(set.kernels().len(), |k| -> Result<(), LithoError> {
+        let kernel = &set.kernels()[k];
+        let mut b = sim.field_pool().take(s2);
+        conj_mul_real(&mut b, &fields[k], g);
+        // The transform's output is only sampled on this kernel's bins
+        // below, so the column pass can skip every column outside its
+        // mask — sampled columns are bit-identical to the dense path.
+        sim.pupil_plan().inverse_cols(&mut b, &kernel.columns)?;
+        let scale = 2.0 * kernel.weight * dose;
+        let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+        let slots = &mut out[set.bin_range(k)];
+        for (slot, (&(_, h), &p)) in slots
+            .iter_mut()
+            .zip(kernel.spectrum.iter().zip(&kernel.pupil))
+        {
+            *slot = h * b[p as usize] * scale;
+        }
+        drop(out);
+        sim.field_pool().put(b);
+        Ok(())
+    });
+    for result in results {
+        result?;
+    }
+    Ok(bins)
 }
 
 /// Evaluates the relaxed loss **and** its exact gradient with respect to
@@ -370,16 +435,15 @@ pub fn loss_and_gradient(
 ///
 /// All scratch (band-packed mask spectrum, pupil-grid fields, per-stack
 /// intensity and dL/dI on the pupil grid and their mask-grid streams'
-/// band buffers and row pairs, the adjoint's per-bin output, band-packed
+/// band buffers and row pairs, each stack's adjoint output, band-packed
 /// spectral accumulator) comes from the simulator's buffer pools, and
 /// `grad` is fully overwritten (reallocated only on a grid-size
 /// change) — so a caller looping over iterations with a persistent
 /// `grad` sees **zero net heap growth** in steady state: the
-/// allocations left (the three regions' bookkeeping
-/// and result lists) are freed before the call returns, and none of them
-/// grows with the kernels' bins, as `crates/core/tests/alloc.rs`
-/// enforces. [`loss_and_gradient`] is the convenience wrapper that
-/// allocates a fresh grid per call.
+/// allocations left (the regions' bookkeeping and result lists) are freed
+/// before the call returns, and none of them grows with the kernels'
+/// bins, as `crates/core/tests/alloc.rs` enforces. [`loss_and_gradient`]
+/// is the convenience wrapper that allocates a fresh grid per call.
 ///
 /// # Errors
 ///
@@ -394,7 +458,6 @@ pub fn loss_and_gradient_into(
 ) -> Result<LossValues, LithoError> {
     let _span = cfaopc_trace::span("litho.loss_and_gradient");
     let n = sim.size();
-    let s2 = sim.pupil_size() * sim.pupil_size();
     if target.width() != n || target.height() != n {
         return Err(LithoError::ShapeMismatch {
             expected: (n, n),
@@ -402,94 +465,54 @@ pub fn loss_and_gradient_into(
         });
     }
     let stacks = sim.stacks();
-    // Phase 1: every stack's fields, kept for the adjoint.
     let spectrum = sim.mask_spectrum_pooled(mask)?;
-    let fields = sim.socs_fields(&stacks, &spectrum);
-    sim.spectrum_pool().put(spectrum);
-    let fields = fields?;
-    // Phase 2: one task per stack for its corners' resist, loss and
+    // Each stack's bins wait for the merge after the region.
+    let most_bins = stacks.iter().map(|set| set.bin_count()).max();
+    sim.bins_pool()
+        .reserve(stacks.len(), most_bins.unwrap_or(0));
+    // One task per stack: its fields, then its corners' resist, loss and
     // folded G_d — the per-stack work `loss_only` runs, on the same fields
-    // summed in the same order, so the two agree to the bit.
-    let per_stack = sim.per_stack(&stacks, Source::Kept(&fields), |d| {
-        LossRows::new(sim, d, target.as_slice(), weights, true)
-    })?;
-    let values = merge_losses(weights, &per_stack);
-
-    // Adjoint task index over the stacks that carry weight, stack-major
-    // and kernel-ascending; `adj[s]` is the s-th such stack's
-    // (stack, dose_c1, G_d).
-    let mut adj_offsets = [0usize; 3];
-    let mut adj: [(usize, f64, &[f64]); 2] = [(0, 0.0, &[]); 2];
-    let mut adj_stacks = 0usize;
-    for (d, entry) in per_stack.iter().enumerate() {
-        if let Some((dose_1, g)) = &entry.folded {
-            adj[adj_stacks] = (d, *dose_1, g);
-            adj_offsets[adj_stacks + 1] = adj_offsets[adj_stacks] + stacks[d].kernels().len();
-            adj_stacks += 1;
-        }
-    }
-    let adj_total = adj_offsets[adj_stacks];
-    // Stack d's values start at bin_base[d] of the adjoint's output.
-    let bin_base = [0, stacks[0].bin_count()];
+    // summed in the same order, so the two agree to the bit — then its
+    // adjoint over the same fields.
+    let per_stack = sim.per_stack(&stacks, &spectrum, true, |d| {
+        let set = stacks[d];
+        let fields = sim.stack_fields(set, &spectrum)?;
+        let streamed = sim.stack_rows(set, Source::Kept(&fields), || {
+            LossRows::new(sim, d, target.as_slice(), weights, true)
+        });
+        let stack = streamed.and_then(|StackLoss { losses, folded }| {
+            let bins = folded.map(|(dose, g)| {
+                let bins = stack_adjoint(sim, set, &fields, dose, &g);
+                sim.pupil_real_pool().put(g);
+                bins
+            });
+            Ok(StackGrad {
+                losses,
+                bins: bins.transpose()?,
+            })
+        });
+        sim.recycle_fields(fields);
+        stack
+    });
+    sim.spectrum_pool().put(spectrum);
+    let per_stack = per_stack?;
+    let values = merge_losses(weights, per_stack.each_ref().map(|stack| stack.losses));
 
     // Band-packed spectral gradient accumulator: only the kernels' bins
-    // are ever nonzero.
+    // are ever nonzero. Serial, stack-major and kernel-ascending
+    // accumulation keeps the gradient bit-identical across thread counts.
     let mut acc = sim.spectrum_pool().take_zeroed(sim.spectrum_len());
-    if adj_total > 0 {
-        // Phase 3, the adjoint: per kernel, b = G ⊙ conj(a) on the pupil
-        // grid, one `b` buffer per running task; each task writes
-        // 2·μ·dose_c1·H ⊙ IFFT(b), read at the kernel's pupil bins, into
-        // the kernel's own slots of one pooled buffer. One flat region
-        // spans every weighted stack.
-        sim.field_pool().reserve(region_width(adj_total), s2);
-        let mut bins = sim
-            .bins_pool()
-            .take(stacks.iter().map(|set| set.bin_count()).sum());
-        let out = Mutex::new(bins.as_mut_slice());
-        let results = par_map(adj_total, |t| -> Result<(), LithoError> {
-            let s = usize::from(t >= adj_offsets[1]);
-            let (d, dose, g) = adj[s];
-            let k = t - adj_offsets[s];
-            let kernel = &stacks[d].kernels()[k];
-            let mut b = sim.field_pool().take(s2);
-            conj_mul_real(&mut b, &fields.stack(d)[k], g);
-            // The transform's output is only sampled on this kernel's
-            // bins below, so the column pass can skip every column
-            // outside its mask — sampled columns are bit-identical to
-            // the dense path.
-            sim.pupil_plan().inverse_cols(&mut b, &kernel.columns)?;
-            let scale = 2.0 * kernel.weight * dose;
-            let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
-            let slots = &mut out[bin_base[d]..][stacks[d].bin_range(k)];
-            for (slot, (&(_, h), &p)) in slots
-                .iter_mut()
-                .zip(kernel.spectrum.iter().zip(&kernel.pupil))
-            {
-                *slot = h * b[p as usize] * scale;
-            }
-            drop(out);
-            sim.field_pool().put(b);
-            Ok(())
-        });
-        for result in results {
-            result?;
-        }
-        // Serial, task-ordered accumulation keeps the gradient
-        // bit-identical across thread counts.
-        for &(d, ..) in &adj[..adj_stacks] {
-            for (k, kernel) in stacks[d].kernels().iter().enumerate() {
-                let values = &bins[bin_base[d]..][stacks[d].bin_range(k)];
-                for (&b, &v) in kernel.packed.iter().zip(values) {
-                    acc[b as usize] += v;
-                }
+    for (set, stack) in stacks.iter().zip(&per_stack) {
+        let Some(bins) = &stack.bins else { continue };
+        for (k, kernel) in set.kernels().iter().enumerate() {
+            for (&b, &v) in kernel.packed.iter().zip(&bins[set.bin_range(k)]) {
+                acc[b as usize] += v;
             }
         }
+    }
+    for bins in per_stack.into_iter().filter_map(|stack| stack.bins) {
         sim.bins_pool().put(bins);
     }
-    for (_, g) in per_stack.into_iter().filter_map(|entry| entry.folded) {
-        sim.pupil_real_pool().put(g);
-    }
-    sim.recycle_fields(fields);
 
     // One shared half-spectrum transform turns the spectral accumulator
     // into the pixel-space gradient `Re[FFT(acc)]` directly, without
@@ -504,7 +527,8 @@ pub fn loss_and_gradient_into(
 
 /// Evaluates the relaxed loss only (no gradient) — cheaper when a line
 /// search or a metric snapshot is all that is needed. It opens one pool
-/// region, one task per stack.
+/// region, one task per stack, each computing its stack's fields one at
+/// a time.
 ///
 /// # Errors
 ///
@@ -526,7 +550,7 @@ pub fn loss_only(
     let per_stack = sim.image_stacks(sim.mask_spectrum_pooled(mask)?, |d| {
         LossRows::new(sim, d, target.as_slice(), weights, false)
     })?;
-    Ok(merge_losses(weights, &per_stack))
+    Ok(merge_losses(weights, per_stack.map(|stack| stack.losses)))
 }
 
 #[cfg(test)]

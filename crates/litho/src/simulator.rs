@@ -3,17 +3,21 @@
 //!
 //! Every imaging entry point runs the mask FFT on the calling thread and
 //! then the **per-stack phase** ([`LithoSimulator::per_stack`]): one
-//! region with one task per focus stack. Each task sums its stack's
+//! region with one task per focus stack, each task capped at its share of
+//! the caller's width ([`par_map_coarse`]). Each task sums its stack's
 //! dose-free intensity `J_d` in kernel order on the pupil grid and
 //! streams it to the caller's per-stack work, a [`StackRows`] sink: the
 //! corner images or prints, a CD probe's line, or the resist and loss of
-//! the stack's corners. Imaging computes each stack's fields inside its
-//! task, one at a time. The gradient needs every field again in its
-//! adjoint, so it computes them first in a region of their own, one task
-//! per kernel ([`LithoSimulator::socs_fields`]), and ends with the
-//! per-kernel adjoint (`crate::gradient`): three phases. Transforms run
-//! on the thread of the task that calls them, so each phase is a single
-//! region, whatever the grid size.
+//! the stack's corners. Imaging needs no field after its sum, so a task
+//! computes its stack's fields one at a time in one buffer. The gradient
+//! needs them again in its adjoint, so its task computes the stack's `K`
+//! fields first, in a region of its own when its share is wider than one
+//! worker ([`LithoSimulator::stack_fields`]), streams, runs the stack's
+//! adjoint over the same fields (`crate::gradient`) and only then returns
+//! them to the pool. At width 1 the stacks run one after the other, so a
+//! call holds one stack's `K` fields, never both stacks' `2K`.
+//! Transforms run on the thread of the task that calls them, so the
+//! region count does not grow with the grid size.
 //!
 //! **The stream.** Below `S = N` (pupil grid smaller than the mask grid),
 //! a stack task never holds a mask-grid `J_d` or `G_d` whole. The
@@ -40,7 +44,7 @@
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner, RESIST_STEEPNESS};
 use crate::kernels::{Kernel, KernelSet};
-use cfaopc_fft::parallel::{par_map, region_width};
+use cfaopc_fft::parallel::{coarse_share, par_map, par_map_coarse, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
 use cfaopc_fft::{BufferPool, Complex, Fft2d, Rfft2d, RowPairs};
 use cfaopc_grid::{BitGrid, Grid2D};
@@ -142,36 +146,19 @@ pub struct LithoSimulator {
     /// Recycled pupil-grid real scratch (intensity and dL/dI before and
     /// after resampling; at `S = N`, the mask grid's).
     pupil_real_pool: BufferPool<f64>,
-    /// Recycled adjoint output: one value per bin of every kernel of both
-    /// stacks, laid out by [`KernelSet`]'s bin ranges.
+    /// Recycled adjoint output: one value per bin of every kernel of one
+    /// stack, laid out by [`KernelSet`]'s bin ranges.
     bins_pool: BufferPool<Complex>,
 }
 
-/// Every stack's pupil-grid fields, from
-/// [`LithoSimulator::socs_fields`].
-#[derive(Debug)]
-pub(crate) struct Fields {
-    /// `fields[offsets[d] + k]` is stack `d`'s kernel-`k` field.
-    offsets: [usize; 3],
-    /// Pupil-grid coherent fields `a_k`, from the field pool.
-    fields: Vec<Vec<Complex>>,
-}
-
-impl Fields {
-    /// Stack `d`'s fields, in kernel order.
-    pub(crate) fn stack(&self, d: usize) -> &[Vec<Complex>] {
-        &self.fields[self.offsets[d]..self.offsets[d + 1]]
-    }
-}
-
-/// Where the per-stack phase ([`LithoSimulator::per_stack`]) finds each
+/// Where a per-stack task ([`LithoSimulator::stack_rows`]) finds its
 /// stack's fields.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Source<'a> {
-    /// Fields the loss path computed in its own region and keeps for the
-    /// adjoint.
-    Kept(&'a Fields),
-    /// The mask spectrum: each stack task computes its own fields.
+    /// Fields the task computed ([`LithoSimulator::stack_fields`]) and
+    /// keeps past the sum, in kernel order.
+    Kept(&'a [Vec<Complex>]),
+    /// The mask spectrum: the task computes each field in turn.
     Spectrum(&'a [Complex]),
 }
 
@@ -285,7 +272,7 @@ impl LithoSimulator {
     }
 
     /// The adjoint's output pool: buffers of one value per bin of every
-    /// kernel of both stacks.
+    /// kernel of one stack.
     #[inline]
     pub(crate) fn bins_pool(&self) -> &BufferPool<Complex> {
         &self.bins_pool
@@ -457,19 +444,22 @@ impl LithoSimulator {
 
     /// One stack's dose-free intensity `Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²`
     /// on the mask grid, for a band-packed `spectrum`, streamed into the
-    /// sink `make_sink` returns: the stack's fields in one region, then its
-    /// stream on the calling thread ([`LithoSimulator::per_stack`]).
+    /// sink `make_sink` returns: the per-stack phase over `set` alone
+    /// ([`LithoSimulator::per_stack`]), its one task on the calling
+    /// thread computing the stack's fields in a region across the
+    /// caller's width, then streaming.
     pub(crate) fn image_stack<S: StackRows>(
         &self,
         set: &KernelSet,
         spectrum: &[Complex],
         make_sink: impl Fn() -> S + Sync,
     ) -> Result<S::Out, LithoError> {
-        let stacks = [set];
-        let fields = self.socs_fields(&stacks, spectrum)?;
-        let streamed = self.per_stack(&stacks, Source::Kept(&fields), |_| make_sink());
-        self.recycle_fields(fields);
-        let [out, _] = streamed?;
+        let [out, _] = self.per_stack(&[set], spectrum, true, |_| {
+            let fields = self.stack_fields(set, spectrum)?;
+            let streamed = self.stack_rows(set, Source::Kept(&fields), &make_sink);
+            self.recycle_fields(fields);
+            streamed
+        })?;
         Ok(out)
     }
 
@@ -477,8 +467,8 @@ impl LithoSimulator {
     /// `spectrum` (the mask FFT, on the calling thread): each stack's
     /// intensity streamed into the sink `make_sink(d)` returns, in one
     /// task per stack ([`LithoSimulator::per_stack`]), each task computing
-    /// its stack's fields itself. One region. The spectrum goes back to
-    /// its pool.
+    /// its stack's fields one at a time. One region. The spectrum goes
+    /// back to its pool.
     pub(crate) fn image_stacks<S, F>(
         &self,
         spectrum: Vec<Complex>,
@@ -488,7 +478,10 @@ impl LithoSimulator {
         S: StackRows,
         F: Fn(usize) -> S + Sync,
     {
-        let per_stack = self.per_stack(&self.stacks(), Source::Spectrum(&spectrum), make_sink);
+        let stacks = self.stacks();
+        let per_stack = self.per_stack(&stacks, &spectrum, false, |d| {
+            self.stack_rows(stacks[d], Source::Spectrum(&spectrum), || make_sink(d))
+        });
         self.spectrum_pool.put(spectrum);
         per_stack
     }
@@ -560,79 +553,88 @@ impl LithoSimulator {
         Ok(self.pupil_plan.inverse_sparse(field)?)
     }
 
-    /// Phase 1 of the loss path: every stack's pupil-grid fields (at most
-    /// one stack per focus), kept for the adjoint, one task per kernel in
-    /// one region, stack-major and kernel-ascending. Each task runs its
-    /// inverse serially in a pooled buffer
-    /// ([`LithoSimulator::kernel_field`]).
+    /// Stack `set`'s pupil-grid fields, in kernel order, kept past the
+    /// stack's sum: one task per kernel in one region across the calling
+    /// thread's width (none at width 1), each running its inverse serially
+    /// in a pooled buffer ([`LithoSimulator::kernel_field`]).
     ///
     /// The caller returns the fields with
     /// [`LithoSimulator::recycle_fields`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stacks` has more than two entries.
-    pub(crate) fn socs_fields(
+    pub(crate) fn stack_fields(
         &self,
-        stacks: &[&KernelSet],
+        set: &KernelSet,
         spectrum: &[Complex],
-    ) -> Result<Fields, LithoError> {
-        self.check_stacks(stacks, spectrum)?;
+    ) -> Result<Vec<Vec<Complex>>, LithoError> {
         let s2 = self.pupil_size() * self.pupil_size();
-        // offsets[d] is the first global task of stack d (prefix sums).
-        let mut offsets = [0usize; 3];
-        for (d, set) in stacks.iter().enumerate() {
-            offsets[d + 1] = offsets[d] + set.kernels().len();
-        }
         // Plan errors are unreachable (plan and buffers share one config)
         // but propagate as `LithoError::Fft`; pooled buffers from
         // completed kernels are dropped rather than repooled on that cold
         // path.
-        let fields = par_map(offsets[stacks.len()], |t| -> Result<_, LithoError> {
-            let d = usize::from(t >= offsets[1]);
+        let fields = par_map(set.kernels().len(), |k| -> Result<_, LithoError> {
             let mut field = self.field_pool.take(s2);
-            self.kernel_field(&stacks[d].kernels()[t - offsets[d]], spectrum, &mut field)?;
+            self.kernel_field(&set.kernels()[k], spectrum, &mut field)?;
             Ok(field)
         })
         .into_iter()
         .collect::<Result<_, _>>()?;
-        Ok(Fields { offsets, fields })
+        Ok(fields)
     }
 
-    /// The per-stack phase: one task per stack, in one region. Task `d`
-    /// sums stack `d`'s dose-free intensity `J_d = Σ_k μ_k |a_k|²` on the
-    /// pupil grid in ascending `k` — from the fields `source` keeps, or
-    /// computing them one at a time in one pooled buffer, since imaging
-    /// needs no field after its sum — and streams it into the sink
-    /// `make_sink(d)` returns ([`LithoSimulator::stack_rows`]): whole at
-    /// `S = N`, one upsampled row pair at a time below it. Slots past the
-    /// last stack hold `S::Out::default()`.
+    /// The per-stack phase: `task(d)` for each of `stacks` (at most one
+    /// per focus), one task per stack in one region
+    /// ([`par_map_coarse`]), each capped at its share of the calling
+    /// thread's width; slots past the last stack hold `T::default()`.
+    /// At width 1 the tasks run one after the other, so a stack's buffers
+    /// are back in their pools before the next stack takes any.
+    ///
+    /// A task sums its stack's intensity and streams it
+    /// ([`LithoSimulator::stack_rows`]). With `kept`, it holds the stack's
+    /// `K` fields ([`LithoSimulator::stack_fields`]) past the sum, plus
+    /// one buffer for each thread of its share (the gradient's adjoint
+    /// products; the upsampling's band spectrum needs one); without, it
+    /// computes them one at a time in one buffer.
     ///
     /// Each summation and each transform runs on its task's thread in a
     /// fixed order, so every output bit is the same at any worker count.
     /// The tasks run concurrently, so every pool they take from is first
-    /// reserved for as many tasks as can run at once: two pupil-grid real
-    /// buffers per task (`J_S` and the loss path's `G_d`) and one field
-    /// buffer, and below `S = N` one band-packed mask-grid spectrum, one
-    /// column buffer, two row pairs and their two packed-row scratches,
-    /// and the pupil plan's transform scratch.
-    pub(crate) fn per_stack<S, F>(
+    /// reserved for as many tasks as can run at once: the field buffers
+    /// above, two pupil-grid real buffers per task (`J_S` and the loss
+    /// path's `G_d`), and below `S = N` one band-packed mask-grid
+    /// spectrum, one column buffer, two row pairs and their two
+    /// packed-row scratches, and the pupil plan's transform scratch.
+    pub(crate) fn per_stack<T, F>(
         &self,
         stacks: &[&KernelSet],
-        source: Source<'_>,
-        make_sink: F,
-    ) -> Result<[S::Out; 2], LithoError>
+        spectrum: &[Complex],
+        kept: bool,
+        task: F,
+    ) -> Result<[T; 2], LithoError>
     where
-        S: StackRows,
-        F: Fn(usize) -> S + Sync,
+        T: Default + Send,
+        F: Fn(usize) -> Result<T, LithoError> + Sync,
     {
-        if let Source::Spectrum(spectrum) = source {
-            self.check_stacks(stacks, spectrum)?;
-        }
+        self.check_stacks(stacks, spectrum)?;
         let n = self.config.size;
         let s2 = self.pupil_size() * self.pupil_size();
         let width = region_width(stacks.len());
-        self.field_pool.reserve(width, s2);
+        // The field buffers task `d` holds at its peak.
+        let held_by = |d: usize| {
+            let k = stacks[d].kernels().len();
+            if kept {
+                k + coarse_share(stacks.len(), d).min(k)
+            } else {
+                1
+            }
+        };
+        // Tasks that run at once hold theirs together; tasks that run one
+        // after the other, the most any one holds.
+        let per_task = (0..stacks.len()).map(held_by);
+        let held = if width > 1 {
+            per_task.sum()
+        } else {
+            per_task.max().unwrap_or(0)
+        };
+        self.field_pool.reserve(held, s2);
         self.pupil_real_pool.reserve(2 * width, s2);
         if self.resampled() {
             self.band_pool.reserve(width, self.band_len());
@@ -642,28 +644,26 @@ impl LithoSimulator {
             self.rplan.reserve(2 * width);
             self.pupil_rplan.reserve_re(width, self.band);
         }
-        let results = par_map(stacks.len(), |d| {
-            self.stack_rows(stacks[d], d, source, || make_sink(d))
-        });
-        let mut out: [S::Out; 2] = Default::default();
+        let results = par_map_coarse(stacks.len(), task);
+        let mut out: [T; 2] = Default::default();
         for (slot, result) in out.iter_mut().zip(results) {
             *slot = result?;
         }
         Ok(out)
     }
 
-    /// Task `d` of the per-stack phase, on the calling thread: stack
+    /// A per-stack task's sum and stream, on the calling thread: stack
     /// `set`'s `J = Σ_k μ_k |a_k|²` summed on the pupil grid in ascending
-    /// `k`, then handed to the sink `make_sink` returns. At `S = N` that
-    /// is `J` itself, whole. Below it, `J_S`'s band goes through the
-    /// upsampling's column piece ([`LithoSimulator::upsample_columns`])
-    /// and each row pair of the mask-grid `J` is made
-    /// ([`RowPairs::forward_re_band_rows`]) and handed over in turn, so no
-    /// mask-grid `J` is ever whole.
-    fn stack_rows<S: StackRows>(
+    /// `k` — over the fields `source` keeps, or computing them one at a
+    /// time in one pooled buffer — then handed to the sink `make_sink`
+    /// returns. At `S = N` that is `J` itself, whole. Below it, `J_S`'s
+    /// band goes through the upsampling's column piece
+    /// ([`LithoSimulator::upsample_columns`]) and each row pair of the
+    /// mask-grid `J` is made ([`RowPairs::forward_re_band_rows`]) and
+    /// handed over in turn, so no mask-grid `J` is ever whole.
+    pub(crate) fn stack_rows<S: StackRows>(
         &self,
         set: &KernelSet,
-        d: usize,
         source: Source<'_>,
         make_sink: impl FnOnce() -> S,
     ) -> Result<S::Out, LithoError> {
@@ -671,7 +671,7 @@ impl LithoSimulator {
         let mut j = self.pupil_real_pool.take_zeroed(s2);
         match source {
             Source::Kept(fields) => {
-                for (kernel, field) in set.kernels().iter().zip(fields.stack(d)) {
+                for (kernel, field) in set.kernels().iter().zip(fields) {
                     accumulate_norm_sqr(&mut j, field, kernel.weight);
                 }
             }
@@ -708,9 +708,9 @@ impl LithoSimulator {
         sink.finish()
     }
 
-    /// Returns [`Fields::fields`] to the field pool.
-    pub(crate) fn recycle_fields(&self, fields: Fields) {
-        for field in fields.fields {
+    /// Returns [`LithoSimulator::stack_fields`]' fields to the field pool.
+    pub(crate) fn recycle_fields(&self, fields: Vec<Vec<Complex>>) {
+        for field in fields {
             self.field_pool.put(field);
         }
     }
