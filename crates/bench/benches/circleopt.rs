@@ -40,7 +40,7 @@ use cfaopc_bench::snapshot::{
 };
 use cfaopc_core::{
     compose_serial, run_circleopt, CircleOptConfig, CircleParams, ComposeConfig, ComposeWorkspace,
-    RunCtx, SparseCircles,
+    Composition, RunCtx, SparseCircles,
 };
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
@@ -177,9 +177,9 @@ fn main() {
         let serial_compose = run_case(format!("compose_serial_{n}_{count}c"), || {
             black_box(compose_serial(&sparse, &cfg));
         });
-        let mut ws = ComposeWorkspace::new();
+        let mut ws = ComposeWorkspace::new(cfg, Composition::Max);
         let tiled_compose = run_case(format!("compose_tiled_{n}_{count}c"), || {
-            ws.compose(&sparse, &cfg);
+            ws.compose(&sparse);
             black_box(ws.mask());
         });
         speedups.push(speedup(
@@ -212,7 +212,7 @@ fn main() {
             black_box(composite.backward_serial(&grad));
         });
         let fused_engine = run_case(format!("fused_engine_{n}_{count}c"), || {
-            ws.compose(&sparse, &cfg);
+            ws.compose(&sparse);
             ws.backward_into(&grad, &mut grads);
             black_box(grads.len());
         });

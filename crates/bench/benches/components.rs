@@ -16,7 +16,7 @@
 //! observable from the artifact alone.
 
 use cfaopc_bench::snapshot::{run_case, write_snapshot};
-use cfaopc_core::{compose, compose_soft, ComposeConfig, SparseCircles};
+use cfaopc_core::{ComposeConfig, ComposeWorkspace, Composition, SparseCircles};
 use cfaopc_ebeam::{EbeamPsf, WriterModel};
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_fft::simd::{resist_corner, GradOut, ResistCorner};
@@ -227,15 +227,24 @@ fn main() {
     let sparse = SparseCircles::from_circular_mask(&circles);
     let cfg = ComposeConfig::new(N, 2, 10);
     let grad = Grid2D::new(N, N, 0.01);
+    // The compose cases build a fresh workspace per sample: its buffers
+    // are part of what they time.
+    let compose_fresh = |composition| {
+        let mut ws = ComposeWorkspace::new(cfg, composition);
+        ws.compose(&sparse);
+        ws
+    };
     results.push(run_case("compose_case3_256", || {
-        black_box(compose(&sparse, &cfg));
+        black_box(compose_fresh(Composition::Max));
     }));
-    let composite = compose(&sparse, &cfg);
+    let mut ws = compose_fresh(Composition::Max);
+    let mut grads = Vec::new();
     results.push(run_case("compose_backward_case3_256", || {
-        black_box(composite.backward(&grad));
+        ws.backward_into(&grad, &mut grads);
+        black_box(&grads);
     }));
     results.push(run_case("compose_soft_case3_256", || {
-        black_box(compose_soft(&sparse, &cfg, 20.0));
+        black_box(compose_fresh(Composition::Softmax { beta: 20.0 }));
     }));
 
     let threads = |t: Option<usize>| t.map_or(Json::Null, Json::int);

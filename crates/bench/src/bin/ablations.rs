@@ -9,14 +9,19 @@
 //! 4. **CircleRule radius policy**: last-radius-covering (default) vs
 //!    the literal pseudocode first-below-threshold.
 //!
-//! Runs on one benchmark case (override with `CFAOPC_CASES`).
+//! Runs on one benchmark case (override with `CFAOPC_CASES`). Each study
+//! writes its numbers under `target/experiments/`: [1]'s gradient gap as
+//! `ablation_window.csv`, [2]–[4] as metric tables (`ablation_ste.csv`,
+//! `ablation_composition.csv`, `ablation_radius_policy.csv`). Timings go
+//! to stdout only.
 
 use cfaopc_bench::{banner, Experiment};
 use cfaopc_core::{
-    compose, CircleOptConfig, ComposeConfig, Composition, SparseCircles, Q_THRESHOLD,
+    CircleOptConfig, ComposeConfig, ComposeWorkspace, Composition, SparseCircles, Q_THRESHOLD,
 };
 use cfaopc_fracture::{circle_rule, CircleRuleConfig};
 use cfaopc_grid::Grid2D;
+use cfaopc_metrics::{MetricRow, MetricTable};
 use std::time::Instant;
 
 fn main() {
@@ -52,11 +57,18 @@ fn main() {
         window_margin: n as i32, // the window now spans the whole plane
         ..windowed_cfg
     };
+    let backward = |config| {
+        let mut ws = ComposeWorkspace::new(config, Composition::Max);
+        ws.compose(&circles);
+        let mut grads = Vec::new();
+        ws.backward_into(&grad_field, &mut grads);
+        grads
+    };
     let t0 = Instant::now();
-    let windowed = compose(&circles, &windowed_cfg).backward(&grad_field);
+    let windowed = backward(windowed_cfg);
     let t_windowed = t0.elapsed();
     let t0 = Instant::now();
-    let full = compose(&circles, &full_cfg).backward(&grad_field);
+    let full = backward(full_cfg);
     let t_full = t0.elapsed();
     let max_diff = windowed
         .iter()
@@ -70,6 +82,13 @@ fn main() {
         t_full.as_secs_f64() / t_windowed.as_secs_f64().max(1e-9)
     );
     println!("    max |Δgrad| = {max_diff:.3e} (max |grad| = {max_mag:.3e})\n");
+    let path = exp.artifact("ablation_window.csv");
+    let csv = format!(
+        "circles,max_abs_dgrad,max_abs_grad\n{},{max_diff:e},{max_mag:e}\n",
+        circles.len()
+    );
+    std::fs::write(&path, csv).expect("write csv");
+    println!("-> {}\n", path.display());
 
     // ------------------------------------------------------------------
     // 2. STE clipping gates on vs off.
@@ -79,6 +98,7 @@ fn main() {
         circle_iterations: 30,
         ..exp.circleopt_config()
     };
+    let mut table = MetricTable::new("Ablation [2]: STE clipping gates");
     for (label, gates) in [("with STE gates", true), ("without STE gates", false)] {
         let cfg = CircleOptConfig {
             ste_gates: gates,
@@ -92,17 +112,17 @@ fn main() {
             .filter(|c| c.q > Q_THRESHOLD)
             .filter(|c| c.r < r_min as f64 - 0.5 || c.r > r_max as f64 + 0.5)
             .count();
-        println!(
-            "[2] {label}: L2 {:.0}, PVB {:.0}, EPE {}, #Shot {}, continuous radii out of \
-             [{r_min},{r_max}]: {out_of_range}",
-            metrics.l2, metrics.pvb, metrics.epe, metrics.shots
-        );
+        table.push(MetricRow::new(
+            format!("{label} ({out_of_range} radii outside {r_min}..{r_max})"),
+            metrics,
+        ));
     }
-    println!();
+    exp.emit("ablation_ste", &table);
 
     // ------------------------------------------------------------------
     // 3. Max vs softmax composition.
     // ------------------------------------------------------------------
+    let mut table = MetricTable::new("Ablation [3]: max vs softmax composition");
     for (label, composition) in [
         ("max composition (paper)", Composition::Max),
         (
@@ -116,20 +136,15 @@ fn main() {
         };
         let t0 = Instant::now();
         let (metrics, _) = exp.eval_circleopt(&target, &cfg);
-        println!(
-            "[3] {label}: L2 {:.0}, PVB {:.0}, EPE {}, #Shot {} ({:?})",
-            metrics.l2,
-            metrics.pvb,
-            metrics.epe,
-            metrics.shots,
-            t0.elapsed()
-        );
+        println!("[3] {label}: {:?}", t0.elapsed());
+        table.push(MetricRow::new(label, metrics));
     }
-    println!();
+    exp.emit("ablation_composition", &table);
 
     // ------------------------------------------------------------------
     // 4. CircleRule radius policy.
     // ------------------------------------------------------------------
+    let mut table = MetricTable::new("Ablation [4]: CircleRule radius policy");
     for (label, literal) in [
         ("last r with cover ≥ I (default)", false),
         ("first r below I (literal)", true),
@@ -141,9 +156,10 @@ fn main() {
         let (metrics, mask) = exp.eval_circle_rule(&pixel, &target, &rule);
         let avg_r =
             mask.shots().iter().map(|s| s.r as f64).sum::<f64>() / mask.shot_count().max(1) as f64;
-        println!(
-            "[4] {label}: L2 {:.0}, PVB {:.0}, EPE {}, #Shot {}, mean radius {avg_r:.2} px",
-            metrics.l2, metrics.pvb, metrics.epe, metrics.shots
-        );
+        table.push(MetricRow::new(
+            format!("{label}: mean radius {avg_r:.2} px"),
+            metrics,
+        ));
     }
+    exp.emit("ablation_radius_policy", &table);
 }

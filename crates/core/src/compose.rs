@@ -20,22 +20,28 @@
 //!
 //! # Engine
 //!
-//! Work scales with **active shot area**, not grid area:
+//! [`ComposeWorkspace`] is the one way to run the transformation. It is
+//! built for one [`ComposeConfig`] and one [`Composition`] — the hard max
+//! above, or the softmax alternative of [`crate::soft`] — and owns every
+//! buffer that composition reads, so the CircleOpt inner loop is
+//! allocation-free after its first iteration. Work scales with **active
+//! shot area**, not grid area:
 //!
 //! * Placed circles are binned into fixed [`TILE`]`×`[`TILE`] buckets by
 //!   their window `U`. Tiles no circle touches are skipped outright —
 //!   they are neither cleared nor rendered (a per-tile dirty flag clears
-//!   tiles that *were* covered on the previous use of a workspace).
+//!   tiles that *were* covered on the previous render).
 //! * The **active tiles** (non-empty bucket now, or dirty from the
 //!   previous render) form a worklist that workers claim dynamically
 //!   (`par_index_claim` on the persistent pool), so sparse circle sets
-//!   never pay for empty bands and clustered sets self-balance. Tiles
-//!   are disjoint pixel sets, so the claimed writes (through a
-//!   [`DisjointSliceMut`] row-segment view) are race-free, and within a
-//!   bucket circles keep their index order, so per-pixel max updates
-//!   replay the serial sequence exactly: the result is **bit-identical**
-//!   to the retained serial reference ([`compose_serial`]) for every
-//!   worker count.
+//!   never pay for empty bands and clustered sets self-balance. Both
+//!   compositions share this tile walk ([`render_tiles`]) and supply only
+//!   their per-pixel body ([`TileBody`]). Tiles are disjoint pixel sets,
+//!   so the claimed writes (through [`DisjointSliceMut`] row-segment
+//!   views) are race-free, and within a bucket circles keep their index
+//!   order, so per-pixel updates replay the serial sequence exactly: the
+//!   result is **bit-identical** to the retained serial reference
+//!   ([`compose_serial`]) for every worker count.
 //! * The per-pixel distance rows are computed by the AVX2 kernel in
 //!   [`crate::simd`] (bit-exact, scalar fallback elsewhere), and the
 //!   sigmoid skips its `exp` for provably saturated interior pixels.
@@ -47,22 +53,22 @@
 //! * The backward pass is **fused with the forward routing**: one
 //!   pixel-major sweep over the content tiles reuses the argmax winners,
 //!   accumulating per-band partial gradients that a deterministic
-//!   ascending-band reduction merges into the flat gradient vector.
-//!   Bands scan row-major (y, then ascending tiles, then x), which visits
-//!   each circle's winning pixels in exactly the order the band-blocked
-//!   serial reference ([`Composite::backward_serial`]) accumulates them,
-//!   so the parallel pass is bit-identical to it at any worker count.
-//!
-//! [`ComposeWorkspace`] owns every buffer (mask, argmax, placed circles,
-//! tile buckets, band partials, parameter gradients) so the CircleOpt
-//! inner loop is allocation-free after the first iteration.
+//!   ascending-band reduction merges into the flat gradient vector (the
+//!   band frame both compositions share, [`backward_bands`]). Bands scan
+//!   row-major (y, then ascending tiles, then x), which visits each
+//!   circle's winning pixels in exactly the order the band-blocked serial
+//!   reference ([`Composite::backward_serial`]) accumulates them, so the
+//!   parallel pass is bit-identical to it at any worker count.
 
 use crate::repr::{CircleParams, SparseCircles};
-use crate::simd::{fill_dist_row, sigmoid_sat, SIGMOID_SAT};
+use crate::simd::{fill_dist_row, sigmoid_sat};
+use crate::soft::SoftBuffers;
 use crate::ste::ste;
 use cfaopc_fft::parallel::{par_index_claim, DisjointSliceMut};
 use cfaopc_grid::Grid2D;
 use cfaopc_litho::sigmoid;
+use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Edge length, in pixels, of the square tiles the composition engine
 /// buckets circles into. 32² pixels keeps a tile's mask and argmax rows
@@ -112,6 +118,20 @@ impl ComposeConfig {
             clip_gates: true,
         }
     }
+}
+
+/// How circles combine into the dense mask (see
+/// [`CircleOptConfig::composition`](crate::CircleOptConfig::composition)).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Composition {
+    /// Paper Eq. 11: per-pixel max, gradients through the argmax only.
+    Max,
+    /// Softmax-weighted blend with sharpness `beta`; gradients reach
+    /// every circle covering a pixel.
+    Softmax {
+        /// Sharpness; `→ ∞` recovers [`Composition::Max`].
+        beta: f64,
+    },
 }
 
 /// One circle after (optional) STE quantization, with backward gates.
@@ -200,9 +220,9 @@ pub(crate) fn place_circles(
     );
 }
 
-/// Tile buckets: which circles touch which [`TILE`]`×`[`TILE`] tile, plus
-/// a dirty flag per tile so a reused workspace only clears tiles that
-/// held content on the previous render.
+/// Tile buckets for one grid: which circles touch which
+/// [`TILE`]`×`[`TILE`] tile, plus a dirty flag per tile so a render only
+/// clears tiles that held content on the previous one.
 ///
 /// The buckets are one flat index array in tile order, bucket `t` being
 /// `indices[start[t]..start[t + 1]]` (a counting sort: per-tile counts,
@@ -210,10 +230,13 @@ pub(crate) fn place_circles(
 /// every circle touching the most tiles a window can touch, so a run
 /// whose circles move, grow or come back above the activation floor
 /// never reallocates it after its first `bin`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct TileGrid {
     size: usize,
+    margin: i32,
     tiles_x: usize,
+    /// The most tiles one placed circle's window can touch along an axis.
+    per_axis: usize,
     /// Bucket `t` is `indices[start[t]..start[t + 1]]`; `tiles + 1`
     /// entries.
     start: Vec<u32>,
@@ -228,44 +251,32 @@ pub(crate) struct TileGrid {
 }
 
 impl TileGrid {
-    pub(crate) fn new() -> Self {
-        TileGrid::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        if self.size != n {
-            let tx = n.div_ceil(TILE);
-            self.size = n;
-            self.tiles_x = tx;
-            self.start.clear();
-            self.start.resize(tx * tx + 1, 0);
-            self.cursor.clear();
-            self.cursor.resize(tx * tx, 0);
-            // Every tile of the new geometry starts *dirty*: a workspace
-            // alternating between sizes (n₁ → n₂ → n₁) can still hold
-            // pixels from the previous same-sized render, and the flags
-            // that tracked them were discarded on the first resize.
-            // Forcing one full clear round makes correctness independent
-            // of whether the owning workspace also reallocates its
-            // grids (it does, but nothing should lean on that).
-            self.dirty.clear();
-            self.dirty.resize(tx * tx, true);
-            self.active.clear();
-            self.active.reserve(tx * tx);
+    /// The buckets of `config`'s grid. Every tile starts *dirty*, so the
+    /// first render clears (and counts) every tile.
+    fn new(config: &ComposeConfig) -> Self {
+        let tiles_x = config.size.div_ceil(TILE);
+        let tiles = tiles_x * tiles_x;
+        // A window's span is at most `2·(r_max + margin) + 1` pixels when
+        // the STE clips radii to `r_max`, and any span touches at most
+        // `⌈(span − 1)/TILE⌉ + 1` tiles. Unquantized radii are unbounded,
+        // so there it is the whole grid.
+        let per_axis = if config.quantize {
+            let span = (2 * (config.r_max + config.window_margin) + 1).max(1) as usize;
+            ((span - 1).div_ceil(TILE) + 1).min(tiles_x)
+        } else {
+            tiles_x
+        };
+        TileGrid {
+            size: config.size,
+            margin: config.window_margin,
+            tiles_x,
+            per_axis,
+            start: vec![0; tiles + 1],
+            cursor: vec![0; tiles],
+            indices: Vec::new(),
+            dirty: vec![true; tiles],
+            active: Vec::with_capacity(tiles),
         }
-    }
-
-    /// The most tiles one placed circle's window can touch along an
-    /// axis: its span is at most `2·(r_max + margin) + 1` pixels when the
-    /// STE clips radii to `r_max`, and any span touches at most
-    /// `⌈(span − 1)/TILE⌉ + 1` tiles. Unquantized radii are unbounded, so
-    /// there it is the whole grid.
-    fn max_tiles_per_axis(&self, config: &ComposeConfig) -> usize {
-        if !config.quantize {
-            return self.tiles_x;
-        }
-        let span = (2 * (config.r_max + config.window_margin) + 1).max(1) as usize;
-        ((span - 1).div_ceil(TILE) + 1).min(self.tiles_x)
     }
 
     /// The tiles `pc`'s window touches, row-major; none when it misses
@@ -279,9 +290,9 @@ impl TileGrid {
         pc.window(n, margin)
             .into_iter()
             .flat_map(move |(x0, x1, y0, y1)| {
-                let xs = x0 as usize / TILE..=x1 as usize / TILE;
+                let (tx0, tx1) = (x0 as usize / TILE, x1 as usize / TILE);
                 (y0 as usize / TILE..=y1 as usize / TILE)
-                    .flat_map(move |ty| xs.clone().map(move |tx| ty * tiles_x + tx))
+                    .flat_map(move |ty| (tx0..=tx1).map(move |tx| ty * tiles_x + tx))
             })
     }
 
@@ -290,10 +301,8 @@ impl TileGrid {
     /// rendering bit-identical to the serial reference). Circles with an
     /// off-grid window are dropped, and with `prune` (the hard max) so
     /// are circles with `q ≤ 0`.
-    pub(crate) fn bin(&mut self, placed: &[PlacedCircle], config: &ComposeConfig, prune: bool) {
-        let (n, margin) = (config.size, config.window_margin);
-        self.reset(n);
-        let tiles_x = self.tiles_x;
+    fn bin(&mut self, placed: &[PlacedCircle], prune: bool) {
+        let (n, margin, tiles_x) = (self.size, self.margin, self.tiles_x);
         let kept = |pc: &PlacedCircle| !prune || pc.q > 0.0;
         // Count each tile's circles into `start[t + 1]`, then prefix-sum.
         self.start.fill(0);
@@ -310,9 +319,9 @@ impl TileGrid {
         for t in 1..self.start.len() {
             self.start[t] += self.start[t - 1];
         }
-        let per_axis = self.max_tiles_per_axis(config);
         self.indices.clear();
-        self.indices.reserve(placed.len() * per_axis * per_axis);
+        self.indices
+            .reserve(placed.len() * self.per_axis * self.per_axis);
         self.indices
             .resize(self.start.last().map_or(0, |&e| e as usize), 0);
         // Fill in circle order, so every bucket keeps ascending indices.
@@ -333,25 +342,14 @@ impl TileGrid {
         cfaopc_trace::counters::CIRCLES_PRUNED.add(pruned);
     }
 
-    /// The tiles the renderer must touch (content now, or stale content
-    /// to clear), in row-major tile order.
-    pub(crate) fn active(&self) -> &[u32] {
-        &self.active
-    }
-
     /// The circle indices binned into tile `t` (row-major tile order).
-    pub(crate) fn bucket(&self, t: usize) -> &[u32] {
+    fn bucket(&self, t: usize) -> &[u32] {
         &self.indices[self.start[t] as usize..self.start[t + 1] as usize]
-    }
-
-    /// Number of tiles along one grid edge after the last bin.
-    pub(crate) fn tiles_x(&self) -> usize {
-        self.tiles_x
     }
 
     /// Records which tiles now hold content, for the next render's
     /// skip-or-clear decision.
-    pub(crate) fn commit_dirty(&mut self) {
+    fn commit_dirty(&mut self) {
         for (t, d) in self.dirty.iter_mut().enumerate() {
             *d = self.start[t + 1] > self.start[t];
         }
@@ -361,7 +359,94 @@ impl TileGrid {
 /// How many active tiles one scheduler claim hands a worker. Small
 /// enough to balance clustered layouts, large enough that the atomic
 /// claim cost is amortized over ~4 KiB of rendered pixels.
-pub(crate) const RENDER_GRAIN: usize = 4;
+const RENDER_GRAIN: usize = 4;
+
+/// One composition's per-pixel work on the shared tile walk
+/// ([`render_tiles`]): what a cleared pixel holds, and how a circle's
+/// window updates the pixels it covers. The walk is generic over the
+/// body, so neither method is dispatched dynamically.
+///
+/// Both methods write through [`DisjointSliceMut`] views of the
+/// workspace's row-major grids.
+#[allow(unsafe_code)]
+pub(crate) trait TileBody: Sync {
+    /// Resets pixels `xs` of rows `ys` to the background.
+    ///
+    /// # Safety
+    ///
+    /// The pixels must lie in one tile that the calling worker has
+    /// claimed alone, so no other live view overlaps them.
+    // SAFETY: the contract is the `# Safety` section above.
+    unsafe fn clear(&self, xs: Range<usize>, ys: Range<usize>);
+
+    /// Renders circle `ci` (`pc`) at pixels `xs` of rows `ys`, all inside
+    /// its window; `dist` is the worker's distance-row scratch.
+    ///
+    /// # Safety
+    ///
+    /// As for [`TileBody::clear`].
+    // SAFETY: the contract is the `# Safety` section above.
+    unsafe fn draw(
+        &self,
+        ci: usize,
+        pc: &PlacedCircle,
+        xs: Range<usize>,
+        ys: Range<usize>,
+        dist: &mut [f64; TILE],
+    );
+}
+
+/// The tile walk both renders share: workers claim the active tiles
+/// ([`RENDER_GRAIN`] at a time), and each claimed tile is cleared and
+/// then drawn from its bucket, circle by circle in index order, each
+/// window intersected with the tile.
+///
+/// Inactive tiles (untouched now *and* on the previous render) are never
+/// visited. Tiles are disjoint pixel sets and each worklist index is
+/// claimed exactly once per region, so `body`'s writes are race-free and
+/// every pixel replays the serial update sequence at any worker count.
+pub(crate) fn render_tiles<B: TileBody>(tiles: &TileGrid, placed: &[PlacedCircle], body: &B) {
+    let (n, tiles_x) = (tiles.size, tiles.tiles_x);
+    let active = &tiles.active;
+    cfaopc_trace::counters::TILES_RENDERED.add(active.len() as u64);
+    cfaopc_trace::counters::TILES_SKIPPED.add((tiles_x * tiles_x - active.len()) as u64);
+    let started = std::time::Instant::now();
+    par_index_claim(active.len(), RENDER_GRAIN, |k| {
+        let t = active[k] as usize;
+        let (ty, tx) = (t / tiles_x, t % tiles_x);
+        let c0 = tx * TILE;
+        let c1 = (c0 + TILE).min(n);
+        let t_y0 = ty * TILE;
+        let t_y1 = (t_y0 + TILE).min(n);
+        // SAFETY: tile `t` is claimed by exactly one worker per region
+        // and tiles are disjoint pixel sets.
+        #[allow(unsafe_code)]
+        unsafe {
+            body.clear(c0..c1, t_y0..t_y1)
+        };
+        let mut dist = [0.0f64; TILE];
+        for &ci in tiles.bucket(t) {
+            let pc = &placed[ci as usize];
+            let (wx0, wx1, wy0, wy1) = pc
+                .window(n, tiles.margin)
+                .expect("binned circles have on-grid windows");
+            let x0 = (wx0 as usize).max(c0);
+            let x1 = (wx1 as usize + 1).min(c1);
+            let y0 = (wy0 as usize).max(t_y0);
+            let y1 = (wy1 as usize + 1).min(t_y1);
+            if x0 >= x1 {
+                continue;
+            }
+            // SAFETY: the window intersected with tile `t`, which this
+            // worker claimed alone.
+            #[allow(unsafe_code)]
+            unsafe {
+                body.draw(ci as usize, pc, x0..x1, y0..y1, &mut dist)
+            };
+        }
+    });
+    cfaopc_trace::counters::COMPOSE_RENDER_NS.add(started.elapsed().as_nanos() as u64);
+}
 
 /// Per-radius sigmoid/distance lookup tables for quantized renders.
 ///
@@ -374,11 +459,9 @@ pub(crate) const RENDER_GRAIN: usize = 4;
 /// computed with the exact expression tree the serial reference
 /// evaluates per pixel — same integer-valued inputs, same operations —
 /// so lookups are bit-identical by construction, not by approximation.
-#[derive(Debug, Default)]
-pub(crate) struct SigmaTable {
+#[derive(Debug)]
+struct SigmaTable {
     r_min: i32,
-    r_max: i32,
-    margin: i32,
     /// `dtable[d²] = (d² as f64).sqrt()`.
     dtable: Vec<f64>,
     /// `ftable[(r − r_min)·(cap + 1) + d²] = σ(α·(r − dtable[d²]))`.
@@ -388,31 +471,21 @@ pub(crate) struct SigmaTable {
 }
 
 impl SigmaTable {
-    /// Rebuilds the tables when the governing config fields changed;
-    /// no-op (and allocation-free) otherwise.
-    pub(crate) fn ensure(&mut self, config: &ComposeConfig) {
-        if self.r_min == config.r_min
-            && self.r_max == config.r_max
-            && self.margin == config.window_margin
-            && !self.ftable.is_empty()
-        {
-            return;
-        }
-        self.r_min = config.r_min;
-        self.r_max = config.r_max;
-        self.margin = config.window_margin;
+    fn new(config: &ComposeConfig) -> Self {
         let half = (config.r_max + config.window_margin).max(0) as usize;
-        self.cap = 2 * half * half;
-        self.dtable.clear();
-        self.dtable
-            .extend((0..=self.cap).map(|d2| (d2 as f64).sqrt()));
+        let cap = 2 * half * half;
+        let dtable: Vec<f64> = (0..=cap).map(|d2| (d2 as f64).sqrt()).collect();
         let nr = (config.r_max - config.r_min).max(0) as usize + 1;
-        self.ftable.clear();
-        self.ftable.reserve(nr * (self.cap + 1));
+        let mut ftable = Vec::with_capacity(nr * (cap + 1));
         for ri in 0..nr {
             let r = (config.r_min + ri as i32) as f64;
-            self.ftable
-                .extend(self.dtable.iter().map(|&d| sigmoid(ALPHA * (r - d))));
+            ftable.extend(dtable.iter().map(|&d| sigmoid(ALPHA * (r - d))));
+        }
+        SigmaTable {
+            r_min: config.r_min,
+            dtable,
+            ftable,
+            cap,
         }
     }
 
@@ -426,218 +499,72 @@ impl SigmaTable {
     }
 }
 
-/// Renders the hard-max composition over the active-tile worklist,
-/// tiles claimed dynamically by the worker pool.
-///
-/// Every active tile is cleared and re-rendered from its bucket;
-/// inactive tiles (untouched now *and* on the previous render) are never
-/// visited. Tiles are disjoint pixel sets and each worklist index is
-/// claimed exactly once per region, so the row-segment writes below are
-/// race-free and the result is bit-identical to [`compose_serial`] at
-/// any worker count.
-///
-/// Alongside mask and argmax, the render records each winning pixel's
-/// sigmoid value and center distance into `fwin`/`dwin` — the exact
-/// intermediates the backward pass would otherwise recompute (one sqrt
-/// and one exp per winner). The caches carry no validity state of their
-/// own: they are written exactly when argmax is, and the backward sweep
-/// reads them only where `argmax ≥ 0`, so they never need clearing.
-#[allow(clippy::too_many_arguments)] // internal: mask/argmax/fwin/dwin are one logical output set
-fn render_max(
-    placed: &[PlacedCircle],
-    config: &ComposeConfig,
-    tiles: &TileGrid,
-    table: Option<&SigmaTable>,
-    mask: &mut [f64],
-    argmax: &mut [i32],
-    fwin: &mut [f64],
-    dwin: &mut [f64],
-) {
-    let n = config.size;
-    let tiles_x = tiles.tiles_x;
-    let active = tiles.active();
-    let total_tiles = tiles_x * n.div_ceil(TILE);
-    cfaopc_trace::counters::TILES_RENDERED.add(active.len() as u64);
-    cfaopc_trace::counters::TILES_SKIPPED.add((total_tiles - active.len()) as u64);
-    let margin = config.window_margin;
-    let started = std::time::Instant::now();
-    let mask_sh = DisjointSliceMut::new(mask);
-    let arg_sh = DisjointSliceMut::new(argmax);
-    let fw_sh = DisjointSliceMut::new(fwin);
-    let dw_sh = DisjointSliceMut::new(dwin);
-    par_index_claim(active.len(), RENDER_GRAIN, |k| {
-        let t = active[k] as usize;
-        let (ty, tx) = (t / tiles_x, t % tiles_x);
-        let c0 = tx * TILE;
-        let c1 = (c0 + TILE).min(n);
-        let t_y0 = ty * TILE;
-        let t_y1 = (t_y0 + TILE).min(n);
-        for y in t_y0..t_y1 {
-            // SAFETY: tile `t` is claimed by exactly one worker per
-            // region and tiles are disjoint pixel sets, so no other
-            // live sub-slice overlaps this row segment.
-            #[allow(unsafe_code)]
-            let mrow = unsafe { mask_sh.slice_mut(y * n + c0, c1 - c0) };
-            // SAFETY: as above — same tile, same disjoint row segment.
-            #[allow(unsafe_code)]
-            let arow = unsafe { arg_sh.slice_mut(y * n + c0, c1 - c0) };
-            mrow.fill(0.0);
-            arow.fill(-1);
-        }
-        let mut dist = [0.0f64; TILE];
-        for &ci in tiles.bucket(t) {
-            let pc = &placed[ci as usize];
-            let (wx0, wx1, wy0, wy1) = pc
-                .window(n, margin)
-                .expect("binned circles have on-grid windows");
-            let x0 = (wx0 as usize).max(c0);
-            let x1 = (wx1 as usize + 1).min(c1);
-            let y0 = (wy0 as usize).max(t_y0);
-            let y1 = (wy1 as usize + 1).min(t_y1);
-            if x0 >= x1 {
-                continue;
-            }
-            let seg_len = x1 - x0;
-            let lookup = table.map(|tb| tb.rows(pc.r));
-            for y in y0..y1 {
-                let dyv = y as f64 - pc.cy;
-                // SAFETY: the segment lies inside tile `t`'s rows
-                // (window intersected with the tile), claimed by this
-                // worker alone; no other sub-slice is alive.
-                #[allow(unsafe_code)]
-                let mrow = unsafe { mask_sh.slice_mut(y * n + x0, seg_len) };
-                // SAFETY: as above — same in-tile row segment.
-                #[allow(unsafe_code)]
-                let arow = unsafe { arg_sh.slice_mut(y * n + x0, seg_len) };
-                // SAFETY: as above — same in-tile row segment.
-                #[allow(unsafe_code)]
-                let frow = unsafe { fw_sh.slice_mut(y * n + x0, seg_len) };
-                // SAFETY: as above — same in-tile row segment.
-                #[allow(unsafe_code)]
-                let drow = unsafe { dw_sh.slice_mut(y * n + x0, seg_len) };
-                if let Some((ft, dt)) = lookup {
-                    // Quantized render: d² is a small exact integer, so
-                    // the sigmoid and distance come from the lookup
-                    // tables — no sqrt, no exp, bit-identical entries.
-                    let dy2 = dyv * dyv;
-                    for j in 0..seg_len {
-                        // v = q·f ≤ q (f ≤ 1, rounding is monotone), so
-                        // a circle whose activation does not exceed the
-                        // running max can never win: skip the lookup.
-                        if pc.q <= mrow[j] {
-                            continue;
-                        }
-                        let dxv = (x0 + j) as f64 - pc.cx;
-                        let idx = (dxv * dxv + dy2) as usize;
-                        let f = ft[idx];
-                        let v = pc.q * f;
-                        if v > mrow[j] {
-                            mrow[j] = v;
-                            arow[j] = ci as i32;
-                            frow[j] = f;
-                            drow[j] = dt[idx];
-                        }
-                    }
-                    continue;
-                }
-                let seg = &mut dist[..seg_len];
-                fill_dist_row(seg, x0, pc.cx, dyv * dyv);
-                for (j, &d) in seg.iter().enumerate() {
-                    // Same early-skip as above: q ≤ running max can
-                    // never produce a strictly greater v. The serial
-                    // reference evaluates the sigmoid anyway and reaches
-                    // the same (no-update) outcome.
-                    if pc.q <= mrow[j] {
-                        continue;
-                    }
-                    let f = sigmoid_sat(ALPHA * (pc.r - d));
-                    let v = pc.q * f;
-                    if v > mrow[j] {
-                        mrow[j] = v;
-                        arow[j] = ci as i32;
-                        frow[j] = f;
-                        drow[j] = d;
-                    }
-                }
-            }
-        }
-    });
-    cfaopc_trace::counters::COMPOSE_RENDER_NS.add(started.elapsed().as_nanos() as u64);
+/// The hard max's own buffers: the argmax routing map, the winner caches
+/// its backward reads, and the quantized render's lookup tables.
+#[derive(Debug)]
+struct MaxBuffers {
+    argmax: Grid2D<i32>,
+    /// Winning pixels' sigmoid values, written by the render alongside
+    /// argmax; read by the fused backward (valid wherever `argmax ≥ 0`).
+    fwin: Vec<f64>,
+    /// Winning pixels' center distances (same validity as `fwin`).
+    dwin: Vec<f64>,
+    /// Sigmoid/distance lookup tables; `None` when `quantize` is off.
+    table: Option<SigmaTable>,
 }
 
-/// Fused backward pass shared by [`Composite::backward`] and
-/// [`ComposeWorkspace::backward_into`]: a single pixel-major sweep that
-/// reuses the forward argmax routing instead of re-scanning every
-/// circle's window.
-///
-/// Bands (tile rows) are claimed dynamically; each band task scans its
-/// rows left to right across content tiles and scatters each winning
-/// pixel's contribution into that band's private partial-gradient block
-/// (`4·n_circles` lanes). A deterministic ascending-band reduction then
-/// merges the partials and applies the STE gates. Because the band scan
-/// visits circle `i`'s winning pixels in (y, x) order — the same order
-/// the band-blocked serial reference accumulates them — and the merge
-/// tree is fixed, the result is bit-identical to
-/// [`Composite::backward_serial`] at any worker count.
-///
-/// `content`: when the caller owns the tile buckets, tiles with empty
-/// buckets are skipped (they cannot hold winners); `None` scans every
-/// tile, which is equivalent but slower.
-///
-/// `winners`: the forward sweep's per-pixel `(f, d)` caches when the
-/// caller kept them ([`ComposeWorkspace`] does). A cached winner costs
-/// no sqrt and no exp — saturated pixels (`f = 1.0` exactly, so
-/// `h = f(1−f) = 0`) collapse to `∂q += g` outright, and ring pixels
-/// reuse the recorded sigmoid and distance bit-for-bit. Without caches
-/// the sweep recomputes both, with a conservative interior shortcut:
-/// once `d² ≤ (r − SAT/α − 1)²` the sigmoid is provably saturated. The
-/// serial reference adds the saturated zero terms explicitly; skipping
-/// them can only flip a gradient's zero sign (`-0.0` vs `0.0`), which
-/// compares equal.
-#[allow(clippy::too_many_arguments)] // internal: the argmax/content/winners trio is one routing input
-fn backward_fused_into(
-    placed: &[PlacedCircle],
-    config: &ComposeConfig,
-    argmax: &Grid2D<i32>,
-    grad_mask: &Grid2D<f64>,
-    content: Option<&TileGrid>,
-    winners: Option<(&[f64], &[f64])>,
-    partials: &mut Vec<f64>,
-    grads: &mut [f64],
-) {
-    let n = config.size;
-    assert!(
-        grad_mask.width() == n && grad_mask.height() == n,
-        "gradient shape mismatch"
-    );
-    debug_assert_eq!(grads.len(), placed.len() * 4);
-    if placed.is_empty() {
-        return;
+impl MaxBuffers {
+    fn new(config: &ComposeConfig) -> Self {
+        let n = config.size;
+        MaxBuffers {
+            argmax: Grid2D::new(n, n, -1),
+            fwin: vec![0.0; n * n],
+            dwin: vec![0.0; n * n],
+            // Integer centers/radii (quantize = true) make the sigmoid a
+            // finite function of (r, d²) — serve it from lookup tables.
+            table: config.quantize.then(|| SigmaTable::new(config)),
+        }
     }
-    let bands = n.div_ceil(TILE);
-    let tiles_x = n.div_ceil(TILE);
-    let stride = placed.len() * 4;
-    partials.clear();
-    partials.resize(bands * stride, 0.0);
-    let am = argmax.as_slice();
-    let gm = grad_mask.as_slice();
-    let started = std::time::Instant::now();
-    let part_sh = DisjointSliceMut::new(partials.as_mut_slice());
-    par_index_claim(bands, 1, |b| {
-        // SAFETY: band `b` is claimed by exactly one worker per region
-        // and bands own disjoint `stride`-sized blocks of the partials
-        // buffer.
-        #[allow(unsafe_code)]
-        let part = unsafe { part_sh.slice_mut(b * stride, stride) };
+
+    /// Renders the hard max over the active tiles into `mask`, the argmax
+    /// and the winner caches.
+    fn render(&mut self, tiles: &TileGrid, placed: &[PlacedCircle], mask: &mut Grid2D<f64>) {
+        let body = MaxRender {
+            n: tiles.size,
+            table: self.table.as_ref(),
+            mask: DisjointSliceMut::new(mask.as_mut_slice()),
+            argmax: DisjointSliceMut::new(self.argmax.as_mut_slice()),
+            fwin: DisjointSliceMut::new(&mut self.fwin),
+            dwin: DisjointSliceMut::new(&mut self.dwin),
+        };
+        render_tiles(tiles, placed, &body);
+    }
+
+    /// Band `b`'s share of the hard-max backward (Eq. 12–14): its rows
+    /// left to right across the content tiles, scattering each winning
+    /// pixel into `part`. A winner costs no sqrt and no exp: a saturated
+    /// one (`f = 1.0` exactly, so `h = f(1−f) = 0`) collapses to
+    /// `∂q += g`, and a rim pixel reuses the recorded sigmoid and
+    /// distance. The skipped `±0.0` terms cannot change a
+    /// `+0.0`-initialized sum, so the partials equal the serial
+    /// reference's bit for bit.
+    fn scan_band(
+        &self,
+        b: usize,
+        part: &mut [f64],
+        placed: &[PlacedCircle],
+        tiles: &TileGrid,
+        gm: &[f64],
+    ) {
+        let (n, tiles_x) = (tiles.size, tiles.tiles_x);
+        let (am, fc, dc) = (self.argmax.as_slice(), &self.fwin[..], &self.dwin[..]);
         let y0 = b * TILE;
         let y1 = (y0 + TILE).min(n);
         for y in y0..y1 {
             let row = y * n;
             for tx in 0..tiles_x {
-                if let Some(tiles) = content {
-                    if tiles.bucket(b * tiles_x + tx).is_empty() {
-                        continue; // no circle rendered here: no winners
-                    }
+                if tiles.bucket(b * tiles_x + tx).is_empty() {
+                    continue; // no circle rendered here: no winners
                 }
                 let x0 = tx * TILE;
                 let x1 = (x0 + TILE).min(n);
@@ -649,27 +576,13 @@ fn backward_fused_into(
                     let pc = &placed[w as usize];
                     let g = gm[row + x];
                     let slot = 4 * w as usize;
-                    let (f, d) = if let Some((fc, dc)) = winners {
-                        let f = fc[row + x];
-                        if f == 1.0 {
-                            // Saturated winner: h = f(1−f) = 0 exactly.
-                            part[slot + 3] += g;
-                            continue;
-                        }
-                        (f, dc[row + x])
-                    } else {
-                        let dx = x as f64 - pc.cx;
-                        let dy = y as f64 - pc.cy;
-                        let d2 = dx * dx + dy * dy;
-                        let r_in = pc.r - SIGMOID_SAT / ALPHA - 1.0;
-                        if r_in > 0.0 && d2 <= r_in * r_in {
-                            // Saturated interior: f = 1 exactly, h = 0.
-                            part[slot + 3] += g;
-                            continue;
-                        }
-                        let d = d2.sqrt();
-                        (sigmoid_sat(ALPHA * (pc.r - d)), d)
-                    };
+                    let f = fc[row + x];
+                    if f == 1.0 {
+                        // Saturated winner: h = f(1−f) = 0 exactly.
+                        part[slot + 3] += g;
+                        continue;
+                    }
+                    let d = dc[row + x];
                     let dx = x as f64 - pc.cx;
                     let dy = y as f64 - pc.cy;
                     let h = f * (1.0 - f);
@@ -682,11 +595,142 @@ fn backward_fused_into(
                 }
             }
         }
+    }
+}
+
+/// The hard max's per-pixel body (Eq. 10–11): a pixel keeps the largest
+/// `q·f` and its circle, and records the winner's sigmoid value and
+/// center distance (`fwin`/`dwin`) — the exact intermediates the backward
+/// pass would otherwise recompute. The caches carry no validity state of
+/// their own: they are written exactly when argmax is, and the backward
+/// reads them only where `argmax ≥ 0`, so they never need clearing.
+struct MaxRender<'a> {
+    n: usize,
+    table: Option<&'a SigmaTable>,
+    mask: DisjointSliceMut<'a, f64>,
+    argmax: DisjointSliceMut<'a, i32>,
+    fwin: DisjointSliceMut<'a, f64>,
+    dwin: DisjointSliceMut<'a, f64>,
+}
+
+// The `slice_mut` views below are the only live ones over their pixels:
+// each method's caller upholds the `TileBody` contract.
+#[allow(unsafe_code)]
+impl TileBody for MaxRender<'_> {
+    // SAFETY: the caller upholds `TileBody::clear`'s contract.
+    unsafe fn clear(&self, xs: Range<usize>, ys: Range<usize>) {
+        for y in ys {
+            let at = y * self.n + xs.start;
+            self.mask.slice_mut(at, xs.len()).fill(0.0);
+            self.argmax.slice_mut(at, xs.len()).fill(-1);
+        }
+    }
+
+    // SAFETY: the caller upholds `TileBody::draw`'s contract.
+    unsafe fn draw(
+        &self,
+        ci: usize,
+        pc: &PlacedCircle,
+        xs: Range<usize>,
+        ys: Range<usize>,
+        dist: &mut [f64; TILE],
+    ) {
+        let (x0, seg_len) = (xs.start, xs.len());
+        let lookup = self.table.map(|tb| tb.rows(pc.r));
+        for y in ys {
+            let dyv = y as f64 - pc.cy;
+            let at = y * self.n + x0;
+            let mrow = self.mask.slice_mut(at, seg_len);
+            let arow = self.argmax.slice_mut(at, seg_len);
+            let frow = self.fwin.slice_mut(at, seg_len);
+            let drow = self.dwin.slice_mut(at, seg_len);
+            if let Some((ft, dt)) = lookup {
+                // Quantized render: d² is a small exact integer, so the
+                // sigmoid and distance come from the lookup tables — no
+                // sqrt, no exp, bit-identical entries.
+                let dy2 = dyv * dyv;
+                for j in 0..seg_len {
+                    // v = q·f ≤ q (f ≤ 1, rounding is monotone), so a
+                    // circle whose activation does not exceed the running
+                    // max can never win: skip the lookup.
+                    if pc.q <= mrow[j] {
+                        continue;
+                    }
+                    let dxv = (x0 + j) as f64 - pc.cx;
+                    let idx = (dxv * dxv + dy2) as usize;
+                    let f = ft[idx];
+                    let v = pc.q * f;
+                    if v > mrow[j] {
+                        mrow[j] = v;
+                        arow[j] = ci as i32;
+                        frow[j] = f;
+                        drow[j] = dt[idx];
+                    }
+                }
+                continue;
+            }
+            let seg = &mut dist[..seg_len];
+            fill_dist_row(seg, x0, pc.cx, dyv * dyv);
+            for (j, &d) in seg.iter().enumerate() {
+                // Same early-skip as above: q ≤ running max can never
+                // produce a strictly greater v. The serial reference
+                // evaluates the sigmoid anyway and reaches the same
+                // (no-update) outcome.
+                if pc.q <= mrow[j] {
+                    continue;
+                }
+                let f = sigmoid_sat(ALPHA * (pc.r - d));
+                let v = pc.q * f;
+                if v > mrow[j] {
+                    mrow[j] = v;
+                    arow[j] = ci as i32;
+                    frow[j] = f;
+                    drow[j] = d;
+                }
+            }
+        }
+    }
+}
+
+/// The band frame both backward passes share. Bands (tile rows) are
+/// claimed dynamically, and `scan(b, part)` accumulates band `b`'s
+/// per-circle partial gradients into its own `4·placed.len()` block of
+/// `partials`. The blocks are then merged in ascending band order and the
+/// STE gates applied: the summation tree of the band-blocked serial
+/// references ([`Composite::backward_serial`],
+/// [`SoftComposite::backward_serial`](crate::SoftComposite::backward_serial)),
+/// so `grads` is bit-identical to theirs at any worker count.
+fn backward_bands<F>(
+    placed: &[PlacedCircle],
+    n: usize,
+    partials: &mut Vec<f64>,
+    grads: &mut [f64],
+    scan: F,
+) where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    debug_assert_eq!(grads.len(), placed.len() * 4);
+    if placed.is_empty() {
+        return;
+    }
+    let bands = n.div_ceil(TILE);
+    let stride = placed.len() * 4;
+    partials.clear();
+    partials.resize(bands * stride, 0.0);
+    let started = std::time::Instant::now();
+    let part_sh = DisjointSliceMut::new(partials.as_mut_slice());
+    par_index_claim(bands, 1, |b| {
+        // SAFETY: band `b` is claimed by exactly one worker per region
+        // and bands own disjoint `stride`-sized blocks of the partials
+        // buffer.
+        #[allow(unsafe_code)]
+        let part = unsafe { part_sh.slice_mut(b * stride, stride) };
+        scan(b, part);
     });
     cfaopc_trace::counters::BACKWARD_SCAN_NS.add(started.elapsed().as_nanos() as u64);
 
     // Ordered reduction: ascending bands, then the STE gates — the same
-    // fixed merge tree the serial reference uses, at every worker count.
+    // fixed merge tree the serial references use, at every worker count.
     let merge_started = std::time::Instant::now();
     for (i, pc) in placed.iter().enumerate() {
         let (mut gx, mut gy, mut gr, mut gq) = (0.0, 0.0, 0.0, 0.0);
@@ -705,105 +749,87 @@ fn backward_fused_into(
     cfaopc_trace::counters::BACKWARD_MERGE_NS.add(merge_started.elapsed().as_nanos() as u64);
 }
 
-/// Reusable state for the tiled composition engine: mask, argmax, placed
-/// circles, tile buckets and the parameter-gradient buffer all live here,
-/// so the CircleOpt inner loop performs **zero steady-state heap
-/// allocations** in the circle→pixel direction.
+/// The buffers only one composition reads.
+#[derive(Debug)]
+enum Buffers {
+    Max(MaxBuffers),
+    Softmax(SoftBuffers),
+}
+
+/// The composition engine for one [`ComposeConfig`] and one
+/// [`Composition`]: the dense mask, placed circles, tile buckets and
+/// band partials, plus the buffers of that composition alone (the hard
+/// max's argmax, winner caches and lookup tables, or the softmax's
+/// normalizer). Everything is sized at construction, so the CircleOpt
+/// inner loop performs **zero steady-state heap allocations** in the
+/// circle→pixel direction.
 ///
 /// # Examples
 ///
 /// ```
-/// use cfaopc_core::{CircleParams, ComposeConfig, ComposeWorkspace, SparseCircles};
+/// use cfaopc_core::{CircleParams, ComposeConfig, ComposeWorkspace, Composition, SparseCircles};
 /// use cfaopc_grid::Grid2D;
 ///
 /// let circles = SparseCircles {
 ///     circles: vec![CircleParams { x: 16.0, y: 16.0, r: 6.0, q: 1.0 }],
 /// };
-/// let config = ComposeConfig::new(32, 3, 19);
-/// let mut ws = ComposeWorkspace::new();
-/// ws.compose(&circles, &config);
-/// assert!(ws.mask()[(16, 16)] > 0.99);
-/// let grad = Grid2D::new(32, 32, 1.0);
+/// let mut ws = ComposeWorkspace::new(ComposeConfig::new(32, 3, 19), Composition::Max);
+/// ws.compose(&circles);
+/// assert!(ws.mask()[(16, 16)] > 0.99); // deep inside the circle
+/// assert!(ws.mask()[(0, 0)] < 1e-6); // background
 /// let mut grads = Vec::new();
-/// ws.backward_into(&grad, &mut grads);
+/// ws.backward_into(&Grid2D::new(32, 32, 1.0), &mut grads);
 /// assert_eq!(grads.len(), 4);
 /// ```
 #[derive(Debug)]
 pub struct ComposeWorkspace {
+    config: ComposeConfig,
+    /// The dense mask `M̄` (the softmax's numerator until its divide).
     mask: Grid2D<f64>,
-    argmax: Grid2D<i32>,
     placed: Vec<PlacedCircle>,
     tiles: TileGrid,
     partials: Vec<f64>,
-    /// Winning pixels' sigmoid values, written by the render alongside
-    /// argmax; read by the fused backward (valid wherever `argmax ≥ 0`).
-    fwin: Vec<f64>,
-    /// Winning pixels' center distances (same validity as `fwin`).
-    dwin: Vec<f64>,
-    /// Quantized-render sigmoid/distance lookup tables (rebuilt only
-    /// when the governing config fields change).
-    table: SigmaTable,
-    config: Option<ComposeConfig>,
-}
-
-impl Default for ComposeWorkspace {
-    fn default() -> Self {
-        ComposeWorkspace::new()
-    }
+    buffers: Buffers,
 }
 
 impl ComposeWorkspace {
-    /// Creates an empty workspace; buffers are sized by the first
-    /// [`ComposeWorkspace::compose`] call and reused afterwards.
-    pub fn new() -> Self {
+    /// A workspace for `config`'s grid under `composition`, every buffer
+    /// sized here and reused by each [`ComposeWorkspace::compose`].
+    pub fn new(config: ComposeConfig, composition: Composition) -> Self {
+        let n = config.size;
+        let buffers = match composition {
+            Composition::Max => Buffers::Max(MaxBuffers::new(&config)),
+            Composition::Softmax { beta } => Buffers::Softmax(SoftBuffers::new(n, beta)),
+        };
         ComposeWorkspace {
-            mask: Grid2D::new(0, 0, 0.0),
-            argmax: Grid2D::new(0, 0, -1),
+            mask: Grid2D::new(n, n, 0.0),
             placed: Vec::new(),
-            tiles: TileGrid::new(),
+            tiles: TileGrid::new(&config),
             partials: Vec::new(),
-            fwin: Vec::new(),
-            dwin: Vec::new(),
-            table: SigmaTable::default(),
-            config: None,
+            buffers,
+            config,
         }
     }
 
-    /// Renders the dense mask and argmax map for `circles` into the
-    /// workspace buffers (tile-parallel, skipping untouched tiles and
-    /// circles with `q ≤ 0`). Bit-identical to
-    /// [`compose_serial`] at any worker count.
-    pub fn compose(&mut self, circles: &SparseCircles, config: &ComposeConfig) {
-        let n = config.size;
-        if self.mask.width() != n || self.mask.height() != n {
-            self.mask = Grid2D::new(n, n, 0.0);
-            self.argmax = Grid2D::new(n, n, -1);
-            self.fwin.clear();
-            self.fwin.resize(n * n, 0.0);
-            self.dwin.clear();
-            self.dwin.resize(n * n, 0.0);
+    /// Renders the dense mask for `circles` into the workspace buffers
+    /// (tile-parallel, skipping untouched tiles; the hard max also skips
+    /// circles with `q ≤ 0`). Bit-identical to [`compose_serial`] or
+    /// [`compose_soft_serial`](crate::compose_soft_serial) at any worker
+    /// count, whether the workspace is fresh or reused.
+    pub fn compose(&mut self, circles: &SparseCircles) {
+        place_circles(circles, &self.config, &mut self.placed);
+        match &mut self.buffers {
+            Buffers::Max(max) => {
+                self.tiles.bin(&self.placed, true);
+                max.render(&self.tiles, &self.placed, &mut self.mask);
+            }
+            Buffers::Softmax(soft) => {
+                // No pruning: every circle, even at q ≤ 0, feeds the
+                // softmax normalizer.
+                self.tiles.bin(&self.placed, false);
+                soft.render(&self.tiles, &self.placed, &mut self.mask);
+            }
         }
-        self.config = Some(*config);
-        place_circles(circles, config, &mut self.placed);
-        self.tiles.bin(&self.placed, config, true);
-        // Integer centers/radii (quantize = true) make the sigmoid a
-        // finite function of (r, d²) — serve it from lookup tables.
-        let table = if config.quantize {
-            self.table.ensure(config);
-            Some(&self.table)
-        } else {
-            None
-        };
-        render_max(
-            &self.placed,
-            config,
-            &self.tiles,
-            table,
-            self.mask.as_mut_slice(),
-            self.argmax.as_mut_slice(),
-            &mut self.fwin,
-            &mut self.dwin,
-        );
         self.tiles.commit_dirty();
     }
 
@@ -812,62 +838,59 @@ impl ComposeWorkspace {
         &self.mask
     }
 
-    /// The argmax routing map from the last compose (`-1` = background).
-    pub fn argmax(&self) -> &Grid2D<i32> {
-        &self.argmax
+    /// The argmax routing map from the last compose (`-1` = background);
+    /// `None` under [`Composition::Softmax`], which routes no pixel to a
+    /// single circle.
+    pub fn argmax(&self) -> Option<&Grid2D<i32>> {
+        match &self.buffers {
+            Buffers::Max(max) => Some(&max.argmax),
+            Buffers::Softmax(_) => None,
+        }
     }
 
-    /// Backward pass into a caller-owned buffer, resized to `4n` and
-    /// fully overwritten (so a buffer reused across iterations never
-    /// accumulates stale gradients).
+    /// Backward pass: chains `∂L/∂M̄` (from the lithography adjoint)
+    /// through the last compose into the flat `4n` parameter gradient
+    /// `[∂x₀, ∂y₀, ∂r₀, ∂q₀, ∂x₁, …]`. `grads` is resized and fully
+    /// overwritten, so a buffer reused across iterations never
+    /// accumulates stale gradients; before any compose there are no
+    /// circles and it is left empty.
     ///
-    /// Runs the fused pixel-major sweep over the content tiles recorded
-    /// by the last compose, reusing its argmax routing; the band-partial
-    /// scratch buffer lives in the workspace (hence `&mut self`), so
-    /// steady-state iterations stay allocation-free.
+    /// The hard max routes each pixel's gradient to its argmax circle
+    /// only (Eq. 12–14), in one pixel-major sweep over the content tiles
+    /// that reuses the render's winner caches; the softmax spreads it over
+    /// every circle covering the pixel. Either result is bit-identical to
+    /// its serial reference ([`Composite::backward_serial`],
+    /// [`SoftComposite::backward_serial`](crate::SoftComposite::backward_serial))
+    /// at any worker count. The band-partial scratch lives in the
+    /// workspace (hence `&mut self`).
     ///
     /// # Panics
     ///
-    /// Panics if [`ComposeWorkspace::compose`] has not been called, or on
-    /// a gradient shape mismatch.
+    /// Panics when `grad_mask` does not match the grid size.
     pub fn backward_into(&mut self, grad_mask: &Grid2D<f64>, grads: &mut Vec<f64>) {
-        let config = self
-            .config
-            .as_ref()
-            .expect("backward_into requires a prior compose");
+        let n = self.config.size;
+        assert!(
+            grad_mask.width() == n && grad_mask.height() == n,
+            "gradient shape mismatch"
+        );
         grads.clear();
         grads.resize(self.placed.len() * 4, 0.0);
-        backward_fused_into(
-            &self.placed,
-            config,
-            &self.argmax,
-            grad_mask,
-            Some(&self.tiles),
-            Some((&self.fwin, &self.dwin)),
-            &mut self.partials,
-            grads,
-        );
-    }
-
-    /// Consumes the workspace into an owned [`Composite`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`ComposeWorkspace::compose`] has not been called.
-    pub fn into_composite(self) -> Composite {
-        Composite {
-            config: self
-                .config
-                .expect("into_composite requires a prior compose"),
-            mask: self.mask,
-            argmax: self.argmax,
-            placed: self.placed,
+        let (config, placed, tiles, mask) = (&self.config, &self.placed, &self.tiles, &self.mask);
+        let gm = grad_mask.as_slice();
+        let partials = &mut self.partials;
+        match &self.buffers {
+            Buffers::Max(max) => backward_bands(placed, n, partials, grads, |b, part| {
+                max.scan_band(b, part, placed, tiles, gm)
+            }),
+            Buffers::Softmax(soft) => backward_bands(placed, n, partials, grads, |b, part| {
+                soft.scan_band(b, part, placed, config, mask, gm)
+            }),
         }
     }
 }
 
-/// The dense mask, its argmax routing map, and everything needed to run
-/// the backward pass.
+/// What [`compose_serial`] returns: the dense mask, its argmax routing
+/// map, and what [`Composite::backward_serial`] reads.
 #[derive(Debug, Clone)]
 pub struct Composite {
     /// The dense mask `M̄` (Eq. 11); zero where no circle wins.
@@ -878,32 +901,8 @@ pub struct Composite {
     config: ComposeConfig,
 }
 
-/// Builds the dense mask from the sparse circular representation using
-/// the tiled parallel engine (bit-identical to [`compose_serial`]).
-///
-/// Callers composing every iteration should prefer a reused
-/// [`ComposeWorkspace`], which skips this function's per-call buffer
-/// allocations.
-///
-/// # Examples
-///
-/// ```
-/// use cfaopc_core::{compose, ComposeConfig, CircleParams, SparseCircles};
-///
-/// let circles = SparseCircles {
-///     circles: vec![CircleParams { x: 16.0, y: 16.0, r: 6.0, q: 1.0 }],
-/// };
-/// let composite = compose(&circles, &ComposeConfig::new(32, 3, 19));
-/// assert!(composite.mask[(16, 16)] > 0.99); // deep inside the circle
-/// assert!(composite.mask[(0, 0)] < 1e-6);   // background
-/// ```
-pub fn compose(circles: &SparseCircles, config: &ComposeConfig) -> Composite {
-    let mut ws = ComposeWorkspace::new();
-    ws.compose(circles, config);
-    ws.into_composite()
-}
-
-/// The retained serial reference implementation of [`compose`]: one flat
+/// The retained serial reference of the hard-max render
+/// ([`ComposeWorkspace::compose`] under [`Composition::Max`]): one flat
 /// pass over every circle's window, no tiling, no parallelism. Kept (and
 /// exercised by property tests) as the ground truth the tiled engine must
 /// match bit-for-bit; also the baseline the `circleopt` benchmark times
@@ -944,46 +943,12 @@ pub fn compose_serial(circles: &SparseCircles, config: &ComposeConfig) -> Compos
 }
 
 impl Composite {
-    /// The compose configuration used.
-    pub fn config(&self) -> &ComposeConfig {
-        &self.config
-    }
-
-    /// Backward pass: chain `∂L/∂M̄` (from the lithography adjoint)
-    /// through Eq. 12–14 into the flat `4n` parameter gradient
-    /// `[∂x₀, ∂y₀, ∂r₀, ∂q₀, ∂x₁, …]`.
-    ///
-    /// Gradients aggregate only at pixels each circle wins (the argmax
-    /// routing of Eq. 12): a fused pixel-major sweep scatters winning
-    /// pixels into per-band partials, bands claimed in parallel, merged
-    /// by a deterministic ascending-band reduction. The result is
-    /// bit-identical to [`Composite::backward_serial`].
-    ///
-    /// Callers iterating should prefer [`ComposeWorkspace::backward_into`],
-    /// which reuses the band-partial scratch buffer (and skips tiles no
-    /// circle touches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_mask` does not match the grid size.
-    pub fn backward(&self, grad_mask: &Grid2D<f64>) -> Vec<f64> {
-        let mut grads = vec![0.0f64; self.placed.len() * 4];
-        let mut partials = Vec::new();
-        backward_fused_into(
-            &self.placed,
-            &self.config,
-            &self.argmax,
-            grad_mask,
-            None,
-            None,
-            &mut partials,
-            &mut grads,
-        );
-        grads
-    }
-
-    /// The retained serial reference for [`Composite::backward`] —
-    /// ground truth for the property tests and the benchmark baseline.
+    /// The retained serial reference of the hard-max backward
+    /// ([`ComposeWorkspace::backward_into`]) — ground truth for the
+    /// property tests and the benchmark baseline. It chains `∂L/∂M̄`
+    /// through Eq. 12–14 into the flat `4n` parameter gradient, each
+    /// circle's sum taken only over the pixels it wins (the argmax
+    /// routing of Eq. 12).
     ///
     /// Accumulation is **band-blocked**: each circle's windowed sums are
     /// collected per tile row (ascending `y`, then `x`, within each
@@ -1073,20 +1038,38 @@ mod tests {
         ComposeConfig::new(n, 2, 12)
     }
 
+    /// A hard-max workspace that has composed `circles`.
+    fn composed(circles: &SparseCircles, config: ComposeConfig) -> ComposeWorkspace {
+        let mut ws = ComposeWorkspace::new(config, Composition::Max);
+        ws.compose(circles);
+        ws
+    }
+
+    fn backward(ws: &mut ComposeWorkspace, grad_mask: &Grid2D<f64>) -> Vec<f64> {
+        let mut grads = Vec::new();
+        ws.backward_into(grad_mask, &mut grads);
+        grads
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn single_circle_window_shape() {
-        let c = compose(&single(16.0, 16.0, 6.0, 1.0), &cfg(32));
-        assert!(c.mask[(16, 16)] > 0.99);
-        assert!(c.mask[(22, 16)] >= 0.45 && c.mask[(22, 16)] <= 0.55); // on the rim
-        assert!(c.mask[(28, 16)] < 1e-6);
-        assert_eq!(c.argmax[(16, 16)], 0);
-        assert_eq!(c.argmax[(0, 0)], -1);
+        let ws = composed(&single(16.0, 16.0, 6.0, 1.0), cfg(32));
+        let (mask, argmax) = (ws.mask(), ws.argmax().unwrap());
+        assert!(mask[(16, 16)] > 0.99);
+        assert!(mask[(22, 16)] >= 0.45 && mask[(22, 16)] <= 0.55); // on the rim
+        assert!(mask[(28, 16)] < 1e-6);
+        assert_eq!(argmax[(16, 16)], 0);
+        assert_eq!(argmax[(0, 0)], -1);
     }
 
     #[test]
     fn activation_scales_the_window() {
-        let c = compose(&single(16.0, 16.0, 6.0, 0.4), &cfg(32));
-        assert!((c.mask[(16, 16)] - 0.4).abs() < 0.01);
+        let ws = composed(&single(16.0, 16.0, 6.0, 0.4), cfg(32));
+        assert!((ws.mask()[(16, 16)] - 0.4).abs() < 0.01);
     }
 
     #[test]
@@ -1107,28 +1090,29 @@ mod tests {
                 },
             ],
         };
-        let c = compose(&circles, &cfg(32));
+        let ws = composed(&circles, cfg(32));
+        let argmax = ws.argmax().unwrap();
         // Deep inside circle 0 only.
-        assert_eq!(c.argmax[(10, 16)], 0);
+        assert_eq!(argmax[(10, 16)], 0);
         // Deep inside circle 1 only — weaker q wins where circle 0's
         // window has fallen off.
-        assert_eq!(c.argmax[(25, 16)], 1);
+        assert_eq!(argmax[(25, 16)], 1);
         // In the overlap, the stronger activation wins.
-        assert_eq!(c.argmax[(17, 16)], 0);
+        assert_eq!(argmax[(17, 16)], 0);
     }
 
     #[test]
     fn negative_activation_never_claims_pixels() {
-        let c = compose(&single(16.0, 16.0, 6.0, -0.5), &cfg(32));
-        assert!(c.mask.as_slice().iter().all(|&v| v == 0.0));
-        assert!(c.argmax.as_slice().iter().all(|&v| v == -1));
+        let ws = composed(&single(16.0, 16.0, 6.0, -0.5), cfg(32));
+        assert!(ws.mask().as_slice().iter().all(|&v| v == 0.0));
+        assert!(ws.argmax().unwrap().as_slice().iter().all(|&v| v == -1));
     }
 
     #[test]
     fn quantization_rounds_centers() {
-        let a = compose(&single(16.4, 16.0, 6.3, 1.0), &cfg(32));
-        let b = compose(&single(16.0, 16.0, 6.0, 1.0), &cfg(32));
-        assert_eq!(a.mask, b.mask);
+        let a = composed(&single(16.4, 16.0, 6.3, 1.0), cfg(32));
+        let b = composed(&single(16.0, 16.0, 6.0, 1.0), cfg(32));
+        assert_eq!(a.mask(), b.mask());
     }
 
     #[test]
@@ -1146,15 +1130,15 @@ mod tests {
             (-40.0, -40.0),
         ] {
             let circles = single(x, y, 5.0, 1.0);
-            let c = compose(&circles, &config);
-            assert!(c.mask.as_slice().iter().all(|&v| v == 0.0), "({x},{y})");
-            assert!(c.argmax.as_slice().iter().all(|&v| v == -1));
-            let grads = c.backward(&Grid2D::new(32, 32, 1.0));
-            assert!(grads.iter().all(|&g| g == 0.0));
+            let mut ws = composed(&circles, config);
+            assert!(ws.mask().as_slice().iter().all(|&v| v == 0.0), "({x},{y})");
+            assert!(ws.argmax().unwrap().as_slice().iter().all(|&v| v == -1));
+            let grads = backward(&mut ws, &Grid2D::new(32, 32, 1.0));
+            assert_eq!(bits(&grads), bits(&[0.0; 4]));
             // And the serial reference agrees bit-for-bit.
             let s = compose_serial(&circles, &config);
-            assert_eq!(s.mask, c.mask);
-            assert_eq!(s.argmax, c.argmax);
+            assert_eq!(&s.mask, ws.mask());
+            assert_eq!(Some(&s.argmax), ws.argmax());
         }
     }
 
@@ -1177,14 +1161,18 @@ mod tests {
             ],
         };
         let config = cfg(32);
-        let c = compose(&circles, &config);
-        assert!(c.mask[(10, 10)] == 0.0, "pruned circle must not render");
-        assert!(c.mask[(22, 22)] > 0.9);
+        let mut ws = composed(&circles, config);
+        assert!(ws.mask()[(10, 10)] == 0.0, "pruned circle must not render");
+        assert!(ws.mask()[(22, 22)] > 0.9);
         // Serial reference implements the same pruning.
         let s = compose_serial(&circles, &config);
-        assert_eq!(s.mask, c.mask);
-        let grads = c.backward(&Grid2D::new(32, 32, 1.0));
-        assert_eq!(&grads[..4], &[0.0; 4], "pruned circle gets no gradient");
+        assert_eq!(&s.mask, ws.mask());
+        let grads = backward(&mut ws, &Grid2D::new(32, 32, 1.0));
+        assert_eq!(
+            bits(&grads[..4]),
+            bits(&[0.0; 4]),
+            "pruned circle gets no gradient"
+        );
     }
 
     #[test]
@@ -1203,48 +1191,32 @@ mod tests {
         };
         let small = single(8.0, 8.0, 4.0, 0.7);
         let config = cfg(32);
-        let mut ws = ComposeWorkspace::new();
-        ws.compose(&big, &config);
-        ws.compose(&small, &config);
-        let fresh = compose(&small, &config);
-        assert_eq!(ws.mask(), &fresh.mask);
-        assert_eq!(ws.argmax(), &fresh.argmax);
+        let mut ws = composed(&big, config);
+        ws.compose(&small);
+        let mut fresh = composed(&small, config);
+        assert_eq!(ws.mask(), fresh.mask());
+        assert_eq!(ws.argmax(), fresh.argmax());
+        let grad = Grid2D::new(32, 32, 0.3);
+        let mut grads = vec![99.0; 2]; // wrong size and stale values
+        ws.backward_into(&grad, &mut grads);
+        assert_eq!(bits(&grads), bits(&backward(&mut fresh, &grad)));
     }
 
     #[test]
-    fn workspace_backward_matches_composite_backward() {
-        let circles = SparseCircles {
-            circles: vec![
-                CircleParams {
-                    x: 12.0,
-                    y: 15.0,
-                    r: 5.0,
-                    q: 0.9,
-                },
-                CircleParams {
-                    x: 20.0,
-                    y: 18.0,
-                    r: 4.0,
-                    q: -0.2,
-                },
-            ],
-        };
-        let config = cfg(32);
-        let grad = Grid2D::new(32, 32, 0.3);
-        let mut ws = ComposeWorkspace::new();
-        ws.compose(&circles, &config);
-        let mut grads = vec![99.0; 2]; // wrong size and stale values
-        ws.backward_into(&grad, &mut grads);
-        let reference = compose(&circles, &config).backward(&grad);
-        assert_eq!(grads, reference);
+    fn backward_before_any_compose_is_empty() {
+        for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
+            let mut ws = ComposeWorkspace::new(cfg(32), composition);
+            let mut grads = vec![99.0; 3];
+            ws.backward_into(&Grid2D::new(32, 32, 1.0), &mut grads);
+            assert!(grads.is_empty(), "{composition:?}");
+        }
     }
 
     #[test]
     fn ste_gates_block_out_of_range_gradients() {
         // Radius pushed past r_max: clipped forward, gated backward.
-        let c = compose(&single(16.0, 16.0, 99.0, 1.0), &cfg(32));
-        let ones = Grid2D::new(32, 32, 1.0);
-        let grads = c.backward(&ones);
+        let mut ws = composed(&single(16.0, 16.0, 99.0, 1.0), cfg(32));
+        let grads = backward(&mut ws, &Grid2D::new(32, 32, 1.0));
         assert_eq!(grads[2], 0.0, "radius gradient must be gated off");
         assert!(grads[3] > 0.0, "q gradient still flows");
     }
@@ -1262,8 +1234,8 @@ mod tests {
             .collect();
         let w_grid = Grid2D::from_vec(n, n, weights);
         let j = |circles: &SparseCircles| -> f64 {
-            let c = compose(circles, &config);
-            c.mask
+            composed(circles, config)
+                .mask()
                 .as_slice()
                 .iter()
                 .zip(w_grid.as_slice())
@@ -1286,8 +1258,7 @@ mod tests {
                 },
             ],
         };
-        let composite = compose(&base, &config);
-        let analytic = composite.backward(&w_grid);
+        let analytic = backward(&mut composed(&base, config), &w_grid);
         let eps = 1e-6;
         for p in 0..8 {
             let mut plus = base.clone();
@@ -1313,13 +1284,12 @@ mod tests {
         // there): ∂L/∂x must be negative so descending x += -grad moves
         // the circle right (paper Figure 5(a)).
         let n = 32;
-        let circles = single(16.0, 16.0, 5.0, 1.0);
-        let c = compose(&circles, &cfg(n));
+        let mut ws = composed(&single(16.0, 16.0, 5.0, 1.0), cfg(n));
         let mut grad = Grid2D::new(n, n, 0.0);
         for y in 12..21 {
             grad[(21, y)] = -1.0; // right rim pixels want to be brighter
         }
-        let grads = c.backward(&grad);
+        let grads = backward(&mut ws, &grad);
         assert!(
             grads[0] < 0.0,
             "x gradient should point left (descend → right)"
@@ -1332,8 +1302,7 @@ mod tests {
         // Paper Figure 5(b): bright demand just outside the rim makes
         // ∂L/∂r negative (descent grows the circle).
         let n = 32;
-        let circles = single(16.0, 16.0, 5.0, 1.0);
-        let c = compose(&circles, &cfg(n));
+        let mut ws = composed(&single(16.0, 16.0, 5.0, 1.0), cfg(n));
         let mut grad = Grid2D::new(n, n, 0.0);
         for y in 10..23 {
             for x in 10..23 {
@@ -1343,7 +1312,7 @@ mod tests {
                 }
             }
         }
-        let grads = c.backward(&grad);
+        let grads = backward(&mut ws, &grad);
         assert!(
             grads[2] < 0.0,
             "radius gradient should be negative, got {}",
@@ -1354,8 +1323,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "gradient shape mismatch")]
     fn backward_checks_shape() {
-        let c = compose(&single(16.0, 16.0, 5.0, 1.0), &cfg(32));
-        let wrong = Grid2D::new(8, 8, 0.0);
-        let _ = c.backward(&wrong);
+        let mut ws = composed(&single(16.0, 16.0, 5.0, 1.0), cfg(32));
+        let _ = backward(&mut ws, &Grid2D::new(8, 8, 0.0));
     }
 }

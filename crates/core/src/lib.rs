@@ -11,8 +11,8 @@
 //! |----------------------|--------------------------------------------------|
 //! | [`SparseCircles`]    | §4.2 sparse circular reparameterization          |
 //! | [`ste`]              | Eq. 7–9 straight-through estimators              |
-//! | [`compose`]          | Eq. 10–11 differentiable circle-to-pixel map     |
-//! | [`Composite::backward`] | Eq. 12–14 + Eq. 16 manual gradients           |
+//! | [`ComposeWorkspace::compose`] | Eq. 10–11 differentiable circle-to-pixel map |
+//! | [`ComposeWorkspace::backward_into`] | Eq. 12–14 + Eq. 16 manual gradients |
 //! | [`run_circleopt`]    | the full two-stage pipeline (Fig. 3), Eq. 15/17  |
 //!
 //! # Examples
@@ -55,11 +55,10 @@ mod soft;
 mod ste;
 
 pub use cfaopc_ilt::RunCtx;
-pub use compose::{compose, compose_serial, ComposeConfig, ComposeWorkspace, Composite, TILE};
-pub use optimize::Composition;
+pub use compose::{compose_serial, ComposeConfig, ComposeWorkspace, Composite, Composition, TILE};
 pub use optimize::{run_circleopt, CircleOptConfig, CircleOptResult, CircleOptTrace};
 #[doc(hidden)]
 pub use optimize::{run_circleopt_cancellable, run_circleopt_traced};
 pub use repr::{CircleParams, SparseCircles, Q_THRESHOLD};
-pub use soft::{compose_soft, compose_soft_serial, SoftComposite, SoftWorkspace};
+pub use soft::{compose_soft_serial, SoftComposite};
 pub use ste::{ste, SteValue};

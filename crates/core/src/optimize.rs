@@ -21,9 +21,8 @@
 //! The final mask is the union of circles with `q > 0.5` — a mask that
 //! satisfies the circular fracturing constraint *by construction*.
 
-use crate::compose::{ComposeConfig, ComposeWorkspace};
+use crate::compose::{ComposeConfig, ComposeWorkspace, Composition};
 use crate::repr::SparseCircles;
-use crate::soft::SoftWorkspace;
 use cfaopc_fracture::{circle_rule, CircleRuleConfig, CircularMask};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_ilt::{run_pixel_ilt, IltEngine, Optimizer, RunCtx};
@@ -68,19 +67,6 @@ pub struct CircleOptConfig {
     /// Apply the STE indicator gates (Eq. 9). Disabling lets parameters
     /// drift outside the writer's limits (ablation).
     pub ste_gates: bool,
-}
-
-/// Dense-mask composition strategy (see [`CircleOptConfig::composition`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Composition {
-    /// Paper Eq. 11: per-pixel max, gradients through the argmax only.
-    Max,
-    /// Softmax-weighted blend with sharpness `beta`; gradients reach
-    /// every circle covering a pixel.
-    Softmax {
-        /// Sharpness; `→ ∞` recovers [`Composition::Max`].
-        beta: f64,
-    },
 }
 
 impl Default for CircleOptConfig {
@@ -256,11 +242,10 @@ pub fn run_circleopt(
     let mut history = Vec::with_capacity(config.circle_iterations);
 
     // Every buffer the iteration touches lives outside the loop (the
-    // compose workspaces, the mask gradient, the parameter gradient), so
+    // compose workspace, the mask gradient, the parameter gradient), so
     // the steady-state iteration — hard-max or softmax — performs zero
     // heap allocations, asserted by `tests/alloc.rs`.
-    let mut ws = ComposeWorkspace::new();
-    let mut soft_ws = SoftWorkspace::new();
+    let mut ws = ComposeWorkspace::new(compose_cfg, config.composition);
     let mut grad_mask = Grid2D::new(n, n, 0.0);
     let mut grads: Vec<f64> = Vec::new();
     for it in 0..config.circle_iterations {
@@ -268,32 +253,10 @@ pub fn run_circleopt(
             return Err(LithoError::Cancelled { iteration: it });
         }
         circles.set_from_flat(&flat);
-        let loss = match config.composition {
-            Composition::Max => {
-                ws.compose(&circles, &compose_cfg);
-                let loss = loss_and_gradient_into(
-                    sim,
-                    ws.mask(),
-                    &target_real,
-                    config.weights,
-                    &mut grad_mask,
-                )?;
-                ws.backward_into(&grad_mask, &mut grads);
-                loss
-            }
-            Composition::Softmax { beta } => {
-                soft_ws.compose(&circles, &compose_cfg, beta);
-                let loss = loss_and_gradient_into(
-                    sim,
-                    soft_ws.mask(),
-                    &target_real,
-                    config.weights,
-                    &mut grad_mask,
-                )?;
-                soft_ws.backward_into(&grad_mask, &mut grads);
-                loss
-            }
-        };
+        ws.compose(&circles);
+        let loss =
+            loss_and_gradient_into(sim, ws.mask(), &target_real, config.weights, &mut grad_mask)?;
+        ws.backward_into(&grad_mask, &mut grads);
         // Lasso sparsity on the activations (Eq. 17): subgradient
         // γ·sign(q), 0 at q = 0.
         let mut sparsity = 0.0;

@@ -1,6 +1,7 @@
 //! Softmax (log-sum-exp–weighted) circle composition — the smooth
-//! alternative to the paper's hard max (Eq. 11), used by the
-//! `ablation_compose` study.
+//! alternative to the paper's hard max (Eq. 11), selected by
+//! [`Composition::Softmax`](crate::Composition::Softmax) and studied by
+//! the `ablations` binary.
 //!
 //! The paper routes gradients through the argmax circle only; a softmax
 //! composition spreads them across every circle covering a pixel:
@@ -14,37 +15,40 @@
 //! max. The backward pass is exact:
 //! `∂M̄/∂vₖ = wₖ (1 + β vₖ − β M̄)`.
 //!
-//! The forward pass shares the tile-bucketed engine of
-//! [`crate::compose`]: circles are binned by window into [`TILE`]-sized
-//! tiles, workers claim active tiles dynamically, and the per-pixel
-//! distance rows come from the bit-exact SIMD kernel in [`crate::simd`].
-//! Deep-interior pixels (sigmoid provably saturated at `f = 1`) reuse a
-//! per-circle cached `e^{βq}` instead of calling `exp` twice per pixel.
-//! Unlike the hard max, the softmax **prunes nothing** — a circle
-//! with `q = 0` still contributes `e^{β·0} = 1` to every covered pixel's
-//! normalizer, so dropping it would change the output. Accumulation
-//! order within a pixel follows circle index order in every bucket, so
-//! the result stays bit-identical to [`compose_soft_serial`].
+//! It runs in [`ComposeWorkspace`](crate::ComposeWorkspace) on the engine
+//! of [`crate::compose`]; this module supplies the softmax's per-pixel
+//! render body, its backward scan and its serial references. The forward
+//! pass shares the tile walk: circles are binned by window into
+//! [`TILE`]-sized tiles, workers claim active tiles dynamically, and the
+//! per-pixel distance rows come from the bit-exact SIMD kernel in
+//! [`crate::simd`]. Deep-interior pixels (sigmoid provably saturated at
+//! `f = 1`) reuse a per-circle cached `e^{βq}` instead of calling `exp`
+//! twice per pixel. Unlike the hard max, the softmax **prunes nothing** —
+//! a circle with `q = 0` still contributes `e^{β·0} = 1` to every covered
+//! pixel's normalizer, so dropping it would change the output.
+//! Accumulation order within a pixel follows circle index order in every
+//! bucket, so the result stays bit-identical to [`compose_soft_serial`].
 //!
 //! The backward pass accumulates per-band partial gradients (tile rows
 //! claimed dynamically, each band scanning its slice of every circle's
-//! window in row-major order) and merges them with a deterministic
-//! ascending-band reduction — bit-identical to the band-blocked
-//! [`SoftComposite::backward_serial`] at any worker count.
+//! window in row-major order) and merges them with the engine's
+//! deterministic ascending-band reduction — bit-identical to the
+//! band-blocked [`SoftComposite::backward_serial`] at any worker count.
 //!
 //! [`TILE`]: crate::compose::TILE
 
 use crate::compose::{
-    place_circles, ComposeConfig, PlacedCircle, TileGrid, ALPHA, RENDER_GRAIN, TILE,
+    place_circles, render_tiles, ComposeConfig, PlacedCircle, TileBody, TileGrid, ALPHA, TILE,
 };
 use crate::repr::SparseCircles;
 use crate::simd::{fill_dist_row, SIGMOID_SAT};
-use cfaopc_fft::parallel::{par_index_claim, DisjointSliceMut};
+use cfaopc_fft::parallel::DisjointSliceMut;
 use cfaopc_grid::Grid2D;
 use cfaopc_litho::sigmoid;
+use std::ops::Range;
 
-/// Dense mask produced by the softmax composition, with the state needed
-/// for its backward pass.
+/// What [`compose_soft_serial`] returns: the dense mask, with what
+/// [`SoftComposite::backward_serial`] reads.
 #[derive(Debug, Clone)]
 pub struct SoftComposite {
     /// The dense mask `M̄`.
@@ -56,276 +60,67 @@ pub struct SoftComposite {
     beta: f64,
 }
 
-/// Builds the softmax-composed dense mask on the tiled parallel engine
-/// (bit-identical to [`compose_soft_serial`]).
-///
-/// `beta` controls the sharpness (`beta → ∞` recovers the max
-/// composition of [`crate::compose`]).
-///
-/// Callers composing every iteration should prefer a reused
-/// [`SoftWorkspace`], which skips this function's per-call buffer
-/// allocations.
-pub fn compose_soft(circles: &SparseCircles, config: &ComposeConfig, beta: f64) -> SoftComposite {
-    let mut ws = SoftWorkspace::new();
-    ws.compose(circles, config, beta);
-    ws.into_composite()
-}
-
-/// Reusable state for the softmax composition: numerator/normalizer
-/// grids, placed circles, tile buckets. Mirrors
-/// [`crate::compose::ComposeWorkspace`] so the CircleOpt softmax branch
-/// performs **zero steady-state heap allocations** — asserted by
-/// `tests/alloc.rs`.
-///
-/// Reuse is handled with the tile dirty flags: a tile rendered on the
-/// previous compose is reset to its background state (numerator 0,
-/// normalizer `e^{β·0} = 1`) before accumulation, and a tile untouched
-/// both then and now is skipped outright (the in-place `0 / 1` divide is
-/// idempotent there), keeping reused results bit-identical to a fresh
-/// [`compose_soft`].
+/// The softmax's own buffers in a workspace: its sharpness `β` and the
+/// per-pixel normalizer `1 + Σ e^{βv}`.
 #[derive(Debug)]
-pub struct SoftWorkspace {
-    /// Numerator during render; becomes the mask after the divide.
-    mask: Grid2D<f64>,
-    norm: Grid2D<f64>,
-    placed: Vec<PlacedCircle>,
-    tiles: TileGrid,
-    partials: Vec<f64>,
-    config: Option<ComposeConfig>,
+pub(crate) struct SoftBuffers {
     beta: f64,
+    norm: Grid2D<f64>,
 }
 
-impl Default for SoftWorkspace {
-    fn default() -> Self {
-        SoftWorkspace::new()
-    }
-}
-
-impl SoftWorkspace {
-    /// Creates an empty workspace; buffers are sized by the first
-    /// [`SoftWorkspace::compose`] call and reused afterwards.
-    pub fn new() -> Self {
-        SoftWorkspace {
-            mask: Grid2D::new(0, 0, 0.0),
-            norm: Grid2D::new(0, 0, 1.0),
-            placed: Vec::new(),
-            tiles: TileGrid::new(),
-            partials: Vec::new(),
-            config: None,
-            beta: 0.0,
+impl SoftBuffers {
+    pub(crate) fn new(n: usize, beta: f64) -> Self {
+        SoftBuffers {
+            beta,
+            norm: Grid2D::new(n, n, 1.0),
         }
     }
 
-    /// Renders the softmax-composed dense mask into the workspace
-    /// buffers. Bit-identical to [`compose_soft`] /
-    /// [`compose_soft_serial`] whether the workspace is fresh or reused.
-    pub fn compose(&mut self, circles: &SparseCircles, config: &ComposeConfig, beta: f64) {
-        let n = config.size;
-        if self.mask.width() != n || self.mask.height() != n {
-            self.mask = Grid2D::new(n, n, 0.0);
-            self.norm = Grid2D::new(n, n, 1.0);
-        }
-        self.config = Some(*config);
-        self.beta = beta;
-        place_circles(circles, config, &mut self.placed);
-        // No pruning here: every circle, even at q ≤ 0, feeds the softmax
-        // normalizer, so pruning would change the output.
-        self.tiles.bin(&self.placed, config, false);
-
-        let placed = &self.placed;
-        let tiles = &self.tiles;
-        let tiles_x = tiles.tiles_x();
-        let active = tiles.active();
-        let total_tiles = tiles_x * n.div_ceil(TILE);
-        cfaopc_trace::counters::TILES_RENDERED.add(active.len() as u64);
-        cfaopc_trace::counters::TILES_SKIPPED.add((total_tiles - active.len()) as u64);
-        let margin = config.window_margin;
-        let started = std::time::Instant::now();
-        let num_sh = DisjointSliceMut::new(self.mask.as_mut_slice());
-        let norm_sh = DisjointSliceMut::new(self.norm.as_mut_slice());
-        par_index_claim(active.len(), RENDER_GRAIN, |k| {
-            let t = active[k] as usize;
-            let (ty, tx) = (t / tiles_x, t % tiles_x);
-            let c0 = tx * TILE;
-            let c1 = (c0 + TILE).min(n);
-            let t_y0 = ty * TILE;
-            let t_y1 = (t_y0 + TILE).min(n);
-            for y in t_y0..t_y1 {
-                // SAFETY: tile `t` is claimed by exactly one worker per
-                // region and tiles are disjoint pixel sets, so no other
-                // live sub-slice overlaps this row segment.
-                #[allow(unsafe_code)]
-                let nrow = unsafe { num_sh.slice_mut(y * n + c0, c1 - c0) };
-                // SAFETY: as above — same tile, same disjoint segment.
-                #[allow(unsafe_code)]
-                let zrow = unsafe { norm_sh.slice_mut(y * n + c0, c1 - c0) };
-                nrow.fill(0.0);
-                zrow.fill(1.0);
-            }
-            let mut dist = [0.0f64; TILE];
-            for &ci in tiles.bucket(t) {
-                let pc = &placed[ci as usize];
-                let (wx0, wx1, wy0, wy1) = pc
-                    .window(n, margin)
-                    .expect("binned circles have on-grid windows");
-                let x0 = (wx0 as usize).max(c0);
-                let x1 = (wx1 as usize + 1).min(c1);
-                let y0 = (wy0 as usize).max(t_y0);
-                let y1 = (wy1 as usize + 1).min(t_y1);
-                if x0 >= x1 {
-                    continue;
-                }
-                let seg_len = x1 - x0;
-                // Saturated interior pixels have v = q·1 = q exactly, so
-                // their weight e^{βv} is this one per-circle constant.
-                let e_sat = (beta * pc.q).exp();
-                for y in y0..y1 {
-                    let dyv = y as f64 - pc.cy;
-                    let seg = &mut dist[..seg_len];
-                    fill_dist_row(seg, x0, pc.cx, dyv * dyv);
-                    // SAFETY: the segment lies inside tile `t`'s rows,
-                    // claimed by this worker alone.
-                    #[allow(unsafe_code)]
-                    let nrow = unsafe { num_sh.slice_mut(y * n + x0, seg_len) };
-                    // SAFETY: as above — same in-tile row segment.
-                    #[allow(unsafe_code)]
-                    let zrow = unsafe { norm_sh.slice_mut(y * n + x0, seg_len) };
-                    for (j, &d) in seg.iter().enumerate() {
-                        let t_arg = ALPHA * (pc.r - d);
-                        let (v, e) = if t_arg >= SIGMOID_SAT {
-                            (pc.q, e_sat) // f = 1.0 exactly
-                        } else {
-                            let v = pc.q * sigmoid(t_arg);
-                            (v, (beta * v).exp())
-                        };
-                        nrow[j] += v * e;
-                        zrow[j] += e;
-                    }
-                }
-            }
-        });
-        cfaopc_trace::counters::COMPOSE_RENDER_NS.add(started.elapsed().as_nanos() as u64);
-        self.tiles.commit_dirty();
-
+    /// Renders the softmax over the active tiles into `mask` (the
+    /// numerator, until the closing divide) and the normalizer.
+    ///
+    /// A tile rendered on the previous compose is reset to its background
+    /// state (numerator 0, normalizer `e^{β·0} = 1`) before accumulation,
+    /// and a tile untouched both then and now is skipped outright (the
+    /// in-place `0 / 1` divide is idempotent there), so a reused workspace
+    /// renders the same bits as a fresh one.
+    pub(crate) fn render(
+        &mut self,
+        tiles: &TileGrid,
+        placed: &[PlacedCircle],
+        mask: &mut Grid2D<f64>,
+    ) {
+        let body = SoftRender {
+            n: mask.width(),
+            beta: self.beta,
+            num: DisjointSliceMut::new(mask.as_mut_slice()),
+            norm: DisjointSliceMut::new(self.norm.as_mut_slice()),
+        };
+        render_tiles(tiles, placed, &body);
         // In-place divide: the numerator grid becomes the mask. Clean
         // skipped tiles hold (0, 1), so re-dividing them is idempotent.
-        for (m, &z) in self
-            .mask
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.norm.as_slice())
-        {
+        for (m, &z) in mask.as_mut_slice().iter_mut().zip(self.norm.as_slice()) {
             *m /= z;
         }
     }
 
-    /// The dense mask `M̄` from the last [`SoftWorkspace::compose`].
-    pub fn mask(&self) -> &Grid2D<f64> {
-        &self.mask
-    }
-
-    /// Backward pass into a caller-owned buffer, resized to `4n` and
-    /// fully overwritten — the allocation-free counterpart of
-    /// [`SoftComposite::backward`]. The band-partial scratch buffer
-    /// lives in the workspace (hence `&mut self`), so steady-state
-    /// iterations stay allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SoftWorkspace::compose`] has not been called, or on a
-    /// gradient shape mismatch.
-    pub fn backward_into(&mut self, grad_mask: &Grid2D<f64>, grads: &mut Vec<f64>) {
-        let config = self
-            .config
-            .as_ref()
-            .expect("backward_into requires a prior compose");
-        grads.clear();
-        grads.resize(self.placed.len() * 4, 0.0);
-        backward_soft_into(
-            &self.placed,
-            config,
-            self.beta,
-            &self.mask,
-            &self.norm,
-            grad_mask,
-            &mut self.partials,
-            grads,
-        );
-    }
-
-    /// Consumes the workspace into an owned [`SoftComposite`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SoftWorkspace::compose`] has not been called.
-    pub fn into_composite(self) -> SoftComposite {
-        SoftComposite {
-            config: self
-                .config
-                .expect("into_composite requires a prior compose"),
-            mask: self.mask,
-            norm: self.norm,
-            placed: self.placed,
-            beta: self.beta,
-        }
-    }
-}
-
-/// Distance-row scratch length for the backward band scans: windows can
-/// be wider than a tile, so rows are processed in chunks of this many
-/// pixels (chunking is invisible to the math — every chunk runs the
-/// same bit-exact kernel).
-const DIST_SEG: usize = 2 * TILE;
-
-/// Fused backward pass shared by [`SoftComposite::backward`] and
-/// [`SoftWorkspace::backward_into`].
-///
-/// Bands (tile rows) are claimed dynamically; each band task scans its
-/// slice of every circle's window row-major, accumulating into that
-/// band's private partial-gradient block, and a deterministic
-/// ascending-band reduction merges the partials and applies the STE
-/// gates — the same summation tree as the band-blocked
-/// [`SoftComposite::backward_serial`], so the result is bit-identical
-/// to it at any worker count. Saturated interior pixels (`f = 1`
-/// exactly, `h = 0`) reuse the per-circle `e^{βq}` weight and
-/// contribute only to `∂q`; the zero x/y/r terms the serial reference
-/// adds explicitly can at most flip a zero's sign, which compares
-/// equal.
-#[allow(clippy::too_many_arguments)] // internal: mask/norm/grad_mask are one fixed forward-state set
-fn backward_soft_into(
-    placed: &[PlacedCircle],
-    config: &ComposeConfig,
-    beta: f64,
-    mask: &Grid2D<f64>,
-    norm: &Grid2D<f64>,
-    grad_mask: &Grid2D<f64>,
-    partials: &mut Vec<f64>,
-    grads: &mut [f64],
-) {
-    let n = config.size;
-    assert!(
-        grad_mask.width() == n && grad_mask.height() == n,
-        "gradient shape mismatch"
-    );
-    debug_assert_eq!(grads.len(), placed.len() * 4);
-    if placed.is_empty() {
-        return;
-    }
-    let bands = n.div_ceil(TILE);
-    let stride = placed.len() * 4;
-    partials.clear();
-    partials.resize(bands * stride, 0.0);
-    let margin = config.window_margin;
-    let m = mask.as_slice();
-    let z = norm.as_slice();
-    let gm = grad_mask.as_slice();
-    let started = std::time::Instant::now();
-    let part_sh = DisjointSliceMut::new(partials.as_mut_slice());
-    par_index_claim(bands, 1, |b| {
-        // SAFETY: band `b` is claimed by exactly one worker per region
-        // and bands own disjoint `stride`-sized partial blocks.
-        #[allow(unsafe_code)]
-        let part = unsafe { part_sh.slice_mut(b * stride, stride) };
+    /// Band `b`'s share of the softmax backward: its slice of every
+    /// circle's window, row-major, accumulated into `part`. Saturated
+    /// interior pixels (`f = 1` exactly, `h = 0`) reuse the per-circle
+    /// `e^{βq}` weight and contribute only to `∂q`; the zero x/y/r terms
+    /// the serial reference adds there cannot change a `+0.0`-initialized
+    /// sum, so the partials equal the serial reference's bit for bit.
+    pub(crate) fn scan_band(
+        &self,
+        b: usize,
+        part: &mut [f64],
+        placed: &[PlacedCircle],
+        config: &ComposeConfig,
+        mask: &Grid2D<f64>,
+        gm: &[f64],
+    ) {
+        let (n, margin, beta) = (config.size, config.window_margin, self.beta);
+        let (m, z) = (mask.as_slice(), self.norm.as_slice());
         let band_y0 = b * TILE;
         let band_y1 = (band_y0 + TILE).min(n);
         let mut dist = [0.0f64; DIST_SEG];
@@ -382,29 +177,75 @@ fn backward_soft_into(
             part[4 * i + 2] += gr;
             part[4 * i + 3] += gq;
         }
-    });
-    cfaopc_trace::counters::BACKWARD_SCAN_NS.add(started.elapsed().as_nanos() as u64);
-
-    let merge_started = std::time::Instant::now();
-    for (i, pc) in placed.iter().enumerate() {
-        let (mut gx, mut gy, mut gr, mut gq) = (0.0, 0.0, 0.0, 0.0);
-        for b in 0..bands {
-            let base = b * stride + 4 * i;
-            gx += partials[base];
-            gy += partials[base + 1];
-            gr += partials[base + 2];
-            gq += partials[base + 3];
-        }
-        grads[4 * i] = gx * pc.gate_x;
-        grads[4 * i + 1] = gy * pc.gate_y;
-        grads[4 * i + 2] = gr * pc.gate_r;
-        grads[4 * i + 3] = gq;
     }
-    cfaopc_trace::counters::BACKWARD_MERGE_NS.add(merge_started.elapsed().as_nanos() as u64);
 }
 
-/// The retained serial reference implementation of [`compose_soft`]: one
-/// flat pass per circle, no tiling, no parallelism. Ground truth for the
+/// The softmax's per-pixel body: each covering circle adds `v·e^{βv}` to
+/// the numerator and `e^{βv}` to the normalizer.
+struct SoftRender<'a> {
+    n: usize,
+    beta: f64,
+    num: DisjointSliceMut<'a, f64>,
+    norm: DisjointSliceMut<'a, f64>,
+}
+
+// The `slice_mut` views below are the only live ones over their pixels:
+// each method's caller upholds the `TileBody` contract.
+#[allow(unsafe_code)]
+impl TileBody for SoftRender<'_> {
+    // SAFETY: the caller upholds `TileBody::clear`'s contract.
+    unsafe fn clear(&self, xs: Range<usize>, ys: Range<usize>) {
+        for y in ys {
+            let at = y * self.n + xs.start;
+            self.num.slice_mut(at, xs.len()).fill(0.0);
+            self.norm.slice_mut(at, xs.len()).fill(1.0);
+        }
+    }
+
+    // SAFETY: the caller upholds `TileBody::draw`'s contract.
+    unsafe fn draw(
+        &self,
+        _ci: usize,
+        pc: &PlacedCircle,
+        xs: Range<usize>,
+        ys: Range<usize>,
+        dist: &mut [f64; TILE],
+    ) {
+        let (x0, seg_len) = (xs.start, xs.len());
+        // Saturated interior pixels have v = q·1 = q exactly, so their
+        // weight e^{βv} is this one per-circle constant.
+        let e_sat = (self.beta * pc.q).exp();
+        for y in ys {
+            let dyv = y as f64 - pc.cy;
+            let seg = &mut dist[..seg_len];
+            fill_dist_row(seg, x0, pc.cx, dyv * dyv);
+            let nrow = self.num.slice_mut(y * self.n + x0, seg_len);
+            let zrow = self.norm.slice_mut(y * self.n + x0, seg_len);
+            for (j, &d) in seg.iter().enumerate() {
+                let t_arg = ALPHA * (pc.r - d);
+                let (v, e) = if t_arg >= SIGMOID_SAT {
+                    (pc.q, e_sat) // f = 1.0 exactly
+                } else {
+                    let v = pc.q * sigmoid(t_arg);
+                    (v, (self.beta * v).exp())
+                };
+                nrow[j] += v * e;
+                zrow[j] += e;
+            }
+        }
+    }
+}
+
+/// Distance-row scratch length for the backward band scans: windows can
+/// be wider than a tile, so rows are processed in chunks of this many
+/// pixels (chunking is invisible to the math — every chunk runs the
+/// same bit-exact kernel).
+const DIST_SEG: usize = 2 * TILE;
+
+/// The retained serial reference of the softmax render
+/// ([`ComposeWorkspace::compose`](crate::ComposeWorkspace::compose) under
+/// [`Composition::Softmax`](crate::Composition::Softmax)): one flat pass
+/// per circle, no tiling, no parallelism. Ground truth for the
 /// bit-identity property tests.
 pub fn compose_soft_serial(
     circles: &SparseCircles,
@@ -444,37 +285,12 @@ pub fn compose_soft_serial(
 }
 
 impl SoftComposite {
-    /// Backward pass: chain `∂L/∂M̄` into the flat `4n` parameter
-    /// gradient, spreading each pixel's gradient across *all* circles
-    /// covering it (softmax weights), unlike the paper's argmax routing.
-    ///
-    /// Bands (tile rows) run in parallel, each accumulating private
-    /// partial gradients merged by a deterministic ascending-band
-    /// reduction; bit-identical to [`SoftComposite::backward_serial`].
-    ///
-    /// Callers iterating should prefer [`SoftWorkspace::backward_into`],
-    /// which reuses the band-partial scratch buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a gradient shape mismatch.
-    pub fn backward(&self, grad_mask: &Grid2D<f64>) -> Vec<f64> {
-        let mut grads = vec![0.0f64; self.placed.len() * 4];
-        let mut partials = Vec::new();
-        backward_soft_into(
-            &self.placed,
-            &self.config,
-            self.beta,
-            &self.mask,
-            &self.norm,
-            grad_mask,
-            &mut partials,
-            &mut grads,
-        );
-        grads
-    }
-
-    /// The retained serial reference for [`SoftComposite::backward`].
+    /// The retained serial reference of the softmax backward
+    /// ([`ComposeWorkspace::backward_into`](crate::ComposeWorkspace::backward_into)
+    /// under [`Composition::Softmax`](crate::Composition::Softmax)): chains
+    /// `∂L/∂M̄` into the flat `4n` parameter gradient, spreading each
+    /// pixel's gradient across *all* circles covering it (softmax
+    /// weights), unlike the paper's argmax routing.
     ///
     /// Accumulation is **band-blocked** (per-tile-row partials reduced
     /// in ascending band order before the STE gates), fixing the
@@ -555,8 +371,10 @@ impl SoftComposite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::compose;
+    use crate::compose::{ComposeWorkspace, Composition};
     use crate::repr::CircleParams;
+
+    const BETA: f64 = 20.0;
 
     fn two_circles() -> SparseCircles {
         SparseCircles {
@@ -583,30 +401,54 @@ mod tests {
         c
     }
 
+    /// A workspace under `composition` that has composed `circles`.
+    fn composed(
+        circles: &SparseCircles,
+        config: ComposeConfig,
+        composition: Composition,
+    ) -> ComposeWorkspace {
+        let mut ws = ComposeWorkspace::new(config, composition);
+        ws.compose(circles);
+        ws
+    }
+
+    fn soft(circles: &SparseCircles, config: ComposeConfig, beta: f64) -> ComposeWorkspace {
+        composed(circles, config, Composition::Softmax { beta })
+    }
+
+    fn backward(ws: &mut ComposeWorkspace, grad_mask: &Grid2D<f64>) -> Vec<f64> {
+        let mut grads = Vec::new();
+        ws.backward_into(grad_mask, &mut grads);
+        grads
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn high_beta_approaches_hard_max() {
         let circles = two_circles();
         let config = cfg(32);
-        let soft = compose_soft(&circles, &config, 200.0);
-        let hard = compose(&circles, &config);
-        for (a, b) in soft.mask.as_slice().iter().zip(hard.mask.as_slice()) {
+        let soft = soft(&circles, config, 200.0);
+        let hard = composed(&circles, config, Composition::Max);
+        for (a, b) in soft.mask().as_slice().iter().zip(hard.mask().as_slice()) {
             assert!((a - b).abs() < 0.02, "{a} vs {b}");
         }
+        assert!(soft.argmax().is_none(), "the softmax routes no argmax");
     }
 
     #[test]
     fn background_stays_zero() {
-        let circles = two_circles();
-        let soft = compose_soft(&circles, &cfg(32), 20.0);
-        assert!(soft.mask[(0, 0)].abs() < 1e-9);
-        assert!(soft.mask[(31, 31)].abs() < 1e-9);
+        let ws = soft(&two_circles(), cfg(32), BETA);
+        assert!(ws.mask()[(0, 0)].abs() < 1e-9);
+        assert!(ws.mask()[(31, 31)].abs() < 1e-9);
     }
 
     #[test]
     fn mask_is_bounded_by_max_activation() {
-        let circles = two_circles();
-        let soft = compose_soft(&circles, &cfg(32), 20.0);
-        for &v in soft.mask.as_slice() {
+        let ws = soft(&two_circles(), cfg(32), BETA);
+        for &v in ws.mask().as_slice() {
             assert!((-1e-12..=0.9 + 1e-9).contains(&v));
         }
     }
@@ -615,12 +457,14 @@ mod tests {
     fn tiled_matches_serial_reference() {
         let circles = two_circles();
         let config = cfg(32);
-        let soft = compose_soft(&circles, &config, 20.0);
-        let serial = compose_soft_serial(&circles, &config, 20.0);
-        assert_eq!(soft.mask, serial.mask);
-        assert_eq!(soft.norm, serial.norm);
+        let mut ws = soft(&circles, config, BETA);
+        let serial = compose_soft_serial(&circles, &config, BETA);
+        assert_eq!(ws.mask(), &serial.mask);
         let grad = Grid2D::new(32, 32, 0.7);
-        assert_eq!(soft.backward(&grad), serial.backward_serial(&grad));
+        assert_eq!(
+            bits(&backward(&mut ws, &grad)),
+            bits(&serial.backward_serial(&grad))
+        );
     }
 
     #[test]
@@ -635,28 +479,27 @@ mod tests {
             q: 0.0,
         });
         let config = cfg(32);
-        let with_zero = compose_soft(&circles, &config, 20.0);
-        let without = compose_soft(&two_circles(), &config, 20.0);
+        let with_zero = soft(&circles, config, BETA);
+        let without = soft(&two_circles(), config, BETA);
         assert!(
-            with_zero.mask[(12, 15)] < without.mask[(12, 15)],
+            with_zero.mask()[(12, 15)] < without.mask()[(12, 15)],
             "the q=0 circle must dilute the softmax"
         );
-        let serial = compose_soft_serial(&circles, &config, 20.0);
-        assert_eq!(with_zero.mask, serial.mask);
+        let serial = compose_soft_serial(&circles, &config, BETA);
+        assert_eq!(with_zero.mask(), &serial.mask);
     }
 
     #[test]
     fn backward_matches_finite_differences() {
         let n = 32;
         let config = cfg(n);
-        let beta = 20.0;
         let weights: Vec<f64> = (0..n * n)
             .map(|i| ((i as f64 * 0.377).cos() * 0.5 + 0.5) * 0.1)
             .collect();
         let w_grid = Grid2D::from_vec(n, n, weights);
         let j = |circles: &SparseCircles| -> f64 {
-            compose_soft(circles, &config, beta)
-                .mask
+            soft(circles, config, BETA)
+                .mask()
                 .as_slice()
                 .iter()
                 .zip(w_grid.as_slice())
@@ -664,7 +507,7 @@ mod tests {
                 .sum()
         };
         let base = two_circles();
-        let analytic = compose_soft(&base, &config, beta).backward(&w_grid);
+        let analytic = backward(&mut soft(&base, config, BETA), &w_grid);
         let eps = 1e-6;
         for p in 0..8 {
             let mut flat = base.to_flat();
@@ -707,28 +550,14 @@ mod tests {
             }],
         };
         let config = cfg(32);
-        let mut ws = SoftWorkspace::new();
-        ws.compose(&big, &config, 20.0);
-        ws.compose(&small, &config, 20.0);
-        let fresh = compose_soft(&small, &config, 20.0);
-        assert_eq!(ws.mask(), &fresh.mask);
+        let mut ws = soft(&big, config, BETA);
+        ws.compose(&small);
+        let mut fresh = soft(&small, config, BETA);
+        assert_eq!(ws.mask(), fresh.mask());
         let grad = Grid2D::new(32, 32, 0.4);
         let mut grads = vec![99.0; 2]; // wrong size and stale values
         ws.backward_into(&grad, &mut grads);
-        assert_eq!(grads, fresh.backward(&grad));
-    }
-
-    #[test]
-    fn workspace_backward_matches_composite_backward() {
-        let circles = two_circles();
-        let config = cfg(32);
-        let mut ws = SoftWorkspace::new();
-        ws.compose(&circles, &config, 20.0);
-        let grad = Grid2D::new(32, 32, 0.3);
-        let mut grads = Vec::new();
-        ws.backward_into(&grad, &mut grads);
-        let reference = compose_soft(&circles, &config, 20.0).backward(&grad);
-        assert_eq!(grads, reference);
+        assert_eq!(bits(&grads), bits(&backward(&mut fresh, &grad)));
     }
 
     #[test]
@@ -752,12 +581,10 @@ mod tests {
             ],
         };
         let config = cfg(32);
-        let soft = compose_soft(&circles, &config, 20.0);
         let grad = Grid2D::new(32, 32, 1.0);
-        let g = soft.backward(&grad);
+        let g = backward(&mut soft(&circles, config, BETA), &grad);
         assert!(g[7].abs() > 1e-6, "occluded circle's q gradient is zero");
-        let hard = compose(&circles, &config);
-        let gh = hard.backward(&grad);
+        let gh = backward(&mut composed(&circles, config, Composition::Max), &grad);
         assert_eq!(gh[7], 0.0, "hard max must route past the weaker circle");
     }
 }

@@ -55,10 +55,12 @@
 //! them: the focus stacks run one after the other, each returning its
 //! `K` fields before the next stack takes any.
 //!
-//! The byte counters are process-wide, so every run goes one
-//! after the other inside a **single** test: the test harness gives every
-//! test its own thread, and a second test running, starting up or shutting
-//! down would allocate inside this one's measured window. Growth must be
+//! The byte counters are process-wide, so every run goes one after the
+//! other on the main thread of a binary built without the test harness
+//! (`harness = false` in `Cargo.toml`): libtest runs each test on a
+//! thread of its own, and that thread's or the harness's allocations
+//! (a second test running, or lazy set-up landing inside the first
+//! window) would count against the code under test. Growth must be
 //! zero at any `CFAOPC_THREADS` and under any scheduling: the thread pool
 //! finishes starting its workers before the first region runs and frees
 //! each region's bookkeeping before the region returns, and every region
@@ -252,7 +254,11 @@ fn fixture(size: usize, tile_nm: f64) -> (LithoSimulator, BitGrid, SparseCircles
     (sim, target, circles)
 }
 
-#[test]
+fn main() {
+    steady_state_iterations_are_allocation_free();
+    println!("alloc guard: steady-state iterations are allocation-free");
+}
+
 fn steady_state_iterations_are_allocation_free() {
     // Tracing stays enabled for the whole binary: spans, counters, and
     // the sink all run inside the measured windows and must not allocate

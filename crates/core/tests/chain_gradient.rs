@@ -17,7 +17,7 @@
 //! its rounded parameters, and the clip gates zero exactly the clipped
 //! coordinate's gradient.
 
-use cfaopc_core::{compose, compose_soft, CircleParams, ComposeConfig, Composition, SparseCircles};
+use cfaopc_core::{CircleParams, ComposeConfig, ComposeWorkspace, Composition, SparseCircles};
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_litho::{loss_and_gradient, loss_only, LithoConfig, LithoSimulator, LossWeights};
 
@@ -69,14 +69,22 @@ fn lasso(circles: &SparseCircles) -> f64 {
     GAMMA * circles.circles.iter().map(|c| c.q.abs()).sum::<f64>()
 }
 
+/// A workspace under `composition` that has composed `circles`.
+fn composed(
+    circles: &SparseCircles,
+    config: &ComposeConfig,
+    composition: Composition,
+) -> ComposeWorkspace {
+    let mut ws = ComposeWorkspace::new(*config, composition);
+    ws.compose(circles);
+    ws
+}
+
 /// The litho part of the objective: the relaxed loss of the composed
 /// mask.
 fn litho_total(sim: &LithoSimulator, circles: &SparseCircles, composition: Composition) -> f64 {
-    let mask = match composition {
-        Composition::Max => compose(circles, &compose_config()).mask,
-        Composition::Softmax { beta } => compose_soft(circles, &compose_config(), beta).mask,
-    };
-    loss_only(sim, &mask, &target(), LossWeights::default())
+    let ws = composed(circles, &compose_config(), composition);
+    loss_only(sim, ws.mask(), &target(), LossWeights::default())
         .unwrap()
         .total
 }
@@ -88,21 +96,7 @@ fn litho_gradient(
     circles: &SparseCircles,
     composition: Composition,
 ) -> Vec<f64> {
-    let grad_mask = |mask| {
-        loss_and_gradient(sim, mask, &target(), LossWeights::default())
-            .unwrap()
-            .1
-    };
-    match composition {
-        Composition::Max => {
-            let composite = compose(circles, &compose_config());
-            composite.backward(&grad_mask(&composite.mask))
-        }
-        Composition::Softmax { beta } => {
-            let composite = compose_soft(circles, &compose_config(), beta);
-            composite.backward(&grad_mask(&composite.mask))
-        }
-    }
+    chain_at(sim, circles, &compose_config(), composition)
 }
 
 /// Full objective and gradient, Lasso included (its subgradient
@@ -250,21 +244,12 @@ fn chain_at(
     config: &ComposeConfig,
     composition: Composition,
 ) -> Vec<f64> {
-    let grad_mask = |mask| {
-        loss_and_gradient(sim, mask, &target(), LossWeights::default())
-            .unwrap()
-            .1
-    };
-    match composition {
-        Composition::Max => {
-            let composite = compose(circles, config);
-            composite.backward(&grad_mask(&composite.mask))
-        }
-        Composition::Softmax { beta } => {
-            let composite = compose_soft(circles, config, beta);
-            composite.backward(&grad_mask(&composite.mask))
-        }
-    }
+    let mut ws = composed(circles, config, composition);
+    let (_, grad_mask) =
+        loss_and_gradient(sim, ws.mask(), &target(), LossWeights::default()).unwrap();
+    let mut grads = Vec::new();
+    ws.backward_into(&grad_mask, &mut grads);
+    grads
 }
 
 fn assert_close(got: f64, want: f64, what: &str) {

@@ -12,13 +12,14 @@
 
 use cfaopc_core::{
     compose_serial, compose_soft_serial, CircleParams, ComposeConfig, ComposeWorkspace,
-    SoftWorkspace, SparseCircles, TILE,
+    Composition, SparseCircles, TILE,
 };
 use cfaopc_fft::parallel::{with_worker_limit, worker_count};
 use cfaopc_grid::Grid2D;
 
 const N: usize = 3 * TILE + 7; // ragged edge tiles included
 const BETA: f64 = 20.0;
+const SOFTMAX: Composition = Composition::Softmax { beta: BETA };
 
 fn cfg() -> ComposeConfig {
     ComposeConfig::new(N, 2, 10)
@@ -108,10 +109,14 @@ fn check_hard(circles: &SparseCircles, config: &ComposeConfig, label: &str) {
     let ref_grads = reference.backward_serial(&grad);
 
     let run = || {
-        let mut ws = ComposeWorkspace::new();
-        ws.compose(circles, config);
+        let mut ws = ComposeWorkspace::new(*config, Composition::Max);
+        ws.compose(circles);
         assert_eq!(ws.mask(), &reference.mask, "{label}: mask mismatch");
-        assert_eq!(ws.argmax(), &reference.argmax, "{label}: argmax mismatch");
+        assert_eq!(
+            ws.argmax(),
+            Some(&reference.argmax),
+            "{label}: argmax mismatch"
+        );
         let mut grads = Vec::new();
         ws.backward_into(&grad, &mut grads);
         assert_eq!(
@@ -132,8 +137,8 @@ fn check_soft(circles: &SparseCircles, config: &ComposeConfig, label: &str) {
     let ref_grads = reference.backward_serial(&grad);
 
     let run = || {
-        let mut ws = SoftWorkspace::new();
-        ws.compose(circles, config, BETA);
+        let mut ws = ComposeWorkspace::new(*config, SOFTMAX);
+        ws.compose(circles);
         assert_eq!(ws.mask(), &reference.mask, "{label}: soft mask mismatch");
         let mut grads = Vec::new();
         ws.backward_into(&grad, &mut grads);
@@ -158,14 +163,18 @@ fn reused_workspace_stays_identical() {
         scattered_circles(40, 5),
     ];
     let grad = wavy_grad();
-    let mut ws = ComposeWorkspace::new();
-    let mut soft_ws = SoftWorkspace::new();
+    let mut ws = ComposeWorkspace::new(cfg(), Composition::Max);
+    let mut soft_ws = ComposeWorkspace::new(cfg(), SOFTMAX);
     let mut grads = Vec::new();
     for (i, set) in sets.iter().enumerate() {
-        ws.compose(set, &cfg());
+        ws.compose(set);
         let reference = compose_serial(set, &cfg());
         assert_eq!(ws.mask(), &reference.mask, "render {i}: stale mask");
-        assert_eq!(ws.argmax(), &reference.argmax, "render {i}: stale argmax");
+        assert_eq!(
+            ws.argmax(),
+            Some(&reference.argmax),
+            "render {i}: stale argmax"
+        );
         ws.backward_into(&grad, &mut grads);
         assert_eq!(
             bits(&grads),
@@ -173,7 +182,7 @@ fn reused_workspace_stays_identical() {
             "render {i}: stale backward"
         );
 
-        soft_ws.compose(set, &cfg(), BETA);
+        soft_ws.compose(set);
         let soft_ref = compose_soft_serial(set, &cfg(), BETA);
         assert_eq!(
             soft_ws.mask(),

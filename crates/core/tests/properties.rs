@@ -1,8 +1,8 @@
 //! Property-based tests for the CircleOpt machinery.
 
 use cfaopc_core::{
-    compose, compose_serial, compose_soft, compose_soft_serial, CircleParams, ComposeConfig,
-    ComposeWorkspace, SparseCircles, TILE,
+    compose_serial, compose_soft_serial, CircleParams, ComposeConfig, ComposeWorkspace,
+    Composition, SparseCircles, TILE,
 };
 use cfaopc_grid::Grid2D;
 use proptest::prelude::*;
@@ -60,16 +60,34 @@ fn wavy_grad() -> Grid2D<f64> {
     )
 }
 
+/// A workspace under `composition` that has composed `circles`.
+fn composed(circles: &SparseCircles, composition: Composition) -> ComposeWorkspace {
+    let mut ws = ComposeWorkspace::new(cfg(), composition);
+    ws.compose(circles);
+    ws
+}
+
+fn backward(ws: &mut ComposeWorkspace, grad_mask: &Grid2D<f64>) -> Vec<f64> {
+    let mut grads = Vec::new();
+    ws.backward_into(grad_mask, &mut grads);
+    grads
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn mask_value_equals_winning_circle(circles in arb_circles(8)) {
-        let c = compose(&circles, &cfg());
+        let ws = composed(&circles, Composition::Max);
+        let (mask, argmax) = (ws.mask(), ws.argmax().unwrap());
         for y in 0..N {
             for x in 0..N {
-                let idx = c.argmax[(x, y)];
-                let v = c.mask[(x, y)];
+                let idx = argmax[(x, y)];
+                let v = mask[(x, y)];
                 if idx < 0 {
                     prop_assert_eq!(v, 0.0);
                 } else {
@@ -81,32 +99,31 @@ proptest! {
 
     #[test]
     fn mask_bounded_by_max_activation(circles in arb_circles(8)) {
-        let c = compose(&circles, &cfg());
+        let ws = composed(&circles, Composition::Max);
         let q_max = circles
             .circles
             .iter()
             .map(|c| c.q)
             .fold(0.0f64, f64::max)
             .max(0.0);
-        for &v in c.mask.as_slice() {
+        for &v in ws.mask().as_slice() {
             prop_assert!(v >= 0.0 && v <= q_max + 1e-12, "{v} vs {q_max}");
         }
     }
 
     #[test]
     fn zero_gradient_yields_zero_parameter_gradient(circles in arb_circles(6)) {
-        let c = compose(&circles, &cfg());
-        let zeros = Grid2D::new(N, N, 0.0);
-        let grads = c.backward(&zeros);
+        let mut ws = composed(&circles, Composition::Max);
+        let grads = backward(&mut ws, &Grid2D::new(N, N, 0.0));
         prop_assert!(grads.iter().all(|&g| g == 0.0));
     }
 
     #[test]
     fn softmax_mask_below_hard_mask_plus_epsilon(circles in arb_circles(6)) {
         // Softmax averaging can only fall at or below the hard max.
-        let hard = compose(&circles, &cfg());
-        let soft = compose_soft(&circles, &cfg(), 20.0);
-        for (s, h) in soft.mask.as_slice().iter().zip(hard.mask.as_slice()) {
+        let hard = composed(&circles, Composition::Max);
+        let soft = composed(&circles, Composition::Softmax { beta: 20.0 });
+        for (s, h) in soft.mask().as_slice().iter().zip(hard.mask().as_slice()) {
             prop_assert!(*s <= *h + 1e-9, "soft {s} exceeds hard {h}");
         }
     }
@@ -132,22 +149,22 @@ proptest! {
 
     #[test]
     fn tiled_compose_bit_identical_to_serial(circles in arb_circles(16)) {
-        let tiled = compose(&circles, &cfg());
+        let mut tiled = composed(&circles, Composition::Max);
         let serial = compose_serial(&circles, &cfg());
-        prop_assert_eq!(&tiled.mask, &serial.mask);
-        prop_assert_eq!(&tiled.argmax, &serial.argmax);
+        prop_assert_eq!(tiled.mask(), &serial.mask);
+        prop_assert_eq!(tiled.argmax(), Some(&serial.argmax));
         let grad = wavy_grad();
-        prop_assert_eq!(tiled.backward(&grad), serial.backward_serial(&grad));
+        prop_assert_eq!(bits(&backward(&mut tiled, &grad)), bits(&serial.backward_serial(&grad)));
     }
 
     #[test]
     fn tile_straddling_overlaps_bit_identical_to_serial(circles in arb_straddling_circles(12)) {
-        let tiled = compose(&circles, &cfg());
+        let mut tiled = composed(&circles, Composition::Max);
         let serial = compose_serial(&circles, &cfg());
-        prop_assert_eq!(&tiled.mask, &serial.mask);
-        prop_assert_eq!(&tiled.argmax, &serial.argmax);
+        prop_assert_eq!(tiled.mask(), &serial.mask);
+        prop_assert_eq!(tiled.argmax(), Some(&serial.argmax));
         let grad = wavy_grad();
-        prop_assert_eq!(tiled.backward(&grad), serial.backward_serial(&grad));
+        prop_assert_eq!(bits(&backward(&mut tiled, &grad)), bits(&serial.backward_serial(&grad)));
     }
 
     #[test]
@@ -158,16 +175,13 @@ proptest! {
         // Dirty-tile tracking across renders must leave no stale pixels:
         // a workspace that rendered `first` then `second` matches a
         // from-scratch serial compose of `second` exactly.
-        let mut ws = ComposeWorkspace::new();
-        ws.compose(&first, &cfg());
-        ws.compose(&second, &cfg());
+        let mut ws = composed(&first, Composition::Max);
+        ws.compose(&second);
         let serial = compose_serial(&second, &cfg());
         prop_assert_eq!(ws.mask(), &serial.mask);
-        prop_assert_eq!(ws.argmax(), &serial.argmax);
+        prop_assert_eq!(ws.argmax(), Some(&serial.argmax));
         let grad = wavy_grad();
-        let mut grads = Vec::new();
-        ws.backward_into(&grad, &mut grads);
-        prop_assert_eq!(grads, serial.backward_serial(&grad));
+        prop_assert_eq!(bits(&backward(&mut ws, &grad)), bits(&serial.backward_serial(&grad)));
     }
 
     #[test]
@@ -183,26 +197,22 @@ proptest! {
         for c in &mut circles.circles {
             c.q -= lowered_by;
         }
-        let config = cfg();
-        let mut ws = ComposeWorkspace::new();
-        ws.compose(&circles, &config);
-        let serial = compose_serial(&circles, &config);
+        let mut ws = composed(&circles, Composition::Max);
+        let serial = compose_serial(&circles, &cfg());
         prop_assert_eq!(ws.mask(), &serial.mask);
-        prop_assert_eq!(ws.argmax(), &serial.argmax);
+        prop_assert_eq!(ws.argmax(), Some(&serial.argmax));
         let grad = wavy_grad();
-        let mut grads = Vec::new();
-        ws.backward_into(&grad, &mut grads);
-        prop_assert_eq!(grads, serial.backward_serial(&grad));
+        prop_assert_eq!(bits(&backward(&mut ws, &grad)), bits(&serial.backward_serial(&grad)));
     }
 
     #[test]
     fn tiled_soft_compose_bit_identical_to_serial(circles in arb_straddling_circles(8)) {
         let beta = 20.0;
-        let tiled = compose_soft(&circles, &cfg(), beta);
+        let mut tiled = composed(&circles, Composition::Softmax { beta });
         let serial = compose_soft_serial(&circles, &cfg(), beta);
-        prop_assert_eq!(&tiled.mask, &serial.mask);
+        prop_assert_eq!(tiled.mask(), &serial.mask);
         let grad = wavy_grad();
-        prop_assert_eq!(tiled.backward(&grad), serial.backward_serial(&grad));
+        prop_assert_eq!(bits(&backward(&mut tiled, &grad)), bits(&serial.backward_serial(&grad)));
     }
 
     #[test]
@@ -214,12 +224,12 @@ proptest! {
         let b = SparseCircles {
             circles: vec![CircleParams { x: 20.0 + dx as f64, y: 24.0, r: 6.0, q: 1.0 }],
         };
-        let ca = compose(&a, &cfg());
-        let cb = compose(&b, &cfg());
+        let ca = composed(&a, Composition::Max);
+        let cb = composed(&b, Composition::Max);
         for y in 0..N {
             for x in 0..N as i32 - dx {
                 prop_assert!(
-                    (ca.mask[(x as usize, y)] - cb.mask[((x + dx) as usize, y)]).abs() < 1e-12
+                    (ca.mask()[(x as usize, y)] - cb.mask()[((x + dx) as usize, y)]).abs() < 1e-12
                 );
             }
         }

@@ -3,7 +3,7 @@
 //! `lint/hotpaths.toml` names the seed fns; every workspace fn reachable
 //! from a seed through the call graph inherits the allocation-free
 //! contract, so an allocation hidden in a helper one (or five) calls away
-//! from `render_max` is flagged exactly like one in `render_max` itself.
+//! from `render_tiles` is flagged exactly like one in `render_tiles` itself.
 //! Seed entries whose file or fn no longer exists are reported as stale
 //! manifest drift (exit code 2).
 

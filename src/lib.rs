@@ -80,8 +80,8 @@ pub mod prelude {
         ChipSpec,
     };
     pub use cfaopc_core::{
-        compose, compose_soft, run_circleopt, ste, CircleOptConfig, CircleOptResult, CircleParams,
-        ComposeConfig, Composition, RunCtx, SparseCircles,
+        run_circleopt, ste, CircleOptConfig, CircleOptResult, CircleParams, ComposeConfig,
+        ComposeWorkspace, Composition, RunCtx, SparseCircles,
     };
     pub use cfaopc_ebeam::{correct_proximity, intended_pattern, DosedShot, EbeamPsf, WriterModel};
     pub use cfaopc_eval::{
