@@ -2,8 +2,12 @@
 //!
 //! 1. **Gradient window `U`** (Eq. 16): windowed vs full-plane gradient
 //!    aggregation — same gradients, very different cost.
-//! 2. **STE clipping gates** (Eq. 9): with vs without — without them the
-//!    continuous radii drift outside the writer's `[R_min, R_max]`.
+//! 2. **STE clipping gates** (Eq. 9): with vs without, counting the
+//!    active circles whose continuous radius ends outside the writer's
+//!    `[R_min, R_max]`. The gates do not keep every radius in range: at
+//!    CI's settings (`CFAOPC_SIZE=64 CFAOPC_CASES=3,7 CFAOPC_ITERS=2`)
+//!    `ablation_ste.csv` counts 2 with the gates and 1 without, with
+//!    equal metrics.
 //! 3. **Max vs softmax composition** (Eq. 11): argmax routing vs smooth
 //!    blending.
 //! 4. **CircleRule radius policy**: last-radius-covering (default) vs

@@ -251,8 +251,9 @@ pub(crate) struct TileGrid {
 }
 
 impl TileGrid {
-    /// The buckets of `config`'s grid. Every tile starts *dirty*, so the
-    /// first render clears (and counts) every tile.
+    /// The buckets of `config`'s grid. No tile starts dirty: a new
+    /// workspace's grids already hold the background each body's `clear`
+    /// writes, so the first render visits only the tiles circles touch.
     fn new(config: &ComposeConfig) -> Self {
         let tiles_x = config.size.div_ceil(TILE);
         let tiles = tiles_x * tiles_x;
@@ -274,7 +275,7 @@ impl TileGrid {
             start: vec![0; tiles + 1],
             cursor: vec![0; tiles],
             indices: Vec::new(),
-            dirty: vec![true; tiles],
+            dirty: vec![false; tiles],
             active: Vec::with_capacity(tiles),
         }
     }
@@ -1064,6 +1065,19 @@ mod tests {
         assert!(mask[(28, 16)] < 1e-6);
         assert_eq!(argmax[(16, 16)], 0);
         assert_eq!(argmax[(0, 0)], -1);
+    }
+
+    #[test]
+    fn a_fresh_workspace_renders_only_the_tiles_its_circles_touch() {
+        let config = cfg(256);
+        // The window (r + margin = 9 px around (40, 40)) straddles the
+        // first tile corner: 4 of the grid's 64 tiles.
+        let circles = single(40.0, 40.0, 6.0, 1.0);
+        for composition in [Composition::Max, Composition::Softmax { beta: 20.0 }] {
+            let mut ws = ComposeWorkspace::new(config, composition);
+            ws.compose(&circles);
+            assert_eq!(ws.tiles.active, [0, 1, 8, 9], "{composition:?}");
+        }
     }
 
     #[test]

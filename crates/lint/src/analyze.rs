@@ -1,8 +1,8 @@
 //! Per-file structural analysis on top of the lexer: line classification
 //! (code / comment / attribute / blank), `#[cfg(test)]` and `mod tests`
-//! scoping, function-body spans, and the file's role in the workspace
-//! (library vs test vs binary code). Rules consume this instead of raw
-//! tokens.
+//! scoping, and the file's role in the workspace (library vs test vs
+//! binary code). Rules consume this, and the fn items
+//! [`crate::parser::parse`] finds, instead of raw tokens.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -18,17 +18,6 @@ pub enum LineClass {
     Attr,
     /// Anything else.
     Code,
-}
-
-/// A function body located in the token stream.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token-index range of the body, inclusive of both braces.
-    pub body: (usize, usize),
 }
 
 /// A file's place in the workspace, derived from its relative path.
@@ -56,8 +45,6 @@ pub struct SourceFile {
     /// For each token, whether it sits inside `#[cfg(test)]` or
     /// `mod tests` scope.
     pub in_test_scope: Vec<bool>,
-    /// Function bodies, in source order.
-    pub fns: Vec<FnSpan>,
     /// The file's workspace role.
     pub role: FileRole,
 }
@@ -70,14 +57,12 @@ impl SourceFile {
         let attr_ranges = attr_ranges(&toks);
         let line_class = classify_lines(&toks, &attr_ranges, src_lines.len());
         let in_test_scope = test_scope(&toks, &attr_ranges);
-        let fns = fn_spans(&toks);
         SourceFile {
             rel: rel.to_string(),
             src_lines,
             toks,
             line_class,
             in_test_scope,
-            fns,
             role: FileRole::from_rel(rel),
         }
     }
@@ -322,64 +307,6 @@ pub(crate) fn brace_match(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
-/// Locates every `fn name … { body }` and records the body's token range.
-fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if !toks[i].is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        // The name is the next non-comment token; `fn(` is a fn-pointer
-        // type, not a definition.
-        let mut j = i + 1;
-        while toks
-            .get(j)
-            .is_some_and(|t| matches!(t.kind, TokKind::Comment { .. }))
-        {
-            j += 1;
-        }
-        let Some(name_tok) = toks.get(j) else { break };
-        if name_tok.kind != TokKind::Ident {
-            i = j;
-            continue;
-        }
-        let name = name_tok.text.clone();
-        let line = toks[i].line;
-        // Scan the signature for the body `{` (or `;` for a trait decl),
-        // tracking paren/bracket depth; `->`/`=>`/`<<`/`>>` are fused so
-        // angle brackets never masquerade as braces here.
-        let mut k = j + 1;
-        let mut depth = 0i32;
-        let mut body = None;
-        while k < toks.len() {
-            let t = &toks[k];
-            if t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-            } else if t.is_punct("{") && depth == 0 {
-                if let Some(close) = brace_match(toks, k) {
-                    body = Some((k, close));
-                }
-                break;
-            } else if t.is_punct(";") && depth == 0 {
-                break;
-            }
-            k += 1;
-        }
-        if let Some(body) = body {
-            spans.push(FnSpan { name, line, body });
-            // Continue scanning *inside* the body too (nested fns).
-            i = j + 1;
-        } else {
-            i = k;
-        }
-    }
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,14 +359,6 @@ mod tests {
             .position(|t| t.is_ident("live"))
             .expect("live tok");
         assert!(!file.in_test_scope[live_idx]);
-    }
-
-    #[test]
-    fn finds_fn_bodies_including_nested() {
-        let src = "pub fn outer<T: Clone>(x: &[T]) -> Vec<T> {\n    fn inner(n: usize) -> usize { n }\n    x.to_vec()\n}\n";
-        let file = SourceFile::analyze("crates/x/src/lib.rs", src);
-        let names: Vec<&str> = file.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["outer", "inner"]);
     }
 
     #[test]

@@ -234,7 +234,9 @@ fn walk(
             continue;
         }
         if t.is_ident("fn") {
-            // Same shape as `analyze::fn_spans`, plus scope bookkeeping.
+            // `fn name … { body }`; `fn(` is a fn-pointer type, and a
+            // signature ending in `;` (a trait's required method) has no
+            // body.
             let j = skip_comments(toks, i + 1);
             let Some(name_tok) = toks.get(j) else { break };
             if name_tok.kind != TokKind::Ident {
@@ -673,6 +675,14 @@ fn free() {}
         assert!(!fn_named(&p, "nested").associated);
         assert!(!fn_named(&p, "free").associated);
         assert_eq!(p.fns.len(), 3, "a required method has no body");
+    }
+
+    #[test]
+    fn finds_fn_bodies_including_nested() {
+        let src = "pub fn outer<T: Clone>(x: &[T]) -> Vec<T> {\n    fn inner(n: usize) -> usize { n }\n    x.to_vec()\n}\n";
+        let p = parsed(src);
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["outer", "inner"]);
     }
 
     #[test]

@@ -4,19 +4,24 @@ use cfaopc_fft::FftError;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Cooperative cancellation handle for the optimizer entry points.
 ///
 /// Clones share one flag; any clone may [`cancel`](CancelToken::cancel)
-/// (e.g. a daemon's client handler or timeout watchdog) and the
-/// optimizer observes it at the top of each iteration, returning
-/// [`LithoError::Cancelled`]. The flag is a plain relaxed load/store —
-/// cancellation needs no ordering beyond "eventually seen", and the
-/// observing iteration boundary is a deterministic function of when the
-/// store lands, never of thread scheduling within an iteration.
+/// (e.g. a daemon's client handler) and the optimizer observes it at the
+/// top of each iteration, returning [`LithoError::Cancelled`]. A clone
+/// made by [`with_deadline`](CancelToken::with_deadline) shares the flag
+/// and also reads as cancelled once its deadline has passed, so a
+/// timeout is enforced by the same poll, with no thread watching the
+/// clock. The flag is a plain relaxed load/store — cancellation needs no
+/// ordering beyond "eventually seen", and the observing iteration
+/// boundary is a deterministic function of when the store lands (or the
+/// deadline passes), never of thread scheduling within an iteration.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -25,14 +30,30 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A clone sharing this token's flag that also reads as cancelled
+    /// from `deadline` on.
+    pub fn with_deadline(&self, deadline: Instant) -> Self {
+        CancelToken {
+            flag: Arc::clone(&self.flag),
+            deadline: Some(deadline),
+        }
+    }
+
     /// Requests cancellation. Idempotent; there is no un-cancel.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has
+    /// passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) || self.timed_out()
+    }
+
+    /// Whether this token's deadline has passed; never for a token made
+    /// without one.
+    pub fn timed_out(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -375,6 +396,22 @@ mod tests {
         assert_eq!(cfg.dose(ProcessCorner::Min), 0.98);
         assert_eq!(cfg.defocus(ProcessCorner::Nominal), 0.0);
         assert_eq!(cfg.defocus(ProcessCorner::Min), 25.0);
+    }
+
+    #[test]
+    fn a_deadline_clone_shares_the_flag_and_times_out() {
+        let token = CancelToken::new();
+        let past = token.with_deadline(Instant::now());
+        let future = token.with_deadline(Instant::now() + std::time::Duration::from_secs(3600));
+        assert!(past.is_cancelled() && past.timed_out());
+        assert!(!token.is_cancelled() && !token.timed_out());
+        assert!(!future.is_cancelled() && !future.timed_out());
+        future.cancel();
+        assert!(token.is_cancelled() && past.is_cancelled());
+        assert!(
+            !token.timed_out() && !future.timed_out(),
+            "a cancel is not a timeout"
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! # Architecture
 //!
 //! ```text
-//!  client ──JSONL over TCP──▶ connection thread ──▶ bounded priority queue
+//!  client ──JSONL over TCP──▶ connection thread ──▶ job table (one lock)
 //!                                   ▲                        │
-//!                                   │ (ack/iter/result)      ▼ (pop)
+//!                                   │ (ack/iter/result)      ▼ (start)
 //!                             shared writer ◀── runner threads (fixed N)
 //!                                                      │
 //!                                            with_worker_limit(share)
@@ -23,11 +23,14 @@
 //! * **Protocol** ([`protocol`]) — newline-delimited JSON both ways,
 //!   built on `cfaopc_eval::Json` so every response line is
 //!   deterministic (ordered keys, shortest-roundtrip floats).
-//! * **Queue** ([`queue`]) — bounded; a full queue *rejects* the
-//!   submission immediately (backpressure the client can see) instead
-//!   of buffering unboundedly. Priorities pop first, FIFO within a
-//!   priority.
-//! * **Scheduling** — a fixed set of runner threads pops jobs; runner
+//! * **Job table** ([`server`]) — one mutex over the waiting jobs, the
+//!   running jobs' cancel tokens, the count of ended jobs and the closed
+//!   flag; each transition (submit, start, cancel, finish, shutdown) is
+//!   one critical section. The waiting line is bounded: a full one
+//!   *rejects* the submission immediately (backpressure the client can
+//!   see) instead of buffering unboundedly. Higher priorities start
+//!   first, FIFO within a priority.
+//! * **Scheduling** — a fixed set of runner threads starts jobs; runner
 //!   `i` caps its inner parallel regions at
 //!   `worker_shares(worker_count(), runners)[i]`, the same
 //!   remainder-distributing share logic the eval harness shards with.
@@ -46,9 +49,9 @@
 //!   latched write error, which cancels the job.
 //! * **Cancellation** — every job carries a `CancelToken` polled at
 //!   optimizer-iteration boundaries (`RunCtx::cancel`), the
-//!   same clean exit as the `NonFinite` health guard; timeouts are a
-//!   watchdog flipping the token, client cancels flip it over the wire,
-//!   and shutdown flips them all.
+//!   same clean exit as the `NonFinite` health guard; a timeout is a
+//!   deadline on the token, set when the job starts, client cancels flip
+//!   it over the wire, and shutdown flips them all.
 //!
 //! [`LithoSimulator`]: cfaopc_litho::LithoSimulator
 //! [`Arc<LithoSimulator>`]: cfaopc_litho::LithoSimulator
@@ -59,12 +62,10 @@
 
 pub mod cache;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod stream;
 
 pub use cache::SimulatorCache;
 pub use protocol::{JobSpec, Request};
-pub use queue::{JobQueue, PushError};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use stream::{SharedWriter, StreamSink, TaggedLineWriter};

@@ -15,11 +15,11 @@
 //! | `ping` | — |
 //! | `shutdown` | — |
 //!
-//! A `submit` is rejected with an `error` naming the field when it
-//! exceeds a bound:
+//! A request is rejected with an `error` naming the bound it exceeds:
 //!
 //! | field | bound |
 //! |---|---|
+//! | the request line | ≤ [`MAX_REQUEST_BYTES`] (64 KiB); past it the daemon also closes the connection |
 //! | `size` | ≤ [`MAX_SIZE`] (2048) |
 //! | `kernels` | ≤ [`MAX_KERNELS`] (64) |
 //! | `init_iters`, `iters` | ≤ [`MAX_ITERATIONS`] (100 000) |
@@ -28,10 +28,18 @@
 //!
 //! `ack`, `rejected`, `iter` (streamed telemetry, tagged with `job`),
 //! `result`, `cancelled`, `failed`, `status`, `pong`, `shutting_down`,
-//! `error`. Every job-related line carries the job `id`.
+//! `error`. Every job-related line carries the job `id`, and an accepted
+//! job's `ack` precedes its other lines. An accepted job ends in exactly
+//! one `result`, `cancelled` or `failed` line.
 
 use cfaopc_eval::{CaseSource, Json};
 use cfaopc_metrics::MaskMetrics;
+
+/// Hard ceiling on one request line, in bytes (without its newline): the
+/// daemon buffers at most this much of a line, so a client cannot grow
+/// its heap without limit. A valid request is under 1 KiB (ids are at
+/// most 128 characters).
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Hard ceiling on requested grid edges: a submit asking for more is
 /// rejected before it can make the daemon allocate gigabytes.
@@ -272,8 +280,9 @@ pub fn result(id: &str, metrics: &MaskMetrics, iterations: usize) -> String {
     ])
 }
 
-/// `cancelled`: the job stopped early; `reason` is `"cancel"`,
-/// `"timeout"`, `"disconnect"` or `"shutdown"`.
+/// `cancelled`: the job stopped early; `reason` is `"cancel"` (a client
+/// cancel, or a dropped client's streaming job), `"timeout"` or
+/// `"shutdown"`.
 pub fn cancelled(id: &str, reason: &str) -> String {
     line(vec![
         kv("kind", Json::Str("cancelled".into())),
@@ -291,7 +300,8 @@ pub fn failed(id: &str, error: &str) -> String {
     ])
 }
 
-/// `status`: current occupancy.
+/// `status`: current occupancy — jobs waiting to start, jobs running,
+/// and accepted jobs that have ended since the daemon started.
 pub fn status(queued: usize, running: usize, done: usize, cached_sims: usize) -> String {
     line(vec![
         kv("kind", Json::Str("status".into())),

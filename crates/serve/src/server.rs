@@ -1,10 +1,23 @@
-//! The daemon: accept loop, connection handlers, runner threads,
-//! timeout watchdog, graceful shutdown.
+//! The daemon: accept loop, connection handlers, runner threads, the job
+//! table, graceful shutdown.
+//!
+//! # Job table
+//!
+//! Every job's life sits in one table behind one mutex: the waiting jobs
+//! in start order, the running jobs' ids and cancel tokens, a count of
+//! accepted jobs that have ended, and the closed flag. Each transition —
+//! submit, pop-and-start, cancel, finish, shutdown drain — is one
+//! critical section, so an accepted job is always exactly one of
+//! waiting, running or ended, and no socket write happens under the
+//! lock. A submit publishes its job and writes its `ack` under the
+//! connection's [`SharedWriter`] lock, so the `ack` is the job's first
+//! line on the socket; that writer → table nesting is the only one, since
+//! runners never write while holding the table.
 //!
 //! # Scheduling
 //!
-//! A fixed set of `runners` threads pops jobs from the bounded queue.
-//! Runner `i` executes its job under
+//! A fixed set of `runners` threads starts jobs from the table. Runner
+//! `i` executes its job under
 //! `with_worker_limit(worker_shares(worker_count(), runners)[i])` — the
 //! eval harness's remainder-distributing share logic — so concurrent
 //! jobs share the persistent pool without oversubscribing it, and
@@ -19,26 +32,28 @@
 //! All four teardown paths converge on the job's [`CancelToken`], which
 //! the optimizer polls at iteration boundaries:
 //!
-//! * client `cancel` request → token flipped by the connection thread;
-//! * request timeout → token flipped by the watchdog;
+//! * client `cancel` request → a waiting job leaves the table at once; a
+//!   running job's token is flipped by the connection thread;
+//! * request timeout → the runner starts the job on a clone of its token
+//!   carrying the deadline (`timeout_ms`, else `--timeout-ms`), which
+//!   reads as cancelled once the deadline has passed;
 //! * client disconnect (streaming jobs) → socket write fails, the
 //!   hardened `JsonlSink` latches the error, [`StreamSink`] flips the
 //!   token;
-//! * daemon shutdown → every active token flipped, queue drained.
+//! * daemon shutdown → the table closes, its waiting jobs are drained
+//!   and every running token is flipped.
 
 use crate::cache::SimulatorCache;
-use crate::protocol::{self, JobSpec, Request};
-use crate::queue::{JobQueue, PushError};
+use crate::protocol::{self, JobSpec, Request, MAX_REQUEST_BYTES};
 use crate::stream::{SharedWriter, StreamSink};
 use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult, RunCtx};
 use cfaopc_fft::parallel::{with_worker_limit, worker_count, worker_shares};
 use cfaopc_litho::{CancelToken, LithoError};
 use cfaopc_metrics::{evaluate_mask, EpeConfig};
 use cfaopc_trace::TelemetrySink;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +64,7 @@ pub struct ServeConfig {
     /// Bind address; loopback by default (the daemon trusts its peers —
     /// binding wider is an explicit operator decision).
     pub addr: String,
-    /// Bounded queue depth; a full queue rejects submissions.
+    /// Most jobs waiting to start; a submit past it is rejected.
     pub queue_capacity: usize,
     /// Concurrent jobs (runner threads); `0` = auto
     /// (`worker_count()` capped at 4).
@@ -70,38 +85,35 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
-    Queued,
-    Running,
-    Done,
-}
-
-struct JobEntry {
-    id: String,
-    cancel: CancelToken,
-    state: JobState,
-    deadline: Option<Instant>,
-    timed_out: bool,
-}
-
-/// A job as it sits in the queue: parsed spec, its cancel token, and
-/// the submitting connection's shared writer for responses.
-struct QueuedJob {
+/// An accepted job that has not started: parsed spec, its cancel token,
+/// and the submitting connection's shared writer for responses.
+struct Job {
     spec: JobSpec,
     cancel: CancelToken,
     writer: SharedWriter<TcpStream>,
 }
 
-/// Keep at most this many finished registry entries (oldest pruned);
-/// active entries are never pruned.
-const DONE_RETENTION: usize = 4096;
+/// The daemon's job state, behind [`State::table`].
+#[derive(Default)]
+struct Table {
+    /// Waiting jobs in start order: highest priority first, FIFO within
+    /// a priority.
+    waiting: Vec<Job>,
+    /// Running jobs' ids and tokens.
+    running: Vec<(String, CancelToken)>,
+    /// Accepted jobs that have ended since the daemon started.
+    ended: usize,
+    /// Set by shutdown: no submit is accepted, and runners exit once no
+    /// job waits.
+    closed: bool,
+}
 
 struct State {
-    queue: JobQueue<QueuedJob>,
-    registry: Mutex<Vec<JobEntry>>,
+    table: Mutex<Table>,
+    /// Signalled when a job starts waiting or the table closes.
+    available: Condvar,
+    queue_capacity: usize,
     cache: SimulatorCache,
-    shutdown: AtomicBool,
     local_addr: SocketAddr,
     runners: usize,
     default_timeout_ms: Option<u64>,
@@ -109,7 +121,7 @@ struct State {
 
 impl State {
     fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.table.lock().unwrap_or_else(|e| e.into_inner()).closed
     }
 }
 
@@ -160,10 +172,10 @@ impl Server {
             config.runners
         };
         let state = Arc::new(State {
-            queue: JobQueue::new(config.queue_capacity),
-            registry: Mutex::new(Vec::new()),
+            table: Mutex::new(Table::default()),
+            available: Condvar::new(),
+            queue_capacity: config.queue_capacity.max(1),
             cache: SimulatorCache::new(),
-            shutdown: AtomicBool::new(false),
             local_addr,
             runners,
             default_timeout_ms: config.default_timeout_ms,
@@ -177,7 +189,7 @@ impl Server {
     }
 
     /// Runs the daemon on the calling thread until a `shutdown` request
-    /// arrives; runner and watchdog threads are joined before returning.
+    /// arrives; runner threads are joined before returning.
     ///
     /// # Errors
     ///
@@ -186,33 +198,29 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, state } = self;
         let shares = worker_shares(worker_count(), state.runners);
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(state.runners + 1);
-        for &share in shares.iter().take(state.runners) {
-            let state = Arc::clone(&state);
-            workers.push(std::thread::spawn(move || runner_loop(&state, share)));
-        }
-        {
-            let state = Arc::clone(&state);
-            workers.push(std::thread::spawn(move || watchdog_loop(&state)));
-        }
+        let runners: Vec<JoinHandle<()>> = shares
+            .into_iter()
+            .take(state.runners)
+            .map(|share| {
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || runner_loop(&state, share))
+            })
+            .collect();
 
         for incoming in listener.incoming() {
             if state.shutting_down() {
                 break;
             }
-            match incoming {
-                Ok(stream) => {
-                    let state = Arc::clone(&state);
-                    // Connection threads are detached: they exit on
-                    // client EOF or shutdown, and hold no state the
-                    // joiners below wait on.
-                    std::thread::spawn(move || handle_connection(&state, stream));
-                }
-                Err(_) => continue,
+            if let Ok(stream) = incoming {
+                let state = Arc::clone(&state);
+                // Connection threads are detached: they exit on client
+                // EOF or shutdown, and hold no state the joiners below
+                // wait on.
+                std::thread::spawn(move || handle_connection(&state, stream));
             }
         }
 
-        for handle in workers {
+        for handle in runners {
             let _ = handle.join();
         }
         Ok(())
@@ -234,15 +242,33 @@ impl Server {
 
 // --- connection handling ----------------------------------------------------
 
-fn handle_connection(state: &Arc<State>, stream: TcpStream) {
+fn handle_connection(state: &State, stream: TcpStream) {
     let writer = match stream.try_clone() {
         Ok(clone) => SharedWriter::new(clone),
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let trimmed = line.trim();
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    // One byte past the bound tells a full-length line from a longer one,
+    // so no line costs more memory than the bound.
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    loop {
+        line.clear();
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            let _ = writer.send(&protocol::error(&format!(
+                "request line exceeds the maximum {MAX_REQUEST_BYTES} bytes"
+            )));
+            let _ = reader.get_ref().shutdown(Shutdown::Both);
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -254,24 +280,11 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                 let _ = writer.send(&protocol::pong());
             }
             Ok(Request::Status) => {
-                let (running, done) = {
-                    let registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-                    let running = registry
-                        .iter()
-                        .filter(|j| j.state == JobState::Running)
-                        .count();
-                    let done = registry
-                        .iter()
-                        .filter(|j| j.state == JobState::Done)
-                        .count();
-                    (running, done)
+                let (queued, running, done) = {
+                    let table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+                    (table.waiting.len(), table.running.len(), table.ended)
                 };
-                let _ = writer.send(&protocol::status(
-                    state.queue.len(),
-                    running,
-                    done,
-                    state.cache.len(),
-                ));
+                let _ = writer.send(&protocol::status(queued, running, done, state.cache.len()));
             }
             Ok(Request::Cancel { id }) => cancel_job(state, &id, &writer),
             Ok(Request::Submit(spec)) => submit_job(state, spec, &writer),
@@ -287,141 +300,118 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     }
 }
 
-fn submit_job(state: &Arc<State>, spec: JobSpec, writer: &SharedWriter<TcpStream>) {
-    if state.shutting_down() {
-        let _ = writer.send(&protocol::rejected(&spec.id, "shutting down"));
-        return;
-    }
-    let cancel = CancelToken::new();
-    {
-        let mut registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let duplicate = registry
-            .iter()
-            .any(|j| j.id == spec.id && j.state != JobState::Done);
-        if duplicate {
-            drop(registry);
-            let _ = writer.send(&protocol::rejected(&spec.id, "duplicate id"));
-            return;
+/// Accepts `spec` into the table, or rejects it: shutting down, then a
+/// duplicate of a waiting or running id, then a full queue. The job is
+/// published and its reply written under the writer's lock, so a runner
+/// that starts it at once writes nothing before the `ack`.
+fn submit_job(state: &State, spec: JobSpec, writer: &SharedWriter<TcpStream>) {
+    let _ = writer.send_with(|| {
+        let mut table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+        let duplicate = table.waiting.iter().any(|j| j.spec.id == spec.id)
+            || table.running.iter().any(|(id, _)| *id == spec.id);
+        let refusal = if table.closed {
+            Some("shutting down")
+        } else if duplicate {
+            Some("duplicate id")
+        } else if table.waiting.len() >= state.queue_capacity {
+            Some("queue full")
+        } else {
+            None
+        };
+        if let Some(reason) = refusal {
+            return protocol::rejected(&spec.id, reason);
         }
-        // Prune the oldest finished entries so the registry stays
-        // bounded on a long-lived daemon.
-        let finished = registry
-            .iter()
-            .filter(|j| j.state == JobState::Done)
-            .count();
-        if finished > DONE_RETENTION {
-            if let Some(oldest) = registry.iter().position(|j| j.state == JobState::Done) {
-                registry.remove(oldest);
+        let ack = protocol::ack(&spec.id, table.waiting.len() + 1);
+        let at = table
+            .waiting
+            .partition_point(|j| j.spec.priority >= spec.priority);
+        table.waiting.insert(
+            at,
+            Job {
+                spec,
+                cancel: CancelToken::new(),
+                writer: writer.clone(),
+            },
+        );
+        state.available.notify_one();
+        ack
+    });
+}
+
+/// Ends a waiting job at once, or flips a running job's token (its
+/// runner writes the `cancelled` line when the optimizer observes it).
+fn cancel_job(state: &State, id: &str, writer: &SharedWriter<TcpStream>) {
+    let (waiting, running) = {
+        let mut table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+        let waiting = match table.waiting.iter().position(|j| j.spec.id == id) {
+            Some(at) => {
+                table.ended += 1;
+                Some(table.waiting.remove(at))
             }
+            None => None,
+        };
+        let running = table.running.iter().find(|(rid, _)| rid == id);
+        if let Some((_, token)) = running {
+            token.cancel();
         }
-        registry.push(JobEntry {
-            id: spec.id.clone(),
-            cancel: cancel.clone(),
-            state: JobState::Queued,
-            deadline: None,
-            timed_out: false,
-        });
-    }
-    let id = spec.id.clone();
-    let priority = spec.priority;
-    let job = QueuedJob {
-        spec,
-        cancel,
-        writer: writer.clone(),
+        (waiting, running.is_some())
     };
-    match state.queue.push(priority, job) {
-        Ok(depth) => {
-            let _ = writer.send(&protocol::ack(&id, depth));
-        }
-        Err(err) => {
-            let reason = match err {
-                PushError::Full(_) => "queue full",
-                PushError::Closed(_) => "shutting down",
-            };
-            finish_entry(state, &id);
-            let _ = writer.send(&protocol::rejected(&id, reason));
-        }
-    }
-}
-
-fn cancel_job(state: &Arc<State>, id: &str, writer: &SharedWriter<TcpStream>) {
-    // Still queued? Pull it out before a runner ever sees it.
-    if let Some(job) = state.queue.remove_if(|j| j.spec.id == id) {
-        finish_entry(state, id);
+    if let Some(job) = waiting {
         let _ = job.writer.send(&protocol::cancelled(id, "cancel"));
-        return;
-    }
-    // Running (or racing with a runner): flip the token; the runner
-    // emits the `cancelled` line when the optimizer observes it.
-    let token = {
-        let registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        registry
-            .iter()
-            .find(|j| j.id == id && j.state != JobState::Done)
-            .map(|j| j.cancel.clone())
-    };
-    match token {
-        Some(token) => token.cancel(),
-        None => {
-            let _ = writer.send(&protocol::error(&format!("unknown job id {id:?}")));
-        }
+    } else if !running {
+        let _ = writer.send(&protocol::error(&format!("unknown job id {id:?}")));
     }
 }
 
-fn initiate_shutdown(state: &Arc<State>) {
-    state.shutdown.store(true, Ordering::Relaxed);
-    // Reject-and-notify everything still waiting in line.
-    for job in state.queue.close_and_drain() {
-        finish_entry(state, &job.spec.id);
+/// Closes the table, cancels every running job (their runners write the
+/// `cancelled` lines) and ends every waiting one here.
+fn initiate_shutdown(state: &State) {
+    let drained = {
+        let mut table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+        table.closed = true;
+        for (_, token) in &table.running {
+            token.cancel();
+        }
+        table.ended += table.waiting.len();
+        std::mem::take(&mut table.waiting)
+    };
+    state.available.notify_all();
+    for job in drained {
         let _ = job
             .writer
             .send(&protocol::cancelled(&job.spec.id, "shutdown"));
-    }
-    // Cancel everything currently running; runners emit the lines.
-    {
-        let registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in registry.iter().filter(|j| j.state == JobState::Running) {
-            entry.cancel.cancel();
-        }
     }
     // Wake the accept loop so it observes the flag.
     let _ = TcpStream::connect(state.local_addr);
 }
 
-fn finish_entry(state: &Arc<State>, id: &str) {
-    let mut registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(entry) = registry
-        .iter_mut()
-        .find(|j| j.id == id && j.state != JobState::Done)
-    {
-        entry.state = JobState::Done;
-        entry.deadline = None;
-    }
-}
-
 // --- job execution ----------------------------------------------------------
 
-fn runner_loop(state: &Arc<State>, share: usize) {
-    while let Some(job) = state.queue.pop() {
+fn runner_loop(state: &State, share: usize) {
+    while let Some(job) = start_next(state) {
         run_job(state, job, share);
     }
 }
 
-fn watchdog_loop(state: &Arc<State>) {
-    while !state.shutting_down() {
-        std::thread::sleep(Duration::from_millis(5));
-        let now = Instant::now();
-        let mut registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in registry.iter_mut() {
-            if entry.state == JobState::Running && !entry.timed_out {
-                if let Some(deadline) = entry.deadline {
-                    if now >= deadline {
-                        entry.timed_out = true;
-                        entry.cancel.cancel();
-                    }
-                }
-            }
+/// Blocks until a job waits, then moves the first one to running in the
+/// same critical section; `None` once the table is closed.
+fn start_next(state: &State) -> Option<Job> {
+    let mut table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        if !table.waiting.is_empty() {
+            let job = table.waiting.remove(0);
+            table
+                .running
+                .push((job.spec.id.clone(), job.cancel.clone()));
+            return Some(job);
         }
+        if table.closed {
+            return None;
+        }
+        table = state
+            .available
+            .wait(table)
+            .unwrap_or_else(|e| e.into_inner());
     }
 }
 
@@ -440,35 +430,35 @@ fn job_config(spec: &JobSpec) -> CircleOptConfig {
     config
 }
 
-fn run_job(state: &Arc<State>, job: QueuedJob, share: usize) {
-    let QueuedJob {
+fn run_job(state: &State, job: Job, share: usize) {
+    let Job {
         spec,
         cancel,
         writer,
     } = job;
-    let timeout_ms = spec.timeout_ms.or(state.default_timeout_ms);
-    {
-        let mut registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = registry
-            .iter_mut()
-            .find(|j| j.id == spec.id && j.state == JobState::Queued)
-        {
-            entry.state = JobState::Running;
-            entry.deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        }
-    }
+    // The timeout runs from the job's start; a deadline past the clock's
+    // range is no deadline.
+    let deadline = spec
+        .timeout_ms
+        .or(state.default_timeout_ms)
+        .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+    let cancel = match deadline {
+        Some(deadline) => cancel.with_deadline(deadline),
+        None => cancel,
+    };
 
-    let outcome = execute(state, &spec, &cancel, &writer, share);
-
-    let line = match outcome {
+    let line = match execute(state, &spec, &cancel, &writer, share) {
         Ok((result, metrics)) => protocol::result(&spec.id, &metrics, result.history.len()),
-        Err(JobError::Cancelled) => {
-            let reason = cancel_reason(state, &spec.id);
-            protocol::cancelled(&spec.id, reason)
-        }
+        Err(JobError::Cancelled) => protocol::cancelled(&spec.id, cancel_reason(state, &cancel)),
         Err(JobError::Failed(message)) => protocol::failed(&spec.id, &message),
     };
-    finish_entry(state, &spec.id);
+    {
+        let mut table = state.table.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(at) = table.running.iter().position(|(id, _)| *id == spec.id) {
+            table.running.swap_remove(at);
+        }
+        table.ended += 1;
+    }
     let _ = writer.send(&line);
 }
 
@@ -478,7 +468,7 @@ enum JobError {
 }
 
 fn execute(
-    state: &Arc<State>,
+    state: &State,
     spec: &JobSpec,
     cancel: &CancelToken,
     writer: &SharedWriter<TcpStream>,
@@ -516,19 +506,12 @@ fn execute(
     })
 }
 
-/// Why did this job's token flip? Precedence: an expired deadline is a
+/// Why did this job's token fire? Precedence: a passed deadline is a
 /// timeout even if shutdown follows; a daemon-wide shutdown beats an
-/// individual cancel; otherwise it was a client cancel or disconnect
-/// (the latter indistinguishable once the socket is gone — the line
-/// likely isn't delivered anyway).
-fn cancel_reason(state: &Arc<State>, id: &str) -> &'static str {
-    let timed_out = {
-        let registry = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        registry
-            .iter()
-            .any(|j| j.id == id && j.state == JobState::Running && j.timed_out)
-    };
-    if timed_out {
+/// individual cancel; otherwise a client cancelled it or dropped its
+/// socket (the latter's line is not delivered anyway).
+fn cancel_reason(state: &State, cancel: &CancelToken) -> &'static str {
+    if cancel.timed_out() {
         "timeout"
     } else if state.shutting_down() {
         "shutdown"

@@ -47,7 +47,22 @@ impl<W: Write> SharedWriter<W> {
     ///
     /// Propagates the underlying writer's error (e.g. a dead socket).
     pub fn write_line(&self, line: &[u8]) -> io::Result<()> {
+        self.send_with(|| line)
+    }
+
+    /// Takes the writer's lock, runs `make`, and writes the line it
+    /// returns before releasing the lock, so no other line reaches the
+    /// writer between `make`'s effects and that line: the daemon
+    /// publishes a job inside `make` and returns its `ack`, and the job's
+    /// own lines wait for the lock.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedWriter::write_line`].
+    pub fn send_with<L: AsRef<[u8]>>(&self, make: impl FnOnce() -> L) -> io::Result<()> {
         let mut out = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let line = make();
+        let line = line.as_ref();
         out.write_all(line)?;
         out.flush()
     }

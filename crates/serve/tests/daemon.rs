@@ -248,7 +248,7 @@ fn daemon_lifecycle_under_forced_pool() {
     client.send(&submit_small("after-nonfinite", "\"case\":5"));
     client.wait_for_kind_id("result", "after-nonfinite");
 
-    // Request timeout: the watchdog cancels an overrunning job.
+    // Request timeout: the deadline on its token cancels an overrunning job.
     client.send(&submit_long("long-timeout", ",\"timeout_ms\":200"));
     let line = client.wait_for_kind_id("cancelled", "long-timeout");
     assert_eq!(reason_of(&line), "timeout");

@@ -3,7 +3,10 @@
 
 Spawns the daemon on an ephemeral loopback port, drives it over raw TCP:
 
-  1. submits a hostile `kernels` count and requires an `error`, then a
+  1. sends a `ping` line padded past the daemon's 64 KiB line bound on a
+     connection of its own and requires an `error` naming the bound
+     (the daemon then closes that connection), then
+     submits a hostile `kernels` count and requires an `error`, then a
      `pong`, so an oversized request cannot take the daemon down,
      and does the same for a raw frame whose number is not JSON
      (`"size":0128`), which the strict parser must refuse, not ack,
@@ -24,6 +27,9 @@ import socket
 import subprocess
 import sys
 import time
+
+# The daemon's bound on one request line (`protocol::MAX_REQUEST_BYTES`).
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 def fail(msg):
@@ -50,14 +56,26 @@ def main():
             fail(f"unexpected banner {banner!r}")
         host, port = banner.rsplit(" ", 1)[-1].rsplit(":", 1)
 
+        captured = []
+
+        # A request line past the bound gets an error naming it, and the
+        # daemon hangs up on that client only.
+        big = socket.create_connection((host, int(port)), timeout=60)
+        ping = b'{"cmd":"ping"}'
+        big.sendall(ping + b" " * (MAX_REQUEST_BYTES + 1 - len(ping)) + b"\n")
+        line = big.makefile("r", encoding="utf-8", newline="\n").readline()
+        captured.append(line.rstrip("\n"))
+        msg = json.loads(line) if line else {}
+        if msg.get("kind") != "error" or str(MAX_REQUEST_BYTES) not in msg.get("message", ""):
+            fail(f"expected an error naming the line bound, got {line!r}")
+        big.close()
+
         sock = socket.create_connection((host, int(port)), timeout=60)
         sock.settimeout(60)
         rx = sock.makefile("r", encoding="utf-8", newline="\n")
 
         def send(obj):
             sock.sendall((json.dumps(obj) + "\n").encode())
-
-        captured = []
 
         def recv():
             line = rx.readline()
