@@ -114,6 +114,8 @@ pub fn run_tile(
         spec.rule_iterations,
     )?;
     let rule = circle_rule(&pixel.mask_binary, &opt_config.rule, pixel_nm);
+    // Only CircleRule reads the pixel result: free it before CircleOpt.
+    drop(pixel);
     let opt = run_circleopt(sim, window_target, &opt_config, RunCtx::default())?;
     Ok(TileShots {
         rule,

@@ -26,13 +26,17 @@
 //!
 //! Stage 1 runs `run_pixel_ilt` the same way, with the `Mosaic`,
 //! `MultiIltLike` and `NeuralIltLike` configs (0, 1 and 2 gradient-blur
-//! passes) and `DevelSetLike`'s (the level set's chunks). Its loop reuses its mask, gradient and blur buffers, so the
-//! *gross* bytes one steady-state iteration allocates (what the simulator's
-//! parallel regions allocate and free inside the call) are the same at
-//! 128 and 256 px on a 2048 nm tile: a grid allocated per iteration would
-//! scale with N². They are also the same at 128 px on a 4096 nm window,
-//! whose kernels hold four times the bins: a per-bin list allocated per
-//! call would scale with them.
+//! passes) and `DevelSetLike`'s (the level set's chunks). Its loop reuses
+//! its mask and the blur's row windows, so the *gross* bytes one
+//! steady-state iteration allocates (what the simulator's parallel
+//! regions allocate and free inside the call) are the same at 128 and
+//! 256 px on a 2048 nm tile: a grid allocated per iteration would scale
+//! with N². They are also the same at 128 px on a 4096 nm window, whose
+//! kernels hold four times the bins: a per-bin list allocated per call
+//! would scale with them. A whole run, cold on a warm simulator at
+//! 256 px, holds at most five `N²` f64 buffers at once (the target, the
+//! latent, Adam's two moments and the mask; four from a warm start):
+//! dL/dM streams into the step, so no gradient or blur grid exists.
 //!
 //! Scoring is held to the same rule: a steady-state `evaluate_mask`
 //! (`print_corners`, then L2, PVB and EPE on the prints) allocates no
@@ -91,14 +95,21 @@ static GROSS_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// the allocations of a mask-grid buffer seen since, by kind ([`Grids`]).
 static GRID_WATCH: AtomicUsize = AtomicUsize::new(0);
 static GRID_ALLOCS: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+/// `N²` f64 buffers allocated in the window less those freed in it, and
+/// the most that count reached.
+static REAL_LIVE: AtomicIsize = AtomicIsize::new(0);
+static REAL_PEAK: AtomicIsize = AtomicIsize::new(0);
 
 /// Mask-grid buffers allocated in a window: `N²` f64, `N²` complex and
-/// `N × (N/2 + 1)` complex elements.
+/// `N × (N/2 + 1)` complex elements, and the most `N²` f64 buffers the
+/// window held at once (one it did not allocate but freed counts as −1
+/// from then on).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Grids {
     real: usize,
     complex: usize,
     half: usize,
+    real_peak: usize,
 }
 
 impl Grids {
@@ -127,6 +138,17 @@ fn watch_grid(size: usize) {
     let grids = [n * n * real, n * n * complex, n * (n / 2 + 1) * complex];
     if let Some(kind) = grids.iter().position(|&bytes| n != 0 && bytes == size) {
         GRID_ALLOCS[kind].fetch_add(1, Ordering::SeqCst);
+        if kind == 0 {
+            let live = REAL_LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            REAL_PEAK.fetch_max(live, Ordering::SeqCst);
+        }
+    }
+}
+
+fn unwatch_grid(size: usize) {
+    let n = GRID_WATCH.load(Ordering::SeqCst);
+    if n != 0 && size == n * n * 8 {
+        REAL_LIVE.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -135,6 +157,8 @@ fn grid_allocs(n: usize, f: impl FnOnce()) -> Grids {
     for count in &GRID_ALLOCS {
         count.store(0, Ordering::SeqCst);
     }
+    REAL_LIVE.store(0, Ordering::SeqCst);
+    REAL_PEAK.store(0, Ordering::SeqCst);
     GRID_WATCH.store(n, Ordering::SeqCst);
     f();
     GRID_WATCH.store(0, Ordering::SeqCst);
@@ -145,6 +169,7 @@ fn grid_allocs(n: usize, f: impl FnOnce()) -> Grids {
         real,
         complex,
         half,
+        real_peak: REAL_PEAK.load(Ordering::SeqCst).max(0) as usize,
     }
 }
 
@@ -167,6 +192,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // `System.dealloc` without modification.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         NET_BYTES.fetch_sub(layout.size() as isize, Ordering::SeqCst);
+        unwatch_grid(layout.size());
         System.dealloc(ptr, layout)
     }
 
@@ -174,6 +200,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         NET_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::SeqCst);
         GROSS_BYTES.fetch_add(new_size, Ordering::SeqCst);
+        unwatch_grid(layout.size());
         watch_grid(new_size);
         System.realloc(ptr, layout, new_size)
     }
@@ -321,6 +348,42 @@ fn steady_state_iterations_are_allocation_free() {
                 gross[0]
             );
         }
+    }
+
+    // A cold `run_pixel_ilt` on a warm simulator: its own grids are the
+    // target, the latent, Adam's two moments and the mask (the latent is
+    // moved in from a warm start), so it holds at most five at once. The
+    // update domain's dilation takes a distance grid for a moment before
+    // them. dL/dM streams from the litho call's last transform through
+    // the blur's row windows into the row-wise step, so neither it nor a
+    // blur output is a grid.
+    let size = 256;
+    let (sim, target, _) = fixture(size, 2048.0);
+    for engine in [
+        IltEngine::Mosaic,
+        IltEngine::MultiIltLike,
+        IltEngine::NeuralIltLike,
+    ] {
+        let config = engine.config(2);
+        run_pixel_ilt(&sim, &target, &config, RunCtx::default()).unwrap();
+        let cold = grid_allocs(size, || {
+            run_pixel_ilt(&sim, &target, &config, RunCtx::default()).unwrap();
+        });
+        let latent = Grid2D::new(size, size, 0.5);
+        let warm = grid_allocs(size, || {
+            let ctx = RunCtx {
+                init: Some(latent),
+                ..RunCtx::default()
+            };
+            run_pixel_ilt(&sim, &target, &config, ctx).unwrap();
+        });
+        assert!(
+            cold.real_peak <= 5 && warm.real_peak <= 4,
+            "a {engine:?} run_pixel_ilt at {size} px on a warm simulator held {} N² f64 buffers \
+             at once ({} from a warm start); at most 5 (4) are its own grids",
+            cold.real_peak,
+            warm.real_peak
+        );
     }
 
     // Scoring: the second `evaluate_mask` on one simulator, after the

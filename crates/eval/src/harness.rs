@@ -222,10 +222,12 @@ fn run_case(spec: &SuiteSpec, layout: &Layout, timing: bool) -> Result<CaseRecor
     let target = layout.rasterize(n);
     let probe = window_probe(layout, n);
 
-    // Rule-based baseline: MultiILT-like pixel ILT, then CircleRule.
+    // Rule-based baseline: MultiILT-like pixel ILT, then CircleRule. Only
+    // CircleRule reads the pixel result, so it is gone before CircleOpt.
     let pixel = run_engine(&sim, &target, IltEngine::MultiIltLike, spec.rule_iterations)
         .map_err(litho_err)?;
     let rule_mask = circle_rule(&pixel.mask_binary, &spec.circleopt_config().rule, pixel_nm);
+    drop(pixel);
     let rule_raster = rule_mask.rasterize(n, n);
     let rule = method_outcome(
         spec,

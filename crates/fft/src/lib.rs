@@ -68,5 +68,5 @@ pub mod workspace;
 pub use complex::Complex;
 pub use fft1d::{naive_dft, naive_dft_into, Direction, Fft, FftError};
 pub use fft2d::{signed_freq, Fft2d};
-pub use rfft2d::{Rfft2d, RowPairs};
+pub use rfft2d::{ReBandRows, Rfft2d, RowPairs};
 pub use workspace::BufferPool;

@@ -43,7 +43,10 @@
 //!   (the Hermitian projection and the column pass, into a caller's
 //!   `height × (min(band, width/2) + 1)` buffer, the only columns the row
 //!   pass reads), then [`RowPairs::forward_re_band_rows`] on every row pair
-//!   (one packed row transform, two real output rows).
+//!   (one packed row transform, two real output rows). [`Rfft2d::re_band_rows`]
+//!   runs the first piece into a column buffer of the plan's own and hands
+//!   out the second pair by pair ([`ReBandRows`]), for a caller that
+//!   consumes the output as it comes.
 //!
 //! The row pieces are methods of [`RowPairs`], the packed-row scratch a
 //! stream takes from the plan once ([`Rfft2d::row_pairs`]) rather than
@@ -395,9 +398,8 @@ impl Rfft2d {
     /// full zero-padded spectrum, up to the sign of exact zeros.
     /// `band ≥ width/2` is [`Rfft2d::forward_re_into`] itself.
     ///
-    /// It is [`Rfft2d::forward_re_band_columns`] into pooled scratch of
-    /// [`Rfft2d::half_band_len`] entries, then
-    /// [`RowPairs::forward_re_band_rows`] on every row pair.
+    /// It is [`Rfft2d::re_band_rows`] with every row pair written in
+    /// place.
     ///
     /// # Errors
     ///
@@ -424,14 +426,36 @@ impl Rfft2d {
             self.half_scratch.put(buf);
             return Ok(());
         }
-        let mut half = self.half_scratch.take(self.half_band_len(band));
-        self.forward_re_band_columns(freq, &mut half, band)?;
-        let mut pairs = self.row_pairs();
-        for (pair, rows) in out.chunks_exact_mut(2 * w).enumerate() {
-            pairs.forward_re_band_rows(&half, pair, rows, band)?;
+        let mut rows = self.re_band_rows(freq, band)?;
+        for (pair, out) in out.chunks_exact_mut(2 * w).enumerate() {
+            rows.rows(pair, out)?;
         }
-        self.half_scratch.put(half);
         Ok(())
+    }
+
+    /// [`Rfft2d::forward_re_band_into`] handed out one row pair at a time,
+    /// so a caller can use each pair as it comes instead of holding the
+    /// whole output: [`Rfft2d::forward_re_band_columns`] runs now, into a
+    /// column buffer of [`Rfft2d::half_band_len`] entries from the plan's
+    /// pool, and each [`ReBandRows::rows`] is
+    /// [`RowPairs::forward_re_band_rows`] on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `freq` is not `height·m`
+    /// long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has fewer than two rows or columns.
+    pub fn re_band_rows(&self, freq: &[Complex], band: usize) -> Result<ReBandRows<'_>, FftError> {
+        let mut rows = ReBandRows {
+            pairs: self.row_pairs(),
+            half: self.half_scratch.take(self.half_band_len(band)),
+            band,
+        };
+        self.forward_re_band_columns(freq, &mut rows.half, band)?;
+        Ok(rows)
     }
 
     /// The first piece of [`Rfft2d::forward_re_band_into`]: the Hermitian
@@ -604,6 +628,43 @@ impl RowPairs<'_> {
 impl Drop for RowPairs<'_> {
     fn drop(&mut self) {
         self.plan.row_scratch.put(std::mem::take(&mut self.buf));
+    }
+}
+
+/// One [`Rfft2d::forward_re_band_into`] whose column piece is done, from
+/// [`Rfft2d::re_band_rows`]: it holds the column buffer and the row
+/// pairs' packed-row scratch, both returned to the plan's pools when
+/// dropped.
+#[derive(Debug)]
+pub struct ReBandRows<'a> {
+    pairs: RowPairs<'a>,
+    half: Vec<Complex>,
+    band: usize,
+}
+
+impl ReBandRows<'_> {
+    /// Output rows `2·pair` and `2·pair + 1` into `out` (`2·width`
+    /// entries, row `2·pair` first), with the bits of the whole
+    /// transform's rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `out` is not `2·width`
+    /// long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pair` is not below `height/2`.
+    pub fn rows(&mut self, pair: usize, out: &mut [f64]) -> Result<(), FftError> {
+        self.pairs
+            .forward_re_band_rows(&self.half, pair, out, self.band)
+    }
+}
+
+impl Drop for ReBandRows<'_> {
+    fn drop(&mut self) {
+        let plan = self.pairs.plan;
+        plan.half_scratch.put(std::mem::take(&mut self.half));
     }
 }
 

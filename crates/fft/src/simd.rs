@@ -35,7 +35,7 @@ mod exp_table;
 mod pixel;
 mod resist;
 
-pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, PixelStepStats};
+pub use pixel::{latent_mask, pixel_ilt_step, AdamStep, PixelStep, PixelStepStats};
 pub use resist::{
     reduce_sums, resist_corner, resist_corner_sums, sigmoid, GradOut, ResistCorner, SIGMOID_SAT,
 };

@@ -13,9 +13,10 @@
 //! is the resist kernel's four-lane one. The Adam step is
 //! [`AdamStep::update`]'s arithmetic with its coefficients broadcast. The
 //! gradient norms are summed in [`NormLanes`]' four lanes, which are the
-//! vector accumulators' lanes, and the AVX2 body hands them to the
-//! scalar reference for the last `n mod 4` pixels. The active-pixel count
-//! is an integer sum, so its order does not matter.
+//! vector accumulators' lanes: the AVX2 body takes them from the
+//! [`PixelStep`] that carries them from block to block, and hands them
+//! to the scalar reference for the last `n mod 4` pixels of a block. The
+//! active-pixel count is an integer sum, so its order does not matter.
 
 use super::resist::sigmoid;
 use cfaopc_trace::NormLanes;
@@ -103,6 +104,7 @@ pub struct PixelStepStats {
 /// It counts the pixels with `M > 0.5` and takes `g`'s norms in
 /// [`NormLanes`]' order, the order of `cfaopc_trace::grad_norms`.
 /// Dispatches to AVX2 when available; both paths produce identical bits.
+/// It is one [`PixelStep::block`] over the whole grid.
 ///
 /// # Panics
 ///
@@ -116,71 +118,122 @@ pub fn pixel_ilt_step(
     steepness: f64,
     adam: AdamStep<'_>,
 ) -> PixelStepStats {
-    let n = grad_mask.len();
-    assert_eq!(mask.len(), n, "gradient/mask length mismatch");
-    assert_eq!(latent.len(), n, "gradient/latent length mismatch");
-    if let Some(d) = domain {
-        assert_eq!(d.len(), n, "gradient/domain length mismatch");
-    }
-    assert!(
-        adam.m.len() == n && adam.v.len() == n,
-        "gradient/moment length mismatch"
-    );
-    let mut pass = Pass {
-        grad_mask,
-        mask,
-        latent,
-        domain,
-        theta: steepness,
-        adam,
-        norms: NormLanes::default(),
-        active: 0,
-    };
-    #[cfg(target_arch = "x86_64")]
-    let done = if super::avx2_available() {
-        // SAFETY: AVX2 was detected at runtime on this CPU, the only
-        // precondition of the target_feature function; the lengths were
-        // checked equal above.
-        #[allow(unsafe_code)]
-        unsafe {
-            pixel_ilt_step_avx2(&mut pass)
-        }
-    } else {
-        0
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    pixel_ilt_step_scalar(&mut pass, done);
-    let (grad_l2, grad_linf) = pass.norms.norms();
-    PixelStepStats {
-        active: pass.active,
-        grad_l2,
-        grad_linf,
-    }
+    assert_eq!(mask.len(), grad_mask.len(), "gradient/mask length mismatch");
+    let mut step = PixelStep::new(mask, latent, domain, steepness, adam);
+    step.block(0, grad_mask);
+    step.stats()
 }
 
-/// One [`pixel_ilt_step`] call's operands and running results.
-struct Pass<'a, 'd> {
-    grad_mask: &'a [f64],
+/// [`pixel_ilt_step`] fed its dL/dM a block of pixels at a time, as the
+/// gradient streams in: it holds the iteration's one [`AdamStep`] and
+/// carries the gradient norms' [`NormLanes`] and the active count from
+/// block to block, as [`super::resist_corner_sums`] carries its sums.
+/// Entry `i` of the grid goes to lane `i mod 4` whatever block it comes
+/// in, so blocks fed in pixel order, covering each pixel once, leave every
+/// output bit and [`PixelStep::stats`] as one [`pixel_ilt_step`] call
+/// over the whole grid.
+#[derive(Debug)]
+pub struct PixelStep<'a> {
     mask: &'a mut [f64],
     latent: &'a mut [f64],
     domain: Option<&'a [bool]>,
     theta: f64,
-    adam: AdamStep<'d>,
+    adam: AdamStep<'a>,
     norms: NormLanes,
     active: usize,
 }
 
+impl<'a> PixelStep<'a> {
+    /// The pass over `mask`, `latent` and, when given, `domain` at mask
+    /// steepness `θ`, taking Adam step `adam`; no pixel is stepped yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latent`, `domain` or Adam's moments differ in length
+    /// from `mask`.
+    pub fn new(
+        mask: &'a mut [f64],
+        latent: &'a mut [f64],
+        domain: Option<&'a [bool]>,
+        steepness: f64,
+        adam: AdamStep<'a>,
+    ) -> Self {
+        let n = mask.len();
+        assert_eq!(latent.len(), n, "mask/latent length mismatch");
+        if let Some(d) = domain {
+            assert_eq!(d.len(), n, "mask/domain length mismatch");
+        }
+        assert!(
+            adam.m.len() == n && adam.v.len() == n,
+            "mask/moment length mismatch"
+        );
+        PixelStep {
+            mask,
+            latent,
+            domain,
+            theta: steepness,
+            adam,
+            norms: NormLanes::default(),
+            active: 0,
+        }
+    }
+
+    /// Steps pixels `at..at + grad_mask.len()`, `grad_mask` holding their
+    /// dL/dM. A block starting at a multiple of four runs on AVX2 when it
+    /// is available; any other (only a grid narrower than four pixels
+    /// feeds one) runs on the scalar reference, whose bits the AVX2 body
+    /// has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block runs past the grid.
+    pub fn block(&mut self, at: usize, grad_mask: &[f64]) {
+        assert!(
+            at + grad_mask.len() <= self.mask.len(),
+            "pixels {at}..{} past a grid of {}",
+            at + grad_mask.len(),
+            self.mask.len()
+        );
+        #[cfg(target_arch = "x86_64")]
+        let done = if at.is_multiple_of(4) && super::avx2_available() {
+            // SAFETY: AVX2 was detected at runtime on this CPU, the only
+            // precondition of the target_feature function; the block was
+            // checked to lie inside every slice (`new` checked them equal).
+            #[allow(unsafe_code)]
+            unsafe {
+                pixel_ilt_step_avx2(self, at, grad_mask)
+            }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        pixel_ilt_step_scalar(self, at, grad_mask, done);
+    }
+
+    /// The active count and gradient norms of every pixel stepped so far.
+    pub fn stats(&self) -> PixelStepStats {
+        let (grad_l2, grad_linf) = self.norms.norms();
+        PixelStepStats {
+            active: self.active,
+            grad_l2,
+            grad_linf,
+        }
+    }
+}
+
 /// Scalar reference — the definition of [`pixel_ilt_step`]'s bits, and
-/// the fallback for non-AVX2 targets. Runs pixels `from..`.
-fn pixel_ilt_step_scalar(s: &mut Pass<'_, '_>, from: usize) {
+/// the fallback for non-AVX2 targets. Runs entries `from..` of the block
+/// of pixels `at..at + grad_mask.len()`.
+fn pixel_ilt_step_scalar(s: &mut PixelStep<'_>, at: usize, grad_mask: &[f64], from: usize) {
     let theta = s.theta;
-    for i in from..s.grad_mask.len() {
+    for (i, &gm) in grad_mask.iter().enumerate().skip(from) {
+        let i = at + i;
         let m = s.mask[i];
         if m > 0.5 {
             s.active += 1;
         }
-        let mut g = s.grad_mask[i] * theta * m * (1.0 - m);
+        let mut g = gm * theta * m * (1.0 - m);
         if s.domain.is_some_and(|d| !d[i]) {
             g = 0.0;
         }
@@ -225,19 +278,21 @@ fn latent_mask_scalar(latent: &[f64], theta: f64, mask: &mut [f64], from: usize)
     }
 }
 
-/// AVX2 body: pixels `0..4·⌊n/4⌋`, four per step. Leaves the norm lanes
-/// and the active count in `s` and returns the first pixel it left to
-/// the scalar reference.
+/// AVX2 body: entries `0..4·⌊n/4⌋` of the block of `n` pixels from `at`
+/// (a multiple of four, so vector lane `j` is norm lane `(at + j) mod
+/// 4`), four per step. Carries the norm lanes and the active count in
+/// `s` and returns the first entry it left to the scalar reference.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
-// SAFETY: callers must have verified AVX2 support (the public dispatcher
-// gates on `avx2_available()`) and that every slice, the domain and
-// Adam's moments included, has `grad_mask.len()` entries (its asserts);
-// every load and store below is bounded by `i + 4 <= n`.
-unsafe fn pixel_ilt_step_avx2(s: &mut Pass<'_, '_>) -> usize {
+// SAFETY: callers must have verified AVX2 support (the dispatcher gates
+// on `avx2_available()`) and that pixels `at..at + grad_mask.len()` lie
+// inside the mask, the latent, the domain and Adam's moments (`new` and
+// `block` assert it); every load and store below is bounded by
+// `i + 4 <= n`.
+unsafe fn pixel_ilt_step_avx2(s: &mut PixelStep<'_>, at: usize, grad_mask: &[f64]) -> usize {
     use std::arch::x86_64::*;
-    let n = s.grad_mask.len();
+    let n = grad_mask.len();
     let theta = _mm256_set1_pd(s.theta);
     let one = _mm256_set1_pd(1.0);
     let half = _mm256_set1_pd(0.5);
@@ -251,19 +306,30 @@ unsafe fn pixel_ilt_step_avx2(s: &mut Pass<'_, '_>) -> usize {
     let bc1 = _mm256_set1_pd(s.adam.bc1);
     let bc2 = _mm256_set1_pd(s.adam.bc2);
     let eps = _mm256_set1_pd(ADAM_EPS);
-    let (mom1, mom2) = (s.adam.m.as_mut_ptr(), s.adam.v.as_mut_ptr());
-    let gp = s.grad_mask.as_ptr();
-    let mp = s.mask.as_mut_ptr();
-    let pp = s.latent.as_mut_ptr();
-    let domain = s.domain.map(<[bool]>::as_ptr);
-    let mut sum_sq = _mm256_setzero_pd();
-    let mut linf = _mm256_setzero_pd();
+    // SAFETY: `at` is inside every slice (the block's bounds check).
+    let (mom1, mom2, mp, pp, domain) = unsafe {
+        (
+            s.adam.m.as_mut_ptr().add(at),
+            s.adam.v.as_mut_ptr().add(at),
+            s.mask.as_mut_ptr().add(at),
+            s.latent.as_mut_ptr().add(at),
+            s.domain.map(|d| d.as_ptr().add(at)),
+        )
+    };
+    let gp = grad_mask.as_ptr();
+    // SAFETY: each lane array holds exactly four f64s.
+    let (mut sum_sq, mut linf) = unsafe {
+        (
+            _mm256_loadu_pd(s.norms.sum_sq.as_ptr()),
+            _mm256_loadu_pd(s.norms.linf.as_ptr()),
+        )
+    };
     let mut active = 0u32;
     let mut i = 0usize;
     while i + 4 <= n {
-        // SAFETY: `i + 4 <= n` bounds every load and store: the mask, the
-        // gradient, the latent, Adam's moments and the four domain bytes
-        // all have `n` entries.
+        // SAFETY: `i + 4 <= n` bounds every load and store: the block's
+        // gradient and, from `at`, the mask, the latent, Adam's moments
+        // and the four domain bytes all have `n` entries.
         unsafe {
             let m = _mm256_loadu_pd(mp.add(i));
             let above = _mm256_cmp_pd::<_CMP_GT_OQ>(m, half);
@@ -425,20 +491,21 @@ mod tests {
         );
         let (mut slow_mask, mut slow_latent) = (mask.to_vec(), c.latent.clone());
         let (mut slow_m, mut slow_v) = (c.m.clone(), c.v.clone());
-        let mut pass = Pass {
-            grad_mask: &c.grad,
-            mask: &mut slow_mask,
-            latent: &mut slow_latent,
+        let mut pass = PixelStep::new(
+            &mut slow_mask,
+            &mut slow_latent,
             domain,
             theta,
-            adam: adam(t, &mut slow_m, &mut slow_v),
-            norms: NormLanes::default(),
-            active: 0,
-        };
-        pixel_ilt_step_scalar(&mut pass, 0);
-        let (l2, linf) = pass.norms.norms();
-        assert_eq!(fast.active, pass.active, "{label}: active");
-        same_bits(&[fast.grad_l2, fast.grad_linf], &[l2, linf], label);
+            adam(t, &mut slow_m, &mut slow_v),
+        );
+        pixel_ilt_step_scalar(&mut pass, 0, &c.grad, 0);
+        let slow = pass.stats();
+        assert_eq!(fast.active, slow.active, "{label}: active");
+        same_bits(
+            &[fast.grad_l2, fast.grad_linf],
+            &[slow.grad_l2, slow.grad_linf],
+            label,
+        );
         same_bits(&fast_latent, &slow_latent, &format!("{label}: latent"));
         same_bits(&fast_mask, &slow_mask, &format!("{label}: mask"));
         same_bits(&fast_m, &slow_m, &format!("{label}: m"));
@@ -460,6 +527,58 @@ mod tests {
                     let label = format!("n = {n}, domain {with_domain}, Adam step {t}");
                     assert_paths_agree(&c, &mask, with_domain, t, &label);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_in_pixel_order_equal_one_whole_step() {
+        // Rows of a grid fed one at a time, as the gradient streams in:
+        // widths that are multiples of four run every block on AVX2, the
+        // others start blocks off a lane boundary and run them on the
+        // scalar reference. Either way the carried lanes, the count and
+        // every pixel match one call over the whole grid.
+        for (w, h) in [(64, 64), (16, 5), (4, 1), (2, 7), (1, 9), (6, 3), (0, 4)] {
+            let n = w * h;
+            let c = case(n, (w * 31 + h) as u64);
+            let mut mask = vec![0.0; n];
+            latent_mask_scalar(&c.latent, 4.0, &mut mask, 0);
+            for with_domain in [false, true] {
+                let domain = with_domain.then_some(c.domain.as_slice());
+                let (mut whole_mask, mut whole_latent) = (mask.clone(), c.latent.clone());
+                let (mut whole_m, mut whole_v) = (c.m.clone(), c.v.clone());
+                let whole = pixel_ilt_step(
+                    &c.grad,
+                    &mut whole_mask,
+                    &mut whole_latent,
+                    domain,
+                    4.0,
+                    adam(57, &mut whole_m, &mut whole_v),
+                );
+                let (mut rows_mask, mut rows_latent) = (mask.clone(), c.latent.clone());
+                let (mut rows_m, mut rows_v) = (c.m.clone(), c.v.clone());
+                let mut step = PixelStep::new(
+                    &mut rows_mask,
+                    &mut rows_latent,
+                    domain,
+                    4.0,
+                    adam(57, &mut rows_m, &mut rows_v),
+                );
+                for y in 0..h {
+                    step.block(y * w, &c.grad[y * w..][..w]);
+                }
+                let rows = step.stats();
+                let label = format!("{w}x{h}, domain {with_domain}");
+                assert_eq!(rows.active, whole.active, "{label}: active");
+                same_bits(
+                    &[rows.grad_l2, rows.grad_linf],
+                    &[whole.grad_l2, whole.grad_linf],
+                    &label,
+                );
+                same_bits(&rows_latent, &whole_latent, &format!("{label}: latent"));
+                same_bits(&rows_mask, &whole_mask, &format!("{label}: mask"));
+                same_bits(&rows_m, &whole_m, &format!("{label}: m"));
+                same_bits(&rows_v, &whole_v, &format!("{label}: v"));
             }
         }
     }

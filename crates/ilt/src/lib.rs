@@ -13,8 +13,8 @@
 //! DevelSet-like level set runs on the same loop), and [`Optimizer`] for
 //! the shared Adam state (the circle-level stage reuses it). The
 //! per-pixel work of every pixel-ILT iteration runs in
-//! `cfaopc_fft::simd::pixel_ilt_step`, so this crate stays free of
-//! `unsafe`.
+//! `cfaopc_fft::simd::PixelStep`, a row at a time as the gradient streams
+//! in, so this crate stays free of `unsafe`.
 //!
 //! # Examples
 //!

@@ -58,8 +58,9 @@ impl Optimizer {
     /// Counts one step and hands out its [`AdamStep`]: the learning rate,
     /// the bias corrections for this step and the moment state, for a
     /// caller that applies the update itself (the fused pixel-ILT pass,
-    /// `cfaopc_fft::simd::pixel_ilt_step`). [`Optimizer::step`] is this
-    /// plus the update of every parameter.
+    /// `cfaopc_fft::simd::PixelStep`, which takes one per iteration for all
+    /// of its rows). [`Optimizer::step`] is this plus the update of every
+    /// parameter.
     pub fn descent(&mut self) -> AdamStep<'_> {
         self.t += 1;
         AdamStep::new(self.lr, self.t, &mut self.m, &mut self.v)

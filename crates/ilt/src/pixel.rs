@@ -4,13 +4,20 @@
 //! latent field `P` (the shifted-sigmoid binarization of MOSAIC/MultiILT);
 //! the loss is the relaxed `L2 + L_pvb` of Eq. 6 and its gradient comes
 //! from the hand-derived adjoint in `cfaopc-litho`.
+//!
+//! The mask-grid gradient dL/dM is never whole: it streams out of the
+//! litho call's last transform one row pair at a time, through the
+//! gradient blur's passes (each a 3-row window over the pass below it)
+//! into the fused per-pixel step, row by row. A run holds five `N²` grids
+//! (the target, the latent, Adam's two moments and the mask), four when
+//! the latent is a warm start moved in.
 
 use crate::optimizer::Optimizer;
-use cfaopc_fft::simd::{latent_mask, pixel_ilt_step};
+use cfaopc_fft::simd::{latent_mask, PixelStep, PixelStepStats};
 use cfaopc_grid::{dilate, BitGrid, Grid2D, Structuring};
 use cfaopc_litho::{
-    loss_and_gradient_into, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
-    NonFiniteTerm,
+    loss_and_spectral_gradient, CancelToken, GradientRows, LithoError, LithoSimulator, LossValues,
+    LossWeights, NonFiniteTerm,
 };
 use cfaopc_trace::{IterationRecord, Stage, TelemetrySink};
 
@@ -112,10 +119,15 @@ impl<I> Default for RunCtx<'_, I> {
 /// [`Stage::PixelIlt`] records, where `active` counts mask pixels above
 /// 0.5.
 ///
-/// After each loss evaluation (and the optional gradient blur), one
-/// fused pass ([`cfaopc_fft::simd::pixel_ilt_step`]) takes the chain rule
-/// through the mask sigmoid, the latent gradient's norms, the Adam step
-/// and the next mask, on the calling thread.
+/// Each iteration evaluates the loss up to the gradient's last transform
+/// ([`loss_and_spectral_gradient`]), then streams dL/dM row pair by row
+/// pair ([`cfaopc_litho::GradientSpectrum::stream`]) through the
+/// optional gradient blur into one fused pass per row
+/// ([`cfaopc_fft::simd::PixelStep`]): the chain rule through the mask
+/// sigmoid, the latent gradient's norms, the Adam step and the next mask,
+/// on the calling thread. Every bit is that of the whole-grid loop —
+/// the gradient into a grid, each blur pass over the whole grid, then
+/// one [`cfaopc_fft::simd::pixel_ilt_step`] — which holds two more grids.
 ///
 /// Every iteration the numerical-health guard then checks the loss terms
 /// and the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run
@@ -182,36 +194,37 @@ pub fn run_pixel_ilt(
     let theta = config.mask_steepness;
     let mut optimizer = Optimizer::new(config.lr, latent.len());
     let mut history = Vec::with_capacity(config.iterations);
-    // The mask, dL/dM and the blur's output are reused every iteration,
-    // so a steady-state iteration allocates no grid (`tests/alloc.rs` in
+    // The mask and the blur's row windows are reused every iteration, so
+    // a steady-state iteration allocates no grid (`tests/alloc.rs` in
     // `cfaopc-core`).
     let mut mask = Grid2D::new(n, n, 0.0);
     latent_mask(&latent, theta, mask.as_mut_slice());
-    let mut grad_m = Grid2D::new(n, n, 0.0);
-    let blur_px = if config.grad_smoothing > 0 { n } else { 0 };
-    let mut blurred = Grid2D::new(blur_px, blur_px, 0.0);
+    let mut windows = vec![0.0; BlurRows::window_len(n, config.grad_smoothing)];
 
     for it in 0..config.iterations {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(LithoError::Cancelled { iteration: it });
         }
-        let values = loss_and_gradient_into(sim, &mask, &target_real, config.weights, &mut grad_m)?;
+        let gradient = loss_and_spectral_gradient(sim, &mask, &target_real, config.weights)?;
+        let values = gradient.values();
         history.push(values);
-        for _ in 0..config.grad_smoothing {
-            box_blur3_into(&grad_m, &mut blurred);
-            std::mem::swap(&mut grad_m, &mut blurred);
-        }
-        // One fused pass: the chain rule through the sigmoid
-        // (dL/dP = dL/dM · θ m (1 − m), 0 outside the domain), the
-        // gradient norms, the Adam step and the next mask σ(θ P).
-        let stats = pixel_ilt_step(
-            grad_m.as_slice(),
+        // The mask is stepped as dL/dM streams in: one fused pass per row
+        // (dL/dP = dL/dM · θ m (1 − m), 0 outside the domain; the
+        // gradient norms; this iteration's Adam step; the next mask
+        // σ(θ P)), after the blur's passes.
+        let step = PixelStep::new(
             mask.as_mut_slice(),
             &mut latent,
             domain.as_deref(),
             theta,
             optimizer.descent(),
         );
+        let mut rows = StepRows {
+            blur: BlurRows::new(n, n, config.grad_smoothing, &mut windows),
+            step,
+        };
+        gradient.stream(&mut rows)?;
+        let stats = rows.finish();
         let term = values.non_finite_term().or_else(|| {
             (!stats.grad_l2.is_finite() || !stats.grad_linf.is_finite())
                 .then_some(NonFiniteTerm::Gradient)
@@ -247,53 +260,164 @@ pub fn run_pixel_ilt(
     })
 }
 
-/// One 3×3 box-blur pass of `g` with clamped borders, into `out` (same
-/// shape). Each output is its nine neighbours added to `0.0` row by row,
-/// left to right, then divided by 9. Interior pixels read three row
-/// slices, in a loop the compiler runs several pixels at a time; border
-/// pixels clamp their indices. Both add in the same order, so they give
-/// the bits the clamped loop gives everywhere.
-fn box_blur3_into(g: &Grid2D<f64>, out: &mut Grid2D<f64>) {
-    let (w, h) = (g.width(), g.height());
-    let src = g.as_slice();
-    let clamped = |x: usize, y: usize| {
+/// Rows a level of [`BlurRows`] keeps: the three a blur window reads,
+/// rounded up to two whole row pairs, so each block the gradient stream
+/// writes lands in one piece.
+const WINDOW_ROWS: usize = 4;
+
+/// The gradient blur's passes, streamed: rows of a `width × height` grid
+/// come in blocks in row order (level 0), and each pass `k` is a 3-row
+/// window over level `k − 1` that makes its row `y` once level `k − 1`'s
+/// row `y + 1` (or its last row) is in. Row `y` of a level lives in slot
+/// `y mod 4` of that level's [`WINDOW_ROWS`] rows, so the whole cascade
+/// holds `4·(passes + 1)` rows. Each output has the bits of a whole-grid
+/// clamped 3×3 box blur ([`blur3_row`]).
+struct BlurRows<'a> {
+    width: usize,
+    height: usize,
+    passes: usize,
+    /// The levels' rows, level `k` at `k · WINDOW_ROWS · width`.
+    windows: &'a mut [f64],
+}
+
+impl<'a> BlurRows<'a> {
+    /// Entries of the windows of a `width`-wide cascade of `passes`.
+    fn window_len(width: usize, passes: usize) -> usize {
+        WINDOW_ROWS * width * (passes + 1)
+    }
+
+    /// A cascade over `windows` ([`BlurRows::window_len`] entries).
+    fn new(width: usize, height: usize, passes: usize, windows: &'a mut [f64]) -> Self {
+        assert_eq!(windows.len(), Self::window_len(width, passes));
+        BlurRows {
+            width,
+            height,
+            passes,
+            windows,
+        }
+    }
+
+    /// Where level-0 rows `first..first + count` go: a block that does
+    /// not wrap past the fourth slot (two rows from an even row, or one).
+    fn rows_mut(&mut self, first: usize, count: usize) -> &mut [f64] {
+        let slot = first % WINDOW_ROWS;
+        assert!(slot + count <= WINDOW_ROWS, "rows {first}+{count} wrap");
+        &mut self.windows[slot * self.width..][..count * self.width]
+    }
+
+    /// Level-0 rows `first..first + count` are in: runs every row they
+    /// complete, handing each of the last level's to `out` with its index.
+    fn rows_done(&mut self, first: usize, count: usize, mut out: impl FnMut(usize, &[f64])) {
+        for y0 in first..first + count {
+            self.advance(y0, &mut out);
+        }
+    }
+
+    /// After the last row: the rows each pass still owes.
+    fn drain(&mut self, mut out: impl FnMut(usize, &[f64])) {
+        for y0 in self.height..self.height + self.passes {
+            self.advance(y0, &mut out);
+        }
+    }
+
+    /// Level 0 is in up to row `y0` (past the last row while draining):
+    /// level `k`'s row `y0 − k`, for each pass in order, then the last
+    /// level's row `y0 − passes` to `out`.
+    fn advance(&mut self, y0: usize, out: &mut impl FnMut(usize, &[f64])) {
+        let (w, h) = (self.width, self.height);
+        let level = WINDOW_ROWS * w;
+        let slot = |y: usize| (y % WINDOW_ROWS) * w;
+        let row = |y0: usize, k: usize| y0.checked_sub(k).filter(|&y| y < h);
+        for k in 1..=self.passes {
+            let Some(y) = row(y0, k) else { continue };
+            let (below, above) = self.windows.split_at_mut(k * level);
+            let src = &below[(k - 1) * level..];
+            let rows = [y.saturating_sub(1), y, (y + 1).min(h - 1)].map(|r| &src[slot(r)..][..w]);
+            blur3_row(rows, &mut above[slot(y)..][..w]);
+        }
+        if let Some(y) = row(y0, self.passes) {
+            out(y, &self.windows[self.passes * level + slot(y)..][..w]);
+        }
+    }
+}
+
+/// One row of a 3×3 box-blur pass with clamped borders, into `out`:
+/// `rows` are the input rows above, at and below it (the row itself in
+/// place of a missing neighbour), and each output is its nine neighbours
+/// added to `0.0` row by row, left to right, then divided by 9. Interior
+/// pixels read three shifted slices of each row, in a loop the compiler
+/// runs several pixels at a time; the two edge pixels clamp their
+/// columns. Both add in the same order, so every pixel has the bits of
+/// the clamped whole-grid loop.
+fn blur3_row(rows: [&[f64]; 3], out: &mut [f64]) {
+    let w = out.len();
+    let clamped = |x: usize| {
         let mut acc = 0.0;
-        for yy in [y.saturating_sub(1), y, (y + 1).min(h - 1)] {
+        for row in rows {
             for xx in [x.saturating_sub(1), x, (x + 1).min(w - 1)] {
-                acc += src[yy * w + xx];
+                acc += row[xx];
             }
         }
         acc / 9.0
     };
-    for (y, row) in out.as_mut_slice().chunks_exact_mut(w.max(1)).enumerate() {
-        if y == 0 || y + 1 == h || w < 3 {
-            for (x, o) in row.iter_mut().enumerate() {
-                *o = clamped(x, y);
-            }
-            continue;
+    if w < 3 {
+        for (x, o) in out.iter_mut().enumerate() {
+            *o = clamped(x);
         }
-        row[0] = clamped(0, y);
-        row[w - 1] = clamped(w - 1, y);
-        // Interior: nine equal-length shifted slices, so the loop carries
-        // no bounds check and no clamp.
-        let k = w - 2;
-        let [a0, a1, a2, b0, b1, b2, c0, c1, c2] = [
-            (y - 1, 0),
-            (y - 1, 1),
-            (y - 1, 2),
-            (y, 0),
-            (y, 1),
-            (y, 2),
-            (y + 1, 0),
-            (y + 1, 1),
-            (y + 1, 2),
-        ]
-        .map(|(yy, dx)| &src[yy * w + dx..yy * w + dx + k]);
-        let inner = &mut row[1..=k];
-        for x in 0..k {
-            let acc = 0.0 + a0[x] + a1[x] + a2[x] + b0[x] + b1[x] + b2[x] + c0[x] + c1[x] + c2[x];
-            inner[x] = acc / 9.0;
-        }
+        return;
+    }
+    out[0] = clamped(0);
+    out[w - 1] = clamped(w - 1);
+    // Interior: nine equal-length shifted slices, so the loop carries no
+    // bounds check and no clamp.
+    let k = w - 2;
+    let [a, b, c] = rows;
+    let [a0, a1, a2, b0, b1, b2, c0, c1, c2] = [
+        (a, 0),
+        (a, 1),
+        (a, 2),
+        (b, 0),
+        (b, 1),
+        (b, 2),
+        (c, 0),
+        (c, 1),
+        (c, 2),
+    ]
+    .map(|(row, dx)| &row[dx..dx + k]);
+    let inner = &mut out[1..=k];
+    for x in 0..k {
+        let acc = 0.0 + a0[x] + a1[x] + a2[x] + b0[x] + b1[x] + b2[x] + c0[x] + c1[x] + c2[x];
+        inner[x] = acc / 9.0;
+    }
+}
+
+/// The rest of a pixel-ILT iteration on dL/dM as the litho call streams
+/// it ([`GradientRows`]): the blur's passes, then the fused step on each
+/// row of the last pass (or of dL/dM itself, with no pass).
+struct StepRows<'a> {
+    blur: BlurRows<'a>,
+    step: PixelStep<'a>,
+}
+
+impl StepRows<'_> {
+    /// After the stream: the rows the blur still owes, stepped, and the
+    /// iteration's active count and gradient norms.
+    fn finish(mut self) -> PixelStepStats {
+        let step = &mut self.step;
+        self.blur.drain(|y, row| step.block(y * row.len(), row));
+        self.step.stats()
+    }
+}
+
+impl GradientRows for StepRows<'_> {
+    fn rows_mut(&mut self, first: usize, count: usize) -> &mut [f64] {
+        self.blur.rows_mut(first, count)
+    }
+
+    fn rows_done(&mut self, first: usize, count: usize) {
+        let step = &mut self.step;
+        self.blur
+            .rows_done(first, count, |y, row| step.block(y * row.len(), row));
     }
 }
 
@@ -401,19 +525,39 @@ mod tests {
         assert_eq!(result.mask_binary, target);
     }
 
+    /// `passes` blur passes of `g` through [`BlurRows`], fed `block` rows
+    /// at a time (the last block shorter on an odd height), the way the
+    /// gradient stream feeds it. Unwritten window slots hold NaN.
+    fn streamed_blur(g: &Grid2D<f64>, passes: usize, block: usize) -> Grid2D<f64> {
+        let (w, h) = (g.width(), g.height());
+        let mut windows = vec![f64::NAN; BlurRows::window_len(w, passes)];
+        let mut blur = BlurRows::new(w, h, passes, &mut windows);
+        let mut out = Grid2D::new(w, h, f64::NAN);
+        let mut put = |y: usize, row: &[f64]| {
+            out.as_mut_slice()[y * w..][..w].copy_from_slice(row);
+        };
+        for first in (0..h).step_by(block) {
+            let count = block.min(h - first);
+            blur.rows_mut(first, count)
+                .copy_from_slice(&g.as_slice()[first * w..][..count * w]);
+            blur.rows_done(first, count, &mut put);
+        }
+        blur.drain(&mut put);
+        out
+    }
+
     #[test]
     fn box_blur_preserves_mean() {
         let mut g = Grid2D::new(8, 8, 0.0);
         g[(3, 3)] = 9.0;
-        let mut b = Grid2D::new(8, 8, f64::NAN);
-        box_blur3_into(&g, &mut b);
+        let b = streamed_blur(&g, 1, 2);
         let sum: f64 = b.as_slice().iter().sum();
         assert!((sum - 9.0).abs() < 1e-9);
         assert!((b[(3, 3)] - 1.0).abs() < 1e-9);
     }
 
-    /// The clamped 3×3 loop the blur replaced: the nine neighbours added
-    /// to `0.0` row by row, left to right, through clamped indices.
+    /// The clamped 3×3 loop: the nine neighbours added to `0.0` row by
+    /// row, left to right, through clamped indices.
     fn box_blur3_clamped(g: &Grid2D<f64>) -> Grid2D<f64> {
         let (w, h) = (g.width(), g.height());
         let mut out = Grid2D::new(w, h, 0.0);
@@ -458,11 +602,20 @@ mod tests {
                     })
                     .collect();
                 let g = Grid2D::from_vec(w, h, values);
-                let mut got = Grid2D::new(w, h, f64::NAN);
-                box_blur3_into(&g, &mut got);
-                let want = box_blur3_clamped(&g);
-                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h}, pixel {i}: {a} vs {b}");
+                // Cascaded passes, fed a row or a row pair at a time.
+                let mut want = g.clone();
+                for passes in 0..=3 {
+                    for block in [1, 2] {
+                        let got = streamed_blur(&g, passes, block);
+                        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{w}x{h}, {passes} passes in blocks of {block}, pixel {i}: {a} vs {b}"
+                            );
+                        }
+                    }
+                    want = box_blur3_clamped(&want);
                 }
             }
         }

@@ -104,14 +104,18 @@
 //! needs a stack's fields only for that stack's `G_d`, so at width 1,
 //! where the stacks run one after the other, a call holds `K + 1`
 //! pupil-grid field buffers at a time: one stack's fields and one adjoint
-//! product. After the region the final `Re[FFT]` runs on the calling
-//! thread. Every transform runs on the thread of the task that calls it.
+//! product. Every transform runs on the thread of the task that calls it.
 //! The corner losses and the adjoint's values are merged after the
 //! region, on the calling thread and in a fixed order (corner order;
 //! stack-major and kernel-ascending), so every output bit is the same at
-//! any worker count. [`loss_only`] needs no field after its stack's sum,
-//! so each of its stack tasks computes its fields one at a time and stops
-//! after phase 2.
+//! any worker count. That much is [`loss_and_spectral_gradient`]; the
+//! mask is not read after it. The final `Re[FFT]` then runs on the
+//! calling thread ([`GradientSpectrum::stream`]), one row pair at a time
+//! into a [`GradientRows`] consumer: a grid for
+//! [`loss_and_gradient_into`], the pixel-ILT loop's blur and step for
+//! `cfaopc_ilt::run_pixel_ilt`, which so never holds a whole dL/dM.
+//! [`loss_only`] needs no field after its stack's sum, so each of its
+//! stack tasks computes its fields one at a time and stops after phase 2.
 //!
 //! **Band-packed spectra.** Every bin of every kernel lies within the
 //! kernels' reach `R` along both axes, so the mask spectrum the fields
@@ -121,8 +125,8 @@
 //! instead of `N²`. The fields read each bin at its packed index
 //! (`Kernel::packed`), the merge adds each value at the same index in the
 //! order a full-grid accumulator took them, and the final transform
-//! (`cfaopc_fft::Rfft2d::forward_re_band_into`) reads the packed layout
-//! with the full layout's bits, so the gradient is unchanged to the bit.
+//! (`cfaopc_fft::Rfft2d::re_band_rows`) reads the packed layout with the
+//! full layout's bits, so the gradient is unchanged to the bit.
 
 use crate::config::{LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS};
 use crate::kernels::KernelSet;
@@ -431,19 +435,22 @@ pub fn loss_and_gradient(
     Ok((values, grad))
 }
 
-/// [`loss_and_gradient`] into a caller-owned gradient grid.
+/// [`loss_and_gradient`] into a caller-owned gradient grid: the
+/// [`GradientSpectrum`] of [`loss_and_spectral_gradient`], streamed into
+/// `grad` one row pair at a time, in place.
 ///
 /// All scratch (band-packed mask spectrum, pupil-grid fields, per-stack
 /// intensity and dL/dI on the pupil grid and their mask-grid streams'
 /// band buffers and row pairs, each stack's adjoint output, band-packed
-/// spectral accumulator) comes from the simulator's buffer pools, and
-/// `grad` is fully overwritten (reallocated only on a grid-size
-/// change) — so a caller looping over iterations with a persistent
-/// `grad` sees **zero net heap growth** in steady state: the
-/// allocations left (the regions' bookkeeping and result lists) are freed
-/// before the call returns, and none of them grows with the kernels'
-/// bins, as `crates/core/tests/alloc.rs` enforces. [`loss_and_gradient`]
-/// is the convenience wrapper that allocates a fresh grid per call.
+/// spectral accumulator, the final transform's column buffer) comes from
+/// the simulator's and its plans' buffer pools, and `grad` is fully
+/// overwritten (reallocated only on a grid-size change) — so a caller
+/// looping over iterations with a persistent `grad` sees **zero net heap
+/// growth** in steady state: the allocations left (the regions'
+/// bookkeeping and result lists) are freed before the call returns, and
+/// none of them grows with the kernels' bins, as
+/// `crates/core/tests/alloc.rs` enforces. [`loss_and_gradient`] is the
+/// convenience wrapper that allocates a fresh grid per call.
 ///
 /// # Errors
 ///
@@ -457,6 +464,111 @@ pub fn loss_and_gradient_into(
     grad: &mut Grid2D<f64>,
 ) -> Result<LossValues, LithoError> {
     let _span = cfaopc_trace::span("litho.loss_and_gradient");
+    let gradient = spectral_gradient(sim, mask, target, weights)?;
+    let n = sim.size();
+    if grad.width() != n || grad.height() != n {
+        *grad = Grid2D::new(n, n, 0.0);
+    }
+    let values = gradient.values();
+    gradient.stream(&mut GridRows(grad))?;
+    Ok(values)
+}
+
+/// The relaxed loss and its gradient up to the last transform: everything
+/// [`loss_and_gradient_into`] does before `Re[FFT]` turns the spectral
+/// accumulator into dL/dM. The mask is read only here, so a caller can
+/// step it while the gradient streams ([`GradientSpectrum::stream`]): the
+/// pixel-ILT loop holds no mask-grid dL/dM of its own.
+///
+/// The `litho.loss_and_gradient` span times this part alone; the final
+/// transform is timed with whatever its consumer does (the pixel ILT's
+/// blur and step, under `ilt.pixel`).
+///
+/// # Errors
+///
+/// Returns [`LithoError::ShapeMismatch`] when `mask` or `target` do not
+/// match the simulator grid.
+pub fn loss_and_spectral_gradient<'a>(
+    sim: &'a LithoSimulator,
+    mask: &Grid2D<f64>,
+    target: &Grid2D<f64>,
+    weights: LossWeights,
+) -> Result<GradientSpectrum<'a>, LithoError> {
+    let _span = cfaopc_trace::span("litho.loss_and_gradient");
+    spectral_gradient(sim, mask, target, weights)
+}
+
+/// A consumer of the gradient dL/dM, written into it by
+/// [`GradientSpectrum::stream`] in blocks of whole rows, in row order and
+/// each row once: two rows at a time (one block of the whole grid when it
+/// has a single row). The stream writes each block where the consumer
+/// says, so neither side copies it.
+pub trait GradientRows {
+    /// The `count · N` entries rows `first..first + count` are written
+    /// into, row `first` first.
+    fn rows_mut(&mut self, first: usize, count: usize) -> &mut [f64];
+
+    /// Rows `first..first + count` are written into
+    /// [`GradientRows::rows_mut`]'s entries.
+    fn rows_done(&mut self, first: usize, count: usize);
+}
+
+/// An `N × N` grid taking each block in place: the whole gradient, as
+/// [`loss_and_gradient_into`] returns it.
+struct GridRows<'a>(&'a mut Grid2D<f64>);
+
+impl GradientRows for GridRows<'_> {
+    fn rows_mut(&mut self, first: usize, count: usize) -> &mut [f64] {
+        let w = self.0.width();
+        &mut self.0.as_mut_slice()[first * w..][..count * w]
+    }
+
+    fn rows_done(&mut self, _first: usize, _count: usize) {}
+}
+
+/// One loss evaluation whose gradient is still the band-packed spectral
+/// accumulator, from [`loss_and_spectral_gradient`]: it borrows the
+/// simulator only, and returns the accumulator to its pool when dropped.
+#[derive(Debug)]
+pub struct GradientSpectrum<'a> {
+    sim: &'a LithoSimulator,
+    values: LossValues,
+    acc: Vec<Complex>,
+}
+
+impl GradientSpectrum<'_> {
+    /// The loss values.
+    pub fn values(&self) -> LossValues {
+        self.values
+    }
+
+    /// Runs the final transform, dL/dM = `Re[FFT(acc)]`
+    /// (`cfaopc_fft::Rfft2d::re_band_rows`), handing `rows` each row pair
+    /// as it is made, with the bits of the whole grid's transform.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LithoError::Fft`] if a transform fails.
+    pub fn stream<R: GradientRows + ?Sized>(self, rows: &mut R) -> Result<(), LithoError> {
+        self.sim.spectral_rows(&self.acc, rows)
+    }
+}
+
+impl Drop for GradientSpectrum<'_> {
+    fn drop(&mut self) {
+        self.sim.spectrum_pool().put(std::mem::take(&mut self.acc));
+    }
+}
+
+/// [`loss_and_spectral_gradient`] without its span: the mask FFT, the
+/// per-stack region and the merge of the stacks' adjoint values into the
+/// spectral accumulator.
+fn spectral_gradient<'a>(
+    sim: &'a LithoSimulator,
+    mask: &Grid2D<f64>,
+    target: &Grid2D<f64>,
+    weights: LossWeights,
+) -> Result<GradientSpectrum<'a>, LithoError> {
     let n = sim.size();
     if target.width() != n || target.height() != n {
         return Err(LithoError::ShapeMismatch {
@@ -513,16 +625,7 @@ pub fn loss_and_gradient_into(
     for bins in per_stack.into_iter().filter_map(|stack| stack.bins) {
         sim.bins_pool().put(bins);
     }
-
-    // One shared half-spectrum transform turns the spectral accumulator
-    // into the pixel-space gradient `Re[FFT(acc)]` directly, without
-    // materialising the imaginary half.
-    if grad.width() != n || grad.height() != n {
-        *grad = Grid2D::new(n, n, 0.0);
-    }
-    sim.spectral_to_pixels(&acc, grad.as_mut_slice())?;
-    sim.spectrum_pool().put(acc);
-    Ok(values)
+    Ok(GradientSpectrum { sim, values, acc })
 }
 
 /// Evaluates the relaxed loss only (no gradient) — cheaper when a line

@@ -43,7 +43,10 @@ mod simulator;
 pub use config::{
     CancelToken, LithoConfig, LithoError, NonFiniteTerm, ProcessCorner, RESIST_STEEPNESS,
 };
-pub use gradient::{loss_and_gradient, loss_and_gradient_into, loss_only, LossValues, LossWeights};
+pub use gradient::{
+    loss_and_gradient, loss_and_gradient_into, loss_and_spectral_gradient, loss_only, GradientRows,
+    GradientSpectrum, LossValues, LossWeights,
+};
 pub use kernels::{Kernel, KernelSet};
 pub use process_window::{
     bossung_surface, cd_through_focus, measure_cd, standard_sweep, BossungPoint, BossungSurface,

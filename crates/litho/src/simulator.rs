@@ -43,6 +43,7 @@
 //! pair speaks the full layout, and it converts at the boundary.
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner, RESIST_STEEPNESS};
+use crate::gradient::GradientRows;
 use crate::kernels::{Kernel, KernelSet};
 use cfaopc_fft::parallel::{coarse_share, par_map, par_map_coarse, region_width};
 use cfaopc_fft::simd::{accumulate_norm_sqr, sigmoid as resist_sigma};
@@ -380,14 +381,27 @@ impl LithoSimulator {
         Ok(spectrum)
     }
 
-    /// The gradient's final transform: `grad = Re[FFT(acc)]`, for a
-    /// band-packed spectral accumulator.
-    pub(crate) fn spectral_to_pixels(
+    /// The gradient's final transform, `Re[FFT(acc)]` of a band-packed
+    /// spectral accumulator, written into `rows` one row pair at a time
+    /// ([`Rfft2d::re_band_rows`]); a grid of one row comes whole.
+    pub(crate) fn spectral_rows<R: GradientRows + ?Sized>(
         &self,
         acc: &[Complex],
-        grad: &mut [f64],
+        rows: &mut R,
     ) -> Result<(), LithoError> {
-        Ok(self.rplan.forward_re_band_into(acc, grad, self.reach)?)
+        let n = self.size();
+        if n < 2 {
+            self.rplan
+                .forward_re_band_into(acc, rows.rows_mut(0, n), self.reach)?;
+            rows.rows_done(0, n);
+            return Ok(());
+        }
+        let mut transform = self.rplan.re_band_rows(acc, self.reach)?;
+        for pair in 0..n / 2 {
+            transform.rows(pair, rows.rows_mut(2 * pair, 2))?;
+            rows.rows_done(2 * pair, 2);
+        }
+        Ok(())
     }
 
     /// Aerial image from a precomputed mask spectrum in the full row-major

@@ -32,10 +32,13 @@ impl Client {
         }
     }
 
+    /// Sends `line` and its newline in one write: split in two, the
+    /// newline would wait on Nagle's algorithm for the daemon's delayed
+    /// ACK (about 40 ms a request).
     fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send line");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send line");
     }
 
     fn next_line(&mut self) -> String {

@@ -318,7 +318,8 @@ pub fn grad_norms(grad: &[f64]) -> (f64, f64) {
 
 /// Running gradient norms in four lanes, entry `i` into lane `i mod 4`:
 /// the summation order of [`grad_norms`] and of the fused pixel-ILT pass
-/// (`cfaopc_fft::simd::pixel_ilt_step`), whose AVX2 lanes are these.
+/// (`cfaopc_fft::simd::PixelStep`), whose AVX2 lanes are these and which
+/// carries them from row to row.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NormLanes {
     /// Each lane's sum of squares, in entry order.
